@@ -311,15 +311,22 @@ def _load_algebra(ws: Workspace, path: str, maxdeg: int = 30,
                   field_spec: Optional[str] = None) -> BoundQuiverAlgebra:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    override = None
-    if field_spec:
-        try:
-            override = field_from_spec(field_spec)
-        except ValueError as exc:
-            raise ParseError(str(exc), 1) from exc
-    name, alg = parse_algebra_file(text, maxdeg=maxdeg, field_override=override)
+    name, alg = parse_algebra_file(text, maxdeg=maxdeg,
+                                   field_override=_field_option(field_spec))
     ws.add_algebra(name, alg)
     return alg
+
+
+def _field_option(spec: Optional[str]):
+    """The field a --field option names, or None; a bad name is a parse
+    error."""
+    if not spec:
+        return None
+    try:
+        return field_from_spec(spec)
+    except ValueError as exc:
+        raise ParseError(str(exc), 1) from exc
+
 
 def _load_module(ws: Workspace, path: str) -> Representation:
     with open(path, "r", encoding="utf-8") as fh:
@@ -390,9 +397,9 @@ def _cmd_info(args, ws):
             lines.append(f"dim_vector {_fmt_dim_vector(rep)}")
             lines.append(f"total_dimension {rep.total_dim()}")
         else:
-            override = field_from_spec(args.field) if args.field else None
-            name, alg = parse_algebra_file(text, maxdeg=args.max_degree,
-                                           field_override=override)
+            name, alg = parse_algebra_file(
+                text, maxdeg=args.max_degree,
+                field_override=_field_option(args.field))
             ws.add_algebra(name, alg)
             lines.extend(_algebra_info_lines(alg))
     return lines

@@ -1,25 +1,53 @@
-"""Exact dense linear algebra over the rationals and over prime fields.
+"""Exact sparse linear algebra over the rationals and over prime fields.
 
-Entries over Q are stored as python ints where possible and
-`fractions.Fraction` otherwise; prime-field entries are canonical residues
-in [0, p).  Reduction uses an integer-scaled elimination with gcd
-normalization after every row update, so intermediate growth stays small
-on the structured matrices this package produces.  Reduced row echelon
-form is unique over a field, so every code path below yields identical
-results.
+A `Matrix` keeps its rows sparse: row i is a dict from column index to
+the nonzero entry there.  Entries over Q are python ints where possible
+and `fractions.Fraction` otherwise; prime-field entries are residues in
+[1, p).  `Matrix.rows` is a dense tuple-of-tuples view built on demand.
+
+One elimination core serves both fields.  `_echelon` reduces each row
+against the pivot rows found so far, keyed by their leading column, and
+`_back_substitute` then clears every pivot column above its pivot, taking
+the pivots in descending order.  Over Q the rows are integer rows with
+their content stripped after each scaled update (fraction-free, in the
+spirit of Bareiss); over F_p the pivot rows are monic.  Reduced row
+echelon form is unique over a field, so the pivots and the canonical
+kernel vectors do not depend on the order of the row operations.
 """
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import FieldMismatchError, ShapeMismatchError
 
-# Dense block updates via numpy object arrays pay off only past this
-# many cells; below it plain lists win.
-_NUMPY_CELLS = 4096
+# Deterministic Miller-Rabin: with the first thirteen primes as bases the
+# test is exact below _MR_LIMIT (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class RationalField:
@@ -69,7 +97,9 @@ class PrimeField:
     """The prime field F_p.  Elements are ints reduced into [0, p)."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        if p >= _MR_LIMIT:
+            raise ValueError(f"{p} is too large for the exact primality test")
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.char = p
@@ -110,204 +140,239 @@ class PrimeField:
 
 QQ = RationalField()
 
+SparseRow = Dict[int, object]
+
 
 def _check_same_field(a, b):
     if a.field != b.field:
         raise FieldMismatchError(f"{a.field} vs {b.field}")
 
 
-def _density(rows, ncols) -> float:
-    if not rows or ncols == 0:
-        return 0.0
-    step = max(1, len(rows) // 16)
-    sampled = rows[::step]
-    nz = sum(1 for row in sampled for v in row if v)
-    return nz / (len(sampled) * ncols)
+def _qq(x):
+    """Canonical form of a product or sum of canonical rationals."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
 
 
-def _exact_div(x, s):
-    """x / s, staying an int when the division is exact."""
-    if type(x) is int and type(s) is int:
-        q, r = divmod(x, s)
-        if r == 0:
-            return q
-        return QQ.canon(Fraction(x, s))
-    return QQ.canon(Fraction(x) / Fraction(s))
+def _tidy(acc: SparseRow, p: int) -> SparseRow:
+    """Drop zeros from an accumulated row and make its entries canonical."""
+    if p:
+        acc = {j: v % p for j, v in acc.items()}
+        return {j: v for j, v in acc.items() if v}
+    return {j: _qq(v) for j, v in acc.items() if v}
+
+
+def _scaled(row: SparseRow, c, p: int) -> SparseRow:
+    """row times the nonzero canonical scalar c."""
+    if c == 1:
+        return row
+    if p:
+        return {j: v * c % p for j, v in row.items()}
+    return {j: _qq(v * c) for j, v in row.items()}
+
+
+def _dense(row: SparseRow, n: int) -> Tuple:
+    out = [0] * n
+    for j, v in row.items():
+        out[j] = v
+    return tuple(out)
 
 
 class Matrix:
-    """Immutable dense matrix with exact entries over a fixed field."""
+    """Immutable sparse matrix with exact entries over a fixed field.
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    ``sparse_rows[i]`` maps each column of row i holding a nonzero entry
+    to that entry.  The row dicts are shared between matrices and must
+    never be mutated."""
+
+    __slots__ = ("field", "nrows", "ncols", "sparse_rows")
 
     def __init__(self, field, rows: Sequence[Sequence], nrows=None, ncols=None):
-        self.field = field
-        rows = tuple(tuple(field.canon(x) for x in row) for row in rows)
-        if rows:
-            self.nrows = len(rows)
-            self.ncols = len(rows[0])
-            if any(len(r) != self.ncols for r in rows):
-                raise ShapeMismatchError("ragged rows")
-        else:
-            self.nrows = 0
-            self.ncols = 0 if ncols is None else ncols
-        if nrows is not None and nrows != self.nrows:
+        rows = [tuple(map(field.canon, row)) for row in rows]
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise ShapeMismatchError("ragged rows")
+        if nrows is not None and nrows != len(rows):
             raise ShapeMismatchError("row count mismatch")
-        self.rows = rows
+        self.field = field
+        self.nrows = len(rows)
+        self.ncols = len(rows[0]) if rows else (ncols or 0)
+        self.sparse_rows = [{j: x for j, x in enumerate(r) if x} for r in rows]
 
     @classmethod
-    def _raw(cls, field, rows: Tuple[Tuple, ...], ncols: int):
-        """Trusted constructor: entries already canonical."""
+    def _raw(cls, field, rows: Sequence[SparseRow], ncols: int):
+        """Trusted constructor: sparse rows of canonical nonzero entries."""
         m = object.__new__(cls)
         m.field = field
-        m.rows = rows
+        m.sparse_rows = rows
         m.nrows = len(rows)
         m.ncols = ncols
         return m
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
-        z = field.zero()
-        return cls._raw(field, tuple((z,) * ncols for _ in range(nrows)), ncols)
+        return cls._raw(field, [{} for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field, n):
-        z, o = field.zero(), field.one()
-        rows = tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
-        return cls._raw(field, rows, n)
+        return cls._raw(field, [{i: 1} for i in range(n)], n)
 
     @classmethod
     def from_cols(cls, field, cols: Sequence[Sequence], nrows=None):
-        """Entries are trusted (already exact field elements)."""
-        ncols = len(cols)
+        """Dense columns; entries are trusted (already exact field elements)."""
         if nrows is None:
             nrows = len(cols[0]) if cols else 0
-        if ncols == 0:
-            return cls.zeros(field, nrows, 0)
         if any(len(c) != nrows for c in cols):
             raise ShapeMismatchError("columns of unequal length")
-        if nrows == 0:
-            return cls._raw(field, (), ncols)
-        return cls._raw(field, tuple(zip(*cols)), ncols)
+        return cls.from_sparse_cols(
+            field, [{i: x for i, x in enumerate(c) if x} for c in cols], nrows)
+
+    @classmethod
+    def from_sparse_cols(cls, field, cols: Sequence[SparseRow], nrows: int):
+        """Columns given as dicts row -> canonical nonzero entry."""
+        rows = [{} for _ in range(nrows)]
+        for j, col in enumerate(cols):
+            for i, x in col.items():
+                rows[i][j] = x
+        return cls._raw(field, rows, len(cols))
+
+    @property
+    def rows(self) -> Tuple[Tuple, ...]:
+        """Dense view: one tuple of entries per row."""
+        return tuple(_dense(r, self.ncols) for r in self.sparse_rows)
+
+    def sparse_columns(self) -> List[SparseRow]:
+        """Columns as dicts row -> nonzero entry, rows ascending."""
+        return self.transpose().sparse_rows
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
                 and self.nrows == other.nrows and self.ncols == other.ncols
-                and self.rows == other.rows)
+                and all(a == b for a, b in zip(self.sparse_rows,
+                                               other.sparse_rows)))
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.ncols))
+        return hash((self.field, self.nrows, self.ncols,
+                     tuple(frozenset(r.items()) for r in self.sparse_rows)))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        if not 0 <= j < self.ncols:
+            raise IndexError(f"column {j} out of range")
+        return self.sparse_rows[i].get(j, 0)
 
     def __repr__(self):
         body = "; ".join(" ".join(self.field.fmt(x) for x in row) for row in self.rows)
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(self.sparse_rows)
 
     def column(self, j) -> Tuple:
-        return tuple(row[j] for row in self.rows)
+        return tuple(r.get(j, 0) for r in self.sparse_rows)
 
     def columns(self) -> List[Tuple]:
-        return [self.column(j) for j in range(self.ncols)]
+        return [_dense(c, self.nrows) for c in self.sparse_columns()]
 
     def transpose(self) -> "Matrix":
-        if self.ncols == 0:
-            return Matrix._raw(self.field, (), self.nrows)
-        if self.nrows == 0:
-            return Matrix._raw(self.field, tuple(() for _ in range(self.ncols)), 0)
-        return Matrix._raw(self.field, tuple(zip(*self.rows)), self.nrows)
+        cols = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.sparse_rows):
+            for j, v in row.items():
+                cols[j][i] = v
+        return Matrix._raw(self.field, cols, self.nrows)
 
     def __add__(self, other):
         _check_same_field(self, other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ShapeMismatchError("addition shape mismatch")
-        if self.field.char == 0:
-            rows = tuple(tuple(a + b for a, b in zip(r1, r2))
-                         for r1, r2 in zip(self.rows, other.rows))
-        else:
-            p = self.field.p
-            rows = tuple(tuple((a + b) % p for a, b in zip(r1, r2))
-                         for r1, r2 in zip(self.rows, other.rows))
+        p = self.field.char
+        rows = []
+        for r1, r2 in zip(self.sparse_rows, other.sparse_rows):
+            if not r2:
+                rows.append(r1)
+                continue
+            acc = dict(r1)
+            for j, v in r2.items():
+                acc[j] = acc.get(j, 0) + v
+            rows.append(_tidy(acc, p))
         return Matrix._raw(self.field, rows, self.ncols)
 
     def __sub__(self, other):
-        return self + other.scale(-1 if other.field.char == 0 else other.field.p - 1)
+        return self + (-other)
 
     def __neg__(self):
-        return self.scale(-1 if self.field.char == 0 else self.field.p - 1)
+        return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
         c = self.field.canon(c)
-        if self.field.char == 0:
-            rows = tuple(tuple(c * x for x in row) for row in self.rows)
-        else:
-            p = self.field.p
-            rows = tuple(tuple((c * x) % p for x in row) for row in self.rows)
-        return Matrix._raw(self.field, rows, self.ncols)
+        if c == 0:
+            return Matrix.zeros(self.field, self.nrows, self.ncols)
+        p = self.field.char
+        return Matrix._raw(self.field,
+                           [_scaled(r, c, p) for r in self.sparse_rows],
+                           self.ncols)
 
     def __mul__(self, other):
-        """Matrix product.  Skips zero entries on both sides; for wide
-        dense right factors over Q the row updates run vectorized."""
+        """Matrix product, touching only the nonzero entries of both sides."""
         if not isinstance(other, Matrix):
             return NotImplemented
         _check_same_field(self, other)
         if self.ncols != other.nrows:
             raise ShapeMismatchError(
                 f"product of {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        n = other.ncols
-        modular = self.field.char != 0
         p = self.field.char
-        if (not modular and n >= 48 and self.nrows * n >= _NUMPY_CELLS
-                and _density(other.rows, n) > 0.3):
-            B = np.array(other.rows, dtype=object)
-            zero_row = (0,) * n
-            out = []
-            for arow in self.rows:
-                acc = None
-                for k, a in enumerate(arow):
-                    if a:
-                        term = B[k] if a == 1 else B[k] * a
-                        acc = term.copy() if acc is None else acc + term
-                out.append(zero_row if acc is None else tuple(acc))
-            return Matrix._raw(self.field, tuple(out), n)
-        bnz = [[(j, v) for j, v in enumerate(row) if v] for row in other.rows]
+        brows = other.sparse_rows
         out = []
-        for arow in self.rows:
-            acc = [0] * n
-            for k, a in enumerate(arow):
-                if a:
-                    for j, v in bnz[k]:
-                        acc[j] += a * v
-            if modular:
-                acc = [x % p for x in acc]
-            out.append(tuple(acc))
-        return Matrix._raw(self.field, tuple(out), n)
+        for arow in self.sparse_rows:
+            if len(arow) == 1:
+                (k, a), = arow.items()
+                out.append(_scaled(brows[k], a, p))
+                continue
+            acc = {}
+            get = acc.get
+            for k, a in arow.items():
+                if a == 1:
+                    for j, v in brows[k].items():
+                        acc[j] = get(j, 0) + v
+                else:
+                    for j, v in brows[k].items():
+                        acc[j] = get(j, 0) + a * v
+            out.append(_tidy(acc, p))
+        return Matrix._raw(self.field, out, other.ncols)
 
     def stack_right(self, other) -> "Matrix":
         _check_same_field(self, other)
         if self.nrows != other.nrows:
             raise ShapeMismatchError("hstack row mismatch")
-        rows = tuple(r1 + r2 for r1, r2 in zip(self.rows, other.rows))
+        off = self.ncols
+        rows = []
+        for r1, r2 in zip(self.sparse_rows, other.sparse_rows):
+            if r2:
+                r1 = dict(r1)
+                for j, v in r2.items():
+                    r1[off + j] = v
+            rows.append(r1)
         return Matrix._raw(self.field, rows, self.ncols + other.ncols)
 
     def stack_below(self, other) -> "Matrix":
         _check_same_field(self, other)
         if self.ncols != other.ncols:
             raise ShapeMismatchError("vstack column mismatch")
-        return Matrix._raw(self.field, self.rows + other.rows, self.ncols)
+        return Matrix._raw(self.field,
+                           list(self.sparse_rows) + list(other.sparse_rows),
+                           self.ncols)
 
     def take_columns(self, js: Iterable[int]) -> "Matrix":
         js = list(js)
-        rows = tuple(tuple(row[j] for j in js) for row in self.rows)
+        new_of: Dict[int, List[int]] = {}
+        for new, j in enumerate(js):
+            new_of.setdefault(j, []).append(new)
+        rows = [{new: v for j, v in r.items() for new in new_of.get(j, ())}
+                for r in self.sparse_rows]
         return Matrix._raw(self.field, rows, len(js))
 
     def rank(self) -> int:
-        return rref(self).rank
+        return len(_echelon(_core_rows(self), self.field.char))
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
@@ -327,17 +392,12 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
 
 
 def block_diag(field, mats: Sequence[Matrix]) -> Matrix:
-    nr = sum(m.nrows for m in mats)
-    nc = sum(m.ncols for m in mats)
-    z = field.zero()
-    rows = [[z] * nc for _ in range(nr)]
-    r0 = c0 = 0
+    rows = []
+    c0 = 0
     for m in mats:
-        for i, row in enumerate(m.rows):
-            rows[r0 + i][c0:c0 + m.ncols] = row
-        r0 += m.nrows
+        rows.extend({c0 + j: v for j, v in r.items()} for r in m.sparse_rows)
         c0 += m.ncols
-    return Matrix._raw(field, tuple(tuple(r) for r in rows), nc)
+    return Matrix._raw(field, rows, c0)
 
 
 class RrefResult:
@@ -350,231 +410,156 @@ class RrefResult:
 
 
 # ---------------------------------------------------------------------------
-# elimination cores
+# the elimination core
 
 
-def _int_scale_row(row):
-    """Clear denominators and strip content; preserves the row space."""
+def _strip(row: SparseRow) -> None:
+    """Divide an integer row by its content, in place."""
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return
+    if g > 1:
+        for j in row:
+            row[j] //= g
+
+
+def _int_row(row: SparseRow) -> SparseRow:
+    """A new primitive integer row spanning the same line as a Q row."""
     den = 1
-    all_int = True
-    for x in row:
-        if type(x) is not int:
-            all_int = False
-            d = x.denominator
-            if d != 1:
-                den = den * d // gcd(den, d)
-    if all_int:
-        row = list(row)
-    elif den != 1:
-        row = [x * den if type(x) is int else int(x * den) for x in row]
+    for v in row.values():
+        if type(v) is not int:
+            den = den * v.denominator // gcd(den, v.denominator)
+    if den == 1:
+        out = dict(row)
     else:
-        row = [x if type(x) is int else x.numerator for x in row]
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, abs(x))
-            if g == 1:
-                return row
-    if g > 1:
-        row = [x // g for x in row]
-    return row
+        out = {j: v * den if type(v) is int else v.numerator * (den // v.denominator)
+               for j, v in row.items()}
+    _strip(out)
+    return out
 
 
-def _strip_row_gcd(row):
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x if x > 0 else -x)
-            if g == 1:
-                return row
-    if g > 1:
-        return [x // g for x in row]
-    return row
+def _core_rows(m: Matrix) -> List[SparseRow]:
+    """Private copies of the nonzero rows of m, which the core may mutate;
+    over Q they are primitive integer rows."""
+    if m.field.char:
+        return [dict(r) for r in m.sparse_rows if r]
+    return [_int_row(r) for r in m.sparse_rows if r]
 
 
-def _forward_eliminate_int(rows, ncols):
-    """In-place integer echelon reduction; returns pivot (row, col) list."""
-    m = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= m:
-            break
-        best = None
-        for i in range(r, m):
-            v = rows[i][c]
-            if v:
-                a = v if v > 0 else -v
-                if best is None or a < best[0]:
-                    best = (a, i)
-                    if a == 1:
-                        break
-        if best is None:
+def _eliminate(row: SparseRow, c: int, prow: SparseRow, p: int) -> None:
+    """Clear column c of row, in place, with the pivot row prow whose
+    leading column is c (monic mod p; positive lead over Q)."""
+    f = row[c]
+    if p:
+        for j, v in prow.items():
+            s = (row.get(j, 0) - f * v) % p
+            if s:
+                row[j] = s
+            else:
+                del row[j]
+        return
+    lead = prow[c]
+    scaled = f % lead
+    if scaled:
+        g = gcd(f, lead)
+        a, f = lead // g, f // g
+        for j in row:
+            row[j] *= a
+    else:
+        f //= lead
+    for j, v in prow.items():
+        s = row.get(j, 0) - f * v
+        if s:
+            row[j] = s
+        else:
+            del row[j]
+    if scaled:
+        _strip(row)
+
+
+def _echelon(rows: List[SparseRow], p: int) -> Dict[int, SparseRow]:
+    """Reduce each row against the pivot rows found so far until its
+    leading column is new; the survivors become pivot rows.  Returns
+    {leading column: pivot row}; the rows list is consumed."""
+    pivots: Dict[int, SparseRow] = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                break
+            _eliminate(row, c, prow, p)
+        if not row:
             continue
-        i = best[1]
-        if i != r:
-            rows[r], rows[i] = rows[i], rows[r]
-        p = rows[r][c]
-        prow = rows[r]
-        for j in range(r + 1, m):
-            f = rows[j][c]
-            if f:
-                rows[j] = _strip_row_gcd(
-                    [a * p - b * f for a, b in zip(rows[j], prow)])
-        pivots.append((r, c))
-        r += 1
+        if p:
+            if row[c] != 1:
+                row = _scaled(row, pow(row[c], p - 2, p), p)
+        else:
+            _strip(row)
+            if row[c] < 0:
+                row = {j: -v for j, v in row.items()}
+        pivots[c] = row
     return pivots
 
 
-def _forward_eliminate_numpy(rows, ncols):
-    A = np.array(rows, dtype=object)
-    m = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= m:
-            break
-        best = None
-        for i in range(r, m):
-            v = A[i, c]
-            if v:
-                a = v if v > 0 else -v
-                if best is None or a < best[0]:
-                    best = (a, i)
-                    if a == 1:
-                        break
-        if best is None:
-            continue
-        i = best[1]
-        if i != r:
-            A[[r, i], :] = A[[i, r], :]
-        p = A[r, c]
-        f = A[r + 1:, c]
-        sel = np.nonzero(np.array([x != 0 for x in f], dtype=bool))[0] + (r + 1)
-        if sel.size:
-            upd = A[sel, c:] * p - A[sel, c][:, None] * A[r, c:][None, :]
-            for k in range(upd.shape[0]):
-                A[sel[k], c:] = _strip_row_gcd(list(upd[k]))
-        pivots.append((r, c))
-        r += 1
-    return [list(row) for row in A], pivots
-
-
-def _back_eliminate_int(rows, pivots):
-    for idx in range(len(pivots) - 1, -1, -1):
-        r, c = pivots[idx]
-        p = rows[r][c]
-        prow = rows[r]
-        for j in range(r):
-            f = rows[j][c]
-            if f:
-                rows[j] = _strip_row_gcd(
-                    [a * p - b * f for a, b in zip(rows[j], prow)])
-
-
-def _rref_qq(matrix: Matrix) -> RrefResult:
-    ncols = matrix.ncols
-    rows = [_int_scale_row(row) for row in matrix.rows]
-    if matrix.nrows * ncols >= _NUMPY_CELLS:
-        rows, pivots = _forward_eliminate_numpy(rows, ncols)
-    else:
-        pivots = _forward_eliminate_int(rows, ncols)
-    _back_eliminate_int(rows, pivots)
-    z = 0
-    out = [(z,) * ncols] * matrix.nrows
-    for r, c in pivots:
-        p = rows[r][c]
-        if p < 0:
-            rows[r] = [-x for x in rows[r]]
-            p = -p
-        if p == 1:
-            out[r] = tuple(rows[r])
-        else:
-            out[r] = tuple(QQ.canon(Fraction(x, p)) for x in rows[r])
-    red = Matrix._raw(matrix.field, tuple(out), ncols)
-    return RrefResult(red, tuple(c for _, c in pivots))
-
-
-def _rref_fp(matrix: Matrix) -> RrefResult:
-    p = matrix.field.p
-    ncols = matrix.ncols
-    rows = [list(row) for row in matrix.rows]
-    m = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= m:
-            break
-        pr = None
-        for i in range(r, m):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        prow = rows[r]
-        for j in range(m):
-            if j != r and rows[j][c]:
-                f = rows[j][c]
-                rows[j] = [(a - f * b) % p for a, b in zip(rows[j], prow)]
-        pivots.append((r, c))
-        r += 1
-    red = Matrix._raw(matrix.field, tuple(tuple(row) for row in rows), ncols)
-    return RrefResult(red, tuple(c for _, c in pivots))
+def _back_substitute(pivots: Dict[int, SparseRow], p: int) -> None:
+    """Clear each pivot row at the other pivot columns, in place.  Pivots
+    are taken in descending order, so every pivot row used is already
+    reduced and brings in no pivot column."""
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for j in [j for j in row if j != c and j in pivots]:
+            _eliminate(row, j, pivots[j], p)
 
 
 def rref(m: Matrix) -> RrefResult:
     """Reduced row echelon form with pivot columns and rank."""
     if m.nrows == 0 or m.ncols == 0:
         return RrefResult(m, ())
-    if m.field.char == 0:
-        return _rref_qq(m)
-    return _rref_fp(m)
+    field = m.field
+    p = field.char
+    pivots = _echelon(_core_rows(m), p)
+    _back_substitute(pivots, p)
+    order = sorted(pivots)
+    rows = []
+    for c in order:
+        row = pivots[c]
+        if row[c] != 1:
+            row = _scaled(row, field.inv(row[c]), p)
+        rows.append(row)
+    rows.extend({} for _ in range(m.nrows - len(order)))
+    return RrefResult(Matrix._raw(field, rows, m.ncols), tuple(order))
 
 
-def _canonical_kernel_vector(field, vec):
-    if field.char == 0:
-        vec = _int_scale_row(list(vec))
-        for x in vec:
-            if x:
-                if x < 0:
-                    vec = [-y for y in vec]
-                break
-        return tuple(vec)
-    p = field.p
-    lead = next((x for x in vec if x), None)
-    if lead is None:
-        return tuple(vec)
-    inv = pow(lead, p - 2, p)
-    return tuple((x * inv) % p for x in vec)
+# ---------------------------------------------------------------------------
+# kernels, cokernels, solving
 
 
-def kernel_basis(m: Matrix) -> List[Tuple]:
-    """Basis of the right null space; count equals cols - rank."""
+def _null_vectors(m: Matrix) -> Dict[int, SparseRow]:
+    """For each free (non-pivot) column f of m, the kernel vector with
+    entry 1 at f and 0 at the other free columns, keyed by f ascending."""
     res = rref(m)
-    piv = res.pivots
-    pivset = set(piv)
-    free = [j for j in range(m.ncols) if j not in pivset]
-    R = res.matrix.rows
-    basis = []
-    for f in free:
-        vec = [m.field.zero()] * m.ncols
-        vec[f] = m.field.one()
-        for r, c in enumerate(piv):
-            if R[r][f]:
-                vec[c] = -R[r][f] if m.field.char == 0 else (-R[r][f]) % m.field.p
-        basis.append(_canonical_kernel_vector(m.field, vec))
-    return basis
+    p = m.field.char
+    pivset = set(res.pivots)
+    vecs = {f: {f: 1} for f in range(m.ncols) if f not in pivset}
+    for c, row in zip(res.pivots, res.matrix.sparse_rows):
+        for j, v in row.items():
+            if j != c:
+                vecs[j][c] = p - v if p else -v
+    return vecs
 
 
-def kernel_matrix(m: Matrix) -> Matrix:
-    """Kernel basis vectors as columns."""
-    basis = kernel_basis(m)
-    return Matrix.from_cols(m.field, basis, nrows=m.ncols)
+def _canonical_kernel_vector(vec: SparseRow, p: int) -> SparseRow:
+    """The multiple of vec that is a primitive integer vector with positive
+    first entry over Q, or has first entry 1 over F_p."""
+    if p:
+        return _scaled(vec, pow(vec[min(vec)], p - 2, p), p)
+    vec = _int_row(vec)
+    if vec[min(vec)] < 0:
+        vec = {j: -v for j, v in vec.items()}
+    return vec
 
 
 class KernelData:
@@ -591,40 +576,29 @@ class KernelData:
 
 
 def kernel_data(m: Matrix) -> KernelData:
-    res = rref(m)
-    pivset = set(res.pivots)
-    free = [j for j in range(m.ncols) if j not in pivset]
-    R = res.matrix.rows
-    cols = []
-    scales = []
-    for f in free:
-        vec = [m.field.zero()] * m.ncols
-        vec[f] = m.field.one()
-        for r, c in enumerate(res.pivots):
-            if R[r][f]:
-                vec[c] = -R[r][f] if m.field.char == 0 else (-R[r][f]) % m.field.p
-        vec = _canonical_kernel_vector(m.field, vec)
-        cols.append(vec)
-        scales.append(vec[f])
-    return KernelData(Matrix.from_cols(m.field, cols, nrows=m.ncols),
-                      free, scales)
+    """Canonical basis of the right null space, as columns."""
+    p = m.field.char
+    vecs = _null_vectors(m)
+    cols = [_canonical_kernel_vector(v, p) for v in vecs.values()]
+    scales = [col[f] for f, col in zip(vecs, cols)]
+    return KernelData(Matrix.from_sparse_cols(m.field, cols, m.ncols),
+                      vecs, scales)
+
+
+def kernel_basis(m: Matrix) -> List[Tuple]:
+    """Basis of the right null space as dense tuples; count equals
+    cols - rank."""
+    return kernel_data(m).matrix.columns()
 
 
 def solve_against_kernel(kd: KernelData, rhs: Matrix) -> Matrix:
     """The unique X with kd.matrix * X = rhs, assuming a solution exists
     (columns of rhs lie in the span); read off from the free rows."""
     field = rhs.field
-    rows = []
-    for f, s in zip(kd.free, kd.scales):
-        row = rhs.rows[f]
-        if s == 1:
-            rows.append(tuple(row))
-        elif field.char:
-            inv = field.inv(s)
-            rows.append(tuple((x * inv) % field.p for x in row))
-        else:
-            rows.append(tuple(_exact_div(x, s) for x in row))
-    return Matrix._raw(field, tuple(rows), rhs.ncols)
+    rows = [rhs.sparse_rows[f] if s == 1 else
+            _scaled(rhs.sparse_rows[f], field.inv(s), field.char)
+            for f, s in zip(kd.free, kd.scales)]
+    return Matrix._raw(field, rows, rhs.ncols)
 
 
 class CokernelData:
@@ -641,23 +615,11 @@ class CokernelData:
 
 def cokernel_data(m: Matrix) -> CokernelData:
     """Projection onto the cokernel of the column space of m, with the
-    complementary standard vectors as section.  Uses the left kernel, whose
-    canonical basis is already normalized on its free coordinates."""
-    field = m.field
-    kd = kernel_data(m.transpose())
-    rows = []
-    for j in range(kd.matrix.ncols):
-        col = kd.matrix.column(j)
-        s = kd.scales[j]
-        if s == 1:
-            rows.append(col)
-        elif field.char:
-            inv = field.inv(s)
-            rows.append(tuple((x * inv) % field.p for x in col))
-        else:
-            rows.append(tuple(_exact_div(x, s) for x in col))
-    proj = Matrix._raw(field, tuple(rows), m.nrows)
-    return CokernelData(proj, kd.free)
+    complementary standard vectors as section.  Its rows are the left
+    kernel vectors normalized to 1 on their free coordinates."""
+    vecs = _null_vectors(m.transpose())
+    proj = Matrix._raw(m.field, list(vecs.values()), m.nrows)
+    return CokernelData(proj, vecs)
 
 
 def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
@@ -669,37 +631,30 @@ def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
         return Matrix.zeros(a.field, a.ncols, 0)
     if a.ncols == 0:
         return None if not b.is_zero() else Matrix.zeros(a.field, 0, b.ncols)
-    aug = a.stack_right(b)
-    res = rref(aug)
+    res = rref(a.stack_right(b))
     na = a.ncols
     if any(c >= na for c in res.pivots):
         return None
-    z = a.field.zero()
-    R = res.matrix.rows
-    xrows = [[z] * b.ncols for _ in range(na)]
-    for r, c in enumerate(res.pivots):
-        xrows[c] = list(R[r][na:])
-    return Matrix(a.field, xrows, ncols=b.ncols)
+    xrows = [{} for _ in range(na)]
+    for c, row in zip(res.pivots, res.matrix.sparse_rows):
+        xrows[c] = {j - na: v for j, v in row.items() if j >= na}
+    return Matrix._raw(a.field, xrows, b.ncols)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product: entry ((i*b.nrows+k),(j*b.ncols+l)) = a[i,j]*b[k,l]."""
     _check_same_field(a, b)
-    field = a.field
-    nr, nc = a.nrows * b.nrows, a.ncols * b.ncols
-    z = field.zero()
-    rows = [[z] * nc for _ in range(nr)]
-    modular = field.char != 0
-    for i, arow in enumerate(a.rows):
-        for j, av in enumerate(arow):
-            if av:
-                for k, brow in enumerate(b.rows):
-                    out = rows[i * b.nrows + k]
-                    off = j * b.ncols
-                    for l, bv in enumerate(brow):
-                        if bv:
-                            out[off + l] = (av * bv) % field.p if modular else av * bv
-    return Matrix._raw(field, tuple(tuple(r) for r in rows), nc)
+    p = a.field.char
+    w = b.ncols
+    rows = []
+    for arow in a.sparse_rows:
+        for brow in b.sparse_rows:
+            row = {}
+            for j, av in arow.items():
+                for l, v in _scaled(brow, av, p).items():
+                    row[j * w + l] = v
+            rows.append(row)
+    return Matrix._raw(a.field, rows, a.ncols * w)
 
 
 def column_space_basis(m: Matrix) -> Matrix:

@@ -12,7 +12,7 @@ the transpose and the Ext-against-the-algebra module structure.
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InconclusiveError, QtiltError
-from .exactla import Matrix, column_space_basis
+from .exactla import Matrix, _tidy, column_space_basis, kernel_data
 from .quivercore import BoundQuiverAlgebra, Path, opposite
 from .repcore import (ModuleMap, Representation, _proj_layout, cokernel_rep,
                       dual, inj, kernel_rep, proj_map_from_images, proj_sum,
@@ -112,25 +112,29 @@ class MinimalResolution:
         return zero_rep(self.module.algebra)
 
     def presentation_elements(self, i: int):
-        """The differential terms[i] -> terms[i-1] as a matrix of algebra
-        elements: entry [k][l] lives in e_{w_l} A e_{v_k} for generator k
-        of terms[i-1] at v_k and generator l of terms[i] at w_l."""
+        """The differential terms[i] -> terms[i-1] as a sparse matrix of
+        algebra elements: a dict whose entry at (k, l) is the nonzero
+        element of e_{w_l} A e_{v_k} for generator k of terms[i-1] at v_k
+        and generator l of terms[i] at w_l, as (coeff, basis index) pairs."""
         alg = self.module.algebra
         gens_lo = self.generators(i - 1)
         gens_hi = self.generators(i)
-        X = [[[] for _ in gens_hi] for _ in gens_lo]
+        X = {}
         if not gens_hi or not gens_lo or i > self.length:
             return X
         d = self.maps[i]
         layout_hi = _proj_layout(alg, gens_hi)
         layout_lo = _proj_layout(alg, gens_lo)
+        block_cols = {}
         for l, w in enumerate(gens_hi):
+            cols = block_cols.get(w)
+            if cols is None:
+                cols = block_cols[w] = d.blocks[w].sparse_columns()
             epos = layout_hi[w].index((l, alg.basis_index(Path.trivial(w))))
-            col = d.blocks[w].column(epos)
-            for row_i, (k, x_idx) in enumerate(layout_lo[w]):
-                c = col[row_i]
-                if c != 0:
-                    X[k][l].append((c, x_idx))
+            lo = layout_lo[w]
+            for row_i, c in cols[epos].items():
+                k, x_idx = lo[row_i]
+                X.setdefault((k, l), []).append((c, x_idx))
         return X
 
 
@@ -153,41 +157,56 @@ def min_proj_resolution(m: Representation, maxlen: int = DEFAULT_BOUND
 def map_from_elements(p_src: Representation, p_tgt: Representation, Y
                       ) -> ModuleMap:
     """The map of projective sums sending generator s to
-    sum_t Y[t][s] . gen_t, where Y[t][s] is a list of (coeff, basis index)
-    in e_{src_vertex_s} A e_{tgt_vertex_t}."""
+    sum_t Y[t, s] . gen_t, where Y is a dict whose entry at (t, s) is a
+    list of (coeff, basis index) in e_{src_vertex_s} A e_{tgt_vertex_t};
+    missing entries are zero."""
     alg = p_src.algebra
     field = alg.field
-    gens_s = p_src.proj_gens
-    gens_t = p_tgt.proj_gens
-    layout_s = _proj_layout(alg, gens_s)
-    layout_t = _proj_layout(alg, gens_t)
+    layout_s = _proj_layout(alg, p_src.proj_gens)
+    layout_t = _proj_layout(alg, p_tgt.proj_gens)
+    by_src = {}
+    for (t, s), items in Y.items():
+        by_src.setdefault(s, []).append((t, items))
+    p = field.char
     blocks = {}
     for u in alg.quiver.vertices:
         tgt_pos = {key: i for i, key in enumerate(layout_t[u])}
-        nrows = len(layout_t[u])
         cols = []
         for (s, x_idx) in layout_s[u]:
-            col = [field.zero()] * nrows
-            for t in range(len(gens_t)):
-                for c, e_idx in Y[t][s]:
+            col = {}
+            for t, items in by_src.get(s, ()):
+                for c, e_idx in items:
                     for y_idx, d in alg.basis_product(x_idx, e_idx):
                         pos = tgt_pos[(t, y_idx)]
-                        col[pos] = field.canon(col[pos] + c * d)
-            cols.append(col)
-        blocks[u] = Matrix.from_cols(field, cols, nrows=nrows)
+                        col[pos] = col.get(pos, 0) + c * d
+            cols.append(_tidy(col, p))
+        blocks[u] = Matrix.from_sparse_cols(field, cols, len(layout_t[u]))
     return ModuleMap(p_src, p_tgt, blocks, validate=False)
+
+
+def _op_table(alg: BoundQuiverAlgebra) -> List[List[Tuple[int, object]]]:
+    """For each basis index, the reversed basis path in normal form over
+    the opposite algebra, as (basis index, coeff) pairs; built once per
+    algebra."""
+    table = alg._cache.get("op_table")
+    if table is None:
+        opp = opposite(alg)
+        table = [list(opp.normal_form(b.reversed()).items())
+                 for b in alg.basis]
+        alg._cache["op_table"] = table
+    return table
 
 
 def _op_items(alg: BoundQuiverAlgebra, items) -> List[Tuple[object, int]]:
     """Image of a block-pure element under the anti-isomorphism onto the
     opposite algebra, as (coeff, basis index) pairs there."""
-    opp = opposite(alg)
+    table = _op_table(alg)
     acc: Dict[int, object] = {}
     for c, idx in items:
-        rev = alg.basis[idx].reversed()
-        for k, d in opp.normal_form(rev).items():
-            acc[k] = alg.field.canon(acc.get(k, 0) + c * d)
-    return [(c, k) for k, c in sorted(acc.items()) if c != 0]
+        for k, d in table[idx]:
+            acc[k] = acc.get(k, 0) + c * d
+    acc = _tidy(acc, alg.field.char)
+    return [(c, k) for k, c in sorted(acc.items())]
 
 
 def _dualized_differential(res: MinimalResolution, i: int) -> ModuleMap:
@@ -200,8 +219,7 @@ def _dualized_differential(res: MinimalResolution, i: int) -> ModuleMap:
     src = proj_sum(opp, gens_lo)
     tgt = proj_sum(opp, gens_hi)
     X = res.presentation_elements(i)
-    Y = [[_op_items(alg, X[k][l]) for k in range(len(gens_lo))]
-         for l in range(len(gens_hi))]
+    Y = {(l, k): _op_items(alg, items) for (k, l), items in X.items()}
     return map_from_elements(src, tgt, Y)
 
 
@@ -254,18 +272,14 @@ def _hom_complex_differential(res: MinimalResolution, n: Representation,
     for v in gens_lo:
         col_off.append(acc)
         acc += n.dims[v]
-    rows = [[field.zero()] * cols_dim for _ in range(rows_dim)]
-    for l, w in enumerate(gens_hi):
-        for k, v in enumerate(gens_lo):
-            items = X[k][l]
-            if not items:
-                continue
-            act = n.act_block(items, v, w)
-            for r in range(act.nrows):
-                for c in range(act.ncols):
-                    if act[(r, c)] != 0:
-                        rows[row_off[l] + r][col_off[k] + c] = act[(r, c)]
-    return Matrix(field, rows, ncols=cols_dim)
+    rows = [{} for _ in range(rows_dim)]
+    for (k, l), items in X.items():
+        act = n.act_block(items, gens_lo[k], gens_hi[l])
+        for r, act_row in enumerate(act.sparse_rows):
+            row = rows[row_off[l] + r]
+            for c, x in act_row.items():
+                row[col_off[k] + c] = x
+    return Matrix._raw(field, rows, cols_dim)
 
 
 def _require_depth(res: MinimalResolution, depth: int, maxlen: int):
@@ -291,7 +305,7 @@ def ext(m: Representation, n: Representation, p: int,
     if p > res.length and res.terminated:
         return ExtResult(m, n, p, 0, [])
     delta_p = _hom_complex_differential(res, n, p)
-    kernel_vectors = _kernel_as_columns(delta_p)
+    kernel_vectors = kernel_data(delta_p).matrix
     if p == 0:
         image = Matrix.zeros(n.algebra.field, delta_p.ncols, 0)
     else:
@@ -300,11 +314,6 @@ def ext(m: Representation, n: Representation, p: int,
     dim = kernel_vectors.ncols - image.rank()
     cocycles = _cocycle_representatives(res, n, p, kernel_vectors, image)
     return ExtResult(m, n, p, dim, cocycles)
-
-
-def _kernel_as_columns(mat: Matrix) -> Matrix:
-    from .exactla import kernel_matrix
-    return kernel_matrix(mat)
 
 
 def _cocycle_representatives(res, n, p, kernel_vectors, image):
@@ -326,7 +335,8 @@ def _cocycle_representatives(res, n, p, kernel_vectors, image):
         images = []
         off = 0
         for v in gens:
-            images.append(list(vec[off:off + n.dims[v]]))
+            images.append({i: x for i, x in enumerate(vec[off:off + n.dims[v]])
+                           if x})
             off += n.dims[v]
         maps.append(proj_map_from_images(res.term(p), n, images))
     return maps
@@ -431,14 +441,9 @@ def tau_n(m: Representation, n: int, maxlen: int = DEFAULT_BOUND
         return zero_rep(alg)
     # transpose of the (n-1)-st syzygy: dualize its presentation
     # terms[n] -> terms[n-1]
-    d_star = _dualized_differential_window(res, n)
+    d_star = _dualized_differential(res, n)
     tr, _ = cokernel_rep(d_star)
     return dual(tr)
-
-
-def _dualized_differential_window(res: MinimalResolution, i: int) -> ModuleMap:
-    res.extend(i)
-    return _dualized_differential(res, i)
 
 
 def tau_n_minus(m: Representation, n: int, maxlen: int = DEFAULT_BOUND
@@ -455,7 +460,7 @@ def tau_n_minus(m: Representation, n: int, maxlen: int = DEFAULT_BOUND
     _require_depth(res, n, maxlen)
     if res.terminated and res.length < n:
         return zero_rep(alg)
-    d_star = _dualized_differential_window(res, n)
+    d_star = _dualized_differential(res, n)
     tr, _ = cokernel_rep(d_star)
     assert tr.algebra is alg
     return tr

@@ -228,14 +228,11 @@ def proj_sum(alg, gens: Sequence[str]) -> Representation:
     for a in alg.quiver.arrows:
         src, tgt = a.source, a.target
         a_idx = alg.basis_index(Path.from_arrow(alg.quiver.arrow(a.name)))
-        cols = []
         tgt_pos = {key: i for i, key in enumerate(layout[tgt])}
-        for (k, x_idx) in layout[src]:
-            col = [field.zero()] * dims[tgt]
-            for y_idx, c in alg.basis_product(a_idx, x_idx):
-                col[tgt_pos[(k, y_idx)]] = c
-            cols.append(col)
-        mats[a.name] = Matrix.from_cols(field, cols, nrows=dims[tgt])
+        cols = [{tgt_pos[(k, y_idx)]: c
+                 for y_idx, c in alg.basis_product(a_idx, x_idx) if c}
+                for (k, x_idx) in layout[src]]
+        mats[a.name] = Matrix.from_sparse_cols(field, cols, dims[tgt])
     rep = Representation(alg, dims, mats, proj_gens=gens, validate=False)
     return rep
 
@@ -485,9 +482,10 @@ class Cover:
 
 def proj_map_from_images(p: Representation, n: Representation,
                          images) -> ModuleMap:
-    """The map out of a projective sum sending generator k to the given
-    vector of n at the generator's vertex.  Columns are produced in one
-    product per algebra basis element, grouping generators by vertex."""
+    """The map out of a projective sum sending generator k to the vector
+    images[k] of n at the generator's vertex, given sparse as a dict
+    coordinate -> nonzero entry.  Columns are produced in one product per
+    algebra basis element, grouping generators by vertex."""
     alg = p.algebra
     field = alg.field
     gens = p.proj_gens
@@ -495,8 +493,8 @@ def proj_map_from_images(p: Representation, n: Representation,
     gens_at = {}
     for k, v in enumerate(gens):
         gens_at.setdefault(v, []).append(k)
-    img_mat = {v: Matrix.from_cols(field, [list(images[k]) for k in ks],
-                                   nrows=n.dims[v])
+    img_mat = {v: Matrix.from_sparse_cols(field, [images[k] for k in ks],
+                                          n.dims[v])
                for v, ks in gens_at.items()}
     gen_pos = {}
     for v, ks in gens_at.items():
@@ -510,10 +508,11 @@ def proj_map_from_images(p: Representation, n: Representation,
         for v, ks in gens_at.items():
             for x_idx in alg.block_indices(v, w):
                 prod = n.act_path(alg.basis[x_idx]) * img_mat[v]
+                prod_cols = prod.sparse_columns()
                 for k in ks:
-                    cols[col_of[(k, x_idx)]] = prod.column(gen_pos[k])
+                    cols[col_of[(k, x_idx)]] = prod_cols[gen_pos[k]]
         assert all(c is not None for c in cols)
-        blocks[w] = Matrix.from_cols(field, cols, nrows=n.dims[w])
+        blocks[w] = Matrix.from_sparse_cols(field, cols, n.dims[w])
     return ModuleMap(p, n, blocks, validate=False)
 
 
@@ -528,8 +527,7 @@ def projective_cover(m: Representation) -> Cover:
     for v in alg.quiver.vertices:
         for col in sections[v]:
             gens.append(v)
-            images.append([field.one() if i == col else field.zero()
-                           for i in range(m.dims[v])])
+            images.append({col: field.one()})
     p = proj_sum(alg, gens)
     # surjective by construction: the images lift a basis of the top
     cover = proj_map_from_images(p, m, images)

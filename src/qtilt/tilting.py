@@ -439,13 +439,13 @@ def present_algebra(sca: StructureConstantAlgebra,
     while powers[-1].nrows:
         prev = powers[-1]
         prods = []
-        for r in range(prev.nrows):
+        for row in prev.rows:
             for vec in rad_vectors:
-                prods.append(sca.mult(tuple(prev.rows[r]), vec))
+                prods.append(sca.mult(row, vec))
         nxt = _span_rows(field, prods)
         if nxt.nrows:
             res = rref(nxt)
-            keep = [res.matrix.rows[i] for i in range(res.rank)]
+            keep = res.matrix.rows[:res.rank]
             nxt = Matrix(field, [list(r) for r in keep], ncols=sca.dim) if keep \
                 else Matrix.zeros(field, 0, sca.dim)
         powers.append(nxt)

@@ -283,6 +283,13 @@ def test_field_override_flag(tmp_path):
     assert code == 0 and "field F7" in out
 
 
+def test_info_bad_field_flag_is_usage_error():
+    for spec in ("F4", "F561", "Fx", "R"):
+        code, out = run(["info", data("a2.alg"), "--field", spec])
+        assert code == 2, (spec, out)
+        assert out.startswith("error "), (spec, out)
+
+
 def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtilt.exactla import (Matrix, PrimeField, QQ, block_diag, hstack,
-                           kernel_basis, kernel_matrix, kron, rref, solve,
+                           kernel_basis, kernel_data, kron, rref, solve,
                            vstack)
 from qtilt.errors import FieldMismatchError, ShapeMismatchError
 
@@ -292,3 +292,163 @@ def test_dense_axpy_product_path_with_fractions():
             row.append(sum(a[(i, k)] * b[(k, j)] for k in range(60)))
         slow_rows.append(row)
     assert (a * b) == Matrix(QQ, slow_rows)
+
+
+# --- the sparse elimination core against a Gauss-Jordan oracle ---------------
+
+GF = PrimeField(32003)
+
+
+def gauss_jordan(rows, p=0):
+    """Reduced row echelon form by textbook Gauss-Jordan elimination on
+    Fractions (p = 0) or on residues mod p; returns (rows, pivots)."""
+    if p:
+        A = [[x % p for x in row] for row in rows]
+    else:
+        A = [[Fraction(x) for x in row] for row in rows]
+    m, n = len(A), len(A[0]) if A else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if A[i][c]), None)
+        if pr is None:
+            continue
+        A[r], A[pr] = A[pr], A[r]
+        inv = pow(A[r][c], p - 2, p) if p else 1 / A[r][c]
+        A[r] = [x * inv % p if p else x * inv for x in A[r]]
+        for i in range(m):
+            f = A[i][c]
+            if i != r and f:
+                A[i] = [(a - f * b) % p if p else a - f * b
+                        for a, b in zip(A[i], A[r])]
+        pivots.append(c)
+        r += 1
+    return A, tuple(pivots)
+
+
+def sparse_rows(seed, m, n, density, p=0):
+    import random
+    rnd = random.Random(seed)
+    rows = [[0] * n for _ in range(m)]
+    for _ in range(max(1, int(density * m * n))):
+        i, j = rnd.randrange(m), rnd.randrange(n)
+        if p:
+            rows[i][j] = rnd.randrange(1, p)
+        else:
+            rows[i][j] = Fraction(rnd.choice([-3, -2, -1, 1, 1, 2, 5]),
+                                  rnd.choice([1, 1, 1, 2, 3]))
+    if rnd.random() < 0.5 and m > 1:
+        # a dependent row keeps the rank below full
+        a, b = rnd.randrange(m), rnd.randrange(m)
+        rows[a] = [x + 2 * y for x, y in zip(rows[a], rows[b])]
+    return rows
+
+
+# shapes from tiny to past 4096 cells
+shapes = st.tuples(st.integers(0, 2 ** 32), st.integers(1, 75),
+                   st.integers(1, 90), st.sampled_from([0.02, 0.06, 0.2]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shapes, st.sampled_from([0, 32003]))
+def test_prop_sparse_rref_matches_gauss_jordan(shape, p):
+    seed, m, n, density = shape
+    field = GF if p else QQ
+    rows = sparse_rows(seed, m, n, density, p)
+    res = rref(Matrix(field, rows))
+    want, pivots = gauss_jordan(rows, p)
+    assert res.pivots == pivots
+    assert res.matrix == Matrix(field, want)
+    if not p:
+        assert res.rank == bareiss_rank(rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(shapes, st.sampled_from([0, 32003]))
+def test_prop_sparse_kernel_annihilates(shape, p):
+    seed, m, n, density = shape
+    field = GF if p else QQ
+    a = Matrix(field, sparse_rows(seed, m, n, density, p))
+    k = kernel_data(a).matrix
+    assert k.ncols == n - a.rank()
+    assert (a * k).is_zero()
+    # the kernel columns are independent
+    assert k.rank() == k.ncols
+
+
+def test_large_sparse_matrix_past_old_dense_threshold():
+    rows = sparse_rows(5, 70, 80, 0.03)
+    assert 70 * 80 > 4096
+    res = rref(Matrix(QQ, rows))
+    want, pivots = gauss_jordan(rows)
+    assert res.pivots == pivots and res.matrix == Matrix(QQ, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(shapes, st.sampled_from([0, 32003]))
+def test_prop_dense_view_and_equality(shape, p):
+    seed, m, n, density = shape
+    field = GF if p else QQ
+    rows = sparse_rows(seed, m, n, density, p)
+    a = Matrix(field, rows)
+    assert a.rows == tuple(tuple(field.canon(x) for x in row) for row in rows)
+    built = [Matrix.from_cols(field, a.columns(), nrows=m),
+             Matrix.identity(field, m) * a,
+             a * Matrix.identity(field, n),
+             a.transpose().transpose(),
+             (a + a) - a]
+    for b in built:
+        assert b == a and hash(b) == hash(a)
+    assert Matrix(field, rows).scale(2) != a or a.is_zero()
+
+
+def test_matrix_rows_view_indexes_like_dense():
+    m = Matrix(QQ, [[0, Fraction(1, 2)], [3, 0]])
+    assert m.rows == ((0, Fraction(1, 2)), (3, 0))
+    assert m.rows[1].count(0) == 1
+    assert m[(0, 1)] == Fraction(1, 2) and m[(1, 1)] == 0
+
+
+# --- prime fields ---------------------------------------------------------------
+
+def test_prime_field_accepts_mersenne_61_quickly():
+    import time
+    t0 = time.perf_counter()
+    f = PrimeField(2 ** 61 - 1)
+    assert time.perf_counter() - t0 < 1.0
+    assert f.inv(2) * 2 % f.p == 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 561, 41041, 2 ** 61 + 1,
+                               318665857834031151167461])
+def test_prime_field_rejects_composites(n):
+    # the last one is a strong pseudoprime to the first twelve prime bases
+    with pytest.raises(ValueError):
+        PrimeField(n)
+
+
+def test_prime_field_rejects_primes_past_exact_range():
+    with pytest.raises(ValueError):
+        PrimeField(2 ** 89 - 1)
+
+
+def test_primality_matches_trial_division():
+    from qtilt.exactla import _is_prime
+    for n in range(3000):
+        assert _is_prime(n) == (n > 1 and all(n % q for q in range(2, n)))
+
+
+def test_import_does_not_load_numpy():
+    import os
+    import subprocess
+    import sys
+    import qtilt
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qtilt.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [x for x in [env.get("PYTHONPATH")] if x])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import qtilt, sys; assert 'numpy' not in sys.modules"],
+        capture_output=True, text=True, timeout=60, check=False, env=env)
+    assert proc.returncode == 0, proc.stderr
