@@ -1,7 +1,8 @@
 """Command line front end: file formats, workspace, and subcommands.
 
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 usage or input
-error, 3 undetermined or inconclusive.  Output is line oriented and
+error, 3 undetermined or inconclusive, 4 internal error (a defect, printed
+as `internal <Type>: <message>`).  Output is line oriented and
 deterministic: `key value` pairs plus `verdict <name> pass|fail <detail>`
 lines.
 """
@@ -777,6 +778,8 @@ def dispatch(argv) -> Tuple[int, str]:
         return 3, f"inconclusive {exc}\n"
     except QtiltError as exc:
         return 2, f"error {exc}\n"
+    except Exception as exc:  # a defect, never a verdict
+        return 4, f"internal {type(exc).__name__}: {exc}\n"
     text = "\n".join(lines) + ("\n" if lines else "")
     return _exit_from_verdicts(lines), text
 

@@ -13,6 +13,10 @@ their content stripped after each scaled update (fraction-free, in the
 spirit of Bareiss); over F_p the pivot rows are monic.  Reduced row
 echelon form is unique over a field, so the pivots and the canonical
 kernel vectors do not depend on the order of the row operations.
+
+`Span` grows a span one vector at a time.  It keeps monic rows over
+both fields, since normal forms modulo a span need exact remainders, and
+shares the monic update `_sub_multiple` with the F_p elimination.
 """
 
 from fractions import Fraction
@@ -448,17 +452,32 @@ def _core_rows(m: Matrix) -> List[SparseRow]:
     return [_int_row(r) for r in m.sparse_rows if r]
 
 
+def _sub_multiple(row: SparseRow, f, prow: SparseRow, p: int) -> None:
+    """row -= f * prow, in place, for a nonzero canonical f; entries stay
+    canonical (residues mod p, or ints and Fractions over Q)."""
+    get = row.get
+    if p:
+        for j, v in prow.items():
+            s = (get(j, 0) - f * v) % p
+            if s:
+                row[j] = s
+            else:
+                del row[j]
+        return
+    for j, v in prow.items():
+        s = get(j, 0) - f * v
+        if s:
+            row[j] = _qq(s)
+        else:
+            del row[j]
+
+
 def _eliminate(row: SparseRow, c: int, prow: SparseRow, p: int) -> None:
     """Clear column c of row, in place, with the pivot row prow whose
     leading column is c (monic mod p; positive lead over Q)."""
     f = row[c]
     if p:
-        for j, v in prow.items():
-            s = (row.get(j, 0) - f * v) % p
-            if s:
-                row[j] = s
-            else:
-                del row[j]
+        _sub_multiple(row, f, prow, p)
         return
     lead = prow[c]
     scaled = f % lead
@@ -531,6 +550,56 @@ def rref(m: Matrix) -> RrefResult:
         rows.append(row)
     rows.extend({} for _ in range(m.nrows - len(order)))
     return RrefResult(Matrix._raw(field, rows, m.ncols), tuple(order))
+
+
+class Span:
+    """A growing span of sparse vectors, held as a fully reduced echelon
+    basis: ``rows`` maps each row's leading key ``lead(row)`` (by default
+    its least column index) to the row, which is monic there and has no
+    entry at any other row's leading key.  So ``reduce`` may clear the
+    leading keys a vector carries in any order, and its remainder, the
+    unique representative of the vector modulo the span supported off the
+    leading keys, is exact over Q and F_p.  With ``lead=min`` the rows are
+    the nonzero rows of the rref of the vectors added."""
+
+    __slots__ = ("field", "lead", "rows")
+
+    def __init__(self, field, lead=min):
+        self.field = field
+        self.lead = lead
+        self.rows: Dict[object, SparseRow] = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec) -> SparseRow:
+        """Remainder of vec, a dict key -> entry or a dense sequence; it
+        is empty exactly when vec lies in the span."""
+        p = self.field.char
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        if p:
+            out = {k: c % p for k, c in items if c % p}
+        else:
+            out = {k: _qq(c) for k, c in items if c}
+        rows = self.rows
+        for k in [k for k in out if k in rows]:
+            _sub_multiple(out, out[k], rows[k], p)
+        return out
+
+    def add(self, vec) -> bool:
+        """Extend the span by vec; True when it grew."""
+        row = self.reduce(vec)
+        if not row:
+            return False
+        c = self.lead(row)
+        p = self.field.char
+        row = _scaled(row, self.field.inv(row[c]), p)
+        for other in self.rows.values():
+            f = other.get(c)
+            if f:
+                _sub_multiple(other, f, row, p)
+        self.rows[c] = row
+        return True
 
 
 # ---------------------------------------------------------------------------

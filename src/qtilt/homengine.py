@@ -12,7 +12,7 @@ the transpose and the Ext-against-the-algebra module structure.
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InconclusiveError, QtiltError
-from .exactla import Matrix, _tidy, column_space_basis, kernel_data
+from .exactla import Matrix, Span, _tidy, kernel_data
 from .quivercore import BoundQuiverAlgebra, Path, opposite
 from .repcore import (ModuleMap, Representation, _proj_layout, cokernel_rep,
                       dual, inj, kernel_rep, proj_map_from_images, proj_sum,
@@ -306,30 +306,20 @@ def ext(m: Representation, n: Representation, p: int,
         return ExtResult(m, n, p, 0, [])
     delta_p = _hom_complex_differential(res, n, p)
     kernel_vectors = kernel_data(delta_p).matrix
-    if p == 0:
-        image = Matrix.zeros(n.algebra.field, delta_p.ncols, 0)
-    else:
-        delta_prev = _hom_complex_differential(res, n, p - 1)
-        image = column_space_basis(delta_prev)
-    dim = kernel_vectors.ncols - image.rank()
-    cocycles = _cocycle_representatives(res, n, p, kernel_vectors, image)
+    boundaries = Span(n.algebra.field)
+    if p > 0:
+        for col in _hom_complex_differential(res, n, p - 1).sparse_columns():
+            boundaries.add(col)
+    dim = kernel_vectors.ncols - len(boundaries)
+    cocycles = _cocycle_representatives(res, n, p, kernel_vectors, boundaries)
     return ExtResult(m, n, p, dim, cocycles)
 
 
-def _cocycle_representatives(res, n, p, kernel_vectors, image):
-    """Kernel vectors completing a basis of the image span, returned as
-    maps terms[p] -> n."""
-    field = n.algebra.field
+def _cocycle_representatives(res, n, p, kernel_vectors, span):
+    """Kernel vectors completing a basis of the boundary span (which they
+    are added to), returned as maps terms[p] -> n."""
     gens = res.generators(p)
-    reps = []
-    current = image
-    for j in range(kernel_vectors.ncols):
-        col = kernel_vectors.column(j)
-        cand = current.stack_right(Matrix.from_cols(field, [col],
-                                                    nrows=kernel_vectors.nrows))
-        if cand.rank() > current.ncols:
-            current = column_space_basis(cand)
-            reps.append(col)
+    reps = [vec for vec in kernel_vectors.columns() if span.add(vec)]
     maps = []
     for vec in reps:
         images = []

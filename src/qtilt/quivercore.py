@@ -8,11 +8,12 @@ admissible ideals; each basis element is represented by a single path.
 """
 
 from fractions import Fraction
+from math import isqrt, lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (NotAdmissibleError, NonSplitError, QtiltError,
                      UnsupportedCharacteristicError)
-from .exactla import Matrix, QQ, kernel_basis, rref, solve
+from .exactla import Matrix, QQ, Span, kernel_basis, rref, solve
 
 
 class Arrow(NamedTuple):
@@ -183,80 +184,10 @@ class PathSum:
         return " + ".join(f"{c} {format_path(p)}" for c, p in self.terms)
 
 
-# ---------------------------------------------------------------------------
-# triangular span of ideal elements, keyed by leading path
-
-
-class _IdealSpan:
-    """Autoreduced triangular set of parallel-path combinations.  Rows are
-    dicts path->coeff, keyed by their minimal path in sort order (longest
-    paths first, so normal forms prefer shorter representatives)."""
-
-    def __init__(self, field):
-        self.field = field
-        self.rows: Dict[Path, Dict[Path, object]] = {}
-
-    @staticmethod
-    def _lead(vec) -> Path:
-        return min(vec, key=lambda p: (-p.degree, p.arrows, p.source))
-
-    def reduce(self, vec: Dict[Path, object]) -> Dict[Path, object]:
-        field = self.field
-        vec = dict(vec)
-        done: Dict[Path, object] = {}
-        while vec:
-            p = self._lead(vec)
-            c = vec.pop(p)
-            if c == 0:
-                continue
-            row = self.rows.get(p)
-            if row is None:
-                done[p] = c
-                continue
-            for q, d in row.items():
-                if q is p or q == p:
-                    continue
-                s = vec.get(q, 0) - c * d
-                if field.char:
-                    s %= field.p
-                if s == 0:
-                    vec.pop(q, None)
-                else:
-                    vec[q] = s
-        return done
-
-    def insert(self, vec: Dict[Path, object]) -> bool:
-        field = self.field
-        nf = self.reduce(vec)
-        if not nf:
-            return False
-        lead = self._lead(nf)
-        lc = nf[lead]
-        inv = field.inv(lc)
-        if field.char:
-            nf = {p: (c * inv) % field.p for p, c in nf.items()}
-        else:
-            nf = {p: field.canon(c * inv) for p, c in nf.items()}
-        # autoreduce existing rows against the new one
-        for row in list(self.rows.values()):
-            if lead in row:
-                f = row.pop(lead)
-                for q, d in nf.items():
-                    if q == lead:
-                        continue
-                    s = row.get(q, 0) - f * d
-                    if field.char:
-                        s %= field.p
-                    if s == 0:
-                        row.pop(q, None)
-                    else:
-                        row[q] = s
-        nf[lead] = field.one()
-        self.rows[lead] = nf
-        return True
-
-    def pivot_paths(self):
-        return set(self.rows)
+def _path_lead(vec) -> Path:
+    """Leading path of an ideal element: the longest paths lead, so normal
+    forms prefer shorter representatives."""
+    return min(vec, key=lambda p: (-p.degree, p.arrows, p.source))
 
 
 def _paths_of_degree(quiver: Quiver, d: int) -> List[Path]:
@@ -291,7 +222,7 @@ class BoundQuiverAlgebra:
         self.dim = len(self.basis)
         self.nilpotency = nilpotency             # least N with rad^N = 0
         self.maxdeg = maxdeg
-        self._span = span                        # _IdealSpan for normal forms
+        self._span = span                        # ideal Span for normal forms
         self._index = {p: i for i, p in enumerate(self.basis)}
         self._blocks: Dict[Tuple[str, str], List[int]] = {}
         for i, p in enumerate(self.basis):
@@ -414,7 +345,7 @@ def _mul_path_vec(field, vec: Dict[Path, object], arrow: Arrow, on_left: bool):
 
 
 def _graded_build(name, field, quiver, relations, maxdeg):
-    span = _IdealSpan(field)
+    span = Span(field, _path_lead)
     rels_by_degree: Dict[int, List[Dict[Path, object]]] = {}
     for r in relations:
         rels_by_degree.setdefault(r.max_degree(), []).append(_vec_of(field, r))
@@ -429,11 +360,10 @@ def _graded_build(name, field, quiver, relations, maxdeg):
                 for on_left in (True, False):
                     prod = _mul_path_vec(field, vec, a, on_left)
                     if prod:
-                        span.insert(prod)
+                        span.add(prod)
         for vec in rels_by_degree.get(d, []):
-            span.insert(vec)
-        pivots = span.pivot_paths()
-        basis_d = [p for p in paths_d if p not in pivots]
+            span.add(vec)
+        basis_d = [p for p in paths_d if p not in span.rows]
         if not basis_d:
             nilpotency = d
             break
@@ -449,14 +379,14 @@ def _graded_build(name, field, quiver, relations, maxdeg):
 
 def _ideal_span_to_cap(field, quiver, relations, cap):
     """Span of all u*r*w whose every homogeneous component has degree <= cap."""
-    span = _IdealSpan(field)
+    span = Span(field, _path_lead)
     queue = []
     for r in relations:
         vec = _vec_of(field, r)
         if max(p.degree for p in vec) <= cap:
             queue.append(vec)
     for vec in queue:
-        span.insert(vec)
+        span.add(vec)
     seen = 0
     while seen < len(queue):
         vec = queue[seen]
@@ -465,7 +395,7 @@ def _ideal_span_to_cap(field, quiver, relations, cap):
             for on_left in (True, False):
                 prod = _mul_path_vec(field, vec, a, on_left)
                 if prod and max(p.degree for p in prod) <= cap:
-                    if span.insert(prod):
+                    if span.add(prod):
                         queue.append(prod)
     return span
 
@@ -502,9 +432,9 @@ def _filtered_build(name, field, quiver, relations, maxdeg):
             if span.reduce({p: field.one()}):
                 raise QtiltError("internal: ideal saturation cap too small")
     basis: List[Path] = []
-    pivots = span.pivot_paths()
     for d in range(nilpotency):
-        basis.extend(p for p in _paths_of_degree(quiver, d) if p not in pivots)
+        basis.extend(p for p in _paths_of_degree(quiver, d)
+                     if p not in span.rows)
     return basis, span, nilpotency
 
 
@@ -800,23 +730,34 @@ def _poly_sub(f, g):
     return out
 
 
-def factor_rational_poly(coeffs) -> List[Tuple[List, int]]:
-    """Irreducible monic factors with multiplicities, low-to-high coeffs."""
-    import sympy
+def _divisors(n: int) -> List[int]:
+    small = [d for d in range(1, isqrt(abs(n)) + 1) if n % d == 0]
+    return small + [abs(n) // d for d in small]
 
-    t = sympy.Symbol("t")
-    expr = sum(sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
-               * t ** i for i, c in enumerate(coeffs))
-    _, factors = sympy.factor_list(expr, t)
-    out = []
-    for f, e in factors:
-        poly = sympy.Poly(f, t)
-        cs = [Fraction(str(c)) for c in reversed(poly.all_coeffs())]
-        lc = cs[-1]
-        cs = [c / lc for c in cs]
-        out.append((cs, int(e)))
-    out.sort(key=lambda fe: (len(fe[0]), [str(c) for c in fe[0]]))
-    return out
+
+def split_rational_root(mu) -> Optional[Tuple[List, List]]:
+    """(f, g) with mu = f * g and f = (t - r)^m, where r is the rational
+    root of mu with the least str(-r) and m its multiplicity; None when mu
+    has no rational root.  The root order is that of the linear factors in
+    a sorted sympy factor_list, which the tests use as an oracle."""
+    cs = [Fraction(c) for c in mu]
+    low = next(i for i, c in enumerate(cs) if c)
+    den = lcm(*(c.denominator for c in cs))
+    ints = [int(c * den) for c in cs[low:]]
+    # rational root theorem: a root num/q has num | ints[0], q | ints[-1]
+    roots = [Fraction(0)] if low else []
+    roots += [r for q in _divisors(ints[-1]) for num in _divisors(ints[0])
+              for r in (Fraction(num, q), Fraction(-num, q))
+              if not poly_divmod(cs, [-r, 1])[1]]
+    if not roots:
+        return None
+    linear = [-min(roots, key=lambda r: str(-r)), Fraction(1)]
+    f, g = [Fraction(1)], cs
+    while True:
+        q, rem = poly_divmod(g, linear)
+        if rem:
+            return f, g
+        f, g = poly_mul(f, linear), q
 
 
 def poly_eval_in_algebra(a: StructureConstantAlgebra, coeffs, x, unit=None):
@@ -904,10 +845,9 @@ def _split_semisimple(bar: StructureConstantAlgebra, seed: int = 0):
         e = work.pop(0)
         corner = [bar.mult(bar.mult(e, bar.basis_vector(k)), e)
                   for k in range(bar.dim)]
-        cm = Matrix(field, corner)
-        cr = rref(cm)
-        corner_basis = [corner[r] for r in _pivot_rows(cm, cr)]
-        if cr.rank <= 1:
+        span = Span(field)
+        corner_basis = [c for c in corner if span.add(c)]
+        if len(corner_basis) <= 1:
             out.append(e)
             continue
         rnd = random.Random(seed)
@@ -927,20 +867,16 @@ def _split_semisimple(bar: StructureConstantAlgebra, seed: int = 0):
             mu = minimal_polynomial(bar, x, unit=e)
             if len(mu) <= 2:
                 continue
-            factors = factor_rational_poly(mu)
-            if len(factors) == 1:
-                if len(factors[0][0]) > 2:
-                    saw_nonlinear = True
+            split_mu = split_rational_root(mu)
+            if split_mu is None:
+                saw_nonlinear = True
                 continue
-            f = [Fraction(1)]
-            for _ in range(factors[0][1]):
-                f = poly_mul(f, factors[0][0])
-            g = [Fraction(1)]
-            for fac, mult in factors[1:]:
-                for _ in range(mult):
-                    g = poly_mul(g, fac)
+            f, g = split_mu
+            if len(g) == 1:
+                continue
             _, v, d = poly_xgcd(f, g)
-            assert len(d) == 1, "factors of a minimal polynomial not coprime"
+            if len(d) != 1:
+                raise QtiltError("factors of a minimal polynomial not coprime")
             e1 = poly_eval_in_algebra(bar, poly_mul(v, g), x, unit=e)
             split = e1
             break
@@ -955,12 +891,6 @@ def _split_semisimple(bar: StructureConstantAlgebra, seed: int = 0):
         work.append(e1)
         work.append(e2)
     return out
-
-
-def _pivot_rows(m: Matrix, res) -> List[int]:
-    """Indices of input rows forming a basis of the row space: the pivot
-    columns of the transpose mark the first rows at which the rank grows."""
-    return list(rref(m.transpose()).pivots)
 
 
 def primitive_orthogonal_idempotents(a: StructureConstantAlgebra,

@@ -12,9 +12,9 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import (AlgebraMismatchError, QtiltError, ShapeMismatchError,
                      UndecidedIsomorphismError)
-from .exactla import (Matrix, block_diag, cokernel_data, column_space_basis,
-                      hstack, kernel_basis, kernel_data, solve,
-                      solve_against_kernel)
+from .exactla import (Matrix, Span, block_diag, cokernel_data,
+                      column_space_basis, hstack, kernel_basis, kernel_data,
+                      solve, solve_against_kernel)
 from .quivercore import (BoundQuiverAlgebra, Path, StructureConstantAlgebra,
                          opposite, primitive_orthogonal_idempotents)
 
@@ -377,37 +377,36 @@ def cokernel_rep(f: ModuleMap):
 
 def submodule_generated(m: Representation, vectors: Dict[str, List[Sequence]]):
     """(S, inclusion): the smallest subrepresentation containing the given
-    vectors (dict vertex -> list of coordinate vectors)."""
+    vectors (dict vertex -> list of coordinate vectors).  Each round maps
+    the basis vectors found in the round before along every arrow, so the
+    basis at each vertex is the first vectors, in that order, that grow
+    its span."""
     alg = m.algebra
     field = alg.field
-    spans = {v: [list(x) for x in vectors.get(v, [])] for v in alg.quiver.vertices}
-
-    def span_matrix(v):
-        if not spans[v]:
-            return Matrix.zeros(field, m.dims[v], 0)
-        return column_space_basis(Matrix.from_cols(field, spans[v],
-                                                   nrows=m.dims[v]))
-
-    changed = True
-    while changed:
-        changed = False
-        mats = {v: span_matrix(v) for v in alg.quiver.vertices}
+    verts = alg.quiver.vertices
+    spans = {v: Span(field) for v in verts}
+    fresh = {v: [x for x in vectors.get(v, []) if spans[v].add(x)]
+             for v in verts}
+    basis = {v: list(fresh[v]) for v in verts}
+    while any(fresh.values()):
+        found = {v: [] for v in verts}
         for a in alg.quiver.arrows:
-            img = m.mats[a.name] * mats[a.source]
-            for j in range(img.ncols):
-                col = list(img.column(j))
-                before = mats[a.target]
-                test = before.stack_right(Matrix.from_cols(field, [col],
-                                                           nrows=m.dims[a.target]))
-                if test.rank() > before.ncols:
-                    spans[a.target].append(col)
-                    changed = True
-    bases = {v: span_matrix(v) for v in alg.quiver.vertices}
-    dims = {v: bases[v].ncols for v in alg.quiver.vertices}
+            if fresh[a.source]:
+                img = m.mats[a.name] * Matrix.from_cols(
+                    field, fresh[a.source], nrows=m.dims[a.source])
+                found[a.target].extend(
+                    col for col in img.columns() if spans[a.target].add(col))
+        for v in verts:
+            basis[v].extend(found[v])
+        fresh = found
+    bases = {v: Matrix.from_cols(field, basis[v], nrows=m.dims[v])
+             for v in verts}
+    dims = {v: bases[v].ncols for v in verts}
     mats = {}
     for a in alg.quiver.arrows:
         x = solve(bases[a.target], m.mats[a.name] * bases[a.source])
-        assert x is not None
+        if x is None:
+            raise QtiltError("generated subspaces are not arrow-stable")
         mats[a.name] = x
     s = Representation(alg, dims, mats, validate=False)
     incl = ModuleMap(s, m, dict(bases), validate=False)

@@ -11,7 +11,7 @@ translate summand inherits the replaced vertex's label.
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NonSplitError, QtiltError, UnsupportedCharacteristicError
-from .exactla import Matrix, column_space_basis, kernel_basis, rref
+from .exactla import Matrix, Span, kernel_basis
 from .homengine import (ext_dim, gldim, injd, is_finite, pd, tau_n,
                         tau_n_minus)
 from .quivercore import (Arrow, BoundQuiverAlgebra, Path, PathSum, Quiver,
@@ -221,25 +221,18 @@ def minimal_left_approximation(x: Representation,
     for i, u in enumerate(summand_reps):
         if not homs[i]:
             continue
-        veclen = len(homs[i][0].vectorize())
-        radical_vecs = []
+        span = Span(field)
         for j in range(len(summand_reps)):
             if j == i:
                 for r in rad_end[i]:
                     for g in homs[i]:
-                        radical_vecs.append((r * g).vectorize())
+                        span.add((r * g).vectorize())
             else:
                 for r in cross.get((j, i), []):
                     for g in homs[j]:
-                        radical_vecs.append((r * g).vectorize())
-        current = Matrix.from_cols(field, radical_vecs, nrows=veclen) if \
-            radical_vecs else Matrix.zeros(field, veclen, 0)
-        current = column_space_basis(current)
+                        span.add((r * g).vectorize())
         for g in homs[i]:
-            cand = current.stack_right(
-                Matrix.from_cols(field, [g.vectorize()], nrows=veclen))
-            if cand.rank() > current.ncols:
-                current = column_space_basis(cand)
+            if span.add(g.vectorize()):
                 chosen.append((i, g))
                 counts[i] += 1
     if not chosen:
@@ -401,12 +394,6 @@ class AlgebraPresentation:
                    if r.max_degree() == degree and r.min_degree() == degree)
 
 
-def _span_rows(field, vectors):
-    if not vectors:
-        return Matrix.zeros(field, 0, 0)
-    return Matrix(field, [list(v) for v in vectors])
-
-
 def present_algebra(sca: StructureConstantAlgebra,
                     idempotents: Optional[Sequence] = None,
                     labels: Optional[Sequence[str]] = None,
@@ -433,47 +420,32 @@ def present_algebra(sca: StructureConstantAlgebra,
         labels = [f"v{k+1}" for k in range(s)]
     labels = [str(l) for l in labels]
 
-    # radical powers as row spans
-    rad_rows = _span_rows(field, rad_vectors)
-    powers = [None, rad_rows]
-    while powers[-1].nrows:
-        prev = powers[-1]
-        prods = []
-        for row in prev.rows:
+    # radical powers as spans; rad^k is spanned by rad^(k-1) * rad
+    powers = [Span(field)]
+    for vec in rad_vectors:
+        powers[0].add(vec)
+    while powers[-1]:
+        nxt = Span(field)
+        for row in powers[-1].rows.values():
+            x = [row.get(k, 0) for k in range(sca.dim)]
             for vec in rad_vectors:
-                prods.append(sca.mult(row, vec))
-        nxt = _span_rows(field, prods)
-        if nxt.nrows:
-            res = rref(nxt)
-            keep = res.matrix.rows[:res.rank]
-            nxt = Matrix(field, [list(r) for r in keep], ncols=sca.dim) if keep \
-                else Matrix.zeros(field, 0, sca.dim)
+                nxt.add(sca.mult(x, vec))
         powers.append(nxt)
-    nilpotency = len(powers) - 1  # least N with rad^N = 0
-
-    def in_span(rows_matrix, vec):
-        if rows_matrix.nrows == 0:
-            return all(x == 0 for x in vec)
-        stacked = rows_matrix.stack_below(Matrix(field, [list(vec)]))
-        return stacked.rank() == rows_matrix.rank()
+    nilpotency = len(powers)  # least N with rad^N = 0
 
     # arrows: block bases of rad modulo rad^2
     arrows = []
     arrow_images = {}
-    rad2 = powers[2] if len(powers) > 2 else Matrix.zeros(field, 0, sca.dim)
+    rad2 = powers[1] if len(powers) > 1 else powers[0]
     for i in range(s):
+        right = [sca.mult(vec, idempotents[i]) for vec in rad_vectors]
         for j in range(s):
-            block_vectors = []
-            for vec in rad_vectors:
-                w = sca.mult(idempotents[j], sca.mult(vec, idempotents[i]))
-                block_vectors.append(w)
             # independent directions modulo rad^2 within the block
+            block = Span(field)
             chosen = []
-            current = rad2
-            for w in block_vectors:
-                stacked = current.stack_below(Matrix(field, [list(w)]))
-                if stacked.rank() > current.rank():
-                    current = stacked
+            for r in right:
+                w = sca.mult(idempotents[j], r)
+                if block.add(rad2.reduce(w)):
                     chosen.append(w)
             for k, w in enumerate(chosen):
                 aname = f"a{k}_{i}_{j}"

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from qtilt import cli
 from qtilt.cli import (Workspace, dispatch, parse_algebra_file,
                        parse_module_file, serialize_algebra, serialize_module)
 from qtilt.errors import ParseError
@@ -110,6 +111,17 @@ def test_missing_file_exits_2():
     code, text = run(["info", data("nope.alg")])
     assert code == 2
     assert text.startswith("error")
+
+
+@pytest.mark.parametrize("exc", [AssertionError("broken invariant"),
+                                 ZeroDivisionError("inverting zero")])
+def test_internal_crash_exits_4(monkeypatch, exc):
+    def crash(args, ws):
+        raise exc
+    monkeypatch.setattr(cli, "_cmd_info", crash)
+    code, text = run(["info", data("kronecker.alg")])
+    assert code == 4
+    assert text == f"internal {type(exc).__name__}: {exc}\n"
 
 
 def test_ext_command():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtilt.exactla import (Matrix, PrimeField, QQ, block_diag, hstack,
+from qtilt.exactla import (Matrix, PrimeField, QQ, Span, block_diag, hstack,
                            kernel_basis, kernel_data, kron, rref, solve,
                            vstack)
 from qtilt.errors import FieldMismatchError, ShapeMismatchError
@@ -402,6 +402,56 @@ def test_prop_dense_view_and_equality(shape, p):
     assert Matrix(field, rows).scale(2) != a or a.is_zero()
 
 
+# --- Span: the incremental echelon basis -------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(shapes, st.sampled_from([0, 32003]))
+def test_prop_span_grows_with_rank_and_matches_rref(shape, p):
+    seed, m, n, density = shape
+    field = GF if p else QQ
+    rows = sparse_rows(seed, m, n, density, p)
+    span = Span(field)
+    rank = 0
+    for k, row in enumerate(rows):
+        grew = span.add(row)
+        new_rank = Matrix(field, rows[:k + 1]).rank()
+        assert grew == (new_rank > rank) and len(span) == new_rank
+        rank = new_rank
+    res = rref(Matrix(field, rows))
+    assert sorted(span.rows) == list(res.pivots)
+    assert [span.rows[c] for c in sorted(span.rows)] == \
+        [r for r in res.matrix.sparse_rows if r]
+
+
+@settings(max_examples=40, deadline=None)
+@given(shapes, st.sampled_from([0, 32003]))
+def test_prop_span_reduce_is_empty_exactly_on_the_span(shape, p):
+    seed, m, n, density = shape
+    field = GF if p else QQ
+    rows = sparse_rows(seed, m, n, density, p)
+    span = Span(field)
+    for row in rows:
+        span.add(row)
+    a = Matrix(field, rows)
+    coeffs = Matrix(field, sparse_rows(seed + 1, 3, m, 0.5, p))
+    for v in (coeffs * a).sparse_rows:
+        assert span.reduce(v) == {}
+    for v in sparse_rows(seed + 2, 6, n, density, p):
+        inside = a.stack_below(Matrix(field, [v])).rank() == a.rank()
+        rem = span.reduce(v)
+        assert (rem == {}) == inside
+        assert not set(rem) & set(span.rows)
+        # remainders are canonical, also for unreduced residues mod p
+        assert all(type(x) is type(field.canon(x)) and x == field.canon(x)
+                   for x in rem.values())
+        if p:
+            assert span.reduce([x - p if x else 0 for x in v]) == rem
+        # v minus its remainder lies in the span
+        diff = Matrix(field, [v]) - Matrix(field, [[rem.get(j, 0)
+                                                    for j in range(n)]])
+        assert span.reduce(diff.sparse_rows[0]) == {}
+
+
 def test_matrix_rows_view_indexes_like_dense():
     m = Matrix(QQ, [[0, Fraction(1, 2)], [3, 0]])
     assert m.rows == ((0, Fraction(1, 2)), (3, 0))
@@ -451,4 +501,21 @@ def test_import_does_not_load_numpy():
         [sys.executable, "-c",
          "import qtilt, sys; assert 'numpy' not in sys.modules"],
         capture_output=True, text=True, timeout=60, check=False, env=env)
+    assert proc.returncode == 0, proc.stderr
+    # sympy is only a test oracle: presenting an algebra without given
+    # idempotents splits its semisimple quotient with sympy blocked
+    script = "\n".join([
+        "import sys",
+        "sys.modules['sympy'] = None",
+        "from qtilt.quivercore import (Arrow, Quiver, build_algebra,",
+        "                              regular_structure_algebra)",
+        "from qtilt.tilting import present_algebra",
+        "q = Quiver(['1', '2'],",
+        "           [Arrow('a0', '2', '1'), Arrow('a1', '2', '1')])",
+        "sca = regular_structure_algebra(build_algebra(q, []))",
+        "pres = present_algebra(sca)",
+        "assert (pres.dim, len(pres.quiver.arrows)) == (4, 2)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60, check=False, env=env)
     assert proc.returncode == 0, proc.stderr

@@ -4,14 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtilt.errors import NonSplitError, NotAdmissibleError
 from qtilt.exactla import Matrix, PrimeField, QQ
 from qtilt.quivercore import (Arrow, Path, PathSum, Quiver, StructureConstantAlgebra,
                               abstract_radical, build_algebra, element_from_path,
                               minimal_polynomial, multiply, op_element, opposite,
-                              primitive_orthogonal_idempotents, radical_basis,
-                              regular_structure_algebra, semisimple_and_basic_flags)
+                              poly_mul, primitive_orthogonal_idempotents,
+                              radical_basis, regular_structure_algebra,
+                              semisimple_and_basic_flags, split_rational_root)
 
 from conftest import make_kronecker, make_square
 
@@ -331,6 +333,56 @@ def test_non_split_quotient_rejected():
         # fail with an explicit error rather than a wrong decomposition
         from qtilt.quivercore import _split_semisimple
         _split_semisimple(a)
+
+
+def sympy_split(mu):
+    """Oracle for split_rational_root: sympy's monic irreducible factors
+    sorted by (length, coefficient strings), so a linear factor with the
+    least str(-root) comes first; f is its full power, g the rest."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * t ** i
+               for i, c in enumerate(mu))
+    factors = []
+    for fac, mult in sympy.factor_list(expr, t)[1]:
+        cs = [Fraction(str(c))
+              for c in reversed(sympy.Poly(fac, t).all_coeffs())]
+        factors.append(([c / cs[-1] for c in cs], int(mult)))
+    factors.sort(key=lambda fm: (len(fm[0]), [str(c) for c in fm[0]]))
+    if len(factors[0][0]) != 2:
+        return None
+    f, g = [Fraction(1)], [Fraction(1)]
+    for k, (fac, mult) in enumerate(factors):
+        for _ in range(mult):
+            if k == 0:
+                f = poly_mul(f, fac)
+            else:
+                g = poly_mul(g, fac)
+    return f, g
+
+
+roots = st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4),
+                           st.integers(1, 3)), min_size=1, max_size=3)
+irreducible = st.sampled_from([[1], [1, 0, 1], [-2, 0, 1], [1, 1, 1],
+                               [-2, 0, 0, 1]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(roots, irreducible)
+def test_split_rational_root_matches_sympy_factor_list(linear, rest):
+    # integer polynomial prod (q t - p)^m * rest, made monic
+    poly = [Fraction(c) for c in rest]
+    for num, den, mult in linear:
+        for _ in range(mult):
+            poly = poly_mul(poly, [-num, den])
+    mu = [c / poly[-1] for c in poly]
+    assert split_rational_root(mu) == sympy_split(mu)
+
+
+def test_split_rational_root_without_rational_roots():
+    assert split_rational_root([1, 0, 1]) is None
+    # (t^2 - 2)(t^2 - 3): reducible, but no rational root
+    assert split_rational_root(poly_mul([-2, 0, 1], [-3, 0, 1])) is None
 
 
 def test_loop_cube_algebra():

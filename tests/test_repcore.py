@@ -192,6 +192,17 @@ def test_decompose_simple_power(kron):
     assert mult == 3 and rep.dim_vector() == (1, 0)
 
 
+def test_decompose_simple_fourth_power(kron):
+    # End is M_4(Q): among powers of one simple, the first whose elements
+    # can have a minimal polynomial with nonlinear factors only (2 + 2)
+    s = simple(kron, "1")
+    total, _, _ = direct_sum([s, s, s, s])
+    dec = decompose(total)
+    assert len(dec.summands) == 1
+    rep, mult = dec.summands[0]
+    assert mult == 4 and rep.dim_vector() == (1, 0)
+
+
 def test_decompose_summands_have_local_endomorphisms(kron):
     m = random_module(kron, seed=19)
     dec = decompose(m)
