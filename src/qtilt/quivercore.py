@@ -13,7 +13,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (NotAdmissibleError, NonSplitError, QtiltError,
                      UnsupportedCharacteristicError)
-from .exactla import Matrix, QQ, Span, kernel_basis, rref, solve
+from .exactla import (Matrix, QQ, Span, _dense, _tidy, kernel_basis, rref,
+                      solve)
 
 
 class Arrow(NamedTuple):
@@ -521,26 +522,37 @@ def semisimple_and_basic_flags(alg: BoundQuiverAlgebra) -> Tuple[bool, bool]:
 class StructureConstantAlgebra:
     """Finite dimensional associative algebra given by a multiplication
     table on a fixed basis.  Validates associativity and the unit law
-    (exhaustively in small dimension, on sampled triples beyond)."""
+    (exhaustively in small dimension, on sampled triples beyond).
+
+    ``table[i][j]`` holds the coordinates of e_i * e_j, either as a dense
+    sequence of length dim or as a dict index -> entry.  They are kept
+    sparse: ``cells[i]`` maps each j with e_i * e_j != 0 to a dict of the
+    nonzero canonical coordinates.  `product` multiplies sparse elements;
+    `mult` is its dense wrapper."""
 
     def __init__(self, field, table, unit, validate: bool = True):
         self.field = field
-        self.table = tuple(tuple(tuple(field.canon(c) for c in cell)
-                                 for cell in row) for row in table)
-        self.dim = len(self.table)
+        self.dim = len(table)
+        self.cells = [{j: cell for j, cell in enumerate(map(self.sparse, row))
+                       if cell} for row in table]
         self.unit = tuple(field.canon(c) for c in unit)
         if validate:
-            self._validate()
+            self._validate(table)
 
-    def _validate(self):
+    def _validate(self, table):
         n = self.dim
+
+        def ragged(cell):
+            if isinstance(cell, dict):
+                return any(not 0 <= k < n for k in cell)
+            return len(cell) != n
+
+        if any(len(row) != n or any(map(ragged, row)) for row in table):
+            raise QtiltError("structure constant table is not cubic")
+        unit = self.sparse(self.unit)
         for i in range(n):
-            if len(self.table[i]) != n or any(len(c) != n for c in self.table[i]):
-                raise QtiltError("structure constant table is not cubic")
-        for i in range(n):
-            ei = tuple(self.field.one() if k == i else self.field.zero()
-                       for k in range(n))
-            if self.mult(self.unit, ei) != ei or self.mult(ei, self.unit) != ei:
+            ei = {i: 1}
+            if self.product(unit, ei) != ei or self.product(ei, unit) != ei:
                 raise QtiltError("unit law fails")
         if n <= 16:
             triples = ((i, j, k) for i in range(n) for j in range(n)
@@ -550,61 +562,42 @@ class StructureConstantAlgebra:
             rnd = random.Random(0)
             triples = ((rnd.randrange(n), rnd.randrange(n), rnd.randrange(n))
                        for _ in range(500))
+        cells = self.cells
         for i, j, k in triples:
-            left = self._mult_vec_basis(self.table[i][j], k)
-            right = self._mult_basis_vec(i, self.table[j][k])
+            left = self.product(cells[i].get(j, {}), {k: 1})
+            right = self.product({i: 1}, cells[j].get(k, {}))
             if left != right:
                 raise QtiltError(f"associativity fails on basis triple "
                                  f"({i},{j},{k})")
 
-    def _mult_vec_basis(self, vec, k):
-        field = self.field
-        acc = [field.zero()] * self.dim
-        for l, c in enumerate(vec):
-            if c != 0:
-                for m, d in enumerate(self.table[l][k]):
-                    if d != 0:
-                        acc[m] += c * d
-        if field.char:
-            return tuple(x % field.p for x in acc)
-        return tuple(field.canon(x) for x in acc)
+    def sparse(self, x) -> Dict[int, object]:
+        """x, a dense sequence or a dict index -> entry, as a dict of its
+        nonzero canonical entries."""
+        canon = self.field.canon
+        items = x.items() if isinstance(x, dict) else enumerate(x)
+        return _tidy({k: canon(c) for k, c in items if c}, self.field.char)
 
-    def _mult_basis_vec(self, i, vec):
-        field = self.field
-        acc = [field.zero()] * self.dim
-        for l, c in enumerate(vec):
-            if c != 0:
-                for m, d in enumerate(self.table[i][l]):
-                    if d != 0:
-                        acc[m] += c * d
-        if field.char:
-            return tuple(x % field.p for x in acc)
-        return tuple(field.canon(x) for x in acc)
-
-    def mult(self, x: Sequence, y: Sequence) -> Tuple:
-        field = self.field
-        acc = [field.zero()] * self.dim
-        for i, xi in enumerate(x):
-            if xi == 0:
+    def product(self, x: Dict[int, object], y: Dict[int, object]
+                ) -> Dict[int, object]:
+        """x * y for sparse elements; the result is sparse and canonical."""
+        cells = self.cells
+        acc: Dict[int, object] = {}
+        get = acc.get
+        for i, xi in x.items():
+            row = cells[i]
+            if not row:
                 continue
-            for j, yj in enumerate(y):
-                if yj == 0:
+            for j, yj in y.items():
+                cell = row.get(j)
+                if cell is None:
                     continue
                 f = xi * yj
-                for k, c in enumerate(self.table[i][j]):
-                    if c != 0:
-                        acc[k] += f * c
-        if field.char:
-            return tuple(v % field.p for v in acc)
-        return tuple(field.canon(v) for v in acc)
+                for k, c in cell.items():
+                    acc[k] = get(k, 0) + f * c
+        return _tidy(acc, self.field.char)
 
-    def left_mult_matrix(self, x: Sequence) -> Matrix:
-        cols = []
-        for j in range(self.dim):
-            ej = tuple(self.field.one() if k == j else self.field.zero()
-                       for k in range(self.dim))
-            cols.append(self.mult(x, ej))
-        return Matrix.from_cols(self.field, cols, nrows=self.dim)
+    def mult(self, x: Sequence, y: Sequence) -> Tuple:
+        return _dense(self.product(self.sparse(x), self.sparse(y)), self.dim)
 
     def basis_vector(self, i: int) -> Tuple:
         return tuple(self.field.one() if k == i else self.field.zero()
@@ -617,15 +610,8 @@ class StructureConstantAlgebra:
 def regular_structure_algebra(alg: BoundQuiverAlgebra) -> StructureConstantAlgebra:
     """The same algebra repackaged as an abstract multiplication table."""
     n = alg.dim
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            vec = [alg.field.zero()] * n
-            for k, c in alg.basis_product(i, j):
-                vec[k] = c
-            row.append(tuple(vec))
-        table.append(tuple(row))
+    table = [[dict(alg.basis_product(i, j)) for j in range(n)]
+             for i in range(n)]
     return StructureConstantAlgebra(alg.field, table, alg.unit(), validate=False)
 
 
@@ -638,15 +624,10 @@ def abstract_radical(a: StructureConstantAlgebra) -> List[Tuple]:
             "trace-form radical needs characteristic zero")
     n = a.dim
     # trace of left multiplication by each basis element
-    tr = []
-    for k in range(n):
-        t = 0
-        for i in range(n):
-            t += a.table[k][i][i]
-        tr.append(t)
-    gram = [[sum(a.table[i][j][k] * tr[k] for k in range(n))
-             for j in range(n)] for i in range(n)]
-    g = Matrix(a.field, gram)
+    tr = [sum(cell.get(i, 0) for i, cell in row.items()) for row in a.cells]
+    gram = [_tidy({j: sum(c * tr[k] for k, c in cell.items())
+                   for j, cell in row.items()}, 0) for row in a.cells]
+    g = Matrix._raw(a.field, gram, n)
     return [tuple(v) for v in kernel_basis(g.transpose())]
 
 
@@ -806,16 +787,11 @@ def quotient_by_radical(a: StructureConstantAlgebra):
     section = Matrix.from_cols(field, section_cols, nrows=a.dim)
 
     def to_bar(vec):
-        return tuple((proj * Matrix.from_cols(field, [vec], nrows=a.dim)).column(0))
+        return _tidy({k: sum(row[l] * c for l, c in vec.items() if l in row)
+                      for k, row in enumerate(proj.sparse_rows)}, field.char)
 
-    table = []
-    for i in range(s):
-        row = []
-        for j in range(s):
-            prod = a.mult(tuple(section.column(i)), tuple(section.column(j)))
-            row.append(to_bar(prod))
-        table.append(tuple(row))
-    bar_unit = to_bar(a.unit)
+    table = [[to_bar(a.cells[fi].get(fj, {})) for fj in free] for fi in free]
+    bar_unit = _dense(to_bar(a.sparse(a.unit)), s)
     bar = StructureConstantAlgebra(field, table, bar_unit, validate=False)
     return proj, section, bar
 
@@ -918,9 +894,11 @@ def primitive_orthogonal_idempotents(a: StructureConstantAlgebra,
         partial = tuple(field.canon(p + c) for p, c in zip(partial, e))
     last = tuple(field.canon(u - s) for u, s in zip(a.unit, partial))
     lifted.append(last)
-    for i, e in enumerate(lifted):
-        assert a.mult(e, e) == e, "lifted element is not idempotent"
-        for j in range(i):
-            z = tuple(field.zero() for _ in range(a.dim))
-            assert a.mult(e, lifted[j]) == z and a.mult(lifted[j], e) == z
+    sparse = [a.sparse(e) for e in lifted]
+    for i, e in enumerate(sparse):
+        if a.product(e, e) != e:
+            raise QtiltError("lifted element is not idempotent")
+        for f in sparse[:i]:
+            if a.product(e, f) or a.product(f, e):
+                raise QtiltError("lifted idempotents are not orthogonal")
     return lifted

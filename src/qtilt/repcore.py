@@ -12,7 +12,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import (AlgebraMismatchError, QtiltError, ShapeMismatchError,
                      UndecidedIsomorphismError)
-from .exactla import (Matrix, Span, block_diag, cokernel_data,
+from .exactla import (Matrix, Span, _dense, block_diag, cokernel_data,
                       column_space_basis, hstack, kernel_basis, kernel_data,
                       solve, solve_against_kernel)
 from .quivercore import (BoundQuiverAlgebra, Path, StructureConstantAlgebra,
@@ -623,42 +623,37 @@ def _hom_generic(m: Representation, n: Representation) -> List[ModuleMap]:
     return out
 
 
+def express_all_in_basis(maps: Sequence[ModuleMap], fs: Sequence[ModuleMap]):
+    """Coefficients of each of the (at least one) maps fs on a basis of
+    their Hom space, as dicts basis position -> nonzero entry, from one
+    solve; None when one of them lies outside the span."""
+    field = fs[0].source.algebra.field
+    rhs = [f.vectorize() for f in fs]
+    n = len(rhs[0])
+    sol = solve(Matrix.from_cols(field, [mp.vectorize() for mp in maps],
+                                 nrows=n),
+                Matrix.from_cols(field, rhs, nrows=n))
+    return None if sol is None else sol.sparse_columns()
+
+
 def express_in_basis(maps: Sequence[ModuleMap], f: ModuleMap):
     """Coefficients of f on a basis of the Hom space, or None."""
-    field = f.source.algebra.field
-    cols = [mp.vectorize() for mp in maps]
-    target = f.vectorize()
-    b = Matrix.from_cols(field, cols, nrows=len(target)) if cols else \
-        Matrix.zeros(field, len(target), 0)
-    x = solve(b, Matrix.from_cols(field, [target], nrows=len(target)))
-    if x is None:
-        return None
-    return tuple(x.column(0))
+    coords = express_all_in_basis(maps, [f])
+    return None if coords is None else _dense(coords[0], len(maps))
 
 
 def endomorphism_algebra(m: Representation):
     """(StructureConstantAlgebra of End(m) with composition product,
     basis maps)."""
     basis = hom_space(m, m)
-    field = m.algebra.field
     d = len(basis)
-    cols = [mp.vectorize() for mp in basis]
-    veclen = len(cols[0]) if cols else 0
-    bmat = Matrix.from_cols(field, cols, nrows=veclen)
-    prods = []
-    for f in basis:
-        for g in basis:
-            prods.append((f * g).vectorize())
-    sol = solve(bmat, Matrix.from_cols(field, prods, nrows=veclen)) if d else None
-    table = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            row.append(tuple(sol.column(i * d + j)))
-        table.append(tuple(row))
-    unit = express_in_basis(basis, ModuleMap.identity(m))
-    assert unit is not None, "identity is not in the computed End basis"
-    sca = StructureConstantAlgebra(field, table, unit)
+    # the identity rides along as the last map to express
+    cols = express_all_in_basis(
+        basis, [f * g for f in basis for g in basis] + [ModuleMap.identity(m)])
+    if cols is None:
+        raise QtiltError("the End basis misses the identity or a composite")
+    table = [cols[i * d:(i + 1) * d] for i in range(d)]
+    sca = StructureConstantAlgebra(m.algebra.field, table, _dense(cols[-1], d))
     return sca, basis
 
 

@@ -11,7 +11,7 @@ translate summand inherits the replaced vertex's label.
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NonSplitError, QtiltError, UnsupportedCharacteristicError
-from .exactla import Matrix, Span, kernel_basis
+from .exactla import Matrix, Span, _dense, kernel_basis
 from .homengine import (ext_dim, gldim, injd, is_finite, pd, tau_n,
                         tau_n_minus)
 from .quivercore import (Arrow, BoundQuiverAlgebra, Path, PathSum, Quiver,
@@ -19,8 +19,8 @@ from .quivercore import (Arrow, BoundQuiverAlgebra, Path, PathSum, Quiver,
                          build_algebra, primitive_orthogonal_idempotents,
                          semisimple_and_basic_flags)
 from .repcore import (ModuleMap, Representation, decompose, direct_sum,
-                      endomorphism_algebra, express_in_basis, hom_space, inj,
-                      injective_cogenerator, cokernel_rep, proj, regular,
+                      endomorphism_algebra, express_all_in_basis, hom_space,
+                      inj, injective_cogenerator, cokernel_rep, proj, regular,
                       simple, zero_rep)
 
 
@@ -289,11 +289,14 @@ def verify_tilting(alg: BoundQuiverAlgebra, t: Representation, m: int,
 class EndoData:
     """Bookkeeping for End(T)^op on a basic list of summands."""
 
-    def __init__(self, summands, basis_blocks, multiplicities, basicized):
+    def __init__(self, summands, basis_blocks, multiplicities, basicized,
+                 idempotents):
         self.summands = summands            # list of (label, Representation)
         self.basis_blocks = basis_blocks    # list of (i, j, ModuleMap U_i -> U_j)
         self.multiplicities = multiplicities
         self.basicized = basicized
+        self.idempotents = idempotents      # summand identities, as vectors
+
 
 def endo_algebra(t, seed: int = 0):
     """(StructureConstantAlgebra of End(T)^op, bookkeeping).
@@ -321,55 +324,43 @@ def endo_algebra(t, seed: int = 0):
             for f in hom_space(ui, uj):
                 blocks.append((i, j, f))
     dim = len(blocks)
-    # block bases for coordinate solves
-    block_maps: Dict[Tuple[int, int], List[int]] = {}
+    positions: Dict[Tuple[int, int], List[int]] = {}
     for pos, (i, j, _) in enumerate(blocks):
-        block_maps.setdefault((i, j), []).append(pos)
-
-    def express(i, j, f):
-        positions = block_maps.get((i, j), [])
-        basis = [blocks[p][2] for p in positions]
-        coords = express_in_basis(basis, f)
-        assert coords is not None, "composition left the Hom block"
-        vec = [field.zero()] * dim
-        for p, c in zip(positions, coords):
-            vec[p] = c
-        return tuple(vec)
-
-    zero_vec = tuple(field.zero() for _ in range(dim))
-    table = []
-    for (i1, j1, f1) in blocks:
-        row = []
-        for (i2, j2, f2) in blocks:
-            # opposite product x*y = f2 then f1 reversed: compose f2 o f1
-            # only when the target of f1 feeds the source of f2
-            if j1 != i2:
-                row.append(zero_vec)
-            else:
-                row.append(express(i1, j2, f2 * f1))
-        table.append(tuple(row))
-    unit = [field.zero()] * dim
-    for k, (_, u) in enumerate(summands):
-        coords = express(k, k, ModuleMap.identity(u))
-        unit = [field.canon(a + b) for a, b in zip(unit, coords)]
-    sca = StructureConstantAlgebra(field, table, tuple(unit))
-    data = EndoData(summands, blocks, mults, basicized)
+        positions.setdefault((i, j), []).append(pos)
+    # each Hom block collects the maps it must express: the opposite
+    # products x*y = f2 o f1 when the target of f1 feeds the source of f2,
+    # and on the diagonal the summand identity, keyed (k, None)
+    wanted: Dict[Tuple[int, int], List[Tuple[object, ModuleMap]]] = {
+        (k, k): [((k, None), ModuleMap.identity(u))]
+        for k, (_, u) in enumerate(summands)}
+    for x, (i1, j1, f1) in enumerate(blocks):
+        for y, (i2, j2, f2) in enumerate(blocks):
+            if j1 == i2:
+                wanted.setdefault((i1, j2), []).append(((x, y), f2 * f1))
+    # one solve per block expresses all its maps in the block basis
+    cells = {}
+    for ij, items in wanted.items():
+        pos = positions.get(ij, [])
+        coords = express_all_in_basis([blocks[p][2] for p in pos],
+                                      [f for _, f in items])
+        if coords is None:
+            raise QtiltError("composition left the Hom block")
+        for (key, _), col in zip(items, coords):
+            cells[key] = {pos[r]: c for r, c in col.items()}
+    table = [[cells.get((x, y), {}) for y in range(dim)] for x in range(dim)]
+    ident = [cells[(k, None)] for k in range(len(summands))]
+    idempotents = [_dense(e, dim) for e in ident]
+    # the identities lie in distinct diagonal blocks, so the unit is their
+    # union
+    unit = _dense({p: c for e in ident for p, c in e.items()}, dim)
+    sca = StructureConstantAlgebra(field, table, unit)
+    data = EndoData(summands, blocks, mults, basicized, idempotents)
     return sca, data
 
 
 def endo_idempotents(sca, data) -> List[Tuple]:
     """The summand identities as idempotent coordinate vectors."""
-    out = []
-    for k, (_, u) in enumerate(data.summands):
-        positions = [p for p, (i, j, _) in enumerate(data.basis_blocks)
-                     if i == k and j == k]
-        basis = [data.basis_blocks[p][2] for p in positions]
-        coords = express_in_basis(basis, ModuleMap.identity(u))
-        vec = [sca.field.zero()] * sca.dim
-        for p, c in zip(positions, coords):
-            vec[p] = c
-        out.append(tuple(vec))
-    return out
+    return list(data.idempotents)
 
 
 class AlgebraPresentation:
@@ -421,45 +412,46 @@ def present_algebra(sca: StructureConstantAlgebra,
     labels = [str(l) for l in labels]
 
     # radical powers as spans; rad^k is spanned by rad^(k-1) * rad
+    rad = [sca.sparse(vec) for vec in rad_vectors]
+    idems = [sca.sparse(e) for e in idempotents]
     powers = [Span(field)]
-    for vec in rad_vectors:
+    for vec in rad:
         powers[0].add(vec)
     while powers[-1]:
         nxt = Span(field)
         for row in powers[-1].rows.values():
-            x = [row.get(k, 0) for k in range(sca.dim)]
-            for vec in rad_vectors:
-                nxt.add(sca.mult(x, vec))
+            for vec in rad:
+                nxt.add(sca.product(row, vec))
         powers.append(nxt)
     nilpotency = len(powers)  # least N with rad^N = 0
 
     # arrows: block bases of rad modulo rad^2
     arrows = []
-    arrow_images = {}
+    images = {}
     rad2 = powers[1] if len(powers) > 1 else powers[0]
     for i in range(s):
-        right = [sca.mult(vec, idempotents[i]) for vec in rad_vectors]
+        right = [sca.product(vec, idems[i]) for vec in rad]
         for j in range(s):
             # independent directions modulo rad^2 within the block
             block = Span(field)
             chosen = []
             for r in right:
-                w = sca.mult(idempotents[j], r)
+                w = sca.product(idems[j], r)
                 if block.add(rad2.reduce(w)):
                     chosen.append(w)
             for k, w in enumerate(chosen):
                 aname = f"a{k}_{i}_{j}"
                 arrows.append(Arrow(aname, labels[i], labels[j]))
-                arrow_images[aname] = tuple(w)
+                images[aname] = w
     quiver = Quiver(labels, arrows)
 
     # the path-algebra surjection, degree by degree
     def phi_path(p: Path):
         if not p.arrows:
-            return idempotents[labels.index(p.source)]
-        vec = arrow_images[p.arrows[-1]]
+            return idems[labels.index(p.source)]
+        vec = images[p.arrows[-1]]
         for a in reversed(p.arrows[:-1]):
-            vec = sca.mult(arrow_images[a], vec)
+            vec = sca.product(images[a], vec)
         return vec
 
     relations: List[PathSum] = []
@@ -482,8 +474,8 @@ def present_algebra(sca: StructureConstantAlgebra,
             for p in paths_of_degree(deg):
                 by_block.setdefault((p.source, p.target), []).append(p)
         for _, paths in sorted(by_block.items()):
-            cols = [list(phi_path(p)) for p in paths]
-            mat = Matrix.from_cols(field, cols, nrows=sca.dim)
+            mat = Matrix.from_sparse_cols(field, [phi_path(p) for p in paths],
+                                          sca.dim)
             for vec in kernel_basis(mat):
                 combo = {p: c for p, c in zip(paths, vec) if c != 0}
                 if not combo:
@@ -500,9 +492,10 @@ def present_algebra(sca: StructureConstantAlgebra,
         raise QtiltError(
             f"presentation round trip failed: {presented.dim} != {sca.dim}")
     # the induced map must be a linear isomorphism on the basis
-    cols = [list(phi_path(p)) for p in presented.basis]
-    if Matrix.from_cols(field, cols, nrows=sca.dim).rank() != sca.dim:
+    cols = [phi_path(p) for p in presented.basis]
+    if Matrix.from_sparse_cols(field, cols, sca.dim).rank() != sca.dim:
         raise QtiltError("presentation surjection is not an isomorphism")
+    arrow_images = {a: _dense(w, sca.dim) for a, w in images.items()}
     return AlgebraPresentation(quiver, relations, arrow_images, presented.dim,
                                presented)
 

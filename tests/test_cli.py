@@ -251,32 +251,45 @@ def test_output_deterministic():
 
 
 def golden_check(name, argv):
+    """Compare a command's output with its transcript; a missing
+    transcript is a failure, never a fresh golden."""
     path = os.path.join(GOLDEN, name)
+    assert os.path.exists(path), f"golden transcript {name} is missing"
     code, text = run(argv)
-    if not os.path.exists(path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
     assert read(path) == text
     return code
 
 
-def test_golden_info_gamma(tmp_path):
+def kron_square_file(tmp_path):
     gamma = tmp_path / "gamma.alg"
     code, _ = run(["tensor", data("kronecker.alg"), data("kronecker.alg"),
                    "-o", str(gamma)])
     assert code == 0
-    path = os.path.join(GOLDEN, "info_gamma.txt")
-    code, text = run(["info", str(gamma)])
-    if not os.path.exists(path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    assert read(path) == text
+    return str(gamma)
+
+
+def test_golden_info_gamma(tmp_path):
+    golden_check("info_gamma.txt", ["info", kron_square_file(tmp_path)])
 
 
 def test_golden_apr_tilt_kron():
     golden_check("apr_tilt_kron.txt",
                  ["apr-tilt", data("kronecker.alg"), "--vertex", "1",
                   "--n", "1", "--present"])
+
+
+def test_golden_apr_tilt_kron2(tmp_path):
+    # the 2-APR tilt of the Kronecker square, with its presentation's
+    # relations and their coefficients
+    assert golden_check("apr_tilt_kron2.txt",
+                        ["apr-tilt", kron_square_file(tmp_path), "--vertex",
+                         "(1,1)", "--n", "2", "--present"]) == 0
+
+
+def test_golden_check_fails_on_missing_transcript():
+    with pytest.raises(AssertionError, match="missing"):
+        golden_check("no_such_transcript.txt", ["info", data("a2.alg")])
+    assert not os.path.exists(os.path.join(GOLDEN, "no_such_transcript.txt"))
 
 
 def test_prime_field_algebra_file_round_trip(tmp_path):

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtilt.errors import NonSplitError, NotAdmissibleError
+from qtilt import quivercore
+from qtilt.errors import NonSplitError, NotAdmissibleError, QtiltError
 from qtilt.exactla import Matrix, PrimeField, QQ
 from qtilt.quivercore import (Arrow, Path, PathSum, Quiver, StructureConstantAlgebra,
                               abstract_radical, build_algebra, element_from_path,
@@ -15,7 +16,7 @@ from qtilt.quivercore import (Arrow, Path, PathSum, Quiver, StructureConstantAlg
                               radical_basis, regular_structure_algebra,
                               semisimple_and_basic_flags, split_rational_root)
 
-from conftest import make_kronecker, make_square
+from conftest import make_a3, make_a3_nilpotent, make_kronecker, make_square
 
 
 # --- independent oracles ------------------------------------------------------
@@ -271,6 +272,146 @@ def test_abstract_radical_upper_triangular():
             assert prod[0] == 0 and prod[1] == 0
     assert len(rad) == 1
     assert rad[0] == (0, 0, 1)
+
+
+# --- sparse structure constants -----------------------------------------------
+
+GF = PrimeField(32003)
+
+
+def square_over_gf():
+    """The commutative square over GF(32003); its relation p*f - q*g puts
+    the residue p - 1 into the structure constants."""
+    q = Quiver(["11", "12", "21", "22"],
+               [Arrow("f", "22", "12"), Arrow("g", "22", "21"),
+                Arrow("p", "12", "11"), Arrow("q", "21", "11")])
+    rel = PathSum(GF, [(1, Path.of(q, ["p", "f"])),
+                       (-1, Path.of(q, ["q", "g"]))])
+    return build_algebra(q, [rel], GF, name="square_gf")
+
+
+def tensor_of(a, b):
+    from qtilt.tensorcon import tensor_algebras
+    return tensor_algebras(a, b).algebra
+
+
+REGULAR = {}
+
+
+def regular_pair(name):
+    """(bound quiver algebra, its regular structure constant algebra)."""
+    if name not in REGULAR:
+        alg = {"kron": make_kronecker, "a3": make_a3,
+               "a3nil": make_a3_nilpotent, "square_gf": square_over_gf,
+               "kron2": lambda: tensor_of(make_kronecker(), make_kronecker()),
+               "kron_a3": lambda: tensor_of(make_kronecker(), make_a3()),
+               }[name]()
+        REGULAR[name] = (alg, regular_structure_algebra(alg))
+    return REGULAR[name]
+
+
+def triple_loop_product(alg, x, y):
+    """Oracle: x * y from the path algebra's basis products, dense."""
+    acc = [0] * alg.dim
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for k, c in alg.basis_product(i, j):
+                acc[k] += x[i] * y[j] * c
+    return tuple(alg.field.canon(v) for v in acc)
+
+
+def field_entries(field):
+    if field.char:
+        return st.sampled_from([0, 0, 0, 1, 2, 16001, field.char - 1])
+    return st.sampled_from([0, 0, 0]) | st.fractions(
+        -3, 3, max_denominator=3).map(QQ.canon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_mult_matches_triple_loop(data):
+    name = data.draw(st.sampled_from(["kron", "a3", "a3nil", "kron2",
+                                      "square_gf"]))
+    alg, sca = regular_pair(name)
+    entries = field_entries(alg.field)
+    x = data.draw(st.lists(entries, min_size=alg.dim, max_size=alg.dim))
+    y = data.draw(st.lists(entries, min_size=alg.dim, max_size=alg.dim))
+    want = triple_loop_product(alg, x, y)
+    assert sca.mult(x, y) == want
+    assert sca.product(sca.sparse(x), sca.sparse(y)) == \
+        {k: c for k, c in enumerate(want) if c}
+    # only nonzero cells and nonzero entries are stored
+    assert all(cell and all(cell.values())
+               for row in sca.cells for cell in row.values())
+
+
+def dense_table(sca):
+    e = [sca.basis_vector(i) for i in range(sca.dim)]
+    return [[sca.mult(a, b) for b in e] for a in e]
+
+
+def sampled_triples(n):
+    """The basis triples _validate checks when n > 16."""
+    rnd = random.Random(0)
+    return [(rnd.randrange(n), rnd.randrange(n), rnd.randrange(n))
+            for _ in range(500)]
+
+
+def table_product(table, x, y):
+    n = len(table)
+    acc = [0] * n
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                acc[k] += x[i] * y[j] * table[i][j][k]
+    return tuple(QQ.canon(v) for v in acc)
+
+
+@pytest.mark.parametrize("name", ["kron2", "kron_a3"])
+def test_validate_rejects_ragged_table_and_broken_unit(name):
+    alg, sca = regular_pair(name)
+    n = sca.dim
+    assert (n <= 16) == (name == "kron2")
+    table = dense_table(sca)
+    StructureConstantAlgebra(QQ, table, sca.unit)
+    for bad in (table[:-1], [table[0][:-1]] + table[1:],
+                [[table[0][0][:-1]] + table[0][1:]] + table[1:],
+                [[{n: 1}] + table[0][1:]] + table[1:]):
+        with pytest.raises(QtiltError, match="not cubic"):
+            StructureConstantAlgebra(QQ, bad, sca.unit)
+    with pytest.raises(QtiltError, match="unit law"):
+        StructureConstantAlgebra(QQ, table, sca.basis_vector(0))
+
+
+@pytest.mark.parametrize("name", ["kron2", "kron_a3"])
+def test_validate_finds_a_planted_associativity_defect(name):
+    alg, sca = regular_pair(name)
+    n = sca.dim
+    radical = set(alg.radical_indices())
+    checked = ([(i, j, k) for i in range(n) for j in range(n)
+                for k in range(n)] if n <= 16 else sampled_triples(n))
+    i, j, k = next(t for t in checked if radical.issuperset(t))
+    e = [sca.basis_vector(m) for m in range(n)]
+    # e_i * e_j gains e_l, an idempotent with e_l * e_k != 0: the unit law
+    # still holds, since i and j lie in the radical, but (e_i e_j) e_k moves
+    l = next(m for m in range(n)
+             if m not in radical and any(sca.mult(e[m], e[k])))
+    table = dense_table(sca)
+    table[i][j] = tuple(c + (m == l) for m, c in enumerate(table[i][j]))
+    unit = sca.unit
+    assert all(table_product(table, unit, b) == b
+               == table_product(table, b, unit) for b in e)
+    assert table_product(table, table[i][j], e[k]) != \
+        table_product(table, e[i], table[j][k])
+    with pytest.raises(QtiltError, match="associativity"):
+        StructureConstantAlgebra(QQ, table, unit)
+
+
+def test_non_idempotent_lift_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr(quivercore, "lift_idempotent",
+                        lambda a, x: tuple(2 * c for c in x))
+    with pytest.raises(QtiltError, match="not idempotent"):
+        primitive_orthogonal_idempotents(upper_triangular_2x2())
 
 
 # --- flags --------------------------------------------------------------------

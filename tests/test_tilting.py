@@ -6,9 +6,9 @@ from qtilt.errors import QtiltError
 from qtilt.exactla import QQ, Matrix
 from qtilt.homengine import ext_dim, gldim, pd, tau_n_minus
 from qtilt.quivercore import abstract_radical, regular_structure_algebra
-from qtilt.repcore import (ModuleMap, decompose, direct_sum, dual, hom_space,
-                           inj, is_isomorphic, proj, random_module, regular,
-                           simple)
+from qtilt.repcore import (ModuleMap, decompose, direct_sum, dual,
+                           express_in_basis, hom_space, inj, is_isomorphic,
+                           proj, random_module, regular, simple)
 from qtilt.tensorcon import tensor_algebras, tensor_modules
 from qtilt.tilting import (apr_check, apr_cotilting_check, bb_check, count_apr,
                            endo_algebra, endo_idempotents,
@@ -176,6 +176,34 @@ def test_endo_basicizes_repeated_summands(kron):
     sca, data = endo_algebra(total)
     assert data.basicized
     assert sca.dim == 1
+
+
+def test_endo_table_matches_per_product_solves(kron2):
+    # oracle: one express_in_basis per composition, as in a plain reading
+    # of End(T)^op on the Hom-block basis
+    rep = apr_check(kron2.algebra, kron2.vertex("1", "1"), 2)
+    sca, data = endo_algebra(rep.summands)
+    blocks = data.basis_blocks
+
+    def express(i, j, f):
+        pos = [p for p, (a, b, _) in enumerate(blocks) if (a, b) == (i, j)]
+        coords = express_in_basis([blocks[p][2] for p in pos], f)
+        assert coords is not None
+        vec = [0] * sca.dim
+        for p, c in zip(pos, coords):
+            vec[p] = c
+        return tuple(vec)
+
+    zero = (0,) * sca.dim
+    e = [sca.basis_vector(x) for x in range(sca.dim)]
+    for x, (i1, j1, f1) in enumerate(blocks):
+        for y, (i2, j2, f2) in enumerate(blocks):
+            want = express(i1, j2, f2 * f1) if j1 == i2 else zero
+            assert sca.mult(e[x], e[y]) == want
+    idems = [express(k, k, ModuleMap.identity(u))
+             for k, (_, u) in enumerate(data.summands)]
+    assert endo_idempotents(sca, data) == idems
+    assert sca.unit == tuple(sum(col) for col in zip(*idems))
 
 
 # --- present_algebra --------------------------------------------------------------
