@@ -8,6 +8,7 @@ lines.
 """
 
 import argparse
+import functools
 import os
 import sys
 from typing import Dict, List, Optional, Tuple
@@ -438,7 +439,7 @@ def _cmd_resolve(args, ws):
     return lines
 
 
-def _cmd_tau(args, ws, minus: bool):
+def _cmd_tau(args, ws, minus: bool = False):
     _load_algebra(ws, args.algebra, args.max_degree, args.field)
     m = _load_module(ws, args.module)
     result = (tau_n_minus if minus else tau_n)(m, args.n, args.max_resolution)
@@ -451,6 +452,10 @@ def _cmd_tau(args, ws, minus: bool):
             fh.write(serialize_module(result, stem))
         lines.append(f"wrote {args.output}")
     return lines
+
+
+def _cmd_tau_minus(args, ws):
+    return _cmd_tau(args, ws, minus=True)
 
 
 def _cmd_tau_finite(args, ws):
@@ -626,6 +631,9 @@ def _cmd_props(args, ws):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser.  It records only the command name: ``dispatch``
+    looks up ``_cmd_<name>`` and the ``QTILT_SEED`` default when it runs,
+    so one parser serves every call in a process."""
     parser = argparse.ArgumentParser(
         prog="qtilt",
         description="exact computations with bound quiver algebras")
@@ -636,18 +644,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-resolution", type=int, default=64)
         p.add_argument("--field", help="override the file's field (Q or F<p>)")
         if seeded:
-            default = int(os.environ.get("QTILT_SEED", "0"))
-            p.add_argument("--seed", type=int, default=default)
+            p.add_argument("--seed", type=int, default=None,
+                           help="default: $QTILT_SEED, else 0")
 
     p = sub.add_parser("info", help="describe algebra or module files")
     p.add_argument("files", nargs="+")
     common(p)
-    p.set_defaults(func=_cmd_info)
 
     p = sub.add_parser("gldim")
     p.add_argument("algebra")
     common(p)
-    p.set_defaults(func=_cmd_gldim)
 
     p = sub.add_parser("ext")
     p.add_argument("algebra")
@@ -655,13 +661,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("other")
     p.add_argument("--p", type=int, required=True)
     common(p)
-    p.set_defaults(func=_cmd_ext)
 
     p = sub.add_parser("resolve")
     p.add_argument("algebra")
     p.add_argument("module")
     common(p)
-    p.set_defaults(func=_cmd_resolve)
 
     p = sub.add_parser("tau")
     p.add_argument("algebra")
@@ -669,7 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("-o", "--output")
     common(p)
-    p.set_defaults(func=lambda a, w: _cmd_tau(a, w, minus=False))
 
     p = sub.add_parser("tau-minus")
     p.add_argument("algebra")
@@ -677,21 +680,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("-o", "--output")
     common(p)
-    p.set_defaults(func=lambda a, w: _cmd_tau(a, w, minus=True))
 
     p = sub.add_parser("tau-finite")
     p.add_argument("algebra")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-iter", type=int, default=10)
     common(p)
-    p.set_defaults(func=_cmd_tau_finite)
 
     p = sub.add_parser("tensor")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("-o", "--output")
     common(p)
-    p.set_defaults(func=_cmd_tensor)
 
     p = sub.add_parser("tensor-mod")
     p.add_argument("left")
@@ -701,7 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.add_argument("--algebra-out")
     common(p)
-    p.set_defaults(func=_cmd_tensor_mod)
 
     p = sub.add_parser("kunneth")
     p.add_argument("left")
@@ -712,18 +711,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("nprime")
     p.add_argument("--pmax", type=int, default=4)
     common(p)
-    p.set_defaults(func=_cmd_kunneth)
 
-    for cmd, func in (("apr-check", _cmd_apr_check), ("bb-check", _cmd_bb_check),
-                      ("cotilt-check", _cmd_cotilt_check)):
+    for cmd in ("apr-check", "bb-check", "cotilt-check"):
         p = sub.add_parser(cmd)
         p.add_argument("algebra")
         p.add_argument("--vertex", required=True)
         p.add_argument("--n", type=int, required=True)
         common(p)
-        p.set_defaults(func=func)
 
-    for cmd, func in (("apr-tilt", _cmd_apr_tilt), ("bb-tilt", _cmd_bb_tilt)):
+    for cmd in ("apr-tilt", "bb-tilt"):
         p = sub.add_parser(cmd)
         p.add_argument("algebra")
         p.add_argument("--vertex", required=True)
@@ -731,47 +727,52 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--present", action="store_true")
         p.add_argument("-o", "--output")
         common(p, seeded=True)
-        p.set_defaults(func=func)
 
     p = sub.add_parser("verify-tilting")
     p.add_argument("algebra")
     p.add_argument("module")
     p.add_argument("--m", type=int, required=True)
     common(p, seeded=True)
-    p.set_defaults(func=_cmd_verify_tilting)
 
     p = sub.add_parser("present-endo")
     p.add_argument("algebra")
     p.add_argument("module")
     common(p, seeded=True)
-    p.set_defaults(func=_cmd_present_endo)
 
     p = sub.add_parser("count-apr")
     p.add_argument("algebra")
     p.add_argument("--n", type=int, required=True)
     common(p)
-    p.set_defaults(func=_cmd_count_apr)
 
     p = sub.add_parser("props")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--modules", type=int, default=4)
     common(p, seeded=True)
-    p.set_defaults(func=_cmd_props)
 
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def dispatch(argv) -> Tuple[int, str]:
     """Run a command line; returns (exit code, report text)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return (2 if exc.code not in (0, None) else 0), ""
+    if getattr(args, "seed", 0) is None:
+        try:
+            args.seed = int(os.environ.get("QTILT_SEED", "0"))
+        except ValueError:
+            return 2, "error QTILT_SEED is not an integer\n"
+    command = globals()["_cmd_" + args.command.replace("-", "_")]
     ws = Workspace()
     try:
-        lines = args.func(args, ws)
+        lines = command(args, ws)
     except (ParseError, WorkspaceError, NotAdmissibleError, OSError) as exc:
         return 2, f"error {exc}\n"
     except (InconclusiveError, UndecidedIsomorphismError) as exc:

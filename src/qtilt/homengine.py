@@ -6,13 +6,15 @@ A minimal resolution is grown by iterated projective covers and cached on
 the module, so deeper requests extend earlier work.  Differentials are
 also kept as matrices of algebra elements between the generator vertices;
 dualizing those element matrices into the opposite algebra is what powers
-the transpose and the Ext-against-the-algebra module structure.
+the transpose and the Ext-against-the-algebra module structure.  Ext
+dimensions come from the ranks of the Hom-complex differentials, cached on
+the resolution per target module; cocycle maps are built only when read.
 """
 
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InconclusiveError, QtiltError
-from .exactla import Matrix, Span, _tidy, kernel_data
+from .exactla import Matrix, Span, _tidy, kernel_data, solve
 from .quivercore import BoundQuiverAlgebra, Path, opposite
 from .repcore import (ModuleMap, Representation, _proj_layout, cokernel_rep,
                       dual, inj, kernel_rep, proj_map_from_images, proj_sum,
@@ -49,7 +51,10 @@ class MinimalResolution:
     terms[i] is the i-th projective (a sum of indecomposable projectives
     with generator bookkeeping); maps[0] is the augmentation onto the
     module and maps[i] : terms[i] -> terms[i-1] for i >= 1.  ``terminated``
-    means the last computed syzygy is zero.
+    means the last computed syzygy is zero.  ``hom_ranks`` caches the rank
+    of the Hom-complex differential Hom(terms[i], n) -> Hom(terms[i+1], n)
+    under the key (n, i); the module object itself is the key, so the
+    entry keeps n alive and no other module can alias it.
     """
 
     def __init__(self, module: Representation):
@@ -60,6 +65,7 @@ class MinimalResolution:
         self.syzygies: Dict[int, Representation] = {0: module}
         self._syz_incl: Dict[int, Optional[ModuleMap]] = {0: None}
         self.terminated = module.is_zero()
+        self.hom_ranks: Dict[Tuple[Representation, int], int] = {}
 
     def _syzygy_step(self, k: int) -> Representation:
         """Compute syzygies[k] = ker(covers[k-1]) on demand."""
@@ -96,7 +102,8 @@ class MinimalResolution:
         a terminated resolution."""
         if i <= self.length:
             return self.terms[i]
-        assert self.terminated
+        if not self.terminated:
+            raise QtiltError(f"resolution term {i} read before it was computed")
         return proj_sum(self.module.algebra, [])
 
     def generators(self, i: int) -> Tuple[str, ...]:
@@ -108,7 +115,8 @@ class MinimalResolution:
         self.extend(k - 1)
         if k <= len(self.covers):
             return self._syzygy_step(k)
-        assert self.terminated
+        if not self.terminated:
+            raise QtiltError(f"syzygy {k} read before it was computed")
         return zero_rep(self.module.algebra)
 
     def presentation_elements(self, i: int):
@@ -238,14 +246,34 @@ def transpose(m: Representation) -> Representation:
 
 
 class ExtResult:
-    __slots__ = ("source", "target", "degree", "dim", "cocycles")
+    """Ext^degree(source, target): its dimension, and on first read of
+    ``cocycles`` the maps terms[degree] -> target whose classes form a
+    basis."""
 
-    def __init__(self, source, target, degree, dim, cocycles):
+    __slots__ = ("source", "target", "degree", "dim", "_res", "_cocycles")
+
+    def __init__(self, source, target, degree, dim, res=None):
         self.source = source
         self.target = target
         self.degree = degree
         self.dim = dim
-        self.cocycles = cocycles
+        self._res = res
+        self._cocycles = None if dim else []
+
+    @property
+    def cocycles(self) -> List[ModuleMap]:
+        if self._cocycles is None:
+            res, n, p = self._res, self.target, self.degree
+            kernel_vectors = kernel_data(
+                _hom_complex_differential(res, n, p)).matrix
+            boundaries = Span(n.algebra.field)
+            if p > 0:
+                for col in _hom_complex_differential(
+                        res, n, p - 1).sparse_columns():
+                    boundaries.add(col)
+            self._cocycles = _cocycle_representatives(
+                res, n, p, kernel_vectors, boundaries)
+        return self._cocycles
 
 
 def _hom_complex_differential(res: MinimalResolution, n: Representation,
@@ -290,29 +318,35 @@ def _require_depth(res: MinimalResolution, depth: int, maxlen: int):
             f"{depth}; raise the bound")
 
 
+def _hom_rank(res: MinimalResolution, n: Representation, i: int) -> int:
+    """Rank of Hom(terms[i], n) -> Hom(terms[i+1], n), cached on res."""
+    key = (n, i)
+    got = res.hom_ranks.get(key)
+    if got is None:
+        got = res.hom_ranks[key] = _hom_complex_differential(res, n, i).rank()
+    return got
+
+
 def ext(m: Representation, n: Representation, p: int,
         maxlen: int = DEFAULT_BOUND) -> ExtResult:
-    """Ext^p(m, n) as the degree-p cohomology of Hom(P., n)."""
+    """Ext^p(m, n) as the degree-p cohomology of Hom(P., n): its dimension
+    is cols(delta_p) - rank(delta_p) - rank(delta_{p-1})."""
     if p < 0:
         raise QtiltError("negative Ext degree")
     if m.algebra is not n.algebra:
         from .errors import AlgebraMismatchError
         raise AlgebraMismatchError("Ext between modules over different algebras")
     if m.is_zero() or n.is_zero():
-        return ExtResult(m, n, p, 0, [])
+        return ExtResult(m, n, p, 0)
     res = min_proj_resolution(m, 0)
     _require_depth(res, p + 1, maxlen)
     if p > res.length and res.terminated:
-        return ExtResult(m, n, p, 0, [])
-    delta_p = _hom_complex_differential(res, n, p)
-    kernel_vectors = kernel_data(delta_p).matrix
-    boundaries = Span(n.algebra.field)
+        return ExtResult(m, n, p, 0)
+    cochains = sum(n.dims[v] for v in res.generators(p))
+    dim = cochains - _hom_rank(res, n, p)
     if p > 0:
-        for col in _hom_complex_differential(res, n, p - 1).sparse_columns():
-            boundaries.add(col)
-    dim = kernel_vectors.ncols - len(boundaries)
-    cocycles = _cocycle_representatives(res, n, p, kernel_vectors, boundaries)
-    return ExtResult(m, n, p, dim, cocycles)
+        dim -= _hom_rank(res, n, p - 1)
+    return ExtResult(m, n, p, dim, res)
 
 
 def _cocycle_representatives(res, n, p, kernel_vectors, span):
@@ -356,11 +390,11 @@ def ext_module(m: Representation, p: int, maxlen: int = DEFAULT_BOUND
         return quotient
     in_map = _dualized_differential(res, p)
     # factor the incoming map through the kernel (d* d* = 0)
-    from .exactla import solve
     blocks = {}
     for v in opp.quiver.vertices:
         x = solve(incl.blocks[v], in_map.blocks[v])
-        assert x is not None, "dualized complex is not a complex"
+        if x is None:
+            raise QtiltError("dualized complex is not a complex")
         blocks[v] = x
     factored = ModuleMap(in_map.source, kernel, blocks, validate=False)
     quotient, _ = cokernel_rep(factored)
@@ -452,7 +486,9 @@ def tau_n_minus(m: Representation, n: int, maxlen: int = DEFAULT_BOUND
         return zero_rep(alg)
     d_star = _dualized_differential(res, n)
     tr, _ = cokernel_rep(d_star)
-    assert tr.algebra is alg
+    if tr.algebra is not alg:
+        raise QtiltError("the opposite of the opposite algebra is not the "
+                         "algebra")
     return tr
 
 

@@ -12,9 +12,9 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import (AlgebraMismatchError, QtiltError, ShapeMismatchError,
                      UndecidedIsomorphismError)
-from .exactla import (Matrix, Span, _dense, block_diag, cokernel_data,
-                      column_space_basis, hstack, kernel_basis, kernel_data,
-                      solve, solve_against_kernel)
+from .exactla import (Matrix, Span, _dense, _tidy, block_diag, cokernel_data,
+                      column_space_basis, hstack, kernel_data, solve,
+                      solve_against_kernel)
 from .quivercore import (BoundQuiverAlgebra, Path, StructureConstantAlgebra,
                          opposite, primitive_orthogonal_idempotents)
 
@@ -348,7 +348,8 @@ def image_rep(f: ModuleMap):
     for a in alg.quiver.arrows:
         rhs = f.target.mats[a.name] * bases[a.source]
         x = solve(bases[a.target], rhs)
-        assert x is not None, "image is not arrow-stable"
+        if x is None:
+            raise QtiltError("image is not arrow-stable")
         mats[a.name] = x
     i = Representation(alg, dims, mats, validate=False)
     incl = ModuleMap(i, f.target, {v: bases[v] for v in alg.quiver.vertices},
@@ -459,13 +460,14 @@ def top_and_radical(m: Representation) -> TopRadical:
     rad_mats = {}
     for a in alg.quiver.arrows:
         x = solve(rad_bases[a.target], m.mats[a.name] * rad_bases[a.source])
-        assert x is not None, "radical is not arrow-stable"
+        if x is None:
+            raise QtiltError("radical is not arrow-stable")
         rad_mats[a.name] = x
     radical = Representation(alg, rad_dims, rad_mats, validate=False)
     inclusion = ModuleMap(radical, m, dict(rad_bases), validate=False)
     top, projection = cokernel_rep(inclusion)
-    assert all(mat.is_zero() for mat in top.mats.values()), \
-        "top has nonzero arrow action"
+    if not all(mat.is_zero() for mat in top.mats.values()):
+        raise QtiltError("top has nonzero arrow action")
     sections = {v: cokernel_data(rad_bases[v]).complement
                 for v in alg.quiver.vertices}
     return TopRadical(top, projection, radical, inclusion, sections)
@@ -510,7 +512,8 @@ def proj_map_from_images(p: Representation, n: Representation,
                 prod_cols = prod.sparse_columns()
                 for k in ks:
                     cols[col_of[(k, x_idx)]] = prod_cols[gen_pos[k]]
-        assert all(c is not None for c in cols)
+        if any(c is None for c in cols):
+            raise QtiltError(f"no image for a generator coordinate at {w}")
         blocks[w] = Matrix.from_sparse_cols(field, cols, n.dims[w])
     return ModuleMap(p, n, blocks, validate=False)
 
@@ -580,45 +583,47 @@ def _hom_from_projective(p: Representation, n: Representation) -> List[ModuleMap
 
 
 def _hom_generic(m: Representation, n: Representation) -> List[ModuleMap]:
+    """Hom(m, n) as the kernel of the intertwining system: unknown (v, r, c)
+    is entry (r, c) of the block at v, at coordinate offsets[v] + r*m_v + c,
+    and arrow a: s -> t contributes one row N_a f_s - f_t M_a per entry
+    (r, c) of its n_t x m_s shape.  Rows are built from nonzeros only."""
     alg = m.algebra
     field = alg.field
+    p = field.char
     verts = alg.quiver.vertices
     offsets = {}
-    total = 0
+    coords = []                 # coordinate -> (vertex, row, column)
     for v in verts:
-        offsets[v] = total
-        total += n.dims[v] * m.dims[v]
+        offsets[v] = len(coords)
+        coords.extend((v, r, c) for r in range(n.dims[v])
+                      for c in range(m.dims[v]))
+    total = len(coords)
     rows = []
     for a in alg.quiver.arrows:
         s, t = a.source, a.target
-        ms, nt = m.dims[s], n.dims[t]
-        Na, Ma = n.mats[a.name], m.mats[a.name]
-        for r in range(nt):
+        ms, mt = m.dims[s], m.dims[t]
+        n_rows = n.mats[a.name].sparse_rows
+        m_cols = m.mats[a.name].sparse_columns()
+        for r in range(n.dims[t]):
             for c in range(ms):
-                row = [field.zero()] * total
-                for j in range(n.dims[s]):
-                    if Na[(r, j)] != 0:
-                        row[offsets[s] + j * m.dims[s] + c] = Na[(r, j)]
-                for i in range(m.dims[t]):
-                    if Ma[(i, c)] != 0:
-                        idx = offsets[t] + r * m.dims[t] + i
-                        row[idx] = field.canon(row[idx] - Ma[(i, c)])
-                if any(x != 0 for x in row):
+                acc = {offsets[s] + j * ms + c: x for j, x in n_rows[r].items()}
+                for i, y in m_cols[c].items():
+                    idx = offsets[t] + r * mt + i
+                    acc[idx] = acc.get(idx, 0) - y
+                row = _tidy(acc, p)
+                if row:
                     rows.append(row)
     if rows:
-        system = Matrix(field, rows, ncols=total)
-        basis = [list(v) for v in kernel_basis(system)]
+        basis = kernel_data(Matrix._raw(field, rows, total)).matrix.sparse_columns()
     else:
-        basis = [[field.one() if i == k else field.zero() for i in range(total)]
-                 for k in range(total)]
+        basis = [{k: 1} for k in range(total)]
     out = []
     for vec in basis:
-        blocks = {}
-        for v in verts:
-            dn, dm = n.dims[v], m.dims[v]
-            sub = vec[offsets[v]:offsets[v] + dn * dm]
-            blocks[v] = Matrix(field, [sub[r * dm:(r + 1) * dm] for r in range(dn)],
-                               ncols=dm)
+        block_rows = {v: [{} for _ in range(n.dims[v])] for v in verts}
+        for k, x in vec.items():
+            v, r, c = coords[k]
+            block_rows[v][r][c] = x
+        blocks = {v: Matrix._raw(field, block_rows[v], m.dims[v]) for v in verts}
         out.append(ModuleMap(m, n, blocks, validate=False))
     return out
 

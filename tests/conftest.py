@@ -49,6 +49,19 @@ def make_square(name="square"):
     return build_algebra(q, [rel], QQ, name=name)
 
 
+def make_square_gf(name="square_gf"):
+    """The commutative square over GF(32003); its relation p*f - q*g puts
+    the residue p - 1 into the structure constants."""
+    from qtilt.exactla import PrimeField
+    gf = PrimeField(32003)
+    q = Quiver(["11", "12", "21", "22"],
+               [Arrow("f", "22", "12"), Arrow("g", "22", "21"),
+                Arrow("p", "12", "11"), Arrow("q", "21", "11")])
+    rel = PathSum(gf, [(1, Path.of(q, ["p", "f"])),
+                       (-1, Path.of(q, ["q", "g"]))])
+    return build_algebra(q, [rel], gf, name=name)
+
+
 @pytest.fixture(scope="session")
 def kron():
     return make_kronecker()

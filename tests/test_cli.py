@@ -359,3 +359,21 @@ def test_info_module_without_algebra_exits_2():
     code, text = run(["info", data("p2_kron.mod")])
     assert code == 2
     assert "not loaded" in text
+
+
+def test_seed_default_read_at_each_dispatch(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_props",
+                        lambda args, ws: seen.append(args.seed) or [])
+    argv = ["props", data("kronecker.alg"), data("a2.alg")]
+    monkeypatch.setenv("QTILT_SEED", "5")
+    assert run(argv) == (0, "")
+    monkeypatch.setenv("QTILT_SEED", "7")
+    assert run(argv) == (0, "")
+    assert run(argv + ["--seed", "3"]) == (0, "")
+    monkeypatch.delenv("QTILT_SEED")
+    assert run(argv) == (0, "")
+    assert seen == [5, 7, 3, 0]
+    monkeypatch.setenv("QTILT_SEED", "x")
+    assert run(argv) == (2, "error QTILT_SEED is not an integer\n")
+    assert len(seen) == 4

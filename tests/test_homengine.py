@@ -18,6 +18,20 @@ from qtilt.repcore import (ModuleMap, decompose, direct_sum, dual, hom_space,
 
 from conftest import make_kronecker, make_square
 
+import os
+import subprocess
+import sys
+
+from hypothesis import given, settings, strategies as st
+
+from qtilt import homengine
+from qtilt.exactla import Span, kernel_data
+from qtilt.homengine import (MinimalResolution, _cocycle_representatives,
+                             _hom_complex_differential)
+from qtilt.repcore import Representation
+
+from conftest import make_a2, make_a3_nilpotent, make_square_gf
+
 
 # --- oracle: Coxeter transform for the double-arrow quiver --------------------
 #
@@ -305,3 +319,157 @@ def test_euler_form_matches_cartan_oracle(algname, kron, a3nil, square):
 def test_probe_trivial_for_semisimple_high_n(ss2):
     r = tau_finiteness_probe(ss2, 5, max_iter=3)
     assert r.verdict == "finite" and r.iterations == 1
+
+
+# --- Ext from cached ranks, cocycles on demand ----------------------------------
+
+def kron_a2():
+    from qtilt.tensorcon import tensor_algebras
+    return tensor_algebras(make_kronecker(), make_a2()).algebra
+
+
+ALGEBRAS = {}
+
+
+def algebra(name):
+    if name not in ALGEBRAS:
+        ALGEBRAS[name] = {"kron": make_kronecker, "a3nil": make_a3_nilpotent,
+                          "kron_a2": kron_a2,
+                          "square_gf": make_square_gf}[name]()
+    return ALGEBRAS[name]
+
+
+def eager_parts(res, n, p):
+    """The kernel basis of delta_p and the span of delta_{p-1}'s columns,
+    as ``ext`` built them for every call before it read ranks."""
+    kernel = kernel_data(_hom_complex_differential(res, n, p)).matrix
+    boundaries = Span(n.algebra.field)
+    if p > 0:
+        for col in _hom_complex_differential(res, n, p - 1).sparse_columns():
+            boundaries.add(col)
+    return kernel, boundaries
+
+
+def eager_ext_dim(m, n, p):
+    """Oracle: kernel size of delta_p less the boundary span, on a fresh
+    resolution that shares no cache with ``ext``."""
+    if m.is_zero() or n.is_zero():
+        return 0
+    res = MinimalResolution(m)
+    res.extend(p + 1)
+    if p > res.length and res.terminated:
+        return 0
+    kernel, boundaries = eager_parts(res, n, p)
+    return kernel.ncols - len(boundaries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["kron", "a3nil", "kron_a2", "square_gf"]),
+       st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+def test_ext_dim_matches_eager_count(name, seed_m, seed_n):
+    alg = algebra(name)
+    m = random_module(alg, seed=seed_m)
+    n = random_module(alg, seed=seed_n)
+    want = [eager_ext_dim(m, n, p) for p in range(4)]
+    assert [ext_dim(m, n, p) for p in range(4)] == want
+    # a second pass reads the cached ranks
+    assert [ext_dim(m, n, p) for p in range(4)] == want
+
+
+@pytest.mark.parametrize("name,seed_m,seed_n,p,dim", [
+    ("kron", 3, 4, 0, 1), ("kron", 3, 4, 1, 0), ("kron", 2, 1, 1, 4),
+    ("a3nil", 2, 7, 1, 1), ("a3nil", 2, 5, 2, 2), ("kron_a2", 4, 6, 1, 3),
+    ("square_gf", 3, 19, 1, 2), ("square_gf", 58, 5, 2, 1)])
+def test_lazy_cocycles_match_eager(name, seed_m, seed_n, p, dim):
+    alg = algebra(name)
+    m = random_module(alg, seed=seed_m)
+    n = random_module(alg, seed=seed_n)
+    got = ext(m, n, p)
+    res = min_proj_resolution(m, 0)
+    want = _cocycle_representatives(res, n, p, *eager_parts(res, n, p))
+    assert len(got.cocycles) == got.dim == len(want) == dim
+    assert [c.blocks for c in got.cocycles] == [c.blocks for c in want]
+    assert got.cocycles is got.cocycles
+    if p < res.length:
+        for c in got.cocycles:
+            assert (c * res.maps[p + 1]).is_zero()
+
+
+def test_vanishing_ext_without_resolution_has_no_cocycles(kron):
+    from qtilt.repcore import zero_rep
+    for got in (ext(proj(kron, "2"), simple(kron, "1"), 1),
+                ext(zero_rep(kron), simple(kron, "1"), 0)):
+        assert got.dim == 0 and got.cocycles == []
+
+
+def test_kunneth_check_builds_no_cocycle_maps(monkeypatch, kronxa2, kron, a2):
+    from qtilt.tensorcon import kunneth_verify
+    calls = []
+    real = homengine.proj_map_from_images
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(homengine, "proj_map_from_images", counted)
+    m, n = random_module(kron, seed=1), random_module(kron, seed=2)
+    mp, np_ = random_module(a2, seed=3), random_module(a2, seed=4)
+    report = kunneth_verify(kronxa2, m, n, mp, np_, 3)
+    assert report.all_equal
+    assert calls == []
+    # reading the cocycles is what builds them
+    got = ext(simple(kron, "2"), simple(kron, "1"), 1)
+    assert len(got.cocycles) == 2 and len(calls) == 2
+
+
+def kron_11(kron, arrow_a0):
+    """A Kronecker module of dimension vector (1, 1): S1 + S2 when the
+    arrows act by zero, indecomposable when a0 acts by 1."""
+    mats = {"a0": Matrix(QQ, [[1]])} if arrow_a0 else {}
+    return Representation(kron, {"1": 1, "2": 1}, mats)
+
+
+def test_rank_cache_keeps_targets_apart(kron):
+    m = simple(kron, "2")
+    split, band = kron_11(kron, False), kron_11(kron, True)
+    assert [ext_dim(m, split, 0), ext_dim(m, band, 0),
+            ext_dim(m, split, 1), ext_dim(m, band, 1)] == [1, 0, 2, 1]
+    res = min_proj_resolution(m, 0)
+    assert {(split, 0), (band, 0)} <= set(res.hom_ranks)
+    # fresh targets the test drops after one use never read another's
+    # ranks, as an id()-keyed cache would once CPython reuses an id
+    for k in range(6):
+        assert ext_dim(m, kron_11(kron, k % 2), 1) == (2, 1)[k % 2]
+
+
+def test_ext_module_raises_when_complex_breaks(monkeypatch, kron):
+    monkeypatch.setattr(homengine, "solve", lambda a, b: None)
+    with pytest.raises(QtiltError, match="not a complex"):
+        ext_module(simple(kron, "2"), 1)
+
+
+def test_ext_module_check_survives_optimize():
+    import qtilt
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qtilt.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [x for x in [env.get("PYTHONPATH")] if x])
+    script = "\n".join([
+        "from qtilt import homengine",
+        "from qtilt.errors import QtiltError",
+        "from qtilt.quivercore import Arrow, Quiver, build_algebra",
+        "from qtilt.repcore import simple",
+        "q = Quiver(['1', '2'],",
+        "           [Arrow('a0', '2', '1'), Arrow('a1', '2', '1')])",
+        "kron = build_algebra(q, [])",
+        "homengine.solve = lambda a, b: None",
+        "try:",
+        "    homengine.ext_module(simple(kron, '2'), 1)",
+        "except QtiltError as exc:",
+        "    print('raised', __debug__, exc)",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          check=False, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised False dualized complex is not a complex\n"

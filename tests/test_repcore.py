@@ -14,6 +14,15 @@ from qtilt.repcore import (Decomposition, ModuleMap, Representation, decompose,
                            random_module, regular, simple, top_and_radical,
                            zero_rep)
 
+from hypothesis import given, settings, strategies as st
+
+from qtilt.exactla import PrimeField, kernel_basis
+from qtilt.quivercore import Arrow, Path, PathSum, Quiver, build_algebra
+from qtilt.repcore import _hom_generic
+
+from conftest import (make_a3_nilpotent, make_kronecker, make_loop_nilpotent,
+                      make_square_gf)
+
 
 # --- constructors ---------------------------------------------------------
 
@@ -288,3 +297,97 @@ def test_decompose_regular_module_over_tensor_square(kron2):
     assert sorted(mult for _, mult in dec.summands) == [1, 1, 1, 1]
     dims = sorted(rep.total_dim() for rep, _ in dec.summands)
     assert dims == [1, 3, 3, 9]
+
+
+# --- Hom from the sparse intertwining system --------------------------------
+
+GF = PrimeField(32003)
+
+
+def dense_hom_oracle(m, n):
+    """Hom(m, n) from the dense intertwining system, one list of ``total``
+    entries per (arrow, r, c), canonicalized through ``Matrix``."""
+    alg = m.algebra
+    field = alg.field
+    verts = alg.quiver.vertices
+    offsets, total = {}, 0
+    for v in verts:
+        offsets[v] = total
+        total += n.dims[v] * m.dims[v]
+    rows = []
+    for a in alg.quiver.arrows:
+        s, t = a.source, a.target
+        na, ma = n.mats[a.name], m.mats[a.name]
+        for r in range(n.dims[t]):
+            for c in range(m.dims[s]):
+                row = [field.zero()] * total
+                for j in range(n.dims[s]):
+                    row[offsets[s] + j * m.dims[s] + c] = na[(r, j)]
+                for i in range(m.dims[t]):
+                    idx = offsets[t] + r * m.dims[t] + i
+                    row[idx] = field.canon(row[idx] - ma[(i, c)])
+                if any(row):
+                    rows.append(row)
+    if rows:
+        basis = kernel_basis(Matrix(field, rows, ncols=total))
+    else:
+        basis = [[int(i == k) for i in range(total)] for k in range(total)]
+    out = []
+    for vec in basis:
+        blocks = {}
+        for v in verts:
+            dn, dm = n.dims[v], m.dims[v]
+            sub = vec[offsets[v]:offsets[v] + dn * dm]
+            blocks[v] = Matrix(field, [sub[r * dm:(r + 1) * dm]
+                                       for r in range(dn)], ncols=dm)
+        out.append(blocks)
+    return out
+
+
+def kronecker_over_gf():
+    q = Quiver(["1", "2"], [Arrow("a0", "2", "1"), Arrow("a1", "2", "1")])
+    return build_algebra(q, [], GF, name="kron_gf")
+
+
+HOM_ALGEBRAS = {}
+
+
+def hom_algebra(name):
+    if name not in HOM_ALGEBRAS:
+        HOM_ALGEBRAS[name] = {
+            "kron": make_kronecker, "a3nil": make_a3_nilpotent,
+            "loop2": make_loop_nilpotent, "kron_gf": kronecker_over_gf,
+            "square_gf": make_square_gf}[name]()
+    return HOM_ALGEBRAS[name]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(["kron", "a3nil", "loop2", "kron_gf", "square_gf"]),
+       st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+def test_sparse_hom_system_matches_dense_oracle(name, seed_m, seed_n):
+    alg = hom_algebra(name)
+    m = random_module(alg, seed=seed_m)
+    n = random_module(alg, seed=seed_n)
+    got = _hom_generic(m, n)
+    assert [f.blocks for f in got] == dense_hom_oracle(m, n)
+    for f in got:
+        f._validate()
+
+
+@pytest.mark.parametrize("field", [QQ, GF])
+def test_sparse_hom_system_on_a_loop_with_diagonal_action(field):
+    """Square-zero loop actions with nonzero diagonal entries make the
+    N_x and M_x terms of one row meet at the same unknown."""
+    q = Quiver(["1"], [Arrow("x", "1", "1")])
+    loop = build_algebra(q, [PathSum(field, [(1, Path.of(q, ["x", "x"]))])],
+                         field, name="loop2")
+    two = Representation(loop, {"1": 2},
+                         {"x": Matrix(field, [[1, 1], [-1, -1]])})
+    three = Representation(loop, {"1": 3}, {"x": Matrix(
+        field, [[2, 4, 0], [-1, -2, 0], [1, 2, 0]])})
+    for m in (two, three, random_module(loop, seed=4)):
+        for n in (two, three):
+            got = _hom_generic(m, n)
+            assert [f.blocks for f in got] == dense_hom_oracle(m, n)
+            for f in got:
+                f._validate()
