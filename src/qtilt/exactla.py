@@ -380,7 +380,8 @@ class Matrix:
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
-    assert mats
+    if not mats:
+        raise ShapeMismatchError("hstack of no matrices")
     out = mats[0]
     for m in mats[1:]:
         out = out.stack_right(m)
@@ -388,7 +389,8 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
-    assert mats
+    if not mats:
+        raise ShapeMismatchError("vstack of no matrices")
     out = mats[0]
     for m in mats[1:]:
         out = out.stack_below(m)

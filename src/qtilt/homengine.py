@@ -12,6 +12,7 @@ the resolution per target module; cocycle maps are built only when read.
 """
 
 from typing import Dict, List, Optional, Tuple
+from weakref import WeakKeyDictionary
 
 from .errors import InconclusiveError, QtiltError
 from .exactla import Matrix, Span, _tidy, kernel_data, solve
@@ -53,8 +54,8 @@ class MinimalResolution:
     module and maps[i] : terms[i] -> terms[i-1] for i >= 1.  ``terminated``
     means the last computed syzygy is zero.  ``hom_ranks`` caches the rank
     of the Hom-complex differential Hom(terms[i], n) -> Hom(terms[i+1], n)
-    under the key (n, i); the module object itself is the key, so the
-    entry keeps n alive and no other module can alias it.
+    as ``hom_ranks[n][i]``.  The module object itself is the weak key: no
+    other module can alias it, and the entry goes when n is collected.
     """
 
     def __init__(self, module: Representation):
@@ -65,7 +66,7 @@ class MinimalResolution:
         self.syzygies: Dict[int, Representation] = {0: module}
         self._syz_incl: Dict[int, Optional[ModuleMap]] = {0: None}
         self.terminated = module.is_zero()
-        self.hom_ranks: Dict[Tuple[Representation, int], int] = {}
+        self.hom_ranks = WeakKeyDictionary()     # n -> {i: rank}
 
     def _syzygy_step(self, k: int) -> Representation:
         """Compute syzygies[k] = ker(covers[k-1]) on demand."""
@@ -107,8 +108,11 @@ class MinimalResolution:
         return proj_sum(self.module.algebra, [])
 
     def generators(self, i: int) -> Tuple[str, ...]:
-        t = self.term(i)
-        return t.proj_gens if t.proj_gens is not None else ()
+        """Generator vertices of terms[i]; none past the end of a
+        terminated resolution, where no module is built."""
+        if i > self.length and self.terminated:
+            return ()
+        return self.term(i).proj_gens or ()
 
     def syzygy(self, k: int) -> Representation:
         """The k-th syzygy (k = 0 gives the module back)."""
@@ -320,10 +324,10 @@ def _require_depth(res: MinimalResolution, depth: int, maxlen: int):
 
 def _hom_rank(res: MinimalResolution, n: Representation, i: int) -> int:
     """Rank of Hom(terms[i], n) -> Hom(terms[i+1], n), cached on res."""
-    key = (n, i)
-    got = res.hom_ranks.get(key)
+    ranks = res.hom_ranks.setdefault(n, {})
+    got = ranks.get(i)
     if got is None:
-        got = res.hom_ranks[key] = _hom_complex_differential(res, n, i).rank()
+        got = ranks[i] = _hom_complex_differential(res, n, i).rank()
     return got
 
 

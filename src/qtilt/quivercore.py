@@ -8,13 +8,13 @@ admissible ideals; each basis element is represented by a single path.
 """
 
 from fractions import Fraction
+from itertools import count
 from math import isqrt, lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (NotAdmissibleError, NonSplitError, QtiltError,
                      UnsupportedCharacteristicError)
-from .exactla import (Matrix, QQ, Span, _dense, _tidy, kernel_basis, rref,
-                      solve)
+from .exactla import Matrix, QQ, Span, _dense, _tidy, kernel_basis, rref
 
 
 class Arrow(NamedTuple):
@@ -48,12 +48,6 @@ class Quiver:
 
     def has_vertex(self, v: str) -> bool:
         return v in self._vertex_pos
-
-    def vertex_position(self, v: str) -> int:
-        return self._vertex_pos[v]
-
-    def arrows_from(self, v: str) -> List[Arrow]:
-        return [a for a in self.arrows if a.source == v]
 
     def arrows_into(self, v: str) -> List[Arrow]:
         return [a for a in self.arrows if a.target == v]
@@ -331,132 +325,118 @@ def _validate_relations(quiver: Quiver, relations) -> None:
                     raise QtiltError(f"relation uses unknown arrow {name}")
 
 
-def _vec_of(field, pathsum: PathSum) -> Dict[Path, object]:
-    return {p: c for c, p in pathsum.terms}
+def _top_degree(vec: Dict[Path, object]) -> int:
+    return max(p.degree for p in vec)
 
 
-def _mul_path_vec(field, vec: Dict[Path, object], arrow: Arrow, on_left: bool):
-    out = {}
-    ap = Path.from_arrow(arrow)
-    for p, c in vec.items():
-        q = (ap * p) if on_left else (p * ap)
-        if q is not None:
-            out[q] = c
-    return out
+class IdealClosure:
+    """The two-sided ideal that relations generate in the path algebra,
+    as an echelon `Span` keyed by `_path_lead`: each vector that grows the
+    span is queued and multiplied by every arrow on both sides.  A vector
+    with a term of degree above ``cap``, which starts at 0, is held back
+    until `raise_cap` admits it, so for homogeneous relations the span is
+    exactly the ideal's part of degree <= cap.  With ``top`` set, terms of
+    degree >= top are dropped first: the closure is then taken modulo
+    rad^top, a finite quotient in which it is exact."""
 
+    def __init__(self, field, quiver: Quiver, relations=(),
+                 top: Optional[int] = None):
+        self.span = Span(field, _path_lead)
+        self.cap = 0
+        self.top = top
+        # arrows by the vertex where they compose on the left / right
+        self._left = {v: [Path.from_arrow(a) for a in quiver.arrows
+                          if a.source == v] for v in quiver.vertices}
+        self._right = {v: [Path.from_arrow(a) for a in quiver.arrows
+                           if a.target == v] for v in quiver.vertices}
+        self._held: List[Dict[Path, object]] = []
+        self._close(relations)
 
-def _graded_build(name, field, quiver, relations, maxdeg):
-    span = Span(field, _path_lead)
-    rels_by_degree: Dict[int, List[Dict[Path, object]]] = {}
-    for r in relations:
-        rels_by_degree.setdefault(r.max_degree(), []).append(_vec_of(field, r))
-    basis: List[Path] = list(_paths_of_degree(quiver, 0))
-    # reduced rows spanning the degree-(d-1) ideal component seed degree d
-    prev_rows: List[Dict[Path, object]] = []
-    nilpotency = None
-    for d in range(1, maxdeg + 1):
-        paths_d = _paths_of_degree(quiver, d)
-        for vec in prev_rows:
-            for a in quiver.arrows:
-                for on_left in (True, False):
-                    prod = _mul_path_vec(field, vec, a, on_left)
-                    if prod:
-                        span.add(prod)
-        for vec in rels_by_degree.get(d, []):
-            span.add(vec)
-        basis_d = [p for p in paths_d if p not in span.rows]
-        if not basis_d:
-            nilpotency = d
-            break
-        basis.extend(basis_d)
-        prev_rows = [dict(row) for lead, row in span.rows.items()
-                     if lead.degree == d]
-    if nilpotency is None:
-        raise NotAdmissibleError(
-            f"quotient still nonzero at degree {maxdeg}; ideal not admissible "
-            f"within the bound")
-    return basis, span, nilpotency
+    def contains(self, p: Path) -> bool:
+        """Whether the path lies in the span: its row is then p alone."""
+        return len(self.span.rows.get(p, ())) == 1
 
+    def add_relation(self, vec: Dict[Path, object]) -> None:
+        """Extend the ideal by a relation, a dict from parallel paths to
+        coefficients."""
+        self._close([vec])
 
-def _ideal_span_to_cap(field, quiver, relations, cap):
-    """Span of all u*r*w whose every homogeneous component has degree <= cap."""
-    span = Span(field, _path_lead)
-    queue = []
-    for r in relations:
-        vec = _vec_of(field, r)
-        if max(p.degree for p in vec) <= cap:
+    def raise_cap(self, cap: int) -> None:
+        self.cap = cap
+        held, self._held = self._held, []
+        self._close(held)
+
+    def _close(self, vecs) -> None:
+        queue: List[Dict[Path, object]] = []
+        for vec in vecs:
+            self._push(vec, queue)
+        for vec in queue:
+            # relations are parallel, so every path of vec composes alike
+            p0 = next(iter(vec))
+            for ap in self._left[p0.target]:
+                self._push({ap * p: c for p, c in vec.items()}, queue)
+            for ap in self._right[p0.source]:
+                self._push({p * ap: c for p, c in vec.items()}, queue)
+
+    def _push(self, vec, queue) -> None:
+        if self.top is not None:
+            vec = {p: c for p, c in vec.items() if p.degree < self.top}
+        if not vec:
+            return
+        if _top_degree(vec) > self.cap:
+            self._held.append(vec)
+        elif self.span.add(vec):
             queue.append(vec)
-    for vec in queue:
-        span.add(vec)
-    seen = 0
-    while seen < len(queue):
-        vec = queue[seen]
-        seen += 1
-        for a in quiver.arrows:
-            for on_left in (True, False):
-                prod = _mul_path_vec(field, vec, a, on_left)
-                if prod and max(p.degree for p in prod) <= cap:
-                    if span.add(prod):
-                        queue.append(prod)
-    return span
-
-
-def _filtered_build(name, field, quiver, relations, maxdeg):
-    reldeg = max(r.max_degree() for r in relations)
-    cap = max(4, reldeg + 2)
-    detected = None
-    while cap <= 2 * maxdeg + reldeg:
-        span = _ideal_span_to_cap(field, quiver, relations, cap)
-        for d in range(1, min(cap, maxdeg) + 1):
-            paths_d = _paths_of_degree(quiver, d)
-            if all(not span.reduce({p: field.one()}) for p in paths_d):
-                detected = d
-                break
-        if detected is not None:
-            break
-        cap *= 2
-    if detected is None:
-        raise NotAdmissibleError(
-            f"quotient still nonzero at degree {maxdeg}; ideal not admissible "
-            f"within the bound")
-    # enough slack that reductions below the nilpotency degree are exact
-    final_cap = max(cap, 2 * (detected - 1)) + reldeg + detected
-    span = _ideal_span_to_cap(field, quiver, relations, final_cap)
-    nilpotency = detected
-    for d in range(1, detected + 1):
-        if all(not span.reduce({p: field.one()})
-               for p in _paths_of_degree(quiver, d)):
-            nilpotency = d
-            break
-    for d in range(nilpotency, min(final_cap, 2 * nilpotency - 2) + 1):
-        for p in _paths_of_degree(quiver, d):
-            if span.reduce({p: field.one()}):
-                raise QtiltError("internal: ideal saturation cap too small")
-    basis: List[Path] = []
-    for d in range(nilpotency):
-        basis.extend(p for p in _paths_of_degree(quiver, d)
-                     if p not in span.rows)
-    return basis, span, nilpotency
 
 
 def build_algebra(quiver: Quiver, relations: Sequence[PathSum], field=QQ,
                   maxdeg: int = 30, name: str = "algebra") -> BoundQuiverAlgebra:
     """Bound quiver algebra for an admissible relation ideal.
 
-    The basis is found degree by degree as paths modulo the ideal span and
-    the build stops at the first degree whose quotient vanishes, recording
-    the radical nilpotency degree.  Raises NotAdmissibleError when the
-    quotient is still nonzero at ``maxdeg``.
+    An `IdealClosure` of the relations raises its cap one degree at a
+    time until some degree ``top`` lies wholly in the ideal, so that
+    rad^top is in it.  For homogeneous relations the capped closure is
+    exact and ``top`` is the radical nilpotency degree.  Inhomogeneous
+    relations are closed once more modulo rad^top, where the closure is
+    exact, and the nilpotency is the least degree that vanishes there.
+    The basis is the paths below the nilpotency that lead no row of the
+    ideal span.  Raises NotAdmissibleError when no degree up to
+    ``maxdeg`` vanishes.
     """
     _validate_relations(quiver, relations)
     relations = tuple(relations)
-    if all(r.is_homogeneous() for r in relations):
-        basis, span, nilp = _graded_build(name, field, quiver, relations, maxdeg)
+    vecs = [{p: c for c, p in r.terms} for r in relations]
+    graded = all(r.is_homogeneous() for r in relations)
+    # an inhomogeneous ideal may need products past maxdeg to show rad^top
+    limit = maxdeg if graded else maxdeg + max(map(_top_degree, vecs))
+    paths = [_paths_of_degree(quiver, 0)]
+
+    def vanishing(closure, degrees):
+        """The least of the degrees whose paths all lie in the closure."""
+        return next((d for d in degrees
+                     if all(map(closure.contains, paths[d]))), None)
+
+    closure = IdealClosure(field, quiver, vecs)
+    for cap in range(1, limit + 1):
+        closure.raise_cap(cap)
+        if cap <= maxdeg:
+            paths.append(_paths_of_degree(quiver, cap))
+        top = vanishing(closure, range(1, len(paths)))
+        if top is not None:
+            break
     else:
-        basis, span, nilp = _filtered_build(name, field, quiver, relations, maxdeg)
+        raise NotAdmissibleError(
+            f"quotient still nonzero at degree {maxdeg}; ideal not admissible "
+            f"within the bound")
+    if not graded:
+        closure = IdealClosure(field, quiver, vecs, top=top)
+        closure.raise_cap(top)
+        top = vanishing(closure, range(1, top)) or top
+    basis = [p for ps in paths[:top] for p in ps
+             if p not in closure.span.rows]
     basis.sort(key=Path.sort_key)
-    return BoundQuiverAlgebra(name, field, quiver, relations, basis, span,
-                              nilp, maxdeg)
+    return BoundQuiverAlgebra(name, field, quiver, relations, basis,
+                              closure.span, top, maxdeg)
 
 
 def opposite(alg: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
@@ -634,19 +614,20 @@ def abstract_radical(a: StructureConstantAlgebra) -> List[Tuple]:
 def minimal_polynomial(a: StructureConstantAlgebra, x: Sequence,
                        unit: Optional[Sequence] = None) -> List:
     """Monic minimal polynomial of x (low-to-high coefficients) relative
-    to the given unit (defaults to the algebra unit)."""
-    u = tuple(unit) if unit is not None else a.unit
-    powers = [u]
-    while True:
-        cur = Matrix(a.field, powers)
-        nxt = a.mult(x, powers[-1])
-        sol = solve(cur.transpose(), Matrix.from_cols(a.field, [nxt],
-                                                      nrows=a.dim))
-        if sol is not None:
-            coeffs = [-sol[(i, 0)] for i in range(len(powers))]
-            coeffs.append(a.field.one())
-            return [a.field.canon(c) for c in coeffs]
-        powers.append(nxt)
+    to the given unit (defaults to the algebra unit).
+
+    A Krylov span holds x^k + t^k, with t^k at key dim + k; the first
+    power whose algebra part reduces to zero leaves the polynomial in the
+    tail of its remainder."""
+    xs = a.sparse(x)
+    power = a.sparse(unit if unit is not None else a.unit)
+    span = Span(a.field)
+    for k in count():
+        rem = span.reduce({**power, a.dim + k: 1})
+        if k and min(rem) >= a.dim:
+            return [rem.get(a.dim + j, 0) for j in range(k + 1)]
+        span.add(rem)
+        power = a.product(xs, power)
 
 
 # -- polynomial helpers over the rationals ----------------------------------

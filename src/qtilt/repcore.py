@@ -22,7 +22,8 @@ from .quivercore import (BoundQuiverAlgebra, Path, StructureConstantAlgebra,
 class Representation:
     """A finite dimensional left module, stored vertexwise."""
 
-    __slots__ = ("algebra", "dims", "mats", "proj_gens", "summands", "_cache")
+    __slots__ = ("algebra", "dims", "mats", "proj_gens", "summands", "_cache",
+                 "__weakref__")
 
     def __init__(self, algebra: BoundQuiverAlgebra, dims: Dict[str, int],
                  mats: Dict[str, Matrix], proj_gens=None, validate=True):
@@ -284,7 +285,8 @@ def injective_cogenerator(alg) -> Representation:
 def direct_sum(reps: Sequence[Representation]):
     """(sum, inclusions, projections), matrices block-diagonal in the
     given order."""
-    assert reps
+    if not reps:
+        raise QtiltError("direct sum of no modules")
     alg = reps[0].algebra
     for r in reps:
         if r.algebra is not alg:
@@ -704,7 +706,8 @@ def decompose(m: Representation, seed: int = 0) -> Decomposition:
         for c, f in zip(vec, basis):
             if c != 0:
                 e = f.scale(c) if e is None else e + f.scale(c)
-        assert e is not None
+        if e is None:
+            raise QtiltError("zero idempotent in a decomposition")
         piece, incl = image_rep(e)
         pieces.append((piece, incl))
         maps.append(e)
@@ -719,8 +722,8 @@ def decompose(m: Representation, seed: int = 0) -> Decomposition:
         if not placed:
             summands.append((piece, 1))
     dec = Decomposition(m, summands, maps, pieces)
-    assert dec.total_dim_vector() == m.dim_vector(), \
-        "decomposition does not re-sum to the module"
+    if dec.total_dim_vector() != m.dim_vector():
+        raise QtiltError("decomposition does not re-sum to the module")
     return dec
 
 

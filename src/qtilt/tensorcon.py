@@ -41,12 +41,6 @@ class TensorAlgebraResult:
     def vertex(self, u: str, v: str) -> str:
         return _vname(u, v)
 
-    def left_arrow(self, a: str, v: str) -> str:
-        return _left_arrow(a, v)
-
-    def right_arrow(self, u: str, b: str) -> str:
-        return _right_arrow(u, b)
-
     def idempotent(self, u: str, v: str):
         return self.algebra.idempotent(_vname(u, v))
 

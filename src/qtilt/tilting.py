@@ -14,9 +14,10 @@ from .errors import NonSplitError, QtiltError, UnsupportedCharacteristicError
 from .exactla import Matrix, Span, _dense, kernel_basis
 from .homengine import (ext_dim, gldim, injd, is_finite, pd, tau_n,
                         tau_n_minus)
-from .quivercore import (Arrow, BoundQuiverAlgebra, Path, PathSum, Quiver,
-                         StructureConstantAlgebra, abstract_radical,
-                         build_algebra, primitive_orthogonal_idempotents,
+from .quivercore import (Arrow, BoundQuiverAlgebra, IdealClosure, Path,
+                         PathSum, Quiver, StructureConstantAlgebra,
+                         _paths_of_degree, abstract_radical, build_algebra,
+                         primitive_orthogonal_idempotents,
                          semisimple_and_basic_flags)
 from .repcore import (ModuleMap, Representation, decompose, direct_sum,
                       endomorphism_algebra, express_all_in_basis, hom_space,
@@ -378,12 +379,6 @@ class AlgebraPresentation:
         return sum(1 for a in self.quiver.arrows
                    if a.source == src and a.target == tgt)
 
-    def relation_space_dimension(self, degree: Optional[int] = None) -> int:
-        if degree is None:
-            return len(self.relations)
-        return sum(1 for r in self.relations
-                   if r.max_degree() == degree and r.min_degree() == degree)
-
 
 def present_algebra(sca: StructureConstantAlgebra,
                     idempotents: Optional[Sequence] = None,
@@ -454,25 +449,16 @@ def present_algebra(sca: StructureConstantAlgebra,
             vec = sca.product(images[a], vec)
         return vec
 
+    # the kernel of phi on paths of degree 2..d, blockwise, modulo the
+    # ideal of the relations found so far; each new generator extends the
+    # closure, so only genuinely new directions are recorded
     relations: List[PathSum] = []
-
-    def ideal_span_cap(cap):
-        from .quivercore import _ideal_span_to_cap
-        return _ideal_span_to_cap(field, quiver, relations, cap)
-
-    def paths_of_degree(d):
-        from .quivercore import _paths_of_degree
-        return _paths_of_degree(quiver, d)
-
+    closure = IdealClosure(field, quiver)
+    by_block: Dict[Tuple[str, str], List[Path]] = {}
     for d in range(2, nilpotency + 1):
-        span = ideal_span_cap(d)
-        # kernel of phi on paths of degree 2..d, blockwise; rebuild the
-        # ideal span after each new generator so only genuinely new
-        # directions are recorded
-        by_block: Dict[Tuple[str, str], List[Path]] = {}
-        for deg in range(2, d + 1):
-            for p in paths_of_degree(deg):
-                by_block.setdefault((p.source, p.target), []).append(p)
+        closure.raise_cap(d)
+        for p in _paths_of_degree(quiver, d):
+            by_block.setdefault((p.source, p.target), []).append(p)
         for _, paths in sorted(by_block.items()):
             mat = Matrix.from_sparse_cols(field, [phi_path(p) for p in paths],
                                           sca.dim)
@@ -480,11 +466,11 @@ def present_algebra(sca: StructureConstantAlgebra,
                 combo = {p: c for p, c in zip(paths, vec) if c != 0}
                 if not combo:
                     continue
-                reduced = span.reduce(combo)
+                reduced = closure.span.reduce(combo)
                 if reduced:
-                    ps = PathSum(field, [(c, p) for p, c in reduced.items()])
-                    relations.append(ps)
-                    span = ideal_span_cap(d)
+                    relations.append(PathSum(field, [(c, p) for p, c
+                                                     in reduced.items()]))
+                    closure.add_relation(reduced)
 
     presented = build_algebra(quiver, relations, field,
                               maxdeg=max(4, 2 * nilpotency), name=name)

@@ -519,3 +519,10 @@ def test_import_does_not_load_numpy():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=60, check=False, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_stacking_no_matrices_raises():
+    with pytest.raises(ShapeMismatchError, match="hstack of no matrices"):
+        hstack([])
+    with pytest.raises(ShapeMismatchError, match="vstack of no matrices"):
+        vstack([])

@@ -435,7 +435,7 @@ def test_rank_cache_keeps_targets_apart(kron):
     assert [ext_dim(m, split, 0), ext_dim(m, band, 0),
             ext_dim(m, split, 1), ext_dim(m, band, 1)] == [1, 0, 2, 1]
     res = min_proj_resolution(m, 0)
-    assert {(split, 0), (band, 0)} <= set(res.hom_ranks)
+    assert 0 in res.hom_ranks[split] and 0 in res.hom_ranks[band]
     # fresh targets the test drops after one use never read another's
     # ranks, as an id()-keyed cache would once CPython reuses an id
     for k in range(6):
@@ -473,3 +473,34 @@ def test_ext_module_check_survives_optimize():
                           check=False, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "raised False dualized complex is not a complex\n"
+
+
+def test_generators_past_the_end_build_no_module(monkeypatch, kron):
+    ended = min_proj_resolution(simple(kron, "1"), 3)
+    calls = []
+    monkeypatch.setattr(homengine, "proj_sum",
+                        lambda *args: calls.append(args))
+    assert ended.terminated and ended.length == 0
+    assert ended.generators(1) == ended.generators(5) == ()
+    assert calls == []
+    # a term not yet computed still raises rather than reading as empty
+    open_res = min_proj_resolution(kron_11(kron, True), 0)
+    assert not open_res.terminated
+    with pytest.raises(QtiltError, match="read before it was computed"):
+        open_res.generators(1)
+
+
+def test_rank_cache_lets_dropped_targets_go():
+    import gc
+    kron = make_kronecker()
+    source = inj(kron, "2")          # cached on the algebra
+    res = min_proj_resolution(source, 0)
+    targets = [random_module(kron, seed) for seed in range(200)]
+    dims = [ext_dim(source, t, 1) for t in targets]
+    assert len(res.hom_ranks) == 200
+    del targets
+    gc.collect()
+    assert len(res.hom_ranks) == 0
+    assert dims[:10] == [3, 2, 0, 1, 0, 3, 0, 3, 0, 4]
+    assert [ext_dim(source, random_module(kron, seed), 1)
+            for seed in range(200)] == dims

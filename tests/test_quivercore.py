@@ -554,3 +554,148 @@ def test_prime_field_relation_algebra():
     assert alg.dim == 5
     opp = opposite(alg)
     assert opp.dim == 5
+
+
+# --- the ideal closure ----------------------------------------------------------
+
+GF = PrimeField(32003)
+
+
+def one_loop_quiver():
+    return Quiver(["1"], [Arrow("x", "1", "1")])
+
+
+def two_loop_quiver():
+    return Quiver(["1"], [Arrow("x", "1", "1"), Arrow("y", "1", "1")])
+
+
+def all_paths(quiver, degree):
+    """Every path of the given length, built from print-order names."""
+    return [Path(names, src, tgt)
+            for names, src, tgt in enumerate_paths(quiver, degree)]
+
+
+def brute_force_ideal_rows(field, quiver, relations, cap):
+    """Rows of the span of every u*r*w of degree <= cap, by taking all
+    pairs of paths u, w around each relation r."""
+    span = quivercore.Span(field, quivercore._path_lead)
+    for r in relations:
+        deg = max(p.degree for p in r)
+        for du in range(cap - deg + 1):
+            for dw in range(cap - deg - du + 1):
+                for u in all_paths(quiver, du):
+                    for w in all_paths(quiver, dw):
+                        vec = {}
+                        for p, c in r.items():
+                            up = u * p
+                            upw = None if up is None else up * w
+                            if upw is not None:
+                                vec[upw] = c
+                        if vec:
+                            span.add(vec)
+    return span.rows
+
+
+@st.composite
+def homogeneous_relations(draw):
+    kind = draw(st.sampled_from(["kron2", "one_loop", "two_loops"]))
+    quiver = {"kron2": lambda: tensor_square_quiver()[0],
+              "one_loop": one_loop_quiver,
+              "two_loops": two_loop_quiver}[kind]()
+    field = draw(st.sampled_from([QQ, GF]))
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.integers(2, 2 if kind == "kron2" else 3))
+        paths = all_paths(quiver, degree)
+        first = draw(st.sampled_from(paths))
+        parallel = [p for p in paths if p.source == first.source
+                    and p.target == first.target]
+        chosen = draw(st.lists(st.sampled_from(parallel), min_size=1,
+                               max_size=3, unique=True))
+        coeffs = draw(st.lists(st.integers(-3, 3).filter(bool),
+                               min_size=len(chosen), max_size=len(chosen)))
+        vec = {p: field.canon(c) for p, c in zip(chosen, coeffs)}
+        relations.append({p: c for p, c in vec.items() if c})
+    return field, quiver, [r for r in relations if r]
+
+
+@given(homogeneous_relations(), st.integers(2, 5), st.data())
+@settings(max_examples=40, deadline=None)
+def test_ideal_closure_matches_brute_force_span(case, cap, data):
+    field, quiver, relations = case
+    closure = quivercore.IdealClosure(field, quiver, relations)
+    for c in range(1, cap + 1):
+        closure.raise_cap(c)
+    want = brute_force_ideal_rows(field, quiver, relations, cap)
+    assert closure.span.rows == want
+    # relations added between raise_cap calls give the same rows
+    late = quivercore.IdealClosure(field, quiver)
+    steps = sorted(data.draw(st.lists(st.integers(0, cap),
+                                      min_size=len(relations),
+                                      max_size=len(relations))))
+    for r, step in zip(relations, steps):
+        late.raise_cap(step)
+        late.add_relation(r)
+    late.raise_cap(cap)
+    assert late.span.rows == want
+
+
+def two_loop_algebra(field, commutative):
+    """k<x,y>/(xy, yx, x^2 - y^3) or k[x,y]/(x^2 - y^3, y^4)."""
+    q = two_loop_quiver()
+    word = lambda s: Path.of(q, list(s))
+    cube = PathSum(field, [(1, word("xx")), (-1, word("yyy"))])
+    if commutative:
+        rels = [PathSum(field, [(1, word("xy")), (-1, word("yx"))]), cube,
+                PathSum(field, [(1, word("yyyy"))])]
+    else:
+        rels = [PathSum(field, [(1, word("xy"))]),
+                PathSum(field, [(1, word("yx"))]), cube]
+    return build_algebra(q, rels, field, name="twoloop")
+
+
+@pytest.mark.parametrize("field", [QQ, GF])
+@pytest.mark.parametrize("commutative,basis,nilpotency,normal_forms", [
+    (False, ["", "x", "y", "xx", "yy"], 4,
+     {"yyy": {"xx": 1}, "xyy": {}, "xxx": {}, "yyyy": {}, "yy": {"yy": 1}}),
+    (True, ["", "x", "y", "xx", "yx", "yy", "xxx", "yyx"], 5,
+     {"xy": {"yx": 1}, "yyy": {"xx": 1}, "xxy": {}, "xyyy": {"xxx": 1},
+      "yyxy": {"xxx": 1}, "xyy": {"yyx": 1}, "xxxx": {}}),
+])
+def test_two_loop_inhomogeneous_algebras(field, commutative, basis,
+                                         nilpotency, normal_forms):
+    import time
+    t0 = time.perf_counter()
+    alg = two_loop_algebra(field, commutative)
+    opp = opposite(alg)
+    assert time.perf_counter() - t0 < 1.0
+    for a in (alg, opp):
+        names = ["".join(p.arrows) for p in a.basis]
+        assert names == basis
+        assert a.dim == len(basis) and a.nilpotency == nilpotency
+        # both relation sets are closed under reversing words, so the
+        # opposite presents the same algebra with the same normal forms
+        for w, nf in normal_forms.items():
+            got = a.normal_form(Path.of(a.quiver, list(w)))
+            assert {"".join(a.basis[k].arrows): c
+                    for k, c in got.items()} == nf, w
+
+
+@given(st.sampled_from(["kron", "a3", "kron_gf"]),
+       st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+@settings(max_examples=30, deadline=None)
+def test_minimal_polynomial_annihilates_and_is_least(which, coeffs):
+    from qtilt.quivercore import poly_eval_in_algebra
+    alg = {"kron": make_kronecker, "a3": make_a3,
+           "kron_gf": lambda: build_algebra(make_kronecker().quiver, [], GF)
+           }[which]()
+    a = regular_structure_algebra(alg)
+    x = tuple(a.field.canon(c) for c in coeffs[:a.dim])
+    mu = minimal_polynomial(a, x)
+    assert mu[-1] == 1 and len(mu) >= 2
+    assert poly_eval_in_algebra(a, mu, x) == (0,) * a.dim
+    # 1, x, ..., x^(deg - 1) are independent, so no lower degree works
+    powers = [a.unit]
+    for _ in range(len(mu) - 2):
+        powers.append(a.mult(x, powers[-1]))
+    assert Matrix(a.field, powers).rank() == len(mu) - 1

@@ -391,3 +391,71 @@ def test_sparse_hom_system_on_a_loop_with_diagonal_action(field):
             assert [f.blocks for f in got] == dense_hom_oracle(m, n)
             for f in got:
                 f._validate()
+
+
+# --- invariant checks that are typed errors, not asserts -------------------------
+
+def test_direct_sum_of_nothing_raises():
+    with pytest.raises(QtiltError, match="direct sum of no modules"):
+        direct_sum([])
+
+
+@pytest.mark.parametrize("idempotents,message", [
+    (lambda sca: [tuple(0 for _ in sca.unit)], "zero idempotent"),
+    (lambda sca: [sca.unit, sca.unit], "does not re-sum"),
+])
+def test_decompose_checks_its_idempotents(monkeypatch, kron, idempotents,
+                                          message):
+    from qtilt import repcore
+    monkeypatch.setattr(repcore, "primitive_orthogonal_idempotents",
+                        lambda sca, seed: idempotents(sca))
+    m, _, _ = direct_sum([simple(kron, "1"), simple(kron, "2")])
+    with pytest.raises(QtiltError, match=message):
+        decompose(m)
+
+
+def test_invariant_checks_survive_optimize():
+    import os
+    import subprocess
+    import sys
+    import qtilt
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qtilt.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [x for x in [env.get("PYTHONPATH")] if x])
+    script = "\n".join([
+        "from qtilt import repcore",
+        "from qtilt.errors import QtiltError",
+        "from qtilt.exactla import hstack, vstack",
+        "from qtilt.quivercore import Arrow, Quiver, build_algebra",
+        "from qtilt.repcore import decompose, direct_sum, simple",
+        "q = Quiver(['1', '2'],",
+        "           [Arrow('a0', '2', '1'), Arrow('a1', '2', '1')])",
+        "kron = build_algebra(q, [])",
+        "m, _, _ = direct_sum([simple(kron, '1'), simple(kron, '2')])",
+        "def show(fn, arg):",
+        "    try:",
+        "        fn(arg)",
+        "    except QtiltError as exc:",
+        "        print(__debug__, exc)",
+        "show(hstack, [])",
+        "show(vstack, [])",
+        "show(direct_sum, [])",
+        "repcore.primitive_orthogonal_idempotents = \\",
+        "    lambda sca, seed: [tuple(0 for _ in sca.unit)]",
+        "show(decompose, m)",
+        "repcore.primitive_orthogonal_idempotents = \\",
+        "    lambda sca, seed: [sca.unit, sca.unit]",
+        "show(decompose, m)",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          check=False, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False hstack of no matrices",
+        "False vstack of no matrices",
+        "False direct sum of no modules",
+        "False zero idempotent in a decomposition",
+        "False decomposition does not re-sum to the module",
+    ]

@@ -351,3 +351,42 @@ def test_presentation_cartan_data_round_trip(kron2):
                               for k in range(sca.dim)]
             rank = Matrix(QQ, [list(v) for v in abstract_block]).rank()
             assert len(alg.block_indices(li, lj)) == rank
+
+
+def _two_loop_regular_algebra():
+    """The regular algebra of k<x,y>/(xy, yx, x^2 - y^3), whose
+    presentation needs the inhomogeneous relation x^2 - y^3."""
+    from qtilt.quivercore import Arrow, Path, PathSum, Quiver, build_algebra
+    q = Quiver(["1"], [Arrow("x", "1", "1"), Arrow("y", "1", "1")])
+    word = lambda s: Path.of(q, list(s))
+    rels = [PathSum(QQ, [(1, word("xy"))]), PathSum(QQ, [(1, word("yx"))]),
+            PathSum(QQ, [(1, word("xx")), (-1, word("yyy"))])]
+    return regular_structure_algebra(build_algebra(q, rels, QQ))
+
+
+@pytest.mark.parametrize("which", ["kron2_tilt", "two_loops"])
+def test_present_algebra_extends_one_ideal_closure(monkeypatch, kron2, which):
+    from qtilt import quivercore
+    from qtilt.quivercore import build_algebra
+    if which == "kron2_tilt":
+        rep = apr_check(kron2.algebra, kron2.vertex("1", "1"), 2)
+        sca, data = endo_algebra(rep.summands)
+        idems = endo_idempotents(sca, data)
+    else:
+        sca, idems = _two_loop_regular_algebra(), None
+    made = []
+    init = quivercore.IdealClosure.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(quivercore.IdealClosure, "__init__", counted)
+    pres = present_algebra(sca, idempotents=idems)
+    in_present = len(made)
+    made.clear()
+    round_trip = build_algebra(pres.quiver, pres.relations, QQ,
+                               maxdeg=pres.algebra.maxdeg)
+    assert round_trip.dim == pres.dim == sca.dim
+    assert in_present == 1 + len(made)
+    assert len(made) == (1 if which == "kron2_tilt" else 2)
