@@ -83,6 +83,8 @@ class RationalField:
         return 1
 
     def inv(self, x):
+        if x == 1 or x == -1:
+            return int(x)
         if x == 0:
             raise ZeroDivisionError("inverting zero")
         return self.canon(Fraction(1, 1) / x)
@@ -398,10 +400,12 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
 
 
 def block_diag(field, mats: Sequence[Matrix]) -> Matrix:
+    """The first block's row dicts are shared, the others shifted."""
     rows = []
     c0 = 0
     for m in mats:
-        rows.extend({c0 + j: v for j, v in r.items()} for r in m.sparse_rows)
+        rows.extend(m.sparse_rows if c0 == 0 else
+                    ({c0 + j: v for j, v in r.items()} for r in m.sparse_rows))
         c0 += m.ncols
     return Matrix._raw(field, rows, c0)
 
@@ -662,14 +666,15 @@ def kernel_basis(m: Matrix) -> List[Tuple]:
     return kernel_data(m).matrix.columns()
 
 
-def solve_against_kernel(kd: KernelData, rhs: Matrix) -> Matrix:
+def solve_against_kernel(kd: KernelData, free_rows: Matrix) -> Matrix:
     """The unique X with kd.matrix * X = rhs, assuming a solution exists
-    (columns of rhs lie in the span); read off from the free rows."""
-    field = rhs.field
-    rows = [rhs.sparse_rows[f] if s == 1 else
-            _scaled(rhs.sparse_rows[f], field.inv(s), field.char)
-            for f, s in zip(kd.free, kd.scales)]
-    return Matrix._raw(field, rows, rhs.ncols)
+    (columns of rhs lie in the span).  X is read off from the rows of rhs
+    at the free coordinates ``kd.free``, which are all it depends on;
+    free_rows holds just those rows, in that order."""
+    field = free_rows.field
+    rows = [row if s == 1 else _scaled(row, field.inv(s), field.char)
+            for row, s in zip(free_rows.sparse_rows, kd.scales)]
+    return Matrix._raw(field, rows, free_rows.ncols)
 
 
 class CokernelData:

@@ -11,15 +11,16 @@ dimensions come from the ranks of the Hom-complex differentials, cached on
 the resolution per target module; cocycle maps are built only when read.
 """
 
+from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 from .errors import InconclusiveError, QtiltError
 from .exactla import Matrix, Span, _tidy, kernel_data, solve
 from .quivercore import BoundQuiverAlgebra, Path, opposite
-from .repcore import (ModuleMap, Representation, _proj_layout, cokernel_rep,
-                      dual, inj, kernel_rep, proj_map_from_images, proj_sum,
-                      projective_cover, simple, zero_rep)
+from .repcore import (ModuleMap, Representation, cokernel_rep, dual,
+                      free_offsets, inj, kernel_rep, proj_map_from_images,
+                      proj_sum, projective_cover, simple, zero_rep)
 
 DEFAULT_BOUND = 64
 
@@ -95,7 +96,7 @@ class MinimalResolution:
             cover = projective_cover(target)
             self.terms.append(cover.projective)
             self.covers.append(cover.map)
-            incl = self._syz_incl[k]
+            incl = self._syz_incl.pop(k)   # read only to compose maps[k]
             self.maps.append(cover.map if incl is None else incl * cover.map)
 
     def term(self, i: int) -> Representation:
@@ -135,17 +136,20 @@ class MinimalResolution:
         if not gens_hi or not gens_lo or i > self.length:
             return X
         d = self.maps[i]
-        layout_hi = _proj_layout(alg, gens_hi)
-        layout_lo = _proj_layout(alg, gens_lo)
+        verts = set(gens_hi)
+        offsets_hi = {w: free_offsets(self.terms[i], w) for w in verts}
+        offsets_lo = {w: free_offsets(self.terms[i - 1], w) for w in verts}
+        pos = alg.block_pos
         block_cols = {}
         for l, w in enumerate(gens_hi):
             cols = block_cols.get(w)
             if cols is None:
                 cols = block_cols[w] = d.blocks[w].sparse_columns()
-            epos = layout_hi[w].index((l, alg.basis_index(Path.trivial(w))))
-            lo = layout_lo[w]
+            epos = offsets_hi[w][l] + pos[alg.basis_index(Path.trivial(w))]
+            lo = offsets_lo[w]
             for row_i, c in cols[epos].items():
-                k, x_idx = lo[row_i]
+                k = bisect_right(lo, row_i) - 1
+                x_idx = alg.block_indices(gens_lo[k], w)[row_i - lo[k]]
                 X.setdefault((k, l), []).append((c, x_idx))
         return X
 
@@ -174,25 +178,26 @@ def map_from_elements(p_src: Representation, p_tgt: Representation, Y
     missing entries are zero."""
     alg = p_src.algebra
     field = alg.field
-    layout_s = _proj_layout(alg, p_src.proj_gens)
-    layout_t = _proj_layout(alg, p_tgt.proj_gens)
+    pos = alg.block_pos
     by_src = {}
     for (t, s), items in Y.items():
         by_src.setdefault(s, []).append((t, items))
     p = field.char
     blocks = {}
     for u in alg.quiver.vertices:
-        tgt_pos = {key: i for i, key in enumerate(layout_t[u])}
+        offs = free_offsets(p_tgt, u)
         cols = []
-        for (s, x_idx) in layout_s[u]:
-            col = {}
-            for t, items in by_src.get(s, ()):
-                for c, e_idx in items:
-                    for y_idx, d in alg.basis_product(x_idx, e_idx):
-                        pos = tgt_pos[(t, y_idx)]
-                        col[pos] = col.get(pos, 0) + c * d
-            cols.append(_tidy(col, p))
-        blocks[u] = Matrix.from_sparse_cols(field, cols, len(layout_t[u]))
+        for s, v in enumerate(p_src.proj_gens):
+            entries = by_src.get(s, ())
+            for x_idx in alg.block_indices(v, u):
+                col = {}
+                for t, items in entries:
+                    for c, e_idx in items:
+                        for y_idx, d in alg.basis_product(x_idx, e_idx):
+                            at = offs[t] + pos[y_idx]
+                            col[at] = col.get(at, 0) + c * d
+                cols.append(_tidy(col, p))
+        blocks[u] = Matrix.from_sparse_cols(field, cols, p_tgt.dims[u])
     return ModuleMap(p_src, p_tgt, blocks, validate=False)
 
 

@@ -220,8 +220,15 @@ class BoundQuiverAlgebra:
         self._span = span                        # ideal Span for normal forms
         self._index = {p: i for i, p in enumerate(self.basis)}
         self._blocks: Dict[Tuple[str, str], List[int]] = {}
+        self.block_pos: List[int] = []           # index within its block
         for i, p in enumerate(self.basis):
-            self._blocks.setdefault((p.source, p.target), []).append(i)
+            block = self._blocks.setdefault((p.source, p.target), [])
+            self.block_pos.append(len(block))
+            block.append(i)
+        # block_sizes[w][v] = dim e_w * A * e_v
+        self.block_sizes = {w: {v: len(self._blocks.get((v, w), ()))
+                                for v in quiver.vertices}
+                            for w in quiver.vertices}
         self._products: Dict[Tuple[int, int], Tuple[Tuple[int, object], ...]] = {}
         self._opposite: Optional["BoundQuiverAlgebra"] = None
         self._op_basis_images: Optional[List[Tuple]] = None

@@ -5,15 +5,24 @@ arrow (shape: target dimension by source dimension); every relation of the
 algebra must evaluate to zero.  Module maps are vertex-indexed matrices
 intertwining the arrow actions.  Projective modules carry their generator
 bookkeeping so Hom spaces out of them need no linear solving.
+
+A free module (a direct sum of indecomposable projectives, from
+`proj_sum`) is held by its generator tuple.  Its arrow action is fixed by
+the algebra: the arrow matrices of each indecomposable projective are
+built once per algebra (`proj`), and a free module's own arrow matrices
+are assembled from them only when `mats` is first read.  `kernel_rep`
+reads the few arrow rows it needs straight from the projectives.
 """
 
 import random
-from typing import Dict, List, Sequence, Tuple
+from bisect import bisect_right
+from itertools import accumulate
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (AlgebraMismatchError, QtiltError, ShapeMismatchError,
                      UndecidedIsomorphismError)
 from .exactla import (Matrix, Span, _dense, _tidy, block_diag, cokernel_data,
-                      column_space_basis, hstack, kernel_data, solve,
+                      column_space_basis, hstack, kernel_data, rref, solve,
                       solve_against_kernel)
 from .quivercore import (BoundQuiverAlgebra, Path, StructureConstantAlgebra,
                          opposite, primitive_orthogonal_idempotents)
@@ -22,28 +31,41 @@ from .quivercore import (BoundQuiverAlgebra, Path, StructureConstantAlgebra,
 class Representation:
     """A finite dimensional left module, stored vertexwise."""
 
-    __slots__ = ("algebra", "dims", "mats", "proj_gens", "summands", "_cache",
+    __slots__ = ("algebra", "dims", "_mats", "proj_gens", "summands", "_cache",
                  "__weakref__")
 
     def __init__(self, algebra: BoundQuiverAlgebra, dims: Dict[str, int],
-                 mats: Dict[str, Matrix], proj_gens=None, validate=True):
+                 mats: Optional[Dict[str, Matrix]], proj_gens=None,
+                 validate=True):
+        """mats may be None only for a free module (proj_gens given): its
+        arrow matrices are then built from its generators' indecomposable
+        projectives when first read."""
         self.summands = None  # set by direct_sum: list of (piece, incl, proj)
         self.algebra = algebra
         unknown = set(dims) - set(algebra.quiver.vertices)
         if unknown:
             raise QtiltError(f"unknown vertices in dimension vector: {unknown}")
         self.dims = {v: int(dims.get(v, 0)) for v in algebra.quiver.vertices}
-        self.mats = {}
-        for a in algebra.quiver.arrows:
-            m = mats.get(a.name)
-            if m is None:
-                m = Matrix.zeros(algebra.field, self.dims[a.target],
-                                 self.dims[a.source])
-            self.mats[a.name] = m
         self.proj_gens = tuple(proj_gens) if proj_gens is not None else None
+        self._mats = None
+        if mats is not None:
+            self._mats = {}
+            for a in algebra.quiver.arrows:
+                m = mats.get(a.name)
+                if m is None:
+                    m = Matrix.zeros(algebra.field, self.dims[a.target],
+                                     self.dims[a.source])
+                self._mats[a.name] = m
         self._cache: Dict = {}
         if validate:
             self._validate()
+
+    @property
+    def mats(self) -> Dict[str, Matrix]:
+        """Arrow name -> matrix (target dimension by source dimension)."""
+        if self._mats is None:
+            self._mats = _free_arrow_mats(self)
+        return self._mats
 
     def _validate(self):
         for a in self.algebra.quiver.arrows:
@@ -205,43 +227,78 @@ def simple(alg, v: str) -> Representation:
     return Representation(alg, {v: 1}, {}, validate=False)
 
 
-def _proj_layout(alg, gens: Sequence[str]):
-    """Coordinates of a direct sum of projectives: at each vertex w, the
-    concatenation over generators k of the basis of e_w * A * e_{v_k}."""
-    layout = {w: [] for w in alg.quiver.vertices}
-    for k, v in enumerate(gens):
-        for w in alg.quiver.vertices:
-            for idx in alg.block_indices(v, w):
-                layout[w].append((k, idx))
-    return layout
+def _proj_arrow_mats(alg, v: str) -> Dict[str, Matrix]:
+    """Arrow matrices of the indecomposable projective A e_v, whose basis
+    at each vertex w is the basis of e_w * A * e_v."""
+    pos = alg.block_pos
+    out = {}
+    for a in alg.quiver.arrows:
+        a_idx = alg.basis_index(Path.from_arrow(a))
+        cols = [{pos[y_idx]: c
+                 for y_idx, c in alg.basis_product(a_idx, x_idx) if c}
+                for x_idx in alg.block_indices(v, a.source)]
+        out[a.name] = Matrix.from_sparse_cols(
+            alg.field, cols, len(alg.block_indices(v, a.target)))
+    return out
+
+
+def free_offsets(p: Representation, w: str) -> Tuple[int, ...]:
+    """Coordinates of a free module at vertex w: generator k's block (the
+    basis of e_w * A * e_{v_k}) starts at entry k; a last entry holds the
+    dimension at w."""
+    size = p.algebra.block_sizes[w]
+    return (0, *accumulate(map(size.__getitem__, p.proj_gens)))
+
+
+def _free_arrow_mats(p: Representation) -> Dict[str, Matrix]:
+    """The block-diagonal arrow matrices of a free module."""
+    alg = p.algebra
+    blocks = [proj(alg, v).mats for v in p.proj_gens]
+    return {a.name: block_diag(alg.field, [b[a.name] for b in blocks])
+            for a in alg.quiver.arrows}
+
+
+def _arrow_rows(m: Representation, arrow, rows: Sequence[int]):
+    """The sparse rows at the given coordinates of an arrow's matrix on m.
+    A free module whose arrow matrices were not built reads them off its
+    generators' indecomposable projectives."""
+    if m._mats is not None:
+        got = m._mats[arrow.name].sparse_rows
+        return [got[r] for r in rows]
+    alg = m.algebra
+    gens = m.proj_gens
+    tgt_offs = free_offsets(m, arrow.target)
+    src_offs = free_offsets(m, arrow.source)
+    block_rows = {v: proj(alg, v).mats[arrow.name].sparse_rows
+                  for v in set(gens)}
+    out = []
+    for r in rows:
+        k = bisect_right(tgt_offs, r) - 1
+        row = block_rows[gens[k]][r - tgt_offs[k]]
+        off = src_offs[k]
+        out.append({off + j: x for j, x in row.items()} if off else row)
+    return out
 
 
 def proj_sum(alg, gens: Sequence[str]) -> Representation:
-    """Direct sum of indecomposable projectives, one per generator vertex."""
+    """Direct sum of indecomposable projectives, one per generator vertex;
+    its arrow matrices are built only when read."""
     gens = tuple(gens)
     for v in gens:
         if not alg.quiver.has_vertex(v):
             raise QtiltError(f"unknown vertex {v}")
-    layout = _proj_layout(alg, gens)
-    dims = {w: len(layout[w]) for w in alg.quiver.vertices}
-    field = alg.field
-    mats = {}
-    for a in alg.quiver.arrows:
-        src, tgt = a.source, a.target
-        a_idx = alg.basis_index(Path.from_arrow(alg.quiver.arrow(a.name)))
-        tgt_pos = {key: i for i, key in enumerate(layout[tgt])}
-        cols = [{tgt_pos[(k, y_idx)]: c
-                 for y_idx, c in alg.basis_product(a_idx, x_idx) if c}
-                for (k, x_idx) in layout[src]]
-        mats[a.name] = Matrix.from_sparse_cols(field, cols, dims[tgt])
-    rep = Representation(alg, dims, mats, proj_gens=gens, validate=False)
-    return rep
+    dims = {w: sum(map(size.__getitem__, gens))
+            for w, size in alg.block_sizes.items()}
+    return Representation(alg, dims, None, proj_gens=gens, validate=False)
 
 
 def proj(alg, v: str) -> Representation:
+    """The indecomposable projective at a vertex, with its arrow matrices:
+    built once per algebra, they are the blocks of every free module."""
     got = alg._cache.get(("proj", v))
     if got is None:
         got = proj_sum(alg, [v])
+        got._mats = _proj_arrow_mats(alg, v)
         alg._cache[("proj", v)] = got
     return got
 
@@ -326,14 +383,19 @@ def direct_sum(reps: Sequence[Representation]):
 def kernel_rep(f: ModuleMap):
     """(K, inclusion) with K the vertexwise kernel, arrows restricted.
     The induced arrow matrices are read off the free rows of the canonical
-    kernel bases: the solutions exist because kernels are arrow-stable."""
+    kernel bases: the solutions exist because kernels are arrow-stable.
+    So only the arrow rows at the target kernel's free coordinates enter
+    the products."""
     alg = f.source.algebra
+    field = alg.field
     kds = {v: kernel_data(f.blocks[v]) for v in alg.quiver.vertices}
     dims = {v: kds[v].matrix.ncols for v in alg.quiver.vertices}
     mats = {}
     for a in alg.quiver.arrows:
-        rhs = f.source.mats[a.name] * kds[a.source].matrix
-        mats[a.name] = solve_against_kernel(kds[a.target], rhs)
+        kd = kds[a.target]
+        rows = Matrix._raw(field, _arrow_rows(f.source, a, kd.free),
+                           f.source.dims[a.source])
+        mats[a.name] = solve_against_kernel(kd, rows * kds[a.source].matrix)
     k = Representation(alg, dims, mats, validate=False)
     incl = ModuleMap(k, f.source, {v: kds[v].matrix
                                    for v in alg.quiver.vertices},
@@ -421,14 +483,13 @@ def submodule_generated(m: Representation, vectors: Dict[str, List[Sequence]]):
 
 
 class TopRadical:
-    __slots__ = ("top", "projection", "radical", "inclusion", "sections")
+    __slots__ = ("top", "projection", "radical", "inclusion")
 
-    def __init__(self, top, projection, radical, inclusion, sections):
+    def __init__(self, top, projection, radical, inclusion):
         self.top = top
         self.projection = projection
         self.radical = radical
         self.inclusion = inclusion
-        self.sections = sections  # vertex -> column indices lifting the top
 
 
 def _radical_bases(m: Representation) -> Dict[str, Matrix]:
@@ -448,10 +509,16 @@ def _radical_bases(m: Representation) -> Dict[str, Matrix]:
 
 def _top_sections(m: Representation):
     """Per vertex, the standard coordinates complementing the radical:
-    their classes form a basis of the top."""
-    rad_bases = _radical_bases(m)
-    return {v: cokernel_data(rad_bases[v]).complement
-            for v in m.algebra.quiver.vertices}
+    their classes form a basis of the top.  They are the non-pivot columns
+    of one rref whose row space is the radical at the vertex."""
+    alg = m.algebra
+    out = {}
+    for v in alg.quiver.vertices:
+        incoming = [m.mats[a.name] for a in alg.quiver.arrows_into(v)]
+        pivots = (set(rref(hstack(incoming).transpose()).pivots)
+                  if incoming else ())
+        out[v] = tuple(j for j in range(m.dims[v]) if j not in pivots)
+    return out
 
 
 def top_and_radical(m: Representation) -> TopRadical:
@@ -470,9 +537,7 @@ def top_and_radical(m: Representation) -> TopRadical:
     top, projection = cokernel_rep(inclusion)
     if not all(mat.is_zero() for mat in top.mats.values()):
         raise QtiltError("top has nonzero arrow action")
-    sections = {v: cokernel_data(rad_bases[v]).complement
-                for v in alg.quiver.vertices}
-    return TopRadical(top, projection, radical, inclusion, sections)
+    return TopRadical(top, projection, radical, inclusion)
 
 
 class Cover:
@@ -491,29 +556,22 @@ def proj_map_from_images(p: Representation, n: Representation,
     algebra basis element, grouping generators by vertex."""
     alg = p.algebra
     field = alg.field
-    gens = p.proj_gens
-    layout = _proj_layout(alg, gens)
     gens_at = {}
-    for k, v in enumerate(gens):
+    for k, v in enumerate(p.proj_gens):
         gens_at.setdefault(v, []).append(k)
     img_mat = {v: Matrix.from_sparse_cols(field, [images[k] for k in ks],
                                           n.dims[v])
                for v, ks in gens_at.items()}
-    gen_pos = {}
-    for v, ks in gens_at.items():
-        for pos, k in enumerate(ks):
-            gen_pos[k] = pos
     blocks = {}
     for w in alg.quiver.vertices:
-        total_cols = len(layout[w])
-        col_of = {key: i for i, key in enumerate(layout[w])}
-        cols = [None] * total_cols
+        offs = free_offsets(p, w)
+        cols = [None] * p.dims[w]
         for v, ks in gens_at.items():
-            for x_idx in alg.block_indices(v, w):
+            for j, x_idx in enumerate(alg.block_indices(v, w)):
                 prod = n.act_path(alg.basis[x_idx]) * img_mat[v]
                 prod_cols = prod.sparse_columns()
-                for k in ks:
-                    cols[col_of[(k, x_idx)]] = prod_cols[gen_pos[k]]
+                for pos, k in enumerate(ks):
+                    cols[offs[k] + j] = prod_cols[pos]
         if any(c is None for c in cols):
             raise QtiltError(f"no image for a generator coordinate at {w}")
         blocks[w] = Matrix.from_sparse_cols(field, cols, n.dims[w])
@@ -565,21 +623,19 @@ def hom_space(m: Representation, n: Representation) -> List[ModuleMap]:
 def _hom_from_projective(p: Representation, n: Representation) -> List[ModuleMap]:
     alg = p.algebra
     field = alg.field
-    gens = p.proj_gens
-    layout = _proj_layout(alg, gens)
+    offsets = {w: free_offsets(p, w) for w in alg.quiver.vertices}
     out = []
-    for k, v in enumerate(gens):
+    for k, v in enumerate(p.proj_gens):
         for b in range(n.dims[v]):
             blocks = {}
             for w in alg.quiver.vertices:
-                cols = []
-                for (k2, x_idx) in layout[w]:
-                    if k2 != k:
-                        cols.append([field.zero()] * n.dims[w])
-                    else:
-                        act = n.act_path(alg.basis[x_idx])
-                        cols.append(list(act.column(b)))
-                blocks[w] = Matrix.from_cols(field, cols, nrows=n.dims[w])
+                cols = [{} for _ in range(p.dims[w])]
+                for j, x_idx in enumerate(alg.block_indices(v, w)):
+                    act = n.act_path(alg.basis[x_idx])
+                    cols[offsets[w][k] + j] = {
+                        i: r[b] for i, r in enumerate(act.sparse_rows)
+                        if b in r}
+                blocks[w] = Matrix.from_sparse_cols(field, cols, n.dims[w])
             out.append(ModuleMap(p, n, blocks, validate=False))
     return out
 

@@ -62,6 +62,21 @@ def make_square_gf(name="square_gf"):
     return build_algebra(q, [rel], gf, name=name)
 
 
+def make_two_loop(field=QQ, commutative=False):
+    """k<x,y>/(xy, yx, x^2 - y^3) or k[x,y]/(x^2 - y^3, y^4): the
+    relation x^2 - y^3 is inhomogeneous."""
+    q = Quiver(["1"], [Arrow("x", "1", "1"), Arrow("y", "1", "1")])
+    word = lambda s: Path.of(q, list(s))
+    cube = PathSum(field, [(1, word("xx")), (-1, word("yyy"))])
+    if commutative:
+        rels = [PathSum(field, [(1, word("xy")), (-1, word("yx"))]), cube,
+                PathSum(field, [(1, word("yyyy"))])]
+    else:
+        rels = [PathSum(field, [(1, word("xy"))]),
+                PathSum(field, [(1, word("yx"))]), cube]
+    return build_algebra(q, rels, field, name="twoloop")
+
+
 @pytest.fixture(scope="session")
 def kron():
     return make_kronecker()

@@ -286,6 +286,27 @@ def test_golden_apr_tilt_kron2(tmp_path):
                          "(1,1)", "--n", "2", "--present"]) == 0
 
 
+def test_golden_resolve_and_tau_kron2(tmp_path):
+    # matrices printed by tau and tau-minus on kron^2 (transcripts recorded
+    # before free modules stopped carrying arrow matrices)
+    module = tmp_path / "m.mod"
+    assert run(["tensor-mod", data("kronecker.alg"), data("kronecker.alg"),
+                data("i1_kron.mod"), data("s2_kron.mod"),
+                "-o", str(module)])[0] == 0
+    gamma = kron_square_file(tmp_path)
+    assert golden_check("resolve_kron2.txt",
+                        ["resolve", gamma, str(module)]) == 0
+    tau = tmp_path / "tau_kron2.mod"
+    back = tmp_path / "tau_minus_kron2.mod"
+    assert run(["tau", gamma, str(module), "--n", "2", "-o", str(tau)]) == (
+        0, f"n 2\ndim_vector (6,9,8,12)\nzero false\nwrote {tau}\n")
+    assert read(str(tau)) == read(os.path.join(GOLDEN, "tau_kron2.mod"))
+    assert run(["tau-minus", gamma, str(tau), "--n", "2",
+                "-o", str(back)])[0] == 0
+    assert read(str(back)) == read(os.path.join(GOLDEN,
+                                                "tau_minus_kron2.mod"))
+
+
 def test_golden_check_fails_on_missing_transcript():
     with pytest.raises(AssertionError, match="missing"):
         golden_check("no_such_transcript.txt", ["info", data("a2.alg")])

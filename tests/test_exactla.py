@@ -526,3 +526,13 @@ def test_stacking_no_matrices_raises():
         hstack([])
     with pytest.raises(ShapeMismatchError, match="vstack of no matrices"):
         vstack([])
+
+
+def test_rational_inverse_keeps_canonical_types():
+    for x, want in [(1, 1), (-1, -1), (Fraction(-1), -1), (2, Fraction(1, 2)),
+                    (-2, Fraction(-1, 2)), (Fraction(1, 3), 3),
+                    (Fraction(-2, 3), Fraction(-3, 2))]:
+        got = QQ.inv(x)
+        assert got == want and type(got) is type(want)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)

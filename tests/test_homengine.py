@@ -504,3 +504,45 @@ def test_rank_cache_lets_dropped_targets_go():
     assert dims[:10] == [3, 2, 0, 1, 0, 3, 0, 3, 0, 4]
     assert [ext_dim(source, random_module(kron, seed), 1)
             for seed in range(200)] == dims
+
+
+def test_tau_n_builds_only_the_arrows_it_reads(monkeypatch):
+    """tau_2 of a kron^2 injective reads arrow matrices of one free module
+    only, the target of the dualized differential: the resolution's terms
+    and the dualized source stay generator tuples."""
+    from qtilt import repcore
+    from qtilt.tensorcon import tensor_algebras
+    kron = make_kronecker()
+    alg = tensor_algebras(kron, kron).algebra
+    m = inj(alg, "(1,1)")
+    built = []
+    build = repcore._free_arrow_mats
+    monkeypatch.setattr(repcore, "_free_arrow_mats",
+                        lambda p: built.append(p) or build(p))
+    dualized = []
+    dualize = homengine._dualized_differential
+    monkeypatch.setattr(homengine, "_dualized_differential",
+                        lambda res, i: dualized.append(dualize(res, i))
+                        or dualized[-1])
+    assert tau_n(m, 2).dim_vector() == (9, 12, 12, 16)
+    res = m._cache["minres"]
+    d_star, = dualized
+    assert res.length == 2
+    assert len(built) == 1 and built[0] is d_star.target
+    assert all(p._mats is None for p in res.terms)
+    assert d_star.source._mats is None
+
+
+def test_resolution_drops_kernel_inclusions_once_composed():
+    """maps[k] is composed from the inclusion of the k-th syzygy and the
+    cover; the inclusion (a kernel basis per vertex) is dropped then.  Only
+    the zero syzygy past the end keeps its inclusion, never composed."""
+    from qtilt.tensorcon import tensor_algebras
+    kron = make_kronecker()
+    alg = tensor_algebras(kron, kron).algebra
+    res = min_proj_resolution(inj(alg, "(1,1)"), 4)
+    assert res.terminated and res.length == 2
+    assert set(res._syz_incl) == {3}
+    assert res.syzygy(3).is_zero()
+    for i in range(1, res.length):
+        assert (res.maps[i] * res.maps[i + 1]).is_zero()

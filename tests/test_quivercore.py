@@ -16,7 +16,8 @@ from qtilt.quivercore import (Arrow, Path, PathSum, Quiver, StructureConstantAlg
                               radical_basis, regular_structure_algebra,
                               semisimple_and_basic_flags, split_rational_root)
 
-from conftest import make_a3, make_a3_nilpotent, make_kronecker, make_square
+from conftest import (make_a3, make_a3_nilpotent, make_kronecker, make_square,
+                      make_two_loop)
 
 
 # --- independent oracles ------------------------------------------------------
@@ -640,20 +641,6 @@ def test_ideal_closure_matches_brute_force_span(case, cap, data):
     assert late.span.rows == want
 
 
-def two_loop_algebra(field, commutative):
-    """k<x,y>/(xy, yx, x^2 - y^3) or k[x,y]/(x^2 - y^3, y^4)."""
-    q = two_loop_quiver()
-    word = lambda s: Path.of(q, list(s))
-    cube = PathSum(field, [(1, word("xx")), (-1, word("yyy"))])
-    if commutative:
-        rels = [PathSum(field, [(1, word("xy")), (-1, word("yx"))]), cube,
-                PathSum(field, [(1, word("yyyy"))])]
-    else:
-        rels = [PathSum(field, [(1, word("xy"))]),
-                PathSum(field, [(1, word("yx"))]), cube]
-    return build_algebra(q, rels, field, name="twoloop")
-
-
 @pytest.mark.parametrize("field", [QQ, GF])
 @pytest.mark.parametrize("commutative,basis,nilpotency,normal_forms", [
     (False, ["", "x", "y", "xx", "yy"], 4,
@@ -666,7 +653,7 @@ def test_two_loop_inhomogeneous_algebras(field, commutative, basis,
                                          nilpotency, normal_forms):
     import time
     t0 = time.perf_counter()
-    alg = two_loop_algebra(field, commutative)
+    alg = make_two_loop(field, commutative)
     opp = opposite(alg)
     assert time.perf_counter() - t0 < 1.0
     for a in (alg, opp):

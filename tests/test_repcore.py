@@ -21,7 +21,7 @@ from qtilt.quivercore import Arrow, Path, PathSum, Quiver, build_algebra
 from qtilt.repcore import _hom_generic
 
 from conftest import (make_a3_nilpotent, make_kronecker, make_loop_nilpotent,
-                      make_square_gf)
+                      make_square, make_square_gf)
 
 
 # --- constructors ---------------------------------------------------------
@@ -459,3 +459,143 @@ def test_invariant_checks_survive_optimize():
         "False zero idempotent in a decomposition",
         "False decomposition does not re-sum to the module",
     ]
+
+
+# --- free modules: generator tuples with lazily built arrow matrices ------
+
+def _free_corpus():
+    from qtilt.tensorcon import tensor_algebras
+    from conftest import make_a3, make_two_loop
+    kron = make_kronecker()
+    gf_kron = build_algebra(
+        Quiver(["1", "2"], [Arrow("a0", "2", "1"), Arrow("a1", "2", "1")]),
+        [], GF, name="kron_gf")
+    return [tensor_algebras(kron, kron).algebra,
+            tensor_algebras(make_a3(), kron).algebra,
+            make_two_loop(), gf_kron]
+
+
+def _reference_free_mats(alg, gens):
+    """Arrow matrices of the sum of projectives P(v) over the generators,
+    entry by entry from the structure constants: coordinate (k, x) at
+    vertex w is basis element x of e_w A e_{gens[k]}."""
+    field = alg.field
+    layout = {w: [(k, x) for k, v in enumerate(gens)
+                  for x in alg.block_indices(v, w)]
+              for w in alg.quiver.vertices}
+    mats = {}
+    for a in alg.quiver.arrows:
+        a_idx = alg.basis_index(Path.from_arrow(a))
+        src, tgt = layout[a.source], layout[a.target]
+        rows = [[0] * len(src) for _ in tgt]
+        for j, (k, x) in enumerate(src):
+            for y, c in alg.basis_product(a_idx, x):
+                rows[tgt.index((k, y))][j] += c
+        mats[a.name] = Matrix(field, rows, ncols=len(src))
+    return mats
+
+
+def _generator_tuples(alg):
+    verts = list(alg.quiver.vertices)
+    return [(), tuple(verts), tuple(reversed(verts)) * 2,
+            (verts[-1], verts[0], verts[-1], verts[0], verts[0])]
+
+
+@pytest.mark.parametrize("which", range(4))
+def test_free_module_arrows_match_structure_constants(which):
+    alg = _free_corpus()[which]
+    for gens in _generator_tuples(alg):
+        p = proj_sum(alg, gens)
+        ref = _reference_free_mats(alg, gens)
+        assert p.proj_gens == gens
+        assert p.dims == {w: sum(len(alg.block_indices(v, w)) for v in gens)
+                          for w in alg.quiver.vertices}
+        assert p.mats == ref
+
+
+@pytest.mark.parametrize("which", range(4))
+def test_free_coordinates_follow_generator_order(which):
+    """Unsorted and repeated generators: arrow rows read off the
+    projectives, and a map out of the free module given by generator
+    images, both agree with the entry-by-entry layout."""
+    from qtilt.repcore import _arrow_rows, proj_map_from_images
+    alg = _free_corpus()[which]
+    n = random_module(alg, 5)
+    for gens in _generator_tuples(alg):
+        ref = _reference_free_mats(alg, gens)
+        p = proj_sum(alg, gens)
+        for a in alg.quiver.arrows:
+            rows = list(reversed(range(p.dims[a.target])))
+            assert _arrow_rows(p, a, rows) == [
+                ref[a.name].sparse_rows[r] for r in rows]
+        assert p._mats is None
+        images = [{i: alg.field.canon(k + i + 1)
+                   for i in range(n.dims[v]) if (k + i) % 2 == 0}
+                  for k, v in enumerate(gens)]
+        f = proj_map_from_images(p, n, images)
+        for w in alg.quiver.vertices:
+            cols = []
+            for k, v in enumerate(gens):
+                image = Matrix.from_sparse_cols(alg.field, [images[k]],
+                                                n.dims[v])
+                for x in alg.block_indices(v, w):
+                    act = n.act_path(alg.basis[x]) * image
+                    cols.append(act.sparse_columns()[0])
+            assert f.blocks[w] == Matrix.from_sparse_cols(alg.field, cols,
+                                                          n.dims[w])
+
+
+def _covers(alg, count=4):
+    """Projective covers of seeded random modules, their arrows unread."""
+    out = []
+    for seed in range(count):
+        cover = projective_cover(random_module(alg, seed))
+        assert cover.projective._mats is None
+        out.append(cover.map)
+    return out
+
+
+@pytest.mark.parametrize("which", range(4))
+def test_kernel_of_cover_matches_full_product_route(which):
+    from qtilt.exactla import kernel_data, solve
+    alg = _free_corpus()[which]
+    for f in _covers(alg):
+        k, incl = kernel_rep(f)
+        assert f.source._mats is None        # read through the blocks only
+        for v in alg.quiver.vertices:
+            assert incl.blocks[v] == kernel_data(f.blocks[v]).matrix
+        for a in alg.quiver.arrows:
+            full = f.source.mats[a.name] * incl.blocks[a.source]
+            assert k.mats[a.name] == solve(incl.blocks[a.target], full)
+
+
+def _old_top_sections(m):
+    """Top sections by the two-elimination route: a column basis of the
+    radical, then its cokernel complement."""
+    from qtilt.exactla import cokernel_data, column_space_basis, hstack
+    out = {}
+    for v in m.algebra.quiver.vertices:
+        incoming = [m.mats[a.name] for a in m.algebra.quiver.arrows_into(v)]
+        rad = (column_space_basis(hstack(incoming)) if incoming
+               else Matrix.zeros(m.algebra.field, m.dims[v], 0))
+        out[v] = cokernel_data(rad).complement
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF])
+def test_top_sections_match_two_elimination_route(field):
+    from qtilt.repcore import _top_sections
+    kron = build_algebra(
+        Quiver(["1", "2"], [Arrow("a0", "2", "1"), Arrow("a1", "2", "1")]),
+        [], field)
+    square = make_square_gf() if field is GF else make_square()
+    checked = 0
+    for alg in (kron, square):
+        sources = [v for v in alg.quiver.vertices
+                   if not alg.quiver.arrows_into(v)]
+        assert sources                       # vertices with no incoming arrow
+        for seed in range(25):
+            m = random_module(alg, seed)
+            assert _top_sections(m) == _old_top_sections(m)
+            checked += 1
+    assert checked == 50

@@ -356,12 +356,8 @@ def test_presentation_cartan_data_round_trip(kron2):
 def _two_loop_regular_algebra():
     """The regular algebra of k<x,y>/(xy, yx, x^2 - y^3), whose
     presentation needs the inhomogeneous relation x^2 - y^3."""
-    from qtilt.quivercore import Arrow, Path, PathSum, Quiver, build_algebra
-    q = Quiver(["1"], [Arrow("x", "1", "1"), Arrow("y", "1", "1")])
-    word = lambda s: Path.of(q, list(s))
-    rels = [PathSum(QQ, [(1, word("xy"))]), PathSum(QQ, [(1, word("yx"))]),
-            PathSum(QQ, [(1, word("xx")), (-1, word("yyy"))])]
-    return regular_structure_algebra(build_algebra(q, rels, QQ))
+    from conftest import make_two_loop
+    return regular_structure_algebra(make_two_loop())
 
 
 @pytest.mark.parametrize("which", ["kron2_tilt", "two_loops"])
