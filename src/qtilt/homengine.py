@@ -3,12 +3,14 @@ them: Ext groups, projective/injective/global dimension, the transpose,
 and the higher translates tau_n / tau_n^- with their finiteness probe.
 
 A minimal resolution is grown by iterated projective covers and cached on
-the module, so deeper requests extend earlier work.  Differentials are
-also kept as matrices of algebra elements between the generator vertices;
-dualizing those element matrices into the opposite algebra is what powers
-the transpose and the Ext-against-the-algebra module structure.  Ext
-dimensions come from the ranks of the Hom-complex differentials, cached on
-the resolution per target module; cocycle maps are built only when read.
+the module, so deeper requests extend earlier work.  It keeps the image of
+each generator as a sparse vector, and builds module maps only when read.
+Those vectors give each differential as a matrix of algebra elements
+between the generator vertices; dualizing it into the opposite algebra is
+what powers the transpose and the Ext-against-the-algebra module
+structure.  Ext dimensions come from the ranks of the Hom-complex
+differentials, cached on the resolution per target module; cocycle maps
+are built only when read.
 """
 
 from bisect import bisect_right
@@ -17,8 +19,8 @@ from weakref import WeakKeyDictionary
 
 from .errors import InconclusiveError, QtiltError
 from .exactla import Matrix, Span, _tidy, kernel_data, solve
-from .quivercore import BoundQuiverAlgebra, Path, opposite
-from .repcore import (ModuleMap, Representation, cokernel_rep, dual,
+from .quivercore import BoundQuiverAlgebra, opposite
+from .repcore import (Cover, ModuleMap, Representation, cokernel_rep, dual,
                       free_offsets, inj, kernel_rep, proj_map_from_images,
                       proj_sum, projective_cover, simple, zero_rep)
 
@@ -51,29 +53,45 @@ class MinimalResolution:
     """Chain of projective covers over a module.
 
     terms[i] is the i-th projective (a sum of indecomposable projectives
-    with generator bookkeeping); maps[0] is the augmentation onto the
-    module and maps[i] : terms[i] -> terms[i-1] for i >= 1.  ``terminated``
-    means the last computed syzygy is zero.  ``hom_ranks`` caches the rank
-    of the Hom-complex differential Hom(terms[i], n) -> Hom(terms[i+1], n)
-    as ``hom_ranks[n][i]``.  The module object itself is the weak key: no
-    other module can alias it, and the entry goes when n is collected.
+    with generator bookkeeping); images[i][l] is the image of its
+    generator l, a sparse vector in terms[i-1] (in the module for i = 0).
+    Views built on first read: maps[0] is the augmentation onto the
+    module, maps[i] : terms[i] -> terms[i-1] for i >= 1, and covers[i] :
+    terms[i] -> syzygy(i).  ``terminated`` means the last computed syzygy
+    is zero.  ``hom_ranks`` caches the rank of the Hom-complex differential
+    Hom(terms[i], n) -> Hom(terms[i+1], n) as ``hom_ranks[n][i]``.  The
+    module object itself is the weak key: no other module can alias it,
+    and the entry goes when n is collected.
     """
 
     def __init__(self, module: Representation):
         self.module = module
         self.terms: List[Representation] = []
-        self.maps: List[ModuleMap] = []
-        self.covers: List[ModuleMap] = []          # terms[i] -> syzygy(i)
+        self.images: List[List[Dict[int, object]]] = []
+        self._covers: List[Cover] = []
+        self._maps: List[ModuleMap] = []
         self.syzygies: Dict[int, Representation] = {0: module}
         self._syz_incl: Dict[int, Optional[ModuleMap]] = {0: None}
         self.terminated = module.is_zero()
         self.hom_ranks = WeakKeyDictionary()     # n -> {i: rank}
 
+    @property
+    def covers(self) -> List[ModuleMap]:
+        return [c.map for c in self._covers]
+
+    @property
+    def maps(self) -> List[ModuleMap]:
+        for i in range(len(self._maps), len(self.terms)):
+            self._maps.append(proj_map_from_images(
+                self.terms[i], self.terms[i - 1], self.images[i])
+                if i else self._covers[0].map)
+        return self._maps
+
     def _syzygy_step(self, k: int) -> Representation:
         """Compute syzygies[k] = ker(covers[k-1]) on demand."""
         if k in self.syzygies:
             return self.syzygies[k]
-        syz, incl = kernel_rep(self.covers[k - 1])
+        syz, incl = kernel_rep(self._covers[k - 1].map)
         self.syzygies[k] = syz
         self._syz_incl[k] = incl
         if syz.is_zero():
@@ -95,9 +113,14 @@ class MinimalResolution:
                 break
             cover = projective_cover(target)
             self.terms.append(cover.projective)
-            self.covers.append(cover.map)
-            incl = self._syz_incl.pop(k)   # read only to compose maps[k]
-            self.maps.append(cover.map if incl is None else incl * cover.map)
+            self._covers.append(cover)
+            gens, images = cover.projective.proj_gens, cover.images
+            incl = self._syz_incl.pop(k)   # read only for the images
+            if incl is not None:   # inclusion columns at the top sections
+                cols = {v: incl.blocks[v].sparse_columns() for v in set(gens)}
+                images = [cols[v][j]
+                          for v, img in zip(gens, images) for j in img]
+            self.images.append(images)
 
     def term(self, i: int) -> Representation:
         """terms[i], or the empty projective sum beyond the computed end of
@@ -118,7 +141,7 @@ class MinimalResolution:
     def syzygy(self, k: int) -> Representation:
         """The k-th syzygy (k = 0 gives the module back)."""
         self.extend(k - 1)
-        if k <= len(self.covers):
+        if k <= len(self.terms):
             return self._syzygy_step(k)
         if not self.terminated:
             raise QtiltError(f"syzygy {k} read before it was computed")
@@ -128,26 +151,19 @@ class MinimalResolution:
         """The differential terms[i] -> terms[i-1] as a sparse matrix of
         algebra elements: a dict whose entry at (k, l) is the nonzero
         element of e_{w_l} A e_{v_k} for generator k of terms[i-1] at v_k
-        and generator l of terms[i] at w_l, as (coeff, basis index) pairs."""
+        and generator l of terms[i] at w_l, as (coeff, basis index) pairs.
+        It is read off the generator images, in ascending row order."""
         alg = self.module.algebra
         gens_lo = self.generators(i - 1)
         gens_hi = self.generators(i)
         X = {}
         if not gens_hi or not gens_lo or i > self.length:
             return X
-        d = self.maps[i]
-        verts = set(gens_hi)
-        offsets_hi = {w: free_offsets(self.terms[i], w) for w in verts}
-        offsets_lo = {w: free_offsets(self.terms[i - 1], w) for w in verts}
-        pos = alg.block_pos
-        block_cols = {}
-        for l, w in enumerate(gens_hi):
-            cols = block_cols.get(w)
-            if cols is None:
-                cols = block_cols[w] = d.blocks[w].sparse_columns()
-            epos = offsets_hi[w][l] + pos[alg.basis_index(Path.trivial(w))]
+        offsets_lo = {w: free_offsets(self.terms[i - 1], w)
+                      for w in set(gens_hi)}
+        for l, (w, vec) in enumerate(zip(gens_hi, self.images[i])):
             lo = offsets_lo[w]
-            for row_i, c in cols[epos].items():
+            for row_i, c in vec.items():
                 k = bisect_right(lo, row_i) - 1
                 x_idx = alg.block_indices(gens_lo[k], w)[row_i - lo[k]]
                 X.setdefault((k, l), []).append((c, x_idx))
@@ -158,6 +174,8 @@ def min_proj_resolution(m: Representation, maxlen: int = DEFAULT_BOUND
                         ) -> MinimalResolution:
     """Minimal projective resolution, cached on the module and extended on
     demand; stops early at a zero syzygy and flags truncation otherwise."""
+    if maxlen < 0:
+        raise QtiltError(f"resolution bound must be >= 0, got {maxlen}")
     res = m._cache.get("minres")
     if res is None:
         res = MinimalResolution(m)
@@ -319,12 +337,15 @@ def _hom_complex_differential(res: MinimalResolution, n: Representation,
     return Matrix._raw(field, rows, cols_dim)
 
 
-def _require_depth(res: MinimalResolution, depth: int, maxlen: int):
-    res.extend(min(depth, maxlen))
+def _require_depth(m: Representation, depth: int, maxlen: int
+                   ) -> MinimalResolution:
+    """m's resolution, grown to depth >= 1 within the bound."""
+    res = min_proj_resolution(m, min(depth, maxlen))
     if not res.terminated and res.length < depth:
         raise InconclusiveError(
             f"resolution truncated at length {res.length} before degree "
             f"{depth}; raise the bound")
+    return res
 
 
 def _hom_rank(res: MinimalResolution, n: Representation, i: int) -> int:
@@ -347,8 +368,7 @@ def ext(m: Representation, n: Representation, p: int,
         raise AlgebraMismatchError("Ext between modules over different algebras")
     if m.is_zero() or n.is_zero():
         return ExtResult(m, n, p, 0)
-    res = min_proj_resolution(m, 0)
-    _require_depth(res, p + 1, maxlen)
+    res = _require_depth(m, p + 1, maxlen)
     if p > res.length and res.terminated:
         return ExtResult(m, n, p, 0)
     cochains = sum(n.dims[v] for v in res.generators(p))
@@ -388,8 +408,7 @@ def ext_module(m: Representation, p: int, maxlen: int = DEFAULT_BOUND
     opp = opposite(alg)
     if m.is_zero():
         return zero_rep(opp)
-    res = min_proj_resolution(m, 0)
-    _require_depth(res, p + 1, maxlen)
+    res = _require_depth(m, p + 1, maxlen)
     if p > res.length and res.terminated:
         return zero_rep(opp)
     out_map = _dualized_differential(res, p + 1)
@@ -468,8 +487,7 @@ def tau_n(m: Representation, n: int, maxlen: int = DEFAULT_BOUND
     alg = m.algebra
     if m.is_zero():
         return zero_rep(alg)
-    res = min_proj_resolution(m, 0)
-    _require_depth(res, n, maxlen)
+    res = _require_depth(m, n, maxlen)
     if res.terminated and res.length < n:
         return zero_rep(alg)
     # transpose of the (n-1)-st syzygy: dualize its presentation
@@ -489,8 +507,7 @@ def tau_n_minus(m: Representation, n: int, maxlen: int = DEFAULT_BOUND
     if m.is_zero():
         return zero_rep(alg)
     dm = dual(m)
-    res = min_proj_resolution(dm, 0)
-    _require_depth(res, n, maxlen)
+    res = _require_depth(dm, n, maxlen)
     if res.terminated and res.length < n:
         return zero_rep(alg)
     d_star = _dualized_differential(res, n)
@@ -532,7 +549,10 @@ def tau_finiteness_probe(alg: BoundQuiverAlgebra, n: int,
     """Iterate tau_n on the injective cogenerator until an iterate
     vanishes (verdict "finite" with the witness exponent) or max_iter is
     reached ("undetermined").  Requires gl.dim <= n; iteration runs
-    summand-by-summand, which is equivalent since tau_n is additive."""
+    summand-by-summand, which is equivalent since tau_n is additive.  Each
+    piece's cached resolution is dropped once its translate is taken."""
+    if max_iter < 1:
+        raise QtiltError(f"probe needs max_iter >= 1, got {max_iter}")
     g = gldim(alg)
     if not is_finite(g) or g > n:
         raise QtiltError(
@@ -543,6 +563,7 @@ def tau_finiteness_probe(alg: BoundQuiverAlgebra, n: int,
         new_pieces = []
         for piece in pieces:
             t = tau_n(piece, n)
+            piece._cache.pop("minres", None)
             if not t.is_zero():
                 new_pieces.append(t)
         vec = [0] * len(alg.quiver.vertices)

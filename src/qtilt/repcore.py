@@ -258,26 +258,43 @@ def _free_arrow_mats(p: Representation) -> Dict[str, Matrix]:
             for a in alg.quiver.arrows}
 
 
-def _arrow_rows(m: Representation, arrow, rows: Sequence[int]):
-    """The sparse rows at the given coordinates of an arrow's matrix on m.
-    A free module whose arrow matrices were not built reads them off its
+def _free_lines(m: Representation, arrow, idxs: Sequence[int], cols: bool):
+    """The sparse rows, or with cols set the columns, at the given
+    coordinates of an arrow's matrix on a free module, read off its
     generators' indecomposable projectives."""
+    gens = m.proj_gens
+    at, other = ((arrow.source, arrow.target) if cols
+                 else (arrow.target, arrow.source))
+    offs, shift = free_offsets(m, at), free_offsets(m, other)
+    blocks = {v: proj(m.algebra, v).mats[arrow.name] for v in set(gens)}
+    blocks = {v: b.sparse_columns() if cols else b.sparse_rows
+              for v, b in blocks.items()}
+    out = []
+    for r in idxs:
+        k = bisect_right(offs, r) - 1
+        line = blocks[gens[k]][r - offs[k]]
+        off = shift[k]
+        out.append({off + j: x for j, x in line.items()} if off else line)
+    return out
+
+
+def _arrow_rows(m: Representation, arrow, rows: Sequence[int]):
+    """The sparse rows at the given coordinates of an arrow's matrix on m,
+    without building the arrow matrices of a free module."""
     if m._mats is not None:
         got = m._mats[arrow.name].sparse_rows
         return [got[r] for r in rows]
-    alg = m.algebra
-    gens = m.proj_gens
-    tgt_offs = free_offsets(m, arrow.target)
-    src_offs = free_offsets(m, arrow.source)
-    block_rows = {v: proj(alg, v).mats[arrow.name].sparse_rows
-                  for v in set(gens)}
-    out = []
-    for r in rows:
-        k = bisect_right(tgt_offs, r) - 1
-        row = block_rows[gens[k]][r - tgt_offs[k]]
-        off = src_offs[k]
-        out.append({off + j: x for j, x in row.items()} if off else row)
-    return out
+    return _free_lines(m, arrow, rows, False)
+
+
+def _arrow_cols(m: Representation, arrow, cols: Sequence[int]) -> Matrix:
+    """The columns at the given coordinates of an arrow's matrix on m, the
+    column twin of `_arrow_rows`."""
+    if m._mats is not None:
+        return m._mats[arrow.name].take_columns(cols)
+    return Matrix.from_sparse_cols(m.algebra.field,
+                                   _free_lines(m, arrow, cols, True),
+                                   m.dims[arrow.target])
 
 
 def proj_sum(alg, gens: Sequence[str]) -> Representation:
@@ -424,15 +441,15 @@ def image_rep(f: ModuleMap):
 def cokernel_rep(f: ModuleMap):
     """(C, projection from the target).  Quotient coordinates come from the
     left kernel of the image; the section is the standard vectors at the
-    complementary positions, so entries stay small."""
+    complementary positions, so entries stay small.  Only the target's
+    arrow columns at those positions are read."""
     alg = f.source.algebra
     cds = {v: cokernel_data(f.blocks[v]) for v in alg.quiver.vertices}
     dims = {v: cds[v].projection.nrows for v in alg.quiver.vertices}
     mats = {}
     for a in alg.quiver.arrows:
-        src, tgt = a.source, a.target
-        sect = f.target.mats[a.name].take_columns(cds[src].complement)
-        mats[a.name] = cds[tgt].projection * sect
+        sect = _arrow_cols(f.target, a, cds[a.source].complement)
+        mats[a.name] = cds[a.target].projection * sect
     c = Representation(alg, dims, mats, validate=False)
     projm = ModuleMap(f.target, c,
                       {v: cds[v].projection for v in alg.quiver.vertices},
@@ -541,39 +558,52 @@ def top_and_radical(m: Representation) -> TopRadical:
 
 
 class Cover:
-    __slots__ = ("projective", "map")
+    """A projective cover P -> m, held as the image in m of each generator
+    of P (a standard vector at a top section).  The map is built from those
+    images on first read."""
 
-    def __init__(self, projective, map_):
+    __slots__ = ("projective", "target", "images", "_map")
+
+    def __init__(self, projective, target, images):
         self.projective = projective
-        self.map = map_
+        self.target = target
+        self.images = images
+        self._map = None
+
+    @property
+    def map(self) -> ModuleMap:
+        if self._map is None:
+            self._map = proj_map_from_images(self.projective, self.target,
+                                             self.images)
+        return self._map
 
 
 def proj_map_from_images(p: Representation, n: Representation,
                          images) -> ModuleMap:
     """The map out of a projective sum sending generator k to the vector
     images[k] of n at the generator's vertex, given sparse as a dict
-    coordinate -> nonzero entry.  Columns are produced in one product per
-    algebra basis element, grouping generators by vertex."""
+    coordinate -> nonzero entry.  Each column combines the columns of an
+    action matrix at the image's coordinates; a unit image reads one."""
     alg = p.algebra
     field = alg.field
-    gens_at = {}
-    for k, v in enumerate(p.proj_gens):
-        gens_at.setdefault(v, []).append(k)
-    img_mat = {v: Matrix.from_sparse_cols(field, [images[k] for k in ks],
-                                          n.dims[v])
-               for v, ks in gens_at.items()}
     blocks = {}
     for w in alg.quiver.vertices:
-        offs = free_offsets(p, w)
-        cols = [None] * p.dims[w]
-        for v, ks in gens_at.items():
-            for j, x_idx in enumerate(alg.block_indices(v, w)):
-                prod = n.act_path(alg.basis[x_idx]) * img_mat[v]
-                prod_cols = prod.sparse_columns()
-                for pos, k in enumerate(ks):
-                    cols[offs[k] + j] = prod_cols[pos]
-        if any(c is None for c in cols):
-            raise QtiltError(f"no image for a generator coordinate at {w}")
+        act_cols = {}
+        cols = []
+        for v, img in zip(p.proj_gens, images):
+            for x_idx in alg.block_indices(v, w):
+                got = act_cols.get(x_idx)
+                if got is None:
+                    got = act_cols[x_idx] = n.act_path(
+                        alg.basis[x_idx]).sparse_columns()
+                if len(img) == 1 and 1 in img.values():
+                    cols.append(got[next(iter(img))])
+                    continue
+                acc = {}
+                for i, c in img.items():
+                    for r, y in got[i].items():
+                        acc[r] = acc.get(r, 0) + c * y
+                cols.append(_tidy(acc, field.char))
         blocks[w] = Matrix.from_sparse_cols(field, cols, n.dims[w])
     return ModuleMap(p, n, blocks, validate=False)
 
@@ -582,18 +612,16 @@ def projective_cover(m: Representation) -> Cover:
     """P(top m) together with the lift of the top identification; the
     kernel sits inside rad P."""
     alg = m.algebra
-    field = alg.field
+    one = alg.field.one()
     sections = _top_sections(m)
     gens = []
     images = []
     for v in alg.quiver.vertices:
         for col in sections[v]:
             gens.append(v)
-            images.append({col: field.one()})
-    p = proj_sum(alg, gens)
+            images.append({col: one})
     # surjective by construction: the images lift a basis of the top
-    cover = proj_map_from_images(p, m, images)
-    return Cover(p, cover)
+    return Cover(proj_sum(alg, gens), m, images)
 
 
 # ---------------------------------------------------------------------------

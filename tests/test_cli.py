@@ -398,3 +398,22 @@ def test_seed_default_read_at_each_dispatch(monkeypatch):
     monkeypatch.setenv("QTILT_SEED", "x")
     assert run(argv) == (2, "error QTILT_SEED is not an integer\n")
     assert len(seen) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["tau-finite", data("kronecker.alg"), "--n", "1", "--max-iter", "-2"],
+    ["tau-finite", data("kronecker.alg"), "--n", "1", "--max-iter", "0"],
+    ["gldim", data("kronecker.alg"), "--max-resolution", "-1"],
+    ["resolve", data("kronecker.alg"), data("s1_kron.mod"),
+     "--max-resolution", "-1"],
+])
+def test_non_positive_bounds_are_usage_errors(argv):
+    code, text = run(argv)
+    assert code == 2
+    assert text.startswith("error ") and ">= " in text
+
+
+def test_gldim_accepts_the_least_bound_it_needs():
+    code, text = run(["gldim", data("kronecker.alg"), "--max-resolution", "1"])
+    assert code == 0
+    assert "gldim 1" in text

@@ -507,9 +507,9 @@ def test_rank_cache_lets_dropped_targets_go():
 
 
 def test_tau_n_builds_only_the_arrows_it_reads(monkeypatch):
-    """tau_2 of a kron^2 injective reads arrow matrices of one free module
-    only, the target of the dualized differential: the resolution's terms
-    and the dualized source stay generator tuples."""
+    """tau_2 of a kron^2 injective builds the arrow matrices of no free
+    module: the resolution's terms and both ends of the dualized
+    differential stay generator tuples."""
     from qtilt import repcore
     from qtilt.tensorcon import tensor_algebras
     kron = make_kronecker()
@@ -528,7 +528,7 @@ def test_tau_n_builds_only_the_arrows_it_reads(monkeypatch):
     res = m._cache["minres"]
     d_star, = dualized
     assert res.length == 2
-    assert len(built) == 1 and built[0] is d_star.target
+    assert built == []
     assert all(p._mats is None for p in res.terms)
     assert d_star.source._mats is None
 
@@ -546,3 +546,187 @@ def test_resolution_drops_kernel_inclusions_once_composed():
     assert res.syzygy(3).is_zero()
     for i in range(1, res.length):
         assert (res.maps[i] * res.maps[i + 1]).is_zero()
+
+
+# --- resolutions held as generator images -------------------------------------
+
+from qtilt.exactla import PrimeField
+
+GF32003 = PrimeField(32003)
+
+
+def _path_algebra(field, arrows, name):
+    """A relation-free path algebra; arrows are (name, source, target)."""
+    from qtilt.quivercore import Arrow, Quiver, build_algebra
+    verts = sorted({v for _, s, t in arrows for v in (s, t)})
+    return build_algebra(Quiver(verts, [Arrow(*a) for a in arrows]), [],
+                         field, name=name)
+
+
+def _kron(field):
+    return _path_algebra(field, [("a0", "2", "1"), ("a1", "2", "1")], "kron")
+
+
+def _a2(field):
+    return _path_algebra(field, [("a", "2", "1")], "a2")
+
+
+def _a3(field):
+    return _path_algebra(field, [("a", "2", "1"), ("b", "3", "2")], "a3")
+
+
+def _tensor(left, right):
+    from qtilt.tensorcon import tensor_algebras
+    return tensor_algebras(left, right).algebra
+
+
+def _image_corpus():
+    from conftest import make_two_loop
+    return {"kron2": _tensor(_kron(QQ), _kron(QQ)),
+            "a3xkron": _tensor(_a3(QQ), _kron(QQ)),
+            "twoloop": make_two_loop(),
+            "kron_gf": _kron(GF32003)}
+
+
+def _eager_resolution(m, upto):
+    """The resolution by composed maps: covers[i] and maps[i], with
+    maps[i] = incl_i * covers[i] for the inclusion of the i-th syzygy."""
+    from qtilt.repcore import kernel_rep, projective_cover
+    covers, maps, syz, incl = [], [], m, None
+    while len(covers) <= upto and not syz.is_zero():
+        cover = projective_cover(syz).map
+        covers.append(cover)
+        maps.append(cover if incl is None else incl * cover)
+        syz, incl = kernel_rep(cover)
+    return covers, maps
+
+
+def _eager_elements(d, i):
+    """presentation_elements(i) read off the composed map d = maps[i]: the
+    column of each generator at its trivial path."""
+    from bisect import bisect_right
+    from qtilt.quivercore import Path
+    from qtilt.repcore import free_offsets
+    alg = d.source.algebra
+    gens_lo, gens_hi = d.target.proj_gens, d.source.proj_gens
+    X = {}
+    for l, w in enumerate(gens_hi):
+        at = (free_offsets(d.source, w)[l]
+              + alg.block_pos[alg.basis_index(Path.trivial(w))])
+        lo = free_offsets(d.target, w)
+        for row_i, c in d.blocks[w].sparse_columns()[at].items():
+            k = bisect_right(lo, row_i) - 1
+            X.setdefault((k, l), []).append(
+                (c, alg.block_indices(gens_lo[k], w)[row_i - lo[k]]))
+    return X
+
+
+def _same_map(f, g):
+    return (f.source.dims == g.source.dims and f.target.dims == g.target.dims
+            and f.blocks == g.blocks)
+
+
+@pytest.mark.parametrize("name", ["kron2", "a3xkron", "twoloop", "kron_gf"])
+def test_generator_images_match_composed_maps(name):
+    alg = _image_corpus()[name]
+    modules = [random_module(alg, seed) for seed in range(3)]
+    modules += [f(alg, v) for v in alg.quiver.vertices for f in (simple, inj)]
+    lengths = []
+    for m in modules:
+        res = MinimalResolution(m)
+        res.extend(3)
+        covers, maps = _eager_resolution(m, 3)
+        assert len(res.terms) == len(maps)
+        assert all(_same_map(f, g) for f, g in zip(res.covers, covers))
+        assert all(_same_map(f, g) for f, g in zip(res.maps, maps))
+        for i in range(1, res.length + 1):
+            got = res.presentation_elements(i)
+            assert list(got.items()) == list(_eager_elements(maps[i], i).items())
+        lengths.append(res.length)
+    assert max(lengths) >= (1 if name == "kron_gf" else 2)
+
+
+def test_resolution_builds_one_cover_map_per_kernel(monkeypatch):
+    """Growing to length n builds the n cover maps whose kernels it takes;
+    reading maps then builds the differentials of degree 1 to n."""
+    from qtilt import repcore
+    from conftest import make_two_loop
+    calls = []
+    for module in (repcore, homengine):
+        real = module.proj_map_from_images
+        monkeypatch.setattr(module, "proj_map_from_images",
+                            lambda *a, real=real: calls.append(1) or real(*a))
+    kron2 = _tensor(_kron(QQ), _kron(QQ))
+    cases = [(dual(proj(opposite(kron2), "(1,1)")), 2),
+             (simple(make_two_loop(), "1"), 3)]
+    for m, n in cases:
+        del calls[:]
+        res = min_proj_resolution(m, n)
+        assert res.length == n and len(calls) == n
+        assert len(res.maps) == n + 1 and len(calls) == 2 * n
+
+
+def test_probe_releases_each_piece_resolution(monkeypatch):
+    """The probe drops every piece's cached resolution once its translate
+    is taken: no injective keeps one, and with the cyclic collector off,
+    reference counting alone frees each resolution."""
+    import gc
+    import weakref
+    alg = _tensor(_kron(QQ), _kron(QQ))
+    held = []
+    real = homengine.tau_n
+
+    def recorded(m, n, *args):
+        t = real(m, n, *args)
+        held.append(weakref.ref(m._cache["minres"]))
+        return t
+
+    monkeypatch.setattr(homengine, "tau_n", recorded)
+    gc.collect()
+    gc.disable()
+    try:
+        result = tau_finiteness_probe(alg, 2, 3)
+        alive = [r for r in held if r() is not None]
+    finally:
+        gc.enable()
+    assert result.trace[0] == (25, 35, 35, 49) and len(held) == 4 + 4 + 4
+    assert alive == []
+    assert all("minres" not in inj(alg, v)._cache for v in alg.quiver.vertices)
+
+
+@pytest.mark.parametrize("call", [
+    lambda alg, m: tau_finiteness_probe(alg, 1, 0),
+    lambda alg, m: tau_finiteness_probe(alg, 1, -2),
+    lambda alg, m: min_proj_resolution(m, -1),
+    lambda alg, m: pd(m, -1),
+    lambda alg, m: gldim(alg, -1),
+    lambda alg, m: tau_n(m, 1, -1),
+    lambda alg, m: ext_dim(m, m, 1, -1),
+])
+def test_non_positive_bounds_rejected(call):
+    alg = make_kronecker()
+    with pytest.raises(QtiltError, match=">= "):
+        call(alg, simple(alg, "2"))
+
+
+def _oracle_modules(alg):
+    for v in alg.quiver.vertices:
+        yield from (proj(alg, v), inj(alg, v), simple(alg, v))
+
+
+@pytest.mark.parametrize("pair", ["kronxa2", "a3xkron"])
+def test_translates_agree_over_q_and_fp(pair):
+    """tau_n and tau_n^- of every indecomposable projective, injective and
+    simple, for n = 1 and 2, have the same dimension vectors over Q and
+    over GF(32003)."""
+    def build(field):
+        left, right = ((_kron(field), _a2(field)) if pair == "kronxa2"
+                       else (_a3(field), _kron(field)))
+        return _tensor(left, right)
+    dims = {}
+    for field in (QQ, GF32003):
+        alg = build(field)
+        dims[field] = [op(m, n).dim_vector() for m in _oracle_modules(alg)
+                       for n in (1, 2) for op in (tau_n, tau_n_minus)]
+    assert dims[QQ] == dims[GF32003]
+    assert any(sum(d) for d in dims[QQ])

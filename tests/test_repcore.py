@@ -599,3 +599,19 @@ def test_top_sections_match_two_elimination_route(field):
             assert _top_sections(m) == _old_top_sections(m)
             checked += 1
     assert checked == 50
+
+
+@pytest.mark.parametrize("which", range(4))
+def test_free_arrow_columns_match_the_full_matrix(which):
+    """Columns read off the projectives, at unsorted and repeated
+    coordinates, equal those of the assembled arrow matrices."""
+    from qtilt.repcore import _arrow_cols
+    alg = _free_corpus()[which]
+    for gens in _generator_tuples(alg):
+        ref = _reference_free_mats(alg, gens)
+        p = proj_sum(alg, gens)
+        for a in alg.quiver.arrows:
+            cols = list(reversed(range(p.dims[a.source])))
+            cols += cols[:2]
+            assert _arrow_cols(p, a, cols) == ref[a.name].take_columns(cols)
+        assert p._mats is None
