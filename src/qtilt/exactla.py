@@ -20,6 +20,7 @@ shares the monic update `_sub_multiple` with the F_p elimination.
 """
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -326,25 +327,9 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ShapeMismatchError(
                 f"product of {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        p = self.field.char
-        brows = other.sparse_rows
-        out = []
-        for arow in self.sparse_rows:
-            if len(arow) == 1:
-                (k, a), = arow.items()
-                out.append(_scaled(brows[k], a, p))
-                continue
-            acc = {}
-            get = acc.get
-            for k, a in arow.items():
-                if a == 1:
-                    for j, v in brows[k].items():
-                        acc[j] = get(j, 0) + v
-                else:
-                    for j, v in brows[k].items():
-                        acc[j] = get(j, 0) + a * v
-            out.append(_tidy(acc, p))
-        return Matrix._raw(self.field, out, other.ncols)
+        return Matrix._raw(self.field, _product_rows(
+            zip(self.sparse_rows, repeat(0)), other.sparse_rows,
+            self.field.char), other.ncols)
 
     def stack_right(self, other) -> "Matrix":
         _check_same_field(self, other)
@@ -379,6 +364,32 @@ class Matrix:
 
     def rank(self) -> int:
         return len(_echelon(_core_rows(self), self.field.char))
+
+
+def _product_rows(lines: Iterable[Tuple[SparseRow, int]],
+                 right: Sequence[SparseRow], p: int) -> List[SparseRow]:
+    """The rows of a product, one per (line, offset) pair: the line is a
+    sparse row whose entry at j multiplies row offset + j of ``right``.
+    So a caller reading rows off a block of a larger matrix passes the
+    block's rows in place, with the block's offset.  A row with a single
+    entry may come back as a shared row of ``right``."""
+    out = []
+    for line, off in lines:
+        if len(line) == 1:
+            (k, a), = line.items()
+            out.append(_scaled(right[off + k], a, p))
+            continue
+        acc = {}
+        get = acc.get
+        for k, a in line.items():
+            if a == 1:
+                for j, v in right[off + k].items():
+                    acc[j] = get(j, 0) + v
+            else:
+                for j, v in right[off + k].items():
+                    acc[j] = get(j, 0) + a * v
+        out.append(_tidy(acc, p))
+    return out
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
@@ -539,6 +550,14 @@ def _back_substitute(pivots: Dict[int, SparseRow], p: int) -> None:
             _eliminate(row, j, pivots[j], p)
 
 
+def pivot_columns(m: Matrix) -> Tuple[int, ...]:
+    """The pivot columns of the rref of m, ascending, from the echelon
+    form alone: back substitution keeps every leading column."""
+    if m.nrows == 0 or m.ncols == 0:
+        return ()
+    return tuple(sorted(_echelon(_core_rows(m), m.field.char)))
+
+
 def rref(m: Matrix) -> RrefResult:
     """Reduced row echelon form with pivot columns and rank."""
     if m.nrows == 0 or m.ncols == 0:
@@ -640,12 +659,15 @@ def _canonical_kernel_vector(vec: SparseRow, p: int) -> SparseRow:
 class KernelData:
     """Kernel basis with its free-column structure: column i has value
     ``scales[i]`` at coordinate ``free[i]`` and zero at every other free
-    coordinate, so linear systems against it solve by row reads."""
+    coordinate, so linear systems against it solve by row reads.
+    ``columns`` holds the same basis as sparse columns, their entries not
+    in ascending row order."""
 
-    __slots__ = ("matrix", "free", "scales")
+    __slots__ = ("matrix", "columns", "free", "scales")
 
-    def __init__(self, matrix: Matrix, free, scales):
+    def __init__(self, matrix: Matrix, columns, free, scales):
         self.matrix = matrix
+        self.columns = columns
         self.free = tuple(free)
         self.scales = tuple(scales)
 
@@ -656,7 +678,7 @@ def kernel_data(m: Matrix) -> KernelData:
     vecs = _null_vectors(m)
     cols = [_canonical_kernel_vector(v, p) for v in vecs.values()]
     scales = [col[f] for f, col in zip(vecs, cols)]
-    return KernelData(Matrix.from_sparse_cols(m.field, cols, m.ncols),
+    return KernelData(Matrix.from_sparse_cols(m.field, cols, m.ncols), cols,
                       vecs, scales)
 
 
@@ -736,4 +758,4 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 def column_space_basis(m: Matrix) -> Matrix:
     """The columns of m sitting at its rref pivot positions; these form a
     basis of the column space and stay as sparse as the input."""
-    return m.take_columns(rref(m).pivots)
+    return m.take_columns(pivot_columns(m))

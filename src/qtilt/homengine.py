@@ -8,9 +8,12 @@ each generator as a sparse vector, and builds module maps only when read.
 Those vectors give each differential as a matrix of algebra elements
 between the generator vertices; dualizing it into the opposite algebra is
 what powers the transpose and the Ext-against-the-algebra module
-structure.  Ext dimensions come from the ranks of the Hom-complex
-differentials, cached on the resolution per target module; cocycle maps
-are built only when read.
+structure.  tau_n is read off the same dualized blocks as a kernel over
+the algebra itself: tau_n M = ker nu(d_n), nu the Nakayama functor, so
+no cokernel over the opposite algebra is built and dualized back.  Ext
+dimensions come from the ranks of the Hom-complex differentials, cached
+on the resolution per target module; cocycle maps are built only when
+read.
 """
 
 from bisect import bisect_right
@@ -21,8 +24,9 @@ from .errors import InconclusiveError, QtiltError
 from .exactla import Matrix, Span, _tidy, kernel_data, solve
 from .quivercore import BoundQuiverAlgebra, opposite
 from .repcore import (Cover, ModuleMap, Representation, cokernel_rep, dual,
-                      free_offsets, inj, kernel_rep, proj_map_from_images,
-                      proj_sum, projective_cover, simple, zero_rep)
+                      dual_free_kernel, free_offsets, inj, kernel_rep,
+                      kernel_rep_data, proj_map_from_images, proj_sum,
+                      projective_cover, simple, zero_rep)
 
 DEFAULT_BOUND = 64
 
@@ -71,7 +75,9 @@ class MinimalResolution:
         self._covers: List[Cover] = []
         self._maps: List[ModuleMap] = []
         self.syzygies: Dict[int, Representation] = {0: module}
-        self._syz_incl: Dict[int, Optional[ModuleMap]] = {0: None}
+        # the inclusion of syzygy k as its kernel columns per vertex, kept
+        # until the next cover reads its generator images
+        self._syz_incl: Dict[int, Optional[Dict[str, List[Dict]]]] = {0: None}
         self.terminated = module.is_zero()
         self.hom_ranks = WeakKeyDictionary()     # n -> {i: rank}
 
@@ -91,9 +97,9 @@ class MinimalResolution:
         """Compute syzygies[k] = ker(covers[k-1]) on demand."""
         if k in self.syzygies:
             return self.syzygies[k]
-        syz, incl = kernel_rep(self._covers[k - 1].map)
+        syz, kds = kernel_rep_data(self._covers[k - 1].map)
         self.syzygies[k] = syz
-        self._syz_incl[k] = incl
+        self._syz_incl[k] = {v: kd.columns for v, kd in kds.items()}
         if syz.is_zero():
             self.terminated = True
         return syz
@@ -117,8 +123,7 @@ class MinimalResolution:
             gens, images = cover.projective.proj_gens, cover.images
             incl = self._syz_incl.pop(k)   # read only for the images
             if incl is not None:   # inclusion columns at the top sections
-                cols = {v: incl.blocks[v].sparse_columns() for v in set(gens)}
-                images = [cols[v][j]
+                images = [dict(sorted(incl[v][j].items()))
                           for v, img in zip(gens, images) for j in img]
             self.images.append(images)
 
@@ -194,13 +199,23 @@ def map_from_elements(p_src: Representation, p_tgt: Representation, Y
     sum_t Y[t, s] . gen_t, where Y is a dict whose entry at (t, s) is a
     list of (coeff, basis index) in e_{src_vertex_s} A e_{tgt_vertex_t};
     missing entries are zero."""
+    cols = _element_columns(p_src, p_tgt, Y)
+    field = p_src.algebra.field
+    return ModuleMap(p_src, p_tgt, {
+        u: Matrix.from_sparse_cols(field, c, p_tgt.dims[u])
+        for u, c in cols.items()}, validate=False)
+
+
+def _element_columns(p_src: Representation, p_tgt: Representation, Y
+                     ) -> Dict[str, List[Dict[int, object]]]:
+    """The blocks of `map_from_elements` as column lists, vertex -> one
+    sparse column per source coordinate there."""
     alg = p_src.algebra
-    field = alg.field
     pos = alg.block_pos
     by_src = {}
     for (t, s), items in Y.items():
         by_src.setdefault(s, []).append((t, items))
-    p = field.char
+    p = alg.field.char
     blocks = {}
     for u in alg.quiver.vertices:
         offs = free_offsets(p_tgt, u)
@@ -215,8 +230,8 @@ def map_from_elements(p_src: Representation, p_tgt: Representation, Y
                             at = offs[t] + pos[y_idx]
                             col[at] = col.get(at, 0) + c * d
                 cols.append(_tidy(col, p))
-        blocks[u] = Matrix.from_sparse_cols(field, cols, p_tgt.dims[u])
-    return ModuleMap(p_src, p_tgt, blocks, validate=False)
+        blocks[u] = cols
+    return blocks
 
 
 def _op_table(alg: BoundQuiverAlgebra) -> List[List[Tuple[int, object]]]:
@@ -244,18 +259,22 @@ def _op_items(alg: BoundQuiverAlgebra, items) -> List[Tuple[object, int]]:
     return [(c, k) for k, c in sorted(acc.items())]
 
 
+def _dualized_elements(res: MinimalResolution, i: int):
+    """(source, target, element matrix) of `_dualized_differential`, in
+    the form `map_from_elements` takes."""
+    alg = res.module.algebra
+    opp = opposite(alg)
+    src = proj_sum(opp, res.generators(i - 1))
+    tgt = proj_sum(opp, res.generators(i))
+    X = res.presentation_elements(i)
+    Y = {(l, k): _op_items(alg, items) for (k, l), items in X.items()}
+    return src, tgt, Y
+
+
 def _dualized_differential(res: MinimalResolution, i: int) -> ModuleMap:
     """Hom(-, algebra) applied to the differential terms[i] -> terms[i-1]:
     a map of projective sums over the opposite algebra."""
-    alg = res.module.algebra
-    opp = opposite(alg)
-    gens_lo = res.generators(i - 1)
-    gens_hi = res.generators(i)
-    src = proj_sum(opp, gens_lo)
-    tgt = proj_sum(opp, gens_hi)
-    X = res.presentation_elements(i)
-    Y = {(l, k): _op_items(alg, items) for (k, l), items in X.items()}
-    return map_from_elements(src, tgt, Y)
+    return map_from_elements(*_dualized_elements(res, i))
 
 
 def transpose(m: Representation) -> Representation:
@@ -481,7 +500,13 @@ def gldim(alg: BoundQuiverAlgebra, bound: int = DEFAULT_BOUND):
 def tau_n(m: Representation, n: int, maxlen: int = DEFAULT_BOUND
           ) -> Representation:
     """tau_n = D Tr of the (n-1)-st syzygy, computed off the cached minimal
-    resolution; zero when the projective dimension is below n."""
+    resolution as the kernel of the Nakayama functor nu = D Hom(-, algebra)
+    applied to the differential d_n : terms[n] -> terms[n-1].  D is exact
+    and contravariant, so D coker(d_n^*) = ker(D d_n^*) = ker nu(d_n): the
+    block of nu(d_n) at a vertex is the transpose of the dualized block,
+    whose columns are its rows, and no cokernel over the opposite algebra
+    is built and dualized back.  Zero when the projective dimension is
+    below n."""
     if n < 1:
         raise QtiltError("tau_n needs n >= 1")
     alg = m.algebra
@@ -490,11 +515,8 @@ def tau_n(m: Representation, n: int, maxlen: int = DEFAULT_BOUND
     res = _require_depth(m, n, maxlen)
     if res.terminated and res.length < n:
         return zero_rep(alg)
-    # transpose of the (n-1)-st syzygy: dualize its presentation
-    # terms[n] -> terms[n-1]
-    d_star = _dualized_differential(res, n)
-    tr, _ = cokernel_rep(d_star)
-    return dual(tr)
+    src, tgt, Y = _dualized_elements(res, n)
+    return dual_free_kernel(tgt, _element_columns(src, tgt, Y))
 
 
 def tau_n_minus(m: Representation, n: int, maxlen: int = DEFAULT_BOUND

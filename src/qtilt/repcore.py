@@ -10,8 +10,11 @@ A free module (a direct sum of indecomposable projectives, from
 `proj_sum`) is held by its generator tuple.  Its arrow action is fixed by
 the algebra: the arrow matrices of each indecomposable projective are
 built once per algebra (`proj`), and a free module's own arrow matrices
-are assembled from them only when `mats` is first read.  `kernel_rep`
-reads the few arrow rows it needs straight from the projectives.
+are assembled from them only when `mats` is first read.  `kernel_rep`,
+`cokernel_rep` and `dual_free_kernel` read the few arrow rows or columns
+they need in place off the projectives (the columns cached on the algebra
+beside them): each line comes with its block's offset in the free module,
+and the product applies the offset instead of copying the line.
 """
 
 import random
@@ -21,8 +24,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (AlgebraMismatchError, QtiltError, ShapeMismatchError,
                      UndecidedIsomorphismError)
-from .exactla import (Matrix, Span, _dense, _tidy, block_diag, cokernel_data,
-                      column_space_basis, hstack, kernel_data, rref, solve,
+from .exactla import (Matrix, Span, _dense, _null_vectors, _product_rows,
+                      _tidy, block_diag, cokernel_data, column_space_basis,
+                      hstack, kernel_data, pivot_columns, solve,
                       solve_against_kernel)
 from .quivercore import (BoundQuiverAlgebra, Path, StructureConstantAlgebra,
                          opposite, primitive_orthogonal_idempotents)
@@ -258,43 +262,57 @@ def _free_arrow_mats(p: Representation) -> Dict[str, Matrix]:
             for a in alg.quiver.arrows}
 
 
+def _proj_columns(alg, v: str) -> Dict[str, List[Dict[int, object]]]:
+    """Arrow name -> the columns of that arrow's matrix on proj(alg, v),
+    cached on the algebra beside the projective."""
+    got = alg._cache.get(("proj_cols", v))
+    if got is None:
+        got = {name: m.sparse_columns()
+               for name, m in proj(alg, v).mats.items()}
+        alg._cache[("proj_cols", v)] = got
+    return got
+
+
 def _free_lines(m: Representation, arrow, idxs: Sequence[int], cols: bool):
     """The sparse rows, or with cols set the columns, at the given
-    coordinates of an arrow's matrix on a free module, read off its
-    generators' indecomposable projectives."""
-    gens = m.proj_gens
+    coordinates of an arrow's matrix on a free module, read in place off
+    its generators' indecomposable projectives: (line, offset) pairs, the
+    line's entry at j sitting at coordinate offset + j of the whole
+    matrix."""
+    alg, gens = m.algebra, m.proj_gens
     at, other = ((arrow.source, arrow.target) if cols
                  else (arrow.target, arrow.source))
     offs, shift = free_offsets(m, at), free_offsets(m, other)
-    blocks = {v: proj(m.algebra, v).mats[arrow.name] for v in set(gens)}
-    blocks = {v: b.sparse_columns() if cols else b.sparse_rows
-              for v, b in blocks.items()}
+    blocks = {v: _proj_columns(alg, v)[arrow.name] if cols
+              else proj(alg, v).mats[arrow.name].sparse_rows
+              for v in set(gens)}
     out = []
     for r in idxs:
         k = bisect_right(offs, r) - 1
-        line = blocks[gens[k]][r - offs[k]]
-        off = shift[k]
-        out.append({off + j: x for j, x in line.items()} if off else line)
+        out.append((blocks[gens[k]][r - offs[k]], shift[k]))
     return out
 
 
 def _arrow_rows(m: Representation, arrow, rows: Sequence[int]):
     """The sparse rows at the given coordinates of an arrow's matrix on m,
-    without building the arrow matrices of a free module."""
+    as (line, offset) pairs for `_product_rows`, without building the arrow
+    matrices of a free module."""
     if m._mats is not None:
         got = m._mats[arrow.name].sparse_rows
-        return [got[r] for r in rows]
+        return [(got[r], 0) for r in rows]
     return _free_lines(m, arrow, rows, False)
 
 
 def _arrow_cols(m: Representation, arrow, cols: Sequence[int]) -> Matrix:
     """The columns at the given coordinates of an arrow's matrix on m, the
-    column twin of `_arrow_rows`."""
+    column twin of `_arrow_rows`, as a matrix."""
     if m._mats is not None:
         return m._mats[arrow.name].take_columns(cols)
-    return Matrix.from_sparse_cols(m.algebra.field,
-                                   _free_lines(m, arrow, cols, True),
-                                   m.dims[arrow.target])
+    rows = [{} for _ in range(m.dims[arrow.target])]
+    for j, (col, off) in enumerate(_free_lines(m, arrow, cols, True)):
+        for i, x in col.items():
+            rows[off + i][j] = x
+    return Matrix._raw(m.algebra.field, rows, len(cols))
 
 
 def proj_sum(alg, gens: Sequence[str]) -> Representation:
@@ -397,12 +415,12 @@ def direct_sum(reps: Sequence[Representation]):
 # subquotients
 
 
-def kernel_rep(f: ModuleMap):
-    """(K, inclusion) with K the vertexwise kernel, arrows restricted.
-    The induced arrow matrices are read off the free rows of the canonical
-    kernel bases: the solutions exist because kernels are arrow-stable.
-    So only the arrow rows at the target kernel's free coordinates enter
-    the products."""
+def kernel_rep_data(f: ModuleMap):
+    """(K, kernel data per vertex) with K the vertexwise kernel, arrows
+    restricted.  The induced arrow matrices are read off the free rows of
+    the canonical kernel bases: the solutions exist because kernels are
+    arrow-stable.  So only the arrow rows at the target kernel's free
+    coordinates enter the products, read in place."""
     alg = f.source.algebra
     field = alg.field
     kds = {v: kernel_data(f.blocks[v]) for v in alg.quiver.vertices}
@@ -410,14 +428,45 @@ def kernel_rep(f: ModuleMap):
     mats = {}
     for a in alg.quiver.arrows:
         kd = kds[a.target]
-        rows = Matrix._raw(field, _arrow_rows(f.source, a, kd.free),
-                           f.source.dims[a.source])
-        mats[a.name] = solve_against_kernel(kd, rows * kds[a.source].matrix)
-    k = Representation(alg, dims, mats, validate=False)
-    incl = ModuleMap(k, f.source, {v: kds[v].matrix
-                                   for v in alg.quiver.vertices},
+        rows = _product_rows(_arrow_rows(f.source, a, kd.free),
+                             kds[a.source].matrix.sparse_rows, field.char)
+        mats[a.name] = solve_against_kernel(
+            kd, Matrix._raw(field, rows, dims[a.source]))
+    return Representation(alg, dims, mats, validate=False), kds
+
+
+def kernel_rep(f: ModuleMap):
+    """(K, inclusion) with K the vertexwise kernel, arrows restricted."""
+    k, kds = kernel_rep_data(f)
+    incl = ModuleMap(k, f.source, {v: kd.matrix for v, kd in kds.items()},
                      validate=False)
     return k, incl
+
+
+def dual_free_kernel(p: Representation, rows) -> Representation:
+    """The kernel of a map out of D p, the K-dual of a free module p over
+    the opposite algebra, given at each vertex u by the sparse rows of its
+    block (``rows[u]``, over p's coordinates at u); a module over the
+    algebra.  The basis is the null vectors with entry 1 at one free
+    coordinate and 0 at the others, so arrow a acts by the rows of D p's
+    arrow at the free coordinates, which are the columns of p's arrow a
+    read in place off the projectives, times the null vectors."""
+    opp = p.algebra
+    alg = opposite(opp)
+    field = alg.field
+    vecs = {u: _null_vectors(Matrix._raw(field, rows[u], p.dims[u]))
+            for u in alg.quiver.vertices}
+    basis_rows = {u: Matrix.from_sparse_cols(field, list(vs.values()),
+                                             p.dims[u]).sparse_rows
+                  for u, vs in vecs.items()}
+    dims = {u: len(vs) for u, vs in vecs.items()}
+    mats = {}
+    for a in opp.quiver.arrows:     # a : t -> s here is s -> t over alg
+        lines = _free_lines(p, a, list(vecs[a.source]), True)
+        mats[a.name] = Matrix._raw(
+            field, _product_rows(lines, basis_rows[a.target], field.char),
+            dims[a.target])
+    return Representation(alg, dims, mats, validate=False)
 
 
 def image_rep(f: ModuleMap):
@@ -527,13 +576,14 @@ def _radical_bases(m: Representation) -> Dict[str, Matrix]:
 def _top_sections(m: Representation):
     """Per vertex, the standard coordinates complementing the radical:
     their classes form a basis of the top.  They are the non-pivot columns
-    of one rref whose row space is the radical at the vertex."""
+    of one echelon form whose rows, the columns of the incoming arrows,
+    span the radical at the vertex."""
     alg = m.algebra
     out = {}
     for v in alg.quiver.vertices:
-        incoming = [m.mats[a.name] for a in alg.quiver.arrows_into(v)]
-        pivots = (set(rref(hstack(incoming).transpose()).pivots)
-                  if incoming else ())
+        radical = [col for a in alg.quiver.arrows_into(v)
+                   for col in m.mats[a.name].sparse_columns()]
+        pivots = set(pivot_columns(Matrix._raw(alg.field, radical, m.dims[v])))
         out[v] = tuple(j for j in range(m.dims[v]) if j not in pivots)
     return out
 
@@ -583,7 +633,8 @@ def proj_map_from_images(p: Representation, n: Representation,
     """The map out of a projective sum sending generator k to the vector
     images[k] of n at the generator's vertex, given sparse as a dict
     coordinate -> nonzero entry.  Each column combines the columns of an
-    action matrix at the image's coordinates; a unit image reads one."""
+    action matrix at the image's coordinates; a unit image reads one, and
+    a trivial path gives the image itself."""
     alg = p.algebra
     field = alg.field
     blocks = {}
@@ -592,6 +643,9 @@ def proj_map_from_images(p: Representation, n: Representation,
         cols = []
         for v, img in zip(p.proj_gens, images):
             for x_idx in alg.block_indices(v, w):
+                if not alg.basis[x_idx].arrows:
+                    cols.append(img)
+                    continue
                 got = act_cols.get(x_idx)
                 if got is None:
                     got = act_cols[x_idx] = n.act_path(

@@ -376,6 +376,19 @@ def test_prop_sparse_kernel_annihilates(shape, p):
     assert k.rank() == k.ncols
 
 
+@pytest.mark.parametrize("p", [0, 32003])
+def test_echelon_pivots_match_rref(p):
+    """pivot_columns skips back substitution and keeps the rref pivots."""
+    from qtilt.exactla import pivot_columns
+    field = GF if p else QQ
+    for seed in range(40):
+        m, n = 1 + seed % 13, 1 + (7 * seed) % 17
+        a = Matrix(field, sparse_rows(seed, m, n, 0.05 + (seed % 4) / 10, p))
+        assert pivot_columns(a) == rref(a).pivots
+        assert pivot_columns(a.transpose()) == rref(a.transpose()).pivots
+    assert pivot_columns(Matrix.zeros(field, 0, 3)) == ()
+
+
 def test_large_sparse_matrix_past_old_dense_threshold():
     rows = sparse_rows(5, 70, 80, 0.03)
     assert 70 * 80 > 4096

@@ -515,9 +515,10 @@ def test_free_module_arrows_match_structure_constants(which):
 
 @pytest.mark.parametrize("which", range(4))
 def test_free_coordinates_follow_generator_order(which):
-    """Unsorted and repeated generators: arrow rows read off the
-    projectives, and a map out of the free module given by generator
-    images, both agree with the entry-by-entry layout."""
+    """Unsorted and repeated generators: arrow rows read in place off the
+    projectives and placed at their block offsets, and a map out of the
+    free module given by generator images, both agree with the
+    entry-by-entry layout."""
     from qtilt.repcore import _arrow_rows, proj_map_from_images
     alg = _free_corpus()[which]
     n = random_module(alg, 5)
@@ -526,8 +527,9 @@ def test_free_coordinates_follow_generator_order(which):
         p = proj_sum(alg, gens)
         for a in alg.quiver.arrows:
             rows = list(reversed(range(p.dims[a.target])))
-            assert _arrow_rows(p, a, rows) == [
-                ref[a.name].sparse_rows[r] for r in rows]
+            got = [{off + j: x for j, x in line.items()}
+                   for line, off in _arrow_rows(p, a, rows)]
+            assert got == [ref[a.name].sparse_rows[r] for r in rows]
         assert p._mats is None
         images = [{i: alg.field.canon(k + i + 1)
                    for i in range(n.dims[v]) if (k + i) % 2 == 0}
