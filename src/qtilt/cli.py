@@ -338,6 +338,16 @@ def _load_module(ws: Workspace, path: str) -> Representation:
     return rep
 
 
+def _load_modules(ws: Workspace, *paths: str) -> List[Representation]:
+    """The modules in the files at paths, each file loaded once, so one
+    file may be named twice (as ``_load_two_algebras`` does for algebras)."""
+    loaded = {}
+    for path in paths:
+        if path not in loaded:
+            loaded[path] = _load_module(ws, path)
+    return [loaded[path] for path in paths]
+
+
 def _exit_from_verdicts(lines: List[str]) -> int:
     code = 0
     for line in lines:
@@ -418,8 +428,7 @@ def _cmd_gldim(args, ws):
 
 def _cmd_ext(args, ws):
     _load_algebra(ws, args.algebra, args.max_degree, args.field)
-    m = _load_module(ws, args.module)
-    n = _load_module(ws, args.other)
+    m, n = _load_modules(ws, args.module, args.other)
     d = ext_dim(m, n, args.p, args.max_resolution)
     return [f"degree {args.p}", f"ext_dim {d}"]
 
@@ -496,8 +505,7 @@ def _cmd_tensor_mod(args, ws):
     left, right = _load_two_algebras(ws, args)
     t = tensor_algebras(left, right)
     ws.add_algebra(t.algebra.name, t.algebra)
-    m = _load_module(ws, args.module)
-    n = _load_module(ws, args.other)
+    m, n = _load_modules(ws, args.module, args.other)
     if m.algebra is not left or n.algebra is not right:
         raise WorkspaceError("modules must be over the two factor algebras")
     prod = tensor_modules(t, m, n)
@@ -519,10 +527,8 @@ def _cmd_kunneth(args, ws):
     left, right = _load_two_algebras(ws, args)
     t = tensor_algebras(left, right)
     ws.add_algebra(t.algebra.name, t.algebra)
-    m = _load_module(ws, args.m)
-    n = _load_module(ws, args.n)
-    mp = _load_module(ws, args.mprime)
-    np_ = _load_module(ws, args.nprime)
+    m, n, mp, np_ = _load_modules(ws, args.m, args.n, args.mprime,
+                                  args.nprime)
     report = kunneth_verify(t, m, n, mp, np_, args.pmax)
     lines = []
     for q, lhs, rhs in report.rows:

@@ -14,13 +14,19 @@ spirit of Bareiss); over F_p the pivot rows are monic.  Reduced row
 echelon form is unique over a field, so the pivots and the canonical
 kernel vectors do not depend on the order of the row operations.
 
+The core reads the input matrix's own row dicts and copies a row only
+before its first change, so the many rows that become pivot rows
+untouched are never copied and no input row is mutated; over Q only a
+row holding a Fraction is replaced, by a primitive integer row.  Kernel
+vectors are read straight off the back-substituted integer pivot rows.
+
 `Span` grows a span one vector at a time.  It keeps monic rows over
 both fields, since normal forms modulo a span need exact remainders, and
 shares the monic update `_sub_multiple` with the F_p elimination.
 """
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -163,11 +169,11 @@ def _qq(x):
 
 
 def _tidy(acc: SparseRow, p: int) -> SparseRow:
-    """Drop zeros from an accumulated row and make its entries canonical."""
+    """Drop zeros from an accumulated row and make its entries canonical,
+    in one pass."""
     if p:
-        acc = {j: v % p for j, v in acc.items()}
-        return {j: v for j, v in acc.items() if v}
-    return {j: _qq(v) for j, v in acc.items() if v}
+        return {j: r for j, v in acc.items() if (r := v % p)}
+    return {j: v if type(v) is int else _qq(v) for j, v in acc.items() if v}
 
 
 def _scaled(row: SparseRow, c, p: int) -> SparseRow:
@@ -434,39 +440,47 @@ class RrefResult:
 # the elimination core
 
 
-def _strip(row: SparseRow) -> None:
-    """Divide an integer row by its content, in place."""
+def _content(row: SparseRow) -> int:
+    """The gcd of the entries of an integer row."""
     g = 0
     for v in row.values():
         g = gcd(g, v)
         if g == 1:
-            return
+            break
+    return g
+
+
+def _strip(row: SparseRow) -> None:
+    """Divide an integer row by its content, in place."""
+    g = _content(row)
     if g > 1:
         for j in row:
             row[j] //= g
 
 
 def _int_row(row: SparseRow) -> SparseRow:
-    """A new primitive integer row spanning the same line as a Q row."""
+    """A new primitive integer row spanning the same line as a Q row that
+    holds a Fraction."""
     den = 1
     for v in row.values():
         if type(v) is not int:
             den = den * v.denominator // gcd(den, v.denominator)
-    if den == 1:
-        out = dict(row)
-    else:
-        out = {j: v * den if type(v) is int else v.numerator * (den // v.denominator)
-               for j, v in row.items()}
+    out = {j: v * den if type(v) is int else v.numerator * (den // v.denominator)
+           for j, v in row.items()}
     _strip(out)
     return out
 
 
 def _core_rows(m: Matrix) -> List[SparseRow]:
-    """Private copies of the nonzero rows of m, which the core may mutate;
-    over Q they are primitive integer rows."""
-    if m.field.char:
-        return [dict(r) for r in m.sparse_rows if r]
-    return [_int_row(r) for r in m.sparse_rows if r]
+    """The nonzero rows of m, as the core reads them: the matrix's own row
+    dicts, except that over Q a row holding a Fraction becomes a new
+    primitive integer row.  The core never mutates a row it did not copy."""
+    rows = [r for r in m.sparse_rows if r]
+    if m.field.char or Fraction not in map(
+            type, chain.from_iterable(map(dict.values, rows))):
+        return rows
+    return [_int_row(r) if Fraction in map(type, r.values()) else r
+            for r in rows]
 
 
 def _sub_multiple(row: SparseRow, f, prow: SparseRow, p: int) -> None:
@@ -515,17 +529,23 @@ def _eliminate(row: SparseRow, c: int, prow: SparseRow, p: int) -> None:
         _strip(row)
 
 
-def _echelon(rows: List[SparseRow], p: int) -> Dict[int, SparseRow]:
+def _echelon(rows: Iterable[SparseRow], p: int) -> Dict[int, SparseRow]:
     """Reduce each row against the pivot rows found so far until its
-    leading column is new; the survivors become pivot rows.  Returns
-    {leading column: pivot row}; the rows list is consumed."""
+    leading column is new; the survivors become pivot rows, monic mod p
+    and primitive with positive lead over Q.  Returns {leading column:
+    pivot row}.  A row is copied before its first change, so a row that
+    needs none is kept as it came."""
     pivots: Dict[int, SparseRow] = {}
     for row in rows:
+        owned = False
         while row:
             c = min(row)
             prow = pivots.get(c)
             if prow is None:
                 break
+            if not owned:
+                row = dict(row)
+                owned = True
             _eliminate(row, c, prow, p)
         if not row:
             continue
@@ -533,21 +553,40 @@ def _echelon(rows: List[SparseRow], p: int) -> Dict[int, SparseRow]:
             if row[c] != 1:
                 row = _scaled(row, pow(row[c], p - 2, p), p)
         else:
-            _strip(row)
-            if row[c] < 0:
-                row = {j: -v for j, v in row.items()}
+            g = row[c]
+            if g not in (1, -1):
+                g = _content(row) if g > 0 else -_content(row)
+            if g != 1:
+                row = {j: v // g for j, v in row.items()}
         pivots[c] = row
     return pivots
 
 
 def _back_substitute(pivots: Dict[int, SparseRow], p: int) -> None:
-    """Clear each pivot row at the other pivot columns, in place.  Pivots
-    are taken in descending order, so every pivot row used is already
-    reduced and brings in no pivot column."""
+    """Clear each pivot row at the other pivot columns.  Pivots are taken
+    in descending order, so every pivot row used is already reduced and
+    brings in no pivot column.  A pivot row that meets another pivot
+    column is replaced by a reduced copy; the others are kept."""
     for c in sorted(pivots, reverse=True):
         row = pivots[c]
-        for j in [j for j in row if j != c and j in pivots]:
-            _eliminate(row, j, pivots[j], p)
+        js = [j for j in row if j != c and j in pivots]
+        if js:
+            row = dict(row)
+            for j in js:
+                _eliminate(row, j, pivots[j], p)
+            pivots[c] = row
+
+
+def _reduced_pivots(m: Matrix) -> Dict[int, SparseRow]:
+    """{pivot column c: row} for the nonzero rows of the rref of m: mod p
+    the rref row itself, over Q an integer row with positive lead row[c]
+    that equals the rref row times row[c]."""
+    if m.nrows == 0 or m.ncols == 0:
+        return {}
+    p = m.field.char
+    pivots = _echelon(_core_rows(m), p)
+    _back_substitute(pivots, p)
+    return pivots
 
 
 def pivot_columns(m: Matrix) -> Tuple[int, ...]:
@@ -564,8 +603,7 @@ def rref(m: Matrix) -> RrefResult:
         return RrefResult(m, ())
     field = m.field
     p = field.char
-    pivots = _echelon(_core_rows(m), p)
-    _back_substitute(pivots, p)
+    pivots = _reduced_pivots(m)
     order = sorted(pivots)
     rows = []
     for c in order:
@@ -631,29 +669,36 @@ class Span:
 # kernels, cokernels, solving
 
 
-def _null_vectors(m: Matrix) -> Dict[int, SparseRow]:
-    """For each free (non-pivot) column f of m, the kernel vector with
-    entry 1 at f and 0 at the other free columns, keyed by f ascending."""
-    res = rref(m)
+def _null_numerators(m: Matrix) -> Tuple[Dict[int, int], Dict[int, SparseRow]]:
+    """(leads, vecs) read off the back-substituted pivot rows row_c of m:
+    ``leads`` holds each row_c[c] that is not 1 (over Q only), and vecs[f],
+    for each free column f ascending, has entry 1 at f, then -row_c[f] at
+    each pivot column c ascending: the null vector at f once its entries
+    at the c in ``leads`` are divided by row_c[c]."""
     p = m.field.char
-    pivset = set(res.pivots)
-    vecs = {f: {f: 1} for f in range(m.ncols) if f not in pivset}
-    for c, row in zip(res.pivots, res.matrix.sparse_rows):
+    pivots = _reduced_pivots(m)
+    vecs = {f: {f: 1} for f in range(m.ncols) if f not in pivots}
+    leads = {}
+    for c in sorted(pivots):
+        row = pivots[c]
+        if row[c] != 1:
+            leads[c] = row[c]
         for j, v in row.items():
             if j != c:
                 vecs[j][c] = p - v if p else -v
+    return leads, vecs
+
+
+def _null_vectors(m: Matrix) -> Dict[int, SparseRow]:
+    """For each free (non-pivot) column f of m, the kernel vector with
+    entry 1 at f and 0 at the other free columns, keyed by f ascending;
+    its entries run f first, then the pivot columns ascending."""
+    leads, vecs = _null_numerators(m)
+    if leads:
+        for vec in vecs.values():
+            for c in leads.keys() & vec.keys():
+                vec[c] = _qq(Fraction(vec[c], leads[c]))
     return vecs
-
-
-def _canonical_kernel_vector(vec: SparseRow, p: int) -> SparseRow:
-    """The multiple of vec that is a primitive integer vector with positive
-    first entry over Q, or has first entry 1 over F_p."""
-    if p:
-        return _scaled(vec, pow(vec[min(vec)], p - 2, p), p)
-    vec = _int_row(vec)
-    if vec[min(vec)] < 0:
-        vec = {j: -v for j, v in vec.items()}
-    return vec
 
 
 class KernelData:
@@ -673,10 +718,35 @@ class KernelData:
 
 
 def kernel_data(m: Matrix) -> KernelData:
-    """Canonical basis of the right null space, as columns."""
+    """Canonical basis of the right null space, as columns: for each free
+    (non-pivot) column f, the null vector zero at the other free columns,
+    scaled to a primitive integer vector with positive first entry over Q
+    and to first entry 1 over F_p.  It is read off the back-substituted
+    integer pivot rows without division; its entries run f first, then
+    the pivot columns ascending."""
     p = m.field.char
-    vecs = _null_vectors(m)
-    cols = [_canonical_kernel_vector(v, p) for v in vecs.values()]
+    leads, vecs = _null_numerators(m)
+    cols = []
+    for f, col in vecs.items():
+        if p:
+            first = min(col)
+            if first != f:
+                col = _scaled(col, pow(col[first], p - 2, p), p)
+        else:
+            divided = leads.keys() & col.keys() if leads else ()
+            if divided:
+                # times d, the lcm of the reduced denominators of the
+                # entries x / lead: a prime power dividing d exactly leaves
+                # some entry's numerator coprime, so col stays primitive
+                d = 1
+                for c in divided:
+                    den = leads[c] // gcd(col[c], leads[c])
+                    d = d * den // gcd(d, den)
+                col = {j: x * d // leads[j] if j in leads else x * d
+                       for j, x in col.items()}
+            if col[min(col)] < 0:
+                col = {j: -x for j, x in col.items()}
+        cols.append(col)
     scales = [col[f] for f, col in zip(vecs, cols)]
     return KernelData(Matrix.from_sparse_cols(m.field, cols, m.ncols), cols,
                       vecs, scales)

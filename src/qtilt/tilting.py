@@ -527,13 +527,15 @@ def apr_cotilting_check(alg: BoundQuiverAlgebra, v: str, n: int,
 
 def count_apr(alg: BoundQuiverAlgebra, n: int) -> Tuple[int, List[AprReport]]:
     """Number of vertices carrying a full tilting candidate, with the
-    passing reports as witnesses."""
+    passing reports as witnesses.  The reports carry verdicts only: no
+    tilting module is built (``summands`` and ``tilting_module`` stay
+    unset); ``apr_check`` at a witness builds it."""
     _require_basic(alg)
     witnesses = []
     for v in alg.quiver.vertices:
         if proj(alg, v).total_dim() != 1:
             continue
-        report = apr_check(alg, v, n, construct=True)
+        report = apr_check(alg, v, n, construct=False)
         if report.full:
             witnesses.append(report)
     return len(witnesses), witnesses

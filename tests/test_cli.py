@@ -355,6 +355,29 @@ def test_tensor_mod_command(tmp_path):
     assert "dimension 12" in text
 
 
+def test_repeated_module_file_is_loaded_once():
+    """tensor-mod, ext and kunneth accept one module file in two argument
+    places; tensor-mod then forms the tensor square."""
+    code, text = run(["tensor-mod", data("kronecker.alg"),
+                      data("kronecker.alg"), data("i1_kron.mod"),
+                      data("i1_kron.mod")])
+    assert code == 0
+    dims = (1, 2)     # dim vector of i1_kron.mod
+    outer = ",".join(str(a * b) for a in dims for b in dims)
+    assert f"module_dim_vector ({outer})" in text
+    assert "total_dimension 9" in text
+    code, text = run(["ext", data("kronecker.alg"), data("s1_kron.mod"),
+                      data("s1_kron.mod"), "--p", "0"])
+    assert code == 0
+    assert "ext_dim 1" in text
+    code, text = run(["kunneth", data("kronecker.alg"), data("a2.alg"),
+                      data("s2_kron.mod"), data("s2_kron.mod"),
+                      data("s1_a2.mod"), data("s1_a2.mod"), "--pmax", "2"])
+    assert code == 0
+    assert text.count("verdict kunneth_q") == 3
+    assert " fail " not in text
+
+
 def test_present_endo_command(tmp_path):
     tmod = tmp_path / "t.mod"
     code, _ = run(["apr-tilt", data("kronecker.alg"), "--vertex", "1",

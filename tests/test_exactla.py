@@ -397,6 +397,116 @@ def test_large_sparse_matrix_past_old_dense_threshold():
     assert res.pivots == pivots and res.matrix == Matrix(QQ, want)
 
 
+def mixed_rows(seed, m, n, density, p=0):
+    """Seeded sparse rows with non-unit leads.  Over Q each row is either
+    all integers (content and sign vary) or holds Fractions; a few rows are
+    combinations of earlier ones, so some rows reduce to zero or need
+    elimination and back substitution."""
+    import random
+    rnd = random.Random(seed)
+    rows = []
+    for i in range(m):
+        ints = p or rnd.random() < 0.6
+        row = [0] * n
+        for _ in range(max(1, int(density * n))):
+            j = rnd.randrange(n)
+            if p:
+                row[j] = rnd.randrange(1, p)
+            elif ints:
+                row[j] = rnd.choice([-6, -4, -3, -2, -1, 1, 2, 3, 4, 6])
+            else:
+                row[j] = Fraction(rnd.choice([-5, -3, -2, -1, 1, 2, 4]),
+                                  rnd.choice([1, 2, 3, 6]))
+        if i > 1 and rnd.random() < 0.3:
+            a, b = rnd.sample(range(i), 2)
+            c = rnd.choice([2, -3])
+            row = [x * 2 + c * y for x, y in zip(rows[a], rows[b])]
+        rows.append(row)
+    return rows
+
+
+def oracle_kernel_columns(rows, n, p=0):
+    """Canonical kernel vectors from the Gauss-Jordan oracle: for each free
+    column f, entry 1 at f and -rref[r][f] at each pivot column, entries
+    in the order f, then pivots ascending; then scaled to a primitive
+    integer vector with positive first entry over Q, or first entry 1 over
+    F_p.  Returns (columns, free columns)."""
+    from math import gcd
+    want, pivots = gauss_jordan(rows, p) if rows else ([], ())
+    free = [f for f in range(n) if f not in pivots]
+    cols = []
+    for f in free:
+        vec = {f: Fraction(1)}
+        for r, c in enumerate(pivots):
+            if want[r][f]:
+                vec[c] = (p - want[r][f]) % p if p else -want[r][f]
+        first = vec[min(vec)]
+        if p:
+            inv = pow(int(first), p - 2, p)
+            col = {j: int(x) * inv % p for j, x in vec.items()}
+        else:
+            den = 1
+            for x in vec.values():
+                den = den * x.denominator // gcd(den, x.denominator)
+            ints = {j: int(x * den) for j, x in vec.items()}
+            g = 0
+            for x in ints.values():
+                g = gcd(g, x)
+            sign = -1 if first < 0 else 1
+            col = {j: sign * x // g for j, x in ints.items()}
+        cols.append(col)
+    return cols, tuple(free)
+
+
+@pytest.mark.parametrize("p", [0, 32003])
+def test_kernel_data_matches_oracle_canonical_vectors(p):
+    """Columns (entry order included), free coordinates and scales equal
+    the canonical vectors built from the Fraction Gauss-Jordan oracle."""
+    field = GF if p else QQ
+    for seed in range(60):
+        m, n = 1 + seed % 11, 1 + (5 * seed) % 19
+        rows = mixed_rows(seed, m, n, 0.1 + (seed % 5) / 8, p)
+        kd = kernel_data(Matrix(field, rows))
+        cols, free = oracle_kernel_columns(rows, n, p)
+        assert [list(c.items()) for c in kd.columns] == \
+            [list(c.items()) for c in cols]
+        assert kd.free == free
+        assert kd.scales == tuple(c[f] for c, f in zip(cols, free))
+        assert all(type(x) is int for c in kd.columns for x in c.values())
+        assert kd.matrix == Matrix.from_sparse_cols(field, cols, n)
+    # no rows: every column is free
+    kd = kernel_data(Matrix.zeros(field, 0, 3))
+    assert kd.free == (0, 1, 2) and kd.scales == (1, 1, 1)
+
+
+def test_entry_points_leave_input_rows_unchanged():
+    """No elimination entry point mutates a row dict of its input, also
+    when rows are shared, non-primitive, negative-led or eliminated."""
+    import copy
+    from qtilt.exactla import cokernel_data, pivot_columns
+    for p in (0, 32003):
+        field = GF if p else QQ
+        for seed in range(40):
+            m, n = 2 + seed % 9, 2 + (3 * seed) % 13
+            a = Matrix(field, mixed_rows(seed, m, n, 0.3 + (seed % 3) / 5, p))
+            b = Matrix(field, mixed_rows(seed + 100, m, 3, 0.5, p))
+            before = copy.deepcopy((a.sparse_rows, b.sparse_rows))
+            rref(a)
+            pivot_columns(a)
+            a.rank()
+            kernel_data(a)
+            cokernel_data(a)
+            solve(a, b)
+            solve(a, a)
+            assert (a.sparse_rows, b.sparse_rows) == before
+        # a matrix whose rows are all shared into the core
+        c = Matrix._raw(field, [{0: 2, 1: 4}, {0: 3, 2: 1}, {1: p - 1 if p
+                                                             else -1}], 3)
+        before = copy.deepcopy(c.sparse_rows)
+        rref(c), kernel_data(c), pivot_columns(c), c.rank()
+        assert c.sparse_rows == before
+
+
 @settings(max_examples=30, deadline=None)
 @given(shapes, st.sampled_from([0, 32003]))
 def test_prop_dense_view_and_equality(shape, p):

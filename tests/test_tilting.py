@@ -336,6 +336,34 @@ def test_count_semisimple(ss2):
     assert count == 0
 
 
+def test_count_builds_no_module(monkeypatch, kron, kron2, a3):
+    """count_apr reports verdicts only: it never takes tau_n^-, and its
+    count and witnesses are those of the constructing apr_check."""
+    import qtilt.tilting as tilting
+    a3sq = tensor_algebras(a3, a3)
+    cases = [(kron, 1, ["1"]), (kron2.algebra, 2, [kron2.vertex("1", "1")]),
+             (a3sq.algebra, 2, [a3sq.vertex("1", "1")])]
+    fields = ("simple_projective", "ext_dims", "weak",
+              "injective_dimension", "full")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("count_apr built a translate")
+    for alg, n, want in cases:
+        reference = [apr_check(alg, v, n) for v in alg.quiver.vertices
+                     if proj(alg, v).total_dim() == 1]
+        reference = [r for r in reference if r.full]
+        monkeypatch.setattr(tilting, "tau_n_minus", refuse)
+        count, witnesses = count_apr(alg, n)
+        monkeypatch.undo()
+        assert count == len(witnesses) == len(want)
+        assert [w.vertex for w in witnesses] == want
+        assert [r.vertex for r in reference] == want
+        for got, ref in zip(witnesses, reference):
+            assert ref.tilting_module is not None
+            assert got.tilting_module is None and got.summands is None
+            assert all(getattr(got, k) == getattr(ref, k) for k in fields)
+
+
 def test_presentation_cartan_data_round_trip(kron2):
     # dim e_i A e_j of the presented algebra matches the abstract blocks
     rep = apr_check(kron2.algebra, kron2.vertex("1", "1"), 2)
