@@ -395,25 +395,33 @@ def _presentation_lines(pres) -> List[str]:
 # subcommand handlers (each returns a list of output lines)
 
 
+def _info_block(args, ws, path: str) -> List[str]:
+    """Load the algebra or module file at path and describe it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    first = next((t.split()[0] for t in map(_strip_comment, text.splitlines())
+                  if t.split()), "")
+    if first == "module":
+        name, over, rep = parse_module_file(text, ws)
+        ws.add_module(name, over, rep)
+        return [f"module {name} over {over}",
+                f"dim_vector {_fmt_dim_vector(rep)}",
+                f"total_dimension {rep.total_dim()}"]
+    name, alg = parse_algebra_file(text, maxdeg=args.max_degree,
+                                   field_override=_field_option(args.field))
+    ws.add_algebra(name, alg)
+    return _algebra_info_lines(alg)
+
+
 def _cmd_info(args, ws):
+    """One block per named file; a file named twice is loaded once (as
+    ``_load_modules`` does) and its block printed at each naming."""
+    blocks = {}
     lines = []
     for path in args.files:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        first = next((t.split()[0] for t in map(_strip_comment, text.splitlines())
-                      if t.split()), "")
-        if first == "module":
-            name, over, rep = parse_module_file(text, ws)
-            ws.add_module(name, over, rep)
-            lines.append(f"module {name} over {over}")
-            lines.append(f"dim_vector {_fmt_dim_vector(rep)}")
-            lines.append(f"total_dimension {rep.total_dim()}")
-        else:
-            name, alg = parse_algebra_file(
-                text, maxdeg=args.max_degree,
-                field_override=_field_option(args.field))
-            ws.add_algebra(name, alg)
-            lines.extend(_algebra_info_lines(alg))
+        if path not in blocks:
+            blocks[path] = _info_block(args, ws, path)
+        lines.extend(blocks[path])
     return lines
 
 

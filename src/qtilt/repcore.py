@@ -348,10 +348,20 @@ def regular(alg) -> Representation:
 
 def dual(m: Representation) -> Representation:
     """The K-dual as a module over the opposite algebra: spaces keep their
-    dimensions, arrow matrices transpose onto the reversed arrows."""
-    opp = opposite(m.algebra)
-    mats = {a.name: m.mats[a.name].transpose() for a in m.algebra.quiver.arrows}
-    return Representation(opp, dict(m.dims), mats, validate=False)
+    dimensions, arrow matrices transpose onto the reversed arrows.
+
+    Cached on m (``m._cache["dual"]``), so everything computed on the
+    dual, its minimal resolution first, is shared by every caller: the
+    APR/BB checks, `injd` and `tau_n_minus` all resolve one DM.  The dual
+    holds no reference back to m."""
+    got = m._cache.get("dual")
+    if got is None:
+        opp = opposite(m.algebra)
+        mats = {a.name: m.mats[a.name].transpose()
+                for a in m.algebra.quiver.arrows}
+        got = m._cache["dual"] = Representation(opp, dict(m.dims), mats,
+                                                validate=False)
+    return got
 
 
 def inj(alg, v: str) -> Representation:

@@ -3,7 +3,11 @@ generalized-tilting certification, endomorphism algebras, and bound quiver
 presentations of the resulting tilt algebras.
 
 Conventions: a candidate at a vertex means the simple (or the
-indecomposable projective) there.  Constructed modules keep their summand
+indecomposable projective) there.  Ext against the injective cogenerator
+DA is read through the duality D, which sends DA to the opposite
+algebra's regular module: Ext^i(DA, X) = Ext^i(DX, A^op) over the
+opposite algebra, so a check resolves the small module DX once and never
+builds or resolves DA.  Constructed modules keep their summand
 labels so presentations can name the tilt's vertices after them; the
 translate summand inherits the replaced vertex's label.
 """
@@ -17,12 +21,11 @@ from .homengine import (ext_dim, gldim, injd, is_finite, pd, tau_n,
 from .quivercore import (Arrow, BoundQuiverAlgebra, IdealClosure, Path,
                          PathSum, Quiver, StructureConstantAlgebra,
                          _paths_of_degree, abstract_radical, build_algebra,
-                         primitive_orthogonal_idempotents,
+                         opposite, primitive_orthogonal_idempotents,
                          semisimple_and_basic_flags)
-from .repcore import (ModuleMap, Representation, decompose, direct_sum,
+from .repcore import (ModuleMap, Representation, decompose, direct_sum, dual,
                       endomorphism_algebra, express_all_in_basis, hom_space,
-                      inj, injective_cogenerator, cokernel_rep, proj, regular,
-                      simple, zero_rep)
+                      inj, cokernel_rep, proj, regular, simple, zero_rep)
 
 
 def _require_basic(alg: BoundQuiverAlgebra):
@@ -71,7 +74,11 @@ def _complement_projectives(alg, v):
 def apr_check(alg: BoundQuiverAlgebra, v: str, n: int,
               construct: bool = True) -> AprReport:
     """Check the translate-tilting conditions at a vertex and, on a weak
-    pass, build T = tau_n^-(P) + (sum of the other projectives)."""
+    pass, build T = tau_n^-(P) + (sum of the other projectives).
+
+    Ext^i(DA, P) is computed as Ext^i(DP, A^op) over the opposite algebra.
+    The one minimal resolution of DP (cached with the dual on P) also
+    serves `injd` (the projective dimension of DP) and `tau_n_minus`."""
     _require_basic(alg)
     if not alg.quiver.has_vertex(v):
         raise QtiltError(f"unknown vertex {v}")
@@ -80,8 +87,9 @@ def apr_check(alg: BoundQuiverAlgebra, v: str, n: int,
     report = AprReport(alg, v, n)
     p = proj(alg, v)
     report.simple_projective = p.total_dim() == 1
-    cog = injective_cogenerator(alg)
-    report.ext_dims = [(i, ext_dim(cog, p, i)) for i in range(n)]
+    dp = dual(p)
+    opp_regular = regular(opposite(alg))
+    report.ext_dims = [(i, ext_dim(dp, opp_regular, i)) for i in range(n)]
     report.weak = report.simple_projective and \
         all(d == 0 for _, d in report.ext_dims)
     report.injective_dimension = injd(p)
@@ -126,7 +134,11 @@ class BbReport:
 def bb_check(alg: BoundQuiverAlgebra, v: str, n: int,
              construct: bool = True) -> BbReport:
     """Check the simple-module tilting conditions at a vertex; on a pass
-    build T = tau_n^-(S) + (sum of the non-cover projectives)."""
+    build T = tau_n^-(S) + (sum of the non-cover projectives).
+
+    Both Ext lists are read off the one minimal resolution of DS over the
+    opposite algebra: Ext^i(DA, S) = Ext^i(DS, A^op) and
+    Ext^i(S, S) = Ext^i(DS, DS); `tau_n_minus` reads it again."""
     _require_basic(alg)
     if not alg.quiver.has_vertex(v):
         raise QtiltError(f"unknown vertex {v}")
@@ -134,9 +146,11 @@ def bb_check(alg: BoundQuiverAlgebra, v: str, n: int,
         raise QtiltError("n must be at least 1")
     report = BbReport(alg, v, n)
     s = simple(alg, v)
-    cog = injective_cogenerator(alg)
-    report.cogenerator_ext_dims = [(i, ext_dim(cog, s, i)) for i in range(n)]
-    report.self_ext_dims = [(i, ext_dim(s, s, i)) for i in range(1, n + 1)]
+    ds = dual(s)
+    opp_regular = regular(opposite(alg))
+    report.cogenerator_ext_dims = [(i, ext_dim(ds, opp_regular, i))
+                                   for i in range(n)]
+    report.self_ext_dims = [(i, ext_dim(ds, ds, i)) for i in range(1, n + 1)]
     report.passes = all(d == 0 for _, d in report.cogenerator_ext_dims) and \
         all(d == 0 for _, d in report.self_ext_dims)
     g = gldim(alg)
@@ -513,7 +527,6 @@ def apr_cotilting_check(alg: BoundQuiverAlgebra, v: str, n: int,
     """Run the tilting check over the opposite algebra; on a weak pass the
     dual module tau_n(I_v) + (sum of the other injectives) is the
     cotilting candidate."""
-    from .quivercore import opposite
     base = apr_check(opposite(alg), v, n, construct=construct)
     cot = None
     summands = None

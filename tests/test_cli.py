@@ -307,6 +307,25 @@ def test_golden_resolve_and_tau_kron2(tmp_path):
                                                 "tau_minus_kron2.mod"))
 
 
+def test_golden_bb_tilt_kron2(tmp_path):
+    # the 2-BB tilt at the simple (1,1), presented
+    assert golden_check("bb_tilt_kron2.txt",
+                        ["bb-tilt", kron_square_file(tmp_path), "--vertex",
+                         "(1,1)", "--n", "2", "--present"]) == 0
+
+
+def test_golden_cotilt_check_kron2(tmp_path):
+    assert golden_check("cotilt_check_kron2.txt",
+                        ["cotilt-check", kron_square_file(tmp_path),
+                         "--vertex", "(2,2)", "--n", "2"]) == 0
+
+
+def test_golden_count_apr_kron2(tmp_path):
+    assert golden_check("count_apr_kron2.txt",
+                        ["count-apr", kron_square_file(tmp_path),
+                         "--n", "2"]) == 0
+
+
 def test_golden_check_fails_on_missing_transcript():
     with pytest.raises(AssertionError, match="missing"):
         golden_check("no_such_transcript.txt", ["info", data("a2.alg")])
@@ -397,6 +416,21 @@ def test_workspace_duplicate_names_rejected():
     ws.add_algebra("kron", alg)
     with pytest.raises(WorkspaceError):
         ws.add_algebra("kron", alg)
+
+
+def test_info_repeated_file_is_loaded_once():
+    """info prints a file's block at every naming of it, algebra and
+    module files alike, and parses the file once."""
+    code, alg_block = run(["info", data("kronecker.alg")])
+    assert code == 0
+    code, text = run(["info", data("kronecker.alg"), data("kronecker.alg")])
+    assert (code, text) == (0, alg_block * 2)
+    code, text = run(["info", data("kronecker.alg"), data("s1_kron.mod"),
+                      data("s2_kron.mod"), data("s1_kron.mod")])
+    assert code == 0
+    s1 = "module s1 over kron\ndim_vector (1,0)\ntotal_dimension 1\n"
+    s2 = "module s2 over kron\ndim_vector (0,1)\ntotal_dimension 1\n"
+    assert text == alg_block + s1 + s2 + s1
 
 
 def test_info_module_without_algebra_exits_2():

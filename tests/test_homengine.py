@@ -781,3 +781,48 @@ def test_tau_n_matches_the_cokernel_route_on_probe_pieces():
                 translates.append(t)
         pieces = translates
     assert sum(p.total_dim() for p in pieces) > 500
+
+
+# --- Ext through the duality ----------------------------------------------------
+
+def _duality_corpus(field):
+    from conftest import make_two_loop
+    kron = _kron(field)
+    return {"kron": kron, "kron2": _tensor(kron, _kron(field)),
+            "a3xkron": _tensor(_a3(field), _kron(field)),
+            "twoloop": make_two_loop(field)}
+
+
+@pytest.mark.parametrize("field", [QQ, GF32003], ids=["Q", "F32003"])
+def test_ext_is_invariant_under_the_duality(field):
+    """D is an exact duality onto modules over the opposite algebra, so
+    Ext^i(X, Y) = Ext^i(DY, DX); the APR and BB checks read their Ext
+    groups this way."""
+    nonzero = 0
+    for name, alg in _duality_corpus(field).items():
+        modules = [random_module(alg, seed) for seed in range(4)]
+        for x in modules:
+            for y in modules:
+                for i in range(4):
+                    d = ext_dim(x, y, i)
+                    assert d == ext_dim(dual(y), dual(x), i), (name, i)
+                    nonzero += d > 0
+    assert nonzero
+
+
+def test_dual_is_cached_on_the_module_and_holds_no_reference_back():
+    import gc
+    import weakref
+    kron = make_kronecker()
+    m = random_module(kron, 3)
+    d = dual(m)
+    assert dual(m) is d and m._cache["dual"] is d
+    pd(d)          # a resolution cached on the dual stays on the dual
+    probe = weakref.ref(m)
+    gc.disable()
+    try:
+        del m
+        assert probe() is None
+    finally:
+        gc.enable()
+    assert d.algebra is opposite(kron)

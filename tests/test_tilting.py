@@ -364,6 +364,108 @@ def test_count_builds_no_module(monkeypatch, kron, kron2, a3):
             assert all(getattr(got, k) == getattr(ref, k) for k in fields)
 
 
+
+# --- the duality route against the cogenerator route ------------------------------
+
+def _tilt_pool():
+    """Fresh A2^2, kron^2, A3^2, A2^3 and kron(x)A2^2, so no cache is shared
+    with other tests."""
+    from conftest import make_a2, make_a3, make_kronecker
+
+    def power(*factors):
+        alg = factors[0]
+        for right in factors[1:]:
+            alg = tensor_algebras(alg, right).algebra
+        return alg
+    a2, a3, kron = make_a2(), make_a3(), make_kronecker()
+    return {"a2^2": power(a2, a2), "kron^2": power(kron, kron),
+            "a3^2": power(a3, a3), "a2^3": power(a2, a2, a2),
+            "kronxa2^2": power(kron, a2, a2)}
+
+
+def _cogenerator_route(alg, v, n):
+    """The checks' numbers read straight off their definitions: Ext against
+    the injective cogenerator DA, and the injective dimension as the last
+    degree with Ext^i(S, P) != 0 for some simple S."""
+    from qtilt.repcore import injective_cogenerator
+    cog = injective_cogenerator(alg)
+    p, s = proj(alg, v), simple(alg, v)
+    simples = [simple(alg, u) for u in alg.quiver.vertices]
+    top = gldim(alg)
+    injd_p = max(i for i in range(top + 1)
+                 if any(ext_dim(t, p, i) for t in simples))
+    return {"apr_ext": [(i, ext_dim(cog, p, i)) for i in range(n)],
+            "injd": injd_p,
+            "bb_cog": [(i, ext_dim(cog, s, i)) for i in range(n)],
+            "bb_self": [(i, ext_dim(s, s, i)) for i in range(1, n + 1)],
+            "gldim_le_n": top <= n}
+
+
+def test_checks_match_the_cogenerator_route():
+    """apr_check, bb_check and count_apr read Ext^i(DA, X) as Ext^i(DX, A^op)
+    over the opposite algebra; the ext dims, verdicts and witnesses equal
+    those of the definitions at every vertex, for n = 1..3."""
+    passes = {"apr": 0, "bb": 0}
+    for name, alg in _tilt_pool().items():
+        for n in (1, 2, 3):
+            want_witnesses = []
+            for v in alg.quiver.vertices:
+                ref = _cogenerator_route(alg, v, n)
+                apr = apr_check(alg, v, n)
+                simple_p = proj(alg, v).total_dim() == 1
+                weak = simple_p and all(d == 0 for _, d in ref["apr_ext"])
+                assert apr.simple_projective == simple_p
+                assert apr.ext_dims == ref["apr_ext"], (name, v, n)
+                assert apr.injective_dimension == ref["injd"], (name, v, n)
+                assert apr.weak == weak
+                assert apr.full == (weak and ref["injd"] == n)
+                if apr.full:
+                    want_witnesses.append(v)
+                bb = bb_check(alg, v, n)
+                assert bb.cogenerator_ext_dims == ref["bb_cog"], (name, v, n)
+                assert bb.self_ext_dims == ref["bb_self"], (name, v, n)
+                assert bb.passes == all(
+                    d == 0 for _, d in ref["bb_cog"] + ref["bb_self"])
+                assert bb.gldim_le_n == ref["gldim_le_n"]
+                passes["apr"] += apr.full
+                passes["bb"] += bb.passes
+            count, witnesses = count_apr(alg, n)
+            assert count == len(want_witnesses)
+            assert [w.vertex for w in witnesses] == want_witnesses
+    assert passes["apr"] and passes["bb"]
+
+
+def test_checks_resolve_only_the_dual_of_the_candidate(monkeypatch):
+    """No check builds the injective cogenerator, and apr_check builds one
+    minimal resolution, that of D P_v over the opposite algebra, which
+    serves Ext, the injective dimension and tau_n^-."""
+    from qtilt import homengine, repcore, tilting
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the injective cogenerator was built")
+    for module in (repcore, homengine, tilting):
+        monkeypatch.setattr(module, "injective_cogenerator", refuse,
+                            raising=False)
+    made = []
+    init = homengine.MinimalResolution.__init__
+
+    def counted(self, module):
+        made.append(module)
+        init(self, module)
+    monkeypatch.setattr(homengine.MinimalResolution, "__init__", counted)
+    pool = _tilt_pool()
+    for name, alg, v, n in [("kron^2", pool["kron^2"], "(1,1)", 2),
+                            ("a2^3", pool["a2^3"], "((1,1),1)", 3),
+                            ("a3^2", pool["a3^2"], "(2,2)", 2)]:
+        made.clear()
+        report = apr_check(alg, v, n)
+        assert made == [dual(proj(alg, v))], name
+        assert report.weak == (name != "a3^2")
+        assert report.weak == (report.tilting_module is not None)
+        bb_check(alg, v, n)
+        count_apr(alg, n)
+
+
 def test_presentation_cartan_data_round_trip(kron2):
     # dim e_i A e_j of the presented algebra matches the abstract blocks
     rep = apr_check(kron2.algebra, kron2.vertex("1", "1"), 2)
