@@ -28,7 +28,7 @@ from .tensorcon import (KunnethReport, TensorAlgebraResult, kunneth_verify,
                         tensor_modules, tensor_total_complex)
 from .tilting import (AlgebraPresentation, AprReport, BbReport, CotiltReport,
                       TiltingCertificate, apr_check, apr_cotilting_check,
-                      bb_check, count_apr, endo_algebra, endo_idempotents,
+                      bb_check, count_apr, endo_algebra,
                       minimal_left_approximation, present_algebra,
                       verify_tilting)
 from .cli import (Workspace, dispatch, main, parse_algebra_file,

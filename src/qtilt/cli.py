@@ -25,8 +25,7 @@ from .repcore import Representation
 from .tensorcon import (kunneth_verify, structural_suite, tensor_algebras,
                         tensor_modules)
 from .tilting import (apr_check, apr_cotilting_check, bb_check, count_apr,
-                      endo_algebra, endo_idempotents, present_algebra,
-                      verify_tilting)
+                      endo_algebra, present_algebra, verify_tilting)
 
 
 class Workspace:
@@ -545,43 +544,50 @@ def _cmd_kunneth(args, ws):
     return lines
 
 
-def _cmd_apr_check(args, ws):
+def _check(args, ws, checker):
+    """(report, output lines) of a vertex check on the named algebra."""
     alg = _load_algebra(ws, args.algebra, args.max_degree, args.field)
-    report = apr_check(alg, args.vertex, args.n)
-    return [f"algebra {alg.name}", f"vertex {args.vertex}", f"n {args.n}"] + \
-        report.verdict_lines()
+    report = checker(alg, args.vertex, args.n)
+    return report, [f"algebra {alg.name}", f"vertex {args.vertex}",
+                    f"n {args.n}"] + report.verdict_lines()
+
+
+def _cmd_apr_check(args, ws):
+    return _check(args, ws, apr_check)[1]
 
 
 def _cmd_bb_check(args, ws):
-    alg = _load_algebra(ws, args.algebra, args.max_degree, args.field)
-    report = bb_check(alg, args.vertex, args.n)
-    return [f"algebra {alg.name}", f"vertex {args.vertex}", f"n {args.n}"] + \
-        report.verdict_lines()
+    return _check(args, ws, bb_check)[1]
 
 
-def _tilt_common(args, ws, checker, want_full=True):
-    alg = _load_algebra(ws, args.algebra, args.max_degree, args.field)
-    report = checker(alg, args.vertex, args.n)
-    lines = [f"algebra {alg.name}", f"vertex {args.vertex}", f"n {args.n}"]
-    lines.extend(report.verdict_lines())
-    constructed = report.tilting_module is not None
-    if not constructed:
+def _summand_lines(summands) -> List[str]:
+    return [f"summand {label} dim {_fmt_dim_vector(rep)}"
+            for label, rep in summands]
+
+
+def _present_endo(t, seed: int):
+    """(End(T)^op, its bookkeeping, its presentation) for a module or a
+    labelled summand list; the summand identities are the idempotents and
+    their labels name the vertices."""
+    sca, data = endo_algebra(t, seed=seed)
+    pres = present_algebra(sca, idempotents=data.idempotents,
+                           labels=[l for l, _ in data.summands], seed=seed)
+    return sca, data, pres
+
+
+def _tilt_common(args, ws, checker):
+    report, lines = _check(args, ws, checker)
+    if report.tilting_module is None:
         return lines
-    for label, rep in report.summands:
-        lines.append(f"summand {label} dim " +
-                     "(" + ",".join(str(rep.dims[v])
-                                    for v in alg.quiver.vertices) + ")")
+    lines.extend(_summand_lines(report.summands))
     if args.output:
         stem = os.path.splitext(os.path.basename(args.output))[0]
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(serialize_module(report.tilting_module, stem))
         lines.append(f"wrote {args.output}")
     if args.present:
-        sca, data = endo_algebra(report.summands, seed=args.seed)
-        pres = present_algebra(sca, idempotents=endo_idempotents(sca, data),
-                               labels=[l for l, _ in data.summands],
-                               seed=args.seed)
-        lines.extend(_presentation_lines(pres))
+        lines.extend(_presentation_lines(
+            _present_endo(report.summands, args.seed)[2]))
     return lines
 
 
@@ -594,16 +600,8 @@ def _cmd_bb_tilt(args, ws):
 
 
 def _cmd_cotilt_check(args, ws):
-    alg = _load_algebra(ws, args.algebra, args.max_degree, args.field)
-    report = apr_cotilting_check(alg, args.vertex, args.n)
-    lines = [f"algebra {alg.name}", f"vertex {args.vertex}", f"n {args.n}"]
-    lines.extend(report.verdict_lines())
-    if report.summands:
-        for label, rep in report.summands:
-            lines.append(f"summand {label} dim " +
-                         "(" + ",".join(str(rep.dims[v])
-                                        for v in alg.quiver.vertices) + ")")
-    return lines
+    report, lines = _check(args, ws, apr_cotilting_check)
+    return lines + _summand_lines(report.summands or ())
 
 
 def _cmd_verify_tilting(args, ws):
@@ -616,15 +614,10 @@ def _cmd_verify_tilting(args, ws):
 def _cmd_present_endo(args, ws):
     _load_algebra(ws, args.algebra, args.max_degree, args.field)
     t = _load_module(ws, args.module)
-    sca, data = endo_algebra(t, seed=args.seed)
-    lines = [f"summands {len(data.summands)}",
-             f"basicized {'true' if data.basicized else 'false'}",
-             f"endo_dimension {sca.dim}"]
-    pres = present_algebra(sca, idempotents=endo_idempotents(sca, data),
-                           labels=[l for l, _ in data.summands],
-                           seed=args.seed)
-    lines.extend(_presentation_lines(pres))
-    return lines
+    sca, data, pres = _present_endo(t, args.seed)
+    return [f"summands {len(data.summands)}",
+            f"basicized {'true' if data.basicized else 'false'}",
+            f"endo_dimension {sca.dim}"] + _presentation_lines(pres)
 
 
 def _cmd_count_apr(args, ws):

@@ -6,14 +6,15 @@ A minimal resolution is grown by iterated projective covers and cached on
 the module, so deeper requests extend earlier work.  It keeps the image of
 each generator as a sparse vector, and builds module maps only when read.
 Those vectors give each differential as a matrix of algebra elements
-between the generator vertices; dualizing it into the opposite algebra is
-what powers the transpose and the Ext-against-the-algebra module
-structure.  tau_n is read off the same dualized blocks as a kernel over
-the algebra itself: tau_n M = ker nu(d_n), nu the Nakayama functor, so
-no cokernel over the opposite algebra is built and dualized back.  Ext
-dimensions come from the ranks of the Hom-complex differentials, cached
-on the resolution per target module; cocycle maps are built only when
-read.
+between the generator vertices.  tau_n is the one syzygy-side translate:
+tau_n M = ker nu(d_n), nu = D Hom(-, algebra) the Nakayama functor, read
+off the dualized blocks as a kernel over the algebra itself.  The other
+two go through it: tau_n^- = D tau_n D over the opposite algebra, and
+Tr = D tau_1.  Ext^p(M, algebra) with its module structure is a kernel
+modulo an image of the dualized differentials, so `ext_module` builds
+them as maps over the opposite algebra.  Ext dimensions come from the
+ranks of the Hom-complex differentials, cached on the resolution per
+target module; cocycle maps are built only when read.
 """
 
 from bisect import bisect_right
@@ -273,18 +274,16 @@ def _dualized_elements(res: MinimalResolution, i: int):
 
 def _dualized_differential(res: MinimalResolution, i: int) -> ModuleMap:
     """Hom(-, algebra) applied to the differential terms[i] -> terms[i-1]:
-    a map of projective sums over the opposite algebra."""
+    a map of projective sums over the opposite algebra.  Only `ext_module`
+    builds it; `tau_n` reads the same blocks as columns."""
     return map_from_elements(*_dualized_elements(res, i))
 
 
 def transpose(m: Representation) -> Representation:
-    """Cokernel of the dualized minimal presentation; a module over the
-    opposite algebra.  Minimality of the presentation keeps the result
-    free of spurious projective summands."""
-    res = min_proj_resolution(m, 1)
-    d_star = _dualized_differential(res, 1)
-    tr, _ = cokernel_rep(d_star)
-    return tr
+    """Tr M = coker(d_1^*) over the opposite algebra, read as D tau_1 M:
+    tau_1 = D Tr, so the cokernel is never built.  Minimality of the
+    presentation keeps the result free of spurious projective summands."""
+    return dual(tau_n(m, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +420,10 @@ def ext_dim(m, n, p, maxlen: int = DEFAULT_BOUND) -> int:
 def ext_module(m: Representation, p: int, maxlen: int = DEFAULT_BOUND
                ) -> Representation:
     """Ext^p(m, algebra) with its right-module structure, returned as a
-    representation of the opposite algebra: the cohomology of the
-    dualized resolution complex."""
+    representation of the opposite algebra: the cohomology
+    ker d_{p+1}^* / im d_p^* of the dualized resolution complex.  Its
+    dual is ker nu(d_p) / im nu(d_{p+1}), a kernel modulo an image, so
+    unlike `tau_n` it cannot be read as one kernel."""
     alg = m.algebra
     opp = opposite(alg)
     if m.is_zero():
@@ -521,23 +522,18 @@ def tau_n(m: Representation, n: int, maxlen: int = DEFAULT_BOUND
 
 def tau_n_minus(m: Representation, n: int, maxlen: int = DEFAULT_BOUND
                 ) -> Representation:
-    """tau_n^- = Tr of the (n-1)-st syzygy of the dual, taken over the
-    opposite algebra; lands back in modules over the original algebra."""
+    """tau_n^- = D tau_n D, tau_n taken over the opposite algebra on the
+    cached dual DM and its cached resolution."""
     if n < 1:
         raise QtiltError("tau_n_minus needs n >= 1")
     alg = m.algebra
     if m.is_zero():
         return zero_rep(alg)
-    dm = dual(m)
-    res = _require_depth(dm, n, maxlen)
-    if res.terminated and res.length < n:
-        return zero_rep(alg)
-    d_star = _dualized_differential(res, n)
-    tr, _ = cokernel_rep(d_star)
-    if tr.algebra is not alg:
+    out = dual(tau_n(dual(m), n, maxlen))
+    if out.algebra is not alg:
         raise QtiltError("the opposite of the opposite algebra is not the "
                          "algebra")
-    return tr
+    return out
 
 
 def tau_n_ext(m: Representation, n: int, maxlen: int = DEFAULT_BOUND

@@ -14,7 +14,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (NotAdmissibleError, NonSplitError, QtiltError,
                      UnsupportedCharacteristicError)
-from .exactla import Matrix, QQ, Span, _dense, _tidy, kernel_basis, rref
+from .exactla import Matrix, QQ, Span, _dense, _tidy, kernel_basis
 
 
 class Arrow(NamedTuple):
@@ -745,43 +745,22 @@ def poly_eval_in_algebra(a: StructureConstantAlgebra, coeffs, x, unit=None):
 # -- idempotent splitting and lifting ----------------------------------------
 
 def quotient_by_radical(a: StructureConstantAlgebra):
-    """(projection rows, section columns, quotient algebra) for a/rad(a)."""
-    rad = abstract_radical(a)
-    field = a.field
-    if not rad:
-        proj = Matrix.identity(field, a.dim)
-        return proj, proj, a
-    radm = Matrix(field, rad)
-    res = rref(radm)
-    piv = set(res.pivots)
-    free = [j for j in range(a.dim) if j not in piv]
-    s = len(free)
-    # projection: normal form modulo the radical row space, in free coords
-    zero = field.zero()
-    proj_rows = []
-    for k, fcol in enumerate(free):
-        row = [zero] * a.dim
-        row[fcol] = field.one()
-        for r, c in enumerate(res.pivots):
-            if res.matrix[(r, fcol)] != 0:
-                row[c] = field.canon(-res.matrix[(r, fcol)])
-        proj_rows.append(row)
-    proj = Matrix(field, proj_rows)          # s x dim, maps A -> Abar coords
-    section_cols = []
-    for fcol in free:
-        col = [zero] * a.dim
-        col[fcol] = field.one()
-        section_cols.append(col)
-    section = Matrix.from_cols(field, section_cols, nrows=a.dim)
+    """(free coordinates, quotient algebra) for a/rad(a): the coordinates
+    leading no row of the radical's reduced `Span` index the quotient
+    basis, and an element maps to its remainder modulo that span."""
+    rad = Span(a.field)
+    for vec in abstract_radical(a):
+        rad.add(vec)
+    free = [j for j in range(a.dim) if j not in rad.rows]
+    at = {j: k for k, j in enumerate(free)}
 
     def to_bar(vec):
-        return _tidy({k: sum(row[l] * c for l, c in vec.items() if l in row)
-                      for k, row in enumerate(proj.sparse_rows)}, field.char)
+        return {at[j]: c for j, c in rad.reduce(vec).items()}
 
     table = [[to_bar(a.cells[fi].get(fj, {})) for fj in free] for fi in free]
-    bar_unit = _dense(to_bar(a.sparse(a.unit)), s)
-    bar = StructureConstantAlgebra(field, table, bar_unit, validate=False)
-    return proj, section, bar
+    bar_unit = _dense(to_bar(a.sparse(a.unit)), len(free))
+    bar = StructureConstantAlgebra(a.field, table, bar_unit, validate=False)
+    return free, bar
 
 
 def lift_idempotent(a: StructureConstantAlgebra, x: Sequence) -> Tuple:
@@ -860,21 +839,23 @@ def _split_semisimple(bar: StructureConstantAlgebra, seed: int = 0):
 def primitive_orthogonal_idempotents(a: StructureConstantAlgebra,
                                      seed: int = 0) -> List[Tuple]:
     """A complete list of primitive orthogonal idempotents summing to 1,
-    lifted from the semisimple quotient.  Requires characteristic zero and
-    a split quotient."""
+    lifted from the semisimple quotient: each quotient idempotent is put
+    at the free coordinates of `quotient_by_radical` and lifted.  Requires
+    characteristic zero and a split quotient."""
     if a.field.char != 0:
         raise UnsupportedCharacteristicError(
             "idempotent splitting needs characteristic zero")
-    _, section, bar = quotient_by_radical(a)
+    free, bar = quotient_by_radical(a)
     field = a.field
     bar_idems = _split_semisimple(bar, seed)
     if len(bar_idems) == 1:
         return [a.unit]
     lifted = []
     partial = tuple(field.zero() for _ in range(a.dim))
-    for k, ebar in enumerate(bar_idems[:-1]):
-        x = tuple((section * Matrix.from_cols(field, [ebar], nrows=bar.dim)
-                   ).column(0))
+    for ebar in bar_idems[:-1]:
+        x = [field.zero()] * a.dim
+        for j, c in zip(free, ebar):
+            x[j] = c
         comp = tuple(field.canon(u - s) for u, s in zip(a.unit, partial))
         x = a.mult(a.mult(comp, x), comp)
         e = lift_idempotent(a, x)

@@ -644,7 +644,7 @@ def proj_map_from_images(p: Representation, n: Representation,
     images[k] of n at the generator's vertex, given sparse as a dict
     coordinate -> nonzero entry.  Each column combines the columns of an
     action matrix at the image's coordinates; a unit image reads one, and
-    a trivial path gives the image itself."""
+    a trivial path or a zero image gives the image itself."""
     alg = p.algebra
     field = alg.field
     blocks = {}
@@ -653,7 +653,7 @@ def proj_map_from_images(p: Representation, n: Representation,
         cols = []
         for v, img in zip(p.proj_gens, images):
             for x_idx in alg.block_indices(v, w):
-                if not alg.basis[x_idx].arrows:
+                if not img or not alg.basis[x_idx].arrows:
                     cols.append(img)
                     continue
                 got = act_cols.get(x_idx)
@@ -713,23 +713,13 @@ def hom_space(m: Representation, n: Representation) -> List[ModuleMap]:
 
 
 def _hom_from_projective(p: Representation, n: Representation) -> List[ModuleMap]:
-    alg = p.algebra
-    field = alg.field
-    offsets = {w: free_offsets(p, w) for w in alg.quiver.vertices}
-    out = []
-    for k, v in enumerate(p.proj_gens):
-        for b in range(n.dims[v]):
-            blocks = {}
-            for w in alg.quiver.vertices:
-                cols = [{} for _ in range(p.dims[w])]
-                for j, x_idx in enumerate(alg.block_indices(v, w)):
-                    act = n.act_path(alg.basis[x_idx])
-                    cols[offsets[w][k] + j] = {
-                        i: r[b] for i, r in enumerate(act.sparse_rows)
-                        if b in r}
-                blocks[w] = Matrix.from_sparse_cols(field, cols, n.dims[w])
-            out.append(ModuleMap(p, n, blocks, validate=False))
-    return out
+    """One map per generator k of p and basis vector e_b of n at its
+    vertex: the map sending generator k to e_b and the others to 0."""
+    one = p.algebra.field.one()
+    gens = p.proj_gens
+    return [proj_map_from_images(p, n, [{b: one} if l == k else {}
+                                        for l in range(len(gens))])
+            for k, v in enumerate(gens) for b in range(n.dims[v])]
 
 
 def _hom_generic(m: Representation, n: Representation) -> List[ModuleMap]:
@@ -797,19 +787,56 @@ def express_in_basis(maps: Sequence[ModuleMap], f: ModuleMap):
     return None if coords is None else _dense(coords[0], len(maps))
 
 
+def linear_combination(coeffs, maps: Sequence[ModuleMap]
+                       ) -> Optional[ModuleMap]:
+    """sum_i coeffs[i] maps[i], or None when every coefficient is zero."""
+    f = None
+    for c, h in zip(coeffs, maps):
+        if c != 0:
+            f = h.scale(c) if f is None else f + h.scale(c)
+    return f
+
+
+def endomorphism_blocks(modules: Sequence[Representation]):
+    """End(U_0 + ... + U_k) on its Hom-block basis: ``blocks`` lists
+    (i, j, f) for each basis map f : U_i -> U_j, ``table[x][y]`` holds the
+    coordinates of f_x o f_y and ``identities[i]`` those of the identity
+    of U_i, as sparse dicts.  One solve per Hom block expresses them."""
+    blocks = []
+    for i, ui in enumerate(modules):
+        for j, uj in enumerate(modules):
+            blocks.extend((i, j, f) for f in hom_space(ui, uj))
+    positions: Dict[Tuple[int, int], List[int]] = {}
+    for pos, (i, j, _) in enumerate(blocks):
+        positions.setdefault((i, j), []).append(pos)
+    # the identities ride along on the diagonal blocks, keyed (k, None)
+    wanted = {(k, k): [((k, None), ModuleMap.identity(u))]
+              for k, u in enumerate(modules)}
+    for x, (i1, j1, f1) in enumerate(blocks):
+        for y, (i2, j2, f2) in enumerate(blocks):
+            if j2 == i1:
+                wanted.setdefault((i2, j1), []).append(((x, y), f1 * f2))
+    cells = {}
+    for ij, items in wanted.items():
+        pos = positions.get(ij, [])
+        coords = express_all_in_basis([blocks[p][2] for p in pos],
+                                      [f for _, f in items])
+        if coords is None:
+            raise QtiltError("a composite or an identity left its Hom block")
+        for (key, _), col in zip(items, coords):
+            cells[key] = {pos[r]: c for r, c in col.items()}
+    dim = len(blocks)
+    table = [[cells.get((x, y), {}) for y in range(dim)] for x in range(dim)]
+    return blocks, table, [cells[(k, None)] for k in range(len(modules))]
+
+
 def endomorphism_algebra(m: Representation):
     """(StructureConstantAlgebra of End(m) with composition product,
-    basis maps)."""
-    basis = hom_space(m, m)
-    d = len(basis)
-    # the identity rides along as the last map to express
-    cols = express_all_in_basis(
-        basis, [f * g for f in basis for g in basis] + [ModuleMap.identity(m)])
-    if cols is None:
-        raise QtiltError("the End basis misses the identity or a composite")
-    table = [cols[i * d:(i + 1) * d] for i in range(d)]
-    sca = StructureConstantAlgebra(m.algebra.field, table, _dense(cols[-1], d))
-    return sca, basis
+    basis maps): `endomorphism_blocks` on the one module m."""
+    blocks, table, (unit,) = endomorphism_blocks([m])
+    sca = StructureConstantAlgebra(m.algebra.field, table,
+                                   _dense(unit, len(blocks)))
+    return sca, [f for _, _, f in blocks]
 
 
 # ---------------------------------------------------------------------------
@@ -850,10 +877,7 @@ def decompose(m: Representation, seed: int = 0) -> Decomposition:
     pieces = []
     maps = []
     for vec in idems:
-        e = None
-        for c, f in zip(vec, basis):
-            if c != 0:
-                e = f.scale(c) if e is None else e + f.scale(c)
+        e = linear_combination(vec, basis)
         if e is None:
             raise QtiltError("zero idempotent in a decomposition")
         piece, incl = image_rep(e)
@@ -893,13 +917,8 @@ def is_isomorphic(m: Representation, n: Representation, seed: int = 0,
     d = len(homs)
 
     def invertible(coeffs) -> bool:
-        f = None
-        for c, h in zip(coeffs, homs):
-            if c != 0:
-                f = h.scale(c) if f is None else f + h.scale(c)
-        if f is None:
-            return False
-        return f.is_isomorphism()
+        f = linear_combination(coeffs, homs)
+        return f is not None and f.is_isomorphism()
 
     rnd = random.Random(seed)
     for _ in range(20):

@@ -23,9 +23,10 @@ from .quivercore import (Arrow, BoundQuiverAlgebra, IdealClosure, Path,
                          _paths_of_degree, abstract_radical, build_algebra,
                          opposite, primitive_orthogonal_idempotents,
                          semisimple_and_basic_flags)
-from .repcore import (ModuleMap, Representation, decompose, direct_sum, dual,
-                      endomorphism_algebra, express_all_in_basis, hom_space,
-                      inj, cokernel_rep, proj, regular, simple, zero_rep)
+from .repcore import (ModuleMap, Representation, cokernel_rep, decompose,
+                      direct_sum, dual, endomorphism_algebra,
+                      endomorphism_blocks, hom_space, inj,
+                      linear_combination, proj, regular, simple, zero_rep)
 
 
 def _require_basic(alg: BoundQuiverAlgebra):
@@ -67,8 +68,13 @@ class AprReport:
                 for name, ok_, d in out]
 
 
-def _complement_projectives(alg, v):
-    return [(w, proj(alg, w)) for w in alg.quiver.vertices if w != v]
+def _construct(report, x):
+    """Give report the tilting module T = tau_n^-(x) + (the projectives at
+    the other vertices), each summand labelled by its vertex."""
+    alg, v = report.algebra, report.vertex
+    report.summands = [(v, tau_n_minus(x, report.n))] + [
+        (w, proj(alg, w)) for w in alg.quiver.vertices if w != v]
+    report.tilting_module = direct_sum([u for _, u in report.summands])[0]
 
 
 def apr_check(alg: BoundQuiverAlgebra, v: str, n: int,
@@ -95,11 +101,7 @@ def apr_check(alg: BoundQuiverAlgebra, v: str, n: int,
     report.injective_dimension = injd(p)
     report.full = report.weak and report.injective_dimension == n
     if report.weak and construct:
-        translate = tau_n_minus(p, n)
-        pieces = [(v, translate)] + _complement_projectives(alg, v)
-        total, _, _ = direct_sum([rep for _, rep in pieces])
-        report.summands = pieces
-        report.tilting_module = total
+        _construct(report, p)
     return report
 
 
@@ -156,11 +158,7 @@ def bb_check(alg: BoundQuiverAlgebra, v: str, n: int,
     g = gldim(alg)
     report.gldim_le_n = is_finite(g) and g <= n
     if report.passes and construct:
-        translate = tau_n_minus(s, n)
-        pieces = [(v, translate)] + _complement_projectives(alg, v)
-        total, _, _ = direct_sum([rep for _, rep in pieces])
-        report.summands = pieces
-        report.tilting_module = total
+        _construct(report, s)
     return report
 
 
@@ -203,16 +201,8 @@ class TiltingCertificate:
 
 def _endo_radical_maps(u: Representation) -> List[ModuleMap]:
     sca, basis = endomorphism_algebra(u)
-    rad = abstract_radical(sca)
-    out = []
-    for vec in rad:
-        f = None
-        for c, h in zip(vec, basis):
-            if c != 0:
-                f = h.scale(c) if f is None else f + h.scale(c)
-        if f is not None:
-            out.append(f)
-    return out
+    maps = (linear_combination(vec, basis) for vec in abstract_radical(sca))
+    return [f for f in maps if f is not None]
 
 
 def minimal_left_approximation(x: Representation,
@@ -318,8 +308,9 @@ def endo_algebra(t, seed: int = 0):
 
     Accepts either a module (decomposed internally, repeated summands
     dropped with a note) or an explicit list of (label, summand) pairs.
-    Multiplication is opposite-order composition, so path conventions in
-    presentations match left-module composition."""
+    The table is `repcore.endomorphism_blocks` on the summands, transposed:
+    in End(T)^op, x * y = f_y o f_x, so path conventions in presentations
+    match left-module composition."""
     if isinstance(t, Representation):
         dec = decompose(t, seed)
         mults = [mult for _, mult in dec.summands]
@@ -332,55 +323,28 @@ def endo_algebra(t, seed: int = 0):
         labels = [lbl for lbl, _ in summands]
         if len(set(labels)) != len(labels):
             raise QtiltError("summand labels must be unique")
-    field = summands[0][1].algebra.field
-    blocks = []
-    for i, (_, ui) in enumerate(summands):
-        for j, (_, uj) in enumerate(summands):
-            for f in hom_space(ui, uj):
-                blocks.append((i, j, f))
+    if not summands:
+        raise QtiltError("End(T) needs at least one nonzero summand")
+    blocks, table, ident = endomorphism_blocks([u for _, u in summands])
     dim = len(blocks)
-    positions: Dict[Tuple[int, int], List[int]] = {}
-    for pos, (i, j, _) in enumerate(blocks):
-        positions.setdefault((i, j), []).append(pos)
-    # each Hom block collects the maps it must express: the opposite
-    # products x*y = f2 o f1 when the target of f1 feeds the source of f2,
-    # and on the diagonal the summand identity, keyed (k, None)
-    wanted: Dict[Tuple[int, int], List[Tuple[object, ModuleMap]]] = {
-        (k, k): [((k, None), ModuleMap.identity(u))]
-        for k, (_, u) in enumerate(summands)}
-    for x, (i1, j1, f1) in enumerate(blocks):
-        for y, (i2, j2, f2) in enumerate(blocks):
-            if j1 == i2:
-                wanted.setdefault((i1, j2), []).append(((x, y), f2 * f1))
-    # one solve per block expresses all its maps in the block basis
-    cells = {}
-    for ij, items in wanted.items():
-        pos = positions.get(ij, [])
-        coords = express_all_in_basis([blocks[p][2] for p in pos],
-                                      [f for _, f in items])
-        if coords is None:
-            raise QtiltError("composition left the Hom block")
-        for (key, _), col in zip(items, coords):
-            cells[key] = {pos[r]: c for r, c in col.items()}
-    table = [[cells.get((x, y), {}) for y in range(dim)] for x in range(dim)]
-    ident = [cells[(k, None)] for k in range(len(summands))]
-    idempotents = [_dense(e, dim) for e in ident]
     # the identities lie in distinct diagonal blocks, so the unit is their
     # union
     unit = _dense({p: c for e in ident for p, c in e.items()}, dim)
-    sca = StructureConstantAlgebra(field, table, unit)
-    data = EndoData(summands, blocks, mults, basicized, idempotents)
+    sca = StructureConstantAlgebra(summands[0][1].algebra.field,
+                                   list(zip(*table)), unit)
+    data = EndoData(summands, blocks, mults, basicized,
+                    [_dense(e, dim) for e in ident])
     return sca, data
 
 
-def endo_idempotents(sca, data) -> List[Tuple]:
-    """The summand identities as idempotent coordinate vectors."""
-    return list(data.idempotents)
-
-
 class AlgebraPresentation:
-    """A bound quiver presentation of an abstract algebra: quiver, minimal
-    relation generators, and the arrow-to-element surjection data."""
+    """A bound quiver presentation of an abstract algebra: quiver,
+    relations, and the arrow-to-element surjection data.
+
+    The relations generate the ideal (the round trip is checked), each
+    reduced modulo the arrow multiples of the earlier ones up to its own
+    degree.  They need not be minimal: x^3 is kept for
+    k<x,y>/(xy, yx, x^2 - y^3), though x^3 = x(x^2 - y^3) + (xy)y^2."""
 
     def __init__(self, quiver, relations, arrow_images, dim, algebra):
         self.quiver = quiver

@@ -15,7 +15,7 @@ from qtilt.repcore import (decompose, direct_sum, dual, inj, is_isomorphic,
 from qtilt.tensorcon import (kunneth_verify, structural_suite, tensor_algebras,
                              tensor_modules)
 from qtilt.tilting import (apr_check, count_apr, endo_algebra,
-                           endo_idempotents, present_algebra, verify_tilting)
+                           present_algebra, verify_tilting)
 
 from conftest import (make_a2, make_a3, make_a3_nilpotent, make_kronecker,
                       make_loop_nilpotent, make_semisimple, make_square)
@@ -31,7 +31,7 @@ def test_acceptance_1_kronecker_one_apr_tilt(kron):
     dims = sorted(r.dim_vector() for _, r in rep.summands)
     assert dims == [(2, 1), (3, 2)]
     sca, data = endo_algebra(rep.summands)
-    pres = present_algebra(sca, idempotents=endo_idempotents(sca, data),
+    pres = present_algebra(sca, idempotents=data.idempotents,
                            labels=[l for l, _ in data.summands])
     assert len(pres.quiver.vertices) == 2
     assert len(pres.quiver.arrows) == 2
@@ -63,7 +63,7 @@ def test_acceptance_3_two_apr_over_tensor_square(kron2):
     cert = verify_tilting(kron2.algebra, rep.tilting_module, 2)
     assert cert.passed
     sca, data = endo_algebra(rep.summands)
-    pres = present_algebra(sca, idempotents=endo_idempotents(sca, data),
+    pres = present_algebra(sca, idempotents=data.idempotents,
                            labels=[l for l, _ in data.summands])
     assert len(pres.quiver.vertices) == 4
     v12, v21, v22 = (kron2.vertex("1", "2"), kron2.vertex("2", "1"),

@@ -409,6 +409,16 @@ def test_present_endo_command(tmp_path):
     assert "presentation_relations 0" in text
 
 
+def test_present_endo_on_the_zero_module_is_an_input_error(tmp_path):
+    """End(0) has no summand to present: a typed error, exit 2, not an
+    internal crash."""
+    zmod = tmp_path / "z.mod"
+    zmod.write_text("module z over kron\ndim 1=0 2=0\n")
+    code, text = run(["present-endo", data("kronecker.alg"), str(zmod)])
+    assert code == 2
+    assert text.startswith("error ") and "summand" in text
+
+
 def test_workspace_duplicate_names_rejected():
     from qtilt.errors import WorkspaceError
     ws = Workspace()

@@ -768,6 +768,60 @@ def test_tau_n_matches_the_cokernel_route(name):
     assert nonzero
 
 
+def _tau_minus_by_cokernel(m, n):
+    """The cokernel route to tau_n^-: coker of the dualized differential
+    terms[n] -> terms[n-1] of the resolution of Dm, over the opposite of
+    the opposite algebra."""
+    from qtilt.repcore import cokernel_rep, zero_rep
+    res = min_proj_resolution(dual(m), n)
+    if m.is_zero() or (res.terminated and res.length < n):
+        return zero_rep(m.algebra)
+    return cokernel_rep(homengine._dualized_differential(res, n))[0]
+
+
+def _transpose_by_cokernel(m):
+    """Tr m as the cokernel of the dualized minimal presentation."""
+    from qtilt.repcore import cokernel_rep
+    res = min_proj_resolution(m, 1)
+    return cokernel_rep(homengine._dualized_differential(res, 1))[0]
+
+
+@pytest.mark.parametrize("name", ["kron2", "a3xkron", "twoloop", "kron_gf"])
+def test_tau_n_minus_and_transpose_match_the_cokernel_routes(name):
+    """tau_n^- = D tau_n D and Tr = D tau_1 equal the cokernels of the
+    dualized differentials arrow matrix for arrow matrix, for n = 1, 2."""
+    alg = _image_corpus()[name]
+    modules = list(_oracle_modules(alg))
+    modules += [random_module(alg, seed) for seed in range(10)]
+    nonzero = [0, 0]
+    for m in modules:
+        for n in (1, 2):
+            t = tau_n_minus(m, n)
+            assert _same_module(t, _tau_minus_by_cokernel(m, n))
+            nonzero[0] += not t.is_zero()
+        tr = transpose(m)
+        assert tr.algebra is opposite(alg)
+        assert _same_module(tr, _transpose_by_cokernel(m))
+        nonzero[1] += not tr.is_zero()
+    assert all(nonzero)
+
+
+def test_translates_route_through_tau_n(monkeypatch):
+    """tau_n_minus and transpose build no cokernel and no dualized map."""
+    from qtilt import repcore
+
+    def refuse(*args):
+        raise AssertionError("second translate route used")
+
+    alg = _image_corpus()["kron2"]
+    m = random_module(alg, 4)
+    monkeypatch.setattr(homengine, "cokernel_rep", refuse)
+    monkeypatch.setattr(repcore, "cokernel_rep", refuse)
+    monkeypatch.setattr(homengine, "_dualized_differential", refuse)
+    assert not tau_n_minus(m, 2).is_zero()
+    assert not transpose(m).is_zero()
+
+
 def test_tau_n_matches_the_cokernel_route_on_probe_pieces():
     """Every piece of four rounds of the kron^2 tau_2 probe."""
     alg = _image_corpus()["kron2"]

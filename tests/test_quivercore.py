@@ -686,3 +686,92 @@ def test_minimal_polynomial_annihilates_and_is_least(which, coeffs):
     for _ in range(len(mu) - 2):
         powers.append(a.mult(x, powers[-1]))
     assert Matrix(a.field, powers).rank() == len(mu) - 1
+
+
+# --- the radical quotient read off a reduced span -------------------------------
+
+def _quotient_by_rref(a):
+    """(free columns, quotient table, quotient unit) from the rref of the
+    radical rows: projection rows e_f - sum_r R[r, f] e_{pivot r}."""
+    from qtilt.exactla import rref
+    rad = abstract_radical(a)
+    if not rad:
+        free, rows = list(range(a.dim)), [{j: 1} for j in range(a.dim)]
+    else:
+        res = rref(Matrix(QQ, [list(v) for v in rad]))
+        free = [j for j in range(a.dim) if j not in set(res.pivots)]
+        rows = []
+        for f in free:
+            row = {f: 1}
+            for r, c in enumerate(res.pivots):
+                if res.matrix[(r, f)] != 0:
+                    row[c] = -res.matrix[(r, f)]
+            rows.append(row)
+
+    def to_bar(vec):
+        out = [sum(row.get(j, 0) * c for j, c in vec.items()) for row in rows]
+        return tuple(QQ.canon(x) for x in out)
+
+    table = [[to_bar(a.cells[i].get(j, {})) for j in free] for i in free]
+    return free, table, to_bar(a.sparse(a.unit))
+
+
+def _in_random_basis(a, seed):
+    """a on the basis b_i = sum_j P[j][i] e_j for a seeded invertible
+    integer P, so that its radical rows are no longer unit vectors."""
+    from qtilt.exactla import solve
+    rnd = random.Random(seed)
+    n = a.dim
+    while True:
+        p = Matrix(QQ, [[rnd.randint(-2, 2) for _ in range(n)]
+                        for _ in range(n)])
+        if p.rank() == n:
+            break
+    cols = p.columns()
+
+    def coords(vec):
+        rhs = Matrix.from_cols(QQ, [[vec.get(j, 0) for j in range(n)]],
+                               nrows=n)
+        return solve(p, rhs).column(0)
+
+    table = []
+    for i in range(n):
+        row = []
+        for k in range(n):
+            acc = {}
+            for j, x in enumerate(cols[i]):
+                for l, y in enumerate(cols[k]):
+                    for m, c in a.cells[j].get(l, {}).items():
+                        acc[m] = acc.get(m, 0) + x * y * c
+            row.append(coords(acc))
+        table.append(row)
+    return StructureConstantAlgebra(QQ, table, coords(a.sparse(a.unit)))
+
+
+def _quotient_corpus():
+    from qtilt.repcore import endomorphism_algebra, random_module
+    from qtilt.tensorcon import tensor_algebras
+    kron = make_kronecker()
+    algebras = [tensor_algebras(kron, kron).algebra,
+                tensor_algebras(make_a3(), kron).algebra, make_two_loop()]
+    out = [regular_structure_algebra(alg) for alg in algebras]
+    out += [endomorphism_algebra(random_module(alg, seed))[0]
+            for alg in algebras for seed in range(4)]
+    out += [_in_random_basis(regular_structure_algebra(alg), seed)
+            for alg in (kron, make_a3(), make_two_loop()) for seed in range(2)]
+    return out
+
+
+def test_quotient_by_radical_matches_the_rref_projection():
+    """The free coordinates are the non-pivot columns of the rref of the
+    radical, and the quotient table and unit are the rref projection's."""
+    semisimple = 0
+    for a in _quotient_corpus() + [upper_triangular_2x2()]:
+        free, bar = quivercore.quotient_by_radical(a)
+        ref_free, ref_table, ref_unit = _quotient_by_rref(a)
+        assert free == ref_free
+        assert bar.dim == len(free) and bar.unit == ref_unit
+        assert [[bar.mult(bar.basis_vector(i), bar.basis_vector(j))
+                 for j in range(bar.dim)] for i in range(bar.dim)] == ref_table
+        semisimple += len(free) == a.dim
+    assert semisimple

@@ -617,3 +617,96 @@ def test_free_arrow_columns_match_the_full_matrix(which):
             cols += cols[:2]
             assert _arrow_cols(p, a, cols) == ref[a.name].take_columns(cols)
         assert p._mats is None
+
+
+# --- the End builder and Hom out of a projective, against their former builds
+
+def _merge_corpus(field):
+    """kron^2, A3(x)kron and the two-loop algebra over the given field."""
+    from qtilt.tensorcon import tensor_algebras
+    from conftest import make_two_loop
+
+    def path_algebra(arrows, name):
+        verts = sorted({v for _, s, t in arrows for v in (s, t)})
+        return build_algebra(Quiver(verts, [Arrow(*a) for a in arrows]), [],
+                             field, name=name)
+
+    kron = path_algebra([("a0", "2", "1"), ("a1", "2", "1")], "kron")
+    a3 = path_algebra([("a", "2", "1"), ("b", "3", "2")], "a3")
+    return {"kron2": tensor_algebras(kron, kron).algebra,
+            "a3xkron": tensor_algebras(a3, kron).algebra,
+            "twoloop": make_two_loop(field)}
+
+
+def _end_by_one_solve(m):
+    """End(m) as one solve of all d^2 composites f o g plus the identity."""
+    from qtilt.exactla import _dense
+    from qtilt.quivercore import StructureConstantAlgebra
+    from qtilt.repcore import express_all_in_basis
+    basis = hom_space(m, m)
+    d = len(basis)
+    cols = express_all_in_basis(
+        basis, [f * g for f in basis for g in basis] + [ModuleMap.identity(m)])
+    table = [cols[i * d:(i + 1) * d] for i in range(d)]
+    return (StructureConstantAlgebra(m.algebra.field, table,
+                                     _dense(cols[-1], d)), basis)
+
+
+@pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "F32003"])
+def test_endomorphism_algebra_matches_the_one_solve_build(field):
+    """The per-block End builder on one module gives the same table, cell
+    for cell, the same unit and the same basis maps."""
+    dims = []
+    for name, alg in _merge_corpus(field).items():
+        for seed in range(4):
+            m = random_module(alg, seed)
+            sca, basis = endomorphism_algebra(m)
+            ref, ref_basis = _end_by_one_solve(m)
+            assert sca.cells == ref.cells and sca.unit == ref.unit, name
+            assert [f.blocks for f in basis] == [f.blocks for f in ref_basis]
+            dims.append(sca.dim)
+    assert max(dims) > 2
+
+
+def _hom_from_projective_by_rows(p, n):
+    """Hom(p, n) for a projective sum p, one map per generator k and basis
+    vector b of n at its vertex, with each column read off the rows of a
+    path's action matrix."""
+    from qtilt.repcore import free_offsets
+    alg = p.algebra
+    offsets = {w: free_offsets(p, w) for w in alg.quiver.vertices}
+    out = []
+    for k, v in enumerate(p.proj_gens):
+        for b in range(n.dims[v]):
+            blocks = {}
+            for w in alg.quiver.vertices:
+                cols = [{} for _ in range(p.dims[w])]
+                for j, x_idx in enumerate(alg.block_indices(v, w)):
+                    act = n.act_path(alg.basis[x_idx])
+                    cols[offsets[w][k] + j] = {
+                        i: r[b] for i, r in enumerate(act.sparse_rows)
+                        if b in r}
+                blocks[w] = Matrix.from_sparse_cols(alg.field, cols,
+                                                    n.dims[w])
+            out.append(ModuleMap(p, n, blocks, validate=False))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "F32003"])
+def test_hom_from_projective_matches_the_act_path_rows(field):
+    """hom_space(P, N) for a projective sum P, the regular module among
+    them, equals the act_path-row construction map for map."""
+    checked = 0
+    for name, alg in _merge_corpus(field).items():
+        verts = alg.quiver.vertices
+        sources = [regular(alg), proj(alg, verts[-1]),
+                   proj_sum(alg, [verts[-1], verts[0], verts[-1]])]
+        targets = [random_module(alg, seed) for seed in range(4)]
+        targets.append(regular(alg))
+        for p in sources:
+            for n in targets:
+                got = hom_space(p, n)
+                ref = _hom_from_projective_by_rows(p, n)
+                assert [f.blocks for f in got] == [f.blocks for f in ref], name
+                checked += len(got)
+    assert checked > 100

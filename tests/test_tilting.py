@@ -2,7 +2,7 @@
 
 import pytest
 
-from qtilt.errors import QtiltError
+from qtilt.errors import NotAdmissibleError, QtiltError
 from qtilt.exactla import QQ, Matrix
 from qtilt.homengine import ext_dim, gldim, pd, tau_n_minus
 from qtilt.quivercore import abstract_radical, regular_structure_algebra
@@ -11,7 +11,7 @@ from qtilt.repcore import (ModuleMap, decompose, direct_sum, dual,
                            proj, random_module, regular, simple)
 from qtilt.tensorcon import tensor_algebras, tensor_modules
 from qtilt.tilting import (apr_check, apr_cotilting_check, bb_check, count_apr,
-                           endo_algebra, endo_idempotents,
+                           endo_algebra,
                            minimal_left_approximation, present_algebra,
                            verify_tilting)
 
@@ -178,6 +178,13 @@ def test_endo_basicizes_repeated_summands(kron):
     assert sca.dim == 1
 
 
+@pytest.mark.parametrize("t", ["empty list", "zero module"])
+def test_endo_of_nothing_is_a_typed_error(kron, t):
+    from qtilt.repcore import zero_rep
+    with pytest.raises(QtiltError, match="summand"):
+        endo_algebra([] if t == "empty list" else zero_rep(kron))
+
+
 def test_endo_table_matches_per_product_solves(kron2):
     # oracle: one express_in_basis per composition, as in a plain reading
     # of End(T)^op on the Hom-block basis
@@ -202,7 +209,7 @@ def test_endo_table_matches_per_product_solves(kron2):
             assert sca.mult(e[x], e[y]) == want
     idems = [express(k, k, ModuleMap.identity(u))
              for k, (_, u) in enumerate(data.summands)]
-    assert endo_idempotents(sca, data) == idems
+    assert data.idempotents == idems
     assert sca.unit == tuple(sum(col) for col in zip(*idems))
 
 
@@ -211,7 +218,7 @@ def test_endo_table_matches_per_product_solves(kron2):
 def test_present_regular_kronecker(kron):
     labeled = [(v, proj(kron, v)) for v in kron.quiver.vertices]
     sca, data = endo_algebra(labeled)
-    pres = present_algebra(sca, idempotents=endo_idempotents(sca, data),
+    pres = present_algebra(sca, idempotents=data.idempotents,
                            labels=[lbl for lbl, _ in data.summands])
     assert len(pres.quiver.vertices) == 2
     assert len(pres.quiver.arrows) == 2
@@ -224,7 +231,7 @@ def test_present_regular_kronecker(kron):
 def test_present_kronecker_tilt_is_kronecker_shaped(kron):
     rep = apr_check(kron, "1", 1)
     sca, data = endo_algebra(rep.summands)
-    pres = present_algebra(sca, idempotents=endo_idempotents(sca, data),
+    pres = present_algebra(sca, idempotents=data.idempotents,
                            labels=[lbl for lbl, _ in data.summands])
     assert len(pres.quiver.vertices) == 2
     assert len(pres.quiver.arrows) == 2
@@ -235,7 +242,7 @@ def test_present_kronecker_tilt_is_kronecker_shaped(kron):
 def test_present_tensor_corner_tilt(kron2):
     rep = apr_check(kron2.algebra, kron2.vertex("1", "1"), 2)
     sca, data = endo_algebra(rep.summands)
-    pres = present_algebra(sca, idempotents=endo_idempotents(sca, data),
+    pres = present_algebra(sca, idempotents=data.idempotents,
                            labels=[lbl for lbl, _ in data.summands])
     assert len(pres.quiver.vertices) == 4
     v11 = kron2.vertex("1", "1")
@@ -259,7 +266,7 @@ def test_present_relation_span_against_kernel_oracle(kron2):
     # relation span block by block
     rep = apr_check(kron2.algebra, kron2.vertex("1", "1"), 2)
     sca, data = endo_algebra(rep.summands)
-    pres = present_algebra(sca, idempotents=endo_idempotents(sca, data),
+    pres = present_algebra(sca, idempotents=data.idempotents,
                            labels=[lbl for lbl, _ in data.summands])
     alg = pres.algebra
     from qtilt.quivercore import _paths_of_degree
@@ -470,7 +477,7 @@ def test_presentation_cartan_data_round_trip(kron2):
     # dim e_i A e_j of the presented algebra matches the abstract blocks
     rep = apr_check(kron2.algebra, kron2.vertex("1", "1"), 2)
     sca, data = endo_algebra(rep.summands)
-    idems = endo_idempotents(sca, data)
+    idems = data.idempotents
     pres = present_algebra(sca, idempotents=idems,
                            labels=[l for l, _ in data.summands])
     alg = pres.algebra
@@ -490,6 +497,34 @@ def _two_loop_regular_algebra():
     return regular_structure_algebra(make_two_loop())
 
 
+def test_presented_relations_generate_the_ideal_but_need_not_be_minimal():
+    """What `AlgebraPresentation` promises: the relations give back the
+    algebra, and each lies outside the span of the arrow multiples of the
+    relations before it up to its own top degree.  For the two-loop
+    algebra one of them still lies in the ideal of the others."""
+    from qtilt.quivercore import IdealClosure, build_algebra
+    pres = present_algebra(_two_loop_regular_algebra())
+    rels = pres.relations
+
+    def vec(rel):
+        return {p: c for c, p in rel.terms}
+
+    for k, rel in enumerate(rels):
+        closure = IdealClosure(QQ, pres.quiver, [vec(r) for r in rels[:k]])
+        closure.raise_cap(rel.max_degree())
+        assert closure.span.reduce(vec(rel)), rel
+    redundant = []
+    for r in rels:
+        try:
+            dim = build_algebra(pres.quiver, [s for s in rels if s is not r],
+                                QQ, maxdeg=pres.algebra.maxdeg).dim
+        except NotAdmissibleError:
+            continue
+        if dim == pres.dim:
+            redundant.append(r.format(QQ))
+    assert redundant == ["1 a0_0_0*a0_0_0*a0_0_0"]
+
+
 @pytest.mark.parametrize("which", ["kron2_tilt", "two_loops"])
 def test_present_algebra_extends_one_ideal_closure(monkeypatch, kron2, which):
     from qtilt import quivercore
@@ -497,7 +532,7 @@ def test_present_algebra_extends_one_ideal_closure(monkeypatch, kron2, which):
     if which == "kron2_tilt":
         rep = apr_check(kron2.algebra, kron2.vertex("1", "1"), 2)
         sca, data = endo_algebra(rep.summands)
-        idems = endo_idempotents(sca, data)
+        idems = data.idempotents
     else:
         sca, idems = _two_loop_regular_algebra(), None
     made = []
