@@ -5,26 +5,31 @@ and the higher translates tau_n / tau_n^- with their finiteness probe.
 A minimal resolution is grown by iterated projective covers and cached on
 the module, so deeper requests extend earlier work.  It keeps the image of
 each generator as a sparse vector, and builds module maps only when read.
-Those vectors give each differential as a matrix of algebra elements
-between the generator vertices.  tau_n is the one syzygy-side translate:
-tau_n M = ker nu(d_n), nu = D Hom(-, algebra) the Nakayama functor, read
-off the dualized blocks as a kernel over the algebra itself.  The other
-two go through it: tau_n^- = D tau_n D over the opposite algebra, and
-Tr = D tau_1.  Ext^p(M, algebra) with its module structure is a kernel
-modulo an image of the dualized differentials, so `ext_module` builds
-them as maps over the opposite algebra.  Ext dimensions come from the
-ranks of the Hom-complex differentials, cached on the resolution per
-target module; cocycle maps are built only when read.
+Those vectors give each differential d as a matrix of algebra elements
+between the generator vertices, and its dual d^* = Hom(d, algebra) as
+generator images over the opposite algebra (`_dualized_elements`).
+Every x.v these steps need, x a basis element, goes through one
+`repcore.ActionReader` per call.  tau_n is the one syzygy-side
+translate: tau_n M = ker nu(d_n), nu = D Hom(-, algebra) the Nakayama
+functor, read off the columns of d_n^* as a kernel over the algebra
+itself.  The other two go through it: tau_n^- = D tau_n D over the
+opposite algebra, and Tr = D tau_1.  Ext^p(M, algebra) with its module
+structure is a kernel modulo an image of the dualized differentials, so
+`ext_module` builds them as maps over the opposite algebra.  Ext
+dimensions come from the ranks of the Hom-complex differentials, cached
+on the resolution per target module; cocycle maps are built only when
+read.
 """
 
-from bisect import bisect_right
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 from .errors import InconclusiveError, QtiltError
 from .exactla import Matrix, Span, _tidy, kernel_data, solve
-from .quivercore import BoundQuiverAlgebra, opposite
-from .repcore import (Cover, ModuleMap, Representation, cokernel_rep, dual,
+from .quivercore import BoundQuiverAlgebra, _op_items, opposite
+from .repcore import (ActionReader, Cover, ModuleMap, Representation,
+                      _free_coordinates, _image_columns, cokernel_rep, dual,
                       dual_free_kernel, free_offsets, inj, kernel_rep,
                       kernel_rep_data, proj_map_from_images, proj_sum,
                       projective_cover, simple, zero_rep)
@@ -159,19 +164,15 @@ class MinimalResolution:
         element of e_{w_l} A e_{v_k} for generator k of terms[i-1] at v_k
         and generator l of terms[i] at w_l, as (coeff, basis index) pairs.
         It is read off the generator images, in ascending row order."""
-        alg = self.module.algebra
-        gens_lo = self.generators(i - 1)
         gens_hi = self.generators(i)
         X = {}
-        if not gens_hi or not gens_lo or i > self.length:
+        if not gens_hi or not self.generators(i - 1) or i > self.length:
             return X
-        offsets_lo = {w: free_offsets(self.terms[i - 1], w)
-                      for w in set(gens_hi)}
+        coords = {w: _free_coordinates(self.terms[i - 1], w)
+                  for w in set(gens_hi)}
         for l, (w, vec) in enumerate(zip(gens_hi, self.images[i])):
-            lo = offsets_lo[w]
             for row_i, c in vec.items():
-                k = bisect_right(lo, row_i) - 1
-                x_idx = alg.block_indices(gens_lo[k], w)[row_i - lo[k]]
+                k, x_idx = coords[w][row_i]
                 X.setdefault((k, l), []).append((c, x_idx))
         return X
 
@@ -191,92 +192,36 @@ def min_proj_resolution(m: Representation, maxlen: int = DEFAULT_BOUND
 
 
 # ---------------------------------------------------------------------------
-# maps between projective sums given by algebra-element matrices
-
-
-def map_from_elements(p_src: Representation, p_tgt: Representation, Y
-                      ) -> ModuleMap:
-    """The map of projective sums sending generator s to
-    sum_t Y[t, s] . gen_t, where Y is a dict whose entry at (t, s) is a
-    list of (coeff, basis index) in e_{src_vertex_s} A e_{tgt_vertex_t};
-    missing entries are zero."""
-    cols = _element_columns(p_src, p_tgt, Y)
-    field = p_src.algebra.field
-    return ModuleMap(p_src, p_tgt, {
-        u: Matrix.from_sparse_cols(field, c, p_tgt.dims[u])
-        for u, c in cols.items()}, validate=False)
-
-
-def _element_columns(p_src: Representation, p_tgt: Representation, Y
-                     ) -> Dict[str, List[Dict[int, object]]]:
-    """The blocks of `map_from_elements` as column lists, vertex -> one
-    sparse column per source coordinate there."""
-    alg = p_src.algebra
-    pos = alg.block_pos
-    by_src = {}
-    for (t, s), items in Y.items():
-        by_src.setdefault(s, []).append((t, items))
-    p = alg.field.char
-    blocks = {}
-    for u in alg.quiver.vertices:
-        offs = free_offsets(p_tgt, u)
-        cols = []
-        for s, v in enumerate(p_src.proj_gens):
-            entries = by_src.get(s, ())
-            for x_idx in alg.block_indices(v, u):
-                col = {}
-                for t, items in entries:
-                    for c, e_idx in items:
-                        for y_idx, d in alg.basis_product(x_idx, e_idx):
-                            at = offs[t] + pos[y_idx]
-                            col[at] = col.get(at, 0) + c * d
-                cols.append(_tidy(col, p))
-        blocks[u] = cols
-    return blocks
-
-
-def _op_table(alg: BoundQuiverAlgebra) -> List[List[Tuple[int, object]]]:
-    """For each basis index, the reversed basis path in normal form over
-    the opposite algebra, as (basis index, coeff) pairs; built once per
-    algebra."""
-    table = alg._cache.get("op_table")
-    if table is None:
-        opp = opposite(alg)
-        table = [list(opp.normal_form(b.reversed()).items())
-                 for b in alg.basis]
-        alg._cache["op_table"] = table
-    return table
-
-
-def _op_items(alg: BoundQuiverAlgebra, items) -> List[Tuple[object, int]]:
-    """Image of a block-pure element under the anti-isomorphism onto the
-    opposite algebra, as (coeff, basis index) pairs there."""
-    table = _op_table(alg)
-    acc: Dict[int, object] = {}
-    for c, idx in items:
-        for k, d in table[idx]:
-            acc[k] = acc.get(k, 0) + c * d
-    acc = _tidy(acc, alg.field.char)
-    return [(c, k) for k, c in sorted(acc.items())]
+# the dualized differentials, maps of projective sums over the opposite algebra
 
 
 def _dualized_elements(res: MinimalResolution, i: int):
-    """(source, target, element matrix) of `_dualized_differential`, in
-    the form `map_from_elements` takes."""
+    """(source, target, generator images) of the dualized differential
+    d_i^* = Hom(d_i, algebra), a map of projective sums over the opposite
+    algebra, in the form `proj_map_from_images` takes.  Generator k of
+    the source (at v_k) goes to sum_l op(X[k, l]) gen_l, with X the
+    presentation elements of d_i and op the anti-isomorphism: images[k]
+    is that vector of the target at v_k, ascending, with op(X[k, l]) at
+    generator l's block."""
     alg = res.module.algebra
     opp = opposite(alg)
-    src = proj_sum(opp, res.generators(i - 1))
+    gens = res.generators(i - 1)
+    src = proj_sum(opp, gens)
     tgt = proj_sum(opp, res.generators(i))
-    X = res.presentation_elements(i)
-    Y = {(l, k): _op_items(alg, items) for (k, l), items in X.items()}
-    return src, tgt, Y
+    offsets = {v: free_offsets(tgt, v) for v in set(gens)}
+    pos = opp.block_pos
+    images = [{} for _ in gens]
+    for (k, l), items in res.presentation_elements(i).items():
+        off = offsets[gens[k]][l]
+        images[k].update((off + pos[e], c) for c, e in _op_items(alg, items))
+    return src, tgt, images
 
 
 def _dualized_differential(res: MinimalResolution, i: int) -> ModuleMap:
     """Hom(-, algebra) applied to the differential terms[i] -> terms[i-1]:
     a map of projective sums over the opposite algebra.  Only `ext_module`
     builds it; `tau_n` reads the same blocks as columns."""
-    return map_from_elements(*_dualized_elements(res, i))
+    return proj_map_from_images(*_dualized_elements(res, i))
 
 
 def transpose(m: Representation) -> Representation:
@@ -325,34 +270,33 @@ def _hom_complex_differential(res: MinimalResolution, n: Representation,
                               i: int) -> Matrix:
     """Matrix of Hom(terms[i], n) -> Hom(terms[i+1], n), in generator
     coordinates: Hom out of a projective sum is the direct sum of the
-    n-spaces at the generator vertices."""
+    n-spaces at the generator vertices.  The block at (l, k) is the action
+    on n of the element X[k, l] of d_{i+1}, read through one reader."""
     alg = res.module.algebra
     field = alg.field
     gens_lo = res.generators(i)
-    gens_hi = res.generators(i + 1)
-    rows_dim = sum(n.dims[w] for w in gens_hi)
-    cols_dim = sum(n.dims[v] for v in gens_lo)
-    if rows_dim == 0 or cols_dim == 0:
-        return Matrix.zeros(field, rows_dim, cols_dim)
-    X = res.presentation_elements(i + 1)
-    row_off = []
-    acc = 0
-    for w in gens_hi:
-        row_off.append(acc)
-        acc += n.dims[w]
-    col_off = []
-    acc = 0
-    for v in gens_lo:
-        col_off.append(acc)
-        acc += n.dims[v]
-    rows = [{} for _ in range(rows_dim)]
-    for (k, l), items in X.items():
-        act = n.act_block(items, gens_lo[k], gens_hi[l])
-        for r, act_row in enumerate(act.sparse_rows):
-            row = rows[row_off[l] + r]
-            for c, x in act_row.items():
-                row[col_off[k] + c] = x
-    return Matrix._raw(field, rows, cols_dim)
+    row_off = _cochain_offsets(n, res.generators(i + 1))
+    col_off = _cochain_offsets(n, gens_lo)
+    if row_off[-1] == 0 or col_off[-1] == 0:
+        return Matrix.zeros(field, row_off[-1], col_off[-1])
+    act = ActionReader(n)
+    rows = [{} for _ in range(row_off[-1])]
+    for (k, l), items in res.presentation_elements(i + 1).items():
+        for c in range(n.dims[gens_lo[k]]):
+            acc = {}
+            for coeff, x_idx in items:
+                for r, y in act(x_idx, {c: coeff}).items():
+                    acc[r] = acc.get(r, 0) + y
+            for r, y in _tidy(acc, field.char).items():
+                rows[row_off[l] + r][col_off[k] + c] = y
+    return Matrix._raw(field, rows, col_off[-1])
+
+
+def _cochain_offsets(n: Representation, gens) -> Tuple[int, ...]:
+    """Where each generator's block starts in Hom(P, n) for P free on the
+    generators, in generator coordinates (the n-space at the generator's
+    vertex); a last entry holds the dimension."""
+    return (0, *accumulate(n.dims[v] for v in gens))
 
 
 def _require_depth(m: Representation, depth: int, maxlen: int
@@ -389,8 +333,7 @@ def ext(m: Representation, n: Representation, p: int,
     res = _require_depth(m, p + 1, maxlen)
     if p > res.length and res.terminated:
         return ExtResult(m, n, p, 0)
-    cochains = sum(n.dims[v] for v in res.generators(p))
-    dim = cochains - _hom_rank(res, n, p)
+    dim = _cochain_offsets(n, res.generators(p))[-1] - _hom_rank(res, n, p)
     if p > 0:
         dim -= _hom_rank(res, n, p - 1)
     return ExtResult(m, n, p, dim, res)
@@ -399,18 +342,12 @@ def ext(m: Representation, n: Representation, p: int,
 def _cocycle_representatives(res, n, p, kernel_vectors, span):
     """Kernel vectors completing a basis of the boundary span (which they
     are added to), returned as maps terms[p] -> n."""
-    gens = res.generators(p)
-    reps = [vec for vec in kernel_vectors.columns() if span.add(vec)]
-    maps = []
-    for vec in reps:
-        images = []
-        off = 0
-        for v in gens:
-            images.append({i: x for i, x in enumerate(vec[off:off + n.dims[v]])
-                           if x})
-            off += n.dims[v]
-        maps.append(proj_map_from_images(res.term(p), n, images))
-    return maps
+    offs = _cochain_offsets(n, res.generators(p))
+    act = ActionReader(n)
+    return [proj_map_from_images(
+                res.term(p), n, [{i: x for i, x in enumerate(vec[lo:hi]) if x}
+                                 for lo, hi in zip(offs, offs[1:])], act)
+            for vec in kernel_vectors.columns() if span.add(vec)]
 
 
 def ext_dim(m, n, p, maxlen: int = DEFAULT_BOUND) -> int:
@@ -516,8 +453,9 @@ def tau_n(m: Representation, n: int, maxlen: int = DEFAULT_BOUND
     res = _require_depth(m, n, maxlen)
     if res.terminated and res.length < n:
         return zero_rep(alg)
-    src, tgt, Y = _dualized_elements(res, n)
-    return dual_free_kernel(tgt, _element_columns(src, tgt, Y))
+    src, tgt, images = _dualized_elements(res, n)
+    return dual_free_kernel(tgt, _image_columns(src, images,
+                                                ActionReader(tgt)))
 
 
 def tau_n_minus(m: Representation, n: int, maxlen: int = DEFAULT_BOUND

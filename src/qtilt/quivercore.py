@@ -231,7 +231,6 @@ class BoundQuiverAlgebra:
                             for w in quiver.vertices}
         self._products: Dict[Tuple[int, int], Tuple[Tuple[int, object], ...]] = {}
         self._opposite: Optional["BoundQuiverAlgebra"] = None
-        self._op_basis_images: Optional[List[Tuple]] = None
         self._cache: Dict = {}
 
     # -- basic structure ----------------------------------------------------
@@ -459,25 +458,38 @@ def opposite(alg: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
     return opp
 
 
+def _op_table(alg: BoundQuiverAlgebra) -> List[List[Tuple[int, object]]]:
+    """For each basis index, the reversed basis path in normal form over
+    the opposite algebra, as (basis index, coeff) pairs: the canonical
+    anti-isomorphism onto the opposite algebra, built once per algebra."""
+    table = alg._cache.get("op_table")
+    if table is None:
+        opp = opposite(alg)
+        table = [list(opp.normal_form(b.reversed()).items())
+                 for b in alg.basis]
+        alg._cache["op_table"] = table
+    return table
+
+
+def _op_items(alg: BoundQuiverAlgebra, items) -> List[Tuple[object, int]]:
+    """Image of an element given as (coeff, basis index) pairs under the
+    anti-isomorphism onto the opposite algebra, as (coeff, basis index)
+    pairs there, ascending."""
+    table = _op_table(alg)
+    acc: Dict[int, object] = {}
+    for c, idx in items:
+        for k, d in table[idx]:
+            acc[k] = acc.get(k, 0) + c * d
+    return [(c, k) for k, c in sorted(_tidy(acc, alg.field.char).items())]
+
+
 def op_element(alg: BoundQuiverAlgebra, vec: Sequence) -> Tuple:
     """Image of an element under the canonical anti-isomorphism onto the
-    opposite algebra."""
-    opp = opposite(alg)
-    if alg._op_basis_images is None:
-        images = []
-        for p in alg.basis:
-            images.append(element_from_path(opp, p.reversed()))
-        alg._op_basis_images = images
-    field = alg.field
-    acc = [field.zero()] * opp.dim
-    for i, c in enumerate(vec):
-        if c != 0:
-            for k, d in enumerate(alg._op_basis_images[i]):
-                if d != 0:
-                    acc[k] += c * d
-    if field.char:
-        return tuple(v % field.p for v in acc)
-    return tuple(field.canon(v) for v in acc)
+    opposite algebra: `_op_items` on a dense vector."""
+    out = [alg.field.zero()] * alg.dim
+    for c, k in _op_items(alg, [(c, i) for i, c in enumerate(vec) if c != 0]):
+        out[k] = c
+    return tuple(out)
 
 
 def radical_basis(alg: BoundQuiverAlgebra) -> List[Tuple]:

@@ -12,9 +12,15 @@ the algebra: the arrow matrices of each indecomposable projective are
 built once per algebra (`proj`), and a free module's own arrow matrices
 are assembled from them only when `mats` is first read.  `kernel_rep`,
 `cokernel_rep` and `dual_free_kernel` read the few arrow rows or columns
-they need in place off the projectives (the columns cached on the algebra
-beside them): each line comes with its block's offset in the free module,
-and the product applies the offset instead of copying the line.
+they need in place off the projectives (the rows off their arrow
+matrices, the columns off a transpose of them cached on the algebra):
+each line comes with its block's offset in the free module, and the
+product applies the offset instead of copying the line.
+
+Every action x.v of an algebra basis element goes through one
+`ActionReader`, and a map out of a free module is given by its generator
+images (`proj_map_from_images`): its column at x in generator k's block
+is x.images[k].
 """
 
 import random
@@ -26,8 +32,7 @@ from .errors import (AlgebraMismatchError, QtiltError, ShapeMismatchError,
                      UndecidedIsomorphismError)
 from .exactla import (Matrix, Span, _dense, _null_vectors, _product_rows,
                       _tidy, block_diag, cokernel_data, column_space_basis,
-                      hstack, kernel_data, pivot_columns, solve,
-                      solve_against_kernel)
+                      kernel_data, pivot_columns, solve, solve_against_kernel)
 from .quivercore import (BoundQuiverAlgebra, Path, StructureConstantAlgebra,
                          opposite, primitive_orthogonal_idempotents)
 
@@ -96,18 +101,13 @@ class Representation:
         return self.total_dim() == 0
 
     def act_path(self, p: Path) -> Matrix:
-        """Matrix of a path acting on this module (source to target space)."""
-        got = self._cache.get(("act", p))
-        if got is not None:
-            return got
-        field = self.algebra.field
+        """Matrix of a path acting on this module (source to target space),
+        composed along its arrows on each call."""
         if not p.arrows:
-            m = Matrix.identity(field, self.dims[p.source])
-        else:
-            m = self.mats[p.arrows[-1]]
-            for name in reversed(p.arrows[:-1]):
-                m = self.mats[name] * m
-        self._cache[("act", p)] = m
+            return Matrix.identity(self.algebra.field, self.dims[p.source])
+        m = self.mats[p.arrows[-1]]
+        for name in reversed(p.arrows[:-1]):
+            m = self.mats[name] * m
         return m
 
     def evaluate_pathsum(self, ps) -> Matrix:
@@ -115,16 +115,6 @@ class Representation:
         acc = Matrix.zeros(field, self.dims[ps.target], self.dims[ps.source])
         for c, p in ps.terms:
             acc = acc + self.act_path(p).scale(c)
-        return acc
-
-    def act_block(self, items: Sequence[Tuple[object, int]],
-                  source: str, target: str) -> Matrix:
-        """Action matrix of a block-pure algebra element given as
-        (coeff, basis index) pairs from e_target * A * e_source."""
-        field = self.algebra.field
-        acc = Matrix.zeros(field, self.dims[target], self.dims[source])
-        for c, i in items:
-            acc = acc + self.act_path(self.algebra.basis[i]).scale(c)
         return acc
 
     def __repr__(self):
@@ -231,19 +221,17 @@ def simple(alg, v: str) -> Representation:
     return Representation(alg, {v: 1}, {}, validate=False)
 
 
-def _proj_arrow_mats(alg, v: str) -> Dict[str, Matrix]:
-    """Arrow matrices of the indecomposable projective A e_v, whose basis
-    at each vertex w is the basis of e_w * A * e_v."""
-    pos = alg.block_pos
-    out = {}
-    for a in alg.quiver.arrows:
-        a_idx = alg.basis_index(Path.from_arrow(a))
-        cols = [{pos[y_idx]: c
-                 for y_idx, c in alg.basis_product(a_idx, x_idx) if c}
-                for x_idx in alg.block_indices(v, a.source)]
-        out[a.name] = Matrix.from_sparse_cols(
-            alg.field, cols, len(alg.block_indices(v, a.target)))
-    return out
+def _proj_arrow_mats(p: Representation) -> Dict[str, Matrix]:
+    """Arrow matrices of an indecomposable projective p = A e_v, whose
+    basis at each vertex w is the basis of e_w * A * e_v: arrow a sends
+    basis vector j to a.e_j, read off the algebra's products."""
+    alg = p.algebra
+    act, one = ActionReader(p), alg.field.one()
+    return {a.name: Matrix.from_sparse_cols(
+                alg.field, [act(alg.basis_index(Path.from_arrow(a)), {j: one})
+                            for j in range(p.dims[a.source])],
+                p.dims[a.target])
+            for a in alg.quiver.arrows}
 
 
 def free_offsets(p: Representation, w: str) -> Tuple[int, ...]:
@@ -252,6 +240,13 @@ def free_offsets(p: Representation, w: str) -> Tuple[int, ...]:
     dimension at w."""
     size = p.algebra.block_sizes[w]
     return (0, *accumulate(map(size.__getitem__, p.proj_gens)))
+
+
+def _free_coordinates(p: Representation, w: str) -> List[Tuple[int, int]]:
+    """Each coordinate of a free module at vertex w, decoded as (generator
+    k, basis index of e_w * A * e_{v_k})."""
+    return [(k, y) for k, v in enumerate(p.proj_gens)
+            for y in p.algebra.block_indices(v, w)]
 
 
 def _free_arrow_mats(p: Representation) -> Dict[str, Matrix]:
@@ -333,7 +328,7 @@ def proj(alg, v: str) -> Representation:
     got = alg._cache.get(("proj", v))
     if got is None:
         got = proj_sum(alg, [v])
-        got._mats = _proj_arrow_mats(alg, v)
+        got._mats = _proj_arrow_mats(got)
         alg._cache[("proj", v)] = got
     return got
 
@@ -399,24 +394,21 @@ def direct_sum(reps: Sequence[Representation]):
     mats = {a.name: block_diag(field, [r.mats[a.name] for r in reps])
             for a in alg.quiver.arrows}
     total = Representation(alg, dims, mats, validate=False)
-    one, zero = field.one(), field.zero()
+    one = field.one()
     inclusions = []
     projections = []
     offset = {v: 0 for v in verts}
     for r in reps:
-        iblocks = {}
-        pblocks = {}
+        units = {v: [{offset[v] + j: one} for j in range(r.dims[v])]
+                 for v in verts}
+        inclusions.append(ModuleMap(r, total, {
+            v: Matrix.from_sparse_cols(field, u, dims[v])
+            for v, u in units.items()}, validate=False))
+        projections.append(ModuleMap(total, r, {
+            v: Matrix._raw(field, u, dims[v]) for v, u in units.items()},
+            validate=False))
         for v in verts:
-            d, D, off = r.dims[v], dims[v], offset[v]
-            iblocks[v] = Matrix(field,
-                                [[one if i == off + j else zero for j in range(d)]
-                                 for i in range(D)], ncols=d)
-            pblocks[v] = Matrix(field,
-                                [[one if j == off + i else zero for j in range(D)]
-                                 for i in range(d)], ncols=D)
-            offset[v] += d
-        inclusions.append(ModuleMap(r, total, iblocks, validate=False))
-        projections.append(ModuleMap(total, r, pblocks, validate=False))
+            offset[v] += r.dims[v]
     total.summands = list(zip(reps, inclusions, projections))
     return total, inclusions, projections
 
@@ -479,22 +471,28 @@ def dual_free_kernel(p: Representation, rows) -> Representation:
     return Representation(alg, dims, mats, validate=False)
 
 
-def image_rep(f: ModuleMap):
-    """(I, inclusion into the target)."""
-    alg = f.source.algebra
-    bases = {v: column_space_basis(f.blocks[v]) for v in alg.quiver.vertices}
-    dims = {v: bases[v].ncols for v in alg.quiver.vertices}
+def _restricted(m: Representation, bases: Dict[str, Matrix], message: str):
+    """(S, inclusion) for the subspaces of m spanned by the columns of
+    ``bases[v]`` at each vertex: arrow a acts on S by the solution x of
+    bases[t] x = m.mats[a] bases[s].  Raises QtiltError(message) when
+    the subspaces are not arrow-stable."""
+    alg = m.algebra
     mats = {}
     for a in alg.quiver.arrows:
-        rhs = f.target.mats[a.name] * bases[a.source]
-        x = solve(bases[a.target], rhs)
+        x = solve(bases[a.target], m.mats[a.name] * bases[a.source])
         if x is None:
-            raise QtiltError("image is not arrow-stable")
+            raise QtiltError(message)
         mats[a.name] = x
-    i = Representation(alg, dims, mats, validate=False)
-    incl = ModuleMap(i, f.target, {v: bases[v] for v in alg.quiver.vertices},
-                     validate=False)
-    return i, incl
+    s = Representation(alg, {v: b.ncols for v, b in bases.items()}, mats,
+                       validate=False)
+    return s, ModuleMap(s, m, dict(bases), validate=False)
+
+
+def image_rep(f: ModuleMap):
+    """(I, inclusion into the target)."""
+    return _restricted(f.target, {v: column_space_basis(b)
+                                  for v, b in f.blocks.items()},
+                       "image is not arrow-stable")
 
 
 def cokernel_rep(f: ModuleMap):
@@ -540,18 +538,10 @@ def submodule_generated(m: Representation, vectors: Dict[str, List[Sequence]]):
         for v in verts:
             basis[v].extend(found[v])
         fresh = found
-    bases = {v: Matrix.from_cols(field, basis[v], nrows=m.dims[v])
-             for v in verts}
-    dims = {v: bases[v].ncols for v in verts}
-    mats = {}
-    for a in alg.quiver.arrows:
-        x = solve(bases[a.target], m.mats[a.name] * bases[a.source])
-        if x is None:
-            raise QtiltError("generated subspaces are not arrow-stable")
-        mats[a.name] = x
-    s = Representation(alg, dims, mats, validate=False)
-    incl = ModuleMap(s, m, dict(bases), validate=False)
-    return s, incl
+    return _restricted(m, {v: Matrix.from_cols(field, basis[v],
+                                               nrows=m.dims[v])
+                           for v in verts},
+                       "generated subspaces are not arrow-stable")
 
 
 # ---------------------------------------------------------------------------
@@ -569,18 +559,14 @@ class TopRadical:
 
 
 def _radical_bases(m: Representation) -> Dict[str, Matrix]:
-    """Vertexwise basis of the arrow-ideal image (columns of the incoming
-    arrow matrices at each vertex)."""
+    """Vertexwise basis of the arrow-ideal image: a column basis of the
+    incoming arrows' columns at each vertex."""
     alg = m.algebra
-    field = alg.field
-    out = {}
-    for v in alg.quiver.vertices:
-        incoming = [m.mats[a.name] for a in alg.quiver.arrows_into(v)]
-        if incoming:
-            out[v] = column_space_basis(hstack(incoming))
-        else:
-            out[v] = Matrix.zeros(field, m.dims[v], 0)
-    return out
+    return {v: column_space_basis(Matrix.from_sparse_cols(
+                alg.field, [col for a in alg.quiver.arrows_into(v)
+                            for col in m.mats[a.name].sparse_columns()],
+                m.dims[v]))
+            for v in alg.quiver.vertices}
 
 
 def _top_sections(m: Representation):
@@ -600,17 +586,8 @@ def _top_sections(m: Representation):
 
 def top_and_radical(m: Representation) -> TopRadical:
     """Radical = sum of arrow images; top = the semisimple quotient."""
-    alg = m.algebra
-    rad_bases = _radical_bases(m)
-    rad_dims = {v: rad_bases[v].ncols for v in alg.quiver.vertices}
-    rad_mats = {}
-    for a in alg.quiver.arrows:
-        x = solve(rad_bases[a.target], m.mats[a.name] * rad_bases[a.source])
-        if x is None:
-            raise QtiltError("radical is not arrow-stable")
-        rad_mats[a.name] = x
-    radical = Representation(alg, rad_dims, rad_mats, validate=False)
-    inclusion = ModuleMap(radical, m, dict(rad_bases), validate=False)
+    radical, inclusion = _restricted(m, _radical_bases(m),
+                                     "radical is not arrow-stable")
     top, projection = cokernel_rep(inclusion)
     if not all(mat.is_zero() for mat in top.mats.values()):
         raise QtiltError("top has nonzero arrow action")
@@ -638,38 +615,84 @@ class Cover:
         return self._map
 
 
-def proj_map_from_images(p: Representation, n: Representation,
-                         images) -> ModuleMap:
-    """The map out of a projective sum sending generator k to the vector
-    images[k] of n at the generator's vertex, given sparse as a dict
-    coordinate -> nonzero entry.  Each column combines the columns of an
-    action matrix at the image's coordinates; a unit image reads one, and
-    a trivial path or a zero image gives the image itself."""
+class ActionReader:
+    """x.v for one module n: a basis index x of the algebra and a sparse
+    vector v of n at x's source (a dict coordinate -> nonzero entry) give
+    x.v, a sparse vector of n at x's target; a trivial path or a zero v
+    gives v itself.  A free n is read straight off the algebra's
+    products, its coordinates decoded once, when the reader is made, into
+    (generator, basis index); any other n by the columns of x's action
+    matrix, composed once per basis element.  Both are kept in the reader,
+    never on n, so they live only as long as the caller's reader."""
+
+    __slots__ = ("module", "_cols", "_free")
+
+    def __init__(self, n: Representation):
+        self.module = n
+        self._cols: Dict[int, List[Dict[int, object]]] = {}
+        # a free n at each vertex: (each coordinate as (generator, basis
+        # index), the generator blocks' offsets)
+        self._free = None if n.proj_gens is None else {
+            w: (_free_coordinates(n, w), free_offsets(n, w))
+            for w in n.algebra.quiver.vertices}
+
+    def __call__(self, x: int, vec: Dict[int, object]) -> Dict[int, object]:
+        if not vec:
+            return vec
+        alg = self.module.algebra
+        path = alg.basis[x]
+        if not path.arrows:
+            return vec
+        acc = {}
+        if self._free is None:
+            cols = self._cols.get(x) or self._columns(x)
+            if len(vec) == 1 and 1 in vec.values():
+                return cols[next(iter(vec))]
+            for j, c in vec.items():
+                for r, y in cols[j].items():
+                    acc[r] = acc.get(r, 0) + c * y
+        else:
+            coords = self._free[path.source][0]
+            offs = self._free[path.target][1]
+            pos = alg.block_pos
+            for j, c in vec.items():
+                k, y = coords[j]
+                for z, d in alg.basis_product(x, y):
+                    at = offs[k] + pos[z]
+                    acc[at] = acc.get(at, 0) + c * d
+        return _tidy(acc, alg.field.char)
+
+    def _columns(self, x: int) -> List[Dict[int, object]]:
+        """The columns of basis element x's action matrix on a module that
+        is not free, kept in the reader."""
+        n = self.module
+        cols = n.act_path(n.algebra.basis[x]).sparse_columns()
+        return self._cols.setdefault(x, cols)
+
+
+def _image_columns(p: Representation, images, act: ActionReader
+                   ) -> Dict[str, List[Dict[int, object]]]:
+    """The blocks of the map out of the free module p sending generator k
+    to images[k], as vertex -> one sparse column per coordinate of p
+    there: the column at basis element x of generator k's block is
+    x.images[k], read by ``act`` on the target."""
     alg = p.algebra
-    field = alg.field
-    blocks = {}
-    for w in alg.quiver.vertices:
-        act_cols = {}
-        cols = []
-        for v, img in zip(p.proj_gens, images):
-            for x_idx in alg.block_indices(v, w):
-                if not img or not alg.basis[x_idx].arrows:
-                    cols.append(img)
-                    continue
-                got = act_cols.get(x_idx)
-                if got is None:
-                    got = act_cols[x_idx] = n.act_path(
-                        alg.basis[x_idx]).sparse_columns()
-                if len(img) == 1 and 1 in img.values():
-                    cols.append(got[next(iter(img))])
-                    continue
-                acc = {}
-                for i, c in img.items():
-                    for r, y in got[i].items():
-                        acc[r] = acc.get(r, 0) + c * y
-                cols.append(_tidy(acc, field.char))
-        blocks[w] = Matrix.from_sparse_cols(field, cols, n.dims[w])
-    return ModuleMap(p, n, blocks, validate=False)
+    return {w: [act(x, img) for v, img in zip(p.proj_gens, images)
+                for x in alg.block_indices(v, w)]
+            for w in alg.quiver.vertices}
+
+
+def proj_map_from_images(p: Representation, n: Representation, images,
+                         act: Optional[ActionReader] = None) -> ModuleMap:
+    """The map out of a free module p sending generator k to the vector
+    images[k] of n at the generator's vertex, given sparse as a dict
+    coordinate -> nonzero entry: `_image_columns` as matrices.  Callers
+    that build several maps into n pass one reader ``act`` on n, so each
+    basis element's action is read once for all of them."""
+    field = p.algebra.field
+    cols = _image_columns(p, images, act or ActionReader(n))
+    return ModuleMap(p, n, {w: Matrix.from_sparse_cols(field, c, n.dims[w])
+                            for w, c in cols.items()}, validate=False)
 
 
 def projective_cover(m: Representation) -> Cover:
@@ -717,8 +740,9 @@ def _hom_from_projective(p: Representation, n: Representation) -> List[ModuleMap
     vertex: the map sending generator k to e_b and the others to 0."""
     one = p.algebra.field.one()
     gens = p.proj_gens
+    act = ActionReader(n)
     return [proj_map_from_images(p, n, [{b: one} if l == k else {}
-                                        for l in range(len(gens))])
+                                        for l in range(len(gens))], act)
             for k, v in enumerate(gens) for b in range(n.dims[v])]
 
 

@@ -710,3 +710,114 @@ def test_hom_from_projective_matches_the_act_path_rows(field):
                 assert [f.blocks for f in got] == [f.blocks for f in ref], name
                 checked += len(got)
     assert checked > 100
+
+
+# --- the action reader: every x.v on a module --------------------------------
+
+def _act_by_path(n, x, vec):
+    """x.vec through the action matrix of x's basis path."""
+    alg = n.algebra
+    path = alg.basis[x]
+    col = Matrix.from_sparse_cols(alg.field, [vec], n.dims[path.source])
+    return (n.act_path(path) * col).sparse_columns()[0]
+
+
+def _reader_vectors(alg, dim, seed):
+    """Unit vectors, one dense and one sparse seeded vector, and zero."""
+    rnd = random.Random(seed)
+    vecs = [{j: alg.field.one()} for j in range(dim)] + [{}]
+    if dim:
+        vecs.append({j: alg.field.canon(rnd.randint(-3, 3) or 1)
+                     for j in range(dim)})
+        vecs.append({j: alg.field.canon(rnd.randint(2, 5))
+                     for j in rnd.sample(range(dim), min(2, dim))})
+    return vecs
+
+
+def _check_reader(n, seed):
+    from qtilt.repcore import ActionReader
+    alg = n.algebra
+    act = ActionReader(n)
+    checked = 0
+    for x, path in enumerate(alg.basis):
+        for vec in _reader_vectors(alg, n.dims[path.source], seed + x):
+            assert act(x, vec) == _act_by_path(n, x, vec), (n, x, vec)
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("which", range(4))
+def test_action_reader_on_free_modules_matches_act_path(which):
+    """The reader's free branch, read off the products, on free modules
+    with unsorted and repeated generators, over Q and GF(32003)."""
+    alg = _free_corpus()[which]
+    checked = 0
+    for gens in _generator_tuples(alg):
+        checked += _check_reader(proj_sum(alg, gens), len(gens))
+    assert checked > 50
+
+
+@pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "F32003"])
+def test_action_reader_on_random_modules_matches_act_path(field):
+    """The reader's composed-columns branch on seeded random modules."""
+    checked = 0
+    for name, alg in _merge_corpus(field).items():
+        for seed in range(4):
+            checked += _check_reader(random_module(alg, seed), seed)
+    assert checked > 200
+
+
+def test_action_reader_stays_off_the_module():
+    """Reading x.v leaves no action matrix and no reader on the module."""
+    from qtilt.repcore import ActionReader
+    alg = _merge_corpus(QQ)["kron2"]
+    for n in (random_module(alg, 3), proj_sum(alg, alg.quiver.vertices)):
+        act = ActionReader(n)
+        one = alg.field.one()
+        for x, path in enumerate(alg.basis):
+            for j in range(n.dims[path.source]):
+                act(x, {j: one})
+        assert not any(isinstance(k, tuple) and k[0] == "act"
+                       for k in n._cache)
+        assert not any(isinstance(v, ActionReader)
+                       for v in n._cache.values())
+
+
+def test_hom_space_reads_each_basis_elements_columns_once(monkeypatch):
+    """One hom_space(P, N) call composes each basis element's action on N
+    once, however many maps it builds out of that element's generator."""
+    from qtilt import repcore
+    alg = _merge_corpus(QQ)["kron2"]
+    seen = []
+    real = repcore.ActionReader._columns
+    monkeypatch.setattr(repcore.ActionReader, "_columns",
+                        lambda self, x: seen.append(x) or real(self, x))
+    verts = alg.quiver.vertices
+    shared = 0      # elements read for several maps, once each
+    for p in (regular(alg), proj_sum(alg, [verts[-1], verts[0], verts[-1]])):
+        for seed in range(6):
+            n = random_module(alg, seed)
+            del seen[:]
+            hom_space(p, n)
+            assert len(seen) == len(set(seen)), seed
+            shared += sum(n.dims[alg.basis[x].source] > 1 for x in seen)
+    assert shared > 10
+
+
+def test_restriction_keeps_each_callers_message(monkeypatch, kron):
+    """image_rep, submodule_generated and top_and_radical restrict arrows
+    through one helper, each with its own failure message."""
+    from qtilt import repcore
+    m = random_module(kron, 2)
+    monkeypatch.setattr(repcore, "solve", lambda a, b: None)
+    v = kron.quiver.vertices[-1]
+    cases = [(lambda: repcore.image_rep(ModuleMap.identity(m)),
+              "image is not arrow-stable"),
+             (lambda: repcore.submodule_generated(
+                 m, {v: [[1] * m.dims[v]]}),
+              "generated subspaces are not arrow-stable"),
+             (lambda: top_and_radical(m), "radical is not arrow-stable")]
+    assert m.dims[v]
+    for build, message in cases:
+        with pytest.raises(QtiltError, match=message):
+            build()
