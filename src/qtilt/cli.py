@@ -19,7 +19,7 @@ from .exactla import Matrix, PrimeField, QQ
 from .homengine import (ext_dim, gldim, is_finite, min_proj_resolution,
                         tau_finiteness_probe, tau_n, tau_n_minus)
 from .quivercore import (Arrow, BoundQuiverAlgebra, Path, PathSum, Quiver,
-                         build_algebra, format_path, radical_basis,
+                         build_algebra, format_path,
                          semisimple_and_basic_flags)
 from .repcore import Representation
 from .tensorcon import (kunneth_verify, structural_suite, tensor_algebras,
@@ -371,7 +371,7 @@ def _algebra_info_lines(alg: BoundQuiverAlgebra) -> List[str]:
         f"relations {len(alg.relations)}",
         f"nilpotency {alg.nilpotency}",
         "basis_by_degree " + " ".join(str(d) for d in alg.dims_by_degree()),
-        f"radical_dimension {len(radical_basis(alg))}",
+        f"radical_dimension {len(alg.radical_indices())}",
         f"semisimple {'true' if ss else 'false'}",
         f"basic {'true' if basic else 'false'}",
         f"gldim {g}",

@@ -14,7 +14,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (NotAdmissibleError, NonSplitError, QtiltError,
                      UnsupportedCharacteristicError)
-from .exactla import Matrix, QQ, Span, _dense, _tidy, kernel_basis
+from .exactla import Matrix, QQ, Span, _sub_multiple, _tidy, kernel_data
 
 
 class Arrow(NamedTuple):
@@ -523,18 +523,18 @@ class StructureConstantAlgebra:
     table on a fixed basis.  Validates associativity and the unit law
     (exhaustively in small dimension, on sampled triples beyond).
 
-    ``table[i][j]`` holds the coordinates of e_i * e_j, either as a dense
-    sequence of length dim or as a dict index -> entry.  They are kept
-    sparse: ``cells[i]`` maps each j with e_i * e_j != 0 to a dict of the
-    nonzero canonical coordinates.  `product` multiplies sparse elements;
-    `mult` is its dense wrapper."""
+    An element is a sparse dict basis index -> nonzero canonical entry,
+    from ``unit`` and `product` to everything built on this class.  Only
+    the constructor also takes dense input: ``table[i][j]`` (e_i * e_j)
+    and ``unit`` may be dense sequences or dicts.  ``cells[i]`` maps each
+    j with e_i * e_j != 0 to the sparse product."""
 
     def __init__(self, field, table, unit, validate: bool = True):
         self.field = field
         self.dim = len(table)
         self.cells = [{j: cell for j, cell in enumerate(map(self.sparse, row))
                        if cell} for row in table]
-        self.unit = tuple(field.canon(c) for c in unit)
+        self.unit = self.sparse(unit)
         if validate:
             self._validate(table)
 
@@ -548,10 +548,10 @@ class StructureConstantAlgebra:
 
         if any(len(row) != n or any(map(ragged, row)) for row in table):
             raise QtiltError("structure constant table is not cubic")
-        unit = self.sparse(self.unit)
         for i in range(n):
             ei = {i: 1}
-            if self.product(unit, ei) != ei or self.product(ei, unit) != ei:
+            if self.product(self.unit, ei) != ei or \
+                    self.product(ei, self.unit) != ei:
                 raise QtiltError("unit law fails")
         if n <= 16:
             triples = ((i, j, k) for i in range(n) for j in range(n)
@@ -595,13 +595,6 @@ class StructureConstantAlgebra:
                     acc[k] = get(k, 0) + f * c
         return _tidy(acc, self.field.char)
 
-    def mult(self, x: Sequence, y: Sequence) -> Tuple:
-        return _dense(self.product(self.sparse(x), self.sparse(y)), self.dim)
-
-    def basis_vector(self, i: int) -> Tuple:
-        return tuple(self.field.one() if k == i else self.field.zero()
-                     for k in range(self.dim))
-
     def __repr__(self):
         return f"StructureConstantAlgebra(dim={self.dim})"
 
@@ -614,10 +607,20 @@ def regular_structure_algebra(alg: BoundQuiverAlgebra) -> StructureConstantAlgeb
     return StructureConstantAlgebra(alg.field, table, alg.unit(), validate=False)
 
 
-def abstract_radical(a: StructureConstantAlgebra) -> List[Tuple]:
-    """Radical via the trace form of the regular representation: x is
-    radical iff trace(L_{xy}) vanishes for all y.  Characteristic zero
-    only."""
+def _combine(terms, p: int) -> Dict[int, object]:
+    """The sum of c * x over the pairs (c, x) in terms, x a sparse element,
+    as a sparse canonical element."""
+    acc: Dict[int, object] = {}
+    for c, x in terms:
+        if c:
+            _sub_multiple(acc, -c, x, p)
+    return acc
+
+
+def abstract_radical(a: StructureConstantAlgebra) -> List[Dict[int, object]]:
+    """Basis of the radical, as sparse elements, via the trace form of the
+    regular representation: x is radical iff trace(L_{xy}) vanishes for
+    all y.  Characteristic zero only."""
     if a.field.char != 0:
         raise UnsupportedCharacteristicError(
             "trace-form radical needs characteristic zero")
@@ -627,26 +630,26 @@ def abstract_radical(a: StructureConstantAlgebra) -> List[Tuple]:
     gram = [_tidy({j: sum(c * tr[k] for k, c in cell.items())
                    for j, cell in row.items()}, 0) for row in a.cells]
     g = Matrix._raw(a.field, gram, n)
-    return [tuple(v) for v in kernel_basis(g.transpose())]
+    return kernel_data(g.transpose()).matrix.sparse_columns()
 
 
-def minimal_polynomial(a: StructureConstantAlgebra, x: Sequence,
-                       unit: Optional[Sequence] = None) -> List:
-    """Monic minimal polynomial of x (low-to-high coefficients) relative
-    to the given unit (defaults to the algebra unit).
+def minimal_polynomial(a: StructureConstantAlgebra, x: Dict[int, object],
+                       unit: Optional[Dict[int, object]] = None) -> List:
+    """Monic minimal polynomial of the sparse element x (low-to-high
+    coefficients) relative to the given sparse unit (defaults to the
+    algebra unit).
 
     A Krylov span holds x^k + t^k, with t^k at key dim + k; the first
     power whose algebra part reduces to zero leaves the polynomial in the
     tail of its remainder."""
-    xs = a.sparse(x)
-    power = a.sparse(unit if unit is not None else a.unit)
+    power = a.unit if unit is None else unit
     span = Span(a.field)
     for k in count():
         rem = span.reduce({**power, a.dim + k: 1})
         if k and min(rem) >= a.dim:
             return [rem.get(a.dim + j, 0) for j in range(k + 1)]
         span.add(rem)
-        power = a.product(xs, power)
+        power = a.product(x, power)
 
 
 # -- polynomial helpers over the rationals ----------------------------------
@@ -682,35 +685,6 @@ def poly_divmod(f, g):
     return q, r
 
 
-def poly_xgcd(f, g):
-    """Extended gcd: (u, v, d) with u*f + v*g = d, d monic."""
-    r0, r1 = [Fraction(c) for c in f], [Fraction(c) for c in g]
-    u0, u1 = [Fraction(1)], [Fraction(0)]
-    v0, v1 = [Fraction(0)], [Fraction(1)]
-    while any(r1):
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _poly_sub(u0, poly_mul(q, u1))
-        v0, v1 = v1, _poly_sub(v0, poly_mul(q, v1))
-    lc = r0[-1]
-    r0 = [c / lc for c in r0]
-    u0 = [c / lc for c in u0]
-    v0 = [c / lc for c in v0]
-    return u0, v0, r0
-
-
-def _poly_sub(f, g):
-    n = max(len(f), len(g))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(f):
-        out[i] += Fraction(c)
-    for i, c in enumerate(g):
-        out[i] -= Fraction(c)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def _divisors(n: int) -> List[int]:
     small = [d for d in range(1, isqrt(abs(n)) + 1) if n % d == 0]
     return small + [abs(n) // d for d in small]
@@ -742,15 +716,13 @@ def split_rational_root(mu) -> Optional[Tuple[List, List]]:
 
 
 def poly_eval_in_algebra(a: StructureConstantAlgebra, coeffs, x, unit=None):
-    """Evaluate a polynomial at an algebra element (Horner), with the
-    constant term against the given unit."""
-    u = tuple(unit) if unit is not None else a.unit
-    field = a.field
-    acc = tuple(field.zero() for _ in range(a.dim))
+    """Evaluate a polynomial (low-to-high coefficients) at the sparse
+    element x by Horner, with the constant term against the given sparse
+    unit (defaults to the algebra unit)."""
+    u = a.unit if unit is None else unit
+    acc: Dict[int, object] = {}
     for c in reversed(list(coeffs)):
-        acc = a.mult(x, acc)
-        if c != 0:
-            acc = tuple(field.canon(v + c * w) for v, w in zip(acc, u))
+        acc = _combine(((1, a.product(x, acc)), (c, u)), a.field.char)
     return acc
 
 
@@ -770,27 +742,48 @@ def quotient_by_radical(a: StructureConstantAlgebra):
         return {at[j]: c for j, c in rad.reduce(vec).items()}
 
     table = [[to_bar(a.cells[fi].get(fj, {})) for fj in free] for fi in free]
-    bar_unit = _dense(to_bar(a.sparse(a.unit)), len(free))
-    bar = StructureConstantAlgebra(a.field, table, bar_unit, validate=False)
+    bar = StructureConstantAlgebra(a.field, table, to_bar(a.unit),
+                                   validate=False)
     return free, bar
 
 
-def lift_idempotent(a: StructureConstantAlgebra, x: Sequence) -> Tuple:
-    """Newton iteration x <- 3x^2 - 2x^3 from an idempotent mod rad."""
-    field = a.field
-    x = tuple(field.canon(c) for c in x)
+def lift_idempotent(a: StructureConstantAlgebra, x: Dict[int, object]
+                    ) -> Dict[int, object]:
+    """Newton iteration x <- 3x^2 - 2x^3 from a sparse idempotent mod
+    rad."""
     for _ in range(64):
-        x2 = a.mult(x, x)
+        x2 = a.product(x, x)
         if x2 == x:
             return x
-        x3 = a.mult(x2, x)
-        x = tuple(field.canon(3 * b - 2 * c) for b, c in zip(x2, x3))
+        x = _combine(((3, x2), (-2, a.product(x2, x))), a.field.char)
     raise QtiltError("idempotent lifting did not converge")
 
 
+def _corner_candidates(bar: StructureConstantAlgebra, e, corner_basis, rnd):
+    """Elements to split the corner by, lazily: the basis vectors other
+    than e, their pairwise sums, then 60 elements whose coordinate k mixes
+    the basis vectors' coordinates k with coefficients drawn in -3..3."""
+    p = bar.field.char
+    seeds = [c for c in corner_basis if c != e]
+    yield from seeds
+    for i, x in enumerate(seeds):
+        for y in seeds[i + 1:]:
+            yield _combine(((1, x), (1, y)), p)
+    for _ in range(60):
+        yield _tidy({k: sum(rnd.randint(-3, 3) * v.get(k, 0)
+                            for v in corner_basis)
+                     for k in range(bar.dim)}, p)
+
+
 def _split_semisimple(bar: StructureConstantAlgebra, seed: int = 0):
-    """Primitive orthogonal idempotents of a semisimple algebra, or
-    NonSplitError when a corner refuses to split over the base field."""
+    """Primitive orthogonal idempotents of a semisimple algebra, as sparse
+    elements, or NonSplitError when a corner refuses to split over the
+    base field.  A corner e bar e splits by the first candidate x whose
+    minimal polynomial mu relative to e has a rational root r and another
+    factor.  As bar is semisimple, mu is squarefree: mu = (t - r) g with
+    g(r) != 0, and e is the sum of the Lagrange idempotent g(x) / g(r) and
+    its complement.  A repeated root means a radical left in bar and
+    raises QtiltError."""
     import random
 
     field = bar.field
@@ -798,27 +791,17 @@ def _split_semisimple(bar: StructureConstantAlgebra, seed: int = 0):
     out = []
     while work:
         e = work.pop(0)
-        corner = [bar.mult(bar.mult(e, bar.basis_vector(k)), e)
+        corner = [bar.product(bar.product(e, {k: 1}), e)
                   for k in range(bar.dim)]
         span = Span(field)
         corner_basis = [c for c in corner if span.add(c)]
         if len(corner_basis) <= 1:
             out.append(e)
             continue
-        rnd = random.Random(seed)
-        seeds = [c for c in corner_basis if c != e]
-        candidates = list(seeds)
-        for i in range(len(seeds)):
-            for j in range(i + 1, len(seeds)):
-                candidates.append(tuple(field.canon(x + y)
-                                        for x, y in zip(seeds[i], seeds[j])))
-        for _ in range(60):
-            candidates.append(tuple(
-                field.canon(sum(rnd.randint(-3, 3) * v[k] for v in corner_basis))
-                for k in range(bar.dim)))
         split = None
         saw_nonlinear = False
-        for x in candidates:
+        for x in _corner_candidates(bar, e, corner_basis,
+                                    random.Random(seed)):
             mu = minimal_polynomial(bar, x, unit=e)
             if len(mu) <= 2:
                 continue
@@ -829,11 +812,13 @@ def _split_semisimple(bar: StructureConstantAlgebra, seed: int = 0):
             f, g = split_mu
             if len(g) == 1:
                 continue
-            _, v, d = poly_xgcd(f, g)
-            if len(d) != 1:
-                raise QtiltError("factors of a minimal polynomial not coprime")
-            e1 = poly_eval_in_algebra(bar, poly_mul(v, g), x, unit=e)
-            split = e1
+            if len(f) > 2:
+                raise QtiltError(
+                    "repeated root of a minimal polynomial in a semisimple "
+                    "quotient: the radical is wrong")
+            r = -f[0]
+            g_r = sum(c * r ** i for i, c in enumerate(g))
+            split = poly_eval_in_algebra(bar, [c / g_r for c in g], x, unit=e)
             break
         if split is None:
             raise NonSplitError(
@@ -841,45 +826,35 @@ def _split_semisimple(bar: StructureConstantAlgebra, seed: int = 0):
                 "field" + ("" if not saw_nonlinear else
                            " (an irreducible minimal polynomial of degree"
                            " > 1 appeared)"))
-        e1 = split
-        e2 = tuple(field.canon(a - b) for a, b in zip(e, e1))
-        work.append(e1)
-        work.append(e2)
+        work.append(split)
+        work.append(_combine(((1, e), (-1, split)), field.char))
     return out
 
 
 def primitive_orthogonal_idempotents(a: StructureConstantAlgebra,
-                                     seed: int = 0) -> List[Tuple]:
+                                     seed: int = 0) -> List[Dict[int, object]]:
     """A complete list of primitive orthogonal idempotents summing to 1,
-    lifted from the semisimple quotient: each quotient idempotent is put
-    at the free coordinates of `quotient_by_radical` and lifted.  Requires
+    as sparse elements, lifted from the semisimple quotient: each quotient
+    idempotent is put at the free coordinates of `quotient_by_radical`,
+    cut by the complement of those lifted before, and lifted.  Requires
     characteristic zero and a split quotient."""
     if a.field.char != 0:
         raise UnsupportedCharacteristicError(
             "idempotent splitting needs characteristic zero")
     free, bar = quotient_by_radical(a)
-    field = a.field
     bar_idems = _split_semisimple(bar, seed)
-    if len(bar_idems) == 1:
-        return [a.unit]
     lifted = []
-    partial = tuple(field.zero() for _ in range(a.dim))
+    comp = dict(a.unit)
     for ebar in bar_idems[:-1]:
-        x = [field.zero()] * a.dim
-        for j, c in zip(free, ebar):
-            x[j] = c
-        comp = tuple(field.canon(u - s) for u, s in zip(a.unit, partial))
-        x = a.mult(a.mult(comp, x), comp)
-        e = lift_idempotent(a, x)
+        x = {free[j]: c for j, c in ebar.items()}
+        e = lift_idempotent(a, a.product(a.product(comp, x), comp))
         lifted.append(e)
-        partial = tuple(field.canon(p + c) for p, c in zip(partial, e))
-    last = tuple(field.canon(u - s) for u, s in zip(a.unit, partial))
-    lifted.append(last)
-    sparse = [a.sparse(e) for e in lifted]
-    for i, e in enumerate(sparse):
+        comp = _combine(((1, comp), (-1, e)), 0)
+    lifted.append(comp)
+    for i, e in enumerate(lifted):
         if a.product(e, e) != e:
             raise QtiltError("lifted element is not idempotent")
-        for f in sparse[:i]:
+        for f in lifted[:i]:
             if a.product(e, f) or a.product(f, e):
                 raise QtiltError("lifted idempotents are not orthogonal")
     return lifted

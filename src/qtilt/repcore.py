@@ -811,13 +811,14 @@ def express_in_basis(maps: Sequence[ModuleMap], f: ModuleMap):
     return None if coords is None else _dense(coords[0], len(maps))
 
 
-def linear_combination(coeffs, maps: Sequence[ModuleMap]
+def linear_combination(coeffs: Dict[int, object], maps: Sequence[ModuleMap]
                        ) -> Optional[ModuleMap]:
-    """sum_i coeffs[i] maps[i], or None when every coefficient is zero."""
+    """sum_i coeffs[i] maps[i] over a sparse coefficient dict (position ->
+    entry), or None when every coefficient is zero."""
     f = None
-    for c, h in zip(coeffs, maps):
+    for i, c in sorted(coeffs.items()):
         if c != 0:
-            f = h.scale(c) if f is None else f + h.scale(c)
+            f = maps[i].scale(c) if f is None else f + maps[i].scale(c)
     return f
 
 
@@ -858,8 +859,7 @@ def endomorphism_algebra(m: Representation):
     """(StructureConstantAlgebra of End(m) with composition product,
     basis maps): `endomorphism_blocks` on the one module m."""
     blocks, table, (unit,) = endomorphism_blocks([m])
-    sca = StructureConstantAlgebra(m.algebra.field, table,
-                                   _dense(unit, len(blocks)))
+    sca = StructureConstantAlgebra(m.algebra.field, table, unit)
     return sca, [f for _, _, f in blocks]
 
 
@@ -941,7 +941,7 @@ def is_isomorphic(m: Representation, n: Representation, seed: int = 0,
     d = len(homs)
 
     def invertible(coeffs) -> bool:
-        f = linear_combination(coeffs, homs)
+        f = linear_combination(dict(enumerate(coeffs)), homs)
         return f is not None and f.is_isomorphism()
 
     rnd = random.Random(seed)

@@ -266,18 +266,18 @@ def structural_suite(t: TensorAlgebraResult, seed: int = 0,
     idempotents, module radicals and tops, projective covers, dimension
     additivity.  Returns (name, ok, detail) triples."""
     from .homengine import gldim, injd, is_finite, pd
-    from .quivercore import multiply, radical_basis, semisimple_and_basic_flags
+    from .quivercore import (abstract_radical, multiply,
+                             semisimple_and_basic_flags)
     from .repcore import (decompose, endomorphism_algebra, inj, is_isomorphic,
                           proj, projective_cover, random_module, simple,
                           top_and_radical)
-    from .quivercore import abstract_radical
 
     alg = t.algebra
     results = []
 
-    rl, dl = len(radical_basis(t.left)), t.left.dim
-    rr, dr = len(radical_basis(t.right)), t.right.dim
-    got = len(radical_basis(alg))
+    rl, dl = len(t.left.radical_indices()), t.left.dim
+    rr, dr = len(t.right.radical_indices()), t.right.dim
+    got = len(alg.radical_indices())
     want = rl * dr + dl * rr - rl * rr
     results.append(("radical_formula", got == want, f"{got}={want}"))
 

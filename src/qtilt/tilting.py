@@ -15,7 +15,7 @@ translate summand inherits the replaced vertex's label.
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NonSplitError, QtiltError, UnsupportedCharacteristicError
-from .exactla import Matrix, Span, _dense, kernel_basis
+from .exactla import Matrix, Span, kernel_basis
 from .homengine import (ext_dim, gldim, injd, is_finite, pd, tau_n,
                         tau_n_minus)
 from .quivercore import (Arrow, BoundQuiverAlgebra, IdealClosure, Path,
@@ -201,8 +201,7 @@ class TiltingCertificate:
 
 def _endo_radical_maps(u: Representation) -> List[ModuleMap]:
     sca, basis = endomorphism_algebra(u)
-    maps = (linear_combination(vec, basis) for vec in abstract_radical(sca))
-    return [f for f in maps if f is not None]
+    return [linear_combination(vec, basis) for vec in abstract_radical(sca)]
 
 
 def minimal_left_approximation(x: Representation,
@@ -292,7 +291,8 @@ def verify_tilting(alg: BoundQuiverAlgebra, t: Representation, m: int,
 
 
 class EndoData:
-    """Bookkeeping for End(T)^op on a basic list of summands."""
+    """Bookkeeping for End(T)^op on a basic list of summands; each of
+    ``idempotents`` is a summand's identity as a sparse element."""
 
     def __init__(self, summands, basis_blocks, multiplicities, basicized,
                  idempotents):
@@ -300,7 +300,7 @@ class EndoData:
         self.basis_blocks = basis_blocks    # list of (i, j, ModuleMap U_i -> U_j)
         self.multiplicities = multiplicities
         self.basicized = basicized
-        self.idempotents = idempotents      # summand identities, as vectors
+        self.idempotents = idempotents      # summand identities, sparse
 
 
 def endo_algebra(t, seed: int = 0):
@@ -326,20 +326,19 @@ def endo_algebra(t, seed: int = 0):
     if not summands:
         raise QtiltError("End(T) needs at least one nonzero summand")
     blocks, table, ident = endomorphism_blocks([u for _, u in summands])
-    dim = len(blocks)
     # the identities lie in distinct diagonal blocks, so the unit is their
     # union
-    unit = _dense({p: c for e in ident for p, c in e.items()}, dim)
+    unit = {p: c for e in ident for p, c in e.items()}
     sca = StructureConstantAlgebra(summands[0][1].algebra.field,
                                    list(zip(*table)), unit)
-    data = EndoData(summands, blocks, mults, basicized,
-                    [_dense(e, dim) for e in ident])
+    data = EndoData(summands, blocks, mults, basicized, ident)
     return sca, data
 
 
 class AlgebraPresentation:
     """A bound quiver presentation of an abstract algebra: quiver,
-    relations, and the arrow-to-element surjection data.
+    relations, and the arrow-to-element surjection data: ``arrow_images``
+    maps each arrow name to its image, a sparse element.
 
     The relations generate the ideal (the round trip is checked), each
     reduced modulo the arrow multiples of the earlier ones up to its own
@@ -349,7 +348,7 @@ class AlgebraPresentation:
     def __init__(self, quiver, relations, arrow_images, dim, algebra):
         self.quiver = quiver
         self.relations = relations
-        self.arrow_images = arrow_images  # arrow name -> element vector
+        self.arrow_images = arrow_images  # arrow name -> sparse element
         self.dim = dim
         self.algebra = algebra            # round-trip bound quiver algebra
 
@@ -366,17 +365,18 @@ def present_algebra(sca: StructureConstantAlgebra,
     """Bound quiver presentation: lift primitive idempotents, take arrows
     from rad/rad^2, and read relations off the kernel of the induced path
     algebra surjection degree by degree until the radical power vanishes.
-    Characteristic zero with split semisimple quotient only."""
+    Given ``idempotents`` are sparse elements.  Characteristic zero with
+    split semisimple quotient only."""
     if sca.field.char != 0:
         raise UnsupportedCharacteristicError(
             "presentations need characteristic zero")
     field = sca.field
-    rad_vectors = abstract_radical(sca)
+    rad = abstract_radical(sca)
     if idempotents is None:
         idempotents = primitive_orthogonal_idempotents(sca, seed)
-    idempotents = [tuple(e) for e in idempotents]
-    s = len(idempotents)
-    if sca.dim - len(rad_vectors) != s:
+    idems = list(idempotents)
+    s = len(idems)
+    if sca.dim - len(rad) != s:
         raise NonSplitError(
             "semisimple quotient is not a product of base-field copies "
             "matching the primitive idempotents (non-basic algebra?)")
@@ -385,8 +385,6 @@ def present_algebra(sca: StructureConstantAlgebra,
     labels = [str(l) for l in labels]
 
     # radical powers as spans; rad^k is spanned by rad^(k-1) * rad
-    rad = [sca.sparse(vec) for vec in rad_vectors]
-    idems = [sca.sparse(e) for e in idempotents]
     powers = [Span(field)]
     for vec in rad:
         powers[0].add(vec)
@@ -407,15 +405,12 @@ def present_algebra(sca: StructureConstantAlgebra,
         for j in range(s):
             # independent directions modulo rad^2 within the block
             block = Span(field)
-            chosen = []
             for r in right:
                 w = sca.product(idems[j], r)
                 if block.add(rad2.reduce(w)):
-                    chosen.append(w)
-            for k, w in enumerate(chosen):
-                aname = f"a{k}_{i}_{j}"
-                arrows.append(Arrow(aname, labels[i], labels[j]))
-                images[aname] = w
+                    aname = f"a{len(block) - 1}_{i}_{j}"
+                    arrows.append(Arrow(aname, labels[i], labels[j]))
+                    images[aname] = w
     quiver = Quiver(labels, arrows)
 
     # the path-algebra surjection, degree by degree
@@ -459,8 +454,7 @@ def present_algebra(sca: StructureConstantAlgebra,
     cols = [phi_path(p) for p in presented.basis]
     if Matrix.from_sparse_cols(field, cols, sca.dim).rank() != sca.dim:
         raise QtiltError("presentation surjection is not an isomorphism")
-    arrow_images = {a: _dense(w, sca.dim) for a, w in images.items()}
-    return AlgebraPresentation(quiver, relations, arrow_images, presented.dim,
+    return AlgebraPresentation(quiver, relations, images, presented.dim,
                                presented)
 
 

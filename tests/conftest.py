@@ -6,6 +6,12 @@ from qtilt.exactla import QQ
 from qtilt.quivercore import Arrow, Path, PathSum, Quiver, build_algebra
 
 
+def dense(x, n):
+    """A sparse algebra element (index -> entry) as a dense tuple of
+    length n."""
+    return tuple(x.get(k, 0) for k in range(n))
+
+
 def make_kronecker(name="kron"):
     q = Quiver(["1", "2"], [Arrow("a0", "2", "1"), Arrow("a1", "2", "1")])
     return build_algebra(q, [], QQ, name=name)

@@ -16,8 +16,8 @@ from qtilt.quivercore import (Arrow, Path, PathSum, Quiver, StructureConstantAlg
                               radical_basis, regular_structure_algebra,
                               semisimple_and_basic_flags, split_rational_root)
 
-from conftest import (make_a3, make_a3_nilpotent, make_kronecker, make_square,
-                      make_two_loop)
+from conftest import (dense, make_a3, make_a3_nilpotent, make_kronecker,
+                      make_square, make_two_loop)
 
 
 # --- independent oracles ------------------------------------------------------
@@ -245,7 +245,7 @@ def test_abstract_radical_matches_graded_radical(kron):
     assert len(rad) == len(radical_basis(kron)) == 2
     graded = Matrix(QQ, [list(v) for v in radical_basis(kron)])
     for v in rad:
-        stacked = graded.stack_below(Matrix(QQ, [list(v)]))
+        stacked = graded.stack_below(Matrix(QQ, [dense(v, sca.dim)]))
         assert stacked.rank() == graded.rank()
 
 
@@ -265,14 +265,14 @@ def test_abstract_radical_upper_triangular():
     rad = abstract_radical(a)
     # oracle: span of e12 is a nilpotent two-sided ideal with semisimple
     # quotient, hence is the radical
-    e12 = (0, 0, 1)
-    assert a.mult(e12, e12) == (0, 0, 0)
+    e12 = {2: 1}
+    assert dense(a.product(e12, e12), 3) == (0, 0, 0)
     for k in range(3):
-        b = a.basis_vector(k)
-        for prod in (a.mult(b, e12), a.mult(e12, b)):
-            assert prod[0] == 0 and prod[1] == 0
+        b = {k: 1}
+        for prod in (a.product(b, e12), a.product(e12, b)):
+            assert dense(prod, 3)[0] == 0 and dense(prod, 3)[1] == 0
     assert len(rad) == 1
-    assert rad[0] == (0, 0, 1)
+    assert dense(rad[0], 3) == (0, 0, 1)
 
 
 # --- sparse structure constants -----------------------------------------------
@@ -338,7 +338,7 @@ def test_sparse_mult_matches_triple_loop(data):
     x = data.draw(st.lists(entries, min_size=alg.dim, max_size=alg.dim))
     y = data.draw(st.lists(entries, min_size=alg.dim, max_size=alg.dim))
     want = triple_loop_product(alg, x, y)
-    assert sca.mult(x, y) == want
+    assert dense(sca.product(sca.sparse(x), sca.sparse(y)), alg.dim) == want
     assert sca.product(sca.sparse(x), sca.sparse(y)) == \
         {k: c for k, c in enumerate(want) if c}
     # only nonzero cells and nonzero entries are stored
@@ -347,8 +347,8 @@ def test_sparse_mult_matches_triple_loop(data):
 
 
 def dense_table(sca):
-    e = [sca.basis_vector(i) for i in range(sca.dim)]
-    return [[sca.mult(a, b) for b in e] for a in e]
+    e = [{i: 1} for i in range(sca.dim)]
+    return [[dense(sca.product(a, b), sca.dim) for b in e] for a in e]
 
 
 def sampled_triples(n):
@@ -381,7 +381,7 @@ def test_validate_rejects_ragged_table_and_broken_unit(name):
         with pytest.raises(QtiltError, match="not cubic"):
             StructureConstantAlgebra(QQ, bad, sca.unit)
     with pytest.raises(QtiltError, match="unit law"):
-        StructureConstantAlgebra(QQ, table, sca.basis_vector(0))
+        StructureConstantAlgebra(QQ, table, {0: 1})
 
 
 @pytest.mark.parametrize("name", ["kron2", "kron_a3"])
@@ -392,14 +392,15 @@ def test_validate_finds_a_planted_associativity_defect(name):
     checked = ([(i, j, k) for i in range(n) for j in range(n)
                 for k in range(n)] if n <= 16 else sampled_triples(n))
     i, j, k = next(t for t in checked if radical.issuperset(t))
-    e = [sca.basis_vector(m) for m in range(n)]
+    e = [dense({m: 1}, n) for m in range(n)]
     # e_i * e_j gains e_l, an idempotent with e_l * e_k != 0: the unit law
     # still holds, since i and j lie in the radical, but (e_i e_j) e_k moves
     l = next(m for m in range(n)
-             if m not in radical and any(sca.mult(e[m], e[k])))
+             if m not in radical and any(dense(sca.product({m: 1}, {k: 1}),
+                                               n)))
     table = dense_table(sca)
     table[i][j] = tuple(c + (m == l) for m, c in enumerate(table[i][j]))
-    unit = sca.unit
+    unit = dense(sca.unit, n)
     assert all(table_product(table, unit, b) == b
                == table_product(table, b, unit) for b in e)
     assert table_product(table, table[i][j], e[k]) != \
@@ -410,7 +411,7 @@ def test_validate_finds_a_planted_associativity_defect(name):
 
 def test_non_idempotent_lift_is_a_typed_error(monkeypatch):
     monkeypatch.setattr(quivercore, "lift_idempotent",
-                        lambda a, x: tuple(2 * c for c in x))
+                        lambda a, x: {k: 2 * c for k, c in x.items()})
     with pytest.raises(QtiltError, match="not idempotent"):
         primitive_orthogonal_idempotents(upper_triangular_2x2())
 
@@ -441,7 +442,7 @@ def test_radical_dimension_formula_for_tensor_square(kron):
 
 def test_minimal_polynomial_idempotent():
     a = upper_triangular_2x2()
-    mu = minimal_polynomial(a, (1, 0, 0))
+    mu = minimal_polynomial(a, {0: 1})
     # t^2 - t
     assert mu == [0, -1, 1]
 
@@ -450,10 +451,11 @@ def test_primitive_idempotents_upper_triangular():
     a = upper_triangular_2x2()
     idems = primitive_orthogonal_idempotents(a)
     assert len(idems) == 2
-    total = tuple(QQ.canon(x + y) for x, y in zip(*idems))
-    assert total == a.unit
+    total = tuple(QQ.canon(x + y)
+                  for x, y in zip(*(dense(e, a.dim) for e in idems)))
+    assert total == dense(a.unit, a.dim)
     for e in idems:
-        assert a.mult(e, e) == e
+        assert a.product(e, e) == e
 
 
 def test_primitive_idempotents_regular_kronecker(kron):
@@ -677,15 +679,16 @@ def test_minimal_polynomial_annihilates_and_is_least(which, coeffs):
            "kron_gf": lambda: build_algebra(make_kronecker().quiver, [], GF)
            }[which]()
     a = regular_structure_algebra(alg)
-    x = tuple(a.field.canon(c) for c in coeffs[:a.dim])
+    x = a.sparse(coeffs[:a.dim])
     mu = minimal_polynomial(a, x)
     assert mu[-1] == 1 and len(mu) >= 2
-    assert poly_eval_in_algebra(a, mu, x) == (0,) * a.dim
+    assert dense(poly_eval_in_algebra(a, mu, x), a.dim) == (0,) * a.dim
     # 1, x, ..., x^(deg - 1) are independent, so no lower degree works
     powers = [a.unit]
     for _ in range(len(mu) - 2):
-        powers.append(a.mult(x, powers[-1]))
-    assert Matrix(a.field, powers).rank() == len(mu) - 1
+        powers.append(a.product(x, powers[-1]))
+    assert Matrix(a.field, [dense(p, a.dim) for p in powers]).rank() == \
+        len(mu) - 1
 
 
 # --- the radical quotient read off a reduced span -------------------------------
@@ -698,7 +701,7 @@ def _quotient_by_rref(a):
     if not rad:
         free, rows = list(range(a.dim)), [{j: 1} for j in range(a.dim)]
     else:
-        res = rref(Matrix(QQ, [list(v) for v in rad]))
+        res = rref(Matrix(QQ, [dense(v, a.dim) for v in rad]))
         free = [j for j in range(a.dim) if j not in set(res.pivots)]
         rows = []
         for f in free:
@@ -770,8 +773,165 @@ def test_quotient_by_radical_matches_the_rref_projection():
         free, bar = quivercore.quotient_by_radical(a)
         ref_free, ref_table, ref_unit = _quotient_by_rref(a)
         assert free == ref_free
-        assert bar.dim == len(free) and bar.unit == ref_unit
-        assert [[bar.mult(bar.basis_vector(i), bar.basis_vector(j))
+        assert bar.dim == len(free) and dense(bar.unit, bar.dim) == ref_unit
+        assert [[dense(bar.product({i: 1}, {j: 1}), bar.dim)
                  for j in range(bar.dim)] for i in range(bar.dim)] == ref_table
         semisimple += len(free) == a.dim
     assert semisimple
+
+
+# --- the idempotent split: Lagrange against the Bezout route ------------------
+
+def _poly_sub(f, g):
+    n = max(len(f), len(g))
+    out = [Fraction(0)] * n
+    for i, c in enumerate(f):
+        out[i] += Fraction(c)
+    for i, c in enumerate(g):
+        out[i] -= Fraction(c)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _poly_xgcd(f, g):
+    """Extended gcd: (u, v, d) with u*f + v*g = d, d monic."""
+    from qtilt.quivercore import poly_divmod
+    r0, r1 = [Fraction(c) for c in f], [Fraction(c) for c in g]
+    u0, u1 = [Fraction(1)], [Fraction(0)]
+    v0, v1 = [Fraction(0)], [Fraction(1)]
+    while any(r1):
+        q, r = poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, _poly_sub(u0, poly_mul(q, u1))
+        v0, v1 = v1, _poly_sub(v0, poly_mul(q, v1))
+    lc = r0[-1]
+    return [c / lc for c in u0], [c / lc for c in v0], [c / lc for c in r0]
+
+
+def _corner_basis(bar, e):
+    from qtilt.exactla import Span
+    span = Span(bar.field)
+    return [c for c in (bar.product(bar.product(e, {k: 1}), e)
+                        for k in range(bar.dim)) if span.add(c)]
+
+
+def _eager_candidates(bar, e, corner_basis, seed):
+    """All split candidates of a corner, built up front as dense vectors:
+    the basis vectors other than e, their pairwise sums, then 60 draws
+    from one generator seeded per corner."""
+    field, n = bar.field, bar.dim
+    rnd = random.Random(seed)
+    basis = [dense(c, n) for c in corner_basis]
+    seeds = [c for c in basis if c != dense(e, n)]
+    candidates = list(seeds)
+    for i in range(len(seeds)):
+        for j in range(i + 1, len(seeds)):
+            candidates.append(tuple(field.canon(x + y)
+                                    for x, y in zip(seeds[i], seeds[j])))
+    for _ in range(60):
+        candidates.append(tuple(
+            field.canon(sum(rnd.randint(-3, 3) * v[k] for v in basis))
+            for k in range(n)))
+    return candidates
+
+
+def _bezout_split(bar, seed=0):
+    """The split of a semisimple algebra through the extended gcd: for
+    mu = f g with u f + v g = 1, e1 = (v g)(x), trying the eagerly built
+    candidates in turn."""
+    from qtilt.quivercore import poly_eval_in_algebra
+    n = bar.dim
+    work, out = [bar.unit], []
+    while work:
+        e = work.pop(0)
+        corner_basis = _corner_basis(bar, e)
+        if len(corner_basis) <= 1:
+            out.append(e)
+            continue
+        candidates = _eager_candidates(bar, e, corner_basis, seed)
+        for x in map(bar.sparse, candidates):
+            mu = minimal_polynomial(bar, x, unit=e)
+            split_mu = split_rational_root(mu) if len(mu) > 2 else None
+            if split_mu is None or len(split_mu[1]) == 1:
+                continue
+            f, g = split_mu
+            _, v, d = _poly_xgcd(f, g)
+            assert d == [1]
+            e1 = poly_eval_in_algebra(bar, poly_mul(v, g), x, unit=e)
+            break
+        else:
+            raise NonSplitError("no candidate split the corner")
+        work.append(e1)
+        work.append(bar.sparse({k: e.get(k, 0) - e1.get(k, 0)
+                                for k in range(n)}))
+    return out
+
+
+def _split_corpus(corpus):
+    """The regular algebras of the corpus, and End(m + m + S) for seeded
+    random m and a simple S over kron, kron^2, A3 (x) kron and the two-loop
+    algebra."""
+    from qtilt.repcore import direct_sum, endomorphism_algebra, random_module
+    from qtilt.repcore import simple
+    from qtilt.tensorcon import tensor_algebras
+    kron = make_kronecker()
+    out = [regular_structure_algebra(alg) for alg in corpus]
+    for alg in (kron, tensor_algebras(kron, kron).algebra,
+                tensor_algebras(make_a3(), kron).algebra, make_two_loop()):
+        for seed in range(2):
+            m = random_module(alg, seed)
+            s = simple(alg, alg.quiver.vertices[-1])
+            out.append(endomorphism_algebra(direct_sum([m, m, s])[0])[0])
+    return out
+
+
+def test_lagrange_split_matches_the_bezout_split(monkeypatch, corpus):
+    algebras = _split_corpus(corpus)
+    got = [primitive_orthogonal_idempotents(a) for a in algebras]
+    monkeypatch.setattr(quivercore, "_split_semisimple", _bezout_split)
+    want = [primitive_orthogonal_idempotents(a) for a in algebras]
+    assert got == want
+    assert max(len(idems) for idems in got) >= 4
+
+
+def test_lazy_candidates_match_the_eager_list(corpus):
+    """Every candidate, the 60 seeded draws included, in the same order: at
+    the unit corner of each quotient of the split corpus, and at the corner
+    of the sum of its first two primitive idempotents."""
+    checked = 0
+    for a in _split_corpus(corpus):
+        bar = quivercore.quotient_by_radical(a)[1]
+        idems = quivercore._split_semisimple(bar)
+        corners = [bar.unit]
+        if len(idems) > 2:
+            corners.append(bar.sparse({k: idems[0].get(k, 0)
+                                       + idems[1].get(k, 0)
+                                       for k in range(bar.dim)}))
+        for e in corners:
+            basis = _corner_basis(bar, e)
+            if len(basis) <= 1:
+                continue
+            for seed in (0, 5):
+                lazy = quivercore._corner_candidates(bar, e, basis,
+                                                     random.Random(seed))
+                want = _eager_candidates(bar, e, basis, seed)
+                assert [dense(x, bar.dim) for x in lazy] == want
+                checked += 1
+    assert checked >= 20
+
+
+def test_split_refuses_a_repeated_root():
+    """k[eps]/(eps^2) x k on the basis (1 + eps, 0), (eps, 0), (0, 1) is not
+    semisimple.  Its first candidate (1 + eps, 0) has minimal polynomial
+    t (t - 1)^2, and the root 1 is taken first, with g = t: the splitter
+    must report the repeated root rather than split by g."""
+    table = [[{0: 1, 1: 1}, {1: 1}, {}],
+             [{1: 1}, {}, {}],
+             [{}, {}, {2: 1}]]
+    a = StructureConstantAlgebra(QQ, table, (1, -1, 1))
+    assert minimal_polynomial(a, {0: 1}) == [0, 1, -2, 1]
+    assert split_rational_root([0, 1, -2, 1]) == ([1, -2, 1], [0, 1])
+    with pytest.raises(QtiltError, match="repeated root") as info:
+        quivercore._split_semisimple(a)
+    assert not isinstance(info.value, NonSplitError)

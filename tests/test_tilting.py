@@ -15,6 +15,8 @@ from qtilt.tilting import (apr_check, apr_cotilting_check, bb_check, count_apr,
                            minimal_left_approximation, present_algebra,
                            verify_tilting)
 
+from conftest import dense
+
 
 # --- apr_check -----------------------------------------------------------------
 
@@ -202,15 +204,14 @@ def test_endo_table_matches_per_product_solves(kron2):
         return tuple(vec)
 
     zero = (0,) * sca.dim
-    e = [sca.basis_vector(x) for x in range(sca.dim)]
     for x, (i1, j1, f1) in enumerate(blocks):
         for y, (i2, j2, f2) in enumerate(blocks):
             want = express(i1, j2, f2 * f1) if j1 == i2 else zero
-            assert sca.mult(e[x], e[y]) == want
+            assert dense(sca.product({x: 1}, {y: 1}), sca.dim) == want
     idems = [express(k, k, ModuleMap.identity(u))
              for k, (_, u) in enumerate(data.summands)]
-    assert data.idempotents == idems
-    assert sca.unit == tuple(sum(col) for col in zip(*idems))
+    assert [dense(e, sca.dim) for e in data.idempotents] == idems
+    assert dense(sca.unit, sca.dim) == tuple(sum(col) for col in zip(*idems))
 
 
 # --- present_algebra --------------------------------------------------------------
@@ -483,10 +484,11 @@ def test_presentation_cartan_data_round_trip(kron2):
     alg = pres.algebra
     for i, li in enumerate(alg.quiver.vertices):
         for j, lj in enumerate(alg.quiver.vertices):
-            abstract_block = [sca.mult(idems[j], sca.mult(sca.basis_vector(k),
-                                                          idems[i]))
+            abstract_block = [sca.product(idems[j], sca.product({k: 1},
+                                                                idems[i]))
                               for k in range(sca.dim)]
-            rank = Matrix(QQ, [list(v) for v in abstract_block]).rank()
+            rank = Matrix(QQ, [dense(v, sca.dim)
+                               for v in abstract_block]).rank()
             assert len(alg.block_indices(li, lj)) == rank
 
 
@@ -551,3 +553,34 @@ def test_present_algebra_extends_one_ideal_closure(monkeypatch, kron2, which):
     assert round_trip.dim == pres.dim == sca.dim
     assert in_present == 1 + len(made)
     assert len(made) == (1 if which == "kron2_tilt" else 2)
+
+
+def _canonical_sparse(x, dim):
+    """Whether x is a dict basis index -> nonzero canonical rational."""
+    from fractions import Fraction
+    return isinstance(x, dict) and all(
+        type(k) is int and 0 <= k < dim and c != 0
+        and (type(c) is int or type(c) is Fraction and c.denominator != 1)
+        for k, c in x.items())
+
+
+@pytest.mark.parametrize("name", ["kron2", "a3xkron", "twoloop"])
+def test_abstract_algebra_elements_are_canonical_sparse_dicts(name):
+    from conftest import make_a3, make_kronecker, make_two_loop
+    from qtilt.quivercore import primitive_orthogonal_idempotents
+    kron = make_kronecker()
+    alg = {"kron2": lambda: tensor_algebras(kron, kron).algebra,
+           "a3xkron": lambda: tensor_algebras(make_a3(), kron).algebra,
+           "twoloop": make_two_loop}[name]()
+    sca, data = endo_algebra([(v, proj(alg, v)) for v in alg.quiver.vertices])
+    pres = present_algebra(sca, idempotents=data.idempotents,
+                           labels=[l for l, _ in data.summands])
+    reg = regular_structure_algebra(alg)
+    for a in (sca, reg):
+        idems = primitive_orthogonal_idempotents(a)
+        assert len(idems) == len(alg.quiver.vertices)
+        for x in [a.unit] + abstract_radical(a) + idems:
+            assert _canonical_sparse(x, a.dim), x
+    for x in data.idempotents + list(pres.arrow_images.values()):
+        assert _canonical_sparse(x, sca.dim), x
+    assert len(pres.arrow_images) == len(alg.quiver.arrows)
