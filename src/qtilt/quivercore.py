@@ -831,6 +831,18 @@ def _split_semisimple(bar: StructureConstantAlgebra, seed: int = 0):
     return out
 
 
+def _check_idempotents(a: StructureConstantAlgebra, idems) -> None:
+    """QtiltError unless the sparse elements idems are idempotent,
+    pairwise orthogonal and sum to the unit."""
+    for i, e in enumerate(idems):
+        for j, f in enumerate(idems):
+            if a.product(e, f) != (e if i == j else {}):
+                what = "idempotent" if i == j else f"orthogonal to {j}"
+                raise QtiltError(f"idempotent {i} is not {what}")
+    if _combine(((1, e) for e in idems), a.field.char) != a.unit:
+        raise QtiltError("the idempotents do not sum to the unit")
+
+
 def primitive_orthogonal_idempotents(a: StructureConstantAlgebra,
                                      seed: int = 0) -> List[Dict[int, object]]:
     """A complete list of primitive orthogonal idempotents summing to 1,
@@ -843,6 +855,8 @@ def primitive_orthogonal_idempotents(a: StructureConstantAlgebra,
             "idempotent splitting needs characteristic zero")
     free, bar = quotient_by_radical(a)
     bar_idems = _split_semisimple(bar, seed)
+    # the Newton lift of a non-idempotent never converges: check first
+    _check_idempotents(bar, bar_idems)
     lifted = []
     comp = dict(a.unit)
     for ebar in bar_idems[:-1]:
@@ -851,10 +865,5 @@ def primitive_orthogonal_idempotents(a: StructureConstantAlgebra,
         lifted.append(e)
         comp = _combine(((1, comp), (-1, e)), 0)
     lifted.append(comp)
-    for i, e in enumerate(lifted):
-        if a.product(e, e) != e:
-            raise QtiltError("lifted element is not idempotent")
-        for f in lifted[:i]:
-            if a.product(e, f) or a.product(f, e):
-                raise QtiltError("lifted idempotents are not orthogonal")
+    _check_idempotents(a, lifted)
     return lifted

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (AlgebraMismatchError, QtiltError, ShapeMismatchError,
                      UndecidedIsomorphismError)
-from .exactla import (Matrix, Span, _dense, _null_vectors, _product_rows,
+from .exactla import (Matrix, Span, _null_vectors, _product_rows,
                       _tidy, block_diag, cokernel_data, column_space_basis,
                       kernel_data, pivot_columns, solve, solve_against_kernel)
 from .quivercore import (BoundQuiverAlgebra, Path, StructureConstantAlgebra,
@@ -737,13 +737,33 @@ def hom_space(m: Representation, n: Representation) -> List[ModuleMap]:
 
 def _hom_from_projective(p: Representation, n: Representation) -> List[ModuleMap]:
     """One map per generator k of p and basis vector e_b of n at its
-    vertex: the map sending generator k to e_b and the others to 0."""
+    vertex: the map sending generator k to e_b and the others to 0, in
+    (k, b) order.  A contract: a map out of p has its generator images,
+    laid end to end, as coordinates (`_hom_coordinates`)."""
     one = p.algebra.field.one()
     gens = p.proj_gens
     act = ActionReader(n)
     return [proj_map_from_images(p, n, [{b: one} if l == k else {}
                                         for l in range(len(gens))], act)
             for k, v in enumerate(gens) for b in range(n.dims[v])]
+
+
+def _hom_coordinates(h: ModuleMap, f: ModuleMap) -> Dict[int, object]:
+    """The coordinates of f o h, h out of a free module, on the
+    `_hom_from_projective` basis: f applied to the generator images of h
+    (columns of h's blocks), laid end to end."""
+    p, alg = h.source, h.source.algebra
+    out, off = {}, 0
+    for k, v in enumerate(p.proj_gens):
+        g = free_offsets(p, v)[k] + alg.block_pos[alg.basis_index(Path.trivial(v))]
+        img = {r: row[g] for r, row in enumerate(h.blocks[v].sparse_rows)
+               if g in row}
+        out.update((off + r, c) for r, c in _tidy(
+            {r: sum(row[j] * c for j, c in img.items() if j in row)
+             for r, row in enumerate(f.blocks[v].sparse_rows)},
+            alg.field.char).items())
+        off += f.target.dims[v]
+    return out
 
 
 def _hom_generic(m: Representation, n: Representation) -> List[ModuleMap]:
@@ -805,12 +825,6 @@ def express_all_in_basis(maps: Sequence[ModuleMap], fs: Sequence[ModuleMap]):
     return None if sol is None else sol.sparse_columns()
 
 
-def express_in_basis(maps: Sequence[ModuleMap], f: ModuleMap):
-    """Coefficients of f on a basis of the Hom space, or None."""
-    coords = express_all_in_basis(maps, [f])
-    return None if coords is None else _dense(coords[0], len(maps))
-
-
 def linear_combination(coeffs: Dict[int, object], maps: Sequence[ModuleMap]
                        ) -> Optional[ModuleMap]:
     """sum_i coeffs[i] maps[i] over a sparse coefficient dict (position ->
@@ -826,7 +840,9 @@ def endomorphism_blocks(modules: Sequence[Representation]):
     """End(U_0 + ... + U_k) on its Hom-block basis: ``blocks`` lists
     (i, j, f) for each basis map f : U_i -> U_j, ``table[x][y]`` holds the
     coordinates of f_x o f_y and ``identities[i]`` those of the identity
-    of U_i, as sparse dicts.  One solve per Hom block expresses them."""
+    of U_i, as sparse dicts.  Those out of a free U_i are read off
+    generator images (`_hom_coordinates`), the others composed and
+    expressed with one solve per Hom block."""
     blocks = []
     for i, ui in enumerate(modules):
         for j, uj in enumerate(modules):
@@ -834,21 +850,25 @@ def endomorphism_blocks(modules: Sequence[Representation]):
     positions: Dict[Tuple[int, int], List[int]] = {}
     for pos, (i, j, _) in enumerate(blocks):
         positions.setdefault((i, j), []).append(pos)
-    # the identities ride along on the diagonal blocks, keyed (k, None)
-    wanted = {(k, k): [((k, None), ModuleMap.identity(u))]
+    # (key, f, h) per Hom block for each f o h wanted; an identity has f None
+    wanted = {(k, k): [((k, None), None, ModuleMap.identity(u))]
               for k, u in enumerate(modules)}
     for x, (i1, j1, f1) in enumerate(blocks):
         for y, (i2, j2, f2) in enumerate(blocks):
             if j2 == i1:
-                wanted.setdefault((i2, j1), []).append(((x, y), f1 * f2))
+                wanted.setdefault((i2, j1), []).append(((x, y), f1, f2))
     cells = {}
     for ij, items in wanted.items():
         pos = positions.get(ij, [])
-        coords = express_all_in_basis([blocks[p][2] for p in pos],
-                                      [f for _, f in items])
-        if coords is None:
-            raise QtiltError("a composite or an identity left its Hom block")
-        for (key, _), col in zip(items, coords):
+        if modules[ij[0]].proj_gens is not None:
+            coords = [_hom_coordinates(h, f or h) for _, f, h in items]
+        else:
+            coords = express_all_in_basis(
+                [blocks[p][2] for p in pos],
+                [h if f is None else f * h for _, f, h in items])
+            if coords is None:
+                raise QtiltError("a composite or an identity left its Hom block")
+        for (key, _, _), col in zip(items, coords):
             cells[key] = {pos[r]: c for r, c in col.items()}
     dim = len(blocks)
     table = [[cells.get((x, y), {}) for y in range(dim)] for x in range(dim)]

@@ -12,6 +12,7 @@ labels so presentations can name the tilt's vertices after them; the
 translate summand inherits the replaced vertex's label.
 """
 
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NonSplitError, QtiltError, UnsupportedCharacteristicError
@@ -20,8 +21,9 @@ from .homengine import (ext_dim, gldim, injd, is_finite, pd, tau_n,
                         tau_n_minus)
 from .quivercore import (Arrow, BoundQuiverAlgebra, IdealClosure, Path,
                          PathSum, Quiver, StructureConstantAlgebra,
-                         _paths_of_degree, abstract_radical, build_algebra,
-                         opposite, primitive_orthogonal_idempotents,
+                         _check_idempotents, _paths_of_degree,
+                         abstract_radical, build_algebra, opposite,
+                         primitive_orthogonal_idempotents,
                          semisimple_and_basic_flags)
 from .repcore import (ModuleMap, Representation, cokernel_rep, decompose,
                       direct_sum, dual, endomorphism_algebra,
@@ -357,16 +359,39 @@ class AlgebraPresentation:
                    if a.source == src and a.target == tgt)
 
 
+def _radical_powers(sca: StructureConstantAlgebra, rad, idems):
+    """(powers, corners): powers[k] spans rad^(k+1), down to 0; corners[i]
+    is the first independent subsequence of [x e_i for x in rad].  As the
+    e_i are orthogonal and sum to 1, rad^k = sum_i (rad^(k-1) e_i)(e_i rad)."""
+    def basis(vecs):
+        span = Span(sca.field)
+        return [v for v in vecs if span.add(v)]
+
+    right = [basis(sca.product(e, y) for y in rad) for e in idems]
+    left = corners = [basis(sca.product(x, e) for x in rad) for e in idems]
+    powers = [Span(sca.field)]
+    for vec in rad:
+        powers[0].add(vec)
+    while powers[-1]:
+        powers.append(Span(sca.field))
+        for xs, ys in zip(left, right):
+            for x, y in product(xs, ys):
+                powers[-1].add(sca.product(x, y))
+        left = [basis(sca.product(x, e) for x in powers[-1].rows.values())
+                for e in idems]
+    return powers, corners
+
+
 def present_algebra(sca: StructureConstantAlgebra,
                     idempotents: Optional[Sequence] = None,
                     labels: Optional[Sequence[str]] = None,
                     seed: int = 0, name: str = "presented"
                     ) -> AlgebraPresentation:
     """Bound quiver presentation: lift primitive idempotents, take arrows
-    from rad/rad^2, and read relations off the kernel of the induced path
-    algebra surjection degree by degree until the radical power vanishes.
-    Given ``idempotents`` are sparse elements.  Characteristic zero with
-    split semisimple quotient only."""
+    from rad/rad^2 and relations off the path algebra surjection's kernel,
+    degree by degree until rad^N = 0.  Radical powers go through the Peirce
+    pieces, so given (sparse) idempotents must be complete and orthogonal.
+    Characteristic zero with split semisimple quotient only."""
     if sca.field.char != 0:
         raise UnsupportedCharacteristicError(
             "presentations need characteristic zero")
@@ -375,6 +400,7 @@ def present_algebra(sca: StructureConstantAlgebra,
     if idempotents is None:
         idempotents = primitive_orthogonal_idempotents(sca, seed)
     idems = list(idempotents)
+    _check_idempotents(sca, idems)
     s = len(idems)
     if sca.dim - len(rad) != s:
         raise NonSplitError(
@@ -384,16 +410,7 @@ def present_algebra(sca: StructureConstantAlgebra,
         labels = [f"v{k+1}" for k in range(s)]
     labels = [str(l) for l in labels]
 
-    # radical powers as spans; rad^k is spanned by rad^(k-1) * rad
-    powers = [Span(field)]
-    for vec in rad:
-        powers[0].add(vec)
-    while powers[-1]:
-        nxt = Span(field)
-        for row in powers[-1].rows.values():
-            for vec in rad:
-                nxt.add(sca.product(row, vec))
-        powers.append(nxt)
+    powers, corners = _radical_powers(sca, rad, idems)
     nilpotency = len(powers)  # least N with rad^N = 0
 
     # arrows: block bases of rad modulo rad^2
@@ -401,11 +418,10 @@ def present_algebra(sca: StructureConstantAlgebra,
     images = {}
     rad2 = powers[1] if len(powers) > 1 else powers[0]
     for i in range(s):
-        right = [sca.product(vec, idems[i]) for vec in rad]
         for j in range(s):
             # independent directions modulo rad^2 within the block
             block = Span(field)
-            for r in right:
+            for r in corners[i]:
                 w = sca.product(idems[j], r)
                 if block.add(rad2.reduce(w)):
                     aname = f"a{len(block) - 1}_{i}_{j}"

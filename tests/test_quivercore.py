@@ -416,6 +416,22 @@ def test_non_idempotent_lift_is_a_typed_error(monkeypatch):
         primitive_orthogonal_idempotents(upper_triangular_2x2())
 
 
+def test_non_idempotent_quotient_split_raises_before_lifting(monkeypatch):
+    # the Newton lift of 2 * unit would never return: its entries grow
+    # doubly exponentially, so the quotient check must come first
+    def doubled(bar, seed=0):
+        u = bar.unit
+        return [{k: 2 * c for k, c in u.items()}, {k: -c for k, c in u.items()}]
+
+    def refuse(a, x):
+        raise AssertionError("lift_idempotent ran on a non-idempotent")
+
+    monkeypatch.setattr(quivercore, "_split_semisimple", doubled)
+    monkeypatch.setattr(quivercore, "lift_idempotent", refuse)
+    with pytest.raises(QtiltError, match="idempotent 0 is not idempotent"):
+        primitive_orthogonal_idempotents(upper_triangular_2x2())
+
+
 # --- flags --------------------------------------------------------------------
 
 def test_flags(kron, ss2):

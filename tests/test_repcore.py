@@ -76,8 +76,8 @@ def test_hom_contains_identity(kron):
     m = proj(kron, "2")
     homs = hom_space(m, m)
     assert len(homs) == 1
-    from qtilt.repcore import express_in_basis
-    assert express_in_basis(homs, ModuleMap.identity(m)) is not None
+    from qtilt.repcore import express_all_in_basis
+    assert express_all_in_basis(homs, [ModuleMap.identity(m)]) is not None
 
 
 def test_hom_dim_from_projective_equals_dimension(kron):

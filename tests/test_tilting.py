@@ -1,17 +1,21 @@
 """Tilting checks, construction, certification, and tilt presentations."""
 
+import functools
+
 import pytest
 
 from qtilt.errors import NotAdmissibleError, QtiltError
-from qtilt.exactla import QQ, Matrix
+from qtilt.exactla import QQ, Matrix, Span
 from qtilt.homengine import ext_dim, gldim, pd, tau_n_minus
 from qtilt.quivercore import abstract_radical, regular_structure_algebra
 from qtilt.repcore import (ModuleMap, decompose, direct_sum, dual,
-                           express_in_basis, hom_space, inj, is_isomorphic,
-                           proj, random_module, regular, simple)
+                           endomorphism_algebra, endomorphism_blocks,
+                           express_all_in_basis, hom_space, inj,
+                           is_isomorphic, proj, proj_sum, random_module,
+                           regular, simple)
 from qtilt.tensorcon import tensor_algebras, tensor_modules
-from qtilt.tilting import (apr_check, apr_cotilting_check, bb_check, count_apr,
-                           endo_algebra,
+from qtilt.tilting import (_radical_powers, apr_check, apr_cotilting_check,
+                           bb_check, count_apr, endo_algebra,
                            minimal_left_approximation, present_algebra,
                            verify_tilting)
 
@@ -187,34 +191,152 @@ def test_endo_of_nothing_is_a_typed_error(kron, t):
         endo_algebra([] if t == "empty list" else zero_rep(kron))
 
 
-def test_endo_table_matches_per_product_solves(kron2):
-    # oracle: one express_in_basis per composition, as in a plain reading
-    # of End(T)^op on the Hom-block basis
-    rep = apr_check(kron2.algebra, kron2.vertex("1", "1"), 2)
-    sca, data = endo_algebra(rep.summands)
-    blocks = data.basis_blocks
+# the tilt-present products, each with its sink and its n
+_ENDO_POOL = {"a2^2": ("(1,1)", 2), "kron^2": ("(1,1)", 2),
+              "a3^2": ("(1,1)", 2), "a2^3": ("((1,1),1)", 3),
+              "kronxa2^2": ("((1,1),1)", 3), "kron^2xa2": ("((1,1),1)", 3)}
 
+
+@functools.lru_cache(maxsize=None)
+def _endo_oracle_pool():
+    """`_tilt_pool` with kron^2(x)A2, built once for the End oracles."""
+    from conftest import make_a2
+    pool = _tilt_pool()
+    pool["kron^2xa2"] = tensor_algebras(pool["kron^2"], make_a2()).algebra
+    return pool
+
+
+def _tilts(name):
+    """The labelled summands of the APR tilt of a pool product at its
+    sink, then of its BB tilt at every vertex where bb_check passes."""
+    alg, (sink, n) = _endo_oracle_pool()[name], _ENDO_POOL[name]
+    out = [apr_check(alg, sink, n).summands]
+    for v in alg.quiver.vertices:
+        bb = bb_check(alg, v, n)
+        if bb.passes:
+            out.append(bb.summands)
+    return out
+
+
+def _per_product_solves(modules, blocks):
+    """The End table and identities of `endomorphism_blocks`, rebuilt
+    with one solve per composite."""
     def express(i, j, f):
         pos = [p for p, (a, b, _) in enumerate(blocks) if (a, b) == (i, j)]
-        coords = express_in_basis([blocks[p][2] for p in pos], f)
+        coords = express_all_in_basis([blocks[p][2] for p in pos], [f])
         assert coords is not None
-        vec = [0] * sca.dim
-        for p, c in zip(pos, coords):
-            vec[p] = c
-        return tuple(vec)
+        return {pos[r]: c for r, c in coords[0].items()}
 
-    zero = (0,) * sca.dim
-    for x, (i1, j1, f1) in enumerate(blocks):
-        for y, (i2, j2, f2) in enumerate(blocks):
-            want = express(i1, j2, f2 * f1) if j1 == i2 else zero
-            assert dense(sca.product({x: 1}, {y: 1}), sca.dim) == want
-    idems = [express(k, k, ModuleMap.identity(u))
-             for k, (_, u) in enumerate(data.summands)]
-    assert [dense(e, sca.dim) for e in data.idempotents] == idems
-    assert dense(sca.unit, sca.dim) == tuple(sum(col) for col in zip(*idems))
+    table = [[express(i2, j1, f1 * f2) if j2 == i1 else {}
+              for (i2, j2, f2) in blocks] for (i1, j1, f1) in blocks]
+    return table, [express(k, k, ModuleMap.identity(u))
+                   for k, u in enumerate(modules)]
+
+
+def _checked_endo_blocks(modules):
+    """`endomorphism_blocks`, after comparing it cell for cell with one
+    solve per composite."""
+    blocks, table, idents = endomorphism_blocks(modules)
+    want_table, want_idents = _per_product_solves(modules, blocks)
+    assert table == want_table
+    assert idents == want_idents
+    return table, idents
+
+
+def test_endo_table_matches_per_product_solves():
+    # oracle: one solve per composition, as in a plain reading of End on
+    # the Hom-block basis; End(T)^op is its transpose
+    for summands in [t for name in _ENDO_POOL for t in _tilts(name)]:
+        table, idents = _checked_endo_blocks([u for _, u in summands])
+        sca, data = endo_algebra(summands)
+        assert data.idempotents == idents
+        assert sca.unit == {p: c for e in idents for p, c in e.items()}
+        for x in range(sca.dim):
+            for y in range(sca.dim):
+                assert sca.product({x: 1}, {y: 1}) == table[y][x]
+
+
+def test_endo_of_free_module_with_repeated_generator_matches_solves():
+    alg = _endo_oracle_pool()["kron^2"]
+    m = proj_sum(alg, ["(1,2)", "(2,2)", "(1,2)"])
+    table, (ident,) = _checked_endo_blocks([m])
+    sca, _ = endomorphism_algebra(m)
+    assert sca.unit == ident
+    assert [[sca.product({x: 1}, {y: 1}) for y in range(sca.dim)]
+            for x in range(sca.dim)] == table
 
 
 # --- present_algebra --------------------------------------------------------------
+
+def _all_pairs_powers(sca, rad):
+    """Spans of rad, rad^2, ... down to the zero span, each power spanned
+    by every row of the one before times every vector of rad."""
+    powers = [Span(sca.field)]
+    for vec in rad:
+        powers[0].add(vec)
+    while powers[-1]:
+        nxt = Span(sca.field)
+        for row in powers[-1].rows.values():
+            for vec in rad:
+                nxt.add(sca.product(row, vec))
+        powers.append(nxt)
+    return powers
+
+
+def _assert_peirce_powers_match(sca, idems):
+    rad = abstract_radical(sca)
+    powers, corners = _radical_powers(sca, rad, idems)
+    assert [p.rows for p in powers] == \
+        [p.rows for p in _all_pairs_powers(sca, rad)]
+    for e, corner in zip(idems, corners):
+        span = Span(sca.field)
+        for x in rad:
+            span.add(sca.product(x, e))
+        assert len(corner) == len(span)
+        assert all(not span.reduce(c) for c in corner)
+
+
+@pytest.mark.parametrize("name", list(_ENDO_POOL) + ["corpus"])
+def test_radical_powers_through_peirce_pieces_match_all_pairs(name, corpus):
+    if name == "corpus":
+        # with the pool's products and the two-loop algebra, whose radical
+        # powers reach rad^4 != 0
+        from conftest import make_two_loop
+        from qtilt.quivercore import Path
+        pool = list(_endo_oracle_pool().values())
+        for alg in corpus + pool + [make_two_loop()]:
+            _assert_peirce_powers_match(
+                regular_structure_algebra(alg),
+                [{alg.basis_index(Path.trivial(v)): 1}
+                 for v in alg.quiver.vertices])
+        return
+    for summands in _tilts(name):
+        sca, data = endo_algebra(summands)
+        _assert_peirce_powers_match(sca, data.idempotents)
+
+
+@pytest.mark.parametrize("how, error", [
+    ("off-diagonal", "idempotent 1 is not orthogonal to 0"),
+    ("doubled", "idempotent 0 is not idempotent"),
+    ("zero", "do not sum to the unit")])
+def test_present_algebra_checks_its_idempotents(kron2, how, error):
+    rep = apr_check(kron2.algebra, kron2.vertex("1", "1"), 2)
+    sca, data = endo_algebra(rep.summands)
+    idems = [dict(e) for e in data.idempotents]
+    if how == "off-diagonal":
+        # x, a map from summand 1 to summand 0, lies in e_1 End(T)^op e_0
+        # and is radical: e_1 + x is still idempotent, but
+        # (e_1 + x) e_0 = x
+        x = next(p for p, (i, j, _) in enumerate(data.basis_blocks)
+                 if (i, j) == (1, 0))
+        idems[1][x] = 1
+    elif how == "doubled":
+        idems[0] = {k: 2 * c for k, c in idems[0].items()}
+    else:
+        idems[0] = {}
+    with pytest.raises(QtiltError, match=error):
+        present_algebra(sca, idempotents=idems)
+
 
 def test_present_regular_kronecker(kron):
     labeled = [(v, proj(kron, v)) for v in kron.quiver.vertices]
