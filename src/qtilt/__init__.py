@@ -6,11 +6,11 @@ from .errors import (AlgebraMismatchError, FieldMismatchError,
                      ParseError, QtiltError, ShapeMismatchError,
                      UndecidedIsomorphismError, UnsupportedCharacteristicError,
                      WorkspaceError)
-from .exactla import Matrix, PrimeField, QQ, kernel_basis, kron, rref, solve
+from .exactla import Matrix, PrimeField, QQ, kron, rref, solve
 from .quivercore import (Arrow, BoundQuiverAlgebra, Path, PathSum, Quiver,
                          StructureConstantAlgebra, abstract_radical,
-                         build_algebra, multiply, opposite,
-                         primitive_orthogonal_idempotents, radical_basis,
+                         build_algebra, opposite,
+                         primitive_orthogonal_idempotents,
                          regular_structure_algebra, semisimple_and_basic_flags)
 from .repcore import (Decomposition, ModuleMap, Representation, decompose,
                       direct_sum, dual, endomorphism_algebra, hom_space, inj,

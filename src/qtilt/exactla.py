@@ -3,7 +3,10 @@
 A `Matrix` keeps its rows sparse: row i is a dict from column index to
 the nonzero entry there.  Entries over Q are python ints where possible
 and `fractions.Fraction` otherwise; prime-field entries are residues in
-[1, p).  `Matrix.rows` is a dense tuple-of-tuples view built on demand.
+[1, p).  Every vector and every algebra element is a sparse dict of the
+same kind.  Dense values appear only at the file boundary: the
+constructor takes dense rows, and `Matrix.rows`, a tuple-of-tuples view
+built on demand, serves printing.
 
 One elimination core serves both fields.  `_echelon` reduces each row
 against the pivot rows found so far, keyed by their leading column, and
@@ -231,16 +234,6 @@ class Matrix:
         return cls._raw(field, [{i: 1} for i in range(n)], n)
 
     @classmethod
-    def from_cols(cls, field, cols: Sequence[Sequence], nrows=None):
-        """Dense columns; entries are trusted (already exact field elements)."""
-        if nrows is None:
-            nrows = len(cols[0]) if cols else 0
-        if any(len(c) != nrows for c in cols):
-            raise ShapeMismatchError("columns of unequal length")
-        return cls.from_sparse_cols(
-            field, [{i: x for i, x in enumerate(c) if x} for c in cols], nrows)
-
-    @classmethod
     def from_sparse_cols(cls, field, cols: Sequence[SparseRow], nrows: int):
         """Columns given as dicts row -> canonical nonzero entry."""
         rows = [{} for _ in range(nrows)]
@@ -251,7 +244,7 @@ class Matrix:
 
     @property
     def rows(self) -> Tuple[Tuple, ...]:
-        """Dense view: one tuple of entries per row."""
+        """Dense view, one tuple of entries per row, for printing."""
         return tuple(_dense(r, self.ncols) for r in self.sparse_rows)
 
     def sparse_columns(self) -> List[SparseRow]:
@@ -270,6 +263,8 @@ class Matrix:
 
     def __getitem__(self, ij):
         i, j = ij
+        if not 0 <= i < self.nrows:
+            raise IndexError(f"row {i} out of range")
         if not 0 <= j < self.ncols:
             raise IndexError(f"column {j} out of range")
         return self.sparse_rows[i].get(j, 0)
@@ -280,12 +275,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return not any(self.sparse_rows)
-
-    def column(self, j) -> Tuple:
-        return tuple(r.get(j, 0) for r in self.sparse_rows)
-
-    def columns(self) -> List[Tuple]:
-        return [_dense(c, self.nrows) for c in self.sparse_columns()]
 
     def transpose(self) -> "Matrix":
         cols = [{} for _ in range(self.ncols)]
@@ -750,12 +739,6 @@ def kernel_data(m: Matrix) -> KernelData:
     scales = [col[f] for f, col in zip(vecs, cols)]
     return KernelData(Matrix.from_sparse_cols(m.field, cols, m.ncols), cols,
                       vecs, scales)
-
-
-def kernel_basis(m: Matrix) -> List[Tuple]:
-    """Basis of the right null space as dense tuples; count equals
-    cols - rank."""
-    return kernel_data(m).matrix.columns()
 
 
 def solve_against_kernel(kd: KernelData, free_rows: Matrix) -> Matrix:

@@ -27,7 +27,7 @@ from weakref import WeakKeyDictionary
 
 from .errors import InconclusiveError, QtiltError
 from .exactla import Matrix, Span, _tidy, kernel_data, solve
-from .quivercore import BoundQuiverAlgebra, _op_items, opposite
+from .quivercore import BoundQuiverAlgebra, op_element, opposite
 from .repcore import (ActionReader, Cover, ModuleMap, Representation,
                       _free_coordinates, _image_columns, cokernel_rep, dual,
                       dual_free_kernel, free_offsets, inj, kernel_rep,
@@ -162,8 +162,9 @@ class MinimalResolution:
         """The differential terms[i] -> terms[i-1] as a sparse matrix of
         algebra elements: a dict whose entry at (k, l) is the nonzero
         element of e_{w_l} A e_{v_k} for generator k of terms[i-1] at v_k
-        and generator l of terms[i] at w_l, as (coeff, basis index) pairs.
-        It is read off the generator images, in ascending row order."""
+        and generator l of terms[i] at w_l, a sparse dict basis index ->
+        entry.  It is read off the generator images, in ascending row
+        order."""
         gens_hi = self.generators(i)
         X = {}
         if not gens_hi or not self.generators(i - 1) or i > self.length:
@@ -173,7 +174,7 @@ class MinimalResolution:
         for l, (w, vec) in enumerate(zip(gens_hi, self.images[i])):
             for row_i, c in vec.items():
                 k, x_idx = coords[w][row_i]
-                X.setdefault((k, l), []).append((c, x_idx))
+                X.setdefault((k, l), {})[x_idx] = c
         return X
 
 
@@ -211,9 +212,10 @@ def _dualized_elements(res: MinimalResolution, i: int):
     offsets = {v: free_offsets(tgt, v) for v in set(gens)}
     pos = opp.block_pos
     images = [{} for _ in gens]
-    for (k, l), items in res.presentation_elements(i).items():
+    for (k, l), x in res.presentation_elements(i).items():
         off = offsets[gens[k]][l]
-        images[k].update((off + pos[e], c) for c, e in _op_items(alg, items))
+        images[k].update((off + pos[e], c)
+                         for e, c in op_element(alg, x).items())
     return src, tgt, images
 
 
@@ -255,7 +257,7 @@ class ExtResult:
         if self._cocycles is None:
             res, n, p = self._res, self.target, self.degree
             kernel_vectors = kernel_data(
-                _hom_complex_differential(res, n, p)).matrix
+                _hom_complex_differential(res, n, p)).matrix.sparse_columns()
             boundaries = Span(n.algebra.field)
             if p > 0:
                 for col in _hom_complex_differential(
@@ -281,10 +283,10 @@ def _hom_complex_differential(res: MinimalResolution, n: Representation,
         return Matrix.zeros(field, row_off[-1], col_off[-1])
     act = ActionReader(n)
     rows = [{} for _ in range(row_off[-1])]
-    for (k, l), items in res.presentation_elements(i + 1).items():
+    for (k, l), x in res.presentation_elements(i + 1).items():
         for c in range(n.dims[gens_lo[k]]):
             acc = {}
-            for coeff, x_idx in items:
+            for x_idx, coeff in x.items():
                 for r, y in act(x_idx, {c: coeff}).items():
                     acc[r] = acc.get(r, 0) + y
             for r, y in _tidy(acc, field.char).items():
@@ -340,14 +342,16 @@ def ext(m: Representation, n: Representation, p: int,
 
 
 def _cocycle_representatives(res, n, p, kernel_vectors, span):
-    """Kernel vectors completing a basis of the boundary span (which they
-    are added to), returned as maps terms[p] -> n."""
+    """Sparse kernel vectors completing a basis of the boundary span
+    (which they are added to), returned as maps terms[p] -> n: each is
+    split at the `_cochain_offsets` into generator images."""
     offs = _cochain_offsets(n, res.generators(p))
     act = ActionReader(n)
     return [proj_map_from_images(
-                res.term(p), n, [{i: x for i, x in enumerate(vec[lo:hi]) if x}
+                res.term(p), n, [{i - lo: x for i, x in vec.items()
+                                  if lo <= i < hi}
                                  for lo, hi in zip(offs, offs[1:])], act)
-            for vec in kernel_vectors.columns() if span.add(vec)]
+            for vec in kernel_vectors if span.add(vec)]
 
 
 def ext_dim(m, n, p, maxlen: int = DEFAULT_BOUND) -> int:

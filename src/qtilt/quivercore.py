@@ -204,7 +204,10 @@ class BoundQuiverAlgebra:
     """A path algebra modulo an admissible relation ideal, with a monomial
     basis, structure constants, and radical grading.
 
-    Use :func:`build_algebra`; the constructor trusts precomputed data.
+    Elements take the format of `StructureConstantAlgebra`: a sparse dict
+    basis index -> nonzero canonical entry, with the attribute ``unit``
+    and the method `product`.  Use :func:`build_algebra`; the constructor
+    trusts precomputed data.
     """
 
     def __init__(self, name, field, quiver, relations, basis, span, nilpotency,
@@ -230,6 +233,7 @@ class BoundQuiverAlgebra:
                                 for v in quiver.vertices}
                             for w in quiver.vertices}
         self._products: Dict[Tuple[int, int], Tuple[Tuple[int, object], ...]] = {}
+        self.unit = {i: 1 for i, p in enumerate(self.basis) if not p.arrows}
         self._opposite: Optional["BoundQuiverAlgebra"] = None
         self._cache: Dict = {}
 
@@ -248,19 +252,8 @@ class BoundQuiverAlgebra:
         """Basis indices of e_target * A * e_source."""
         return self._blocks.get((source, target), [])
 
-    def zero_element(self) -> Tuple:
-        return (self.field.zero(),) * self.dim
-
-    def unit(self) -> Tuple:
-        vec = [self.field.zero()] * self.dim
-        for v in self.quiver.vertices:
-            vec[self._index[Path.trivial(v)]] = self.field.one()
-        return tuple(vec)
-
-    def idempotent(self, v: str) -> Tuple:
-        vec = [self.field.zero()] * self.dim
-        vec[self._index[Path.trivial(v)]] = self.field.one()
-        return tuple(vec)
+    def idempotent(self, v: str) -> Dict[int, object]:
+        return {self._index[Path.trivial(v)]: 1}
 
     def basis_index(self, p: Path) -> int:
         return self._index[p]
@@ -285,37 +278,23 @@ class BoundQuiverAlgebra:
         self._products[(i, j)] = out
         return out
 
+    def product(self, x: Dict[int, object], y: Dict[int, object]
+                ) -> Dict[int, object]:
+        """x * y for sparse elements, read off `basis_product`; the result
+        is sparse and canonical."""
+        acc: Dict[int, object] = {}
+        get = acc.get
+        for i, xi in x.items():
+            for j, yj in y.items():
+                for k, c in self.basis_product(i, j):
+                    acc[k] = get(k, 0) + xi * yj * c
+        return _tidy(acc, self.field.char)
+
     def radical_indices(self) -> List[int]:
         return [i for i, p in enumerate(self.basis) if p.degree >= 1]
 
     def __repr__(self):
         return f"BoundQuiverAlgebra({self.name}, dim={self.dim})"
-
-
-def multiply(alg: BoundQuiverAlgebra, x: Sequence, y: Sequence) -> Tuple:
-    """Bilinear product of coefficient vectors via structure constants."""
-    if len(x) != alg.dim or len(y) != alg.dim:
-        raise QtiltError("element vector length does not match the algebra")
-    field = alg.field
-    acc = [field.zero()] * alg.dim
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            for k, c in alg.basis_product(i, j):
-                acc[k] += xi * yj * c
-    if field.char:
-        return tuple(v % field.p for v in acc)
-    return tuple(field.canon(v) for v in acc)
-
-
-def element_from_path(alg: BoundQuiverAlgebra, p: Path) -> Tuple:
-    vec = [alg.field.zero()] * alg.dim
-    for k, c in alg.normal_form(p).items():
-        vec[k] = c
-    return tuple(vec)
 
 
 def _validate_relations(quiver: Quiver, relations) -> None:
@@ -471,35 +450,17 @@ def _op_table(alg: BoundQuiverAlgebra) -> List[List[Tuple[int, object]]]:
     return table
 
 
-def _op_items(alg: BoundQuiverAlgebra, items) -> List[Tuple[object, int]]:
-    """Image of an element given as (coeff, basis index) pairs under the
-    anti-isomorphism onto the opposite algebra, as (coeff, basis index)
-    pairs there, ascending."""
+def op_element(alg: BoundQuiverAlgebra, x: Dict[int, object]
+               ) -> Dict[int, object]:
+    """Image of the sparse element x under the canonical anti-isomorphism
+    onto the opposite algebra, as a sparse element there with ascending
+    keys."""
     table = _op_table(alg)
     acc: Dict[int, object] = {}
-    for c, idx in items:
+    for idx, c in x.items():
         for k, d in table[idx]:
             acc[k] = acc.get(k, 0) + c * d
-    return [(c, k) for k, c in sorted(_tidy(acc, alg.field.char).items())]
-
-
-def op_element(alg: BoundQuiverAlgebra, vec: Sequence) -> Tuple:
-    """Image of an element under the canonical anti-isomorphism onto the
-    opposite algebra: `_op_items` on a dense vector."""
-    out = [alg.field.zero()] * alg.dim
-    for c, k in _op_items(alg, [(c, i) for i, c in enumerate(vec) if c != 0]):
-        out[k] = c
-    return tuple(out)
-
-
-def radical_basis(alg: BoundQuiverAlgebra) -> List[Tuple]:
-    """Basis of rad(alg): the classes of all basis paths of length >= 1."""
-    out = []
-    for i in alg.radical_indices():
-        vec = [alg.field.zero()] * alg.dim
-        vec[i] = alg.field.one()
-        out.append(tuple(vec))
-    return out
+    return dict(sorted(_tidy(acc, alg.field.char).items()))
 
 
 def semisimple_and_basic_flags(alg: BoundQuiverAlgebra) -> Tuple[bool, bool]:
@@ -604,7 +565,7 @@ def regular_structure_algebra(alg: BoundQuiverAlgebra) -> StructureConstantAlgeb
     n = alg.dim
     table = [[dict(alg.basis_product(i, j)) for j in range(n)]
              for i in range(n)]
-    return StructureConstantAlgebra(alg.field, table, alg.unit(), validate=False)
+    return StructureConstantAlgebra(alg.field, table, alg.unit, validate=False)
 
 
 def _combine(terms, p: int) -> Dict[int, object]:

@@ -195,12 +195,18 @@ class ModuleMap:
         return all(b.nrows == b.ncols and b.rank() == b.nrows
                    for b in self.blocks.values())
 
-    def vectorize(self) -> Tuple:
-        out = []
+    def vectorize(self) -> Dict[int, object]:
+        """The map as a sparse vector {offset: nonzero entry}: the blocks
+        in vertex order, each read row by row."""
+        out = {}
+        off = 0
         for v in self.source.algebra.quiver.vertices:
-            for row in self.blocks[v].rows:
-                out.extend(row)
-        return tuple(out)
+            b = self.blocks[v]
+            for row in b.sparse_rows:
+                for c, x in row.items():
+                    out[off + c] = x
+                off += b.ncols
+        return out
 
     def __repr__(self):
         return f"ModuleMap({self.source.dim_vector()} -> {self.target.dim_vector()})"
@@ -514,32 +520,34 @@ def cokernel_rep(f: ModuleMap):
     return c, projm
 
 
-def submodule_generated(m: Representation, vectors: Dict[str, List[Sequence]]):
+def submodule_generated(m: Representation,
+                        vectors: Dict[str, List[Dict[int, object]]]):
     """(S, inclusion): the smallest subrepresentation containing the given
-    vectors (dict vertex -> list of coordinate vectors).  Each round maps
-    the basis vectors found in the round before along every arrow, so the
-    basis at each vertex is the first vectors, in that order, that grow
-    its span."""
+    vectors (dict vertex -> list of sparse vectors, coordinate -> entry,
+    whose entries are made canonical here).  Each round maps the basis
+    vectors found in the round before along every arrow, so the basis at
+    each vertex is the first vectors, in that order, that grow its span."""
     alg = m.algebra
     field = alg.field
     verts = alg.quiver.vertices
     spans = {v: Span(field) for v in verts}
-    fresh = {v: [x for x in vectors.get(v, []) if spans[v].add(x)]
-             for v in verts}
+    given = {v: [{i: c for i, x in vec.items() if (c := field.canon(x))}
+                 for vec in vectors.get(v, [])] for v in verts}
+    fresh = {v: [x for x in given[v] if spans[v].add(x)] for v in verts}
     basis = {v: list(fresh[v]) for v in verts}
     while any(fresh.values()):
         found = {v: [] for v in verts}
         for a in alg.quiver.arrows:
             if fresh[a.source]:
-                img = m.mats[a.name] * Matrix.from_cols(
-                    field, fresh[a.source], nrows=m.dims[a.source])
-                found[a.target].extend(
-                    col for col in img.columns() if spans[a.target].add(col))
+                img = m.mats[a.name] * Matrix.from_sparse_cols(
+                    field, fresh[a.source], m.dims[a.source])
+                found[a.target].extend(col for col in img.sparse_columns()
+                                       if spans[a.target].add(col))
         for v in verts:
             basis[v].extend(found[v])
         fresh = found
-    return _restricted(m, {v: Matrix.from_cols(field, basis[v],
-                                               nrows=m.dims[v])
+    return _restricted(m, {v: Matrix.from_sparse_cols(field, basis[v],
+                                                      m.dims[v])
                            for v in verts},
                        "generated subspaces are not arrow-stable")
 
@@ -815,13 +823,15 @@ def _hom_generic(m: Representation, n: Representation) -> List[ModuleMap]:
 def express_all_in_basis(maps: Sequence[ModuleMap], fs: Sequence[ModuleMap]):
     """Coefficients of each of the (at least one) maps fs on a basis of
     their Hom space, as dicts basis position -> nonzero entry, from one
-    solve; None when one of them lies outside the span."""
-    field = fs[0].source.algebra.field
-    rhs = [f.vectorize() for f in fs]
-    n = len(rhs[0])
-    sol = solve(Matrix.from_cols(field, [mp.vectorize() for mp in maps],
-                                 nrows=n),
-                Matrix.from_cols(field, rhs, nrows=n))
+    solve over their sparse `ModuleMap.vectorize` columns, of length
+    sum_v dim source_v * dim target_v; None when one of them lies outside
+    the span."""
+    src, tgt = fs[0].source, fs[0].target
+    field = src.algebra.field
+    n = sum(src.dims[v] * tgt.dims[v] for v in src.algebra.quiver.vertices)
+    sol = solve(Matrix.from_sparse_cols(field, [mp.vectorize() for mp in maps],
+                                        n),
+                Matrix.from_sparse_cols(field, [f.vectorize() for f in fs], n))
     return None if sol is None else sol.sparse_columns()
 
 
@@ -1016,7 +1026,8 @@ def random_module(alg, seed: int, max_dim: int = 3) -> Representation:
             v = rnd.choice(alg.quiver.vertices)
             if p.dims[v] == 0:
                 continue
-            vectors[v].append([rnd.randint(-2, 2) for _ in range(p.dims[v])])
+            vectors[v].append(dict(enumerate(
+                rnd.randint(-2, 2) for _ in range(p.dims[v]))))
         if all(not vs for vs in vectors.values()):
             continue
         _, incl = submodule_generated(p, vectors)

@@ -266,7 +266,7 @@ def structural_suite(t: TensorAlgebraResult, seed: int = 0,
     idempotents, module radicals and tops, projective covers, dimension
     additivity.  Returns (name, ok, detail) triples."""
     from .homengine import gldim, injd, is_finite, pd
-    from .quivercore import (abstract_radical, multiply,
+    from .quivercore import (_check_idempotents, abstract_radical,
                              semisimple_and_basic_flags)
     from .repcore import (decompose, endomorphism_algebra, inj, is_isomorphic,
                           proj, projective_cover, random_module, simple,
@@ -297,17 +297,16 @@ def structural_suite(t: TensorAlgebraResult, seed: int = 0,
             ok = ok and s.total_dim() == 1 and s.dims[t.vertex(u, v)] == 1
     results.append(("simples", ok, "S(u)(x)S(v) simple"))
 
-    ok = True
-    total = alg.zero_element()
-    for u in t.left.quiver.vertices:
-        for v in t.right.quiver.vertices:
-            e = t.idempotent(u, v)
-            ok = ok and multiply(alg, e, e) == e
-            total = tuple(alg.field.canon(a + b) for a, b in zip(total, e))
-            sca, _ = endomorphism_algebra(proj(alg, t.vertex(u, v)))
-            ok = ok and sca.dim - len(abstract_radical(sca)) == 1
-    ok = ok and total == alg.unit()
-    results.append(("idempotents", ok, "complete orthogonal primitive"))
+    ok, detail = True, "complete orthogonal primitive"
+    try:
+        _check_idempotents(alg, [t.idempotent(u, v)
+                                 for u, v in t.vertex_pairs()])
+    except QtiltError as exc:
+        ok, detail = False, str(exc)
+    for u, v in t.vertex_pairs():
+        sca, _ = endomorphism_algebra(proj(alg, t.vertex(u, v)))
+        ok = ok and sca.dim - len(abstract_radical(sca)) == 1
+    results.append(("idempotents", ok, detail))
 
     ok = True
     for u in t.left.quiver.vertices:

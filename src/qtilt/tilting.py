@@ -16,7 +16,7 @@ from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NonSplitError, QtiltError, UnsupportedCharacteristicError
-from .exactla import Matrix, Span, kernel_basis
+from .exactla import Matrix, Span, kernel_data
 from .homengine import (ext_dim, gldim, injd, is_finite, pd, tau_n,
                         tau_n_minus)
 from .quivercore import (Arrow, BoundQuiverAlgebra, IdealClosure, Path,
@@ -451,10 +451,8 @@ def present_algebra(sca: StructureConstantAlgebra,
         for _, paths in sorted(by_block.items()):
             mat = Matrix.from_sparse_cols(field, [phi_path(p) for p in paths],
                                           sca.dim)
-            for vec in kernel_basis(mat):
-                combo = {p: c for p, c in zip(paths, vec) if c != 0}
-                if not combo:
-                    continue
+            for col in kernel_data(mat).matrix.sparse_columns():
+                combo = {paths[j]: c for j, c in col.items()}
                 reduced = closure.span.reduce(combo)
                 if reduced:
                     relations.append(PathSum(field, [(c, p) for p, c

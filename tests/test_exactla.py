@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtilt.exactla import (Matrix, PrimeField, QQ, Span, block_diag, hstack,
-                           kernel_basis, kernel_data, kron, rref, solve,
-                           vstack)
+                           kernel_data, kron, rref, solve, vstack)
 from qtilt.errors import FieldMismatchError, ShapeMismatchError
 
 
@@ -103,7 +102,21 @@ def test_field_mismatch_rejected():
         mat([[1]]) * Matrix(PrimeField(3), [[1]])
 
 
+def test_getitem_refuses_out_of_range_indices_on_both_axes():
+    m = mat([[1, 2], [3, 4]])
+    assert (m[0, 0], m[0, 1], m[1, 0], m[1, 1]) == (1, 2, 3, 4)
+    for i, j, axis in [(-1, 0, "row -1"), (2, 0, "row 2"), (5, 0, "row 5"),
+                       (0, -1, "column -1"), (0, 2, "column 2")]:
+        with pytest.raises(IndexError, match=f"^{axis} out of range$"):
+            m[i, j]
+
+
 # --- kernel ------------------------------------------------------------------
+
+def kernel_basis(m):
+    """The canonical kernel basis as sparse columns."""
+    return kernel_data(m).matrix.sparse_columns()
+
 
 def test_kernel_of_identity_empty():
     assert kernel_basis(Matrix.identity(QQ, 3)) == []
@@ -112,7 +125,7 @@ def test_kernel_of_identity_empty():
 def test_kernel_single_relation():
     basis = kernel_basis(mat([[1, 1]]))
     assert len(basis) == 1
-    assert basis[0] == (1, -1)
+    assert basis[0] == {0: 1, 1: -1}
 
 
 def test_kernel_rank_nullity_and_annihilation():
@@ -123,7 +136,7 @@ def test_kernel_rank_nullity_and_annihilation():
         basis = kernel_basis(m)
         assert m.rank() + len(basis) == m.ncols
         for v in basis:
-            prod = m * Matrix.from_cols(QQ, [v], nrows=m.ncols)
+            prod = m * Matrix.from_sparse_cols(QQ, [v], m.ncols)
             assert prod.is_zero()
 
 
@@ -269,7 +282,7 @@ def test_prime_field_kernel_and_solve():
     basis = kernel_basis(m)
     assert len(basis) == 2
     for v in basis:
-        assert (m * Matrix.from_cols(f7, [v], nrows=3)).is_zero()
+        assert (m * Matrix.from_sparse_cols(f7, [v], 3)).is_zero()
     b = Matrix(f7, [[5], [3]])
     x = solve(Matrix(f7, [[1, 0], [0, 2]]), b)
     assert x is not None
@@ -515,7 +528,7 @@ def test_prop_dense_view_and_equality(shape, p):
     rows = sparse_rows(seed, m, n, density, p)
     a = Matrix(field, rows)
     assert a.rows == tuple(tuple(field.canon(x) for x in row) for row in rows)
-    built = [Matrix.from_cols(field, a.columns(), nrows=m),
+    built = [Matrix.from_sparse_cols(field, a.sparse_columns(), m),
              Matrix.identity(field, m) * a,
              a * Matrix.identity(field, n),
              a.transpose().transpose(),

@@ -101,3 +101,159 @@ def test_no_orphan_private_definitions():
             sources[filename] = fh.read()
     orphans = _orphans(sources)
     assert not orphans, f"private definitions nothing uses: {orphans}"
+
+
+# --- one element format -------------------------------------------------------
+
+# the only readers of the dense view `Matrix.rows`: printing a module file
+# and a matrix
+DENSE_READERS = {("cli.py", "serialize_module"), ("exactla.py", "Matrix.__repr__")}
+# dense element and vector routines replaced by their sparse forms
+DELETED = {"multiply", "zero_element", "element_from_path", "radical_basis",
+           "_op_items", "kernel_basis", "from_cols"}
+
+
+def _name(node):
+    """The name a call or attribute chain ends in, or None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _assignments(tree):
+    """(targets, value) of each assignment in tree, annotated or not."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            yield node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            yield [node.target], node.value
+
+
+def _makes(value, makers):
+    """Whether value calls one of makers, at any depth (a list or dict of
+    row owners counts)."""
+    return any(isinstance(node, ast.Call) and _name(node.func) in makers
+               for node in ast.walk(value))
+
+
+def _returned_callees(fn):
+    """Names of the callees of the calls that fn's return statements
+    return."""
+    return {_name(node.value.func) for node in ast.walk(fn)
+            if isinstance(node, ast.Return)
+            and isinstance(node.value, ast.Call)}
+
+
+def _row_owners(trees):
+    """(classes, makers, attributes) whose ``rows`` is not a Matrix's:
+    the classes other than Matrix that assign ``self.rows`` (a `Span`'s
+    echelon rows, a report's lines); those classes with the functions
+    returning one of them; and the attribute names bound to a call of a
+    maker."""
+    classes = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and node.name != "Matrix"
+               and any(isinstance(t, ast.Attribute) and t.attr == "rows"
+                       and _name(t.value) == "self"
+                       for targets, _ in _assignments(node) for t in targets)}
+    makers = classes | {node.name for tree in trees for node in ast.walk(tree)
+                        if isinstance(node, ast.FunctionDef)
+                        and _returned_callees(node) & classes}
+    attributes = {t.attr for tree in trees
+                  for targets, value in _assignments(tree)
+                  if _makes(value, makers)
+                  for t in targets if isinstance(t, ast.Attribute)}
+    return classes, makers, attributes
+
+
+def _dense_uses(sources):
+    """(file, line, what) for each use of the dense format in ``sources``
+    (file name -> text): ``.rows`` read off a Matrix outside
+    `DENSE_READERS`, ``_dense`` named outside exactla, and a definition or
+    call of a `DELETED` name.  A ``.rows`` receiver is not a Matrix when it
+    is ``self`` in a row-owning class, a name bound in the same function
+    to a call that makes a row owner, an attribute bound to one, or an
+    item of such a name or attribute."""
+    trees = {f: ast.parse(text) for f, text in sources.items()}
+    classes, makers, attributes = _row_owners(trees.values())
+    found = []
+
+    def visit(f, node, scope, owners):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            if isinstance(node, ast.FunctionDef):
+                if node.name in DELETED:
+                    found.append((f, node.lineno, f"def {node.name}"))
+                owners = {t.id for targets, value in _assignments(node)
+                          if _makes(value, makers)
+                          for t in targets if isinstance(t, ast.Name)}
+                if scope and scope[-1] in classes:
+                    owners.add("self")
+            scope = scope + (node.name,)
+        if (isinstance(node, ast.Attribute) and node.attr == "rows"
+                and isinstance(node.ctx, ast.Load)
+                and (f, ".".join(scope)) not in DENSE_READERS):
+            recv = node.value
+            while isinstance(recv, ast.Subscript):
+                recv = recv.value
+            if not ((isinstance(recv, ast.Name) and recv.id in owners)
+                    or (isinstance(recv, ast.Attribute)
+                        and recv.attr in attributes)):
+                found.append((f, node.lineno, ".rows"))
+        if f != "exactla.py" and (_name(node) == "_dense" or (
+                isinstance(node, ast.ImportFrom)
+                and "_dense" in (a.name for a in node.names))):
+            found.append((f, node.lineno, "_dense"))
+        if isinstance(node, ast.Call) and _name(node.func) in DELETED:
+            found.append((f, node.lineno, f"{_name(node.func)}()"))
+        for child in ast.iter_child_nodes(node):
+            visit(f, child, scope, owners)
+
+    for f, tree in trees.items():
+        visit(f, tree, (), set())
+    return sorted(found)
+
+
+def test_the_check_sees_a_dense_use():
+    sources = {
+        "exactla.py": "class Matrix:\n"
+                      "    def __repr__(self):\n"
+                      "        return str(self.rows)\n"
+                      "\n"
+                      "\n"
+                      "def _dense(row, n):\n"
+                      "    return row\n"
+                      "\n"
+                      "\n"
+                      "class Span:\n"
+                      "    def __init__(self):\n"
+                      "        self.rows = {}\n"
+                      "\n"
+                      "    def __len__(self):\n"
+                      "        return len(self.rows)\n",
+        "a.py": "from .exactla import Span, _dense\n"
+                "\n"
+                "\n"
+                "def reader(m):\n"
+                "    return m.rows\n"
+                "\n"
+                "\n"
+                "def spans(m):\n"
+                "    s = Span()\n"
+                "    return s.rows, _dense(m, 2)\n"
+                "\n"
+                "\n"
+                "def kernel_basis(m):\n"
+                "    return m.from_cols([])\n"}
+    assert _dense_uses(sources) == [
+        ("a.py", 1, "_dense"), ("a.py", 5, ".rows"), ("a.py", 10, "_dense"),
+        ("a.py", 13, "def kernel_basis"), ("a.py", 14, "from_cols()")]
+
+
+def test_one_element_format():
+    sources = {}
+    for filename in MODULES:
+        with open(os.path.join(SRC, filename), encoding="utf-8") as fh:
+            sources[filename] = fh.read()
+    uses = _dense_uses(sources)
+    assert not uses, f"dense element or vector uses (file, line, what): {uses}"

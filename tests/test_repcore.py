@@ -16,11 +16,11 @@ from qtilt.repcore import (Decomposition, ModuleMap, Representation, decompose,
 
 from hypothesis import given, settings, strategies as st
 
-from qtilt.exactla import PrimeField, kernel_basis
+from qtilt.exactla import PrimeField, kernel_data
 from qtilt.quivercore import Arrow, Path, PathSum, Quiver, build_algebra
 from qtilt.repcore import _hom_generic
 
-from conftest import (make_a3_nilpotent, make_kronecker, make_loop_nilpotent,
+from conftest import (dense, make_a3_nilpotent, make_kronecker, make_loop_nilpotent,
                       make_square, make_square_gf)
 
 
@@ -94,10 +94,13 @@ def test_generic_hom_agrees_with_projective_fast_path(kron):
     stripped = Representation(kron, dict(p.dims), dict(p.mats), validate=False)
     slow = hom_space(stripped, n)
     assert len(fast) == len(slow)
-    fastm = Matrix(QQ, [list(h.vectorize()) for h in fast]) if fast else None
+    width = sum(p.dims[v] * n.dims[v] for v in kron.quiver.vertices)
+    fastm = (Matrix(QQ, [dense(h.vectorize(), width) for h in fast])
+             if fast else None)
     for h in slow:
         if fastm is not None:
-            stacked = fastm.stack_below(Matrix(QQ, [list(h.vectorize())]))
+            stacked = fastm.stack_below(Matrix(QQ, [dense(h.vectorize(),
+                                                          width)]))
             assert stacked.rank() == fastm.rank()
 
 
@@ -329,7 +332,8 @@ def dense_hom_oracle(m, n):
                 if any(row):
                     rows.append(row)
     if rows:
-        basis = kernel_basis(Matrix(field, rows, ncols=total))
+        basis = [dense(c, total) for c in kernel_data(
+            Matrix(field, rows, ncols=total)).matrix.sparse_columns()]
     else:
         basis = [[int(i == k) for i in range(total)] for k in range(total)]
     out = []
@@ -814,10 +818,28 @@ def test_restriction_keeps_each_callers_message(monkeypatch, kron):
     cases = [(lambda: repcore.image_rep(ModuleMap.identity(m)),
               "image is not arrow-stable"),
              (lambda: repcore.submodule_generated(
-                 m, {v: [[1] * m.dims[v]]}),
+                 m, {v: [dict.fromkeys(range(m.dims[v]), 1)]}),
               "generated subspaces are not arrow-stable"),
              (lambda: top_and_radical(m), "radical is not arrow-stable")]
     assert m.dims[v]
     for build, message in cases:
         with pytest.raises(QtiltError, match=message):
             build()
+
+
+def test_submodule_generated_makes_its_vectors_canonical():
+    """Over GF(32003) a generating vector spelled with -1 and one spelled
+    with 32002 give the same submodule and the same inclusion, whose
+    entries are residues."""
+    from qtilt.repcore import submodule_generated
+    alg = make_square_gf()
+    m = regular(alg)
+    v = max(alg.quiver.vertices, key=m.dims.get)
+    p = alg.field.p
+    assert m.dims[v] >= 2
+    sub1, incl1 = submodule_generated(m, {v: [{0: -1, 1: 1}]})
+    sub2, incl2 = submodule_generated(m, {v: [{0: p - 1, 1: 1}]})
+    assert incl1.blocks == incl2.blocks
+    assert sub1.dims == sub2.dims and sub1.mats == sub2.mats
+    assert all(0 < x < p for b in incl1.blocks.values()
+               for row in b.sparse_rows for x in row.values())

@@ -5,7 +5,7 @@ import pytest
 from qtilt.errors import QtiltError
 from qtilt.exactla import Matrix, QQ
 from qtilt.homengine import ext_dim, gldim, injd, min_proj_resolution, pd, tau_n, tau_n_minus
-from qtilt.quivercore import radical_basis, semisimple_and_basic_flags
+from qtilt.quivercore import semisimple_and_basic_flags
 from qtilt.repcore import (ModuleMap, decompose, dual, hom_space, inj,
                            injective_cogenerator, is_isomorphic, kernel_rep,
                            proj, projective_cover, random_module, simple,
@@ -47,10 +47,36 @@ def test_tensor_with_one_vertex_algebra(kron):
 
 def test_radical_formula(kron2, a2xa2, kronxa2):
     for t in (kron2, a2xa2, kronxa2):
-        rl = len(radical_basis(t.left))
-        rr = len(radical_basis(t.right))
+        rl = len(t.left.radical_indices())
+        rr = len(t.right.radical_indices())
         dl, dr = t.left.dim, t.right.dim
-        assert len(radical_basis(t.algebra)) == rl * dr + dl * rr - rl * rr
+        assert len(t.algebra.radical_indices()) == rl * dr + dl * rr - rl * rr
+
+
+def test_idempotents_verdict_checks_orthogonality(monkeypatch, a2xa2):
+    """A complete set of idempotents that is not orthogonal turns the
+    structural suite's ``idempotents`` verdict False, and its detail names
+    the failed condition.  Over Q idempotents that sum to the unit are
+    orthogonal (trace equals rank), so such a set has a member that is not
+    idempotent: here e_(1,1) + a and e_(2,2) - a, a the arrow from (2,1)
+    to (1,1), with e_(1,2) and e_(2,1) unchanged."""
+    from qtilt.quivercore import Path
+    from qtilt.tensorcon import TensorAlgebraResult, structural_suite
+    alg = a2xa2.algebra
+    a = alg.normal_form(Path.of(alg.quiver, ["a(x)e_1"]))
+    shift = {("1", "1"): 1, ("2", "2"): -1}
+    real = TensorAlgebraResult.idempotent
+
+    def skewed(self, u, v):
+        e = real(self, u, v)
+        c = shift.get((u, v))
+        return e if c is None else {**e, **{k: c * x for k, x in a.items()}}
+
+    monkeypatch.setattr(TensorAlgebraResult, "idempotent", skewed)
+    verdicts = {name: (ok, detail) for name, ok, detail
+                in structural_suite(a2xa2, module_count=0)}
+    assert verdicts["idempotents"] == (False,
+                                       "idempotent 0 is not orthogonal to 2")
 
 
 def test_flags_preserved(kron2):
