@@ -252,6 +252,8 @@ def parse_module_file(text: str, workspace: Workspace):
                     dims[v] = int(d)
                 except ValueError as exc:
                     raise ParseError(f"bad dimension {d}", lineno) from exc
+                if dims[v] < 0:
+                    raise ParseError(f"bad dimension {d}", lineno)
         elif kw == "map":
             if alg is None:
                 raise ParseError("map before module line", lineno)

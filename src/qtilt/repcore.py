@@ -21,6 +21,10 @@ Every action x.v of an algebra basis element goes through one
 `ActionReader`, and a map out of a free module is given by its generator
 images (`proj_map_from_images`): its column at x in generator k's block
 is x.images[k].
+
+Every Hom basis names its positions (`_hom_basis`): per basis map, an
+entry where it alone is nonzero.  Coordinates are read there, so a
+composite f o h needs a few rows of f and columns of h, and no solve.
 """
 
 import random
@@ -55,6 +59,8 @@ class Representation:
         if unknown:
             raise QtiltError(f"unknown vertices in dimension vector: {unknown}")
         self.dims = {v: int(dims.get(v, 0)) for v in algebra.quiver.vertices}
+        if min(self.dims.values(), default=0) < 0:
+            raise QtiltError(f"negative dimension in dimension vector: {self.dims}")
         self.proj_gens = tuple(proj_gens) if proj_gens is not None else None
         self._mats = None
         if mats is not None:
@@ -194,19 +200,6 @@ class ModuleMap:
     def is_isomorphism(self) -> bool:
         return all(b.nrows == b.ncols and b.rank() == b.nrows
                    for b in self.blocks.values())
-
-    def vectorize(self) -> Dict[int, object]:
-        """The map as a sparse vector {offset: nonzero entry}: the blocks
-        in vertex order, each read row by row."""
-        out = {}
-        off = 0
-        for v in self.source.algebra.quiver.vertices:
-            b = self.blocks[v]
-            for row in b.sparse_rows:
-                for c, x in row.items():
-                    out[off + c] = x
-                off += b.ncols
-        return out
 
     def __repr__(self):
         return f"ModuleMap({self.source.dim_vector()} -> {self.target.dim_vector()})"
@@ -724,61 +717,79 @@ def projective_cover(m: Representation) -> Cover:
 
 
 def hom_space(m: Representation, n: Representation) -> List[ModuleMap]:
-    """A basis of Hom(m, n).  Maps out of projective sums and in or out of
-    known direct sums are assembled blockwise without solving."""
+    """A basis of Hom(m, n): the maps of `_hom_basis`."""
+    return _hom_basis(m, n)[0]
+
+
+def _hom_basis(m: Representation, n: Representation):
+    """(maps, positions): a basis of Hom(m, n) and, for each basis map i, a
+    position (v, r, c, s) where map i has entry s in row r, column c of its
+    block at v and every other basis map has 0.  So any f in Hom(m, n) has
+    coordinate f_v[r][c] / s on map i.  Maps out of projective sums and in
+    or out of known direct sums are assembled blockwise without solving;
+    `_check_positions` guards every basis."""
     if m.algebra is not n.algebra:
         raise AlgebraMismatchError("Hom between modules over different algebras")
     if m.proj_gens is not None:
-        return _hom_from_projective(m, n)
-    if m.summands is not None:
-        out = []
-        for piece, _, projection in m.summands:
-            out.extend(h * projection for h in hom_space(piece, n))
-        return out
-    if n.summands is not None:
-        out = []
-        for piece, inclusion, _ in n.summands:
-            out.extend(inclusion * h for h in hom_space(m, piece))
-        return out
-    return _hom_generic(m, n)
+        maps, positions = _hom_from_projective(m, n)
+    elif m.summands or n.summands:
+        # a sum's pieces shift the positions' columns as the source, and
+        # their rows as the target
+        maps, positions, off = [], [], dict.fromkeys(m.dims, 0)
+        for piece, inclusion, projection in m.summands or n.summands:
+            if m.summands:
+                hs, ps = _hom_basis(piece, n)
+                maps.extend(h * projection for h in hs)
+                positions.extend((v, r, off[v] + c, s) for v, r, c, s in ps)
+            else:
+                hs, ps = _hom_basis(m, piece)
+                maps.extend(inclusion * h for h in hs)
+                positions.extend((v, off[v] + r, c, s) for v, r, c, s in ps)
+            for v in off:
+                off[v] += piece.dims[v]
+    else:
+        maps, positions = _hom_generic(m, n)
+    _check_positions(maps, positions)
+    return maps, positions
 
 
-def _hom_from_projective(p: Representation, n: Representation) -> List[ModuleMap]:
+def _check_positions(maps: Sequence[ModuleMap], positions):
+    """Raise QtiltError unless each basis map reads as its own unit vector
+    at the positions: entry s at its own, 0 at every other."""
+    if len(maps) != len(positions) or any(
+            not s or any(f.blocks[v].sparse_rows[r].get(c, 0) != (s if i == j else 0)
+                         for j, f in enumerate(maps))
+            for i, (v, r, c, s) in enumerate(positions)):
+        raise QtiltError("a Hom basis map does not read as its own unit "
+                         "vector at the positions")
+
+
+def _hom_from_projective(p: Representation, n: Representation):
     """One map per generator k of p and basis vector e_b of n at its
-    vertex: the map sending generator k to e_b and the others to 0, in
-    (k, b) order.  A contract: a map out of p has its generator images,
-    laid end to end, as coordinates (`_hom_coordinates`)."""
-    one = p.algebra.field.one()
-    gens = p.proj_gens
-    act = ActionReader(n)
-    return [proj_map_from_images(p, n, [{b: one} if l == k else {}
-                                        for l in range(len(gens))], act)
-            for k, v in enumerate(gens) for b in range(n.dims[v])]
-
-
-def _hom_coordinates(h: ModuleMap, f: ModuleMap) -> Dict[int, object]:
-    """The coordinates of f o h, h out of a free module, on the
-    `_hom_from_projective` basis: f applied to the generator images of h
-    (columns of h's blocks), laid end to end."""
-    p, alg = h.source, h.source.algebra
-    out, off = {}, 0
-    for k, v in enumerate(p.proj_gens):
+    vertex v: the map sending generator k to e_b and the others to 0, in
+    (k, b) order.  Its position is row b of the block at v, in generator
+    k's column there, with entry 1."""
+    alg, gens, act = p.algebra, p.proj_gens, ActionReader(n)
+    one = alg.field.one()
+    maps, positions = [], []
+    for k, v in enumerate(gens):
         g = free_offsets(p, v)[k] + alg.block_pos[alg.basis_index(Path.trivial(v))]
-        img = {r: row[g] for r, row in enumerate(h.blocks[v].sparse_rows)
-               if g in row}
-        out.update((off + r, c) for r, c in _tidy(
-            {r: sum(row[j] * c for j, c in img.items() if j in row)
-             for r, row in enumerate(f.blocks[v].sparse_rows)},
-            alg.field.char).items())
-        off += f.target.dims[v]
-    return out
+        for b in range(n.dims[v]):
+            maps.append(proj_map_from_images(
+                p, n, [{b: one} if l == k else {} for l in range(len(gens))],
+                act))
+            positions.append((v, b, g, one))
+    return maps, positions
 
 
-def _hom_generic(m: Representation, n: Representation) -> List[ModuleMap]:
-    """Hom(m, n) as the kernel of the intertwining system: unknown (v, r, c)
-    is entry (r, c) of the block at v, at coordinate offsets[v] + r*m_v + c,
-    and arrow a: s -> t contributes one row N_a f_s - f_t M_a per entry
-    (r, c) of its n_t x m_s shape.  Rows are built from nonzeros only."""
+def _hom_generic(m: Representation, n: Representation):
+    """Hom(m, n) as the kernel of the intertwining system, with positions
+    as in `_hom_basis`: unknown (v, r, c) is entry (r, c) of the block at
+    v, at coordinate offsets[v] + r*m_v + c, and arrow a: s -> t
+    contributes one row N_a f_s - f_t M_a per entry (r, c) of its
+    n_t x m_s shape.  Rows are built from nonzeros only.  Kernel vector i
+    has its scale at free coordinate i and 0 at the others, which gives
+    its position."""
     alg = m.algebra
     field = alg.field
     p = field.char
@@ -789,7 +800,6 @@ def _hom_generic(m: Representation, n: Representation) -> List[ModuleMap]:
         offsets[v] = len(coords)
         coords.extend((v, r, c) for r in range(n.dims[v])
                       for c in range(m.dims[v]))
-    total = len(coords)
     rows = []
     for a in alg.quiver.arrows:
         s, t = a.source, a.target
@@ -805,34 +815,39 @@ def _hom_generic(m: Representation, n: Representation) -> List[ModuleMap]:
                 row = _tidy(acc, p)
                 if row:
                     rows.append(row)
-    if rows:
-        basis = kernel_data(Matrix._raw(field, rows, total)).matrix.sparse_columns()
-    else:
-        basis = [{k: 1} for k in range(total)]
-    out = []
-    for vec in basis:
+    kd = kernel_data(Matrix._raw(field, rows, len(coords)))
+    maps = []
+    for vec in kd.matrix.sparse_columns():
         block_rows = {v: [{} for _ in range(n.dims[v])] for v in verts}
         for k, x in vec.items():
             v, r, c = coords[k]
             block_rows[v][r][c] = x
         blocks = {v: Matrix._raw(field, block_rows[v], m.dims[v]) for v in verts}
-        out.append(ModuleMap(m, n, blocks, validate=False))
-    return out
+        maps.append(ModuleMap(m, n, blocks, validate=False))
+    return maps, [(*coords[k], s) for k, s in zip(kd.free, kd.scales)]
 
 
-def express_all_in_basis(maps: Sequence[ModuleMap], fs: Sequence[ModuleMap]):
-    """Coefficients of each of the (at least one) maps fs on a basis of
-    their Hom space, as dicts basis position -> nonzero entry, from one
-    solve over their sparse `ModuleMap.vectorize` columns, of length
-    sum_v dim source_v * dim target_v; None when one of them lies outside
-    the span."""
-    src, tgt = fs[0].source, fs[0].target
-    field = src.algebra.field
-    n = sum(src.dims[v] * tgt.dims[v] for v in src.algebra.quiver.vertices)
-    sol = solve(Matrix.from_sparse_cols(field, [mp.vectorize() for mp in maps],
-                                        n),
-                Matrix.from_sparse_cols(field, [f.vectorize() for f in fs], n))
-    return None if sol is None else sol.sparse_columns()
+def _composites(fs: Sequence[ModuleMap], hs: Sequence[ModuleMap],
+                positions, field) -> Dict[Tuple[int, int], Dict[int, object]]:
+    """{(a, b): coordinates of fs[a] o hs[b]} on a Hom basis with the given
+    positions (see `_hom_basis`), as sparse dicts, zero composites left
+    out.  The coordinate at (v, r, c, s) is row r of fs[a]'s block at v
+    times column c of hs[b]'s, divided by s, so no map is composed."""
+    cols, out = {}, {}      # hs[b]'s columns at v by (b, v); coordinates
+    for i, (v, r, c, s) in enumerate(positions):
+        rows = [(a, row) for a, f in enumerate(fs)
+                if (row := f.blocks[v].sparse_rows[r])]
+        if not rows:
+            continue
+        inv = field.inv(s)
+        for b, h in enumerate(hs):
+            if (b, v) not in cols:
+                cols[b, v] = h.blocks[v].sparse_columns()
+            for a, row in rows:
+                x = sum(y * row[j] for j, y in cols[b, v][c].items() if j in row)
+                if x:
+                    out.setdefault((a, b), {})[i] = x * inv
+    return {ab: vec for ab, d in out.items() if (vec := _tidy(d, field.char))}
 
 
 def linear_combination(coeffs: Dict[int, object], maps: Sequence[ModuleMap]
@@ -850,39 +865,28 @@ def endomorphism_blocks(modules: Sequence[Representation]):
     """End(U_0 + ... + U_k) on its Hom-block basis: ``blocks`` lists
     (i, j, f) for each basis map f : U_i -> U_j, ``table[x][y]`` holds the
     coordinates of f_x o f_y and ``identities[i]`` those of the identity
-    of U_i, as sparse dicts.  Those out of a free U_i are read off
-    generator images (`_hom_coordinates`), the others composed and
-    expressed with one solve per Hom block."""
-    blocks = []
-    for i, ui in enumerate(modules):
-        for j, uj in enumerate(modules):
-            blocks.extend((i, j, f) for f in hom_space(ui, uj))
-    positions: Dict[Tuple[int, int], List[int]] = {}
-    for pos, (i, j, _) in enumerate(blocks):
-        positions.setdefault((i, j), []).append(pos)
-    # (key, f, h) per Hom block for each f o h wanted; an identity has f None
-    wanted = {(k, k): [((k, None), None, ModuleMap.identity(u))]
-              for k, u in enumerate(modules)}
-    for x, (i1, j1, f1) in enumerate(blocks):
-        for y, (i2, j2, f2) in enumerate(blocks):
-            if j2 == i1:
-                wanted.setdefault((i2, j1), []).append(((x, y), f1, f2))
-    cells = {}
-    for ij, items in wanted.items():
-        pos = positions.get(ij, [])
-        if modules[ij[0]].proj_gens is not None:
-            coords = [_hom_coordinates(h, f or h) for _, f, h in items]
-        else:
-            coords = express_all_in_basis(
-                [blocks[p][2] for p in pos],
-                [h if f is None else f * h for _, f, h in items])
-            if coords is None:
-                raise QtiltError("a composite or an identity left its Hom block")
-        for (key, _, _), col in zip(items, coords):
-            cells[key] = {pos[r]: c for r, c in col.items()}
-    dim = len(blocks)
-    table = [[cells.get((x, y), {}) for y in range(dim)] for x in range(dim)]
-    return blocks, table, [cells[(k, None)] for k in range(len(modules))]
+    of U_i, as sparse dicts.  Every cell is read at the positions of its
+    Hom block (`_composites`), every identity at the positions with row
+    equal to column."""
+    field = modules[0].algebra.field
+    homs = {(i, j): _hom_basis(ui, uj) for i, ui in enumerate(modules)
+            for j, uj in enumerate(modules)}
+    blocks, start = [], {}
+    for (i, j), (maps, _) in homs.items():
+        start[i, j] = len(blocks)
+        blocks.extend((i, j, f) for f in maps)
+    table = [[{} for _ in blocks] for _ in blocks]
+    # f o h for f : U_k -> U_j and h : U_i -> U_k lies in the (i, j) block
+    for (i, j), (_, positions) in homs.items():
+        for k in range(len(modules)):
+            for (a, b), vec in _composites(homs[k, j][0], homs[i, k][0],
+                                           positions, field).items():
+                table[start[k, j] + a][start[i, k] + b] = {
+                    start[i, j] + x: c for x, c in vec.items()}
+    identities = [{start[k, k] + x: field.inv(s)
+                   for x, (_, r, c, s) in enumerate(homs[k, k][1]) if r == c}
+                  for k in range(len(modules))]
+    return blocks, table, identities
 
 
 def endomorphism_algebra(m: Representation):

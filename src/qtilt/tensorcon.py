@@ -247,6 +247,8 @@ def kunneth_verify(t: TensorAlgebraResult, m: Representation,
     the convolution of the factor Ext dimensions, for q up to pmax.  The
     product side resolves M (x) M' from scratch; the factor side only sees
     the factor algebras, so the two routes are independent."""
+    if pmax < 0:
+        raise QtiltError(f"pmax must be >= 0, got {pmax}")
     source = tensor_modules(t, m, mprime, validate=False)
     target = tensor_modules(t, n, nprime, validate=False)
     left_dims = [ext_dim(m, n, i) for i in range(pmax + 1)]
@@ -265,6 +267,8 @@ def structural_suite(t: TensorAlgebraResult, seed: int = 0,
     formula, flag preservation, simples/projectives/injectives and
     idempotents, module radicals and tops, projective covers, dimension
     additivity.  Returns (name, ok, detail) triples."""
+    if module_count < 0:
+        raise QtiltError(f"module_count must be >= 0, got {module_count}")
     from .homengine import gldim, injd, is_finite, pd
     from .quivercore import (_check_idempotents, abstract_radical,
                              semisimple_and_basic_flags)

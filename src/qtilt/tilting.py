@@ -25,10 +25,11 @@ from .quivercore import (Arrow, BoundQuiverAlgebra, IdealClosure, Path,
                          abstract_radical, build_algebra, opposite,
                          primitive_orthogonal_idempotents,
                          semisimple_and_basic_flags)
-from .repcore import (ModuleMap, Representation, cokernel_rep, decompose,
-                      direct_sum, dual, endomorphism_algebra,
-                      endomorphism_blocks, hom_space, inj,
-                      linear_combination, proj, regular, simple, zero_rep)
+from .repcore import (ModuleMap, Representation, _composites, _hom_basis,
+                      cokernel_rep, decompose, direct_sum, dual,
+                      endomorphism_algebra, endomorphism_blocks, hom_space,
+                      inj, linear_combination, proj, regular, simple,
+                      zero_rep)
 
 
 def _require_basic(alg: BoundQuiverAlgebra):
@@ -201,55 +202,40 @@ class TiltingCertificate:
         return lines
 
 
-def _endo_radical_maps(u: Representation) -> List[ModuleMap]:
-    sca, basis = endomorphism_algebra(u)
-    return [linear_combination(vec, basis) for vec in abstract_radical(sca)]
-
-
 def minimal_left_approximation(x: Representation,
                                summand_reps: Sequence[Representation]):
     """Minimal left approximation of x by the additive closure of the given
     pairwise non-isomorphic indecomposables: pick hom generators modulo the
-    radical composites, one block at a time.
+    radical composites, one block at a time, in the coordinates of each
+    Hom(x, U_i) basis, where basis map k is the unit vector {k: 1}.
 
     Returns (map, target, counts)."""
     alg = x.algebra
     field = alg.field
-    homs = [hom_space(x, u) for u in summand_reps]
-    cross = {}
-    for i, ui in enumerate(summand_reps):
-        for j, uj in enumerate(summand_reps):
-            if i != j:
-                cross[(j, i)] = hom_space(uj, ui)
-    rad_end = [_endo_radical_maps(u) for u in summand_reps]
+    homs = [_hom_basis(x, u) for u in summand_reps]
+    rad_end = [[linear_combination(vec, basis) for vec in abstract_radical(sca)]
+               for sca, basis in map(endomorphism_algebra, summand_reps)]
     chosen: List[Tuple[int, ModuleMap]] = []
     counts = [0] * len(summand_reps)
     for i, u in enumerate(summand_reps):
-        if not homs[i]:
+        maps, positions = homs[i]
+        if not maps:
             continue
         span = Span(field)
-        for j in range(len(summand_reps)):
-            if j == i:
-                for r in rad_end[i]:
-                    for g in homs[i]:
-                        span.add((r * g).vectorize())
-            else:
-                for r in cross.get((j, i), []):
-                    for g in homs[j]:
-                        span.add((r * g).vectorize())
-        for g in homs[i]:
-            if span.add(g.vectorize()):
+        for j, uj in enumerate(summand_reps):
+            rs = rad_end[i] if j == i else hom_space(uj, u)
+            for vec in _composites(rs, homs[j][0], positions, field).values():
+                span.add(vec)
+        for k, g in enumerate(maps):
+            if span.add({k: 1}):
                 chosen.append((i, g))
                 counts[i] += 1
     if not chosen:
         target = zero_rep(alg)
         return ModuleMap.zero(x, target), target, counts
     target, incls, _ = direct_sum([summand_reps[i] for i, _ in chosen])
-    total = None
-    for incl, (_, g) in zip(incls, chosen):
-        piece = incl * g
-        total = piece if total is None else total + piece
-    return total, target, counts
+    pieces = [incl * g for incl, (_, g) in zip(incls, chosen)]
+    return sum(pieces[1:], pieces[0]), target, counts
 
 
 def verify_tilting(alg: BoundQuiverAlgebra, t: Representation, m: int,
@@ -258,6 +244,8 @@ def verify_tilting(alg: BoundQuiverAlgebra, t: Representation, m: int,
     most m, self-orthogonality in all positive degrees (complete once
     checked up to pd), and a coresolution of the regular module by the
     additive closure, built from minimal left approximations."""
+    if m < 0:
+        raise QtiltError(f"m must be >= 0, got {m}")
     cert = TiltingCertificate(t, m)
     cert.pd_value = pd(t)
     cert.pd_ok = is_finite(cert.pd_value) and cert.pd_value <= m
@@ -496,10 +484,11 @@ class CotiltReport:
 
 def apr_cotilting_check(alg: BoundQuiverAlgebra, v: str, n: int,
                         construct: bool = True) -> CotiltReport:
-    """Run the tilting check over the opposite algebra; on a weak pass the
+    """Run the tilting check over the opposite algebra, verdicts only (its
+    tilting module is never read, so it is not built); on a weak pass the
     dual module tau_n(I_v) + (sum of the other injectives) is the
     cotilting candidate."""
-    base = apr_check(opposite(alg), v, n, construct=construct)
+    base = apr_check(opposite(alg), v, n, construct=False)
     cot = None
     summands = None
     if base.weak and construct:

@@ -12,6 +12,32 @@ def dense(x, n):
     return tuple(x.get(k, 0) for k in range(n))
 
 
+def flatten(f):
+    """A module map as one sparse vector {offset: entry}: its blocks in
+    vertex order, each read row by row."""
+    out, off = {}, 0
+    for v in f.source.algebra.quiver.vertices:
+        b = f.blocks[v]
+        for row in b.sparse_rows:
+            out.update((off + c, x) for c, x in row.items())
+            off += b.ncols
+    return out
+
+
+def express_all_in_basis(maps, fs):
+    """Coefficients of each of the (at least one) maps fs on the basis
+    ``maps`` of their Hom space, as dicts basis position -> nonzero entry,
+    from one solve over their `flatten`ed columns; None when one of them
+    lies outside the span.  The solve oracle for the Hom positions."""
+    from qtilt.exactla import Matrix, solve
+    src, tgt = fs[0].source, fs[0].target
+    field = src.algebra.field
+    n = sum(src.dims[v] * tgt.dims[v] for v in src.algebra.quiver.vertices)
+    sol = solve(Matrix.from_sparse_cols(field, [flatten(m) for m in maps], n),
+                Matrix.from_sparse_cols(field, [flatten(f) for f in fs], n))
+    return None if sol is None else sol.sparse_columns()
+
+
 def make_kronecker(name="kron"):
     q = Quiver(["1", "2"], [Arrow("a0", "2", "1"), Arrow("a1", "2", "1")])
     return build_algebra(q, [], QQ, name=name)

@@ -484,3 +484,41 @@ def test_gldim_accepts_the_least_bound_it_needs():
     code, text = run(["gldim", data("kronecker.alg"), "--max-resolution", "1"])
     assert code == 0
     assert "gldim 1" in text
+
+
+K3_ALG = "algebra k3\nfield Q\nvertices 1 2 3\narrow a : 2 -> 1\n"
+
+
+@pytest.mark.parametrize("dims, bad", [("1=0 2=0 3=-2", "-2"),
+                                       ("1=0 2=-1", "-1")])
+def test_negative_dimension_in_a_module_file_exits_2(tmp_path, dims, bad):
+    """A negative entry on the dim line is a parse error at that line,
+    whether its vertex carries arrows (2) or not (3)."""
+    alg, mod = tmp_path / "k3.alg", tmp_path / "m.mod"
+    alg.write_text(K3_ALG)
+    mod.write_text(f"module m over k3\ndim {dims}\n")
+    for argv in (["info", str(alg), str(mod)], ["resolve", str(alg), str(mod)],
+                 ["tau", str(alg), str(mod), "--n", "1"],
+                 ["ext", str(alg), str(mod), str(mod), "--p", "0"]):
+        code, text = run(argv)
+        assert code == 2, argv
+        assert text == f"error line 2: bad dimension {bad}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["kunneth", data("kronecker.alg"), data("a2.alg"), data("s2_kron.mod"),
+     data("s1_kron.mod"), data("s2_a2.mod"), data("s1_a2.mod"), "--pmax", "-1"],
+    ["props", data("kronecker.alg"), data("a2.alg"), "--modules", "-1"],
+    ["verify-tilting", data("kronecker.alg"), data("p2_kron.mod"), "--m", "-1"],
+])
+def test_negative_budgets_are_usage_errors(argv):
+    code, text = run(argv)
+    assert code == 2
+    assert text.startswith("error ") and ">= 0, got -1" in text
+
+
+def test_props_with_no_modules_is_valid():
+    code, text = run(["props", data("kronecker.alg"), data("a2.alg"),
+                      "--modules", "0"])
+    assert code == 0
+    assert "verdict radical_formula pass" in text

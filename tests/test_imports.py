@@ -110,7 +110,10 @@ def test_no_orphan_private_definitions():
 DENSE_READERS = {("cli.py", "serialize_module"), ("exactla.py", "Matrix.__repr__")}
 # dense element and vector routines replaced by their sparse forms
 DELETED = {"multiply", "zero_element", "element_from_path", "radical_basis",
-           "_op_items", "kernel_basis", "from_cols"}
+           "_op_items", "kernel_basis", "from_cols",
+           # the compose-and-solve route: composites are read at the Hom
+           # basis positions instead
+           "vectorize", "express_all_in_basis", "_hom_coordinates"}
 
 
 def _name(node):
@@ -244,10 +247,15 @@ def test_the_check_sees_a_dense_use():
                 "\n"
                 "\n"
                 "def kernel_basis(m):\n"
-                "    return m.from_cols([])\n"}
+                "    return m.from_cols([])\n"
+                "\n"
+                "\n"
+                "def coordinates(f):\n"
+                "    return f.vectorize()\n"}
     assert _dense_uses(sources) == [
         ("a.py", 1, "_dense"), ("a.py", 5, ".rows"), ("a.py", 10, "_dense"),
-        ("a.py", 13, "def kernel_basis"), ("a.py", 14, "from_cols()")]
+        ("a.py", 13, "def kernel_basis"), ("a.py", 14, "from_cols()"),
+        ("a.py", 18, "vectorize()")]
 
 
 def test_one_element_format():

@@ -20,7 +20,8 @@ from qtilt.exactla import PrimeField, kernel_data
 from qtilt.quivercore import Arrow, Path, PathSum, Quiver, build_algebra
 from qtilt.repcore import _hom_generic
 
-from conftest import (dense, make_a3_nilpotent, make_kronecker, make_loop_nilpotent,
+from conftest import (dense, express_all_in_basis, flatten,
+                      make_a3_nilpotent, make_kronecker, make_loop_nilpotent,
                       make_square, make_square_gf)
 
 
@@ -76,7 +77,6 @@ def test_hom_contains_identity(kron):
     m = proj(kron, "2")
     homs = hom_space(m, m)
     assert len(homs) == 1
-    from qtilt.repcore import express_all_in_basis
     assert express_all_in_basis(homs, [ModuleMap.identity(m)]) is not None
 
 
@@ -95,11 +95,11 @@ def test_generic_hom_agrees_with_projective_fast_path(kron):
     slow = hom_space(stripped, n)
     assert len(fast) == len(slow)
     width = sum(p.dims[v] * n.dims[v] for v in kron.quiver.vertices)
-    fastm = (Matrix(QQ, [dense(h.vectorize(), width) for h in fast])
+    fastm = (Matrix(QQ, [dense(flatten(h), width) for h in fast])
              if fast else None)
     for h in slow:
         if fastm is not None:
-            stacked = fastm.stack_below(Matrix(QQ, [dense(h.vectorize(),
+            stacked = fastm.stack_below(Matrix(QQ, [dense(flatten(h),
                                                           width)]))
             assert stacked.rank() == fastm.rank()
 
@@ -372,7 +372,7 @@ def test_sparse_hom_system_matches_dense_oracle(name, seed_m, seed_n):
     alg = hom_algebra(name)
     m = random_module(alg, seed=seed_m)
     n = random_module(alg, seed=seed_n)
-    got = _hom_generic(m, n)
+    got, _ = _hom_generic(m, n)
     assert [f.blocks for f in got] == dense_hom_oracle(m, n)
     for f in got:
         f._validate()
@@ -391,7 +391,7 @@ def test_sparse_hom_system_on_a_loop_with_diagonal_action(field):
         field, [[2, 4, 0], [-1, -2, 0], [1, 2, 0]])})
     for m in (two, three, random_module(loop, seed=4)):
         for n in (two, three):
-            got = _hom_generic(m, n)
+            got, _ = _hom_generic(m, n)
             assert [f.blocks for f in got] == dense_hom_oracle(m, n)
             for f in got:
                 f._validate()
@@ -646,7 +646,6 @@ def _end_by_one_solve(m):
     """End(m) as one solve of all d^2 composites f o g plus the identity."""
     from qtilt.exactla import _dense
     from qtilt.quivercore import StructureConstantAlgebra
-    from qtilt.repcore import express_all_in_basis
     basis = hom_space(m, m)
     d = len(basis)
     cols = express_all_in_basis(
@@ -843,3 +842,124 @@ def test_submodule_generated_makes_its_vectors_canonical():
     assert sub1.dims == sub2.dims and sub1.mats == sub2.mats
     assert all(0 < x < p for b in incl1.blocks.values()
                for row in b.sparse_rows for x in row.values())
+
+
+# --- Hom positions: the coordinates every Hom basis names -----------------------
+
+def _read(f, positions):
+    """f's coordinates at the positions: entry / scale at each, zeros
+    dropped."""
+    field = f.source.algebra.field
+    vals = {i: field.canon(f.blocks[v][r, c] * field.inv(s))
+            for i, (v, r, c, s) in enumerate(positions)}
+    return {i: x for i, x in vals.items() if x}
+
+
+def _hom_routes(alg):
+    """(route, m, n) for each way `_hom_basis` builds Hom(m, n) on alg."""
+    verts = alg.quiver.vertices
+    m, n, x = (random_module(alg, seed) for seed in (1, 2, 3))
+    free = proj_sum(alg, [verts[-1], verts[0], verts[-1]])
+    inner = direct_sum([m, x])[0]
+    return [("free", free, n), ("generic", m, n),
+            ("sum source", direct_sum([m, free])[0], n),
+            ("sum target", m, direct_sum([n, x])[0]),
+            ("nested", direct_sum([inner, n])[0], direct_sum([x, inner])[0]),
+            ("zero", simple(alg, verts[0]), simple(alg, verts[-1]))]
+
+
+def _position_algebras(field):
+    return ([make_kronecker(), make_square()] if field is QQ
+            else [kronecker_over_gf(), make_square_gf()])
+
+
+@pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "F32003"])
+def test_each_hom_basis_map_reads_as_its_unit_vector(field):
+    """On every route, basis map i reads {i: 1} at the positions, the
+    maps are those of hom_space, and `_composites` with an identity reads
+    the same unit vectors."""
+    from qtilt.repcore import _composites, _hom_basis
+    seen = {}
+    for alg in _position_algebras(field):
+        for route, m, n in _hom_routes(alg):
+            taken = ("free" if m.proj_gens else "sum source" if m.summands
+                     else "sum target" if n.summands else "generic")
+            assert taken == {"nested": "sum source",
+                             "zero": "generic"}.get(route, route)
+            maps, positions = _hom_basis(m, n)
+            assert [f.blocks for f in maps] == [f.blocks for f in
+                                                hom_space(m, n)]
+            assert len(positions) == len(maps), route
+            for i, f in enumerate(maps):
+                assert _read(f, positions) == {i: 1}, route
+            assert _composites([ModuleMap.identity(n)], maps, positions,
+                               field) == {(0, i): {i: 1}
+                                          for i in range(len(maps))}
+            seen[route] = seen.get(route, 0) + len(maps)
+    assert seen.pop("zero") == 0
+    assert min(seen.values()) >= 2, seen
+
+
+@pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "F32003"])
+def test_positions_read_back_combinations_and_composites(field):
+    """A seeded random combination of a Hom basis reads back its
+    coefficients, and a composite g o f with g in End(n) reads the
+    coordinates the one-solve oracle finds."""
+    from qtilt.repcore import _composites, _hom_basis, linear_combination
+    rnd = random.Random(17)
+    checked = 0
+    for alg in _position_algebras(field):
+        for route, m, n in _hom_routes(alg):
+            maps, positions = _hom_basis(m, n)
+            if not maps:
+                continue
+            coeffs = {i: c for i in range(len(maps))
+                      if (c := field.canon(rnd.randint(-5, 5)))}
+            f = linear_combination(coeffs, maps)
+            if f is None:
+                continue
+            assert _read(f, positions) == coeffs, route
+            ends = hom_space(n, n)
+            g = linear_combination(
+                {i: field.canon(rnd.randint(-3, 3)) for i in range(len(ends))},
+                ends) or ModuleMap.identity(n)
+            want = express_all_in_basis(maps, [g * f])[0]
+            got = _composites([g], [f], positions, field).get((0, 0), {})
+            assert got == want, route
+            checked += 1
+    assert checked >= 8
+
+
+def test_a_planted_wrong_position_fails_the_guard(monkeypatch, kron):
+    """Swapped, rescaled or missing positions fail the guard, and so do
+    the Hom builder and the End table when a route plants them."""
+    from qtilt import repcore
+    m, n = random_module(kron, 0), random_module(kron, 5)
+    maps, positions = repcore._hom_basis(m, n)
+    assert len(maps) >= 2
+    swapped = [positions[1], positions[0]] + positions[2:]
+    (v, r, c, s), rest = positions[0], positions[1:]
+    for bad in (swapped, [(v, r, c, 2 * s)] + rest, rest,
+                [(v, r, c, 0)] + rest):
+        with pytest.raises(QtiltError, match="unit vector"):
+            repcore._check_positions(maps, bad)
+    real = repcore._hom_generic
+
+    def reversed_positions(a, b):
+        got, pos = real(a, b)
+        return got, pos[::-1]
+
+    monkeypatch.setattr(repcore, "_hom_generic", reversed_positions)
+    with pytest.raises(QtiltError, match="unit vector"):
+        hom_space(m, n)
+    with pytest.raises(QtiltError, match="unit vector"):
+        repcore.endomorphism_blocks([m, n])
+
+
+# --- dimension vectors -----------------------------------------------------------
+
+def test_negative_dimension_is_refused(a3):
+    with pytest.raises(QtiltError, match="negative dimension"):
+        Representation(a3, {"3": -2}, {})
+    with pytest.raises(QtiltError, match="negative dimension"):
+        Representation(a3, {"1": 0, "2": -1}, {})

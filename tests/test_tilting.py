@@ -10,7 +10,7 @@ from qtilt.homengine import ext_dim, gldim, pd, tau_n_minus
 from qtilt.quivercore import abstract_radical, regular_structure_algebra
 from qtilt.repcore import (ModuleMap, decompose, direct_sum, dual,
                            endomorphism_algebra, endomorphism_blocks,
-                           express_all_in_basis, hom_space, inj,
+                           hom_space, inj,
                            is_isomorphic, proj, proj_sum, random_module,
                            regular, simple)
 from qtilt.tensorcon import tensor_algebras, tensor_modules
@@ -19,7 +19,7 @@ from qtilt.tilting import (_radical_powers, apr_check, apr_cotilting_check,
                            minimal_left_approximation, present_algebra,
                            verify_tilting)
 
-from conftest import dense
+from conftest import dense, express_all_in_basis
 
 
 # --- apr_check -----------------------------------------------------------------
@@ -435,6 +435,16 @@ def test_cotilting_kronecker_vertex2(kron):
     translate = dict(rep.summands)["2"]
     # dual statement of the translate dimensions
     assert translate.dim_vector() == (2, 3)
+
+
+def test_cotilting_builds_only_the_cotilting_module(kron):
+    """The check over the opposite algebra gives verdicts only: no tilting
+    module is built there, while the cotilting module is."""
+    rep = apr_cotilting_check(kron, "2", 1)
+    assert rep.weak
+    assert rep.base.tilting_module is None and rep.base.summands is None
+    assert rep.cotilting_module is not None
+    assert rep.cotilting_module.dim_vector() == (3, 5)
 
 
 def test_cotilting_a2_sink(a2):
