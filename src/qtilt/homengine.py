@@ -3,7 +3,8 @@ them: Ext groups, projective/injective/global dimension, the transpose,
 and the higher translates tau_n / tau_n^- with their finiteness probe.
 
 A minimal resolution is grown by iterated projective covers and cached on
-the module, so deeper requests extend earlier work.  It keeps the image of
+the module, so deeper requests extend earlier work; it refers back to the
+module weakly, so the two make no reference cycle.  It keeps the image of
 each generator as a sparse vector, and builds module maps only when read.
 Those vectors give each differential d as a matrix of algebra elements
 between the generator vertices, and its dual d^* = Hom(d, algebra) as
@@ -23,7 +24,7 @@ read.
 
 from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
-from weakref import WeakKeyDictionary
+from weakref import WeakKeyDictionary, ref
 
 from .errors import InconclusiveError, QtiltError
 from .exactla import Matrix, Span, _tidy, kernel_data, solve
@@ -72,15 +73,25 @@ class MinimalResolution:
     Hom(terms[i], n) -> Hom(terms[i+1], n) as ``hom_ranks[n][i]``.  The
     module object itself is the weak key: no other module can alias it,
     and the entry goes when n is collected.
+
+    The module caches its resolution, and the resolution refers back to
+    it weakly (``module``): it keeps the blocks of the augmentation, not a
+    map into the module, and wraps them in a `ModuleMap` on each read.
+    So the two make no reference cycle, and the resolution goes with the
+    module.  Keep the module for as long as the resolution is read: once
+    it is gone, maps[0] and covers[0] read None and the resolution cannot
+    grow, while its terms and the other maps stay readable.
     """
 
     def __init__(self, module: Representation):
-        self.module = module
+        self._module = ref(module)
+        self.algebra = module.algebra
         self.terms: List[Representation] = []
         self.images: List[List[Dict[int, object]]] = []
-        self._covers: List[Cover] = []
-        self._maps: List[ModuleMap] = []
-        self.syzygies: Dict[int, Representation] = {0: module}
+        self._covers: List[Optional[Cover]] = []   # None for the module's
+        self._top_blocks = None     # the augmentation's blocks, once built
+        self._maps: List[ModuleMap] = []           # maps[1:]
+        self.syzygies: Dict[int, Representation] = {}     # k >= 1
         # the inclusion of syzygy k as its kernel columns per vertex, kept
         # until the next cover reads its generator images
         self._syz_incl: Dict[int, Optional[Dict[str, List[Dict]]]] = {0: None}
@@ -88,22 +99,45 @@ class MinimalResolution:
         self.hom_ranks = WeakKeyDictionary()     # n -> {i: rank}
 
     @property
+    def module(self) -> Representation:
+        return self._module()
+
+    def _cover_map(self, k: int) -> Optional[ModuleMap]:
+        """covers[k]; the augmentation (k = 0) is wrapped anew from its
+        kept blocks on each read, or None once the module is gone."""
+        if k:
+            return self._covers[k].map
+        if self.module is None:
+            return None
+        if self._top_blocks is None:
+            self._top_blocks = Cover(self.terms[0], self.module,
+                                     self.images[0]).map.blocks
+        return ModuleMap(self.terms[0], self.module, self._top_blocks,
+                         validate=False)
+
+    @property
     def covers(self) -> List[ModuleMap]:
-        return [c.map for c in self._covers]
+        return [self._cover_map(k) for k in range(len(self.terms))]
 
     @property
     def maps(self) -> List[ModuleMap]:
-        for i in range(len(self._maps), len(self.terms)):
+        for i in range(len(self._maps) + 1, len(self.terms)):
             self._maps.append(proj_map_from_images(
-                self.terms[i], self.terms[i - 1], self.images[i])
-                if i else self._covers[0].map)
-        return self._maps
+                self.terms[i], self.terms[i - 1], self.images[i]))
+        return [self._cover_map(0), *self._maps] if self.terms else []
 
     def _syzygy_step(self, k: int) -> Representation:
-        """Compute syzygies[k] = ker(covers[k-1]) on demand."""
+        """Compute syzygies[k] = ker(covers[k-1]) on demand; k = 0 gives
+        the module."""
+        if k == 0:
+            return self.module
         if k in self.syzygies:
             return self.syzygies[k]
-        syz, kds = kernel_rep_data(self._covers[k - 1].map)
+        cover = self._cover_map(k - 1)
+        if cover is None:
+            raise QtiltError("a resolution cannot grow once its module is "
+                             "gone; keep the module")
+        syz, kds = kernel_rep_data(cover)
         self.syzygies[k] = syz
         self._syz_incl[k] = {v: kd.columns for v, kd in kds.items()}
         if syz.is_zero():
@@ -125,7 +159,7 @@ class MinimalResolution:
                 break
             cover = projective_cover(target)
             self.terms.append(cover.projective)
-            self._covers.append(cover)
+            self._covers.append(cover if k else None)
             gens, images = cover.projective.proj_gens, cover.images
             incl = self._syz_incl.pop(k)   # read only for the images
             if incl is not None:   # inclusion columns at the top sections
@@ -140,7 +174,7 @@ class MinimalResolution:
             return self.terms[i]
         if not self.terminated:
             raise QtiltError(f"resolution term {i} read before it was computed")
-        return proj_sum(self.module.algebra, [])
+        return proj_sum(self.algebra, [])
 
     def generators(self, i: int) -> Tuple[str, ...]:
         """Generator vertices of terms[i]; none past the end of a
@@ -156,7 +190,7 @@ class MinimalResolution:
             return self._syzygy_step(k)
         if not self.terminated:
             raise QtiltError(f"syzygy {k} read before it was computed")
-        return zero_rep(self.module.algebra)
+        return zero_rep(self.algebra)
 
     def presentation_elements(self, i: int):
         """The differential terms[i] -> terms[i-1] as a sparse matrix of
@@ -204,7 +238,7 @@ def _dualized_elements(res: MinimalResolution, i: int):
     presentation elements of d_i and op the anti-isomorphism: images[k]
     is that vector of the target at v_k, ascending, with op(X[k, l]) at
     generator l's block."""
-    alg = res.module.algebra
+    alg = res.algebra
     opp = opposite(alg)
     gens = res.generators(i - 1)
     src = proj_sum(opp, gens)
@@ -274,7 +308,7 @@ def _hom_complex_differential(res: MinimalResolution, n: Representation,
     coordinates: Hom out of a projective sum is the direct sum of the
     n-spaces at the generator vertices.  The block at (l, k) is the action
     on n of the element X[k, l] of d_{i+1}, read through one reader."""
-    alg = res.module.algebra
+    alg = res.algebra
     field = alg.field
     gens_lo = res.generators(i)
     row_off = _cochain_offsets(n, res.generators(i + 1))
@@ -465,13 +499,19 @@ def tau_n(m: Representation, n: int, maxlen: int = DEFAULT_BOUND
 def tau_n_minus(m: Representation, n: int, maxlen: int = DEFAULT_BOUND
                 ) -> Representation:
     """tau_n^- = D tau_n D, tau_n taken over the opposite algebra on the
-    cached dual DM and its cached resolution."""
+    cached dual DM and its cached resolution.  A resolution of DM that this
+    call built is dropped once the translate is read; one that was there
+    before stays."""
     if n < 1:
         raise QtiltError("tau_n_minus needs n >= 1")
     alg = m.algebra
     if m.is_zero():
         return zero_rep(alg)
-    out = dual(tau_n(dual(m), n, maxlen))
+    dm = dual(m)
+    built = "minres" not in dm._cache
+    out = dual(tau_n(dm, n, maxlen))
+    if built:
+        dm._cache.pop("minres", None)
     if out.algebra is not alg:
         raise QtiltError("the opposite of the opposite algebra is not the "
                          "algebra")

@@ -7,6 +7,7 @@ path space modulo the span of the relation ideal, which terminates for
 admissible ideals; each basis element is represented by a single path.
 """
 
+import weakref
 from fractions import Fraction
 from itertools import count
 from math import isqrt, lcm
@@ -234,8 +235,10 @@ class BoundQuiverAlgebra:
                             for w in quiver.vertices}
         self._products: Dict[Tuple[int, int], Tuple[Tuple[int, object], ...]] = {}
         self.unit = {i: 1 for i, p in enumerate(self.basis) if not p.arrows}
-        self._opposite: Optional["BoundQuiverAlgebra"] = None
-        self._cache: Dict = {}
+        # the opposite this algebra built, or a weak reference to the
+        # algebra that built this one as its opposite (see `opposite`)
+        self._opposite = None
+        self._cache: Dict = {}               # data only, never a module
 
     # -- basic structure ----------------------------------------------------
 
@@ -425,15 +428,21 @@ def build_algebra(quiver: Quiver, relations: Sequence[PathSum], field=QQ,
 
 
 def opposite(alg: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
-    """The opposite algebra: arrows and relation paths reversed.  Applying
-    it twice returns the original object."""
-    if alg._opposite is not None:
-        return alg._opposite
+    """The opposite algebra: arrows and relation paths reversed.  An
+    algebra keeps the opposite it built, and the opposite refers back to
+    it weakly, so the two make no reference cycle and applying `opposite`
+    twice returns the original object while that object lives: keep the
+    algebra itself, not only its opposite, where that identity matters."""
+    got = alg._opposite
+    if isinstance(got, weakref.ref):
+        got = got()
+    if got is not None:
+        return got
     oq = alg.quiver.opposite()
     orels = [PathSum(alg.field, r.reversed()) for r in alg.relations]
     opp = build_algebra(oq, orels, alg.field, alg.maxdeg, alg.name + "_op")
     alg._opposite = opp
-    opp._opposite = alg
+    opp._opposite = weakref.ref(alg)
     return opp
 
 

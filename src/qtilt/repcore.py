@@ -9,8 +9,11 @@ bookkeeping so Hom spaces out of them need no linear solving.
 A free module (a direct sum of indecomposable projectives, from
 `proj_sum`) is held by its generator tuple.  Its arrow action is fixed by
 the algebra: the arrow matrices of each indecomposable projective are
-built once per algebra (`proj`), and a free module's own arrow matrices
-are assembled from them only when `mats` is first read.  `kernel_rep`,
+built once per algebra and cached on it as matrices (`_proj_mats`), and a
+free module's own arrow matrices are assembled from them only when `mats`
+is first read.  An algebra's cache holds data, never a module, and
+`proj`, `inj` and `regular` return a fresh module on each call, so no
+module and its algebra point at each other.  `kernel_rep`,
 `cokernel_rep` and `dual_free_kernel` read the few arrow rows or columns
 they need in place off the projectives (the rows off their arrow
 matrices, the columns off a transpose of them cached on the algebra):
@@ -53,7 +56,8 @@ class Representation:
         """mats may be None only for a free module (proj_gens given): its
         arrow matrices are then built from its generators' indecomposable
         projectives when first read."""
-        self.summands = None  # set by direct_sum: list of (piece, incl, proj)
+        # set by direct_sum: (piece, inclusion blocks, projection blocks)
+        self.summands = None
         self.algebra = algebra
         unknown = set(dims) - set(algebra.quiver.vertices)
         if unknown:
@@ -251,18 +255,28 @@ def _free_coordinates(p: Representation, w: str) -> List[Tuple[int, int]]:
 def _free_arrow_mats(p: Representation) -> Dict[str, Matrix]:
     """The block-diagonal arrow matrices of a free module."""
     alg = p.algebra
-    blocks = [proj(alg, v).mats for v in p.proj_gens]
+    blocks = [_proj_mats(alg, v) for v in p.proj_gens]
     return {a.name: block_diag(alg.field, [b[a.name] for b in blocks])
             for a in alg.quiver.arrows}
 
 
+def _proj_mats(alg, v: str) -> Dict[str, Matrix]:
+    """Arrow name -> that arrow's matrix on the indecomposable projective
+    at v, built once and cached on the algebra as data."""
+    got = alg._cache.get(("proj_mats", v))
+    if got is None:
+        got = alg._cache[("proj_mats", v)] = _proj_arrow_mats(
+            proj_sum(alg, [v]))
+    return got
+
+
 def _proj_columns(alg, v: str) -> Dict[str, List[Dict[int, object]]]:
-    """Arrow name -> the columns of that arrow's matrix on proj(alg, v),
-    cached on the algebra beside the projective."""
+    """Arrow name -> the columns of that arrow's matrix on the
+    indecomposable projective at v, cached on the algebra beside it."""
     got = alg._cache.get(("proj_cols", v))
     if got is None:
         got = {name: m.sparse_columns()
-               for name, m in proj(alg, v).mats.items()}
+               for name, m in _proj_mats(alg, v).items()}
         alg._cache[("proj_cols", v)] = got
     return got
 
@@ -278,7 +292,7 @@ def _free_lines(m: Representation, arrow, idxs: Sequence[int], cols: bool):
                  else (arrow.target, arrow.source))
     offs, shift = free_offsets(m, at), free_offsets(m, other)
     blocks = {v: _proj_columns(alg, v)[arrow.name] if cols
-              else proj(alg, v).mats[arrow.name].sparse_rows
+              else _proj_mats(alg, v)[arrow.name].sparse_rows
               for v in set(gens)}
     out = []
     for r in idxs:
@@ -322,22 +336,21 @@ def proj_sum(alg, gens: Sequence[str]) -> Representation:
 
 
 def proj(alg, v: str) -> Representation:
-    """The indecomposable projective at a vertex, with its arrow matrices:
-    built once per algebra, they are the blocks of every free module."""
-    got = alg._cache.get(("proj", v))
-    if got is None:
-        got = proj_sum(alg, [v])
-        got._mats = _proj_arrow_mats(got)
-        alg._cache[("proj", v)] = got
-    return got
+    """The indecomposable projective at a vertex, a fresh module on each
+    call.  Its arrow matrices, the blocks of every free module, are built
+    once per algebra and cached on it as matrices: an algebra's cache
+    never holds a module, so nothing in it points back at the algebra.
+    What is computed on the module (its dual, its resolution) lives as
+    long as the caller keeps that module."""
+    p = proj_sum(alg, [v])
+    p._mats = dict(_proj_mats(alg, v))
+    return p
 
 
 def regular(alg) -> Representation:
-    got = alg._cache.get("regular")
-    if got is None:
-        got = proj_sum(alg, list(alg.quiver.vertices))
-        alg._cache["regular"] = got
-    return got
+    """The regular module, free on one generator per vertex; a fresh
+    module on each call, like `proj`."""
+    return proj_sum(alg, list(alg.quiver.vertices))
 
 
 def dual(m: Representation) -> Representation:
@@ -360,27 +373,31 @@ def dual(m: Representation) -> Representation:
 
 def inj(alg, v: str) -> Representation:
     """Indecomposable injective at a vertex: the dual of the projective at
-    the same vertex over the opposite algebra."""
-    got = alg._cache.get(("inj", v))
-    if got is None:
-        got = dual(proj(opposite(alg), v))
-        alg._cache[("inj", v)] = got
-    return got
+    the same vertex over the opposite algebra.  A fresh module on each
+    call, like `proj`; the transposed arrow matrices are cached on the
+    algebra as data."""
+    opp = opposite(alg)
+    mats = alg._cache.get(("inj_mats", v))
+    if mats is None:
+        mats = alg._cache[("inj_mats", v)] = {
+            name: m.transpose() for name, m in _proj_mats(opp, v).items()}
+    return Representation(alg, {w: opp.block_sizes[w][v]
+                                for w in alg.quiver.vertices}, mats,
+                          validate=False)
 
 
 def injective_cogenerator(alg) -> Representation:
     """Direct sum of all indecomposable injectives (the dual of the
-    regular module of the opposite algebra)."""
-    got = alg._cache.get("cogenerator")
-    if got is None:
-        got = dual(regular(opposite(alg)))
-        alg._cache["cogenerator"] = got
-    return got
+    regular module of the opposite algebra), a fresh module on each
+    call."""
+    return dual(regular(opposite(alg)))
 
 
 def direct_sum(reps: Sequence[Representation]):
     """(sum, inclusions, projections), matrices block-diagonal in the
-    given order."""
+    given order.  The sum keeps its pieces in ``summands`` as (piece,
+    inclusion blocks, projection blocks), vertex -> matrix: blocks, not
+    maps, so the sum holds no map that points back at it."""
     if not reps:
         raise QtiltError("direct sum of no modules")
     alg = reps[0].algebra
@@ -394,22 +411,22 @@ def direct_sum(reps: Sequence[Representation]):
             for a in alg.quiver.arrows}
     total = Representation(alg, dims, mats, validate=False)
     one = field.one()
-    inclusions = []
-    projections = []
+    total.summands = []
     offset = {v: 0 for v in verts}
     for r in reps:
         units = {v: [{offset[v] + j: one} for j in range(r.dims[v])]
                  for v in verts}
-        inclusions.append(ModuleMap(r, total, {
+        total.summands.append((r, {
             v: Matrix.from_sparse_cols(field, u, dims[v])
-            for v, u in units.items()}, validate=False))
-        projections.append(ModuleMap(total, r, {
-            v: Matrix._raw(field, u, dims[v]) for v, u in units.items()},
-            validate=False))
+            for v, u in units.items()}, {
+            v: Matrix._raw(field, u, dims[v]) for v, u in units.items()}))
         for v in verts:
             offset[v] += r.dims[v]
-    total.summands = list(zip(reps, inclusions, projections))
-    return total, inclusions, projections
+    return (total,
+            [ModuleMap(r, total, incl, validate=False)
+             for r, incl, _ in total.summands],
+            [ModuleMap(total, r, projection, validate=False)
+             for r, _, projection in total.summands])
 
 
 # ---------------------------------------------------------------------------
@@ -739,10 +756,12 @@ def _hom_basis(m: Representation, n: Representation):
         for piece, inclusion, projection in m.summands or n.summands:
             if m.summands:
                 hs, ps = _hom_basis(piece, n)
+                projection = ModuleMap(m, piece, projection, validate=False)
                 maps.extend(h * projection for h in hs)
                 positions.extend((v, r, off[v] + c, s) for v, r, c, s in ps)
             else:
                 hs, ps = _hom_basis(m, piece)
+                inclusion = ModuleMap(piece, n, inclusion, validate=False)
                 maps.extend(inclusion * h for h in hs)
                 positions.extend((v, off[v] + r, c, s) for v, r, c, s in ps)
             for v in off:
@@ -805,7 +824,7 @@ def _hom_generic(m: Representation, n: Representation):
         s, t = a.source, a.target
         ms, mt = m.dims[s], m.dims[t]
         n_rows = n.mats[a.name].sparse_rows
-        m_cols = m.mats[a.name].sparse_columns()
+        m_cols = _arrow_columns(m, a.name)
         for r in range(n.dims[t]):
             for c in range(ms):
                 acc = {offsets[s] + j * ms + c: x for j, x in n_rows[r].items()}
@@ -825,6 +844,16 @@ def _hom_generic(m: Representation, n: Representation):
         blocks = {v: Matrix._raw(field, block_rows[v], m.dims[v]) for v in verts}
         maps.append(ModuleMap(m, n, blocks, validate=False))
     return maps, [(*coords[k], s) for k, s in zip(kd.free, kd.scales)]
+
+
+def _arrow_columns(m: Representation, name: str) -> List[Dict[int, object]]:
+    """The columns of an arrow's matrix on m, read once per module and kept
+    in ``m._cache`` as plain lists of dicts, which point back at nothing."""
+    cols = m._cache.setdefault("arrow_cols", {})
+    got = cols.get(name)
+    if got is None:
+        got = cols[name] = m.mats[name].sparse_columns()
+    return got
 
 
 def _composites(fs: Sequence[ModuleMap], hs: Sequence[ModuleMap],

@@ -202,6 +202,21 @@ class TiltingCertificate:
         return lines
 
 
+def _radical_maps(summand_reps: Sequence[Representation]):
+    """For each U_i and each U_j, maps U_j -> U_i that span the radical of
+    the additive closure there: the radical of End(U_i) for j = i, a basis
+    of Hom(U_j, U_i) otherwise (the U are pairwise non-isomorphic
+    indecomposables).  They do not depend on the module approximated, so
+    a coresolution builds them once."""
+    out = []
+    for i, u in enumerate(summand_reps):
+        sca, basis = endomorphism_algebra(u)
+        rad = [linear_combination(vec, basis) for vec in abstract_radical(sca)]
+        out.append([rad if j == i else hom_space(uj, u)
+                    for j, uj in enumerate(summand_reps)])
+    return out
+
+
 def minimal_left_approximation(x: Representation,
                                summand_reps: Sequence[Representation]):
     """Minimal left approximation of x by the additive closure of the given
@@ -210,20 +225,22 @@ def minimal_left_approximation(x: Representation,
     Hom(x, U_i) basis, where basis map k is the unit vector {k: 1}.
 
     Returns (map, target, counts)."""
-    alg = x.algebra
-    field = alg.field
+    return _left_approximation(x, summand_reps, _radical_maps(summand_reps))
+
+
+def _left_approximation(x, summand_reps, radical_maps):
+    """`minimal_left_approximation` with the summands' `_radical_maps`
+    given."""
+    field = x.algebra.field
     homs = [_hom_basis(x, u) for u in summand_reps]
-    rad_end = [[linear_combination(vec, basis) for vec in abstract_radical(sca)]
-               for sca, basis in map(endomorphism_algebra, summand_reps)]
     chosen: List[Tuple[int, ModuleMap]] = []
     counts = [0] * len(summand_reps)
-    for i, u in enumerate(summand_reps):
+    for i in range(len(summand_reps)):
         maps, positions = homs[i]
         if not maps:
             continue
         span = Span(field)
-        for j, uj in enumerate(summand_reps):
-            rs = rad_end[i] if j == i else hom_space(uj, u)
+        for j, rs in enumerate(radical_maps[i]):
             for vec in _composites(rs, homs[j][0], positions, field).values():
                 span.add(vec)
         for k, g in enumerate(maps):
@@ -231,7 +248,7 @@ def minimal_left_approximation(x: Representation,
                 chosen.append((i, g))
                 counts[i] += 1
     if not chosen:
-        target = zero_rep(alg)
+        target = zero_rep(x.algebra)
         return ModuleMap.zero(x, target), target, counts
     target, incls, _ = direct_sum([summand_reps[i] for i, _ in chosen])
     pieces = [incl * g for incl, (_, g) in zip(incls, chosen)]
@@ -243,7 +260,9 @@ def verify_tilting(alg: BoundQuiverAlgebra, t: Representation, m: int,
     """Certify the generalized tilting conditions: projective dimension at
     most m, self-orthogonality in all positive degrees (complete once
     checked up to pd), and a coresolution of the regular module by the
-    additive closure, built from minimal left approximations."""
+    additive closure, built from minimal left approximations; the
+    summands' radical maps and cross Hom bases are built once for all its
+    stages."""
     if m < 0:
         raise QtiltError(f"m must be >= 0, got {m}")
     cert = TiltingCertificate(t, m)
@@ -255,11 +274,12 @@ def verify_tilting(alg: BoundQuiverAlgebra, t: Representation, m: int,
     cert.self_ext_ok = all(d == 0 for _, d in cert.self_ext_dims)
     dec = decompose(t, seed)
     summand_reps = [rep for rep, _ in dec.summands]
+    radical_maps = _radical_maps(summand_reps)
     x = regular(alg)
     for stage in range(m + 1):
         if x.is_zero():
             break
-        fmap, target, _ = minimal_left_approximation(x, summand_reps)
+        fmap, target, _ = _left_approximation(x, summand_reps, radical_maps)
         if not fmap.is_injective():
             cert.failure_stage = stage
             cert.failure_reason = "approximation not injective"

@@ -522,3 +522,35 @@ def test_props_with_no_modules_is_valid():
                       "--modules", "0"])
     assert code == 0
     assert "verdict radical_formula pass" in text
+
+
+# --- an acyclic object graph ---------------------------------------------------
+
+def test_commands_leave_no_cyclic_garbage(tmp_path):
+    """Reference counting alone frees each command's work: with the cyclic
+    collector off, after one warm-up command (which builds the argument
+    parser), no command on kron^2 leaves objects that only a full
+    collection would free."""
+    import gc
+    gamma = kron_square_file(tmp_path)
+    tilt = str(tmp_path / "tilt.mod")
+    commands = [
+        ["apr-tilt", gamma, "--vertex", "(1,1)", "--n", "2", "--present",
+         "-o", tilt],
+        ["count-apr", gamma, "--n", "2"],
+        ["bb-tilt", gamma, "--vertex", "(1,1)", "--n", "2"],
+        ["verify-tilting", gamma, tilt, "--m", "2"],
+        ["tau-finite", gamma, "--n", "2", "--max-iter", "3"]]
+    run(["count-apr", gamma, "--n", "1"])
+    gc.collect()
+    gc.disable()
+    try:
+        left = []
+        for argv in commands:
+            code, _ = run(argv)
+            left.append((argv[0], code, gc.collect()))
+    finally:
+        gc.enable()
+    assert left == [("apr-tilt", 0, 0), ("count-apr", 0, 0),
+                    ("bb-tilt", 0, 0), ("verify-tilting", 0, 0),
+                    ("tau-finite", 3, 0)]

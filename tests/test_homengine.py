@@ -701,6 +701,38 @@ def test_probe_releases_each_piece_resolution(monkeypatch):
     assert all("minres" not in inj(alg, v)._cache for v in alg.quiver.vertices)
 
 
+def test_tau_minus_drops_the_resolution_it_built(monkeypatch):
+    """Six kept tau_2^- iterates of P((1,1)) on kron^2 keep no resolution
+    of their duals: each call drops the one it built, and reference
+    counting frees it.  A resolution that was there before stays."""
+    import gc
+    import weakref
+    alg = _tensor(_kron(QQ), _kron(QQ))
+    made = []
+    init = homengine.MinimalResolution.__init__
+
+    def recorded(self, module):
+        made.append(weakref.ref(self))
+        init(self, module)
+    monkeypatch.setattr(homengine.MinimalResolution, "__init__", recorded)
+    gc.collect()
+    gc.disable()
+    try:
+        iterates = [proj(alg, "(1,1)")]
+        for _ in range(6):
+            iterates.append(tau_n_minus(iterates[-1], 2))
+        alive = [r for r in made if r() is not None]
+    finally:
+        gc.enable()
+    assert len(made) == 6 and alive == []
+    assert [m.total_dim() for m in iterates[:3]] == [1, 25, 81]
+    m = iterates[1]
+    pd(dual(m))
+    kept = dual(m)._cache["minres"]
+    assert tau_n_minus(m, 2).dims == iterates[2].dims
+    assert dual(m)._cache["minres"] is kept
+
+
 @pytest.mark.parametrize("call", [
     lambda alg, m: tau_finiteness_probe(alg, 1, 0),
     lambda alg, m: tau_finiteness_probe(alg, 1, -2),

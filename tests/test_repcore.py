@@ -786,6 +786,22 @@ def test_action_reader_stays_off_the_module():
                        for v in n._cache.values())
 
 
+def test_hom_generic_transposes_each_source_arrow_once(monkeypatch):
+    """Homs out of one module that is neither free nor a sum read the
+    columns of each of its arrow matrices once, however many targets."""
+    alg = _merge_corpus(QQ)["kron2"]
+    m = random_module(alg, 3)
+    assert m.proj_gens is None and not m.summands
+    arrows = list(m.mats.values())
+    read = []
+    real = Matrix.sparse_columns
+    monkeypatch.setattr(Matrix, "sparse_columns", lambda self: read.append(
+        any(self is a for a in arrows)) or real(self))
+    dims = [len(hom_space(m, random_module(alg, seed))) for seed in (4, 5, 6)]
+    assert any(dims)
+    assert read.count(True) == len(arrows) == len(alg.quiver.arrows)
+
+
 def test_hom_space_reads_each_basis_elements_columns_once(monkeypatch):
     """One hom_space(P, N) call composes each basis element's action on N
     once, however many maps it builds out of that element's generator."""

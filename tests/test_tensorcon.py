@@ -294,3 +294,32 @@ def test_total_complex_sign_matters(kron2):
     tc = tensor_total_complex(kron2, m, n, 4)
     for p in range(1, tc.length + 1):
         assert (tc.maps[p - 1] * tc.maps[p]).is_zero()
+
+
+def test_kunneth_check_leaves_no_cyclic_garbage(kron2, kron):
+    """One Kunneth check as the benchmark sweep makes it (random factor
+    modules, their tensor products, Ext dimensions on both sides) leaves
+    no cyclic garbage: with the collector off, gc.collect() finds
+    nothing after it."""
+    import gc
+
+    def check(seeds):
+        m, n, mp, np_ = (random_module(kron, s, 3) for s in seeds)
+        source = tensor_modules(kron2, m, mp, validate=False)
+        target = tensor_modules(kron2, n, np_, validate=False)
+        return ([ext_dim(source, target, q) for q in range(4)],
+                [ext_dim(m, n, q) for q in range(4)],
+                [ext_dim(mp, np_, q) for q in range(4)])
+
+    gc.collect()
+    gc.disable()
+    try:
+        dims = check([20004, 20005, 20006, 20007])
+        left = gc.collect()
+    finally:
+        gc.enable()
+    prod, left_dims, right_dims = dims
+    assert any(prod)
+    assert prod == [sum(left_dims[i] * right_dims[q - i] for i in range(q + 1))
+                    for q in range(4)]
+    assert left == 0

@@ -153,6 +153,25 @@ def test_minimal_approximation_of_projective_is_split(kron):
     assert target.dim_vector() == x.dim_vector()
 
 
+def test_certificate_builds_each_summands_radical_once(monkeypatch, kron2):
+    """A coresolution of two or more stages builds each summand's End
+    algebra (for its radical maps) and each cross Hom basis once for the
+    whole certificate, not once per stage."""
+    from qtilt import tilting
+    rep = apr_check(kron2.algebra, kron2.vertex("1", "1"), 2)
+    ends, homs = [], []
+    real_end, real_hom = tilting.endomorphism_algebra, tilting.hom_space
+    monkeypatch.setattr(tilting, "endomorphism_algebra",
+                        lambda u: ends.append(u) or real_end(u))
+    monkeypatch.setattr(tilting, "hom_space",
+                        lambda m, n: homs.append((m, n)) or real_hom(m, n))
+    cert = verify_tilting(kron2.algebra, rep.tilting_module, 2)
+    assert cert.passed and len(cert.coresolution_terms) >= 2
+    k = len(rep.summands)
+    assert len(ends) == len({id(u) for u in ends}) == k
+    assert len(homs) == len({(id(m), id(n)) for m, n in homs}) == k * (k - 1)
+
+
 # --- endo_algebra ----------------------------------------------------------------
 
 def test_endo_of_regular_is_the_algebra(kron):
@@ -599,7 +618,10 @@ def test_checks_resolve_only_the_dual_of_the_candidate(monkeypatch):
                             ("a3^2", pool["a3^2"], "(2,2)", 2)]:
         made.clear()
         report = apr_check(alg, v, n)
-        assert made == [dual(proj(alg, v))], name
+        # proj returns a fresh module, so D P_v is compared by its data
+        want = dual(proj(alg, v))
+        assert [(r.algebra, r.dims, r.mats) for r in made] == [
+            (want.algebra, want.dims, want.mats)], name
         assert report.weak == (name != "a3^2")
         assert report.weak == (report.tilting_module is not None)
         bb_check(alg, v, n)

@@ -18,10 +18,16 @@ A record is one command line: its arguments, exit code, output text and
 the bytes of the file it wrote, if any.  The script prints one sha256 per
 record, then the sha256 of all record digests in order, and fails unless
 that total equals the one recorded below.  A change that keeps every
-answer of these commands byte-identical keeps the total.  It takes about
-33 s on one core of a 2-core x86_64 VM with Python 3.11.
+answer of these commands byte-identical keeps the total.
+
+The records run with the cyclic garbage collector off, after one warm-up
+command that builds the argument parser, and the script also fails if
+any record leaves cyclic garbage (a nonzero ``gc.collect()`` after it):
+reference counting alone must free each command's work.  It takes about
+18 s on one core of a 2-core x86_64 VM with Python 3.11.
 """
 
+import gc
 import hashlib
 import os
 import sys
@@ -67,16 +73,19 @@ def product(kinds):
 
 
 def record(argv, out):
-    """(digest, label) of one command line run in the current directory;
-    ``out`` names the file it may write."""
+    """(digest, label, cyclic garbage) of one command line run in the
+    current directory; ``out`` names the file it may write.  The garbage
+    is the number of unreachable objects the command left, which
+    `gc.collect` finds and frees."""
     code, text = cli.dispatch(argv)
+    garbage = gc.collect()
     h = hashlib.sha256()
     h.update("\0".join(argv).encode())
     h.update(f"\0{code}\0{text}\0".encode())
     if out is not None and os.path.exists(out):
         with open(out, "rb") as fh:
             h.update(fh.read())
-    return h.hexdigest(), " ".join(argv)
+    return h.hexdigest(), " ".join(argv), garbage
 
 
 def records(stem, alg):
@@ -103,29 +112,47 @@ def records(stem, alg):
                                  out)
 
 
+def write_algebra(kinds):
+    """(stem, algebra) of a corpus entry, written as ``<stem>.alg``."""
+    stem = "_".join(kinds)
+    alg = product(kinds)
+    with open(stem + ".alg", "w", encoding="utf-8") as fh:
+        fh.write(cli.serialize_algebra(alg, stem))
+    return stem, alg
+
+
 def main():
     total = hashlib.sha256()
     count = 0
+    cyclic = []
     cwd = os.getcwd()
     os.environ.pop("QTILT_SEED", None)   # the seeded commands use seed 0
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
+            stem, _ = write_algebra(CORPUS[0])
+            cli.dispatch(["count-apr", stem + ".alg", "--n", "1"])  # warm-up
+            gc.collect()
+            gc.disable()
             for kinds in CORPUS:
-                stem = "_".join(kinds)
-                alg = product(kinds)
-                with open(stem + ".alg", "w", encoding="utf-8") as fh:
-                    fh.write(cli.serialize_algebra(alg, stem))
-                for digest, label in records(stem, alg):
+                stem, alg = write_algebra(kinds)
+                for digest, label, garbage in records(stem, alg):
                     print(digest, label)
                     total.update(digest.encode())
                     count += 1
+                    if garbage:
+                        cyclic.append((label, garbage))
         finally:
+            gc.enable()
             os.chdir(cwd)
     got = total.hexdigest()
     print(f"records {count} total {got}")
+    for label, garbage in cyclic:
+        print(f"FAIL {label} left {garbage} objects of cyclic garbage")
     if got != EXPECTED_TOTAL:
         print(f"FAIL total {got}, expected {EXPECTED_TOTAL}")
+        return 1
+    if cyclic:
         return 1
     print("cli dump passed")
     return 0
