@@ -567,13 +567,13 @@ def _summand_lines(summands) -> List[str]:
             for label, rep in summands]
 
 
-def _present_endo(t, seed: int):
+def _present_endo(t):
     """(End(T)^op, its bookkeeping, its presentation) for a module or a
     labelled summand list; the summand identities are the idempotents and
     their labels name the vertices."""
-    sca, data = endo_algebra(t, seed=seed)
+    sca, data = endo_algebra(t)
     pres = present_algebra(sca, idempotents=data.idempotents,
-                           labels=[l for l, _ in data.summands], seed=seed)
+                           labels=[l for l, _ in data.summands])
     return sca, data, pres
 
 
@@ -589,7 +589,7 @@ def _tilt_common(args, ws, checker):
         lines.append(f"wrote {args.output}")
     if args.present:
         lines.extend(_presentation_lines(
-            _present_endo(report.summands, args.seed)[2]))
+            _present_endo(report.summands)[2]))
     return lines
 
 
@@ -609,14 +609,14 @@ def _cmd_cotilt_check(args, ws):
 def _cmd_verify_tilting(args, ws):
     alg = _load_algebra(ws, args.algebra, args.max_degree, args.field)
     t = _load_module(ws, args.module)
-    cert = verify_tilting(alg, t, args.m, seed=args.seed)
+    cert = verify_tilting(alg, t, args.m)
     return cert.verdict_lines()
 
 
 def _cmd_present_endo(args, ws):
     _load_algebra(ws, args.algebra, args.max_degree, args.field)
     t = _load_module(ws, args.module)
-    sca, data, pres = _present_endo(t, args.seed)
+    sca, data, pres = _present_endo(t)
     return [f"summands {len(data.summands)}",
             f"basicized {'true' if data.basicized else 'false'}",
             f"endo_dimension {sca.dim}"] + _presentation_lines(pres)
@@ -641,20 +641,17 @@ def _cmd_props(args, ws):
 
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser.  It records only the command name: ``dispatch``
-    looks up ``_cmd_<name>`` and the ``QTILT_SEED`` default when it runs,
-    so one parser serves every call in a process."""
+    looks up ``_cmd_<name>`` and, for ``props``, the ``QTILT_SEED``
+    default when it runs, so one parser serves every call in a process."""
     parser = argparse.ArgumentParser(
         prog="qtilt",
         description="exact computations with bound quiver algebras")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seeded=False):
+    def common(p):
         p.add_argument("--max-degree", type=int, default=30)
         p.add_argument("--max-resolution", type=int, default=64)
         p.add_argument("--field", help="override the file's field (Q or F<p>)")
-        if seeded:
-            p.add_argument("--seed", type=int, default=None,
-                           help="default: $QTILT_SEED, else 0")
 
     p = sub.add_parser("info", help="describe algebra or module files")
     p.add_argument("files", nargs="+")
@@ -735,18 +732,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--present", action="store_true")
         p.add_argument("-o", "--output")
-        common(p, seeded=True)
+        common(p)
 
     p = sub.add_parser("verify-tilting")
     p.add_argument("algebra")
     p.add_argument("module")
     p.add_argument("--m", type=int, required=True)
-    common(p, seeded=True)
+    common(p)
 
     p = sub.add_parser("present-endo")
     p.add_argument("algebra")
     p.add_argument("module")
-    common(p, seeded=True)
+    common(p)
 
     p = sub.add_parser("count-apr")
     p.add_argument("algebra")
@@ -757,7 +754,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--modules", type=int, default=4)
-    common(p, seeded=True)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the random modules; default: $QTILT_SEED, "
+                        "else 0")
+    common(p)
 
     return parser
 

@@ -7,6 +7,7 @@ path space modulo the span of the relation ideal, which terminates for
 admissible ideals; each basis element is represented by a single path.
 """
 
+import random
 import weakref
 from fractions import Fraction
 from itertools import count
@@ -527,7 +528,6 @@ class StructureConstantAlgebra:
             triples = ((i, j, k) for i in range(n) for j in range(n)
                        for k in range(n))
         else:
-            import random
             rnd = random.Random(0)
             triples = ((rnd.randrange(n), rnd.randrange(n), rnd.randrange(n))
                        for _ in range(500))
@@ -745,7 +745,7 @@ def _corner_candidates(bar: StructureConstantAlgebra, e, corner_basis, rnd):
                      for k in range(bar.dim)}, p)
 
 
-def _split_semisimple(bar: StructureConstantAlgebra, seed: int = 0):
+def _split_semisimple(bar: StructureConstantAlgebra):
     """Primitive orthogonal idempotents of a semisimple algebra, as sparse
     elements, or NonSplitError when a corner refuses to split over the
     base field.  A corner e bar e splits by the first candidate x whose
@@ -753,9 +753,8 @@ def _split_semisimple(bar: StructureConstantAlgebra, seed: int = 0):
     factor.  As bar is semisimple, mu is squarefree: mu = (t - r) g with
     g(r) != 0, and e is the sum of the Lagrange idempotent g(x) / g(r) and
     its complement.  A repeated root means a radical left in bar and
-    raises QtiltError."""
-    import random
-
+    raises QtiltError.  Each corner draws its random candidates from a
+    fresh `random.Random(0)`, so the split depends on the algebra only."""
     field = bar.field
     work = [bar.unit]
     out = []
@@ -770,8 +769,7 @@ def _split_semisimple(bar: StructureConstantAlgebra, seed: int = 0):
             continue
         split = None
         saw_nonlinear = False
-        for x in _corner_candidates(bar, e, corner_basis,
-                                    random.Random(seed)):
+        for x in _corner_candidates(bar, e, corner_basis, random.Random(0)):
             mu = minimal_polynomial(bar, x, unit=e)
             if len(mu) <= 2:
                 continue
@@ -813,8 +811,8 @@ def _check_idempotents(a: StructureConstantAlgebra, idems) -> None:
         raise QtiltError("the idempotents do not sum to the unit")
 
 
-def primitive_orthogonal_idempotents(a: StructureConstantAlgebra,
-                                     seed: int = 0) -> List[Dict[int, object]]:
+def primitive_orthogonal_idempotents(a: StructureConstantAlgebra
+                                     ) -> List[Dict[int, object]]:
     """A complete list of primitive orthogonal idempotents summing to 1,
     as sparse elements, lifted from the semisimple quotient: each quotient
     idempotent is put at the free coordinates of `quotient_by_radical`,
@@ -824,7 +822,7 @@ def primitive_orthogonal_idempotents(a: StructureConstantAlgebra,
         raise UnsupportedCharacteristicError(
             "idempotent splitting needs characteristic zero")
     free, bar = quotient_by_radical(a)
-    bar_idems = _split_semisimple(bar, seed)
+    bar_idems = _split_semisimple(bar)
     # the Newton lift of a non-idempotent never converges: check first
     _check_idempotents(bar, bar_idems)
     lifted = []

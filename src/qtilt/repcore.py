@@ -32,7 +32,7 @@ composite f o h needs a few rows of f and columns of h, and no solve.
 
 import random
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (AlgebraMismatchError, QtiltError, ShapeMismatchError,
@@ -951,7 +951,7 @@ class Decomposition:
         return tuple(acc)
 
 
-def decompose(m: Representation, seed: int = 0) -> Decomposition:
+def decompose(m: Representation) -> Decomposition:
     """Full decomposition into indecomposables via primitive idempotents of
     the endomorphism algebra.  Characteristic zero, split quotients only."""
     if m.is_zero():
@@ -960,7 +960,7 @@ def decompose(m: Representation, seed: int = 0) -> Decomposition:
     if sca.dim == 1:
         return Decomposition(m, [(m, 1)], [ModuleMap.identity(m)],
                              [(m, ModuleMap.identity(m))])
-    idems = primitive_orthogonal_idempotents(sca, seed)
+    idems = primitive_orthogonal_idempotents(sca)
     pieces = []
     maps = []
     for vec in idems:
@@ -974,7 +974,7 @@ def decompose(m: Representation, seed: int = 0) -> Decomposition:
     for piece, _ in pieces:
         placed = False
         for i, (rep, mult) in enumerate(summands):
-            if is_isomorphic(rep, piece, seed=seed):
+            if is_isomorphic(rep, piece):
                 summands[i] = (rep, mult + 1)
                 placed = True
                 break
@@ -986,12 +986,16 @@ def decompose(m: Representation, seed: int = 0) -> Decomposition:
     return dec
 
 
-def is_isomorphic(m: Representation, n: Representation, seed: int = 0,
-                  grid_limit: int = 20000) -> bool:
+# the most coefficient vectors `is_isomorphic` tries on its grid
+ISO_GRID_LIMIT = 20000
+
+
+def is_isomorphic(m: Representation, n: Representation) -> bool:
     """Decide isomorphism by searching Hom(m, n) for an invertible map:
-    seeded random combinations first, then an exhaustive small grid.
-    Raises UndecidedIsomorphismError when the grid would exceed the
-    budget."""
+    20 random combinations drawn from a fresh `random.Random(0)` first,
+    then, when Hom(n, m) has the same dimension d, every combination with
+    coefficients in -2..2.  Raises UndecidedIsomorphismError when that
+    grid's 5^d points exceed `ISO_GRID_LIMIT`."""
     if m.algebra is not n.algebra:
         raise AlgebraMismatchError("modules over different algebras")
     if m.dim_vector() != n.dim_vector():
@@ -1007,17 +1011,16 @@ def is_isomorphic(m: Representation, n: Representation, seed: int = 0,
         f = linear_combination(dict(enumerate(coeffs)), homs)
         return f is not None and f.is_isomorphism()
 
-    rnd = random.Random(seed)
+    rnd = random.Random(0)
     for _ in range(20):
         if invertible([rnd.randint(-3, 3) for _ in range(d)]):
             return True
     # necessary conditions before the expensive exhaustive fallback
     if len(hom_space(n, m)) != d:
         return False
-    if 5 ** d > grid_limit:
+    if 5 ** d > ISO_GRID_LIMIT:
         raise UndecidedIsomorphismError(
             f"hom space dimension {d} exceeds the exhaustive search budget")
-    from itertools import product
     for coeffs in product(range(-2, 3), repeat=d):
         if invertible(coeffs):
             return True

@@ -12,10 +12,15 @@ from typing import List, Tuple
 
 from .errors import FieldMismatchError, QtiltError
 from .exactla import Matrix, kron
-from .homengine import ext_dim, min_proj_resolution
+from .homengine import (ext_dim, gldim, injd, is_finite, min_proj_resolution,
+                        pd)
 from .quivercore import (Arrow, BoundQuiverAlgebra, Path, PathSum, Quiver,
-                         build_algebra)
-from .repcore import ModuleMap, Representation, direct_sum, zero_rep
+                         _check_idempotents, abstract_radical, build_algebra,
+                         semisimple_and_basic_flags)
+from .repcore import (ModuleMap, Representation, decompose, direct_sum,
+                      endomorphism_algebra, inj, is_isomorphic, proj,
+                      projective_cover, random_module, simple,
+                      top_and_radical, zero_rep)
 
 
 def _vname(u: str, v: str) -> str:
@@ -266,16 +271,11 @@ def structural_suite(t: TensorAlgebraResult, seed: int = 0,
     """Exact structural checks for the tensor constructions: radical
     formula, flag preservation, simples/projectives/injectives and
     idempotents, module radicals and tops, projective covers, dimension
-    additivity.  Returns (name, ok, detail) triples."""
+    additivity.  Returns (name, ok, detail) triples.  The seed picks the
+    random module pairs (M, N); each product M (x) N, and each module's
+    top and radical, is built once per pair."""
     if module_count < 0:
         raise QtiltError(f"module_count must be >= 0, got {module_count}")
-    from .homengine import gldim, injd, is_finite, pd
-    from .quivercore import (_check_idempotents, abstract_radical,
-                             semisimple_and_basic_flags)
-    from .repcore import (decompose, endomorphism_algebra, inj, is_isomorphic,
-                          proj, projective_cover, random_module, simple,
-                          top_and_radical)
-
     alg = t.algebra
     results = []
 
@@ -317,7 +317,7 @@ def structural_suite(t: TensorAlgebraResult, seed: int = 0,
         for v in t.right.quiver.vertices:
             pp = tensor_modules(t, proj(t.left, u), proj(t.right, v),
                                 validate=False)
-            ok = ok and is_isomorphic(pp, proj(alg, t.vertex(u, v)), seed=seed)
+            ok = ok and is_isomorphic(pp, proj(alg, t.vertex(u, v)))
     results.append(("projectives", ok, "P(u)(x)P(v)"))
 
     ok = True
@@ -325,54 +325,47 @@ def structural_suite(t: TensorAlgebraResult, seed: int = 0,
         for v in t.right.quiver.vertices:
             ii = tensor_modules(t, inj(t.left, u), inj(t.right, v),
                                 validate=False)
-            ok = ok and is_isomorphic(ii, inj(alg, t.vertex(u, v)), seed=seed)
+            ok = ok and is_isomorphic(ii, inj(alg, t.vertex(u, v)))
     results.append(("injectives", ok, "I(u)(x)I(v)"))
 
-    pairs = [(random_module(t.left, seed=seed + 2 * k),
-              random_module(t.right, seed=seed + 2 * k + 1))
-             for k in range(module_count)]
+    pairs = []
+    for k in range(module_count):
+        m = random_module(t.left, seed=seed + 2 * k)
+        n = random_module(t.right, seed=seed + 2 * k + 1)
+        pairs.append((m, n, tensor_modules(t, m, n, validate=False)))
+    parts = [tuple(map(top_and_radical, pair)) for pair in pairs]
 
     ok = True
-    for m, n in pairs:
-        prod = tensor_modules(t, m, n, validate=False)
-        radp = top_and_radical(prod).radical
-        radm = top_and_radical(m).radical
-        radn = top_and_radical(n).radical
+    for (m, n, _), (trm, trn, trp) in zip(pairs, parts):
+        radm, radn = trm.radical, trn.radical
         for u in t.left.quiver.vertices:
             for v in t.right.quiver.vertices:
                 want = radm.dims[u] * n.dims[v] + m.dims[u] * radn.dims[v] \
                     - radm.dims[u] * radn.dims[v]
-                ok = ok and radp.dims[t.vertex(u, v)] == want
+                ok = ok and trp.radical.dims[t.vertex(u, v)] == want
     results.append(("module_radical", ok, f"{len(pairs)} pairs"))
 
     ok = True
-    for m, n in pairs:
-        prod = tensor_modules(t, m, n, validate=False)
-        tp = top_and_radical(prod).top
-        tm = top_and_radical(m).top
-        tn = top_and_radical(n).top
+    for trm, trn, trp in parts:
         for u in t.left.quiver.vertices:
             for v in t.right.quiver.vertices:
-                ok = ok and tp.dims[t.vertex(u, v)] == tm.dims[u] * tn.dims[v]
+                ok = ok and trp.top.dims[t.vertex(u, v)] == \
+                    trm.top.dims[u] * trn.top.dims[v]
     results.append(("module_top", ok, f"{len(pairs)} pairs"))
 
     ok = True
-    for m, n in pairs:
+    for m, n, prod in pairs:
         cm = projective_cover(m).projective
         cn = projective_cover(n).projective
-        direct = projective_cover(tensor_modules(t, m, n,
-                                                 validate=False)).projective
-        ok = ok and is_isomorphic(direct, tensor_modules(t, cm, cn,
-                                                         validate=False),
-                                  seed=seed)
+        ok = ok and is_isomorphic(projective_cover(prod).projective,
+                                  tensor_modules(t, cm, cn, validate=False))
     results.append(("projective_covers", ok, f"{len(pairs)} pairs"))
 
     ok = True
     detail = []
-    for m, n in pairs[:2]:
+    for m, n, prod in pairs[:2]:
         pm, pn = pd(m), pd(n)
         im, in_ = injd(m), injd(n)
-        prod = tensor_modules(t, m, n, validate=False)
         if is_finite(pm) and is_finite(pn):
             ok = ok and pd(prod) == pm + pn
             detail.append(f"pd{pm}+{pn}")
@@ -390,10 +383,8 @@ def structural_suite(t: TensorAlgebraResult, seed: int = 0,
                         "infinite factors"))
 
     ok = True
-    for m, n in pairs[:2]:
-        dm = decompose(m, seed)
-        dn = decompose(n, seed)
-        dp = decompose(tensor_modules(t, m, n, validate=False), seed)
+    for m, n, prod in pairs[:2]:
+        dm, dn, dp = decompose(m), decompose(n), decompose(prod)
         want = sum(am * bm for _, am in dm.summands for _, bm in dn.summands)
         ok = ok and len(dp.pieces) == want
     results.append(("indecomposables", ok, "piece counts multiply"))

@@ -42,7 +42,8 @@ class AprReport:
     """Verdicts for the higher-translate tilting conditions at a vertex:
     the projective must be simple, Ext^i against the injective cogenerator
     must vanish below n, and for the full (non-weak) property its
-    injective dimension must equal n."""
+    injective dimension must equal n.  ``projective`` is P_v, whose
+    cached dual D P_v holds the minimal resolution the check made."""
 
     def __init__(self, algebra, vertex, n):
         self.algebra = algebra
@@ -55,6 +56,7 @@ class AprReport:
         self.full = False
         self.tilting_module: Optional[Representation] = None
         self.summands: Optional[List[Tuple[str, Representation]]] = None
+        self.projective: Optional[Representation] = None
 
     def verdict_lines(self) -> List[str]:
         out = [("simple_projective", self.simple_projective,
@@ -94,7 +96,7 @@ def apr_check(alg: BoundQuiverAlgebra, v: str, n: int,
     if n < 1:
         raise QtiltError("n must be at least 1")
     report = AprReport(alg, v, n)
-    p = proj(alg, v)
+    p = report.projective = proj(alg, v)
     report.simple_projective = p.total_dim() == 1
     dp = dual(p)
     opp_regular = regular(opposite(alg))
@@ -255,8 +257,8 @@ def _left_approximation(x, summand_reps, radical_maps):
     return sum(pieces[1:], pieces[0]), target, counts
 
 
-def verify_tilting(alg: BoundQuiverAlgebra, t: Representation, m: int,
-                   seed: int = 0) -> TiltingCertificate:
+def verify_tilting(alg: BoundQuiverAlgebra, t: Representation, m: int
+                   ) -> TiltingCertificate:
     """Certify the generalized tilting conditions: projective dimension at
     most m, self-orthogonality in all positive degrees (complete once
     checked up to pd), and a coresolution of the regular module by the
@@ -272,7 +274,7 @@ def verify_tilting(alg: BoundQuiverAlgebra, t: Representation, m: int,
     cert.self_ext_dims = [(i, ext_dim(t, t, i))
                           for i in range(1, top_degree + 1)]
     cert.self_ext_ok = all(d == 0 for _, d in cert.self_ext_dims)
-    dec = decompose(t, seed)
+    dec = decompose(t)
     summand_reps = [rep for rep, _ in dec.summands]
     radical_maps = _radical_maps(summand_reps)
     x = regular(alg)
@@ -313,7 +315,7 @@ class EndoData:
         self.idempotents = idempotents      # summand identities, sparse
 
 
-def endo_algebra(t, seed: int = 0):
+def endo_algebra(t):
     """(StructureConstantAlgebra of End(T)^op, bookkeeping).
 
     Accepts either a module (decomposed internally, repeated summands
@@ -322,7 +324,7 @@ def endo_algebra(t, seed: int = 0):
     in End(T)^op, x * y = f_y o f_x, so path conventions in presentations
     match left-module composition."""
     if isinstance(t, Representation):
-        dec = decompose(t, seed)
+        dec = decompose(t)
         mults = [mult for _, mult in dec.summands]
         summands = [(f"u{k}", rep) for k, (rep, _) in enumerate(dec.summands)]
         basicized = any(m > 1 for m in mults)
@@ -393,7 +395,7 @@ def _radical_powers(sca: StructureConstantAlgebra, rad, idems):
 def present_algebra(sca: StructureConstantAlgebra,
                     idempotents: Optional[Sequence] = None,
                     labels: Optional[Sequence[str]] = None,
-                    seed: int = 0, name: str = "presented"
+                    name: str = "presented"
                     ) -> AlgebraPresentation:
     """Bound quiver presentation: lift primitive idempotents, take arrows
     from rad/rad^2 and relations off the path algebra surjection's kernel,
@@ -406,7 +408,7 @@ def present_algebra(sca: StructureConstantAlgebra,
     field = sca.field
     rad = abstract_radical(sca)
     if idempotents is None:
-        idempotents = primitive_orthogonal_idempotents(sca, seed)
+        idempotents = primitive_orthogonal_idempotents(sca)
     idems = list(idempotents)
     _check_idempotents(sca, idems)
     s = len(idems)
@@ -507,12 +509,13 @@ def apr_cotilting_check(alg: BoundQuiverAlgebra, v: str, n: int,
     """Run the tilting check over the opposite algebra, verdicts only (its
     tilting module is never read, so it is not built); on a weak pass the
     dual module tau_n(I_v) + (sum of the other injectives) is the
-    cotilting candidate."""
+    cotilting candidate.  I_v is the dual of the opposite algebra's P_v,
+    which the check resolved, so the translate reads that resolution."""
     base = apr_check(opposite(alg), v, n, construct=False)
     cot = None
     summands = None
     if base.weak and construct:
-        translate = tau_n(inj(alg, v), n)
+        translate = tau_n(dual(base.projective), n)
         summands = [(v, translate)] + \
             [(w, inj(alg, w)) for w in alg.quiver.vertices if w != v]
         cot, _, _ = direct_sum([rep for _, rep in summands])
@@ -523,13 +526,15 @@ def count_apr(alg: BoundQuiverAlgebra, n: int) -> Tuple[int, List[AprReport]]:
     """Number of vertices carrying a full tilting candidate, with the
     passing reports as witnesses.  The reports carry verdicts only: no
     tilting module is built (``summands`` and ``tilting_module`` stay
-    unset); ``apr_check`` at a witness builds it."""
+    unset), and hold no P_v, so no resolution outlives the call;
+    ``apr_check`` at a witness builds the module."""
     _require_basic(alg)
     witnesses = []
     for v in alg.quiver.vertices:
         if proj(alg, v).total_dim() != 1:
             continue
         report = apr_check(alg, v, n, construct=False)
+        report.projective = None
         if report.full:
             witnesses.append(report)
     return len(witnesses), witnesses

@@ -468,6 +468,51 @@ def test_seed_default_read_at_each_dispatch(monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
+    ["apr-tilt", data("kronecker.alg"), "--vertex", "1", "--n", "1"],
+    ["bb-tilt", data("kronecker.alg"), "--vertex", "1", "--n", "1"],
+    ["verify-tilting", data("kronecker.alg"), data("p2_kron.mod"), "--m", "1"],
+    ["present-endo", data("kronecker.alg"), data("p2_kron.mod")],
+])
+def test_tilting_commands_take_no_seed(argv):
+    assert run(argv)[0] in (0, 1)
+    assert run(argv + ["--seed", "1"]) == (2, "")
+
+
+def test_props_seed_picks_only_the_random_modules():
+    """Every verdict passes under seeds 0 and 5; the one line that differs
+    is the detail naming the random modules' dimensions."""
+    argv = ["props", data("kronecker.alg"), data("a2.alg")]
+    (code0, text0), (code5, text5) = (run(argv + ["--seed", s])
+                                      for s in ("0", "5"))
+    assert code0 == code5 == 0
+    differ = [(a, b) for a, b in zip(text0.splitlines(), text5.splitlines())
+              if a != b]
+    assert differ == [
+        ("verdict dimension_additivity pass pd1+0,id1+1,pd1+0,id0+0",
+         "verdict dimension_additivity pass pd1+1,id1+0,pd0+1,id1+0")]
+
+
+CYCLE_ALG = ("algebra cyc\nfield Q\nvertices 1 2\narrow a : 1 -> 2\n"
+             "arrow b : 2 -> 1\nrelation 1 a*b\n")
+# the sum of the two (1,1) modules a = 1 and b = 1, which are not
+# isomorphic and have one map each way
+CYCLE_PAIR = ("module t over cyc\ndim 1=2 2=2\nmap a = [[1, 0], [0, 0]]\n"
+              "map b = [[0, 0], [0, 1]]\n")
+
+
+def test_isomorphism_past_its_budget_is_inconclusive(tmp_path, monkeypatch):
+    """Decomposing T compares its two pieces on the isomorphism grid; with
+    the grid's budget below its 5 points, verify-tilting exits 3."""
+    from qtilt import repcore
+    argv = ["verify-tilting", str(_write(tmp_path, "cyc.alg", CYCLE_ALG)),
+            str(_write(tmp_path, "t.mod", CYCLE_PAIR)), "--m", "2"]
+    assert run(argv)[0] == 1
+    monkeypatch.setattr(repcore, "ISO_GRID_LIMIT", 4)
+    assert run(argv) == (3, "inconclusive hom space dimension 1 exceeds the "
+                            "exhaustive search budget\n")
+
+
+@pytest.mark.parametrize("argv", [
     ["tau-finite", data("kronecker.alg"), "--n", "1", "--max-iter", "-2"],
     ["tau-finite", data("kronecker.alg"), "--n", "1", "--max-iter", "0"],
     ["gldim", data("kronecker.alg"), "--max-resolution", "-1"],

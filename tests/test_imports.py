@@ -265,3 +265,53 @@ def test_one_element_format():
             sources[filename] = fh.read()
     uses = _dense_uses(sources)
     assert not uses, f"dense element or vector uses (file, line, what): {uses}"
+
+
+# --- no seed below the command line -------------------------------------------
+
+# the generators of random test data, the only functions that take a seed
+SEEDED = {"random_module", "structural_suite"}
+
+
+def _seeded_functions(sources):
+    """(file, line, name) of each function in ``sources`` (file name ->
+    text) outside `SEEDED` that takes a parameter named ``seed``."""
+    found = []
+    for f, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.name not in SEEDED:
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                if any(a.arg == "seed" for a in params):
+                    found.append((f, node.lineno, node.name))
+    return sorted(found)
+
+
+def test_the_check_sees_a_seed_parameter():
+    sources = {"a.py": "def random_module(alg, seed):\n    pass\n"
+                       "\n\nclass A:\n"
+                       "    def split(self, *, seed=0):\n        pass\n",
+               "b.py": "def decompose(m, seed: int = 0):\n    pass\n"}
+    assert _seeded_functions(sources) == [("a.py", 6, "split"),
+                                          ("b.py", 1, "decompose")]
+
+
+def test_no_seed_below_the_command_line():
+    sources = {}
+    for filename in MODULES:
+        with open(os.path.join(SRC, filename), encoding="utf-8") as fh:
+            sources[filename] = fh.read()
+    seeded = _seeded_functions(sources)
+    assert not seeded, f"functions taking a seed (file, line, name): {seeded}"
+
+
+def test_only_props_takes_a_seed_option():
+    import argparse
+    from qtilt.cli import build_parser
+    commands, = (action.choices for action in build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    seeded = [name for name, sub in commands.items()
+              if any("--seed" in action.option_strings
+                     for action in sub._actions)]
+    assert seeded == ["props"]

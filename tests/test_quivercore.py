@@ -421,7 +421,7 @@ def test_non_idempotent_lift_is_a_typed_error(monkeypatch):
 def test_non_idempotent_quotient_split_raises_before_lifting(monkeypatch):
     # the Newton lift of 2 * unit would never return: its entries grow
     # doubly exponentially, so the quotient check must come first
-    def doubled(bar, seed=0):
+    def doubled(bar):
         u = bar.unit
         return [{k: 2 * c for k, c in u.items()}, {k: -c for k, c in u.items()}]
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qtilt.errors import QtiltError
+from qtilt.errors import QtiltError, UndecidedIsomorphismError
 from qtilt.exactla import Matrix, QQ
 from qtilt.quivercore import abstract_radical, opposite
 from qtilt.repcore import (Decomposition, ModuleMap, Representation, decompose,
@@ -266,13 +266,44 @@ def test_isomorphic_after_conjugation(kron):
     assert is_isomorphic(p, twisted)
 
 
-def test_isomorphic_same_dims_nonisomorphic(kron):
-    # S1 + S2 has the same dimension vector as P2 minus nothing comparable;
-    # use (1,1): S1 + S2 vs the indecomposable with a0 = identity
+def _one_map_each_way(kron):
+    """S1 + S2 and the indecomposable (1,1) module with a0 = identity: the
+    same dimension vector, one map each way, not isomorphic."""
     s, _, _ = direct_sum([simple(kron, "1"), simple(kron, "2")])
     m = Representation(kron, {"1": 1, "2": 1},
                        {"a0": Matrix(QQ, [[1]]), "a1": Matrix(QQ, [[0]])})
+    return s, m
+
+
+def test_isomorphic_same_dims_nonisomorphic(kron):
+    s, m = _one_map_each_way(kron)
     assert not is_isomorphic(s, m)
+
+
+def test_isomorphism_refused_only_on_the_grid(monkeypatch, kron):
+    """No random draw decides the pair, and Hom(m, s) has the dimension of
+    Hom(s, m): the answer False comes after the 20 draws, from the 5-point
+    grid of coefficients -2..2."""
+    from qtilt import repcore
+    s, m = _one_map_each_way(kron)
+    tried = []
+    combine = repcore.linear_combination
+    monkeypatch.setattr(repcore, "linear_combination",
+                        lambda c, maps: tried.append(c) or combine(c, maps))
+    assert not is_isomorphic(s, m)
+    assert len(tried) == 25
+    assert tried[20:] == [{0: c} for c in range(-2, 3)]
+
+
+def test_isomorphism_grid_past_its_budget_is_undecided(monkeypatch, kron):
+    from qtilt import repcore
+    s, m = _one_map_each_way(kron)
+    monkeypatch.setattr(repcore, "ISO_GRID_LIMIT", 4)
+    with pytest.raises(UndecidedIsomorphismError,
+                       match="dimension 1 exceeds the exhaustive search"):
+        is_isomorphic(s, m)
+    # a random draw finds an isomorphism before the grid is sized
+    assert is_isomorphic(m, m)
 
 
 # --- random modules -----------------------------------------------------------
@@ -412,7 +443,7 @@ def test_decompose_checks_its_idempotents(monkeypatch, kron, idempotents,
                                           message):
     from qtilt import repcore
     monkeypatch.setattr(repcore, "primitive_orthogonal_idempotents",
-                        lambda sca, seed: idempotents(sca))
+                        idempotents)
     m, _, _ = direct_sum([simple(kron, "1"), simple(kron, "2")])
     with pytest.raises(QtiltError, match=message):
         decompose(m)
@@ -446,10 +477,10 @@ def test_invariant_checks_survive_optimize():
         "show(vstack, [])",
         "show(direct_sum, [])",
         "repcore.primitive_orthogonal_idempotents = \\",
-        "    lambda sca, seed: [{}]",
+        "    lambda sca: [{}]",
         "show(decompose, m)",
         "repcore.primitive_orthogonal_idempotents = \\",
-        "    lambda sca, seed: [sca.unit, sca.unit]",
+        "    lambda sca: [sca.unit, sca.unit]",
         "show(decompose, m)",
     ])
     proc = subprocess.run([sys.executable, "-O", "-c", script],

@@ -79,6 +79,28 @@ def test_idempotents_verdict_checks_orthogonality(monkeypatch, a2xa2):
                                        "idempotent 0 is not orthogonal to 2")
 
 
+def test_structural_suite_builds_each_product_and_top_once(monkeypatch,
+                                                         a2xa2):
+    """Each random pair's product M (x) N is built once, and top and
+    radical are taken once of each of M, N and M (x) N."""
+    from qtilt import tensorcon
+    made, tops = [], []
+    build, top = tensorcon.tensor_modules, tensorcon.top_and_radical
+
+    def counted_build(t, m, n, **kw):
+        made.append((m, n))    # kept alive, so no id is reused
+        return build(t, m, n, **kw)
+
+    monkeypatch.setattr(tensorcon, "tensor_modules", counted_build)
+    monkeypatch.setattr(tensorcon, "top_and_radical",
+                        lambda m: tops.append(m) or top(m))
+    results = tensorcon.structural_suite(a2xa2, seed=3, module_count=3)
+    assert all(ok for _, ok, _ in results)
+    pairs = [(id(m), id(n)) for m, n in made]
+    assert len(pairs) == len(set(pairs)) == 12 + 2 * 3
+    assert len(tops) == len({id(m) for m in tops}) == 3 * 3
+
+
 def test_flags_preserved(kron2):
     assert semisimple_and_basic_flags(kron2.algebra) == (False, True)
 

@@ -476,6 +476,35 @@ def test_cotilting_a2_sink(a2):
     assert base_exts == [(0, ext_dim(cog, proj(opp, "2"), 0))]
 
 
+def _counted_resolutions(monkeypatch):
+    """A list that records a weak reference to each minimal resolution
+    made from now on."""
+    import weakref
+    from qtilt import homengine
+    made = []
+    init = homengine.MinimalResolution.__init__
+
+    def counted(self, module):
+        made.append(weakref.ref(self))
+        init(self, module)
+    monkeypatch.setattr(homengine.MinimalResolution, "__init__", counted)
+    return made
+
+
+def test_cotilting_resolves_each_injective_once(monkeypatch):
+    """At the 27 vertices of A3^3 with n = 3 the checks make 27 minimal
+    resolutions: the one weak pass reads tau_3(I_v) off the resolution of
+    I_v = D P_v that its check over the opposite algebra made."""
+    from conftest import make_a3
+    a3 = make_a3()
+    alg = tensor_algebras(tensor_algebras(a3, a3).algebra, a3).algebra
+    made = _counted_resolutions(monkeypatch)
+    reports = [apr_cotilting_check(alg, v, 3) for v in alg.quiver.vertices]
+    assert len(reports) == len(made) == 27
+    weak = [r for r in reports if r.weak]
+    assert len(weak) == 1 and weak[0].cotilting_module is not None
+
+
 # --- count_apr --------------------------------------------------------------------
 
 def test_count_kronecker(kron):
@@ -521,6 +550,16 @@ def test_count_builds_no_module(monkeypatch, kron, kron2, a3):
             assert ref.tilting_module is not None
             assert got.tilting_module is None and got.summands is None
             assert all(getattr(got, k) == getattr(ref, k) for k in fields)
+
+
+def test_count_witnesses_hold_no_resolution(monkeypatch, kron2):
+    """The resolutions the checks made are freed when count_apr returns,
+    though its witness reports live on."""
+    made = _counted_resolutions(monkeypatch)
+    count, witnesses = count_apr(kron2.algebra, 2)
+    assert count == 1 and made
+    assert witnesses[0].projective is None
+    assert all(ref() is None for ref in made)
 
 
 
