@@ -549,7 +549,7 @@ def _cmd_kunneth(args, ws):
 def _check(args, ws, checker):
     """(report, output lines) of a vertex check on the named algebra."""
     alg = _load_algebra(ws, args.algebra, args.max_degree, args.field)
-    report = checker(alg, args.vertex, args.n)
+    report = checker(alg, args.vertex, args.n, maxlen=args.max_resolution)
     return report, [f"algebra {alg.name}", f"vertex {args.vertex}",
                     f"n {args.n}"] + report.verdict_lines()
 
@@ -609,7 +609,7 @@ def _cmd_cotilt_check(args, ws):
 def _cmd_verify_tilting(args, ws):
     alg = _load_algebra(ws, args.algebra, args.max_degree, args.field)
     t = _load_module(ws, args.module)
-    cert = verify_tilting(alg, t, args.m)
+    cert = verify_tilting(alg, t, args.m, args.max_resolution)
     return cert.verdict_lines()
 
 
@@ -624,7 +624,7 @@ def _cmd_present_endo(args, ws):
 
 def _cmd_count_apr(args, ws):
     alg = _load_algebra(ws, args.algebra, args.max_degree, args.field)
-    count, witnesses = count_apr(alg, args.n)
+    count, witnesses = count_apr(alg, args.n, args.max_resolution)
     lines = [f"count {count}"]
     for rep in witnesses:
         lines.append(f"witness {rep.vertex}")

@@ -6,20 +6,24 @@ A minimal resolution is grown by iterated projective covers and cached on
 the module, so deeper requests extend earlier work; it refers back to the
 module weakly, so the two make no reference cycle.  It keeps the image of
 each generator as a sparse vector, and builds module maps only when read.
-Those vectors give each differential d as a matrix of algebra elements
-between the generator vertices, and its dual d^* = Hom(d, algebra) as
-generator images over the opposite algebra (`_dualized_elements`).
-Every x.v these steps need, x a basis element, goes through one
-`repcore.ActionReader` per call.  tau_n is the one syzygy-side
-translate: tau_n M = ker nu(d_n), nu = D Hom(-, algebra) the Nakayama
-functor, read off the columns of d_n^* as a kernel over the algebra
-itself.  The other two go through it: tau_n^- = D tau_n D over the
-opposite algebra, and Tr = D tau_1.  Ext^p(M, algebra) with its module
-structure is a kernel modulo an image of the dualized differentials, so
-`ext_module` builds them as maps over the opposite algebra.  Ext
-dimensions come from the ranks of the Hom-complex differentials, cached
-on the resolution per target module; cocycle maps are built only when
-read.
+Each step takes the top sections of the last syzygy, builds the cover
+map row by row from the action rows of the algebra's basis elements
+(`repcore.Cover`), and takes its kernel.  The generator images give each
+differential d as a matrix of algebra elements between the generator
+vertices, and its dual d^* = Hom(d, algebra) as generator images over
+the opposite algebra (`_dualized_elements`, read off the opposite's
+table of reversed basis paths).  Every other x.v these steps need, x a
+basis element, goes through one `repcore.ActionReader` per call.
+
+tau_n is the one syzygy-side translate: tau_n M = ker nu(d_n), with
+nu = D Hom(-, algebra) the Nakayama functor, read off the columns of
+d_n^* as a kernel over the algebra itself.  The other two go through it:
+tau_n^- = D tau_n D over the opposite algebra, and Tr = D tau_1.
+Ext^p(M, algebra) with its module structure is a kernel modulo an image
+of the dualized differentials, so `ext_module` builds them as maps over
+the opposite algebra.  Ext dimensions come from the ranks of the
+Hom-complex differentials, cached on the resolution per target module;
+cocycle maps are built only when read.
 """
 
 from itertools import accumulate
@@ -28,7 +32,7 @@ from weakref import WeakKeyDictionary, ref
 
 from .errors import InconclusiveError, QtiltError
 from .exactla import Matrix, Span, _tidy, kernel_data, solve
-from .quivercore import BoundQuiverAlgebra, op_element, opposite
+from .quivercore import BoundQuiverAlgebra, _op_table, opposite
 from .repcore import (ActionReader, Cover, ModuleMap, Representation,
                       _free_coordinates, _image_columns, cokernel_rep, dual,
                       dual_free_kernel, free_offsets, inj, kernel_rep,
@@ -236,21 +240,23 @@ def _dualized_elements(res: MinimalResolution, i: int):
     algebra, in the form `proj_map_from_images` takes.  Generator k of
     the source (at v_k) goes to sum_l op(X[k, l]) gen_l, with X the
     presentation elements of d_i and op the anti-isomorphism: images[k]
-    is that vector of the target at v_k, ascending, with op(X[k, l]) at
-    generator l's block."""
+    is that vector of the target at v_k, with op(X[k, l]) at generator
+    l's block, each basis element of X[k, l] added in straight off
+    `_op_table`."""
     alg = res.algebra
     opp = opposite(alg)
     gens = res.generators(i - 1)
     src = proj_sum(opp, gens)
     tgt = proj_sum(opp, res.generators(i))
     offsets = {v: free_offsets(tgt, v) for v in set(gens)}
-    pos = opp.block_pos
+    pos, table = opp.block_pos, _op_table(alg)
     images = [{} for _ in gens]
     for (k, l), x in res.presentation_elements(i).items():
-        off = offsets[gens[k]][l]
-        images[k].update((off + pos[e], c)
-                         for e, c in op_element(alg, x).items())
-    return src, tgt, images
+        off, img = offsets[gens[k]][l], images[k]
+        for idx, c in x.items():
+            for e, d in table[idx]:
+                img[off + pos[e]] = img.get(off + pos[e], 0) + c * d
+    return src, tgt, [_tidy(img, alg.field.char) for img in images]
 
 
 def _dualized_differential(res: MinimalResolution, i: int) -> ModuleMap:

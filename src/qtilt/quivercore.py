@@ -460,19 +460,6 @@ def _op_table(alg: BoundQuiverAlgebra) -> List[List[Tuple[int, object]]]:
     return table
 
 
-def op_element(alg: BoundQuiverAlgebra, x: Dict[int, object]
-               ) -> Dict[int, object]:
-    """Image of the sparse element x under the canonical anti-isomorphism
-    onto the opposite algebra, as a sparse element there with ascending
-    keys."""
-    table = _op_table(alg)
-    acc: Dict[int, object] = {}
-    for idx, c in x.items():
-        for k, d in table[idx]:
-            acc[k] = acc.get(k, 0) + c * d
-    return dict(sorted(_tidy(acc, alg.field.char).items()))
-
-
 def semisimple_and_basic_flags(alg: BoundQuiverAlgebra) -> Tuple[bool, bool]:
     """(is_semisimple, is_basic): the radical vanishes / every simple occurs
     once in the top of the regular module."""

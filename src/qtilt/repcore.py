@@ -20,10 +20,13 @@ matrices, the columns off a transpose of them cached on the algebra):
 each line comes with its block's offset in the free module, and the
 product applies the offset instead of copying the line.
 
-Every action x.v of an algebra basis element goes through one
-`ActionReader`, and a map out of a free module is given by its generator
-images (`proj_map_from_images`): its column at x in generator k's block
-is x.images[k].
+A map out of a free module is given by its generator images
+(`proj_map_from_images`): its column at x in generator k's block is
+x.images[k], read through one `ActionReader` on the target.  A projective
+cover is the one map built otherwise: each image is a standard vector at
+a top section j, so its column at x is column j of x's action, and
+`Cover.map` fills its blocks row by row from the rows of x's action
+(`_action_rows`), with no reader and no transpose.
 
 Every Hom basis names its positions (`_hom_basis`): per basis map, an
 entry where it alone is nonzero.  Coordinates are read there, so a
@@ -31,7 +34,6 @@ composite f o h needs a few rows of f and columns of h, and no solve.
 """
 
 import random
-from bisect import bisect_right
 from itertools import accumulate, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -294,9 +296,12 @@ def _free_lines(m: Representation, arrow, idxs: Sequence[int], cols: bool):
     blocks = {v: _proj_columns(alg, v)[arrow.name] if cols
               else _proj_mats(alg, v)[arrow.name].sparse_rows
               for v in set(gens)}
-    out = []
-    for r in idxs:
-        k = bisect_right(offs, r) - 1
+    out, k = [], 0
+    for r in idxs:      # step to r's block: one step apart when ascending
+        while offs[k] > r:
+            k -= 1
+        while offs[k + 1] <= r:
+            k += 1
         out.append((blocks[gens[k]][r - offs[k]], shift[k]))
     return out
 
@@ -615,7 +620,7 @@ def top_and_radical(m: Representation) -> TopRadical:
 class Cover:
     """A projective cover P -> m, held as the image in m of each generator
     of P (a standard vector at a top section).  The map is built from those
-    images on first read."""
+    images on first read (`_cover_blocks`)."""
 
     __slots__ = ("projective", "target", "images", "_map")
 
@@ -628,9 +633,50 @@ class Cover:
     @property
     def map(self) -> ModuleMap:
         if self._map is None:
-            self._map = proj_map_from_images(self.projective, self.target,
-                                             self.images)
+            self._map = ModuleMap(self.projective, self.target,
+                                  _cover_blocks(self.projective, self.target,
+                                                self.images), validate=False)
         return self._map
+
+
+def _cover_blocks(p: Representation, m: Representation, images
+                  ) -> Dict[str, Matrix]:
+    """The blocks of the map out of the free module p sending generator k
+    to the standard vector images[k] of m, at section j_k: its column at
+    basis element x of generator k's block is column j_k of x's action on
+    m.  So each block is filled row by row, in one pass over the rows of
+    each x's action; x lies in one block only, and its rows are dropped
+    once read."""
+    alg = p.algebra
+    at = {}         # vertex v -> {section j_k: generator k at v}
+    for k, (v, (j,)) in enumerate(zip(p.proj_gens, images)):
+        at.setdefault(v, {})[j] = k
+    blocks = {}
+    for w in alg.quiver.vertices:
+        offs, rows = free_offsets(p, w), [{} for _ in range(m.dims[w])]
+        for v, gens in at.items():
+            for t, x in enumerate(alg.block_indices(v, w) if rows else ()):
+                for row, out in zip(_action_rows(m, x), rows):
+                    for j, c in row.items():
+                        if j in gens:
+                            out[offs[gens[j]] + t] = c
+        blocks[w] = Matrix._raw(alg.field, rows, p.dims[w])
+    return blocks
+
+
+def _action_rows(m: Representation, x: int) -> List[Dict[int, object]]:
+    """The sparse rows of basis element x's action matrix on m.  A free m
+    whose arrow matrices are unbuilt keeps them so: its rows are read off
+    the algebra's products."""
+    alg, path = m.algebra, m.algebra.basis[x]
+    if m._mats is not None:
+        return m.act_path(path).sparse_rows
+    rows = [{} for _ in range(m.dims[path.target])]
+    offs, pos = free_offsets(m, path.target), alg.block_pos
+    for j, (k, y) in enumerate(_free_coordinates(m, path.source)):
+        for z, d in alg.basis_product(x, y):
+            rows[offs[k] + pos[z]][j] = d
+    return rows
 
 
 class ActionReader:

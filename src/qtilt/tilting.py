@@ -15,10 +15,11 @@ translate summand inherits the replaced vertex's label.
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import NonSplitError, QtiltError, UnsupportedCharacteristicError
+from .errors import (InconclusiveError, NonSplitError, QtiltError,
+                     UnsupportedCharacteristicError)
 from .exactla import Matrix, Span, kernel_data
-from .homengine import (ext_dim, gldim, injd, is_finite, pd, tau_n,
-                        tau_n_minus)
+from .homengine import (DEFAULT_BOUND, ext_dim, gldim, injd, is_finite, pd,
+                        tau_n, tau_n_minus)
 from .quivercore import (Arrow, BoundQuiverAlgebra, IdealClosure, Path,
                          PathSum, Quiver, StructureConstantAlgebra,
                          _check_idempotents, _paths_of_degree,
@@ -73,23 +74,25 @@ class AprReport:
                 for name, ok_, d in out]
 
 
-def _construct(report, x):
+def _construct(report, x, maxlen):
     """Give report the tilting module T = tau_n^-(x) + (the projectives at
     the other vertices), each summand labelled by its vertex."""
     alg, v = report.algebra, report.vertex
-    report.summands = [(v, tau_n_minus(x, report.n))] + [
+    report.summands = [(v, tau_n_minus(x, report.n, maxlen))] + [
         (w, proj(alg, w)) for w in alg.quiver.vertices if w != v]
     report.tilting_module = direct_sum([u for _, u in report.summands])[0]
 
 
 def apr_check(alg: BoundQuiverAlgebra, v: str, n: int,
-              construct: bool = True) -> AprReport:
+              construct: bool = True, maxlen: int = DEFAULT_BOUND
+              ) -> AprReport:
     """Check the translate-tilting conditions at a vertex and, on a weak
     pass, build T = tau_n^-(P) + (sum of the other projectives).
 
     Ext^i(DA, P) is computed as Ext^i(DP, A^op) over the opposite algebra.
-    The one minimal resolution of DP (cached with the dual on P) also
-    serves `injd` (the projective dimension of DP) and `tau_n_minus`."""
+    The one minimal resolution of DP (cached with the dual on P), grown
+    at most maxlen steps, also serves `injd` (the projective dimension of
+    DP) and `tau_n_minus`."""
     _require_basic(alg)
     if not alg.quiver.has_vertex(v):
         raise QtiltError(f"unknown vertex {v}")
@@ -100,13 +103,14 @@ def apr_check(alg: BoundQuiverAlgebra, v: str, n: int,
     report.simple_projective = p.total_dim() == 1
     dp = dual(p)
     opp_regular = regular(opposite(alg))
-    report.ext_dims = [(i, ext_dim(dp, opp_regular, i)) for i in range(n)]
+    report.ext_dims = [(i, ext_dim(dp, opp_regular, i, maxlen))
+                       for i in range(n)]
     report.weak = report.simple_projective and \
         all(d == 0 for _, d in report.ext_dims)
-    report.injective_dimension = injd(p)
+    report.injective_dimension = injd(p, maxlen)
     report.full = report.weak and report.injective_dimension == n
     if report.weak and construct:
-        _construct(report, p)
+        _construct(report, p, maxlen)
     return report
 
 
@@ -139,13 +143,15 @@ class BbReport:
 
 
 def bb_check(alg: BoundQuiverAlgebra, v: str, n: int,
-             construct: bool = True) -> BbReport:
+             construct: bool = True, maxlen: int = DEFAULT_BOUND) -> BbReport:
     """Check the simple-module tilting conditions at a vertex; on a pass
     build T = tau_n^-(S) + (sum of the non-cover projectives).
 
     Both Ext lists are read off the one minimal resolution of DS over the
     opposite algebra: Ext^i(DA, S) = Ext^i(DS, A^op) and
-    Ext^i(S, S) = Ext^i(DS, DS); `tau_n_minus` reads it again."""
+    Ext^i(S, S) = Ext^i(DS, DS); `tau_n_minus` reads it again.  Every
+    resolution grows at most maxlen steps; ``gldim_le_n`` is None when
+    the global dimension runs past a bound below n."""
     _require_basic(alg)
     if not alg.quiver.has_vertex(v):
         raise QtiltError(f"unknown vertex {v}")
@@ -155,15 +161,17 @@ def bb_check(alg: BoundQuiverAlgebra, v: str, n: int,
     s = simple(alg, v)
     ds = dual(s)
     opp_regular = regular(opposite(alg))
-    report.cogenerator_ext_dims = [(i, ext_dim(ds, opp_regular, i))
+    report.cogenerator_ext_dims = [(i, ext_dim(ds, opp_regular, i, maxlen))
                                    for i in range(n)]
-    report.self_ext_dims = [(i, ext_dim(ds, ds, i)) for i in range(1, n + 1)]
+    report.self_ext_dims = [(i, ext_dim(ds, ds, i, maxlen))
+                            for i in range(1, n + 1)]
     report.passes = all(d == 0 for _, d in report.cogenerator_ext_dims) and \
         all(d == 0 for _, d in report.self_ext_dims)
-    g = gldim(alg)
-    report.gldim_le_n = is_finite(g) and g <= n
+    g = gldim(alg, maxlen)
+    report.gldim_le_n = g <= n if is_finite(g) else (
+        None if g.bound < n else False)
     if report.passes and construct:
-        _construct(report, s)
+        _construct(report, s, maxlen)
     return report
 
 
@@ -257,21 +265,27 @@ def _left_approximation(x, summand_reps, radical_maps):
     return sum(pieces[1:], pieces[0]), target, counts
 
 
-def verify_tilting(alg: BoundQuiverAlgebra, t: Representation, m: int
-                   ) -> TiltingCertificate:
+def verify_tilting(alg: BoundQuiverAlgebra, t: Representation, m: int,
+                   maxlen: int = DEFAULT_BOUND) -> TiltingCertificate:
     """Certify the generalized tilting conditions: projective dimension at
     most m, self-orthogonality in all positive degrees (complete once
     checked up to pd), and a coresolution of the regular module by the
     additive closure, built from minimal left approximations; the
     summands' radical maps and cross Hom bases are built once for all its
-    stages."""
+    stages.  The resolution of t grows at most maxlen steps: a pd past a
+    bound below m, or a self-Ext degree past the bound, raises
+    InconclusiveError."""
     if m < 0:
         raise QtiltError(f"m must be >= 0, got {m}")
     cert = TiltingCertificate(t, m)
-    cert.pd_value = pd(t)
+    cert.pd_value = pd(t, maxlen)
+    if not is_finite(cert.pd_value) and maxlen < m:
+        raise InconclusiveError(
+            f"projective dimension exceeds the resolution bound {maxlen}, "
+            f"below m={m}; raise the bound")
     cert.pd_ok = is_finite(cert.pd_value) and cert.pd_value <= m
     top_degree = cert.pd_value if is_finite(cert.pd_value) else m
-    cert.self_ext_dims = [(i, ext_dim(t, t, i))
+    cert.self_ext_dims = [(i, ext_dim(t, t, i, maxlen))
                           for i in range(1, top_degree + 1)]
     cert.self_ext_ok = all(d == 0 for _, d in cert.self_ext_dims)
     dec = decompose(t)
@@ -505,24 +519,26 @@ class CotiltReport:
 
 
 def apr_cotilting_check(alg: BoundQuiverAlgebra, v: str, n: int,
-                        construct: bool = True) -> CotiltReport:
+                        construct: bool = True, maxlen: int = DEFAULT_BOUND
+                        ) -> CotiltReport:
     """Run the tilting check over the opposite algebra, verdicts only (its
     tilting module is never read, so it is not built); on a weak pass the
     dual module tau_n(I_v) + (sum of the other injectives) is the
     cotilting candidate.  I_v is the dual of the opposite algebra's P_v,
     which the check resolved, so the translate reads that resolution."""
-    base = apr_check(opposite(alg), v, n, construct=False)
+    base = apr_check(opposite(alg), v, n, False, maxlen)
     cot = None
     summands = None
     if base.weak and construct:
-        translate = tau_n(dual(base.projective), n)
+        translate = tau_n(dual(base.projective), n, maxlen)
         summands = [(v, translate)] + \
             [(w, inj(alg, w)) for w in alg.quiver.vertices if w != v]
         cot, _, _ = direct_sum([rep for _, rep in summands])
     return CotiltReport(base, cot, summands)
 
 
-def count_apr(alg: BoundQuiverAlgebra, n: int) -> Tuple[int, List[AprReport]]:
+def count_apr(alg: BoundQuiverAlgebra, n: int, maxlen: int = DEFAULT_BOUND
+              ) -> Tuple[int, List[AprReport]]:
     """Number of vertices carrying a full tilting candidate, with the
     passing reports as witnesses.  The reports carry verdicts only: no
     tilting module is built (``summands`` and ``tilting_module`` stay
@@ -533,7 +549,7 @@ def count_apr(alg: BoundQuiverAlgebra, n: int) -> Tuple[int, List[AprReport]]:
     for v in alg.quiver.vertices:
         if proj(alg, v).total_dim() != 1:
             continue
-        report = apr_check(alg, v, n, construct=False)
+        report = apr_check(alg, v, n, False, maxlen)
         report.projective = None
         if report.full:
             witnesses.append(report)

@@ -38,6 +38,21 @@ def express_all_in_basis(maps, fs):
     return None if sol is None else sol.sparse_columns()
 
 
+def op_element(alg, x):
+    """Image of the sparse element x under the canonical anti-isomorphism
+    onto the opposite algebra, as a sparse element there with ascending
+    keys, one element at a time off `quivercore._op_table`: the oracle for
+    the generator images of `homengine._dualized_elements`."""
+    from qtilt.exactla import _tidy
+    from qtilt.quivercore import _op_table
+    table = _op_table(alg)
+    acc = {}
+    for idx, c in x.items():
+        for k, d in table[idx]:
+            acc[k] = acc.get(k, 0) + c * d
+    return dict(sorted(_tidy(acc, alg.field.char).items()))
+
+
 def make_kronecker(name="kron"):
     q = Quiver(["1", "2"], [Arrow("a0", "2", "1"), Arrow("a1", "2", "1")])
     return build_algebra(q, [], QQ, name=name)

@@ -599,3 +599,71 @@ def test_commands_leave_no_cyclic_garbage(tmp_path):
     assert left == [("apr-tilt", 0, 0), ("count-apr", 0, 0),
                     ("bb-tilt", 0, 0), ("verify-tilting", 0, 0),
                     ("tau-finite", 3, 0)]
+
+
+# --- the resolution bound reaches every check ---------------------------------
+
+LOCAL_ALG = ("algebra loc\nfield Q\nvertices 1\narrow x : 1 -> 1\n"
+             "arrow y : 1 -> 1\nrelation 1 x*x\nrelation 1 x*y\n"
+             "relation 1 y*x\nrelation 1 y*y\n")
+
+
+def _local_simple(tmp_path):
+    """k<x,y>/(x,y)^2 and its simple, whose k-th syzygy is S^(2^k): its
+    projective dimension is infinite."""
+    alg, mod = tmp_path / "loc.alg", tmp_path / "s.mod"
+    alg.write_text(LOCAL_ALG)
+    mod.write_text("module s over loc\ndim 1=1\n")
+    return str(alg), str(mod)
+
+
+def test_verify_tilting_reads_the_resolution_bound(tmp_path):
+    """A pd past a bound at or above m fails the pd verdict; past a bound
+    below m it is undetermined, exit 3.  Either way the resolution stops
+    at the bound."""
+    import time
+    alg, mod = _local_simple(tmp_path)
+    start = time.perf_counter()
+    code, text = run(["verify-tilting", alg, mod, "--m", "1",
+                      "--max-resolution", "4"])
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert "verdict pd fail pd=infinite(>4) m=1\n" in text
+    assert "verdict tilting fail m=1\n" in text
+    code, text = run(["verify-tilting", alg, mod, "--m", "3",
+                      "--max-resolution", "2"])
+    assert code == 3 and text.startswith("inconclusive ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["apr-check", "--vertex", "1", "--n", "2"],
+    ["apr-tilt", "--vertex", "1", "--n", "2"],
+    ["bb-check", "--vertex", "1", "--n", "2"],
+    ["bb-tilt", "--vertex", "1", "--n", "2"],
+    ["cotilt-check", "--vertex", "1", "--n", "2"],
+    ["count-apr", "--n", "2"]], ids=lambda argv: argv[0])
+def test_checks_resolve_within_the_bound(monkeypatch, argv):
+    """Every resolution a tilting check grows, its pd and gldim included,
+    is asked for at most --max-resolution steps."""
+    from qtilt import homengine
+    bounds = []
+    real = homengine.min_proj_resolution
+    monkeypatch.setattr(homengine, "min_proj_resolution",
+                        lambda m, maxlen: bounds.append(maxlen)
+                        or real(m, maxlen))
+    code, _ = run([argv[0], data("kronecker.alg"), *argv[1:],
+                   "--max-resolution", "3"])
+    assert code in (0, 1) and bounds and max(bounds) <= 3
+
+
+def test_local_checks_stop_at_the_bound(tmp_path):
+    """Over k<x,y>/(x,y)^2 the injective dimension is read to the bound,
+    and an Ext degree past it is undetermined."""
+    alg, _ = _local_simple(tmp_path)
+    for cmd in ("apr-check", "cotilt-check"):
+        code, text = run([cmd, alg, "--vertex", "1", "--n", "2",
+                          "--max-resolution", "3"])
+        assert code == 1 and "id=infinite(>3)" in text
+    code, text = run(["bb-check", alg, "--vertex", "1", "--n", "2",
+                      "--max-resolution", "1"])
+    assert code == 3 and text.startswith("inconclusive ")

@@ -654,23 +654,29 @@ def test_generator_images_match_composed_maps(name):
 
 
 def test_resolution_builds_one_cover_map_per_kernel(monkeypatch):
-    """Growing to length n builds the n cover maps whose kernels it takes;
-    reading maps then builds the differentials of degree 1 to n."""
+    """Growing to length n builds the n cover maps whose kernels it takes,
+    each through the cover builder and none through the generator-image
+    route; reading maps then builds the differentials of degree 1 to n
+    through that route, and no cover again."""
     from qtilt import repcore
     from conftest import make_two_loop
-    calls = []
+    covers, maps = [], []
+    real_cover = repcore._cover_blocks
+    monkeypatch.setattr(repcore, "_cover_blocks",
+                        lambda *a: covers.append(1) or real_cover(*a))
     for module in (repcore, homengine):
         real = module.proj_map_from_images
         monkeypatch.setattr(module, "proj_map_from_images",
-                            lambda *a, real=real: calls.append(1) or real(*a))
+                            lambda *a, real=real: maps.append(1) or real(*a))
     kron2 = _tensor(_kron(QQ), _kron(QQ))
     cases = [(dual(proj(opposite(kron2), "(1,1)")), 2),
              (simple(make_two_loop(), "1"), 3)]
     for m, n in cases:
-        del calls[:]
+        del covers[:], maps[:]
         res = min_proj_resolution(m, n)
-        assert res.length == n and len(calls) == n
-        assert len(res.maps) == n + 1 and len(calls) == 2 * n
+        assert res.length == n and len(covers) == n and not maps
+        assert len(res.maps) == n + 1 and len(covers) == n
+        assert len(maps) == n
 
 
 def test_probe_releases_each_piece_resolution(monkeypatch):
@@ -1007,3 +1013,80 @@ def test_cocycle_maps_read_each_basis_elements_columns_once(monkeypatch):
         assert len(seen) == len(set(seen)), name
         built += len(maps) > 2 and bool(seen)
     assert built == 2
+
+
+# --- dualized generator images, against op applied one element at a time ------
+
+def test_dualized_images_match_the_op_element_route():
+    """d_i^*'s generator images, op(X[k, l]) added in straight off the
+    opposite's table, equal those assembled from `op_element` of each
+    presentation element: on kron^2, A3(x)kron, the two-loop algebra (whose
+    reversed paths reduce to sums) over Q and GF(32003), and the square
+    over GF(32003)."""
+    from conftest import make_two_loop, op_element
+    from qtilt.homengine import _dualized_elements
+    from qtilt.repcore import free_offsets
+    corpus = [*_image_corpus().values(), make_two_loop(GF32003),
+              make_square_gf()]
+    checked = sums = 0
+    for alg in corpus:
+        opp = opposite(alg)
+        modules = [random_module(alg, seed) for seed in range(3)]
+        for m in modules + [simple(alg, v) for v in alg.quiver.vertices]:
+            res = min_proj_resolution(m, 3)
+            for i in range(1, res.length + 1):
+                src, tgt, images = _dualized_elements(res, i)
+                gens = res.generators(i - 1)
+                assert src.proj_gens == gens
+                assert tgt.proj_gens == res.generators(i)
+                want = [{} for _ in gens]
+                for (k, l), x in res.presentation_elements(i).items():
+                    off = free_offsets(tgt, gens[k])[l]
+                    op_x = op_element(alg, x)
+                    want[k].update((off + opp.block_pos[e], c)
+                                   for e, c in op_x.items())
+                    sums += len(op_x) > 1
+                assert images == want, (alg.name, m, i)
+                checked += 1
+    assert checked > 30 and sums > 10
+
+
+# --- the same dimensions over Q and GF(32003) --------------------------------
+
+def _a3nil(field):
+    from qtilt.quivercore import Arrow, Path, PathSum, Quiver, build_algebra
+    q = Quiver(["1", "2", "3"], [Arrow("a", "2", "1"), Arrow("b", "3", "2")])
+    return build_algebra(q, [PathSum(field, [(1, Path.of(q, ["a", "b"]))])],
+                         field, name="a3nil")
+
+
+_FIELD_PAIRS = {}
+
+
+def _field_pair(name):
+    """The named algebra over Q and over GF(32003), built once."""
+    if name not in _FIELD_PAIRS:
+        build = {"kron": _kron, "a3nil": _a3nil,
+                 "kron_a2": lambda f: _tensor(_kron(f), _a2(f))}[name]
+        _FIELD_PAIRS[name] = (build(QQ), build(GF32003))
+    return _FIELD_PAIRS[name]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["kron", "a3nil", "kron_a2"]),
+       st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+def test_prop_dimensions_agree_over_q_and_fp(name, seed_m, seed_n):
+    """The seeded random modules over Q and over GF(32003) (the same
+    random entries, reduced mod p) have the same Ext^p dimensions for
+    p = 0..2, the same tau_1 and tau_2 dimension vectors and the same Hom
+    dimensions: no entry here meets the prime."""
+    from qtilt.repcore import hom_space
+    dims = []
+    for alg in _field_pair(name):
+        m = random_module(alg, seed=seed_m)
+        n = random_module(alg, seed=seed_n)
+        dims.append((m.dim_vector(), n.dim_vector(),
+                     [ext_dim(m, n, p) for p in range(3)],
+                     [tau_n(m, k).dim_vector() for k in (1, 2)],
+                     len(hom_space(m, n)), len(hom_space(n, m))))
+    assert dims[0] == dims[1]

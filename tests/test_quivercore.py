@@ -11,13 +11,13 @@ from qtilt.errors import NonSplitError, NotAdmissibleError, QtiltError
 from qtilt.exactla import Matrix, PrimeField, QQ
 from qtilt.quivercore import (Arrow, Path, PathSum, Quiver, StructureConstantAlgebra,
                               abstract_radical, build_algebra,
-                              minimal_polynomial, op_element, opposite,
+                              minimal_polynomial, opposite,
                               poly_mul, primitive_orthogonal_idempotents,
                               regular_structure_algebra,
                               semisimple_and_basic_flags, split_rational_root)
 
 from conftest import (dense, make_a3, make_a3_nilpotent, make_kronecker,
-                      make_square, make_two_loop)
+                      make_square, make_two_loop, op_element)
 
 
 # --- independent oracles ------------------------------------------------------

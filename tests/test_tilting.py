@@ -777,3 +777,14 @@ def test_abstract_algebra_elements_are_canonical_sparse_dicts(name):
     for x in data.idempotents + list(pres.arrow_images.values()):
         assert _canonical_sparse(x, sca.dim), x
     assert len(pres.arrow_images) == len(alg.quiver.arrows)
+
+
+def test_bb_check_leaves_gldim_open_past_a_low_bound():
+    """On A3 with its path of length two set to zero (gl.dim 2), a bb
+    check at the source vertex with resolutions bounded by 1 cannot tell
+    whether gl.dim <= n: ``gldim_le_n`` is None, not False; with bound 2
+    it is True."""
+    from conftest import make_a3_nilpotent
+    alg = make_a3_nilpotent()
+    for n, bound, want in ((3, 1, None), (2, 1, None), (3, 2, True)):
+        assert bb_check(alg, "3", n, maxlen=bound).gldim_le_n is want
