@@ -25,7 +25,7 @@ from .homengine import (ExtResult, InfinityMarker, MinimalResolution,
                         tau_n_minus_ext, transpose)
 from .tensorcon import (KunnethReport, TensorAlgebraResult, kunneth_verify,
                         structural_suite, tensor_algebras, tensor_maps,
-                        tensor_modules, tensor_total_complex)
+                        tensor_modules, tensor_resolution)
 from .tilting import (AlgebraPresentation, AprReport, BbReport, CotiltReport,
                       TiltingCertificate, apr_check, apr_cotilting_check,
                       bb_check, count_apr, endo_algebra,

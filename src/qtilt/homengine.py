@@ -85,6 +85,10 @@ class MinimalResolution:
     module.  Keep the module for as long as the resolution is read: once
     it is gone, maps[0] and covers[0] read None and the resolution cannot
     grow, while its terms and the other maps stay readable.
+
+    A resolution can also be assembled whole from its terms and generator
+    images (`tensorcon.tensor_resolution`).  It keeps no cover past the
+    augmentation, so covers[k >= 1] and syzygy(k >= 2) raise QtiltError.
     """
 
     def __init__(self, module: Representation):
@@ -110,6 +114,9 @@ class MinimalResolution:
         """covers[k]; the augmentation (k = 0) is wrapped anew from its
         kept blocks on each read, or None once the module is gone."""
         if k:
+            if k >= len(self._covers):
+                raise QtiltError(f"cover {k} is not kept: the resolution "
+                                 "was assembled from generator images")
             return self._covers[k].map
         if self.module is None:
             return None
@@ -181,9 +188,9 @@ class MinimalResolution:
         return proj_sum(self.algebra, [])
 
     def generators(self, i: int) -> Tuple[str, ...]:
-        """Generator vertices of terms[i]; none past the end of a
-        terminated resolution, where no module is built."""
-        if i > self.length and self.terminated:
+        """Generator vertices of terms[i]; none below degree 0 or past the
+        end of a terminated resolution, where no module is built."""
+        if i < 0 or i > self.length and self.terminated:
             return ()
         return self.term(i).proj_gens or ()
 

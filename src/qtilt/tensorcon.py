@@ -10,17 +10,17 @@ the factor dimensions, which catches any mistake in the relation set.
 
 from typing import List, Tuple
 
-from .errors import FieldMismatchError, QtiltError
-from .exactla import Matrix, kron
-from .homengine import (ext_dim, gldim, injd, is_finite, min_proj_resolution,
-                        pd)
+from .errors import FieldMismatchError, InconclusiveError, QtiltError
+from .exactla import Matrix, _tidy, kron
+from .homengine import (MinimalResolution, ext_dim, gldim, injd, is_finite,
+                        min_proj_resolution, pd)
 from .quivercore import (Arrow, BoundQuiverAlgebra, Path, PathSum, Quiver,
                          _check_idempotents, abstract_radical, build_algebra,
                          semisimple_and_basic_flags)
-from .repcore import (ModuleMap, Representation, decompose, direct_sum,
-                      endomorphism_algebra, inj, is_isomorphic, proj,
-                      projective_cover, random_module, simple,
-                      top_and_radical, zero_rep)
+from .repcore import (ModuleMap, Representation, decompose,
+                      endomorphism_algebra, free_offsets, inj, is_isomorphic,
+                      proj, proj_sum, projective_cover, random_module, simple,
+                      top_and_radical)
 
 
 def _vname(u: str, v: str) -> str:
@@ -147,86 +147,72 @@ def tensor_maps(t: TensorAlgebraResult, f: ModuleMap, g: ModuleMap,
     return ModuleMap(source, target, blocks, validate=validate)
 
 
-class TotalComplex:
-    """The totalized tensor product of the factor minimal resolutions:
-    terms[p] = sum of P_i (x) Q_j over i+j=p, with the sign (-1)^i on the
-    second-factor differential.  maps[0] is the augmentation onto
-    M (x) N and maps[p] : terms[p] -> terms[p-1]."""
-
-    def __init__(self, module, terms, maps):
-        self.module = module
-        self.terms = terms
-        self.maps = maps
-
-    @property
-    def length(self):
-        return len(self.terms) - 1
-
-
-def tensor_total_complex(t: TensorAlgebraResult, m: Representation,
-                         n: Representation, upto: int) -> TotalComplex:
-    resm = min_proj_resolution(m, upto)
-    resn = min_proj_resolution(n, upto)
-    if not (resm.terminated and resn.terminated):
-        raise QtiltError("factor resolutions not finite within the bound")
-    field = t.algebra.field
+def tensor_resolution(t: TensorAlgebraResult, m: Representation,
+                      n: Representation, upto: int
+                      ) -> Tuple[Representation, MinimalResolution]:
+    """(M (x) N, its minimal resolution): the tensor of the factor minimal
+    resolutions, as generator images.  Generator (a, b), a of degree i, at
+    (u_a, v_b) maps to d(a) (x) b + (-1)^i a (x) d(b), factor paths lifted
+    along the other factor's vertex; in degree 0 to the Kronecker product
+    of the factor standard vectors.  It is minimal as rad(A (x) B) =
+    rad A (x) B + A (x) rad B, and cached on the product, so tau_n(product,
+    n+m) is the factorized translate.  Keep the product while reading it.
+    A factor unresolved within upto steps raises InconclusiveError."""
+    for f in (m, n):
+        if not is_finite(pd(f, upto)):
+            raise InconclusiveError(
+                f"a factor resolution has not terminated within {upto} "
+                f"steps; raise the bound")
+    resm, resn = min_proj_resolution(m, upto), min_proj_resolution(n, upto)
     product = tensor_modules(t, m, n, validate=False)
-    sign_one = field.one()
-    sign_minus = field.canon(-1) if field.char == 0 else field.p - 1
+    res = MinimalResolution(product)
+    product._cache["minres"] = res
+    if res.terminated:          # a zero factor
+        return product, res
+    alg, pos = t.algebra, t.algebra.block_pos
+    gm = [resm.generators(i) for i in range(resm.length + 1)]
+    gn = [resn.generators(j) for j in range(resn.length + 1)]
+    dm, dn = ([_by_generator(r, i) for i in range(r.length + 1)]
+              for r in (resm, resn))
+    pairs = [[(i, a, d - i, b)
+              for i in range(max(0, d - resn.length), min(d, resm.length) + 1)
+              for a in range(len(gm[i])) for b in range(len(gn[d - i]))]
+             for d in range(resm.length + resn.length + 1)]
+    res.terms = [proj_sum(alg, [_vname(gm[i][a], gn[j][b])
+                                for i, a, j, b in gens]) for gens in pairs]
+    res.images = [[]]
+    for _, a, _, b in pairs[0]:     # Kronecker products of standard vectors
+        (x,), (y,) = resm.images[0][a], resn.images[0][b]
+        res.images[0].append({x * n.dims[gn[0][b]] + y: 1})
+    for d in range(1, len(pairs)):
+        where = {g: k for k, g in enumerate(pairs[d - 1])}
+        images = []
+        for i, a, j, b in pairs[d]:
+            u, v = gm[i][a], gn[j][b]
+            parts = [(where[i - 1, k, j, b], c,
+                      _lift_left_path(t.left.basis[x], v))
+                     for k, el in dm[i][a] for x, c in el.items()]
+            parts += [(where[i, a, j - 1, k], -c if i % 2 else c,
+                       _lift_right_path(u, t.right.basis[y]))
+                      for k, el in dn[j][b] for y, c in el.items()]
+            offs, img = free_offsets(res.terms[d - 1], _vname(u, v)), {}
+            for k, c, path in parts:
+                for z, e in alg.normal_form(path).items():
+                    at = offs[k] + pos[z]
+                    img[at] = img.get(at, 0) + c * e
+            images.append(dict(sorted(_tidy(img, alg.field.char).items())))
+        res.images.append(images)
+    res.terminated = True
+    return product, res
 
-    def components(p):
-        out = []
-        for i in range(p + 1):
-            j = p - i
-            if i <= resm.length and j <= resn.length:
-                out.append((i, j))
-        return out
 
-    depth = min(upto, resm.length + resn.length)
-    terms = []
-    term_parts = []
-    inclusions = []
-    projections = []
-    for p in range(depth + 1):
-        comps = components(p)
-        parts = [tensor_modules(t, resm.term(i), resn.term(j), validate=False)
-                 for (i, j) in comps]
-        if parts:
-            total, incls, projs = direct_sum(parts)
-        else:
-            total, incls, projs = zero_rep(t.algebra), [], []
-        terms.append(total)
-        term_parts.append(comps)
-        inclusions.append(incls)
-        projections.append(projs)
-    maps = [None] * (depth + 1)
-    # augmentation through the (0,0) component
-    aug_block = tensor_maps(t, resm.maps[0], resn.maps[0], validate=False)
-    aug = ModuleMap(terms[0], product,
-                    {v: aug_block.blocks[v] * projections[0][0].blocks[v]
-                     for v in t.algebra.quiver.vertices}, validate=False)
-    maps[0] = aug
-    for p in range(1, depth + 1):
-        src_comps = term_parts[p]
-        tgt_comps = term_parts[p - 1]
-        tgt_pos = {c: k for k, c in enumerate(tgt_comps)}
-        total_map = ModuleMap.zero(terms[p], terms[p - 1])
-        for s_idx, (i, j) in enumerate(src_comps):
-            if i >= 1 and (i - 1, j) in tgt_pos:
-                idm = ModuleMap.identity(resn.term(j))
-                block = tensor_maps(t, resm.maps[i], idm, validate=False)
-                piece = inclusions[p - 1][tgt_pos[(i - 1, j)]] * block * \
-                    projections[p][s_idx]
-                total_map = total_map + piece
-            if j >= 1 and (i, j - 1) in tgt_pos:
-                idm = ModuleMap.identity(resm.term(i))
-                block = tensor_maps(t, idm, resn.maps[j], validate=False)
-                sign = sign_one if i % 2 == 0 else sign_minus
-                piece = inclusions[p - 1][tgt_pos[(i, j - 1)]] * block * \
-                    projections[p][s_idx]
-                total_map = total_map + piece.scale(sign)
-        maps[p] = total_map
-    return TotalComplex(product, terms, maps)
+def _by_generator(res: MinimalResolution, i: int):
+    """Per generator l of terms[i], the (k, element) pairs of its image
+    under the differential terms[i] -> terms[i-1]."""
+    out = [[] for _ in res.generators(i)]
+    for (k, l), x in res.presentation_elements(i).items():
+        out[l].append((k, x))
+    return out
 
 
 class KunnethReport:

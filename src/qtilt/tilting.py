@@ -273,8 +273,8 @@ def verify_tilting(alg: BoundQuiverAlgebra, t: Representation, m: int,
     additive closure, built from minimal left approximations; the
     summands' radical maps and cross Hom bases are built once for all its
     stages.  The resolution of t grows at most maxlen steps: a pd past a
-    bound below m, or a self-Ext degree past the bound, raises
-    InconclusiveError."""
+    bound below m raises InconclusiveError, and past a bound at or above
+    m self-Ext is read only in degrees below the bound."""
     if m < 0:
         raise QtiltError(f"m must be >= 0, got {m}")
     cert = TiltingCertificate(t, m)
@@ -284,7 +284,9 @@ def verify_tilting(alg: BoundQuiverAlgebra, t: Representation, m: int,
             f"projective dimension exceeds the resolution bound {maxlen}, "
             f"below m={m}; raise the bound")
     cert.pd_ok = is_finite(cert.pd_value) and cert.pd_value <= m
-    top_degree = cert.pd_value if is_finite(cert.pd_value) else m
+    # an infinite pd at a bound >= m has failed: read Ext below the bound
+    top_degree = (cert.pd_value if is_finite(cert.pd_value)
+                  else min(m, maxlen - 1))
     cert.self_ext_dims = [(i, ext_dim(t, t, i, maxlen))
                           for i in range(1, top_degree + 1)]
     cert.self_ext_ok = all(d == 0 for _, d in cert.self_ext_dims)

@@ -630,6 +630,11 @@ def test_verify_tilting_reads_the_resolution_bound(tmp_path):
     assert code == 1
     assert "verdict pd fail pd=infinite(>4) m=1\n" in text
     assert "verdict tilting fail m=1\n" in text
+    # at a bound equal to m, self-Ext is read below the bound only
+    code, text = run(["verify-tilting", alg, mod, "--m", "4",
+                      "--max-resolution", "4"])
+    assert code == 1
+    assert "verdict pd fail pd=infinite(>4) m=4\n" in text
     code, text = run(["verify-tilting", alg, mod, "--m", "3",
                       "--max-resolution", "2"])
     assert code == 3 and text.startswith("inconclusive ")

@@ -484,6 +484,8 @@ def test_generators_past_the_end_build_no_module(monkeypatch, kron):
                         lambda *args: calls.append(args))
     assert ended.terminated and ended.length == 0
     assert ended.generators(1) == ended.generators(5) == ()
+    # nor below degree 0: the augmentation has no presentation elements
+    assert ended.generators(-1) == () and ended.presentation_elements(0) == {}
     assert calls == []
     # a term not yet computed still raises rather than reading as empty
     open_res = min_proj_resolution(kron_11(kron, True), 0)

@@ -113,7 +113,10 @@ DELETED = {"multiply", "zero_element", "element_from_path", "radical_basis",
            "_op_items", "kernel_basis", "from_cols",
            # the compose-and-solve route: composites are read at the Hom
            # basis positions instead
-           "vectorize", "express_all_in_basis", "_hom_coordinates"}
+           "vectorize", "express_all_in_basis", "_hom_coordinates",
+           # the second resolution type: the tensor of two resolutions is a
+           # MinimalResolution (`tensor_resolution`)
+           "tensor_total_complex", "TotalComplex"}
 
 
 def _name(node):
@@ -184,9 +187,10 @@ def _dense_uses(sources):
 
     def visit(f, node, scope, owners):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            if node.name in DELETED:
+                kind = "def" if isinstance(node, ast.FunctionDef) else "class"
+                found.append((f, node.lineno, f"{kind} {node.name}"))
             if isinstance(node, ast.FunctionDef):
-                if node.name in DELETED:
-                    found.append((f, node.lineno, f"def {node.name}"))
                 owners = {t.id for targets, value in _assignments(node)
                           if _makes(value, makers)
                           for t in targets if isinstance(t, ast.Name)}
@@ -251,11 +255,15 @@ def test_the_check_sees_a_dense_use():
                 "\n"
                 "\n"
                 "def coordinates(f):\n"
-                "    return f.vectorize()\n"}
+                "    return f.vectorize()\n"
+                "\n"
+                "\n"
+                "class TotalComplex:\n"
+                "    pass\n"}
     assert _dense_uses(sources) == [
         ("a.py", 1, "_dense"), ("a.py", 5, ".rows"), ("a.py", 10, "_dense"),
         ("a.py", 13, "def kernel_basis"), ("a.py", 14, "from_cols()"),
-        ("a.py", 18, "vectorize()")]
+        ("a.py", 18, "vectorize()"), ("a.py", 21, "class TotalComplex")]
 
 
 def test_one_element_format():

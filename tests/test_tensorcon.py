@@ -1,17 +1,20 @@
 """Tensor products of algebras, modules, maps; Kunneth comparisons."""
 
+from collections import Counter
+
 import pytest
 
-from qtilt.errors import QtiltError
+from qtilt.errors import InconclusiveError, QtiltError
 from qtilt.exactla import Matrix, QQ
 from qtilt.homengine import ext_dim, gldim, injd, min_proj_resolution, pd, tau_n, tau_n_minus
 from qtilt.quivercore import semisimple_and_basic_flags
-from qtilt.repcore import (ModuleMap, decompose, dual, hom_space, inj,
-                           injective_cogenerator, is_isomorphic, kernel_rep,
-                           proj, projective_cover, random_module, simple,
-                           top_and_radical)
+from qtilt.repcore import (ModuleMap, _free_coordinates, decompose, dual,
+                           free_offsets, hom_space, inj, injective_cogenerator,
+                           is_isomorphic, kernel_rep, proj,
+                           proj_map_from_images, projective_cover,
+                           random_module, simple, top_and_radical)
 from qtilt.tensorcon import (kunneth_verify, tensor_algebras, tensor_maps,
-                             tensor_modules, tensor_total_complex)
+                             tensor_modules, tensor_resolution)
 
 from conftest import make_semisimple
 
@@ -285,37 +288,156 @@ def test_ext_vanishing_transfer_on_translate_input(kron2):
     assert ext_dim(dprod, pp, 2) != 0
 
 
-# --- total complex ---------------------------------------------------------------
+# --- the factorized resolution -------------------------------------------------
 
-def test_total_complex_is_the_minimal_resolution(a2xa2):
-    m = simple(a2xa2.left, "2")
-    n = simple(a2xa2.right, "2")
-    tc = tensor_total_complex(a2xa2, m, n, 4)
-    # squares to zero, including the augmentation
-    for p in range(1, tc.length + 1):
-        assert (tc.maps[p - 1] * tc.maps[p]).is_zero()
-    # termwise dimensions agree with the directly computed resolution
-    prod = tensor_modules(a2xa2, m, n)
-    res = min_proj_resolution(prod, 6)
-    assert res.terminated and res.length == tc.length
-    for p in range(tc.length + 1):
-        assert tc.terms[p].dim_vector() == res.term(p).dim_vector()
-    # exactness: rank bookkeeping around each term
-    for p in range(1, tc.length + 1):
-        for v in a2xa2.algebra.quiver.vertices:
-            din = tc.maps[p].blocks[v]
-            dout = tc.maps[p - 1].blocks[v]
-            assert din.rank() == din.ncols - (dout.ncols - dout.rank()) or True
+def _check_tensor_resolution(t, m, n):
+    """The tensor of the factor resolutions of m and n against the direct
+    resolution of M (x) N: the same generators and term dimension vectors,
+    term for term; d o d = 0, the augmentation included; exact at every
+    vertex by ranks, onto M (x) N and injective at the end; and minimal,
+    no image in degree >= 1 having an entry at a trivial path's
+    coordinate.  Returns the product and its factorized resolution."""
+    prod, res = tensor_resolution(t, m, n, 6)
+    assert prod._cache["minres"] is res and res.terminated
+    direct = min_proj_resolution(tensor_modules(t, m, n), 12)
+    assert direct.terminated and res.length == direct.length
+    for p in range(res.length + 1):
+        assert Counter(res.generators(p)) == Counter(direct.generators(p))
+        assert res.term(p).dim_vector() == direct.term(p).dim_vector()
+    maps = res.maps
+    for p in range(1, len(maps)):
+        assert (maps[p - 1] * maps[p]).is_zero()
+        for v in t.algebra.quiver.vertices:
+            din = maps[p].blocks[v]
+            dout = maps[p - 1].blocks[v]
             # ker(dout) = im(din): compare dimensions exactly
             assert (dout.ncols - dout.rank()) == din.rank()
+    if maps:
+        assert maps[0].is_surjective() and maps[-1].is_injective()
+    basis = t.algebra.basis
+    for p in range(1, len(maps)):
+        for w, img in zip(res.generators(p), res.images[p]):
+            coords = _free_coordinates(res.terms[p - 1], w)
+            assert all(basis[coords[i][1]].arrows for i in img)
+    return prod, res
+
+
+def test_total_complex_is_the_minimal_resolution(a2xa2, kron2, kronxa2, a2,
+                                                 a3, a3nil, square):
+    """The tensor of two minimal resolutions is the minimal resolution of
+    the product, on six products, at every pair of simples, of
+    injectives and of random modules."""
+    products = [a2xa2, kron2, kronxa2, tensor_algebras(a3, a2),
+                tensor_algebras(square, a2), tensor_algebras(a3nil, a2)]
+    for k, t in enumerate(products):
+        sides = [[simple(alg, v) for v in alg.quiver.vertices]
+                 + [inj(alg, v) for v in alg.quiver.vertices]
+                 + [random_module(alg, 10 * k + side + 2 * s)
+                    for s in range(2)]
+                 for side, alg in enumerate((t.left, t.right))]
+        for m in sides[0]:
+            for n in sides[1]:
+                _check_tensor_resolution(t, m, n)
 
 
 def test_total_complex_sign_matters(kron2):
+    """The sign (-1)^i on a (x) d(b) makes the tensor a complex: S2 (x) S2
+    has a degree 2 term, and with the sign dropped there, d_1 o d_2 is
+    nonzero.  The degree 1 generators with i = 0 come first, so the
+    a (x) d(b) parts of the degree 2 images sit in their blocks."""
     m = simple(kron2.left, "2")
     n = simple(kron2.right, "2")
-    tc = tensor_total_complex(kron2, m, n, 4)
-    for p in range(1, tc.length + 1):
-        assert (tc.maps[p - 1] * tc.maps[p]).is_zero()
+    _, res = _check_tensor_resolution(kron2, m, n)
+    assert res.length == 2
+    split = len(min_proj_resolution(m).generators(0)) * \
+        len(min_proj_resolution(n).generators(1))
+    unsigned = []
+    for w, img in zip(res.generators(2), res.images[2]):
+        end = free_offsets(res.terms[1], w)[split]
+        unsigned.append({c: -x if c < end else x for c, x in img.items()})
+    d2 = proj_map_from_images(res.terms[2], res.terms[1], unsigned)
+    assert not (res.maps[1] * d2).is_zero()
+
+
+def test_tensor_resolution_needs_finite_factors(loop2, a2):
+    """A factor resolution that does not terminate within the bound, here
+    the simple of k[x]/x^2, is undetermined."""
+    t = tensor_algebras(loop2, a2)
+    with pytest.raises(InconclusiveError):
+        tensor_resolution(t, simple(loop2, "1"), simple(a2, "1"), 4)
+
+
+def test_tensor_resolution_keeps_no_covers(kron2):
+    """The assembled resolution reads its first syzygy off the
+    augmentation, and refuses the covers it does not keep."""
+    m = simple(kron2.left, "2")
+    n = simple(kron2.right, "2")
+    prod, res = tensor_resolution(kron2, m, n, 4)
+    direct = min_proj_resolution(tensor_modules(kron2, m, n), 4)
+    assert res.syzygy(1).dim_vector() == direct.syzygy(1).dim_vector()
+    with pytest.raises(QtiltError):
+        res.covers
+    with pytest.raises(QtiltError):
+        res.syzygy(2)
+
+
+def test_factorized_translate_is_the_direct_one(kron, kron2):
+    """tau_{n+m} read off the factorized resolution is the direct
+    translate, with the dimension vector of tau_n M (x) tau_m N: on kron^2
+    (n = m = 1) and on kron^2 (x) kron (n = 2, m = 1), at every pair of
+    injectives."""
+    kron3 = tensor_algebras(kron2.algebra, kron)
+    for t, n, m in ((kron2, 1, 1), (kron3, 2, 1)):
+        for u in t.left.quiver.vertices:
+            for v in t.right.quiver.vertices:
+                left, right = inj(t.left, u), inj(t.right, v)
+                prod, _ = tensor_resolution(t, left, right, 4)
+                got = tau_n(prod, n + m)
+                want = tensor_modules(t, tau_n(left, n), tau_n(right, m))
+                assert got.dim_vector() == want.dim_vector()
+                assert is_isomorphic(got, tau_n(tensor_modules(t, left, right),
+                                                n + m))
+
+
+def test_ext_off_the_factorized_resolution(kron2, kronxa2):
+    """Ext over the product read off the factorized resolution equals Ext
+    off a fresh copy resolved directly, for q <= 3, on random modules
+    drawn as in the Kunneth sweep."""
+    nonzero = 0
+    for pair, t in enumerate((kronxa2, kron2)):
+        for i in range(6):
+            seeds = [10000 * pair + 4 * i + j for j in range(4)]
+            m, n = (random_module(t.left, s, 3) for s in seeds[:2])
+            mp, np_ = (random_module(t.right, s, 3) for s in seeds[2:])
+            target = tensor_modules(t, n, np_, validate=False)
+            source, _ = tensor_resolution(t, m, mp, 4)
+            fresh = tensor_modules(t, m, mp, validate=False)
+            dims = [ext_dim(source, target, q) for q in range(4)]
+            assert dims == [ext_dim(fresh, target, q) for q in range(4)]
+            nonzero += any(dims[1:])
+    assert nonzero
+
+
+def test_tensor_resolution_leaves_no_cyclic_garbage(kron2, kron):
+    """One factorized resolution, read for Ext, leaves no cyclic garbage:
+    with the collector off, gc.collect() finds nothing after it."""
+    import gc
+
+    def check():
+        m, n, mp = (random_module(kron, s, 3) for s in (20004, 20005, 20006))
+        source, _ = tensor_resolution(kron2, m, mp, 4)
+        target = tensor_modules(kron2, n, n, validate=False)
+        return [ext_dim(source, target, q) for q in range(4)]
+
+    gc.collect()
+    gc.disable()
+    try:
+        dims = check()
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert any(dims)
+    assert left == 0
 
 
 def test_kunneth_check_leaves_no_cyclic_garbage(kron2, kron):
