@@ -478,7 +478,8 @@ def _cmd_tau_minus(args, ws):
 
 def _cmd_tau_finite(args, ws):
     alg = _load_algebra(ws, args.algebra, args.max_degree, args.field)
-    result = tau_finiteness_probe(alg, args.n, args.max_iter)
+    result = tau_finiteness_probe(alg, args.n, args.max_iter,
+                                  args.max_resolution)
     lines = []
     if result.verdict == "finite":
         lines.append(f"verdict tau_finite pass l={result.iterations}")

@@ -12,8 +12,10 @@ map row by row from the action rows of the algebra's basis elements
 differential d as a matrix of algebra elements between the generator
 vertices, and its dual d^* = Hom(d, algebra) as generator images over
 the opposite algebra (`_dualized_elements`, read off the opposite's
-table of reversed basis paths).  Every other x.v these steps need, x a
-basis element, goes through one `repcore.ActionReader` per call.
+table of reversed basis paths).  A map of free modules, d or d^*, is
+read by columns off the products (`repcore.proj_map_from_images`); a
+Hom complex into any module by the rows of each basis element's action
+on it (`repcore._action_rows`), read once per call.
 
 tau_n is the one syzygy-side translate: tau_n M = ker nu(d_n), with
 nu = D Hom(-, algebra) the Nakayama functor, read off the columns of
@@ -26,17 +28,17 @@ Hom-complex differentials, cached on the resolution per target module;
 cocycle maps are built only when read.
 """
 
-from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 from weakref import WeakKeyDictionary, ref
 
 from .errors import InconclusiveError, QtiltError
 from .exactla import Matrix, Span, _tidy, kernel_data, solve
 from .quivercore import BoundQuiverAlgebra, _op_table, opposite
-from .repcore import (ActionReader, Cover, ModuleMap, Representation,
-                      _free_coordinates, _image_columns, cokernel_rep, dual,
-                      dual_free_kernel, free_offsets, inj, kernel_rep,
-                      kernel_rep_data, proj_map_from_images, proj_sum,
+from .repcore import (Cover, ModuleMap, Representation, _action_rows,
+                      _cochain_offsets, _free_coordinates, _image_columns,
+                      cokernel_rep, dual, dual_free_kernel, free_offsets,
+                      hom_space, inj, kernel_rep, kernel_rep_data,
+                      linear_combination, proj_map_from_images, proj_sum,
                       projective_cover, simple, zero_rep)
 
 DEFAULT_BOUND = 64
@@ -215,7 +217,7 @@ class MinimalResolution:
         if not gens_hi or not self.generators(i - 1) or i > self.length:
             return X
         coords = {w: _free_coordinates(self.terms[i - 1], w)
-                  for w in set(gens_hi)}
+                  for w in dict.fromkeys(gens_hi)}
         for l, (w, vec) in enumerate(zip(gens_hi, self.images[i])):
             for row_i, c in vec.items():
                 k, x_idx = coords[w][row_i]
@@ -255,7 +257,7 @@ def _dualized_elements(res: MinimalResolution, i: int):
     gens = res.generators(i - 1)
     src = proj_sum(opp, gens)
     tgt = proj_sum(opp, res.generators(i))
-    offsets = {v: free_offsets(tgt, v) for v in set(gens)}
+    offsets = {v: free_offsets(tgt, v) for v in dict.fromkeys(gens)}
     pos, table = opp.block_pos, _op_table(alg)
     images = [{} for _ in gens]
     for (k, l), x in res.presentation_elements(i).items():
@@ -320,32 +322,29 @@ def _hom_complex_differential(res: MinimalResolution, n: Representation,
     """Matrix of Hom(terms[i], n) -> Hom(terms[i+1], n), in generator
     coordinates: Hom out of a projective sum is the direct sum of the
     n-spaces at the generator vertices.  The block at (l, k) is the action
-    on n of the element X[k, l] of d_{i+1}, read through one reader."""
-    alg = res.algebra
-    field = alg.field
-    gens_lo = res.generators(i)
+    on n of the element X[k, l] of d_{i+1}: each basis element's action
+    rows are read once per call, added into every block whose element
+    holds it, and dropped."""
+    field = res.algebra.field
     row_off = _cochain_offsets(n, res.generators(i + 1))
-    col_off = _cochain_offsets(n, gens_lo)
+    col_off = _cochain_offsets(n, res.generators(i))
     if row_off[-1] == 0 or col_off[-1] == 0:
         return Matrix.zeros(field, row_off[-1], col_off[-1])
-    act = ActionReader(n)
-    rows = [{} for _ in range(row_off[-1])]
+    uses = {}       # basis element -> (block row, block column, coefficient)
     for (k, l), x in res.presentation_elements(i + 1).items():
-        for c in range(n.dims[gens_lo[k]]):
-            acc = {}
-            for x_idx, coeff in x.items():
-                for r, y in act(x_idx, {c: coeff}).items():
-                    acc[r] = acc.get(r, 0) + y
-            for r, y in _tidy(acc, field.char).items():
-                rows[row_off[l] + r][col_off[k] + c] = y
+        for x_idx, coeff in x.items():
+            uses.setdefault(x_idx, []).append((row_off[l], col_off[k], coeff))
+    rows = [{} for _ in range(row_off[-1])]
+    for x_idx, blocks in uses.items():
+        got = _action_rows(n, x_idx)
+        for top, left, coeff in blocks:
+            for r, row in enumerate(got, top):
+                acc = rows[r]
+                for c, y in row.items():
+                    acc[left + c] = acc.get(left + c, 0) + coeff * y
+    for r, acc in enumerate(rows):
+        rows[r] = _tidy(acc, field.char)
     return Matrix._raw(field, rows, col_off[-1])
-
-
-def _cochain_offsets(n: Representation, gens) -> Tuple[int, ...]:
-    """Where each generator's block starts in Hom(P, n) for P free on the
-    generators, in generator coordinates (the n-space at the generator's
-    vertex); a last entry holds the dimension."""
-    return (0, *accumulate(n.dims[v] for v in gens))
 
 
 def _require_depth(m: Representation, depth: int, maxlen: int
@@ -390,14 +389,10 @@ def ext(m: Representation, n: Representation, p: int,
 
 def _cocycle_representatives(res, n, p, kernel_vectors, span):
     """Sparse kernel vectors completing a basis of the boundary span
-    (which they are added to), returned as maps terms[p] -> n: each is
-    split at the `_cochain_offsets` into generator images."""
-    offs = _cochain_offsets(n, res.generators(p))
-    act = ActionReader(n)
-    return [proj_map_from_images(
-                res.term(p), n, [{i - lo: x for i, x in vec.items()
-                                  if lo <= i < hi}
-                                 for lo, hi in zip(offs, offs[1:])], act)
+    (which they are added to), returned as maps terms[p] -> n: cochain
+    coordinates are those of the Hom basis out of terms[p]."""
+    homs = hom_space(res.term(p), n)
+    return [linear_combination(vec, homs)
             for vec in kernel_vectors if span.add(vec)]
 
 
@@ -505,8 +500,7 @@ def tau_n(m: Representation, n: int, maxlen: int = DEFAULT_BOUND
     if res.terminated and res.length < n:
         return zero_rep(alg)
     src, tgt, images = _dualized_elements(res, n)
-    return dual_free_kernel(tgt, _image_columns(src, images,
-                                                ActionReader(tgt)))
+    return dual_free_kernel(tgt, _image_columns(src, tgt, images))
 
 
 def tau_n_minus(m: Representation, n: int, maxlen: int = DEFAULT_BOUND
@@ -558,15 +552,22 @@ class ProbeResult:
 
 
 def tau_finiteness_probe(alg: BoundQuiverAlgebra, n: int,
-                         max_iter: int = 10) -> ProbeResult:
+                         max_iter: int = 10, maxlen: int = DEFAULT_BOUND
+                         ) -> ProbeResult:
     """Iterate tau_n on the injective cogenerator until an iterate
     vanishes (verdict "finite" with the witness exponent) or max_iter is
-    reached ("undetermined").  Requires gl.dim <= n; iteration runs
+    reached ("undetermined").  Requires gl.dim <= n, read with every
+    resolution within maxlen steps: a global dimension past a bound below
+    n is undetermined (InconclusiveError).  Iteration runs
     summand-by-summand, which is equivalent since tau_n is additive.  Each
     piece's cached resolution is dropped once its translate is taken."""
     if max_iter < 1:
         raise QtiltError(f"probe needs max_iter >= 1, got {max_iter}")
-    g = gldim(alg)
+    g = gldim(alg, maxlen)
+    if not is_finite(g) and maxlen < n:
+        raise InconclusiveError(
+            f"global dimension exceeds the resolution bound {maxlen} < {n}; "
+            "raise the bound")
     if not is_finite(g) or g > n:
         raise QtiltError(
             f"probe needs global dimension <= {n}, found {g}")
@@ -575,7 +576,7 @@ def tau_finiteness_probe(alg: BoundQuiverAlgebra, n: int,
     for l in range(1, max_iter + 1):
         new_pieces = []
         for piece in pieces:
-            t = tau_n(piece, n)
+            t = tau_n(piece, n, maxlen)
             piece._cache.pop("minres", None)
             if not t.is_zero():
                 new_pieces.append(t)

@@ -20,13 +20,15 @@ matrices, the columns off a transpose of them cached on the algebra):
 each line comes with its block's offset in the free module, and the
 product applies the offset instead of copying the line.
 
-A map out of a free module is given by its generator images
-(`proj_map_from_images`): its column at x in generator k's block is
-x.images[k], read through one `ActionReader` on the target.  A projective
-cover is the one map built otherwise: each image is a standard vector at
-a top section j, so its column at x is column j of x's action, and
-`Cover.map` fills its blocks row by row from the rows of x's action
-(`_action_rows`), with no reader and no transpose.
+A basis element x's action is read two ways, one per kind of target.
+A map of free modules is given by its generator images
+(`proj_map_from_images`), its column at x in generator k's block being
+x.images[k], read off the algebra's products (`_image_columns`).  Into
+any other module the rows of x's action are read (`_action_rows`), once
+per call, and dropped: a cover (`_cover_blocks`) and the Hom basis out
+of a free module (`_hom_from_projective`) send each generator to a
+standard vector, so their columns at x are columns of x's action,
+filled row by row with no transpose.
 
 Every Hom basis names its positions (`_hom_basis`): per basis map, an
 entry where it alone is nonzero.  Coordinates are read there, so a
@@ -229,13 +231,11 @@ def simple(alg, v: str) -> Representation:
 def _proj_arrow_mats(p: Representation) -> Dict[str, Matrix]:
     """Arrow matrices of an indecomposable projective p = A e_v, whose
     basis at each vertex w is the basis of e_w * A * e_v: arrow a sends
-    basis vector j to a.e_j, read off the algebra's products."""
+    basis vector j to a.e_j, so its rows are the arrow's action rows, read
+    off the algebra's products."""
     alg = p.algebra
-    act, one = ActionReader(p), alg.field.one()
-    return {a.name: Matrix.from_sparse_cols(
-                alg.field, [act(alg.basis_index(Path.from_arrow(a)), {j: one})
-                            for j in range(p.dims[a.source])],
-                p.dims[a.target])
+    return {a.name: Matrix._raw(alg.field, _action_rows(
+                p, alg.basis_index(Path.from_arrow(a))), p.dims[a.source])
             for a in alg.quiver.arrows}
 
 
@@ -295,7 +295,7 @@ def _free_lines(m: Representation, arrow, idxs: Sequence[int], cols: bool):
     offs, shift = free_offsets(m, at), free_offsets(m, other)
     blocks = {v: _proj_columns(alg, v)[arrow.name] if cols
               else _proj_mats(alg, v)[arrow.name].sparse_rows
-              for v in set(gens)}
+              for v in dict.fromkeys(gens)}
     out, k = [], 0
     for r in idxs:      # step to r's block: one step apart when ascending
         while offs[k] > r:
@@ -671,92 +671,59 @@ def _action_rows(m: Representation, x: int) -> List[Dict[int, object]]:
     alg, path = m.algebra, m.algebra.basis[x]
     if m._mats is not None:
         return m.act_path(path).sparse_rows
+    # decoded before the rows are made, so that the passing list does not
+    # sit above the rows of a projective, which the algebra caches
+    coords = _free_coordinates(m, path.source)
     rows = [{} for _ in range(m.dims[path.target])]
     offs, pos = free_offsets(m, path.target), alg.block_pos
-    for j, (k, y) in enumerate(_free_coordinates(m, path.source)):
+    for j, (k, y) in enumerate(coords):
         for z, d in alg.basis_product(x, y):
             rows[offs[k] + pos[z]][j] = d
     return rows
 
 
-class ActionReader:
-    """x.v for one module n: a basis index x of the algebra and a sparse
-    vector v of n at x's source (a dict coordinate -> nonzero entry) give
-    x.v, a sparse vector of n at x's target; a trivial path or a zero v
-    gives v itself.  A free n is read straight off the algebra's
-    products, its coordinates decoded once, when the reader is made, into
-    (generator, basis index); any other n by the columns of x's action
-    matrix, composed once per basis element.  Both are kept in the reader,
-    never on n, so they live only as long as the caller's reader."""
-
-    __slots__ = ("module", "_cols", "_free")
-
-    def __init__(self, n: Representation):
-        self.module = n
-        self._cols: Dict[int, List[Dict[int, object]]] = {}
-        # a free n at each vertex: (each coordinate as (generator, basis
-        # index), the generator blocks' offsets)
-        self._free = None if n.proj_gens is None else {
-            w: (_free_coordinates(n, w), free_offsets(n, w))
-            for w in n.algebra.quiver.vertices}
-
-    def __call__(self, x: int, vec: Dict[int, object]) -> Dict[int, object]:
-        if not vec:
-            return vec
-        alg = self.module.algebra
-        path = alg.basis[x]
-        if not path.arrows:
-            return vec
-        acc = {}
-        if self._free is None:
-            cols = self._cols.get(x) or self._columns(x)
-            if len(vec) == 1 and 1 in vec.values():
-                return cols[next(iter(vec))]
-            for j, c in vec.items():
-                for r, y in cols[j].items():
-                    acc[r] = acc.get(r, 0) + c * y
-        else:
-            coords = self._free[path.source][0]
-            offs = self._free[path.target][1]
-            pos = alg.block_pos
-            for j, c in vec.items():
-                k, y = coords[j]
-                for z, d in alg.basis_product(x, y):
-                    at = offs[k] + pos[z]
-                    acc[at] = acc.get(at, 0) + c * d
-        return _tidy(acc, alg.field.char)
-
-    def _columns(self, x: int) -> List[Dict[int, object]]:
-        """The columns of basis element x's action matrix on a module that
-        is not free, kept in the reader."""
-        n = self.module
-        cols = n.act_path(n.algebra.basis[x]).sparse_columns()
-        return self._cols.setdefault(x, cols)
-
-
-def _image_columns(p: Representation, images, act: ActionReader
+def _image_columns(p: Representation, n: Representation, images
                    ) -> Dict[str, List[Dict[int, object]]]:
-    """The blocks of the map out of the free module p sending generator k
-    to images[k], as vertex -> one sparse column per coordinate of p
-    there: the column at basis element x of generator k's block is
-    x.images[k], read by ``act`` on the target."""
+    """The blocks of the map of free modules p -> n sending generator k to
+    images[k], as vertex -> one sparse column per coordinate of p there:
+    the column at basis element x of generator k's block is x.images[k],
+    read off the algebra's products; a trivial path or an empty image
+    gives the image itself."""
+    if n.proj_gens is None:
+        raise QtiltError("a map given by generator images needs a free "
+                         "target")
     alg = p.algebra
-    return {w: [act(x, img) for v, img in zip(p.proj_gens, images)
-                for x in alg.block_indices(v, w)]
-            for w in alg.quiver.vertices}
+    pos, char = alg.block_pos, alg.field.char
+    coords = {v: _free_coordinates(n, v)
+              for v in dict.fromkeys(p.proj_gens)}
+    out = {}
+    for w in alg.quiver.vertices:
+        offs, cols = free_offsets(n, w), []
+        for v, img in zip(p.proj_gens, images):
+            for x in alg.block_indices(v, w):
+                if not img or not alg.basis[x].arrows:
+                    cols.append(img)
+                    continue
+                acc = {}
+                for j, c in img.items():
+                    k, y = coords[v][j]
+                    for z, d in alg.basis_product(x, y):
+                        at = offs[k] + pos[z]
+                        acc[at] = acc.get(at, 0) + c * d
+                cols.append(_tidy(acc, char))
+        out[w] = cols
+    return out
 
 
-def proj_map_from_images(p: Representation, n: Representation, images,
-                         act: Optional[ActionReader] = None) -> ModuleMap:
-    """The map out of a free module p sending generator k to the vector
+def proj_map_from_images(p: Representation, n: Representation, images
+                         ) -> ModuleMap:
+    """The map of free modules p -> n sending generator k to the vector
     images[k] of n at the generator's vertex, given sparse as a dict
-    coordinate -> nonzero entry: `_image_columns` as matrices.  Callers
-    that build several maps into n pass one reader ``act`` on n, so each
-    basis element's action is read once for all of them."""
+    coordinate -> nonzero entry: `_image_columns` as matrices."""
     field = p.algebra.field
-    cols = _image_columns(p, images, act or ActionReader(n))
     return ModuleMap(p, n, {w: Matrix.from_sparse_cols(field, c, n.dims[w])
-                            for w, c in cols.items()}, validate=False)
+                            for w, c in _image_columns(p, n, images).items()},
+                     validate=False)
 
 
 def projective_cover(m: Representation) -> Cover:
@@ -829,22 +796,43 @@ def _check_positions(maps: Sequence[ModuleMap], positions):
                          "vector at the positions")
 
 
+def _cochain_offsets(n: Representation, gens) -> Tuple[int, ...]:
+    """Where each generator's block starts in Hom(P, n) for P free on the
+    generators, in generator coordinates (the n-space at the generator's
+    vertex); a last entry holds the dimension."""
+    return (0, *accumulate(n.dims[v] for v in gens))
+
+
 def _hom_from_projective(p: Representation, n: Representation):
     """One map per generator k of p and basis vector e_b of n at its
-    vertex v: the map sending generator k to e_b and the others to 0, in
-    (k, b) order.  Its position is row b of the block at v, in generator
-    k's column there, with entry 1."""
-    alg, gens, act = p.algebra, p.proj_gens, ActionReader(n)
-    one = alg.field.one()
-    maps, positions = [], []
+    vertex v, sending generator k to e_b and the others to 0: map
+    `_cochain_offsets`[k] + b.  Its position is row b of the block at v,
+    in generator k's column there, with entry 1.  Its column at x in
+    generator k's block is column b of x's action, so all the maps are
+    filled in one pass over the rows of each x's action."""
+    alg, gens, field = p.algebra, p.proj_gens, p.algebra.field
+    start = _cochain_offsets(n, gens)
+    at = {}         # vertex v -> the generators k at v
     for k, v in enumerate(gens):
-        g = free_offsets(p, v)[k] + alg.block_pos[alg.basis_index(Path.trivial(v))]
-        for b in range(n.dims[v]):
-            maps.append(proj_map_from_images(
-                p, n, [{b: one} if l == k else {} for l in range(len(gens))],
-                act))
-            positions.append((v, b, g, one))
-    return maps, positions
+        if n.dims[v]:
+            at.setdefault(v, []).append(k)
+    blocks = [{} for _ in range(start[-1])]
+    for w in alg.quiver.vertices:
+        offs = free_offsets(p, w)
+        rows = [[{} for _ in range(n.dims[w])] for _ in blocks]
+        for v, ks in at.items() if n.dims[w] else ():
+            for t, x in enumerate(alg.block_indices(v, w)):
+                for r, row in enumerate(_action_rows(n, x)):
+                    for b, c in row.items():
+                        for k in ks:
+                            rows[start[k] + b][r][offs[k] + t] = c
+        for block, got in zip(blocks, rows):
+            block[w] = Matrix._raw(field, got, p.dims[w])
+    one = field.one()
+    unit = {v: alg.block_pos[alg.basis_index(Path.trivial(v))] for v in at}
+    return ([ModuleMap(p, n, block, validate=False) for block in blocks],
+            [(v, b, free_offsets(p, v)[k] + unit[v], one)
+             for k, v in enumerate(gens) for b in range(n.dims[v])])
 
 
 def _hom_generic(m: Representation, n: Representation):

@@ -661,6 +661,37 @@ def test_checks_resolve_within_the_bound(monkeypatch, argv):
     assert code in (0, 1) and bounds and max(bounds) <= 3
 
 
+def test_tau_finite_reads_the_resolution_bound(tmp_path):
+    """A gl.dim past a bound at or above n fails the probe's requirement,
+    exit 2; past a bound below n it is undetermined, exit 3.  Either way
+    the resolutions stop at the bound."""
+    import time
+    alg, _ = _local_simple(tmp_path)
+    start = time.perf_counter()
+    code, text = run(["tau-finite", alg, "--n", "1", "--max-resolution", "3"])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert text == ("error probe needs global dimension <= 1, found "
+                    "infinite(>3)\n")
+    code, text = run(["tau-finite", alg, "--n", "5", "--max-resolution", "3"])
+    assert code == 3 and text.startswith("inconclusive ")
+
+
+def test_tau_finite_resolves_within_the_bound(monkeypatch):
+    """Every resolution the probe grows, gldim's included, is asked for at
+    most --max-resolution steps; the Kronecker probe stays undetermined."""
+    from qtilt import homengine
+    bounds = []
+    real = homengine.min_proj_resolution
+    monkeypatch.setattr(homengine, "min_proj_resolution",
+                        lambda m, maxlen: bounds.append(maxlen)
+                        or real(m, maxlen))
+    code, text = run(["tau-finite", data("kronecker.alg"), "--n", "1",
+                      "--max-iter", "4", "--max-resolution", "3"])
+    assert code == 3 and "verdict tau_finite undetermined" in text
+    assert bounds and max(bounds) <= 3
+
+
 def test_local_checks_stop_at_the_bound(tmp_path):
     """Over k<x,y>/(x,y)^2 the injective dimension is read to the bound,
     and an Ext degree past it is undetermined."""

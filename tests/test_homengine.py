@@ -407,21 +407,20 @@ def test_vanishing_ext_without_resolution_has_no_cocycles(kron):
 def test_kunneth_check_builds_no_cocycle_maps(monkeypatch, kronxa2, kron, a2):
     from qtilt.tensorcon import kunneth_verify
     calls = []
-    real = homengine.proj_map_from_images
-
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(homengine, "proj_map_from_images", counted)
+    for name in ("hom_space", "linear_combination"):
+        real = getattr(homengine, name)
+        monkeypatch.setattr(homengine, name, lambda *args, name=name,
+                            real=real: calls.append(name) or real(*args))
     m, n = random_module(kron, seed=1), random_module(kron, seed=2)
     mp, np_ = random_module(a2, seed=3), random_module(a2, seed=4)
     report = kunneth_verify(kronxa2, m, n, mp, np_, 3)
     assert report.all_equal
     assert calls == []
-    # reading the cocycles is what builds them
+    # reading the cocycles is what builds them: one Hom basis, one
+    # combination of it per cocycle
     got = ext(simple(kron, "2"), simple(kron, "1"), 1)
-    assert len(got.cocycles) == 2 and len(calls) == 2
+    assert len(got.cocycles) == 2
+    assert calls == ["hom_space", "linear_combination", "linear_combination"]
 
 
 def kron_11(kron, arrow_a0):
@@ -926,7 +925,7 @@ def test_dual_is_cached_on_the_module_and_holds_no_reference_back():
     assert d.algebra is opposite(kron)
 
 
-# --- Hom-complex blocks through the action reader ----------------------------
+# --- Hom-complex blocks through the action rows ------------------------------
 
 def _hom_complex_by_act_block(res, n, i):
     """The Hom-complex differential Hom(terms[i], n) -> Hom(terms[i+1], n)
@@ -995,16 +994,18 @@ def test_ext_against_the_opposite_regular_builds_no_free_arrows(monkeypatch):
 
 
 def test_cocycle_maps_read_each_basis_elements_columns_once(monkeypatch):
-    """The cocycle maps of one Ext class basis share one action reader on
-    the target: each basis element's action on it is composed once."""
-    from qtilt import repcore
+    """The cocycle maps of one Ext class basis are combinations of one Hom
+    basis into the target: each basis element's action on it is composed
+    once."""
     seen = []
-    real = repcore.ActionReader._columns
-    monkeypatch.setattr(repcore.ActionReader, "_columns",
-                        lambda self, x: seen.append(x) or real(self, x))
-    built = 0
+    real = Representation.act_path
+    monkeypatch.setattr(Representation, "act_path", lambda self, path:
+                        seen.append((self, path)) or real(self, path))
+    built = composed = 0
+    # the first two targets are zero at the arrows' target, so only the
+    # last case composes a path with arrows
     for name, seed_m, seed_n, p in [("kron", 0, 6, 0), ("kron", 2, 6, 0),
-                                    ("kron", 2, 1, 1)]:
+                                    ("kron", 2, 1, 1), ("kron", 0, 5, 0)]:
         alg = algebra(name)
         m = random_module(alg, seed=seed_m)
         n = random_module(alg, seed=seed_n)
@@ -1012,9 +1013,11 @@ def test_cocycle_maps_read_each_basis_elements_columns_once(monkeypatch):
         parts = eager_parts(res, n, p)
         del seen[:]
         maps = _cocycle_representatives(res, n, p, *parts)
-        assert len(seen) == len(set(seen)), name
-        built += len(maps) > 2 and bool(seen)
-    assert built == 2
+        paths = [path for target, path in seen if target is n]
+        assert len(paths) == len(set(paths)), name
+        built += len(maps) > 2 and bool(paths)
+        composed += any(path.arrows for path in paths)
+    assert built == 4 and composed == 1
 
 
 # --- dualized generator images, against op applied one element at a time ------

@@ -116,7 +116,11 @@ DELETED = {"multiply", "zero_element", "element_from_path", "radical_basis",
            "vectorize", "express_all_in_basis", "_hom_coordinates",
            # the second resolution type: the tensor of two resolutions is a
            # MinimalResolution (`tensor_resolution`)
-           "tensor_total_complex", "TotalComplex"}
+           "tensor_total_complex", "TotalComplex",
+           # the third and fourth action reads: a module's action is read
+           # by the rows of x's action or, on a free target, by columns off
+           # the products
+           "ActionReader"}
 
 
 def _name(node):

@@ -548,13 +548,35 @@ def test_free_module_arrows_match_structure_constants(which):
         assert p.mats == ref
 
 
+def _image_map_by_act_path(p, n, images):
+    """The blocks of the map out of the free module p sending generator k
+    to images[k] in n, column by column through act_path: the column at
+    basis element x of generator k's block is x's action matrix times
+    images[k]."""
+    alg = p.algebra
+    blocks = {}
+    for w in alg.quiver.vertices:
+        cols = []
+        for k, v in enumerate(p.proj_gens):
+            image = Matrix.from_sparse_cols(alg.field, [images[k]],
+                                            n.dims[v])
+            for x in alg.block_indices(v, w):
+                act = n.act_path(alg.basis[x]) * image
+                cols.append(act.sparse_columns()[0])
+        blocks[w] = Matrix.from_sparse_cols(alg.field, cols, n.dims[w])
+    return blocks
+
+
 @pytest.mark.parametrize("which", range(4))
 def test_free_coordinates_follow_generator_order(which):
     """Unsorted and repeated generators: arrow rows read in place off the
     projectives and placed at their block offsets, and a map out of the
     free module given by generator images, both agree with the
-    entry-by-entry layout."""
-    from qtilt.repcore import _arrow_rows, proj_map_from_images
+    entry-by-entry layout.  Into a free target the map is
+    `proj_map_from_images`; into any other it is the Hom basis out of the
+    free module combined at the cochain coordinates, as cocycles are."""
+    from qtilt.repcore import (_arrow_rows, linear_combination,
+                               proj_map_from_images)
     alg = _free_corpus()[which]
     n = random_module(alg, 5)
     for gens in _generator_tuples(alg):
@@ -566,20 +588,21 @@ def test_free_coordinates_follow_generator_order(which):
                    for line, off in _arrow_rows(p, a, rows)]
             assert got == [ref[a.name].sparse_rows[r] for r in rows]
         assert p._mats is None
-        images = [{i: alg.field.canon(k + i + 1)
-                   for i in range(n.dims[v]) if (k + i) % 2 == 0}
-                  for k, v in enumerate(gens)]
-        f = proj_map_from_images(p, n, images)
-        for w in alg.quiver.vertices:
-            cols = []
-            for k, v in enumerate(gens):
-                image = Matrix.from_sparse_cols(alg.field, [images[k]],
-                                                n.dims[v])
-                for x in alg.block_indices(v, w):
-                    act = n.act_path(alg.basis[x]) * image
-                    cols.append(act.sparse_columns()[0])
-            assert f.blocks[w] == Matrix.from_sparse_cols(alg.field, cols,
-                                                          n.dims[w])
+        for target in (n, proj_sum(alg, gens)):
+            images = [{i: alg.field.canon(k + i + 1)
+                       for i in range(target.dims[v]) if (k + i) % 2 == 0}
+                      for k, v in enumerate(gens)]
+            if target.proj_gens is None:
+                coords, start = {}, 0
+                for k, v in enumerate(gens):
+                    coords.update((start + i, c) for i, c in images[k].items())
+                    start += target.dims[v]
+                f = (linear_combination(coords, hom_space(p, target))
+                     or ModuleMap.zero(p, target))
+            else:
+                f = proj_map_from_images(p, target, images)
+                assert target._mats is None
+            assert f.blocks == _image_map_by_act_path(p, target, images)
 
 
 def _covers(alg, count=4):
@@ -746,7 +769,7 @@ def test_hom_from_projective_matches_the_act_path_rows(field):
     assert checked > 100
 
 
-# --- the action reader: every x.v on a module --------------------------------
+# --- the two action reads: rows of x's action, columns off the products ---
 
 def _act_by_path(n, x, vec):
     """x.vec through the action matrix of x's basis path."""
@@ -768,53 +791,94 @@ def _reader_vectors(alg, dim, seed):
     return vecs
 
 
-def _check_reader(n, seed):
-    from qtilt.repcore import ActionReader
+def _check_reader(n, ref, seed):
+    """x.v on n through the rows of x's action (`_action_rows`), and on a
+    free n also through the columns off the products (`_image_columns`,
+    out of one generator at v), against act_path on ref: n itself, or a
+    twin of a free n, since act_path builds the arrow matrices that the
+    free reads leave unbuilt."""
+    from qtilt.exactla import _tidy
+    from qtilt.repcore import _action_rows, _image_columns
     alg = n.algebra
-    act = ActionReader(n)
     checked = 0
     for x, path in enumerate(alg.basis):
+        rows = _action_rows(n, x)
         for vec in _reader_vectors(alg, n.dims[path.source], seed + x):
-            assert act(x, vec) == _act_by_path(n, x, vec), (n, x, vec)
+            got = _tidy({r: sum(row[j] * c for j, c in vec.items()
+                                if j in row)
+                         for r, row in enumerate(rows)}, alg.field.char)
+            assert got == _act_by_path(ref, x, vec), (n, x, vec)
             checked += 1
+    if n.proj_gens is not None:
+        for v in alg.quiver.vertices:
+            for vec in _reader_vectors(alg, n.dims[v], seed):
+                cols = _image_columns(proj_sum(alg, [v]), n, [vec])
+                for w in alg.quiver.vertices:
+                    xs = alg.block_indices(v, w)
+                    assert len(cols[w]) == len(xs)
+                    for x, col in zip(xs, cols[w]):
+                        assert col == _act_by_path(ref, x, vec), (n, x, vec)
+                        checked += 1
     return checked
 
 
 @pytest.mark.parametrize("which", range(4))
 def test_action_reader_on_free_modules_matches_act_path(which):
-    """The reader's free branch, read off the products, on free modules
-    with unsorted and repeated generators, over Q and GF(32003)."""
+    """Both reads of a free module, read off the products, on free modules
+    with unsorted and repeated generators, over Q and GF(32003): its arrow
+    matrices stay unbuilt."""
     alg = _free_corpus()[which]
     checked = 0
     for gens in _generator_tuples(alg):
-        checked += _check_reader(proj_sum(alg, gens), len(gens))
+        n = proj_sum(alg, gens)
+        checked += _check_reader(n, proj_sum(alg, gens), len(gens))
+        assert n._mats is None
     assert checked > 50
 
 
 @pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "F32003"])
 def test_action_reader_on_random_modules_matches_act_path(field):
-    """The reader's composed-columns branch on seeded random modules."""
+    """The rows of the composed action on seeded random modules, and on an
+    indecomposable projective, whose arrow matrices are built: its rows
+    are composed, its columns still read off the products."""
     checked = 0
     for name, alg in _merge_corpus(field).items():
         for seed in range(4):
-            checked += _check_reader(random_module(alg, seed), seed)
+            m = random_module(alg, seed)
+            checked += _check_reader(m, m, seed)
+        p = proj(alg, alg.quiver.vertices[0])
+        assert p._mats is not None
+        checked += _check_reader(p, p, 0)
     assert checked > 200
 
 
 def test_action_reader_stays_off_the_module():
-    """Reading x.v leaves no action matrix and no reader on the module."""
-    from qtilt.repcore import ActionReader
+    """Reading x.v, and the Hom basis read from it, leaves no action
+    matrix on the module, nor anything else."""
+    from qtilt.repcore import _action_rows
     alg = _merge_corpus(QQ)["kron2"]
     for n in (random_module(alg, 3), proj_sum(alg, alg.quiver.vertices)):
-        act = ActionReader(n)
-        one = alg.field.one()
-        for x, path in enumerate(alg.basis):
-            for j in range(n.dims[path.source]):
-                act(x, {j: one})
+        for x in range(len(alg.basis)):
+            _action_rows(n, x)
+        assert hom_space(regular(alg), n)
         assert not any(isinstance(k, tuple) and k[0] == "act"
                        for k in n._cache)
-        assert not any(isinstance(v, ActionReader)
-                       for v in n._cache.values())
+        assert not n._cache
+
+
+def test_proj_map_from_images_needs_a_free_target():
+    """A map given by generator images is one of free modules: into any
+    other target it raises, and it takes no action argument."""
+    import inspect
+    from qtilt.repcore import proj_map_from_images
+    alg = _merge_corpus(QQ)["kron2"]
+    p = proj_sum(alg, alg.quiver.vertices[:1])
+    with pytest.raises(QtiltError, match="needs a free target"):
+        proj_map_from_images(p, random_module(alg, 3), [{}])
+    assert list(inspect.signature(proj_map_from_images).parameters) == [
+        "p", "n", "images"]
+    got = proj_map_from_images(p, p, [{0: alg.field.one()}])
+    assert got.is_isomorphism()
 
 
 def test_hom_generic_transposes_each_source_arrow_once(monkeypatch):
@@ -836,12 +900,11 @@ def test_hom_generic_transposes_each_source_arrow_once(monkeypatch):
 def test_hom_space_reads_each_basis_elements_columns_once(monkeypatch):
     """One hom_space(P, N) call composes each basis element's action on N
     once, however many maps it builds out of that element's generator."""
-    from qtilt import repcore
     alg = _merge_corpus(QQ)["kron2"]
     seen = []
-    real = repcore.ActionReader._columns
-    monkeypatch.setattr(repcore.ActionReader, "_columns",
-                        lambda self, x: seen.append(x) or real(self, x))
+    real = Representation.act_path
+    monkeypatch.setattr(Representation, "act_path", lambda self, path:
+                        seen.append((self, path)) or real(self, path))
     verts = alg.quiver.vertices
     shared = 0      # elements read for several maps, once each
     for p in (regular(alg), proj_sum(alg, [verts[-1], verts[0], verts[-1]])):
@@ -849,8 +912,9 @@ def test_hom_space_reads_each_basis_elements_columns_once(monkeypatch):
             n = random_module(alg, seed)
             del seen[:]
             hom_space(p, n)
-            assert len(seen) == len(set(seen)), seed
-            shared += sum(n.dims[alg.basis[x].source] > 1 for x in seen)
+            paths = [path for m, path in seen if m is n]
+            assert len(paths) == len(set(paths)), seed
+            shared += sum(n.dims[path.source] > 1 for path in paths)
     assert shared > 10
 
 
@@ -1042,9 +1106,11 @@ def _cover_targets(alg):
 def test_cover_matches_the_generator_image_route(corpus):
     """Every cover map, built row by row off the action rows of its
     target, equals the map out of its projective with the same generator
-    images, block for block: on the six-algebra corpus, the two-loop
-    algebra over Q and GF(32003), the square over GF(32003), modules with
-    Fraction entries, and free targets whose arrow matrices stay unbuilt."""
+    images, block for block: read column by column through act_path on
+    the six-algebra corpus, the two-loop algebra over Q and GF(32003), the
+    square over GF(32003) and modules with Fraction entries, and by
+    `proj_map_from_images` into free targets whose arrow matrices stay
+    unbuilt."""
     from fractions import Fraction
     from qtilt.repcore import Cover, proj_map_from_images
     from conftest import make_two_loop
@@ -1053,8 +1119,8 @@ def test_cover_matches_the_generator_image_route(corpus):
         verts = alg.quiver.vertices
         for m in _cover_targets(alg):
             cover = projective_cover(m)
-            want = proj_map_from_images(cover.projective, m, cover.images)
-            assert cover.map.blocks == want.blocks, (alg.name, m)
+            want = _image_map_by_act_path(cover.projective, m, cover.images)
+            assert cover.map.blocks == want, (alg.name, m)
             checked += 1
             fractions += any(type(x) is Fraction for b in m.mats.values()
                              for row in b.sparse_rows for x in row.values())
