@@ -361,9 +361,9 @@ def _exit_from_verdicts(lines: List[str]) -> int:
     return code
 
 
-def _algebra_info_lines(alg: BoundQuiverAlgebra) -> List[str]:
+def _algebra_info_lines(alg: BoundQuiverAlgebra, bound: int) -> List[str]:
     ss, basic = semisimple_and_basic_flags(alg)
-    g = gldim(alg)
+    g = gldim(alg, bound)
     return [
         f"algebra {alg.name}",
         "field Q" if alg.field.char == 0 else f"field F{alg.field.char}",
@@ -411,7 +411,7 @@ def _info_block(args, ws, path: str) -> List[str]:
     name, alg = parse_algebra_file(text, maxdeg=args.max_degree,
                                    field_override=_field_option(args.field))
     ws.add_algebra(name, alg)
-    return _algebra_info_lines(alg)
+    return _algebra_info_lines(alg, args.max_resolution)
 
 
 def _cmd_info(args, ws):
@@ -503,7 +503,7 @@ def _load_two_algebras(ws, args):
 def _cmd_tensor(args, ws):
     left, right = _load_two_algebras(ws, args)
     t = tensor_algebras(left, right)
-    lines = _algebra_info_lines(t.algebra)
+    lines = _algebra_info_lines(t.algebra, args.max_resolution)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(serialize_algebra(t.algebra))
@@ -539,7 +539,7 @@ def _cmd_kunneth(args, ws):
     ws.add_algebra(t.algebra.name, t.algebra)
     m, n, mp, np_ = _load_modules(ws, args.m, args.n, args.mprime,
                                   args.nprime)
-    report = kunneth_verify(t, m, n, mp, np_, args.pmax)
+    report = kunneth_verify(t, m, n, mp, np_, args.pmax, args.max_resolution)
     lines = []
     for q, lhs, rhs in report.rows:
         ok = "pass" if lhs == rhs else "fail"
@@ -635,7 +635,8 @@ def _cmd_count_apr(args, ws):
 def _cmd_props(args, ws):
     left, right = _load_two_algebras(ws, args)
     t = tensor_algebras(left, right)
-    results = structural_suite(t, seed=args.seed, module_count=args.modules)
+    results = structural_suite(t, seed=args.seed, module_count=args.modules,
+                               maxlen=args.max_resolution)
     return [f"verdict {name} {'pass' if ok else 'fail'} {detail}"
             for name, ok, detail in results]
 

@@ -4,10 +4,11 @@ and the higher translates tau_n / tau_n^- with their finiteness probe.
 
 A minimal resolution is grown by iterated projective covers and cached on
 the module, so deeper requests extend earlier work; it refers back to the
-module weakly, so the two make no reference cycle.  It keeps the image of
-each generator as a sparse vector, and builds module maps only when read.
-Each step takes the top sections of the last syzygy, builds the cover
-map row by row from the action rows of the algebra's basis elements
+module weakly, so the two make no reference cycle.  It is its terms and
+the image of each generator as a sparse vector; of the rest it keeps only
+what the next step reads, the last cover or that cover's kernel.  Each
+step takes the top sections of the last syzygy, builds the cover map row
+by row from the action rows of the algebra's basis elements
 (`repcore.Cover`), and takes its kernel.  The generator images give each
 differential d as a matrix of algebra elements between the generator
 vertices, and its dual d^* = Hom(d, algebra) as generator images over
@@ -31,7 +32,7 @@ cocycle maps are built only when read.
 from typing import Dict, List, Optional, Tuple
 from weakref import WeakKeyDictionary, ref
 
-from .errors import InconclusiveError, QtiltError
+from .errors import AlgebraMismatchError, InconclusiveError, QtiltError
 from .exactla import Matrix, Span, _tidy, kernel_data, solve
 from .quivercore import BoundQuiverAlgebra, _op_table, opposite
 from .repcore import (Cover, ModuleMap, Representation, _action_rows,
@@ -67,30 +68,28 @@ def is_finite(value) -> bool:
 
 
 class MinimalResolution:
-    """Chain of projective covers over a module.
+    """Chain of projective covers over a module, held as its terms and
+    generator images.
 
     terms[i] is the i-th projective (a sum of indecomposable projectives
     with generator bookkeeping); images[i][l] is the image of its
     generator l, a sparse vector in terms[i-1] (in the module for i = 0).
-    Views built on first read: maps[0] is the augmentation onto the
-    module, maps[i] : terms[i] -> terms[i-1] for i >= 1, and covers[i] :
-    terms[i] -> syzygy(i).  ``terminated`` means the last computed syzygy
-    is zero.  ``hom_ranks`` caches the rank of the Hom-complex differential
+    ``terminated`` means the syzygy past the last term is zero.
+    ``hom_ranks`` caches the rank of the Hom-complex differential
     Hom(terms[i], n) -> Hom(terms[i+1], n) as ``hom_ranks[n][i]``.  The
     module object itself is the weak key: no other module can alias it,
     and the entry goes when n is collected.
 
-    The module caches its resolution, and the resolution refers back to
-    it weakly (``module``): it keeps the blocks of the augmentation, not a
-    map into the module, and wraps them in a `ModuleMap` on each read.
-    So the two make no reference cycle, and the resolution goes with the
-    module.  Keep the module for as long as the resolution is read: once
-    it is gone, maps[0] and covers[0] read None and the resolution cannot
-    grow, while its terms and the other maps stay readable.
+    Growing keeps only what the next step reads: the last cover, whose
+    kernel is the next syzygy, or that kernel once taken, never both.  The
+    first cover is rebuilt from images[0] and the module, which the
+    resolution refers to weakly (``module``): the module caches its
+    resolution, so the two make no reference cycle, and the resolution
+    goes with the module.  Keep the module for as long as the resolution
+    grows; its terms and images stay readable without it.
 
-    A resolution can also be assembled whole from its terms and generator
-    images (`tensorcon.tensor_resolution`).  It keeps no cover past the
-    augmentation, so covers[k >= 1] and syzygy(k >= 2) raise QtiltError.
+    A resolution assembled whole from its terms and generator images
+    (`tensorcon.tensor_resolution`) is the same object, terminated.
     """
 
     def __init__(self, module: Representation):
@@ -98,13 +97,8 @@ class MinimalResolution:
         self.algebra = module.algebra
         self.terms: List[Representation] = []
         self.images: List[List[Dict[int, object]]] = []
-        self._covers: List[Optional[Cover]] = []   # None for the module's
-        self._top_blocks = None     # the augmentation's blocks, once built
-        self._maps: List[ModuleMap] = []           # maps[1:]
-        self.syzygies: Dict[int, Representation] = {}     # k >= 1
-        # the inclusion of syzygy k as its kernel columns per vertex, kept
-        # until the next cover reads its generator images
-        self._syz_incl: Dict[int, Optional[Dict[str, List[Dict]]]] = {0: None}
+        self._cover: Optional[Cover] = None     # the last one past terms[0]
+        self._pending = None    # its kernel: (syzygy, columns per vertex)
         self.terminated = module.is_zero()
         self.hom_ranks = WeakKeyDictionary()     # n -> {i: rank}
 
@@ -112,72 +106,47 @@ class MinimalResolution:
     def module(self) -> Representation:
         return self._module()
 
-    def _cover_map(self, k: int) -> Optional[ModuleMap]:
-        """covers[k]; the augmentation (k = 0) is wrapped anew from its
-        kept blocks on each read, or None once the module is gone."""
-        if k:
-            if k >= len(self._covers):
-                raise QtiltError(f"cover {k} is not kept: the resolution "
-                                 "was assembled from generator images")
-            return self._covers[k].map
-        if self.module is None:
-            return None
-        if self._top_blocks is None:
-            self._top_blocks = Cover(self.terms[0], self.module,
-                                     self.images[0]).map.blocks
-        return ModuleMap(self.terms[0], self.module, self._top_blocks,
-                         validate=False)
-
-    @property
-    def covers(self) -> List[ModuleMap]:
-        return [self._cover_map(k) for k in range(len(self.terms))]
-
-    @property
-    def maps(self) -> List[ModuleMap]:
-        for i in range(len(self._maps) + 1, len(self.terms)):
-            self._maps.append(proj_map_from_images(
-                self.terms[i], self.terms[i - 1], self.images[i]))
-        return [self._cover_map(0), *self._maps] if self.terms else []
-
-    def _syzygy_step(self, k: int) -> Representation:
-        """Compute syzygies[k] = ker(covers[k-1]) on demand; k = 0 gives
-        the module."""
-        if k == 0:
-            return self.module
-        if k in self.syzygies:
-            return self.syzygies[k]
-        cover = self._cover_map(k - 1)
-        if cover is None:
-            raise QtiltError("a resolution cannot grow once its module is "
-                             "gone; keep the module")
-        syz, kds = kernel_rep_data(cover)
-        self.syzygies[k] = syz
-        self._syz_incl[k] = {v: kd.columns for v, kd in kds.items()}
-        if syz.is_zero():
-            self.terminated = True
-        return syz
-
     @property
     def length(self) -> int:
         """Largest index with a nonzero term (-1 for the zero module)."""
         return len(self.terms) - 1
 
+    def _take_kernel(self) -> None:
+        """Take the kernel of the last cover, the syzygy past the last
+        term, once: a zero kernel terminates the resolution, and a nonzero
+        one is kept until the next cover reads it."""
+        if self.terminated or self._pending is not None:
+            return
+        if self._cover is None:     # the augmentation, rebuilt
+            if self.module is None:
+                raise QtiltError("a resolution cannot grow once its module "
+                                 "is gone; keep the module")
+            self._cover = Cover(self.terms[0], self.module, self.images[0])
+        syz, kds = kernel_rep_data(self._cover.map)
+        self._cover = None
+        self.terminated = syz.is_zero()
+        if not self.terminated:
+            self._pending = syz, {v: kd.columns for v, kd in kds.items()}
+
     def extend(self, upto: int) -> None:
         """Grow until terms[upto] exists or the resolution terminates; the
         kernel of the last cover is only taken when growth continues."""
         while not self.terminated and self.length < upto:
-            k = len(self.terms)
-            target = self._syzygy_step(k)
-            if target.is_zero():
-                break
+            if self.terms:
+                self._take_kernel()
+                if self.terminated:
+                    break
+                (target, incl), self._pending = self._pending, None
+            else:
+                target, incl = self.module, None
             cover = projective_cover(target)
-            self.terms.append(cover.projective)
-            self._covers.append(cover if k else None)
-            gens, images = cover.projective.proj_gens, cover.images
-            incl = self._syz_incl.pop(k)   # read only for the images
+            images = cover.images
             if incl is not None:   # inclusion columns at the top sections
+                self._cover = cover
                 images = [dict(sorted(incl[v][j].items()))
-                          for v, img in zip(gens, images) for j in img]
+                          for v, img in zip(cover.projective.proj_gens, images)
+                          for j in img]
+            self.terms.append(cover.projective)
             self.images.append(images)
 
     def term(self, i: int) -> Representation:
@@ -195,15 +164,6 @@ class MinimalResolution:
         if i < 0 or i > self.length and self.terminated:
             return ()
         return self.term(i).proj_gens or ()
-
-    def syzygy(self, k: int) -> Representation:
-        """The k-th syzygy (k = 0 gives the module back)."""
-        self.extend(k - 1)
-        if k <= len(self.terms):
-            return self._syzygy_step(k)
-        if not self.terminated:
-            raise QtiltError(f"syzygy {k} read before it was computed")
-        return zero_rep(self.algebra)
 
     def presentation_elements(self, i: int):
         """The differential terms[i] -> terms[i-1] as a sparse matrix of
@@ -374,7 +334,6 @@ def ext(m: Representation, n: Representation, p: int,
     if p < 0:
         raise QtiltError("negative Ext degree")
     if m.algebra is not n.algebra:
-        from .errors import AlgebraMismatchError
         raise AlgebraMismatchError("Ext between modules over different algebras")
     if m.is_zero() or n.is_zero():
         return ExtResult(m, n, p, 0)
@@ -417,8 +376,7 @@ def ext_module(m: Representation, p: int, maxlen: int = DEFAULT_BOUND
     out_map = _dualized_differential(res, p + 1)
     kernel, incl = kernel_rep(out_map)
     if p == 0:
-        quotient, _ = cokernel_rep(ModuleMap.zero(zero_rep(opp), kernel))
-        return quotient
+        return kernel
     in_map = _dualized_differential(res, p)
     # factor the incoming map through the kernel (d* d* = 0)
     blocks = {}
@@ -441,9 +399,9 @@ def pd(m: Representation, bound: int = DEFAULT_BOUND):
     if m.is_zero():
         return 0
     res = min_proj_resolution(m, bound)
-    if not res.terminated and res.length >= bound:
+    if res.length >= bound:
         # termination exactly at the bound is only visible one kernel later
-        res.syzygy(res.length + 1)
+        res._take_kernel()
     if res.terminated:
         return res.length
     return InfinityMarker(bound)

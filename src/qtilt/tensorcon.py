@@ -12,8 +12,9 @@ from typing import List, Tuple
 
 from .errors import FieldMismatchError, InconclusiveError, QtiltError
 from .exactla import Matrix, _tidy, kron
-from .homengine import (MinimalResolution, ext_dim, gldim, injd, is_finite,
-                        min_proj_resolution, pd)
+from .homengine import (DEFAULT_BOUND, InfinityMarker, MinimalResolution,
+                        ext_dim, gldim, injd, is_finite, min_proj_resolution,
+                        pd)
 from .quivercore import (Arrow, BoundQuiverAlgebra, Path, PathSum, Quiver,
                          _check_idempotents, abstract_radical, build_algebra,
                          semisimple_and_basic_flags)
@@ -233,33 +234,42 @@ class KunnethReport:
 
 def kunneth_verify(t: TensorAlgebraResult, m: Representation,
                    n: Representation, mprime: Representation,
-                   nprime: Representation, pmax: int) -> KunnethReport:
+                   nprime: Representation, pmax: int,
+                   maxlen: int = DEFAULT_BOUND) -> KunnethReport:
     """Compare dim Ext^q(M (x) M', N (x) N') over the product algebra with
-    the convolution of the factor Ext dimensions, for q up to pmax.  The
-    product side resolves M (x) M' from scratch; the factor side only sees
-    the factor algebras, so the two routes are independent."""
+    the convolution of the factor Ext dimensions, for q up to pmax, every
+    resolution within maxlen steps.  The product side resolves M (x) M'
+    from scratch; the factor side only sees the factor algebras, so the
+    two routes are independent."""
     if pmax < 0:
         raise QtiltError(f"pmax must be >= 0, got {pmax}")
     source = tensor_modules(t, m, mprime, validate=False)
     target = tensor_modules(t, n, nprime, validate=False)
-    left_dims = [ext_dim(m, n, i) for i in range(pmax + 1)]
-    right_dims = [ext_dim(mprime, nprime, j) for j in range(pmax + 1)]
+    left_dims = [ext_dim(m, n, i, maxlen) for i in range(pmax + 1)]
+    right_dims = [ext_dim(mprime, nprime, j, maxlen) for j in range(pmax + 1)]
     rows = []
     for q in range(pmax + 1):
-        lhs = ext_dim(source, target, q)
+        lhs = ext_dim(source, target, q, maxlen)
         rhs = sum(left_dims[i] * right_dims[q - i] for i in range(q + 1))
         rows.append((q, lhs, rhs))
     return KunnethReport(rows)
 
 
+def _read_to(d: int, maxlen: int):
+    """The dimension d as a search within maxlen steps reads it."""
+    return d if d <= maxlen else InfinityMarker(maxlen)
+
+
 def structural_suite(t: TensorAlgebraResult, seed: int = 0,
-                     module_count: int = 4):
+                     module_count: int = 4, maxlen: int = DEFAULT_BOUND):
     """Exact structural checks for the tensor constructions: radical
     formula, flag preservation, simples/projectives/injectives and
     idempotents, module radicals and tops, projective covers, dimension
-    additivity.  Returns (name, ok, detail) triples.  The seed picks the
-    random module pairs (M, N); each product M (x) N, and each module's
-    top and radical, is built once per pair."""
+    additivity.  Returns (name, ok, detail) triples.  Every dimension is
+    read within maxlen resolution steps, so a sum of factor dimensions is
+    compared as that search reads it.  The seed picks the random module
+    pairs (M, N); each product M (x) N, and each module's top and
+    radical, is built once per pair."""
     if module_count < 0:
         raise QtiltError(f"module_count must be >= 0, got {module_count}")
     alg = t.algebra
@@ -350,20 +360,21 @@ def structural_suite(t: TensorAlgebraResult, seed: int = 0,
     ok = True
     detail = []
     for m, n, prod in pairs[:2]:
-        pm, pn = pd(m), pd(n)
-        im, in_ = injd(m), injd(n)
+        pm, pn = pd(m, maxlen), pd(n, maxlen)
+        im, in_ = injd(m, maxlen), injd(n, maxlen)
         if is_finite(pm) and is_finite(pn):
-            ok = ok and pd(prod) == pm + pn
+            ok = ok and pd(prod, maxlen) == _read_to(pm + pn, maxlen)
             detail.append(f"pd{pm}+{pn}")
         if is_finite(im) and is_finite(in_):
-            ok = ok and injd(prod) == im + in_
+            ok = ok and injd(prod, maxlen) == _read_to(im + in_, maxlen)
             detail.append(f"id{im}+{in_}")
     results.append(("dimension_additivity", ok, ",".join(detail) or "skipped"))
 
-    gl, gr = gldim(t.left), gldim(t.right)
-    gp = gldim(alg)
+    gl, gr = gldim(t.left, maxlen), gldim(t.right, maxlen)
+    gp = gldim(alg, maxlen)
     if is_finite(gl) and is_finite(gr):
-        results.append(("gldim_additivity", gp == gl + gr, f"{gl}+{gr}={gp}"))
+        results.append(("gldim_additivity", gp == _read_to(gl + gr, maxlen),
+                        f"{gl}+{gr}={gp}"))
     else:
         results.append(("gldim_additivity", not is_finite(gp),
                         "infinite factors"))

@@ -53,6 +53,32 @@ def op_element(alg, x):
     return dict(sorted(_tidy(acc, alg.field.char).items()))
 
 
+def differential(res, i):
+    """The differential terms[i] -> terms[i-1] of a resolution, built from
+    its generator images."""
+    from qtilt import repcore
+    return repcore.proj_map_from_images(res.terms[i], res.terms[i - 1],
+                                        res.images[i])
+
+
+def resolution_maps(res):
+    """The augmentation onto the module (maps[0]) and the differentials
+    terms[i] -> terms[i-1] (maps[i]) of a resolution, built from its terms
+    and generator images."""
+    from qtilt.repcore import Cover
+    if not res.terms:
+        return []
+    top = Cover(res.terms[0], res.module, res.images[0]).map
+    return [top] + [differential(res, i) for i in range(1, len(res.terms))]
+
+
+def syzygies(res):
+    """The module and the kernel of each map of `resolution_maps`: the
+    syzygies 0 to length + 1 of a resolution."""
+    from qtilt.repcore import kernel_rep
+    return [res.module] + [kernel_rep(f)[0] for f in resolution_maps(res)]
+
+
 def make_kronecker(name="kron"):
     q = Quiver(["1", "2"], [Arrow("a0", "2", "1"), Arrow("a1", "2", "1")])
     return build_algebra(q, [], QQ, name=name)

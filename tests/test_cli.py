@@ -692,6 +692,64 @@ def test_tau_finite_resolves_within_the_bound(monkeypatch):
     assert bounds and max(bounds) <= 3
 
 
+@pytest.mark.parametrize("cmd", ["info", "tensor", "props"])
+def test_algebra_commands_read_the_resolution_bound(tmp_path, cmd):
+    """info and tensor read gl.dim of k<x,y>/(x,y)^2 (and of its product
+    with A2) to the bound, and props reads every dimension to it: each
+    answers at once instead of resolving toward the default bound."""
+    import time
+    alg, _ = _local_simple(tmp_path)
+    argv = [cmd, alg] + ([] if cmd == "info" else [data("a2.alg")])
+    start = time.perf_counter()
+    code, text = run(argv + ["--max-resolution", "4"])
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    if cmd == "props":
+        assert "verdict gldim_additivity pass infinite factors\n" in text
+    else:
+        assert text.endswith("gldim infinite(>4)\n")
+
+
+def test_props_compares_dimensions_to_the_bound():
+    """A sum of factor dimensions past the bound is compared as the
+    product's bounded search reads it, infinite(>bound), not failed."""
+    code, text = run(["props", data("kronecker.alg"), data("a2.alg"),
+                      "--max-resolution", "1"])
+    assert code == 0
+    assert "verdict gldim_additivity pass 1+1=infinite(>1)\n" in text
+    assert "verdict dimension_additivity pass " in text
+
+
+def test_kunneth_reads_the_resolution_bound(tmp_path):
+    """Ext over k<x,y>/(x,y)^2 (x) A2 is read to the bound: degrees below
+    it are compared, and a degree at it is undetermined, exit 3."""
+    alg, mod = _local_simple(tmp_path)
+    argv = ["kunneth", alg, data("a2.alg"), mod, mod, data("s2_a2.mod"),
+            data("s1_a2.mod"), "--max-resolution", "4"]
+    code, text = run(argv + ["--pmax", "3"])
+    assert code == 0 and text.count("verdict kunneth_q") == 4
+    code, text = run(argv)
+    assert code == 3 and text.startswith("inconclusive ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", data("kronecker.alg")],
+    ["tensor", data("kronecker.alg"), data("a2.alg")],
+    ["props", data("kronecker.alg"), data("a2.alg")]],
+    ids=lambda argv: argv[0])
+def test_algebra_commands_resolve_within_the_bound(monkeypatch, argv):
+    """Every resolution info, tensor and props grow, gldim's included, is
+    asked for at most --max-resolution steps."""
+    from qtilt import homengine
+    bounds = []
+    real = homengine.min_proj_resolution
+    monkeypatch.setattr(homengine, "min_proj_resolution",
+                        lambda m, maxlen: bounds.append(maxlen)
+                        or real(m, maxlen))
+    code, _ = run(argv + ["--max-resolution", "3"])
+    assert code == 0 and bounds and max(bounds) <= 3
+
+
 def test_local_checks_stop_at_the_bound(tmp_path):
     """Over k<x,y>/(x,y)^2 the injective dimension is read to the bound,
     and an Ext degree past it is undetermined."""

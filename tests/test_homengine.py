@@ -16,7 +16,8 @@ from qtilt.repcore import (ModuleMap, decompose, direct_sum, dual, hom_space,
                            inj, injective_cogenerator, is_isomorphic, proj,
                            random_module, regular, simple)
 
-from conftest import make_kronecker, make_square
+from conftest import (differential, make_kronecker, make_square,
+                      resolution_maps, syzygies)
 
 import os
 import subprocess
@@ -74,17 +75,19 @@ def test_resolution_differentials_compose_to_zero(square):
     m = simple(square, "22")
     res = min_proj_resolution(m, maxlen=4)
     assert res.length == 2
+    maps = resolution_maps(res)
     for i in range(res.length):
-        assert (res.maps[i] * res.maps[i + 1]).is_zero()
+        assert (maps[i] * maps[i + 1]).is_zero()
 
 
 def test_resolution_minimality(square):
     from qtilt.repcore import top_and_radical
     m = random_module(square, seed=9)
     res = min_proj_resolution(m, maxlen=3)
+    syz = syzygies(res)
     for i in range(res.length + 1):
         term_top = top_and_radical(res.term(i)).top.dim_vector()
-        target_top = top_and_radical(res.syzygy(i)).top.dim_vector()
+        target_top = top_and_radical(syz[i]).top.dim_vector()
         assert term_top == target_top
 
 
@@ -394,7 +397,7 @@ def test_lazy_cocycles_match_eager(name, seed_m, seed_n, p, dim):
     assert got.cocycles is got.cocycles
     if p < res.length:
         for c in got.cocycles:
-            assert (c * res.maps[p + 1]).is_zero()
+            assert (c * differential(res, p + 1)).is_zero()
 
 
 def test_vanishing_ext_without_resolution_has_no_cocycles(kron):
@@ -540,18 +543,21 @@ def test_tau_n_builds_only_the_arrows_it_reads(monkeypatch):
 
 
 def test_resolution_drops_kernel_inclusions_once_composed():
-    """maps[k] is composed from the inclusion of the k-th syzygy and the
-    cover; the inclusion (a kernel basis per vertex) is dropped then.  Only
-    the zero syzygy past the end keeps its inclusion, never composed."""
+    """The images of a cover's generators are composed with the inclusion
+    of the syzygy it covers; the inclusion (a kernel basis per vertex) is
+    dropped then.  A terminated resolution keeps neither a cover nor a
+    kernel, and the syzygy past its end is zero."""
     from qtilt.tensorcon import tensor_algebras
     kron = make_kronecker()
     alg = tensor_algebras(kron, kron).algebra
-    res = min_proj_resolution(inj(alg, "(1,1)"), 4)
+    m = inj(alg, "(1,1)")
+    res = min_proj_resolution(m, 4)
     assert res.terminated and res.length == 2
-    assert set(res._syz_incl) == {3}
-    assert res.syzygy(3).is_zero()
+    assert res._cover is None and res._pending is None
+    assert syzygies(res)[3].is_zero()
+    maps = resolution_maps(res)
     for i in range(1, res.length):
-        assert (res.maps[i] * res.maps[i + 1]).is_zero()
+        assert (maps[i] * maps[i + 1]).is_zero()
 
 
 # --- resolutions held as generator images -------------------------------------
@@ -595,16 +601,15 @@ def _image_corpus():
 
 
 def _eager_resolution(m, upto):
-    """The resolution by composed maps: covers[i] and maps[i], with
-    maps[i] = incl_i * covers[i] for the inclusion of the i-th syzygy."""
+    """The resolution by composed maps: maps[i] = incl_i * cover_i for the
+    cover of the i-th syzygy and its inclusion."""
     from qtilt.repcore import kernel_rep, projective_cover
-    covers, maps, syz, incl = [], [], m, None
-    while len(covers) <= upto and not syz.is_zero():
+    maps, syz, incl = [], m, None
+    while len(maps) <= upto and not syz.is_zero():
         cover = projective_cover(syz).map
-        covers.append(cover)
         maps.append(cover if incl is None else incl * cover)
         syz, incl = kernel_rep(cover)
-    return covers, maps
+    return maps
 
 
 def _eager_elements(d, i):
@@ -641,10 +646,10 @@ def test_generator_images_match_composed_maps(name):
     for m in modules:
         res = MinimalResolution(m)
         res.extend(3)
-        covers, maps = _eager_resolution(m, 3)
+        maps = _eager_resolution(m, 3)
         assert len(res.terms) == len(maps)
-        assert all(_same_map(f, g) for f, g in zip(res.covers, covers))
-        assert all(_same_map(f, g) for f, g in zip(res.maps, maps))
+        assert all(_same_map(f, g)
+                   for f, g in zip(resolution_maps(res), maps))
         for i in range(1, res.length + 1):
             got = res.presentation_elements(i)
             want = _eager_elements(maps[i], i)
@@ -657,8 +662,8 @@ def test_generator_images_match_composed_maps(name):
 def test_resolution_builds_one_cover_map_per_kernel(monkeypatch):
     """Growing to length n builds the n cover maps whose kernels it takes,
     each through the cover builder and none through the generator-image
-    route; reading maps then builds the differentials of degree 1 to n
-    through that route, and no cover again."""
+    route; the differentials of degree 1 to n are then built through that
+    route, and no cover again."""
     from qtilt import repcore
     from conftest import make_two_loop
     covers, maps = [], []
@@ -676,8 +681,62 @@ def test_resolution_builds_one_cover_map_per_kernel(monkeypatch):
         del covers[:], maps[:]
         res = min_proj_resolution(m, n)
         assert res.length == n and len(covers) == n and not maps
-        assert len(res.maps) == n + 1 and len(covers) == n
-        assert len(maps) == n
+        assert len([differential(res, i) for i in range(1, n + 1)]) == n
+        assert len(covers) == n and len(maps) == n
+
+
+def _record_kernels(monkeypatch):
+    """A list that gains a weak reference to each syzygy the resolutions
+    take, as the kernel of a cover."""
+    import weakref
+    taken = []
+    real = homengine.kernel_rep_data
+
+    def recorded(f):
+        syz, kds = real(f)
+        taken.append(weakref.ref(syz))
+        return syz, kds
+
+    monkeypatch.setattr(homengine, "kernel_rep_data", recorded)
+    return taken
+
+
+def test_growing_keeps_at_most_one_syzygy(monkeypatch):
+    """A resolution grown to length n has taken n kernels and refers to
+    one syzygy at most, the one its last cover covers."""
+    import gc
+    from conftest import make_loop_nilpotent, make_two_loop
+    taken = _record_kernels(monkeypatch)
+    kron2 = _tensor(_kron(QQ), _kron(QQ))
+    cases = [(simple(make_loop_nilpotent(), "1"), 5),
+             (simple(make_two_loop(), "1"), 3),
+             (dual(proj(opposite(kron2), "(1,1)")), 2)]
+    for m, n in cases:
+        del taken[:]
+        res = min_proj_resolution(m, n)
+        gc.collect()
+        assert res.length == n and len(taken) == n
+        assert sum(w() is not None for w in taken) <= 1
+
+
+def test_pd_at_the_bound_takes_each_kernel_once(monkeypatch, square):
+    """pd at its bound takes the kernel past the last term: a zero one
+    terminates the resolution, a nonzero one is kept as the one pending
+    syzygy, which deeper growth then covers without taking it again."""
+    import gc
+    from conftest import make_loop_nilpotent
+    taken = _record_kernels(monkeypatch)
+    m = simple(make_loop_nilpotent(), "1")
+    assert pd(m, 3) == InfinityMarker(3)
+    gc.collect()
+    assert len(taken) == 4 and sum(w() is not None for w in taken) == 1
+    res = min_proj_resolution(m, 5)
+    assert res.length == 5 and len(taken) == 5
+    del taken[:]
+    m = simple(square, "22")
+    assert pd(m, 2) == 2 and len(taken) == 3
+    res = min_proj_resolution(m, 4)
+    assert res.terminated and res.length == 2 and len(taken) == 3
 
 
 def test_probe_releases_each_piece_resolution(monkeypatch):

@@ -120,7 +120,10 @@ DELETED = {"multiply", "zero_element", "element_from_path", "radical_basis",
            # the third and fourth action reads: a module's action is read
            # by the rows of x's action or, on a free target, by columns off
            # the products
-           "ActionReader"}
+           "ActionReader",
+           # a resolution's kept covers, maps and syzygies: it is its terms
+           # and generator images
+           "covers", "maps", "syzygy", "_cover_map", "_syzygy_step"}
 
 
 def _name(node):

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from qtilt.errors import InconclusiveError, QtiltError
+from qtilt.errors import InconclusiveError
 from qtilt.exactla import Matrix, QQ
 from qtilt.homengine import ext_dim, gldim, injd, min_proj_resolution, pd, tau_n, tau_n_minus
 from qtilt.quivercore import semisimple_and_basic_flags
@@ -16,7 +16,7 @@ from qtilt.repcore import (ModuleMap, _free_coordinates, decompose, dual,
 from qtilt.tensorcon import (kunneth_verify, tensor_algebras, tensor_maps,
                              tensor_modules, tensor_resolution)
 
-from conftest import make_semisimple
+from conftest import make_semisimple, resolution_maps, syzygies
 
 
 # --- the product algebra -------------------------------------------------------
@@ -304,7 +304,7 @@ def _check_tensor_resolution(t, m, n):
     for p in range(res.length + 1):
         assert Counter(res.generators(p)) == Counter(direct.generators(p))
         assert res.term(p).dim_vector() == direct.term(p).dim_vector()
-    maps = res.maps
+    maps = resolution_maps(res)
     for p in range(1, len(maps)):
         assert (maps[p - 1] * maps[p]).is_zero()
         for v in t.algebra.quiver.vertices:
@@ -356,7 +356,8 @@ def test_total_complex_sign_matters(kron2):
         end = free_offsets(res.terms[1], w)[split]
         unsigned.append({c: -x if c < end else x for c, x in img.items()})
     d2 = proj_map_from_images(res.terms[2], res.terms[1], unsigned)
-    assert not (res.maps[1] * d2).is_zero()
+    d1 = proj_map_from_images(res.terms[1], res.terms[0], res.images[1])
+    assert not (d1 * d2).is_zero()
 
 
 def test_tensor_resolution_needs_finite_factors(loop2, a2):
@@ -368,17 +369,17 @@ def test_tensor_resolution_needs_finite_factors(loop2, a2):
 
 
 def test_tensor_resolution_keeps_no_covers(kron2):
-    """The assembled resolution reads its first syzygy off the
-    augmentation, and refuses the covers it does not keep."""
+    """The assembled resolution is a terminated resolution like a grown
+    one, and keeps no cover: its syzygies, read off the augmentation and
+    the differentials, are those of the direct resolution."""
     m = simple(kron2.left, "2")
     n = simple(kron2.right, "2")
     prod, res = tensor_resolution(kron2, m, n, 4)
-    direct = min_proj_resolution(tensor_modules(kron2, m, n), 4)
-    assert res.syzygy(1).dim_vector() == direct.syzygy(1).dim_vector()
-    with pytest.raises(QtiltError):
-        res.covers
-    with pytest.raises(QtiltError):
-        res.syzygy(2)
+    pm = tensor_modules(kron2, m, n)
+    direct = min_proj_resolution(pm, 4)
+    assert res.terminated and res._cover is None and res._pending is None
+    assert [s.dim_vector() for s in syzygies(res)] == \
+        [s.dim_vector() for s in syzygies(direct)]
 
 
 def test_factorized_translate_is_the_direct_one(kron, kron2):
