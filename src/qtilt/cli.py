@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import (InconclusiveError, NotAdmissibleError, ParseError,
                      QtiltError, UndecidedIsomorphismError, WorkspaceError)
 from .exactla import Matrix, PrimeField, QQ
-from .homengine import (ext_dim, gldim, is_finite, min_proj_resolution,
+from .homengine import (bounded_resolution, ext_dim, gldim, is_finite,
                         tau_finiteness_probe, tau_n, tau_n_minus)
 from .quivercore import (Arrow, BoundQuiverAlgebra, Path, PathSum, Quiver,
                          build_algebra, format_path,
@@ -445,7 +445,7 @@ def _cmd_ext(args, ws):
 def _cmd_resolve(args, ws):
     _load_algebra(ws, args.algebra, args.max_degree, args.field)
     m = _load_module(ws, args.module)
-    res = min_proj_resolution(m, args.max_resolution)
+    res = bounded_resolution(m, args.max_resolution)
     lines = [f"length {res.length}",
              f"terminated {'true' if res.terminated else 'false'}"]
     for i in range(res.length + 1):

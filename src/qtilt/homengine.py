@@ -5,18 +5,19 @@ and the higher translates tau_n / tau_n^- with their finiteness probe.
 A minimal resolution is grown by iterated projective covers and cached on
 the module, so deeper requests extend earlier work; it refers back to the
 module weakly, so the two make no reference cycle.  It is its terms and
-the image of each generator as a sparse vector; of the rest it keeps only
-what the next step reads, the last cover or that cover's kernel.  Each
-step takes the top sections of the last syzygy, builds the cover map row
-by row from the action rows of the algebra's basis elements
-(`repcore.Cover`), and takes its kernel.  The generator images give each
-differential d as a matrix of algebra elements between the generator
-vertices, and its dual d^* = Hom(d, algebra) as generator images over
-the opposite algebra (`_dualized_elements`, read off the opposite's
-table of reversed basis paths).  A map of free modules, d or d^*, is
-read by columns off the products (`repcore.proj_map_from_images`); a
-Hom complex into any module by the rows of each basis element's action
-on it (`repcore._action_rows`), read once per call.
+the image of each generator as a sparse vector, and of the rest keeps
+one kernel inside the last term.  The first step covers the module
+(`repcore.projective_cover`); past it each syzygy stays in its free term,
+the kernel of the last differential read off the generator images, and
+the next term covers its top (`repcore._submodule_top`).  The generator
+images give each differential d as a matrix of algebra elements between
+the generator vertices, and its dual d^* = Hom(d, algebra) as generator
+images over the opposite algebra (`_dualized_elements`, read off the
+opposite's table of reversed basis paths).  A map of free modules, d or
+d^*, is read by columns off the products
+(`repcore.proj_map_from_images`); a Hom complex into any module by the
+rows of each basis element's action on it (`repcore._action_rows`), read
+once per call.
 
 tau_n is the one syzygy-side translate: tau_n M = ker nu(d_n), with
 nu = D Hom(-, algebra) the Nakayama functor, read off the columns of
@@ -29,18 +30,18 @@ Hom-complex differentials, cached on the resolution per target module;
 cocycle maps are built only when read.
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 from weakref import WeakKeyDictionary, ref
 
 from .errors import AlgebraMismatchError, InconclusiveError, QtiltError
 from .exactla import Matrix, Span, _tidy, kernel_data, solve
 from .quivercore import BoundQuiverAlgebra, _op_table, opposite
-from .repcore import (Cover, ModuleMap, Representation, _action_rows,
-                      _cochain_offsets, _free_coordinates, _image_columns,
-                      cokernel_rep, dual, dual_free_kernel, free_offsets,
-                      hom_space, inj, kernel_rep, kernel_rep_data,
-                      linear_combination, proj_map_from_images, proj_sum,
-                      projective_cover, simple, zero_rep)
+from .repcore import (ModuleMap, Representation, _action_rows,
+                      _cochain_offsets, _cover_blocks, _free_coordinates,
+                      _image_columns, _submodule_top, cokernel_rep, dual,
+                      dual_free_kernel, free_offsets, hom_space, inj,
+                      kernel_rep, linear_combination, proj_map_from_images,
+                      proj_sum, projective_cover, simple, zero_rep)
 
 DEFAULT_BOUND = 64
 
@@ -80,13 +81,14 @@ class MinimalResolution:
     module object itself is the weak key: no other module can alias it,
     and the entry goes when n is collected.
 
-    Growing keeps only what the next step reads: the last cover, whose
-    kernel is the next syzygy, or that kernel once taken, never both.  The
-    first cover is rebuilt from images[0] and the module, which the
-    resolution refers to weakly (``module``): the module caches its
-    resolution, so the two make no reference cycle, and the resolution
-    goes with the module.  Keep the module for as long as the resolution
-    grows; its terms and images stay readable without it.
+    Growing keeps only what the next step reads: the kernel of the last
+    differential as its canonical basis, or once the next term covers
+    its top, its free coordinates; no syzygy is built as a module.  The first cover is
+    rebuilt from images[0] and the module, which the resolution refers
+    to weakly (``module``): the module caches its resolution, so the two
+    make no reference cycle, and the resolution goes with the module.
+    Keep the module for as long as the resolution grows; its terms and
+    images stay readable without it.
 
     A resolution assembled whole from its terms and generator images
     (`tensorcon.tensor_resolution`) is the same object, terminated.
@@ -97,8 +99,8 @@ class MinimalResolution:
         self.algebra = module.algebra
         self.terms: List[Representation] = []
         self.images: List[List[Dict[int, object]]] = []
-        self._cover: Optional[Cover] = None     # the last one past terms[0]
-        self._pending = None    # its kernel: (syzygy, columns per vertex)
+        self._cover = None      # the last kernel's free coordinates
+        self._pending = None    # the next kernel: (columns, free) per vertex
         self.terminated = module.is_zero()
         self.hom_ranks = WeakKeyDictionary()     # n -> {i: rank}
 
@@ -112,41 +114,54 @@ class MinimalResolution:
         return len(self.terms) - 1
 
     def _take_kernel(self) -> None:
-        """Take the kernel of the last cover, the syzygy past the last
-        term, once: a zero kernel terminates the resolution, and a nonzero
-        one is kept until the next cover reads it."""
+        """Take the kernel of the last differential, the syzygy past the
+        last term, once: a zero kernel terminates the resolution.  Past
+        the augmentation the rows are read at the free coordinates of the
+        kernel the differential maps onto, which fix its vectors: the
+        cover onto that syzygy with each row scaled, so the same kernel."""
         if self.terminated or self._pending is not None:
             return
         if self._cover is None:     # the augmentation, rebuilt
             if self.module is None:
                 raise QtiltError("a resolution cannot grow once its module "
                                  "is gone; keep the module")
-            self._cover = Cover(self.terms[0], self.module, self.images[0])
-        syz, kds = kernel_rep_data(self._cover.map)
+            blocks = _cover_blocks(self.terms[0], self.module, self.images[0])
+        else:
+            field, lo = self.algebra.field, self.terms[-2]
+            cols = _image_columns(self.terms[-1], lo, self.images[-1])
+            blocks = {}
+            for v, free in self._cover.items():
+                rows = Matrix.from_sparse_cols(field, cols[v],
+                                               lo.dims[v]).sparse_rows
+                blocks[v] = Matrix._raw(field, [rows[r] for r in free],
+                                        len(cols[v]))
+        kds = {v: kernel_data(b) for v, b in blocks.items()}
         self._cover = None
-        self.terminated = syz.is_zero()
+        self.terminated = not any(kd.free for kd in kds.values())
         if not self.terminated:
-            self._pending = syz, {v: kd.columns for v, kd in kds.items()}
+            self._pending = ({v: kd.columns for v, kd in kds.items()},
+                             {v: kd.free for v, kd in kds.items()})
 
     def extend(self, upto: int) -> None:
         """Grow until terms[upto] exists or the resolution terminates; the
-        kernel of the last cover is only taken when growth continues."""
+        kernel of the last differential is only taken when growth
+        continues.  Past the first term, generators go to the kernel
+        vectors at its top sections."""
         while not self.terminated and self.length < upto:
-            if self.terms:
-                self._take_kernel()
-                if self.terminated:
-                    break
-                (target, incl), self._pending = self._pending, None
-            else:
-                target, incl = self.module, None
-            cover = projective_cover(target)
-            images = cover.images
-            if incl is not None:   # inclusion columns at the top sections
-                self._cover = cover
-                images = [dict(sorted(incl[v][j].items()))
-                          for v, img in zip(cover.projective.proj_gens, images)
-                          for j in img]
-            self.terms.append(cover.projective)
+            if not self.terms:
+                cover = projective_cover(self.module)
+                self.terms.append(cover.projective)
+                self.images.append(cover.images)
+                continue
+            self._take_kernel()
+            if self.terminated:
+                break
+            (cols, self._cover), self._pending = self._pending, None
+            top = _submodule_top(self.terms[-1], cols, self._cover)
+            images = [dict(sorted(cols[v][j].items()))
+                      for v in self.algebra.quiver.vertices for j in top[v]]
+            self.terms.append(proj_sum(self.algebra, [
+                v for v in self.algebra.quiver.vertices for _ in top[v]]))
             self.images.append(images)
 
     def term(self, i: int) -> Representation:
@@ -196,6 +211,16 @@ def min_proj_resolution(m: Representation, maxlen: int = DEFAULT_BOUND
         res = MinimalResolution(m)
         m._cache["minres"] = res
     res.extend(maxlen)
+    return res
+
+
+def bounded_resolution(m: Representation, bound: int) -> MinimalResolution:
+    """m's resolution grown within the step bound.  One that reaches the
+    bound takes the kernel past its last term, so a resolution that ends
+    exactly there reads as terminated."""
+    res = min_proj_resolution(m, bound)
+    if res.length >= bound:
+        res._take_kernel()
     return res
 
 
@@ -310,7 +335,8 @@ def _hom_complex_differential(res: MinimalResolution, n: Representation,
 def _require_depth(m: Representation, depth: int, maxlen: int
                    ) -> MinimalResolution:
     """m's resolution, grown to depth >= 1 within the bound."""
-    res = min_proj_resolution(m, min(depth, maxlen))
+    res = (min_proj_resolution(m, depth) if depth <= maxlen
+           else bounded_resolution(m, maxlen))
     if not res.terminated and res.length < depth:
         raise InconclusiveError(
             f"resolution truncated at length {res.length} before degree "
@@ -398,13 +424,8 @@ def pd(m: Representation, bound: int = DEFAULT_BOUND):
     """Projective dimension, or an infinity marker past the step bound."""
     if m.is_zero():
         return 0
-    res = min_proj_resolution(m, bound)
-    if res.length >= bound:
-        # termination exactly at the bound is only visible one kernel later
-        res._take_kernel()
-    if res.terminated:
-        return res.length
-    return InfinityMarker(bound)
+    res = bounded_resolution(m, bound)
+    return res.length if res.terminated else InfinityMarker(bound)
 
 
 def injd(m: Representation, bound: int = DEFAULT_BOUND):

@@ -14,11 +14,13 @@ free module's own arrow matrices are assembled from them only when `mats`
 is first read.  An algebra's cache holds data, never a module, and
 `proj`, `inj` and `regular` return a fresh module on each call, so no
 module and its algebra point at each other.  `kernel_rep`,
-`cokernel_rep` and `dual_free_kernel` read the few arrow rows or columns
-they need in place off the projectives (the rows off their arrow
-matrices, the columns off a transpose of them cached on the algebra):
-each line comes with its block's offset in the free module, and the
-product applies the offset instead of copying the line.
+`cokernel_rep`, `dual_free_kernel` and `_submodule_top` read the few
+arrow rows or columns they need in place off the projectives (the rows
+off their arrow matrices, the columns off a transpose of them cached on
+the algebra): each line comes with its block's offset in the free
+module, and the product applies the offset instead of copying the line.
+A resolution builds no kernel as a module (`kernel_rep`): it reads a
+syzygy's top off its kernel vectors in a free module.
 
 A basis element x's action is read two ways, one per kind of target.
 A map of free modules is given by its generator images
@@ -438,12 +440,12 @@ def direct_sum(reps: Sequence[Representation]):
 # subquotients
 
 
-def kernel_rep_data(f: ModuleMap):
-    """(K, kernel data per vertex) with K the vertexwise kernel, arrows
-    restricted.  The induced arrow matrices are read off the free rows of
-    the canonical kernel bases: the solutions exist because kernels are
-    arrow-stable.  So only the arrow rows at the target kernel's free
-    coordinates enter the products, read in place."""
+def kernel_rep(f: ModuleMap):
+    """(K, inclusion) with K the vertexwise kernel, arrows restricted.
+    The induced arrow matrices are read off the free rows of the canonical
+    kernel bases: the solutions exist because kernels are arrow-stable.
+    So only the arrow rows at the target kernel's free coordinates enter
+    the products, read in place."""
     alg = f.source.algebra
     field = alg.field
     kds = {v: kernel_data(f.blocks[v]) for v in alg.quiver.vertices}
@@ -455,12 +457,7 @@ def kernel_rep_data(f: ModuleMap):
                              kds[a.source].matrix.sparse_rows, field.char)
         mats[a.name] = solve_against_kernel(
             kd, Matrix._raw(field, rows, dims[a.source]))
-    return Representation(alg, dims, mats, validate=False), kds
-
-
-def kernel_rep(f: ModuleMap):
-    """(K, inclusion) with K the vertexwise kernel, arrows restricted."""
-    k, kds = kernel_rep_data(f)
+    k = Representation(alg, dims, mats, validate=False)
     incl = ModuleMap(k, f.source, {v: kd.matrix for v, kd in kds.items()},
                      validate=False)
     return k, incl
@@ -604,6 +601,38 @@ def _top_sections(m: Representation):
                    for col in m.mats[a.name].sparse_columns()]
         pivots = set(pivot_columns(Matrix._raw(alg.field, radical, m.dims[v])))
         out[v] = tuple(j for j in range(m.dims[v]) if j not in pivots)
+    return out
+
+
+def _submodule_top(p: Representation, columns, free):
+    """`_top_sections` of the submodule of the free module p with the
+    canonical kernel basis columns[v] at each vertex v, free coordinates
+    free[v].  Its vectors are fixed by their entries there, so each a.k
+    (a an arrow into v, k at a's source, a's columns read in place) is
+    read there: a column scaling of the radical, which moves no pivot."""
+    alg = p.algebra
+    char = alg.field.char
+    out = {}
+    for v in alg.quiver.vertices:
+        at = {r: i for i, r in enumerate(free[v])}
+        radical = []
+        for a in alg.quiver.arrows_into(v) if at else ():
+            ks = columns[a.source]
+            if not ks:
+                continue
+            support = sorted({j for k in ks for j in k})
+            lines = dict(zip(support, _free_lines(p, a, support, True)))
+            for k in ks:
+                acc = {}
+                for j, c in k.items():
+                    line, off = lines[j]
+                    for r, y in line.items():
+                        i = at.get(off + r)
+                        if i is not None:
+                            acc[i] = acc.get(i, 0) + c * y
+                radical.append(_tidy(acc, char))
+        pivots = set(pivot_columns(Matrix._raw(alg.field, radical, len(at))))
+        out[v] = tuple(j for j in range(len(at)) if j not in pivots)
     return out
 
 

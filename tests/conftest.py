@@ -2,8 +2,9 @@
 
 import pytest
 
-from qtilt.exactla import QQ
+from qtilt.exactla import QQ, Matrix
 from qtilt.quivercore import Arrow, Path, PathSum, Quiver, build_algebra
+from qtilt.repcore import Representation
 
 
 def dense(x, n):
@@ -77,6 +78,22 @@ def syzygies(res):
     syzygies 0 to length + 1 of a resolution."""
     from qtilt.repcore import kernel_rep
     return [res.module] + [kernel_rep(f)[0] for f in resolution_maps(res)]
+
+
+def with_fractions(m):
+    """A module isomorphic to m whose arrow matrices hold Fractions: m's
+    basis at each vertex rescaled by 1/2, 1/3, ..."""
+    from fractions import Fraction
+    field = m.algebra.field
+    scale = {v: Matrix(field, [[Fraction(1, i + 2) if i == j else 0
+                                for j in range(d)] for i in range(d)])
+             for v, d in m.dims.items()}
+    inverse = {v: Matrix(field, [[i + 2 if i == j else 0 for j in range(d)]
+                                 for i in range(d)])
+               for v, d in m.dims.items()}
+    return Representation(m.algebra, m.dims, {
+        a.name: inverse[a.target] * m.mats[a.name] * scale[a.source]
+        for a in m.algebra.quiver.arrows})
 
 
 def make_kronecker(name="kron"):

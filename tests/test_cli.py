@@ -531,7 +531,35 @@ def test_gldim_accepts_the_least_bound_it_needs():
     assert "gldim 1" in text
 
 
-K3_ALG = "algebra k3\nfield Q\nvertices 1 2 3\narrow a : 2 -> 1\n"
+@pytest.mark.parametrize("argv, bound", [
+    (["resolve", data("kronecker.alg"), data("s2_kron.mod")], "1"),
+    (["ext", data("kronecker.alg"), data("s2_kron.mod"), data("s1_kron.mod"),
+      "--p", "1"], "1"),
+    (["tau", data("kronecker.alg"), data("s1_kron.mod"), "--n", "1"], "0"),
+    (["tau-minus", data("kronecker.alg"), data("i1_kron.mod"), "--n", "1"],
+     "0"),
+])
+def test_a_resolution_ending_at_the_bound_is_determined(argv, bound):
+    """A resolution whose last term sits exactly at --max-resolution is
+    terminated there: each command prints what it prints at the default
+    bound and exits 0."""
+    want = run(argv)
+    assert want[0] == 0
+    assert run(argv + ["--max-resolution", bound]) == want
+
+
+def test_resolve_at_the_bound_prints_the_terminated_resolution():
+    code, text = run(["resolve", data("kronecker.alg"), data("s2_kron.mod"),
+                      "--max-resolution", "1"])
+    assert (code, text) == (0, "length 1\nterminated true\nterm0 P(2)\n"
+                               "term1 P(1)+P(1)\n")
+    code, text = run(["resolve", data("kronecker.alg"), data("s2_kron.mod"),
+                      "--max-resolution", "0"])
+    assert code == 3
+    assert text.endswith("verdict resolution undetermined bound=0\n")
+
+
+K3_ALG ="algebra k3\nfield Q\nvertices 1 2 3\narrow a : 2 -> 1\n"
 
 
 @pytest.mark.parametrize("dims, bad", [("1=0 2=0 3=-2", "-2"),

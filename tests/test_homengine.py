@@ -660,16 +660,24 @@ def test_generator_images_match_composed_maps(name):
 
 
 def test_resolution_builds_one_cover_map_per_kernel(monkeypatch):
-    """Growing to length n builds the n cover maps whose kernels it takes,
-    each through the cover builder and none through the generator-image
-    route; the differentials of degree 1 to n are then built through that
-    route, and no cover again."""
+    """Growing to length n takes n kernels: the first of the cover onto
+    the module, built once through the cover builder, and each later one
+    off the generator images of the last differential, read as columns
+    once per step; no map is built through the generator-image route.  The
+    differentials of degree 1 to n are then built through that route, and
+    no cover again."""
     from qtilt import repcore
     from conftest import make_two_loop
-    covers, maps = [], []
-    real_cover = repcore._cover_blocks
-    monkeypatch.setattr(repcore, "_cover_blocks",
+    covers, maps, reads, kernels = [], [], [], []
+    real_cover = homengine._cover_blocks
+    monkeypatch.setattr(homengine, "_cover_blocks",
                         lambda *a: covers.append(1) or real_cover(*a))
+    real_read = homengine._image_columns
+    monkeypatch.setattr(homengine, "_image_columns",
+                        lambda *a: reads.append(1) or real_read(*a))
+    real_kernel = homengine.kernel_data
+    monkeypatch.setattr(homengine, "kernel_data",
+                        lambda m: kernels.append(1) or real_kernel(m))
     for module in (repcore, homengine):
         real = module.proj_map_from_images
         monkeypatch.setattr(module, "proj_map_from_images",
@@ -678,65 +686,119 @@ def test_resolution_builds_one_cover_map_per_kernel(monkeypatch):
     cases = [(dual(proj(opposite(kron2), "(1,1)")), 2),
              (simple(make_two_loop(), "1"), 3)]
     for m, n in cases:
-        del covers[:], maps[:]
+        del covers[:], maps[:], reads[:], kernels[:]
         res = min_proj_resolution(m, n)
-        assert res.length == n and len(covers) == n and not maps
+        assert res.length == n and len(covers) == 1 and not maps
+        assert len(reads) == n - 1
+        assert len(kernels) == n * len(m.algebra.quiver.vertices)
         assert len([differential(res, i) for i in range(1, n + 1)]) == n
-        assert len(covers) == n and len(maps) == n
+        assert len(covers) == 1 and len(maps) == n
 
 
-def _record_kernels(monkeypatch):
-    """A list that gains a weak reference to each syzygy the resolutions
-    take, as the kernel of a cover."""
-    import weakref
-    taken = []
-    real = homengine.kernel_rep_data
-
-    def recorded(f):
-        syz, kds = real(f)
-        taken.append(weakref.ref(syz))
-        return syz, kds
-
-    monkeypatch.setattr(homengine, "kernel_rep_data", recorded)
-    return taken
-
-
-def test_growing_keeps_at_most_one_syzygy(monkeypatch):
-    """A resolution grown to length n has taken n kernels and refers to
-    one syzygy at most, the one its last cover covers."""
-    import gc
+def test_growing_builds_no_syzygy_module(monkeypatch):
+    """A resolution grown to length n has taken n kernels, each held as
+    its vectors inside the last term, and built no module past the one it
+    resolves: no module with arrow matrices, no solve against a kernel
+    basis, no `kernel_rep`.  A terminated one keeps no kernel."""
+    from qtilt import exactla, repcore
     from conftest import make_loop_nilpotent, make_two_loop
-    taken = _record_kernels(monkeypatch)
     kron2 = _tensor(_kron(QQ), _kron(QQ))
     cases = [(simple(make_loop_nilpotent(), "1"), 5),
              (simple(make_two_loop(), "1"), 3),
-             (dual(proj(opposite(kron2), "(1,1)")), 2)]
+             (dual(proj(opposite(kron2), "(1,1)")), 2),
+             (simple(_kron(GF32003), "2"), 1)]
+    built, taken = [], []
+    init = Representation.__init__
+
+    def recorded(self, algebra, dims, mats, *args, **kwargs):
+        init(self, algebra, dims, mats, *args, **kwargs)
+        if mats is not None:
+            built.append(self)
+
+    monkeypatch.setattr(Representation, "__init__", recorded)
+    for module in (exactla, repcore):
+        monkeypatch.setattr(module, "solve_against_kernel", lambda *a:
+                            pytest.fail("growing solved against a kernel"))
+    monkeypatch.setattr(homengine, "kernel_rep", lambda *a:
+                        pytest.fail("growing built a kernel module"))
+    real = homengine.kernel_data
+    monkeypatch.setattr(homengine, "kernel_data",
+                        lambda m: taken.append(1) or real(m))
     for m, n in cases:
-        del taken[:]
+        del built[:], taken[:]
         res = min_proj_resolution(m, n)
-        gc.collect()
-        assert res.length == n and len(taken) == n
-        assert sum(w() is not None for w in taken) <= 1
+        assert res.length == n and built == []
+        assert len(taken) == n * len(m.algebra.quiver.vertices)
+        res.extend(n + 8)
+        assert built == []
+        if res.terminated:
+            assert res._pending is None and res._cover is None
 
 
 def test_pd_at_the_bound_takes_each_kernel_once(monkeypatch, square):
     """pd at its bound takes the kernel past the last term: a zero one
     terminates the resolution, a nonzero one is kept as the one pending
-    syzygy, which deeper growth then covers without taking it again."""
-    import gc
+    kernel, which deeper growth then covers without taking it again."""
     from conftest import make_loop_nilpotent
-    taken = _record_kernels(monkeypatch)
-    m = simple(make_loop_nilpotent(), "1")
+    taken = []
+    real = homengine.kernel_data
+    monkeypatch.setattr(homengine, "kernel_data",
+                        lambda m: taken.append(1) or real(m))
+    m = simple(make_loop_nilpotent(), "1")     # one vertex
     assert pd(m, 3) == InfinityMarker(3)
-    gc.collect()
-    assert len(taken) == 4 and sum(w() is not None for w in taken) == 1
+    res = m._cache["minres"]
+    assert len(taken) == 4 and res._pending is not None
     res = min_proj_resolution(m, 5)
     assert res.length == 5 and len(taken) == 5
     del taken[:]
     m = simple(square, "22")
-    assert pd(m, 2) == 2 and len(taken) == 3
+    per_kernel = len(square.quiver.vertices)
+    assert pd(m, 2) == 2 and len(taken) == 3 * per_kernel
     res = min_proj_resolution(m, 4)
-    assert res.terminated and res.length == 2 and len(taken) == 3
+    assert res.terminated and res.length == 2
+    assert len(taken) == 3 * per_kernel and res._pending is None
+
+
+@pytest.mark.parametrize("name", ["kron2", "a3xkron", "twoloop", "kron_gf",
+                                  "twoloop_gf"])
+def test_kernel_in_its_free_term_matches_the_syzygy_route(name):
+    """At every step the kernel a resolution holds inside its last term
+    is the inclusion of the syzygy the module route builds, the kernel of
+    the cover onto the previous syzygy (`kernel_rep`), column for column;
+    and the top sections read off it are `_top_sections` of that syzygy,
+    so the next term and its generator images are those of that route.
+    Over Q and GF(32003), and on modules with Fraction entries; steps
+    past the first read the kernel off the generator images."""
+    from conftest import make_two_loop, with_fractions
+    from qtilt.repcore import (_submodule_top, _top_sections, kernel_rep,
+                               projective_cover)
+    corpus = {**_image_corpus(), "twoloop_gf": make_two_loop(GF32003)}
+    alg = corpus[name]
+    modules = [random_module(alg, seed) for seed in range(3)]
+    if not alg.field.char:
+        modules += [with_fractions(m) for m in modules]
+    modules += [f(alg, v) for v in alg.quiver.vertices for f in (simple, inj)]
+    steps = 0
+    for m in modules:
+        res = MinimalResolution(m)
+        syz = m
+        for i in range(4):
+            res.extend(i)
+            cover = projective_cover(syz)
+            assert res.terms[i].proj_gens == cover.projective.proj_gens
+            syz, incl = kernel_rep(cover.map)
+            res._take_kernel()
+            if res.terminated:
+                assert syz.is_zero()
+                break
+            columns, free = res._pending
+            for v in alg.quiver.vertices:
+                assert columns[v] == incl.blocks[v].sparse_columns()
+            assert _submodule_top(res.terms[i], columns, free) == \
+                _top_sections(syz)
+            steps += i > 0
+    # kron is hereditary: past the first step every kernel is zero
+    assert steps >= (0 if name == "kron_gf" else 5)
 
 
 def test_probe_releases_each_piece_resolution(monkeypatch):

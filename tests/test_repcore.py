@@ -22,7 +22,7 @@ from qtilt.repcore import _hom_generic
 
 from conftest import (dense, express_all_in_basis, flatten,
                       make_a3_nilpotent, make_kronecker, make_loop_nilpotent,
-                      make_square, make_square_gf)
+                      make_square, make_square_gf, with_fractions)
 
 
 # --- constructors ---------------------------------------------------------
@@ -1078,28 +1078,12 @@ def test_negative_dimension_is_refused(a3):
 
 # --- projective covers built row by row, against the generator-image route
 
-def _with_fractions(m):
-    """A module isomorphic to m whose arrow matrices hold Fractions: m's
-    basis at each vertex rescaled by 1/2, 1/3, ..."""
-    from fractions import Fraction
-    field = m.algebra.field
-    scale = {v: Matrix(field, [[Fraction(1, i + 2) if i == j else 0
-                                for j in range(d)] for i in range(d)])
-             for v, d in m.dims.items()}
-    inverse = {v: Matrix(field, [[i + 2 if i == j else 0 for j in range(d)]
-                                 for i in range(d)])
-               for v, d in m.dims.items()}
-    return Representation(m.algebra, m.dims, {
-        a.name: inverse[a.target] * m.mats[a.name] * scale[a.source]
-        for a in m.algebra.quiver.arrows})
-
-
 def _cover_targets(alg):
     """Seeded random modules and the simples of alg, and over Q each
     random module rescaled to Fraction entries."""
     out = [random_module(alg, seed) for seed in range(4)]
     if not alg.field.char:
-        out += [_with_fractions(m) for m in out]
+        out += [with_fractions(m) for m in out]
     return out + [simple(alg, v) for v in alg.quiver.vertices]
 
 
