@@ -11,25 +11,22 @@ from .quivercore import (Arrow, BoundQuiverAlgebra, Path, PathSum, Quiver,
                          StructureConstantAlgebra, abstract_radical,
                          build_algebra, opposite,
                          primitive_orthogonal_idempotents,
-                         regular_structure_algebra, semisimple_and_basic_flags)
+                         semisimple_and_basic_flags)
 from .repcore import (Decomposition, ModuleMap, Representation, decompose,
                       direct_sum, dual, endomorphism_algebra, hom_space, inj,
-                      injective_cogenerator, is_isomorphic, kernel_rep,
-                      cokernel_rep, proj, proj_sum, projective_cover,
-                      random_module, regular, simple, top_and_radical,
-                      zero_rep)
+                      is_isomorphic, cokernel_rep, proj, proj_sum,
+                      projective_cover, random_module, regular, simple,
+                      top_and_radical, zero_rep)
 from .homengine import (ExtResult, InfinityMarker, MinimalResolution,
-                        ProbeResult, ext, ext_dim, ext_module, gldim, injd,
-                        is_finite, min_proj_resolution, pd,
-                        tau_finiteness_probe, tau_n, tau_n_ext, tau_n_minus,
-                        tau_n_minus_ext, transpose)
+                        ProbeResult, ext, ext_dim, gldim, injd, is_finite,
+                        min_proj_resolution, pd, tau_finiteness_probe, tau_n,
+                        tau_n_minus, transpose)
 from .tensorcon import (KunnethReport, TensorAlgebraResult, kunneth_verify,
                         structural_suite, tensor_algebras, tensor_maps,
                         tensor_modules, tensor_resolution)
 from .tilting import (AlgebraPresentation, AprReport, BbReport, CotiltReport,
                       TiltingCertificate, apr_check, apr_cotilting_check,
-                      bb_check, count_apr, endo_algebra,
-                      minimal_left_approximation, present_algebra,
+                      bb_check, count_apr, endo_algebra, present_algebra,
                       verify_tilting)
 from .cli import (Workspace, dispatch, main, parse_algebra_file,
                   parse_module_file, serialize_algebra, serialize_module)

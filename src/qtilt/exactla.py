@@ -340,14 +340,6 @@ class Matrix:
             rows.append(r1)
         return Matrix._raw(self.field, rows, self.ncols + other.ncols)
 
-    def stack_below(self, other) -> "Matrix":
-        _check_same_field(self, other)
-        if self.ncols != other.ncols:
-            raise ShapeMismatchError("vstack column mismatch")
-        return Matrix._raw(self.field,
-                           list(self.sparse_rows) + list(other.sparse_rows),
-                           self.ncols)
-
     def take_columns(self, js: Iterable[int]) -> "Matrix":
         js = list(js)
         new_of: Dict[int, List[int]] = {}
@@ -384,24 +376,6 @@ def _product_rows(lines: Iterable[Tuple[SparseRow, int]],
                 for j, v in right[off + k].items():
                     acc[j] = get(j, 0) + a * v
         out.append(_tidy(acc, p))
-    return out
-
-
-def hstack(mats: Sequence[Matrix]) -> Matrix:
-    if not mats:
-        raise ShapeMismatchError("hstack of no matrices")
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.stack_right(m)
-    return out
-
-
-def vstack(mats: Sequence[Matrix]) -> Matrix:
-    if not mats:
-        raise ShapeMismatchError("vstack of no matrices")
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.stack_below(m)
     return out
 
 
@@ -739,17 +713,6 @@ def kernel_data(m: Matrix) -> KernelData:
     scales = [col[f] for f, col in zip(vecs, cols)]
     return KernelData(Matrix.from_sparse_cols(m.field, cols, m.ncols), cols,
                       vecs, scales)
-
-
-def solve_against_kernel(kd: KernelData, free_rows: Matrix) -> Matrix:
-    """The unique X with kd.matrix * X = rhs, assuming a solution exists
-    (columns of rhs lie in the span).  X is read off from the rows of rhs
-    at the free coordinates ``kd.free``, which are all it depends on;
-    free_rows holds just those rows, in that order."""
-    field = free_rows.field
-    rows = [row if s == 1 else _scaled(row, field.inv(s), field.char)
-            for row, s in zip(free_rows.sparse_rows, kd.scales)]
-    return Matrix._raw(field, rows, free_rows.ncols)
 
 
 class CokernelData:

@@ -14,33 +14,29 @@ images give each differential d as a matrix of algebra elements between
 the generator vertices, and its dual d^* = Hom(d, algebra) as generator
 images over the opposite algebra (`_dualized_elements`, read off the
 opposite's table of reversed basis paths).  A map of free modules, d or
-d^*, is read by columns off the products
-(`repcore.proj_map_from_images`); a Hom complex into any module by the
-rows of each basis element's action on it (`repcore._action_rows`), read
-once per call.
+d^*, is read by columns off the products (`repcore._image_columns`); a
+Hom complex into any module by the rows of each basis element's action
+on it (`repcore._action_rows`), read once per call.
 
 tau_n is the one syzygy-side translate: tau_n M = ker nu(d_n), with
 nu = D Hom(-, algebra) the Nakayama functor, read off the columns of
 d_n^* as a kernel over the algebra itself.  The other two go through it:
 tau_n^- = D tau_n D over the opposite algebra, and Tr = D tau_1.
-Ext^p(M, algebra) with its module structure is a kernel modulo an image
-of the dualized differentials, so `ext_module` builds them as maps over
-the opposite algebra.  Ext dimensions come from the ranks of the
-Hom-complex differentials, cached on the resolution per target module;
-cocycle maps are built only when read.
+Ext dimensions come from the ranks of the Hom-complex differentials,
+cached on the resolution per target module; cocycle maps are built only
+when read.
 """
 
 from typing import Dict, List, Tuple
 from weakref import WeakKeyDictionary, ref
 
 from .errors import AlgebraMismatchError, InconclusiveError, QtiltError
-from .exactla import Matrix, Span, _tidy, kernel_data, solve
+from .exactla import Matrix, Span, _tidy, kernel_data
 from .quivercore import BoundQuiverAlgebra, _op_table, opposite
 from .repcore import (ModuleMap, Representation, _action_rows,
                       _cochain_offsets, _cover_blocks, _free_coordinates,
-                      _image_columns, _submodule_top, cokernel_rep, dual,
-                      dual_free_kernel, free_offsets, hom_space, inj,
-                      kernel_rep, linear_combination, proj_map_from_images,
+                      _image_columns, _submodule_top, dual, dual_free_kernel,
+                      free_offsets, hom_space, inj, linear_combination,
                       proj_sum, projective_cover, simple, zero_rep)
 
 DEFAULT_BOUND = 64
@@ -231,7 +227,7 @@ def bounded_resolution(m: Representation, bound: int) -> MinimalResolution:
 def _dualized_elements(res: MinimalResolution, i: int):
     """(source, target, generator images) of the dualized differential
     d_i^* = Hom(d_i, algebra), a map of projective sums over the opposite
-    algebra, in the form `proj_map_from_images` takes.  Generator k of
+    algebra, in the form `repcore._image_columns` reads.  Generator k of
     the source (at v_k) goes to sum_l op(X[k, l]) gen_l, with X the
     presentation elements of d_i and op the anti-isomorphism: images[k]
     is that vector of the target at v_k, with op(X[k, l]) at generator
@@ -251,13 +247,6 @@ def _dualized_elements(res: MinimalResolution, i: int):
             for e, d in table[idx]:
                 img[off + pos[e]] = img.get(off + pos[e], 0) + c * d
     return src, tgt, [_tidy(img, alg.field.char) for img in images]
-
-
-def _dualized_differential(res: MinimalResolution, i: int) -> ModuleMap:
-    """Hom(-, algebra) applied to the differential terms[i] -> terms[i-1]:
-    a map of projective sums over the opposite algebra.  Only `ext_module`
-    builds it; `tau_n` reads the same blocks as columns."""
-    return proj_map_from_images(*_dualized_elements(res, i))
 
 
 def transpose(m: Representation) -> Representation:
@@ -385,37 +374,6 @@ def ext_dim(m, n, p, maxlen: int = DEFAULT_BOUND) -> int:
     return ext(m, n, p, maxlen).dim
 
 
-def ext_module(m: Representation, p: int, maxlen: int = DEFAULT_BOUND
-               ) -> Representation:
-    """Ext^p(m, algebra) with its right-module structure, returned as a
-    representation of the opposite algebra: the cohomology
-    ker d_{p+1}^* / im d_p^* of the dualized resolution complex.  Its
-    dual is ker nu(d_p) / im nu(d_{p+1}), a kernel modulo an image, so
-    unlike `tau_n` it cannot be read as one kernel."""
-    alg = m.algebra
-    opp = opposite(alg)
-    if m.is_zero():
-        return zero_rep(opp)
-    res = _require_depth(m, p + 1, maxlen)
-    if p > res.length and res.terminated:
-        return zero_rep(opp)
-    out_map = _dualized_differential(res, p + 1)
-    kernel, incl = kernel_rep(out_map)
-    if p == 0:
-        return kernel
-    in_map = _dualized_differential(res, p)
-    # factor the incoming map through the kernel (d* d* = 0)
-    blocks = {}
-    for v in opp.quiver.vertices:
-        x = solve(incl.blocks[v], in_map.blocks[v])
-        if x is None:
-            raise QtiltError("dualized complex is not a complex")
-        blocks[v] = x
-    factored = ModuleMap(in_map.source, kernel, blocks, validate=False)
-    quotient, _ = cokernel_rep(factored)
-    return quotient
-
-
 # ---------------------------------------------------------------------------
 # homological dimensions
 
@@ -504,20 +462,6 @@ def tau_n_minus(m: Representation, n: int, maxlen: int = DEFAULT_BOUND
     return out
 
 
-def tau_n_ext(m: Representation, n: int, maxlen: int = DEFAULT_BOUND
-              ) -> Representation:
-    """The Ext form of tau_n: the dual of Ext^n(m, algebra).  Agrees with
-    tau_n when the global dimension is at most n."""
-    return dual(ext_module(m, n, maxlen))
-
-
-def tau_n_minus_ext(m: Representation, n: int, maxlen: int = DEFAULT_BOUND
-                    ) -> Representation:
-    """The Ext form of tau_n^-: Ext^n over the opposite algebra of the
-    dual, against that algebra."""
-    return ext_module(dual(m), n, maxlen)
-
-
 class ProbeResult:
     __slots__ = ("verdict", "iterations", "trace")
 
@@ -540,6 +484,8 @@ def tau_finiteness_probe(alg: BoundQuiverAlgebra, n: int,
     n is undetermined (InconclusiveError).  Iteration runs
     summand-by-summand, which is equivalent since tau_n is additive.  Each
     piece's cached resolution is dropped once its translate is taken."""
+    if n < 1:
+        raise QtiltError(f"probe needs n >= 1, got {n}")
     if max_iter < 1:
         raise QtiltError(f"probe needs max_iter >= 1, got {max_iter}")
     g = gldim(alg, maxlen)

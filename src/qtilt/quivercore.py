@@ -556,14 +556,6 @@ class StructureConstantAlgebra:
         return f"StructureConstantAlgebra(dim={self.dim})"
 
 
-def regular_structure_algebra(alg: BoundQuiverAlgebra) -> StructureConstantAlgebra:
-    """The same algebra repackaged as an abstract multiplication table."""
-    n = alg.dim
-    table = [[dict(alg.basis_product(i, j)) for j in range(n)]
-             for i in range(n)]
-    return StructureConstantAlgebra(alg.field, table, alg.unit, validate=False)
-
-
 def _combine(terms, p: int) -> Dict[int, object]:
     """The sum of c * x over the pairs (c, x) in terms, x a sparse element,
     as a sparse canonical element."""

@@ -13,24 +13,25 @@ built once per algebra and cached on it as matrices (`_proj_mats`), and a
 free module's own arrow matrices are assembled from them only when `mats`
 is first read.  An algebra's cache holds data, never a module, and
 `proj`, `inj` and `regular` return a fresh module on each call, so no
-module and its algebra point at each other.  `kernel_rep`,
-`cokernel_rep`, `dual_free_kernel` and `_submodule_top` read the few
-arrow rows or columns they need in place off the projectives (the rows
-off their arrow matrices, the columns off a transpose of them cached on
-the algebra): each line comes with its block's offset in the free
-module, and the product applies the offset instead of copying the line.
-A resolution builds no kernel as a module (`kernel_rep`): it reads a
-syzygy's top off its kernel vectors in a free module.
+module and its algebra point at each other.  `cokernel_rep`,
+`dual_free_kernel` and `_submodule_top` read the few arrow columns they
+need in place off the projectives, off a transpose of their arrow
+matrices cached on the algebra (`_free_columns`): each column comes with
+its block's offset in the free module, and the product applies the
+offset instead of copying the column.  A resolution builds no kernel as
+a module: it reads a syzygy's top off its kernel vectors in a free
+module.  A submodule given by a basis at each vertex (the radical, an
+image) is restricted to one way, by a solve per arrow (`_restricted`).
 
 A basis element x's action is read two ways, one per kind of target.
-A map of free modules is given by its generator images
-(`proj_map_from_images`), its column at x in generator k's block being
-x.images[k], read off the algebra's products (`_image_columns`).  Into
-any other module the rows of x's action are read (`_action_rows`), once
-per call, and dropped: a cover (`_cover_blocks`) and the Hom basis out
-of a free module (`_hom_from_projective`) send each generator to a
-standard vector, so their columns at x are columns of x's action,
-filled row by row with no transpose.
+A map of free modules is given by its generator images, its column at
+x in generator k's block being x.images[k], read off the algebra's
+products (`_image_columns`).  Into any other module the rows of x's
+action are read (`_action_rows`), once per call, and dropped: a cover
+(`_cover_blocks`) and the Hom basis out of a free module
+(`_hom_from_projective`) send each generator to a standard vector, so
+their columns at x are columns of x's action, filled row by row with no
+transpose.
 
 Every Hom basis names its positions (`_hom_basis`): per basis map, an
 entry where it alone is nonzero.  Coordinates are read there, so a
@@ -45,7 +46,7 @@ from .errors import (AlgebraMismatchError, QtiltError, ShapeMismatchError,
                      UndecidedIsomorphismError)
 from .exactla import (Matrix, Span, _null_vectors, _product_rows,
                       _tidy, block_diag, cokernel_data, column_space_basis,
-                      kernel_data, pivot_columns, solve, solve_against_kernel)
+                      kernel_data, pivot_columns, solve)
 from .quivercore import (BoundQuiverAlgebra, Path, StructureConstantAlgebra,
                          opposite, primitive_orthogonal_idempotents)
 
@@ -285,18 +286,15 @@ def _proj_columns(alg, v: str) -> Dict[str, List[Dict[int, object]]]:
     return got
 
 
-def _free_lines(m: Representation, arrow, idxs: Sequence[int], cols: bool):
-    """The sparse rows, or with cols set the columns, at the given
-    coordinates of an arrow's matrix on a free module, read in place off
-    its generators' indecomposable projectives: (line, offset) pairs, the
-    line's entry at j sitting at coordinate offset + j of the whole
-    matrix."""
+def _free_columns(m: Representation, arrow, idxs: Sequence[int]):
+    """The sparse columns at the given coordinates of an arrow's matrix on
+    a free module, read in place off its generators' indecomposable
+    projectives: (column, offset) pairs, the column's entry at i sitting
+    at row offset + i of the whole matrix."""
     alg, gens = m.algebra, m.proj_gens
-    at, other = ((arrow.source, arrow.target) if cols
-                 else (arrow.target, arrow.source))
-    offs, shift = free_offsets(m, at), free_offsets(m, other)
-    blocks = {v: _proj_columns(alg, v)[arrow.name] if cols
-              else _proj_mats(alg, v)[arrow.name].sparse_rows
+    offs = free_offsets(m, arrow.source)
+    shift = free_offsets(m, arrow.target)
+    blocks = {v: _proj_columns(alg, v)[arrow.name]
               for v in dict.fromkeys(gens)}
     out, k = [], 0
     for r in idxs:      # step to r's block: one step apart when ascending
@@ -308,23 +306,13 @@ def _free_lines(m: Representation, arrow, idxs: Sequence[int], cols: bool):
     return out
 
 
-def _arrow_rows(m: Representation, arrow, rows: Sequence[int]):
-    """The sparse rows at the given coordinates of an arrow's matrix on m,
-    as (line, offset) pairs for `_product_rows`, without building the arrow
-    matrices of a free module."""
-    if m._mats is not None:
-        got = m._mats[arrow.name].sparse_rows
-        return [(got[r], 0) for r in rows]
-    return _free_lines(m, arrow, rows, False)
-
-
 def _arrow_cols(m: Representation, arrow, cols: Sequence[int]) -> Matrix:
-    """The columns at the given coordinates of an arrow's matrix on m, the
-    column twin of `_arrow_rows`, as a matrix."""
+    """The columns at the given coordinates of an arrow's matrix on m, as a
+    matrix, without building the arrow matrices of a free module."""
     if m._mats is not None:
         return m._mats[arrow.name].take_columns(cols)
     rows = [{} for _ in range(m.dims[arrow.target])]
-    for j, (col, off) in enumerate(_free_lines(m, arrow, cols, True)):
+    for j, (col, off) in enumerate(_free_columns(m, arrow, cols)):
         for i, x in col.items():
             rows[off + i][j] = x
     return Matrix._raw(m.algebra.field, rows, len(cols))
@@ -393,13 +381,6 @@ def inj(alg, v: str) -> Representation:
                           validate=False)
 
 
-def injective_cogenerator(alg) -> Representation:
-    """Direct sum of all indecomposable injectives (the dual of the
-    regular module of the opposite algebra), a fresh module on each
-    call."""
-    return dual(regular(opposite(alg)))
-
-
 def direct_sum(reps: Sequence[Representation]):
     """(sum, inclusions, projections), matrices block-diagonal in the
     given order.  The sum keeps its pieces in ``summands`` as (piece,
@@ -440,29 +421,6 @@ def direct_sum(reps: Sequence[Representation]):
 # subquotients
 
 
-def kernel_rep(f: ModuleMap):
-    """(K, inclusion) with K the vertexwise kernel, arrows restricted.
-    The induced arrow matrices are read off the free rows of the canonical
-    kernel bases: the solutions exist because kernels are arrow-stable.
-    So only the arrow rows at the target kernel's free coordinates enter
-    the products, read in place."""
-    alg = f.source.algebra
-    field = alg.field
-    kds = {v: kernel_data(f.blocks[v]) for v in alg.quiver.vertices}
-    dims = {v: kds[v].matrix.ncols for v in alg.quiver.vertices}
-    mats = {}
-    for a in alg.quiver.arrows:
-        kd = kds[a.target]
-        rows = _product_rows(_arrow_rows(f.source, a, kd.free),
-                             kds[a.source].matrix.sparse_rows, field.char)
-        mats[a.name] = solve_against_kernel(
-            kd, Matrix._raw(field, rows, dims[a.source]))
-    k = Representation(alg, dims, mats, validate=False)
-    incl = ModuleMap(k, f.source, {v: kd.matrix for v, kd in kds.items()},
-                     validate=False)
-    return k, incl
-
-
 def dual_free_kernel(p: Representation, rows) -> Representation:
     """The kernel of a map out of D p, the K-dual of a free module p over
     the opposite algebra, given at each vertex u by the sparse rows of its
@@ -482,7 +440,7 @@ def dual_free_kernel(p: Representation, rows) -> Representation:
     dims = {u: len(vs) for u, vs in vecs.items()}
     mats = {}
     for a in opp.quiver.arrows:     # a : t -> s here is s -> t over alg
-        lines = _free_lines(p, a, list(vecs[a.source]), True)
+        lines = _free_columns(p, a, list(vecs[a.source]))
         mats[a.name] = Matrix._raw(
             field, _product_rows(lines, basis_rows[a.target], field.char),
             dims[a.target])
@@ -621,7 +579,7 @@ def _submodule_top(p: Representation, columns, free):
             if not ks:
                 continue
             support = sorted({j for k in ks for j in k})
-            lines = dict(zip(support, _free_lines(p, a, support, True)))
+            lines = dict(zip(support, _free_columns(p, a, support)))
             for k in ks:
                 acc = {}
                 for j, c in k.items():
@@ -648,24 +606,15 @@ def top_and_radical(m: Representation) -> TopRadical:
 
 class Cover:
     """A projective cover P -> m, held as the image in m of each generator
-    of P (a standard vector at a top section).  The map is built from those
-    images on first read (`_cover_blocks`)."""
+    of P (a standard vector at a top section); `_cover_blocks` builds the
+    map's blocks from those images."""
 
-    __slots__ = ("projective", "target", "images", "_map")
+    __slots__ = ("projective", "target", "images")
 
     def __init__(self, projective, target, images):
         self.projective = projective
         self.target = target
         self.images = images
-        self._map = None
-
-    @property
-    def map(self) -> ModuleMap:
-        if self._map is None:
-            self._map = ModuleMap(self.projective, self.target,
-                                  _cover_blocks(self.projective, self.target,
-                                                self.images), validate=False)
-        return self._map
 
 
 def _cover_blocks(p: Representation, m: Representation, images
@@ -742,17 +691,6 @@ def _image_columns(p: Representation, n: Representation, images
                 cols.append(_tidy(acc, char))
         out[w] = cols
     return out
-
-
-def proj_map_from_images(p: Representation, n: Representation, images
-                         ) -> ModuleMap:
-    """The map of free modules p -> n sending generator k to the vector
-    images[k] of n at the generator's vertex, given sparse as a dict
-    coordinate -> nonzero entry: `_image_columns` as matrices."""
-    field = p.algebra.field
-    return ModuleMap(p, n, {w: Matrix.from_sparse_cols(field, c, n.dims[w])
-                            for w, c in _image_columns(p, n, images).items()},
-                     validate=False)
 
 
 def projective_cover(m: Representation) -> Cover:

@@ -227,20 +227,14 @@ def _radical_maps(summand_reps: Sequence[Representation]):
     return out
 
 
-def minimal_left_approximation(x: Representation,
-                               summand_reps: Sequence[Representation]):
+def _left_approximation(x, summand_reps, radical_maps):
     """Minimal left approximation of x by the additive closure of the given
-    pairwise non-isomorphic indecomposables: pick hom generators modulo the
-    radical composites, one block at a time, in the coordinates of each
-    Hom(x, U_i) basis, where basis map k is the unit vector {k: 1}.
+    pairwise non-isomorphic indecomposables, with their `_radical_maps`
+    given: pick hom generators modulo the radical composites, one block at
+    a time, in the coordinates of each Hom(x, U_i) basis, where basis map
+    k is the unit vector {k: 1}.
 
     Returns (map, target, counts)."""
-    return _left_approximation(x, summand_reps, _radical_maps(summand_reps))
-
-
-def _left_approximation(x, summand_reps, radical_maps):
-    """`minimal_left_approximation` with the summands' `_radical_maps`
-    given."""
     field = x.algebra.field
     homs = [_hom_basis(x, u) for u in summand_reps]
     chosen: List[Tuple[int, ModuleMap]] = []

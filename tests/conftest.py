@@ -57,9 +57,16 @@ def op_element(alg, x):
 def differential(res, i):
     """The differential terms[i] -> terms[i-1] of a resolution, built from
     its generator images."""
-    from qtilt import repcore
-    return repcore.proj_map_from_images(res.terms[i], res.terms[i - 1],
-                                        res.images[i])
+    from oracles import proj_map_from_images
+    return proj_map_from_images(res.terms[i], res.terms[i - 1], res.images[i])
+
+
+def cover_map(cover):
+    """A projective cover as the map it is, generator k to images[k]."""
+    from qtilt.repcore import ModuleMap, _cover_blocks
+    return ModuleMap(cover.projective, cover.target,
+                     _cover_blocks(cover.projective, cover.target,
+                                   cover.images), validate=False)
 
 
 def resolution_maps(res):
@@ -69,14 +76,14 @@ def resolution_maps(res):
     from qtilt.repcore import Cover
     if not res.terms:
         return []
-    top = Cover(res.terms[0], res.module, res.images[0]).map
+    top = cover_map(Cover(res.terms[0], res.module, res.images[0]))
     return [top] + [differential(res, i) for i in range(1, len(res.terms))]
 
 
 def syzygies(res):
     """The module and the kernel of each map of `resolution_maps`: the
     syzygies 0 to length + 1 of a resolution."""
-    from qtilt.repcore import kernel_rep
+    from oracles import kernel_rep
     return [res.module] + [kernel_rep(f)[0] for f in resolution_maps(res)]
 
 

@@ -1,0 +1,136 @@
+"""Reference implementations the tests compare the library against.
+
+Each is a second route to something the library computes another way,
+or a constructor only tests need:
+- `ext_module` reads Ext^p(M, algebra) as a module over the opposite
+  algebra, a kernel modulo an image of the dualized differentials built
+  as maps; `tau_n_ext` and `tau_n_minus_ext` are the Ext forms of the
+  translates, which agree with `tau_n` and `tau_n_minus` when the global
+  dimension is at most n;
+- `kernel_rep` restricts a module to the vertexwise kernels of a map,
+  the module route to the syzygies a resolution keeps in its free terms;
+- `proj_map_from_images` builds a map of free modules from its generator
+  images as matrices;
+- `hstack` and `vstack` stack matrices; `regular_structure_algebra` and
+  `injective_cogenerator` build the regular algebra's table and DA.
+"""
+
+from typing import Sequence
+
+from qtilt.errors import QtiltError, ShapeMismatchError
+from qtilt.exactla import Matrix, _check_same_field, kernel_data, solve
+from qtilt.homengine import (DEFAULT_BOUND, MinimalResolution,
+                             _dualized_elements, _require_depth)
+from qtilt.quivercore import (BoundQuiverAlgebra, StructureConstantAlgebra,
+                              opposite)
+from qtilt.repcore import (ModuleMap, Representation, _image_columns,
+                           _restricted, cokernel_rep, dual, regular, zero_rep)
+
+
+def hstack(mats: Sequence[Matrix]) -> Matrix:
+    if not mats:
+        raise ShapeMismatchError("hstack of no matrices")
+    out = mats[0]
+    for m in mats[1:]:
+        out = out.stack_right(m)
+    return out
+
+
+def vstack(mats: Sequence[Matrix]) -> Matrix:
+    if not mats:
+        raise ShapeMismatchError("vstack of no matrices")
+    out = mats[0]
+    for m in mats[1:]:
+        _check_same_field(out, m)
+        if out.ncols != m.ncols:
+            raise ShapeMismatchError("vstack column mismatch")
+        out = Matrix._raw(out.field,
+                          list(out.sparse_rows) + list(m.sparse_rows),
+                          out.ncols)
+    return out
+
+
+def regular_structure_algebra(alg: BoundQuiverAlgebra
+                              ) -> StructureConstantAlgebra:
+    """The same algebra repackaged as an abstract multiplication table."""
+    n = alg.dim
+    table = [[dict(alg.basis_product(i, j)) for j in range(n)]
+             for i in range(n)]
+    return StructureConstantAlgebra(alg.field, table, alg.unit, validate=False)
+
+
+def injective_cogenerator(alg) -> Representation:
+    """Direct sum of all indecomposable injectives (the dual of the
+    regular module of the opposite algebra), a fresh module on each
+    call."""
+    return dual(regular(opposite(alg)))
+
+
+def kernel_rep(f: ModuleMap):
+    """(K, inclusion) with K the vertexwise kernel of f, arrows restricted."""
+    return _restricted(f.source, {v: kernel_data(b).matrix
+                                  for v, b in f.blocks.items()},
+                       "kernel is not arrow-stable")
+
+
+def proj_map_from_images(p: Representation, n: Representation, images
+                         ) -> ModuleMap:
+    """The map of free modules p -> n sending generator k to the vector
+    images[k] of n at the generator's vertex, given sparse as a dict
+    coordinate -> nonzero entry: `_image_columns` as matrices."""
+    field = p.algebra.field
+    return ModuleMap(p, n, {w: Matrix.from_sparse_cols(field, c, n.dims[w])
+                            for w, c in _image_columns(p, n, images).items()},
+                     validate=False)
+
+
+def _dualized_differential(res: MinimalResolution, i: int) -> ModuleMap:
+    """Hom(-, algebra) applied to the differential terms[i] -> terms[i-1]:
+    a map of projective sums over the opposite algebra.  `tau_n` reads the
+    same blocks as columns."""
+    return proj_map_from_images(*_dualized_elements(res, i))
+
+
+def ext_module(m: Representation, p: int, maxlen: int = DEFAULT_BOUND
+               ) -> Representation:
+    """Ext^p(m, algebra) with its right-module structure, returned as a
+    representation of the opposite algebra: the cohomology
+    ker d_{p+1}^* / im d_p^* of the dualized resolution complex.  Its
+    dual is ker nu(d_p) / im nu(d_{p+1}), a kernel modulo an image, so
+    unlike `tau_n` it cannot be read as one kernel."""
+    alg = m.algebra
+    opp = opposite(alg)
+    if m.is_zero():
+        return zero_rep(opp)
+    res = _require_depth(m, p + 1, maxlen)
+    if p > res.length and res.terminated:
+        return zero_rep(opp)
+    out_map = _dualized_differential(res, p + 1)
+    kernel, incl = kernel_rep(out_map)
+    if p == 0:
+        return kernel
+    in_map = _dualized_differential(res, p)
+    # factor the incoming map through the kernel (d* d* = 0)
+    blocks = {}
+    for v in opp.quiver.vertices:
+        x = solve(incl.blocks[v], in_map.blocks[v])
+        if x is None:
+            raise QtiltError("dualized complex is not a complex")
+        blocks[v] = x
+    factored = ModuleMap(in_map.source, kernel, blocks, validate=False)
+    quotient, _ = cokernel_rep(factored)
+    return quotient
+
+
+def tau_n_ext(m: Representation, n: int, maxlen: int = DEFAULT_BOUND
+              ) -> Representation:
+    """The Ext form of tau_n: the dual of Ext^n(m, algebra).  Agrees with
+    tau_n when the global dimension is at most n."""
+    return dual(ext_module(m, n, maxlen))
+
+
+def tau_n_minus_ext(m: Representation, n: int, maxlen: int = DEFAULT_BOUND
+                    ) -> Representation:
+    """The Ext form of tau_n^-: Ext^n over the opposite algebra of the
+    dual, against that algebra."""
+    return ext_module(dual(m), n, maxlen)

@@ -8,7 +8,7 @@ import pytest
 
 from qtilt.exactla import Matrix, QQ
 from qtilt.homengine import (ext_dim, gldim, pd, tau_finiteness_probe, tau_n,
-                             tau_n_ext, tau_n_minus, tau_n_minus_ext)
+                             tau_n_minus)
 from qtilt.quivercore import opposite
 from qtilt.repcore import (decompose, direct_sum, dual, inj, is_isomorphic,
                            proj, random_module, simple)
@@ -19,6 +19,7 @@ from qtilt.tilting import (apr_check, count_apr, endo_algebra,
 
 from conftest import (make_a2, make_a3, make_a3_nilpotent, make_kronecker,
                       make_loop_nilpotent, make_semisimple, make_square)
+from oracles import tau_n_ext, tau_n_minus_ext
 
 
 def report(k, name):

@@ -705,6 +705,22 @@ def test_tau_finite_reads_the_resolution_bound(tmp_path):
     assert code == 3 and text.startswith("inconclusive ")
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_tau_finite_checks_n_before_the_global_dimension(tmp_path, monkeypatch,
+                                                          n):
+    """n < 1 is a usage error named as such, exit 2, before any resolution
+    is grown: on the Kronecker algebra (gl.dim 1) and on a semisimple one
+    (gl.dim 0), where the gl.dim check would pass or name the wrong bound."""
+    from qtilt import homengine
+    semisimple = tmp_path / "ss.alg"
+    semisimple.write_text("algebra ss\nfield Q\nvertices 1\n")
+    monkeypatch.setattr(homengine, "gldim", lambda *a: pytest.fail(
+        "the probe read the global dimension"))
+    for alg in (data("kronecker.alg"), str(semisimple)):
+        code, text = run(["tau-finite", alg, "--n", str(n)])
+        assert (code, text) == (2, f"error probe needs n >= 1, got {n}\n")
+
+
 def test_tau_finite_resolves_within_the_bound(monkeypatch):
     """Every resolution the probe grows, gldim's included, is asked for at
     most --max-resolution steps; the Kronecker probe stays undetermined."""

@@ -7,17 +7,18 @@ import pytest
 from qtilt.errors import InconclusiveError, QtiltError
 from qtilt.exactla import Matrix, QQ
 from qtilt.homengine import (InfinityMarker, ProbeResult, ext, ext_dim,
-                             ext_module, gldim, injd, is_finite,
-                             min_proj_resolution, pd, tau_finiteness_probe,
-                             tau_n, tau_n_ext, tau_n_minus, tau_n_minus_ext,
+                             gldim, injd, is_finite, min_proj_resolution, pd,
+                             tau_finiteness_probe, tau_n, tau_n_minus,
                              transpose)
 from qtilt.quivercore import opposite
 from qtilt.repcore import (ModuleMap, decompose, direct_sum, dual, hom_space,
-                           inj, injective_cogenerator, is_isomorphic, proj,
-                           random_module, regular, simple)
+                           inj, is_isomorphic, proj, random_module, regular,
+                           simple)
 
-from conftest import (differential, make_kronecker, make_square,
+from conftest import (cover_map, differential, make_kronecker, make_square,
                       resolution_maps, syzygies)
+from oracles import (ext_module, injective_cogenerator, tau_n_ext,
+                     tau_n_minus_ext)
 
 import os
 import subprocess
@@ -447,7 +448,8 @@ def test_rank_cache_keeps_targets_apart(kron):
 
 
 def test_ext_module_raises_when_complex_breaks(monkeypatch, kron):
-    monkeypatch.setattr(homengine, "solve", lambda a, b: None)
+    import oracles
+    monkeypatch.setattr(oracles, "solve", lambda a, b: None)
     with pytest.raises(QtiltError, match="not a complex"):
         ext_module(simple(kron, "2"), 1)
 
@@ -457,18 +459,19 @@ def test_ext_module_check_survives_optimize():
     src = os.path.dirname(os.path.dirname(os.path.abspath(qtilt.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [x for x in [env.get("PYTHONPATH")] if x])
+        [src, os.path.dirname(os.path.abspath(__file__))]
+        + [x for x in [env.get("PYTHONPATH")] if x])
     script = "\n".join([
-        "from qtilt import homengine",
+        "import oracles",
         "from qtilt.errors import QtiltError",
         "from qtilt.quivercore import Arrow, Quiver, build_algebra",
         "from qtilt.repcore import simple",
         "q = Quiver(['1', '2'],",
         "           [Arrow('a0', '2', '1'), Arrow('a1', '2', '1')])",
         "kron = build_algebra(q, [])",
-        "homengine.solve = lambda a, b: None",
+        "oracles.solve = lambda a, b: None",
         "try:",
-        "    homengine.ext_module(simple(kron, '2'), 1)",
+        "    oracles.ext_module(simple(kron, '2'), 1)",
         "except QtiltError as exc:",
         "    print('raised', __debug__, exc)",
     ])
@@ -530,8 +533,8 @@ def test_tau_n_builds_only_the_arrows_it_reads(monkeypatch):
     monkeypatch.setattr(homengine, "_dualized_elements",
                         lambda res, i: dualized.append(dualize(res, i))
                         or dualized[-1])
-    for name in ("cokernel_rep", "dual"):
-        monkeypatch.setattr(homengine, name, lambda *args, name=name:
+    for module, name in ((repcore, "cokernel_rep"), (homengine, "dual")):
+        monkeypatch.setattr(module, name, lambda *args, name=name:
                             pytest.fail(f"tau_n called {name}"))
     assert tau_n(m, 2).dim_vector() == (9, 12, 12, 16)
     res = m._cache["minres"]
@@ -603,10 +606,11 @@ def _image_corpus():
 def _eager_resolution(m, upto):
     """The resolution by composed maps: maps[i] = incl_i * cover_i for the
     cover of the i-th syzygy and its inclusion."""
-    from qtilt.repcore import kernel_rep, projective_cover
+    from qtilt.repcore import projective_cover
+    from oracles import kernel_rep
     maps, syz, incl = [], m, None
     while len(maps) <= upto and not syz.is_zero():
-        cover = projective_cover(syz).map
+        cover = cover_map(projective_cover(syz))
         maps.append(cover if incl is None else incl * cover)
         syz, incl = kernel_rep(cover)
     return maps
@@ -666,7 +670,7 @@ def test_resolution_builds_one_cover_map_per_kernel(monkeypatch):
     once per step; no map is built through the generator-image route.  The
     differentials of degree 1 to n are then built through that route, and
     no cover again."""
-    from qtilt import repcore
+    import oracles
     from conftest import make_two_loop
     covers, maps, reads, kernels = [], [], [], []
     real_cover = homengine._cover_blocks
@@ -678,10 +682,9 @@ def test_resolution_builds_one_cover_map_per_kernel(monkeypatch):
     real_kernel = homengine.kernel_data
     monkeypatch.setattr(homengine, "kernel_data",
                         lambda m: kernels.append(1) or real_kernel(m))
-    for module in (repcore, homengine):
-        real = module.proj_map_from_images
-        monkeypatch.setattr(module, "proj_map_from_images",
-                            lambda *a, real=real: maps.append(1) or real(*a))
+    real_map = oracles.proj_map_from_images
+    monkeypatch.setattr(oracles, "proj_map_from_images",
+                        lambda *a: maps.append(1) or real_map(*a))
     kron2 = _tensor(_kron(QQ), _kron(QQ))
     cases = [(dual(proj(opposite(kron2), "(1,1)")), 2),
              (simple(make_two_loop(), "1"), 3)]
@@ -698,9 +701,9 @@ def test_resolution_builds_one_cover_map_per_kernel(monkeypatch):
 def test_growing_builds_no_syzygy_module(monkeypatch):
     """A resolution grown to length n has taken n kernels, each held as
     its vectors inside the last term, and built no module past the one it
-    resolves: no module with arrow matrices, no solve against a kernel
-    basis, no `kernel_rep`.  A terminated one keeps no kernel."""
-    from qtilt import exactla, repcore
+    resolves: no module with arrow matrices, no solve, no restriction to
+    a submodule.  A terminated one keeps no kernel."""
+    from qtilt import repcore
     from conftest import make_loop_nilpotent, make_two_loop
     kron2 = _tensor(_kron(QQ), _kron(QQ))
     cases = [(simple(make_loop_nilpotent(), "1"), 5),
@@ -716,10 +719,9 @@ def test_growing_builds_no_syzygy_module(monkeypatch):
             built.append(self)
 
     monkeypatch.setattr(Representation, "__init__", recorded)
-    for module in (exactla, repcore):
-        monkeypatch.setattr(module, "solve_against_kernel", lambda *a:
-                            pytest.fail("growing solved against a kernel"))
-    monkeypatch.setattr(homengine, "kernel_rep", lambda *a:
+    monkeypatch.setattr(repcore, "solve", lambda *a:
+                        pytest.fail("growing solved a linear system"))
+    monkeypatch.setattr(repcore, "_restricted", lambda *a:
                         pytest.fail("growing built a kernel module"))
     real = homengine.kernel_data
     monkeypatch.setattr(homengine, "kernel_data",
@@ -770,8 +772,8 @@ def test_kernel_in_its_free_term_matches_the_syzygy_route(name):
     Over Q and GF(32003), and on modules with Fraction entries; steps
     past the first read the kernel off the generator images."""
     from conftest import make_two_loop, with_fractions
-    from qtilt.repcore import (_submodule_top, _top_sections, kernel_rep,
-                               projective_cover)
+    from qtilt.repcore import _submodule_top, _top_sections, projective_cover
+    from oracles import kernel_rep
     corpus = {**_image_corpus(), "twoloop_gf": make_two_loop(GF32003)}
     alg = corpus[name]
     modules = [random_module(alg, seed) for seed in range(3)]
@@ -786,7 +788,7 @@ def test_kernel_in_its_free_term_matches_the_syzygy_route(name):
             res.extend(i)
             cover = projective_cover(syz)
             assert res.terms[i].proj_gens == cover.projective.proj_gens
-            syz, incl = kernel_rep(cover.map)
+            syz, incl = kernel_rep(cover_map(cover))
             res._take_kernel()
             if res.terminated:
                 assert syz.is_zero()
@@ -905,10 +907,11 @@ def _tau_by_cokernel(m, n):
     """The dualize-then-dual route: D of the cokernel, over the opposite
     algebra, of the dualized differential terms[n] -> terms[n-1]."""
     from qtilt.repcore import cokernel_rep, zero_rep
+    from oracles import _dualized_differential
     res = min_proj_resolution(m, n)
     if m.is_zero() or (res.terminated and res.length < n):
         return zero_rep(m.algebra)
-    return dual(cokernel_rep(homengine._dualized_differential(res, n))[0])
+    return dual(cokernel_rep(_dualized_differential(res, n))[0])
 
 
 def _same_module(t, ref):
@@ -937,17 +940,19 @@ def _tau_minus_by_cokernel(m, n):
     terms[n] -> terms[n-1] of the resolution of Dm, over the opposite of
     the opposite algebra."""
     from qtilt.repcore import cokernel_rep, zero_rep
+    from oracles import _dualized_differential
     res = min_proj_resolution(dual(m), n)
     if m.is_zero() or (res.terminated and res.length < n):
         return zero_rep(m.algebra)
-    return cokernel_rep(homengine._dualized_differential(res, n))[0]
+    return cokernel_rep(_dualized_differential(res, n))[0]
 
 
 def _transpose_by_cokernel(m):
     """Tr m as the cokernel of the dualized minimal presentation."""
     from qtilt.repcore import cokernel_rep
+    from oracles import _dualized_differential
     res = min_proj_resolution(m, 1)
-    return cokernel_rep(homengine._dualized_differential(res, 1))[0]
+    return cokernel_rep(_dualized_differential(res, 1))[0]
 
 
 @pytest.mark.parametrize("name", ["kron2", "a3xkron", "twoloop", "kron_gf"])
@@ -972,6 +977,7 @@ def test_tau_n_minus_and_transpose_match_the_cokernel_routes(name):
 
 def test_translates_route_through_tau_n(monkeypatch):
     """tau_n_minus and transpose build no cokernel and no dualized map."""
+    import oracles
     from qtilt import repcore
 
     def refuse(*args):
@@ -979,9 +985,8 @@ def test_translates_route_through_tau_n(monkeypatch):
 
     alg = _image_corpus()["kron2"]
     m = random_module(alg, 4)
-    monkeypatch.setattr(homengine, "cokernel_rep", refuse)
     monkeypatch.setattr(repcore, "cokernel_rep", refuse)
-    monkeypatch.setattr(homengine, "_dualized_differential", refuse)
+    monkeypatch.setattr(oracles, "_dualized_differential", refuse)
     assert not tau_n_minus(m, 2).is_zero()
     assert not transpose(m).is_zero()
 

@@ -13,11 +13,11 @@ from qtilt.quivercore import (Arrow, Path, PathSum, Quiver, StructureConstantAlg
                               abstract_radical, build_algebra,
                               minimal_polynomial, opposite,
                               poly_mul, primitive_orthogonal_idempotents,
-                              regular_structure_algebra,
                               semisimple_and_basic_flags, split_rational_root)
 
 from conftest import (dense, make_a3, make_a3_nilpotent, make_kronecker,
                       make_square, make_two_loop, op_element)
+from oracles import regular_structure_algebra, vstack
 
 
 # --- independent oracles ------------------------------------------------------
@@ -247,7 +247,7 @@ def test_abstract_radical_matches_graded_radical(kron):
     graded = Matrix(QQ, [dense({i: 1}, kron.dim)
                          for i in kron.radical_indices()])
     for v in rad:
-        stacked = graded.stack_below(Matrix(QQ, [dense(v, sca.dim)]))
+        stacked = vstack([graded, Matrix(QQ, [dense(v, sca.dim)])])
         assert stacked.rank() == graded.rank()
 
 

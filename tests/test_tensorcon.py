@@ -9,14 +9,14 @@ from qtilt.exactla import Matrix, QQ
 from qtilt.homengine import ext_dim, gldim, injd, min_proj_resolution, pd, tau_n, tau_n_minus
 from qtilt.quivercore import semisimple_and_basic_flags
 from qtilt.repcore import (ModuleMap, _free_coordinates, decompose, dual,
-                           free_offsets, hom_space, inj, injective_cogenerator,
-                           is_isomorphic, kernel_rep, proj,
-                           proj_map_from_images, projective_cover,
-                           random_module, simple, top_and_radical)
+                           free_offsets, hom_space, inj, is_isomorphic, proj,
+                           projective_cover, random_module, simple,
+                           top_and_radical)
 from qtilt.tensorcon import (kunneth_verify, tensor_algebras, tensor_maps,
                              tensor_modules, tensor_resolution)
 
 from conftest import make_semisimple, resolution_maps, syzygies
+from oracles import injective_cogenerator, kernel_rep, proj_map_from_images
 
 
 # --- the product algebra -------------------------------------------------------
