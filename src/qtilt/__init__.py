@@ -16,14 +16,14 @@ from .repcore import (Decomposition, ModuleMap, Representation, decompose,
                       direct_sum, dual, endomorphism_algebra, hom_space, inj,
                       is_isomorphic, cokernel_rep, proj, proj_sum,
                       projective_cover, random_module, regular, simple,
-                      top_and_radical, zero_rep)
-from .homengine import (ExtResult, InfinityMarker, MinimalResolution,
-                        ProbeResult, ext, ext_dim, gldim, injd, is_finite,
-                        min_proj_resolution, pd, tau_finiteness_probe, tau_n,
-                        tau_n_minus, transpose)
-from .tensorcon import (KunnethReport, TensorAlgebraResult, kunneth_verify,
-                        structural_suite, tensor_algebras, tensor_maps,
-                        tensor_modules, tensor_resolution)
+                      zero_rep)
+from .homengine import (InfinityMarker, MinimalResolution, ProbeResult,
+                        ext_dim, gldim, injd, is_finite, min_proj_resolution,
+                        pd, tau_finiteness_probe, tau_n, tau_n_minus,
+                        transpose)
+from .tensorcon import (TensorAlgebraResult, kunneth_verify, structural_suite,
+                        tensor_algebras, tensor_maps, tensor_modules,
+                        tensor_resolution)
 from .tilting import (AlgebraPresentation, AprReport, BbReport, CotiltReport,
                       TiltingCertificate, apr_check, apr_cotilting_check,
                       bb_check, count_apr, endo_algebra, present_algebra,

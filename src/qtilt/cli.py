@@ -539,9 +539,9 @@ def _cmd_kunneth(args, ws):
     ws.add_algebra(t.algebra.name, t.algebra)
     m, n, mp, np_ = _load_modules(ws, args.m, args.n, args.mprime,
                                   args.nprime)
-    report = kunneth_verify(t, m, n, mp, np_, args.pmax, args.max_resolution)
+    rows = kunneth_verify(t, m, n, mp, np_, args.pmax, args.max_resolution)
     lines = []
-    for q, lhs, rhs in report.rows:
+    for q, lhs, rhs in rows:
         ok = "pass" if lhs == rhs else "fail"
         lines.append(f"verdict kunneth_q{q} {ok} product={lhs},convolution={rhs}")
     return lines

@@ -1,5 +1,5 @@
 """Minimal projective resolutions and the homological operators built on
-them: Ext groups, projective/injective/global dimension, the transpose,
+them: Ext dimensions, projective/injective/global dimension, the transpose,
 and the higher translates tau_n / tau_n^- with their finiteness probe.
 
 A minimal resolution is grown by iterated projective covers and cached on
@@ -22,22 +22,20 @@ tau_n is the one syzygy-side translate: tau_n M = ker nu(d_n), with
 nu = D Hom(-, algebra) the Nakayama functor, read off the columns of
 d_n^* as a kernel over the algebra itself.  The other two go through it:
 tau_n^- = D tau_n D over the opposite algebra, and Tr = D tau_1.
-Ext dimensions come from the ranks of the Hom-complex differentials,
-cached on the resolution per target module; cocycle maps are built only
-when read.
+Ext is its dimension (`ext_dim`), read off the ranks of the Hom-complex
+differentials, cached on the resolution per target module.
 """
 
 from typing import Dict, List, Tuple
 from weakref import WeakKeyDictionary, ref
 
 from .errors import AlgebraMismatchError, InconclusiveError, QtiltError
-from .exactla import Matrix, Span, _tidy, kernel_data
+from .exactla import Matrix, _tidy, kernel_data
 from .quivercore import BoundQuiverAlgebra, _op_table, opposite
-from .repcore import (ModuleMap, Representation, _action_rows,
-                      _cochain_offsets, _cover_blocks, _free_coordinates,
-                      _image_columns, _submodule_top, dual, dual_free_kernel,
-                      free_offsets, hom_space, inj, linear_combination,
-                      proj_sum, projective_cover, simple, zero_rep)
+from .repcore import (Representation, _action_rows, _cochain_offsets,
+                      _cover_blocks, _free_coordinates, _image_columns,
+                      _submodule_top, dual, dual_free_kernel, free_offsets,
+                      inj, proj_sum, projective_cover, simple, zero_rep)
 
 DEFAULT_BOUND = 64
 
@@ -257,38 +255,7 @@ def transpose(m: Representation) -> Representation:
 
 
 # ---------------------------------------------------------------------------
-# Ext groups
-
-
-class ExtResult:
-    """Ext^degree(source, target): its dimension, and on first read of
-    ``cocycles`` the maps terms[degree] -> target whose classes form a
-    basis."""
-
-    __slots__ = ("source", "target", "degree", "dim", "_res", "_cocycles")
-
-    def __init__(self, source, target, degree, dim, res=None):
-        self.source = source
-        self.target = target
-        self.degree = degree
-        self.dim = dim
-        self._res = res
-        self._cocycles = None if dim else []
-
-    @property
-    def cocycles(self) -> List[ModuleMap]:
-        if self._cocycles is None:
-            res, n, p = self._res, self.target, self.degree
-            kernel_vectors = kernel_data(
-                _hom_complex_differential(res, n, p)).matrix.sparse_columns()
-            boundaries = Span(n.algebra.field)
-            if p > 0:
-                for col in _hom_complex_differential(
-                        res, n, p - 1).sparse_columns():
-                    boundaries.add(col)
-            self._cocycles = _cocycle_representatives(
-                res, n, p, kernel_vectors, boundaries)
-        return self._cocycles
+# Ext dimensions
 
 
 def _hom_complex_differential(res: MinimalResolution, n: Representation,
@@ -342,36 +309,23 @@ def _hom_rank(res: MinimalResolution, n: Representation, i: int) -> int:
     return got
 
 
-def ext(m: Representation, n: Representation, p: int,
-        maxlen: int = DEFAULT_BOUND) -> ExtResult:
-    """Ext^p(m, n) as the degree-p cohomology of Hom(P., n): its dimension
-    is cols(delta_p) - rank(delta_p) - rank(delta_{p-1})."""
+def ext_dim(m: Representation, n: Representation, p: int,
+            maxlen: int = DEFAULT_BOUND) -> int:
+    """dim Ext^p(m, n), the degree-p cohomology of Hom(P., n):
+    cols(delta_p) - rank(delta_p) - rank(delta_{p-1})."""
     if p < 0:
         raise QtiltError("negative Ext degree")
     if m.algebra is not n.algebra:
         raise AlgebraMismatchError("Ext between modules over different algebras")
     if m.is_zero() or n.is_zero():
-        return ExtResult(m, n, p, 0)
+        return 0
     res = _require_depth(m, p + 1, maxlen)
     if p > res.length and res.terminated:
-        return ExtResult(m, n, p, 0)
+        return 0
     dim = _cochain_offsets(n, res.generators(p))[-1] - _hom_rank(res, n, p)
     if p > 0:
         dim -= _hom_rank(res, n, p - 1)
-    return ExtResult(m, n, p, dim, res)
-
-
-def _cocycle_representatives(res, n, p, kernel_vectors, span):
-    """Sparse kernel vectors completing a basis of the boundary span
-    (which they are added to), returned as maps terms[p] -> n: cochain
-    coordinates are those of the Hom basis out of terms[p]."""
-    homs = hom_space(res.term(p), n)
-    return [linear_combination(vec, homs)
-            for vec in kernel_vectors if span.add(vec)]
-
-
-def ext_dim(m, n, p, maxlen: int = DEFAULT_BOUND) -> int:
-    return ext(m, n, p, maxlen).dim
+    return dim
 
 
 # ---------------------------------------------------------------------------

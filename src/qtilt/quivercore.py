@@ -174,9 +174,6 @@ class PathSum:
     def reversed(self) -> List[Tuple[object, Path]]:
         return [(c, p.reversed()) for c, p in self.terms]
 
-    def format(self, field) -> str:
-        return " + ".join(f"{field.fmt(c)} {format_path(p)}" for c, p in self.terms)
-
     def __repr__(self):
         return " + ".join(f"{c} {format_path(p)}" for c, p in self.terms)
 

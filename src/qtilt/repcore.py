@@ -20,8 +20,12 @@ matrices cached on the algebra (`_free_columns`): each column comes with
 its block's offset in the free module, and the product applies the
 offset instead of copying the column.  A resolution builds no kernel as
 a module: it reads a syzygy's top off its kernel vectors in a free
-module.  A submodule given by a basis at each vertex (the radical, an
-image) is restricted to one way, by a solve per arrow (`_restricted`).
+module.  A top is read one way, as the standard coordinates that
+complement the radical (`_top_sections`); its dimension at v is their
+number, and the radical's is the rest.  An image given by a basis at
+each vertex is restricted by a solve per arrow (`_restricted`).  A
+random quotient of a free module p is the cokernel of a free map into
+p, its random vectors as generator images (`_image_columns`).
 
 A basis element x's action is read two ways, one per kind of target.
 A map of free modules is given by its generator images, its column at
@@ -44,8 +48,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (AlgebraMismatchError, QtiltError, ShapeMismatchError,
                      UndecidedIsomorphismError)
-from .exactla import (Matrix, Span, _null_vectors, _product_rows,
-                      _tidy, block_diag, cokernel_data, column_space_basis,
+from .exactla import (Matrix, _null_vectors, _product_rows, _tidy,
+                      block_diag, cokernel_data, column_space_basis,
                       kernel_data, pivot_columns, solve)
 from .quivercore import (BoundQuiverAlgebra, Path, StructureConstantAlgebra,
                          opposite, primitive_orthogonal_idempotents)
@@ -204,9 +208,6 @@ class ModuleMap:
 
     def is_injective(self) -> bool:
         return all(b.rank() == b.ncols for b in self.blocks.values())
-
-    def is_surjective(self) -> bool:
-        return all(b.rank() == b.nrows for b in self.blocks.values())
 
     def is_isomorphism(self) -> bool:
         return all(b.nrows == b.ncols and b.rank() == b.nrows
@@ -490,61 +491,8 @@ def cokernel_rep(f: ModuleMap):
     return c, projm
 
 
-def submodule_generated(m: Representation,
-                        vectors: Dict[str, List[Dict[int, object]]]):
-    """(S, inclusion): the smallest subrepresentation containing the given
-    vectors (dict vertex -> list of sparse vectors, coordinate -> entry,
-    whose entries are made canonical here).  Each round maps the basis
-    vectors found in the round before along every arrow, so the basis at
-    each vertex is the first vectors, in that order, that grow its span."""
-    alg = m.algebra
-    field = alg.field
-    verts = alg.quiver.vertices
-    spans = {v: Span(field) for v in verts}
-    given = {v: [{i: c for i, x in vec.items() if (c := field.canon(x))}
-                 for vec in vectors.get(v, [])] for v in verts}
-    fresh = {v: [x for x in given[v] if spans[v].add(x)] for v in verts}
-    basis = {v: list(fresh[v]) for v in verts}
-    while any(fresh.values()):
-        found = {v: [] for v in verts}
-        for a in alg.quiver.arrows:
-            if fresh[a.source]:
-                img = m.mats[a.name] * Matrix.from_sparse_cols(
-                    field, fresh[a.source], m.dims[a.source])
-                found[a.target].extend(col for col in img.sparse_columns()
-                                       if spans[a.target].add(col))
-        for v in verts:
-            basis[v].extend(found[v])
-        fresh = found
-    return _restricted(m, {v: Matrix.from_sparse_cols(field, basis[v],
-                                                      m.dims[v])
-                           for v in verts},
-                       "generated subspaces are not arrow-stable")
-
-
 # ---------------------------------------------------------------------------
 # top, radical, projective covers
-
-
-class TopRadical:
-    __slots__ = ("top", "projection", "radical", "inclusion")
-
-    def __init__(self, top, projection, radical, inclusion):
-        self.top = top
-        self.projection = projection
-        self.radical = radical
-        self.inclusion = inclusion
-
-
-def _radical_bases(m: Representation) -> Dict[str, Matrix]:
-    """Vertexwise basis of the arrow-ideal image: a column basis of the
-    incoming arrows' columns at each vertex."""
-    alg = m.algebra
-    return {v: column_space_basis(Matrix.from_sparse_cols(
-                alg.field, [col for a in alg.quiver.arrows_into(v)
-                            for col in m.mats[a.name].sparse_columns()],
-                m.dims[v]))
-            for v in alg.quiver.vertices}
 
 
 def _top_sections(m: Representation):
@@ -592,16 +540,6 @@ def _submodule_top(p: Representation, columns, free):
         pivots = set(pivot_columns(Matrix._raw(alg.field, radical, len(at))))
         out[v] = tuple(j for j in range(len(at)) if j not in pivots)
     return out
-
-
-def top_and_radical(m: Representation) -> TopRadical:
-    """Radical = sum of arrow images; top = the semisimple quotient."""
-    radical, inclusion = _restricted(m, _radical_bases(m),
-                                     "radical is not arrow-stable")
-    top, projection = cokernel_rep(inclusion)
-    if not all(mat.is_zero() for mat in top.mats.values()):
-        raise QtiltError("top has nonzero arrow action")
-    return TopRadical(top, projection, radical, inclusion)
 
 
 class Cover:
@@ -1035,7 +973,9 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
 def random_module(alg, seed: int, max_dim: int = 3) -> Representation:
     """Deterministic pseudo-random module.  Relation-free algebras get
     random matrices directly; otherwise a random quotient of a small
-    projective sum (always satisfies the relations)."""
+    projective sum p (always satisfies the relations): the cokernel of
+    the free map into p sending one generator to each random vector,
+    read with `_image_columns`."""
     rnd = random.Random(seed)
     field = alg.field
     if not alg.relations:
@@ -1058,17 +998,21 @@ def random_module(alg, seed: int, max_dim: int = 3) -> Representation:
         if not gens:
             continue
         p = proj_sum(alg, gens)
-        vectors = {v: [] for v in alg.quiver.vertices}
+        at, images = [], []
         for _ in range(1 + rnd.randint(0, 2)):
             v = rnd.choice(alg.quiver.vertices)
             if p.dims[v] == 0:
                 continue
-            vectors[v].append(dict(enumerate(
-                rnd.randint(-2, 2) for _ in range(p.dims[v]))))
-        if all(not vs for vs in vectors.values()):
+            at.append(v)
+            images.append({i: c for i in range(p.dims[v])
+                           if (c := field.canon(rnd.randint(-2, 2)))})
+        if not at:
             continue
-        _, incl = submodule_generated(p, vectors)
-        quot, _ = cokernel_rep(incl)
+        free = proj_sum(alg, at)
+        cols = _image_columns(free, p, images)
+        quot, _ = cokernel_rep(ModuleMap(
+            free, p, {w: Matrix.from_sparse_cols(field, cols[w], p.dims[w])
+                      for w in alg.quiver.vertices}, validate=False))
         if not quot.is_zero():
             return quot
     raise QtiltError("random module generation failed")

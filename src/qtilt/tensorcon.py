@@ -18,10 +18,9 @@ from .homengine import (DEFAULT_BOUND, InfinityMarker, MinimalResolution,
 from .quivercore import (Arrow, BoundQuiverAlgebra, Path, PathSum, Quiver,
                          _check_idempotents, abstract_radical, build_algebra,
                          semisimple_and_basic_flags)
-from .repcore import (ModuleMap, Representation, decompose,
+from .repcore import (ModuleMap, Representation, _top_sections, decompose,
                       endomorphism_algebra, free_offsets, inj, is_isomorphic,
-                      proj, proj_sum, projective_cover, random_module, simple,
-                      top_and_radical)
+                      proj, proj_sum, projective_cover, random_module, simple)
 
 
 def _vname(u: str, v: str) -> str:
@@ -216,31 +215,17 @@ def _by_generator(res: MinimalResolution, i: int):
     return out
 
 
-class KunnethReport:
-    """Per-degree comparison of Ext over the product against the
-    convolution of the factor Ext dimensions."""
-
-    def __init__(self, rows):
-        self.rows = rows  # list of (degree, product_dim, convolution_dim)
-
-    @property
-    def all_equal(self) -> bool:
-        return all(a == b for _, a, b in self.rows)
-
-    def __repr__(self):
-        body = ", ".join(f"q={q}: {a}|{b}" for q, a, b in self.rows)
-        return f"KunnethReport({body})"
-
-
 def kunneth_verify(t: TensorAlgebraResult, m: Representation,
                    n: Representation, mprime: Representation,
                    nprime: Representation, pmax: int,
-                   maxlen: int = DEFAULT_BOUND) -> KunnethReport:
+                   maxlen: int = DEFAULT_BOUND
+                   ) -> List[Tuple[int, int, int]]:
     """Compare dim Ext^q(M (x) M', N (x) N') over the product algebra with
     the convolution of the factor Ext dimensions, for q up to pmax, every
-    resolution within maxlen steps.  The product side resolves M (x) M'
-    from scratch; the factor side only sees the factor algebras, so the
-    two routes are independent."""
+    resolution within maxlen steps: one row (q, product dim, convolution)
+    per degree.  The product side resolves M (x) M' from scratch; the
+    factor side only sees the factor algebras, so the two routes are
+    independent."""
     if pmax < 0:
         raise QtiltError(f"pmax must be >= 0, got {pmax}")
     source = tensor_modules(t, m, mprime, validate=False)
@@ -252,7 +237,7 @@ def kunneth_verify(t: TensorAlgebraResult, m: Representation,
         lhs = ext_dim(source, target, q, maxlen)
         rhs = sum(left_dims[i] * right_dims[q - i] for i in range(q + 1))
         rows.append((q, lhs, rhs))
-    return KunnethReport(rows)
+    return rows
 
 
 def _read_to(d: int, maxlen: int):
@@ -268,8 +253,9 @@ def structural_suite(t: TensorAlgebraResult, seed: int = 0,
     additivity.  Returns (name, ok, detail) triples.  Every dimension is
     read within maxlen resolution steps, so a sum of factor dimensions is
     compared as that search reads it.  The seed picks the random module
-    pairs (M, N); each product M (x) N, and each module's top and
-    radical, is built once per pair."""
+    pairs (M, N); each product M (x) N, and each module's top dimensions
+    (`_top_sections`, the radical being the rest), are read once per
+    pair."""
     if module_count < 0:
         raise QtiltError(f"module_count must be >= 0, got {module_count}")
     alg = t.algebra
@@ -329,24 +315,24 @@ def structural_suite(t: TensorAlgebraResult, seed: int = 0,
         m = random_module(t.left, seed=seed + 2 * k)
         n = random_module(t.right, seed=seed + 2 * k + 1)
         pairs.append((m, n, tensor_modules(t, m, n, validate=False)))
-    parts = [tuple(map(top_and_radical, pair)) for pair in pairs]
+    tops = [[{v: len(s) for v, s in _top_sections(x).items()} for x in pair]
+            for pair in pairs]
 
     ok = True
-    for (m, n, _), (trm, trn, trp) in zip(pairs, parts):
-        radm, radn = trm.radical, trn.radical
+    for (m, n, prod), (tm, tn, tp) in zip(pairs, tops):
         for u in t.left.quiver.vertices:
             for v in t.right.quiver.vertices:
-                want = radm.dims[u] * n.dims[v] + m.dims[u] * radn.dims[v] \
-                    - radm.dims[u] * radn.dims[v]
-                ok = ok and trp.radical.dims[t.vertex(u, v)] == want
+                radm, radn = m.dims[u] - tm[u], n.dims[v] - tn[v]
+                want = radm * n.dims[v] + m.dims[u] * radn - radm * radn
+                w = t.vertex(u, v)
+                ok = ok and prod.dims[w] - tp[w] == want
     results.append(("module_radical", ok, f"{len(pairs)} pairs"))
 
     ok = True
-    for trm, trn, trp in parts:
+    for tm, tn, tp in tops:
         for u in t.left.quiver.vertices:
             for v in t.right.quiver.vertices:
-                ok = ok and trp.top.dims[t.vertex(u, v)] == \
-                    trm.top.dims[u] * trn.top.dims[v]
+                ok = ok and tp[t.vertex(u, v)] == tm[u] * tn[v]
     results.append(("module_top", ok, f"{len(pairs)} pairs"))
 
     ok = True

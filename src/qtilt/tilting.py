@@ -374,10 +374,6 @@ class AlgebraPresentation:
         self.dim = dim
         self.algebra = algebra            # round-trip bound quiver algebra
 
-    def arrow_count(self, src: str, tgt: str) -> int:
-        return sum(1 for a in self.quiver.arrows
-                   if a.source == src and a.target == tgt)
-
 
 def _radical_powers(sca: StructureConstantAlgebra, rad, idems):
     """(powers, corners): powers[k] spans rad^(k+1), down to 0; corners[i]
@@ -541,6 +537,8 @@ def count_apr(alg: BoundQuiverAlgebra, n: int, maxlen: int = DEFAULT_BOUND
     unset), and hold no P_v, so no resolution outlives the call;
     ``apr_check`` at a witness builds the module."""
     _require_basic(alg)
+    if n < 1:
+        raise QtiltError("n must be at least 1")
     witnesses = []
     for v in alg.quiver.vertices:
         if proj(alg, v).total_dim() != 1:

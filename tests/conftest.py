@@ -69,6 +69,29 @@ def cover_map(cover):
                                    cover.images), validate=False)
 
 
+def is_surjective(f):
+    """Whether the module map f is onto: full row rank at every vertex."""
+    return all(b.rank() == b.nrows for b in f.blocks.values())
+
+
+def top_dims(m):
+    """The dimension vector of m's top: the number of `_top_sections` at
+    each vertex."""
+    from qtilt.repcore import _top_sections
+    return tuple(len(s) for s in _top_sections(m).values())
+
+
+def radical_dims(m):
+    """The dimension vector of m's radical, the rest of m past its top."""
+    return tuple(d - t for d, t in zip(m.dim_vector(), top_dims(m)))
+
+
+def arrow_count(quiver, source, target):
+    """The number of arrows source -> target in quiver."""
+    return sum(1 for a in quiver.arrows
+               if a.source == source and a.target == target)
+
+
 def resolution_maps(res):
     """The augmentation onto the module (maps[0]) and the differentials
     terms[i] -> terms[i-1] (maps[i]) of a resolution, built from its terms

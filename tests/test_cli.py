@@ -210,6 +210,19 @@ def test_count_apr_command():
     assert "witness 1" in text
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_count_apr_rejects_n_below_one_without_a_simple_projective(
+        tmp_path, n):
+    """n is checked before the vertex loop: the loop algebra has no simple
+    projective, and still exits 2 as Kronecker does."""
+    loop = tmp_path / "loop.alg"
+    loop.write_text("algebra loop\nfield Q\nvertices 1\n"
+                    "arrow x : 1 -> 1\nrelation 1 x*x\n")
+    for alg in (str(loop), data("kronecker.alg")):
+        assert run(["count-apr", alg, "--n", n]) == (
+            2, "error n must be at least 1\n")
+
+
 def test_kunneth_command():
     code, text = run(["kunneth", data("kronecker.alg"), data("a2.alg"),
                       data("s2_kron.mod"), data("s1_kron.mod"),
@@ -324,6 +337,16 @@ def test_golden_count_apr_kron2(tmp_path):
     assert golden_check("count_apr_kron2.txt",
                         ["count-apr", kron_square_file(tmp_path),
                          "--n", "2"]) == 0
+
+
+@pytest.mark.parametrize("name,left,seed", [
+    ("props_kron_a3nil_s3.txt", "kronecker.alg", "3"),
+    ("props_a2_a3nil_s5.txt", "a2.alg", "5")])
+def test_golden_props_with_relations(name, left, seed):
+    # the a3nil factor has a relation, so its random modules are quotients
+    # of projective sums; the module radical and top verdicts read them
+    assert golden_check(name, ["props", data(left), data("a3nil.alg"),
+                               "--seed", seed]) == 0
 
 
 def test_golden_check_fails_on_missing_transcript():

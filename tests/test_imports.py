@@ -1,13 +1,16 @@
 """Every name a `qtilt` module imports is used in that module, and every
-top-level definition in the package is reached from a command.
+definition in the package, a method or property included, is reached
+from a command.
 
 Stdlib only: each source file is parsed with `ast`.  A name counts as
 used when it is read anywhere in the module (a bare name, or the root of
 an attribute chain) or listed in `__all__`; the package `__init__`
 re-exports its imports, so its imports count as used.  A top-level
 function or class is reached when a command's code names it, directly or
-through other reached definitions; the package `__init__` exports only
-what is reached, and `PUBLIC_API`."""
+through other reached definitions; a method or property of a reached
+class when a reached definition names it, and a dunder method with its
+class.  The package `__init__` exports only what is reached, and
+`PUBLIC_API`."""
 
 import ast
 import os
@@ -72,33 +75,65 @@ def _named(node):
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _unreached(sources, allow):
-    """(file, line, name) of the top-level definitions in ``sources`` (file
-    name -> text) that are not reached by name.  The roots are `cli.main`,
-    the `cli._cmd_*` handlers that `dispatch` finds by name, the names in
-    ``allow``, and whatever a module-level statement other than an import
-    names outside `__init__`.  A reached definition reaches every
-    top-level definition it names, a class through all of its methods."""
+    """(file, line, name) of the definitions in ``sources`` (file name ->
+    text) that are not reached by name: the top-level functions and
+    classes, and the methods and properties of top-level classes, named
+    ``Class.method``.  The roots are `cli.main`, the `cli._cmd_*` handlers
+    that `dispatch` finds by name, the names in ``allow``, and whatever a
+    module-level statement other than an import names outside `__init__`.
+    A reached definition reaches every definition it names; a method or
+    property only once its class is reached too.  A reached class names
+    its bases, decorators and the statements of its body other than
+    methods, and reaches its dunder methods."""
     defs, todo = {}, list(allow)
     for f, text in sources.items():
         for node in ast.parse(text).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.setdefault(node.name, []).append((f, node))
+                defs.setdefault(node.name, []).append((f, node, None))
                 if f == "cli.py" and (node.name == "main"
                                       or node.name.startswith("_cmd_")):
                     todo.append(node.name)
             elif (f != "__init__.py"
                   and not isinstance(node, (ast.Import, ast.ImportFrom))):
                 todo.extend(_named(node))
-    reached = set()
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not _is_dunder(item.name)):
+                        defs.setdefault(item.name, []).append(
+                            (f, item, node))
+    named, reached = set(), set()
+
+    def reach(node):
+        reached.add(node)
+        if not isinstance(node, ast.ClassDef):
+            todo.extend(_named(node))
+            return
+        for part in node.bases + node.keywords + node.decorator_list:
+            todo.extend(_named(part))
+        for item in node.body:
+            if not isinstance(item, ast.FunctionDef) or _is_dunder(item.name):
+                todo.extend(_named(item))
+            elif item.name in named:
+                reach(item)
+
     while todo:
         name = todo.pop()
-        if name in defs and name not in reached:
-            reached.add(name)
-            for _, node in defs[name]:
-                todo.extend(_named(node))
-    return sorted((f, node.lineno, name) for name, places in defs.items()
-                  if name not in reached for f, node in places)
+        if name in named:
+            continue
+        named.add(name)
+        for _, node, owner in defs.get(name, ()):
+            if node not in reached and (owner is None or owner in reached):
+                reach(node)
+    return sorted((f, node.lineno,
+                   name if owner is None else f"{owner.name}.{name}")
+                  for name, places in defs.items()
+                  for f, node, owner in places if node not in reached)
 
 
 def test_the_check_sees_an_unreached_definition():
@@ -114,11 +149,47 @@ def test_the_check_sees_an_unreached_definition():
                 "\n\ndef _inner():\n    pass\n",
         "b.py": "from a import _kept\n\n\nclass Used:\n"
                 "    def method(self):\n        return _kept()\n",
-        "cli.py": "def _cmd_run():\n    return Used()\n",
+        "cli.py": "def _cmd_run():\n    return Used().method()\n",
         "__init__.py": "from .a import exported\n"}
     assert _unreached(sources, {"api"}) == [
         ("a.py", 5, "_Gone"), ("a.py", 9, "_cmd_x"), ("a.py", 13, "helper"),
         ("a.py", 17, "dead"), ("a.py", 21, "exported")]
+
+
+def test_the_check_sees_an_unreached_method():
+    sources = {
+        "a.py": "def _shown(x):\n    return x\n"
+                "\n\ndef _cell():\n    pass\n"
+                "\n\nclass Report:\n"
+                "    __slots__ = (_cell(),)\n"
+                "\n"
+                "    def __repr__(self):\n"
+                "        return _shown(self)\n"
+                "\n"
+                "    def lines(self):\n"
+                "        return [self.size]\n"
+                "\n"
+                "    def dead(self):\n"
+                "        return self.only_dead()\n"
+                "\n"
+                "    def only_dead(self):\n"
+                "        pass\n"
+                "\n"
+                "    @property\n"
+                "    def size(self):\n"
+                "        return 1\n"
+                "\n"
+                "    @property\n"
+                "    def unread(self):\n"
+                "        return 2\n"
+                "\n\nclass Gone:\n"
+                "    def lines(self):\n"
+                "        pass\n",
+        "cli.py": "def _cmd_run():\n    return Report().lines()\n"}
+    assert _unreached(sources, set()) == [
+        ("a.py", 18, "Report.dead"), ("a.py", 21, "Report.only_dead"),
+        ("a.py", 29, "Report.unread"), ("a.py", 33, "Gone"),
+        ("a.py", 34, "Gone.lines")]
 
 
 def test_every_definition_is_reached():
@@ -158,7 +229,15 @@ DELETED = {"multiply", "zero_element", "element_from_path", "radical_basis",
            "minimal_left_approximation", "stack_below", "ext_module",
            "tau_n_ext", "tau_n_minus_ext", "_dualized_differential",
            "kernel_rep", "proj_map_from_images", "hstack", "vstack",
-           "regular_structure_algebra", "injective_cogenerator"}
+           "regular_structure_algebra", "injective_cogenerator",
+           # methods no command reaches, and what only they kept: Ext is its
+           # dimension, the Kunneth check its rows, a top its section count,
+           # and a random quotient a cokernel (`PathSum.format` is deleted
+           # too, but the builtin `format` shares its name)
+           "cocycles", "_cocycle_representatives", "ExtResult", "ext",
+           "is_surjective", "all_equal", "KunnethReport", "arrow_count",
+           "top_and_radical", "TopRadical", "_radical_bases",
+           "submodule_generated"}
 
 
 def _name(node):
@@ -197,7 +276,7 @@ def _returned_callees(fn):
 def _row_owners(trees):
     """(classes, makers, attributes) whose ``rows`` is not a Matrix's:
     the classes other than Matrix that assign ``self.rows`` (a `Span`'s
-    echelon rows, a report's lines); those classes with the functions
+    echelon rows); those classes with the functions
     returning one of them; and the attribute names bound to a call of a
     maker."""
     classes = {node.name for tree in trees for node in ast.walk(tree)

@@ -11,7 +11,7 @@ from qtilt.repcore import (Decomposition, ModuleMap, Representation, decompose,
                            direct_sum, dual, endomorphism_algebra, hom_space,
                            inj, is_isomorphic, cokernel_rep, proj, proj_sum,
                            projective_cover, random_module, regular, simple,
-                           top_and_radical, zero_rep)
+                           zero_rep)
 
 from hypothesis import given, settings, strategies as st
 
@@ -20,8 +20,9 @@ from qtilt.quivercore import Arrow, Path, PathSum, Quiver, build_algebra
 from qtilt.repcore import _hom_generic
 
 from conftest import (cover_map, dense, express_all_in_basis, flatten,
-                      make_a3_nilpotent, make_kronecker, make_loop_nilpotent,
-                      make_square, make_square_gf, with_fractions)
+                      is_surjective, make_a3_nilpotent, make_kronecker,
+                      make_loop_nilpotent, make_square, make_square_gf,
+                      radical_dims, top_dims, with_fractions)
 from oracles import injective_cogenerator, kernel_rep, vstack
 
 
@@ -107,22 +108,20 @@ def test_generic_hom_agrees_with_projective_fast_path(kron):
 
 def test_top_and_radical_projective(kron):
     p2 = proj(kron, "2")
-    tr = top_and_radical(p2)
-    assert tr.top.dim_vector() == (0, 1)
-    assert tr.radical.dim_vector() == (2, 0)
-    assert tr.inclusion.is_injective()
+    assert top_dims(p2) == (0, 1)
+    assert radical_dims(p2) == (2, 0)
 
 
 def test_radical_of_simple_is_zero(kron):
-    tr = top_and_radical(simple(kron, "1"))
-    assert tr.radical.is_zero()
-    assert tr.top.dim_vector() == (1, 0)
+    s1 = simple(kron, "1")
+    assert radical_dims(s1) == (0, 0)
+    assert top_dims(s1) == (1, 0)
 
 
 def test_projective_cover_of_simple(kron):
     c = projective_cover(simple(kron, "2"))
     assert c.projective.dim_vector() == (2, 1)
-    assert cover_map(c).is_surjective()
+    assert is_surjective(cover_map(c))
     k, incl = kernel_rep(cover_map(c))
     assert k.dim_vector() == (2, 0)
 
@@ -137,14 +136,16 @@ def test_projective_cover_of_projective_is_identity_sized(kron):
 def test_cover_top_isomorphism(kron):
     m = random_module(kron, seed=11)
     c = projective_cover(m)
-    assert top_and_radical(c.projective).top.dim_vector() == \
-        top_and_radical(m).top.dim_vector()
-    # kernel is superfluous: it lies inside rad P
+    assert top_dims(c.projective) == top_dims(m)
+    # kernel is superfluous: it lies inside rad P, which the incoming
+    # arrows' columns span
     k, incl = kernel_rep(cover_map(c))
-    radp = top_and_radical(c.projective).radical
     for v in kron.quiver.vertices:
         if k.dims[v]:
-            rad_cols = top_and_radical(c.projective).inclusion.blocks[v]
+            rad_cols = Matrix.from_sparse_cols(QQ, [
+                col for a in kron.quiver.arrows_into(v)
+                for col in c.projective.mats[a.name].sparse_columns()],
+                c.projective.dims[v])
             stacked = rad_cols.stack_right(incl.blocks[v])
             assert stacked.rank() == rad_cols.rank()
 
@@ -899,40 +900,65 @@ def test_hom_space_reads_each_basis_elements_columns_once(monkeypatch):
 
 
 def test_restriction_keeps_each_callers_message(monkeypatch, kron):
-    """image_rep, submodule_generated and top_and_radical restrict arrows
-    through one helper, each with its own failure message."""
+    """image_rep and the kernel oracle restrict arrows through one
+    helper, each with its own failure message."""
     from qtilt import repcore
     m = random_module(kron, 2)
     monkeypatch.setattr(repcore, "solve", lambda a, b: None)
-    v = kron.quiver.vertices[-1]
     cases = [(lambda: repcore.image_rep(ModuleMap.identity(m)),
               "image is not arrow-stable"),
-             (lambda: repcore.submodule_generated(
-                 m, {v: [dict.fromkeys(range(m.dims[v]), 1)]}),
-              "generated subspaces are not arrow-stable"),
-             (lambda: top_and_radical(m), "radical is not arrow-stable")]
-    assert m.dims[v]
+             (lambda: kernel_rep(ModuleMap.identity(m)),
+              "kernel is not arrow-stable")]
     for build, message in cases:
         with pytest.raises(QtiltError, match=message):
             build()
 
 
-def test_submodule_generated_makes_its_vectors_canonical():
-    """Over GF(32003) a generating vector spelled with -1 and one spelled
-    with 32002 give the same submodule and the same inclusion, whose
-    entries are residues."""
-    from qtilt.repcore import submodule_generated
+def test_random_quotients_read_canonical_images(monkeypatch):
+    """Over GF(32003) the random vectors, drawn in -2..2, are made residues
+    before they are read as generator images: the free map whose cokernel
+    is the random quotient holds entries in 1..p-1 only, as
+    `Matrix.from_sparse_cols` asks of its columns."""
+    from qtilt import repcore
     alg = make_square_gf()
-    m = regular(alg)
-    v = max(alg.quiver.vertices, key=m.dims.get)
     p = alg.field.p
-    assert m.dims[v] >= 2
-    sub1, incl1 = submodule_generated(m, {v: [{0: -1, 1: 1}]})
-    sub2, incl2 = submodule_generated(m, {v: [{0: p - 1, 1: 1}]})
-    assert incl1.blocks == incl2.blocks
-    assert sub1.dims == sub2.dims and sub1.mats == sub2.mats
-    assert all(0 < x < p for b in incl1.blocks.values()
-               for row in b.sparse_rows for x in row.values())
+    maps, real = [], repcore.cokernel_rep
+    monkeypatch.setattr(repcore, "cokernel_rep",
+                        lambda f: maps.append(f) or real(f))
+    for seed in range(20):
+        random_module(alg, seed)
+    entries = [x for f in maps for b in f.blocks.values()
+               for row in b.sparse_rows for x in row.values()]
+    assert p - 1 in entries and all(0 < x < p for x in entries)
+
+
+# sha256 of the module files below, recorded when a random quotient was the
+# quotient by the submodule its vectors generate, built one arrow at a time
+RANDOM_MODULE_DIGEST = (
+    "3a77e6c861417b5185a0aa8bcdd9db41fd748787d33973579306254c1f869cd5")
+
+
+def test_random_module_is_pinned_byte_for_byte():
+    """The random quotients over algebras with relations, 40 seeds at
+    each of the dimension caps 2 and 3, print to the recorded bytes: the
+    cokernel of the free map reads only the column space of each block."""
+    import hashlib
+    from qtilt.cli import serialize_module
+    from qtilt.tensorcon import tensor_algebras
+    from conftest import make_a2, make_a3, make_two_loop
+    algebras = [make_a3_nilpotent(), make_loop_nilpotent(), make_square(),
+                make_square_gf(), make_two_loop(),
+                make_two_loop(PrimeField(32003)),
+                tensor_algebras(make_kronecker(), make_a2()).algebra,
+                tensor_algebras(make_a3(), make_a3_nilpotent()).algebra]
+    digest = hashlib.sha256()
+    for alg in algebras:
+        assert alg.relations
+        for cap in (2, 3):
+            for seed in range(40):
+                digest.update(serialize_module(random_module(alg, seed, cap),
+                                               "m").encode())
+    assert digest.hexdigest() == RANDOM_MODULE_DIGEST
 
 
 # --- Hom positions: the coordinates every Hom basis names -----------------------
