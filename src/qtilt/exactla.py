@@ -668,13 +668,12 @@ class KernelData:
     """Kernel basis with its free-column structure: column i has value
     ``scales[i]`` at coordinate ``free[i]`` and zero at every other free
     coordinate, so linear systems against it solve by row reads.
-    ``columns`` holds the same basis as sparse columns, their entries not
-    in ascending row order."""
+    ``columns`` holds the basis as sparse columns, their entries not in
+    ascending row order."""
 
-    __slots__ = ("matrix", "columns", "free", "scales")
+    __slots__ = ("columns", "free", "scales")
 
-    def __init__(self, matrix: Matrix, columns, free, scales):
-        self.matrix = matrix
+    def __init__(self, columns, free, scales):
         self.columns = columns
         self.free = tuple(free)
         self.scales = tuple(scales)
@@ -711,8 +710,7 @@ def kernel_data(m: Matrix) -> KernelData:
                 col = {j: -x for j, x in col.items()}
         cols.append(col)
     scales = [col[f] for f, col in zip(vecs, cols)]
-    return KernelData(Matrix.from_sparse_cols(m.field, cols, m.ncols), cols,
-                      vecs, scales)
+    return KernelData(cols, vecs, scales)
 
 
 class CokernelData:

@@ -474,61 +474,56 @@ def semisimple_and_basic_flags(alg: BoundQuiverAlgebra) -> Tuple[bool, bool]:
 
 
 class StructureConstantAlgebra:
-    """Finite dimensional associative algebra given by a multiplication
-    table on a fixed basis.  Validates associativity and the unit law
-    (exhaustively in small dimension, on sampled triples beyond).
+    """Finite dimensional associative algebra given by structure constants
+    on a fixed basis.  Validates the key ranges, the unit law and
+    associativity, the last on every basis triple where either side can
+    be nonzero, so the check is complete in every dimension.
 
-    An element is a sparse dict basis index -> nonzero canonical entry,
-    from ``unit`` and `product` to everything built on this class.  Only
-    the constructor also takes dense input: ``table[i][j]`` (e_i * e_j)
-    and ``unit`` may be dense sequences or dicts.  ``cells[i]`` maps each
-    j with e_i * e_j != 0 to the sparse product."""
+    An element is a sparse dict basis index -> nonzero canonical entry.
+    ``cells[i]`` maps each j with e_i * e_j != 0, ascending, to that
+    product, a sparse element; ``unit`` is a sparse element."""
 
-    def __init__(self, field, table, unit, validate: bool = True):
+    def __init__(self, field, cells, unit, validate: bool = True):
         self.field = field
-        self.dim = len(table)
-        self.cells = [{j: cell for j, cell in enumerate(map(self.sparse, row))
-                       if cell} for row in table]
-        self.unit = self.sparse(unit)
+        self.dim = len(cells)
+        self.cells = cells
+        self.unit = unit
         if validate:
-            self._validate(table)
+            self._validate()
 
-    def _validate(self, table):
-        n = self.dim
-
-        def ragged(cell):
-            if isinstance(cell, dict):
-                return any(not 0 <= k < n for k in cell)
-            return len(cell) != n
-
-        if any(len(row) != n or any(map(ragged, row)) for row in table):
-            raise QtiltError("structure constant table is not cubic")
+    def _validate(self):
+        n, cells, p = self.dim, self.cells, self.field.char
+        if any(not 0 <= k < n for k in self.unit) or any(
+                not 0 <= j < n or any(not 0 <= k < n for k in cell)
+                for row in cells for j, cell in row.items()):
+            raise QtiltError("structure constant key out of range")
         for i in range(n):
             ei = {i: 1}
             if self.product(self.unit, ei) != ei or \
                     self.product(ei, self.unit) != ei:
                 raise QtiltError("unit law fails")
-        if n <= 16:
-            triples = ((i, j, k) for i in range(n) for j in range(n)
-                       for k in range(n))
-        else:
-            rnd = random.Random(0)
-            triples = ((rnd.randrange(n), rnd.randrange(n), rnd.randrange(n))
-                       for _ in range(500))
-        cells = self.cells
-        for i, j, k in triples:
-            left = self.product(cells[i].get(j, {}), {k: 1})
-            right = self.product({i: 1}, cells[j].get(k, {}))
-            if left != right:
-                raise QtiltError(f"associativity fails on basis triple "
-                                 f"({i},{j},{k})")
-
-    def sparse(self, x) -> Dict[int, object]:
-        """x, a dense sequence or a dict index -> entry, as a dict of its
-        nonzero canonical entries."""
-        canon = self.field.canon
-        items = x.items() if isinstance(x, dict) else enumerate(x)
-        return _tidy({k: canon(c) for k, c in items if c}, self.field.char)
+        # (e_i e_j) e_k can be nonzero only for j in cells[i], and
+        # e_i (e_j e_k) only when e_j e_k has a coordinate m in cells[i]:
+        # reach[m] holds the j with a product e_j e_k that has one at m
+        reach: List[set] = [set() for _ in range(n)]
+        for j, row in enumerate(cells):
+            for cell in row.values():
+                for m in cell:
+                    reach[m].add(j)
+        for i, row in enumerate(cells):
+            for j in sorted(row.keys() | {j for m in row for j in reach[m]}):
+                diff: Dict[int, Dict[int, object]] = {}  # k -> left - right
+                for m, c in row.get(j, {}).items():
+                    for k, cell in cells[m].items():
+                        _sub_multiple(diff.setdefault(k, {}), -c, cell, p)
+                for k, cell in cells[j].items():
+                    for m, c in cell.items():
+                        if m in row:
+                            _sub_multiple(diff.setdefault(k, {}), c, row[m], p)
+                bad = [k for k, vec in diff.items() if vec]
+                if bad:
+                    raise QtiltError(f"associativity fails on basis triple "
+                                     f"({i},{j},{min(bad)})")
 
     def product(self, x: Dict[int, object], y: Dict[int, object]
                 ) -> Dict[int, object]:
@@ -576,7 +571,8 @@ def abstract_radical(a: StructureConstantAlgebra) -> List[Dict[int, object]]:
     gram = [_tidy({j: sum(c * tr[k] for k, c in cell.items())
                    for j, cell in row.items()}, 0) for row in a.cells]
     g = Matrix._raw(a.field, gram, n)
-    return kernel_data(g.transpose()).matrix.sparse_columns()
+    return [dict(sorted(col.items()))
+            for col in kernel_data(g.transpose()).columns]
 
 
 def minimal_polynomial(a: StructureConstantAlgebra, x: Dict[int, object],
@@ -687,8 +683,9 @@ def quotient_by_radical(a: StructureConstantAlgebra):
     def to_bar(vec):
         return {at[j]: c for j, c in rad.reduce(vec).items()}
 
-    table = [[to_bar(a.cells[fi].get(fj, {})) for fj in free] for fi in free]
-    bar = StructureConstantAlgebra(a.field, table, to_bar(a.unit),
+    cells = [{at[fj]: cell for fj, x in a.cells[fi].items()
+              if fj in at and (cell := to_bar(x))} for fi in free]
+    bar = StructureConstantAlgebra(a.field, cells, to_bar(a.unit),
                                    validate=False)
     return free, bar
 

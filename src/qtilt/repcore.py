@@ -775,9 +775,9 @@ def _hom_generic(m: Representation, n: Representation):
                     rows.append(row)
     kd = kernel_data(Matrix._raw(field, rows, len(coords)))
     maps = []
-    for vec in kd.matrix.sparse_columns():
+    for vec in kd.columns:
         block_rows = {v: [{} for _ in range(n.dims[v])] for v in verts}
-        for k, x in vec.items():
+        for k, x in sorted(vec.items()):
             v, r, c = coords[k]
             block_rows[v][r][c] = x
         blocks = {v: Matrix._raw(field, block_rows[v], m.dims[v]) for v in verts}
@@ -831,9 +831,10 @@ def linear_combination(coeffs: Dict[int, object], maps: Sequence[ModuleMap]
 
 def endomorphism_blocks(modules: Sequence[Representation]):
     """End(U_0 + ... + U_k) on its Hom-block basis: ``blocks`` lists
-    (i, j, f) for each basis map f : U_i -> U_j, ``table[x][y]`` holds the
-    coordinates of f_x o f_y and ``identities[i]`` those of the identity
-    of U_i, as sparse dicts.  Every cell is read at the positions of its
+    (i, j, f) for each basis map f : U_i -> U_j, the sparse row
+    ``table[x]`` maps each y with f_x o f_y != 0, ascending, to its
+    coordinates and ``identities[i]`` holds those of the identity of U_i,
+    as sparse dicts.  Every cell is read at the positions of its
     Hom block (`_composites`), every identity at the positions with row
     equal to column."""
     field = modules[0].algebra.field
@@ -843,7 +844,7 @@ def endomorphism_blocks(modules: Sequence[Representation]):
     for (i, j), (maps, _) in homs.items():
         start[i, j] = len(blocks)
         blocks.extend((i, j, f) for f in maps)
-    table = [[{} for _ in blocks] for _ in blocks]
+    table: List[Dict[int, Dict[int, object]]] = [{} for _ in blocks]
     # f o h for f : U_k -> U_j and h : U_i -> U_k lies in the (i, j) block
     for (i, j), (_, positions) in homs.items():
         for k in range(len(modules)):
@@ -854,7 +855,7 @@ def endomorphism_blocks(modules: Sequence[Representation]):
     identities = [{start[k, k] + x: field.inv(s)
                    for x, (_, r, c, s) in enumerate(homs[k, k][1]) if r == c}
                   for k in range(len(modules))]
-    return blocks, table, identities
+    return blocks, [dict(sorted(row.items())) for row in table], identities
 
 
 def endomorphism_algebra(m: Representation):

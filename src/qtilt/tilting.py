@@ -330,9 +330,9 @@ def endo_algebra(t):
 
     Accepts either a module (decomposed internally, repeated summands
     dropped with a note) or an explicit list of (label, summand) pairs.
-    The table is `repcore.endomorphism_blocks` on the summands, transposed:
-    in End(T)^op, x * y = f_y o f_x, so path conventions in presentations
-    match left-module composition."""
+    The cells are `repcore.endomorphism_blocks` on the summands,
+    transposed: in End(T)^op, x * y = f_y o f_x, so path conventions in
+    presentations match left-module composition."""
     if isinstance(t, Representation):
         dec = decompose(t)
         mults = [mult for _, mult in dec.summands]
@@ -351,8 +351,11 @@ def endo_algebra(t):
     # the identities lie in distinct diagonal blocks, so the unit is their
     # union
     unit = {p: c for e in ident for p, c in e.items()}
-    sca = StructureConstantAlgebra(summands[0][1].algebra.field,
-                                   list(zip(*table)), unit)
+    cells: List[Dict[int, Dict[int, object]]] = [{} for _ in table]
+    for x, row in enumerate(table):
+        for y, cell in row.items():
+            cells[y][x] = cell
+    sca = StructureConstantAlgebra(summands[0][1].algebra.field, cells, unit)
     data = EndoData(summands, blocks, mults, basicized, ident)
     return sca, data
 
@@ -445,14 +448,17 @@ def present_algebra(sca: StructureConstantAlgebra,
                     images[aname] = w
     quiver = Quiver(labels, arrows)
 
-    # the path-algebra surjection, degree by degree
+    # the path-algebra surjection, degree by degree, each image once
+    phi: Dict[Path, Dict[int, object]] = {}
+
     def phi_path(p: Path):
-        if not p.arrows:
-            return idems[labels.index(p.source)]
-        vec = images[p.arrows[-1]]
-        for a in reversed(p.arrows[:-1]):
-            vec = sca.product(images[a], vec)
-        return vec
+        if p not in phi:
+            vec = (images[p.arrows[-1]] if p.arrows
+                   else idems[labels.index(p.source)])
+            for a in reversed(p.arrows[:-1]):
+                vec = sca.product(images[a], vec)
+            phi[p] = vec
+        return phi[p]
 
     # the kernel of phi on paths of degree 2..d, blockwise, modulo the
     # ideal of the relations found so far; each new generator extends the
@@ -467,8 +473,8 @@ def present_algebra(sca: StructureConstantAlgebra,
         for _, paths in sorted(by_block.items()):
             mat = Matrix.from_sparse_cols(field, [phi_path(p) for p in paths],
                                           sca.dim)
-            for col in kernel_data(mat).matrix.sparse_columns():
-                combo = {paths[j]: c for j, c in col.items()}
+            for col in kernel_data(mat).columns:
+                combo = {paths[j]: col[j] for j in sorted(col)}
                 reduced = closure.span.reduce(combo)
                 if reduced:
                     relations.append(PathSum(field, [(c, p) for p, c
@@ -541,7 +547,8 @@ def count_apr(alg: BoundQuiverAlgebra, n: int, maxlen: int = DEFAULT_BOUND
         raise QtiltError("n must be at least 1")
     witnesses = []
     for v in alg.quiver.vertices:
-        if proj(alg, v).total_dim() != 1:
+        # P_v is simple when its blocks e_w A e_v add up to dimension 1
+        if sum(size[v] for size in alg.block_sizes.values()) != 1:
             continue
         report = apr_check(alg, v, n, False, maxlen)
         report.projective = None

@@ -12,13 +12,17 @@ or a constructor only tests need:
 - `proj_map_from_images` builds a map of free modules from its generator
   images as matrices;
 - `hstack` and `vstack` stack matrices; `regular_structure_algebra` and
-  `injective_cogenerator` build the regular algebra's table and DA.
+  `injective_cogenerator` build the regular algebra's table and DA;
+- `structure_algebra` and `sparse_element` read a multiplication table
+  and elements given with dense or dict cells, and `kernel_matrix` puts
+  a kernel basis in a matrix.
 """
 
 from typing import Sequence
 
 from qtilt.errors import QtiltError, ShapeMismatchError
-from qtilt.exactla import Matrix, _check_same_field, kernel_data, solve
+from qtilt.exactla import (Matrix, _check_same_field, _tidy, kernel_data,
+                           solve)
 from qtilt.homengine import (DEFAULT_BOUND, MinimalResolution,
                              _dualized_elements, _require_depth)
 from qtilt.quivercore import (BoundQuiverAlgebra, StructureConstantAlgebra,
@@ -50,13 +54,35 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     return out
 
 
+def sparse_element(field, x):
+    """x, a dense sequence or a dict index -> entry, as a dict of its
+    nonzero canonical entries."""
+    items = x.items() if isinstance(x, dict) else enumerate(x)
+    return _tidy({k: field.canon(c) for k, c in items if c}, field.char)
+
+
+def structure_algebra(field, table, unit, validate: bool = True
+                      ) -> StructureConstantAlgebra:
+    """The algebra with e_i * e_j = table[i][j], its cells and unit dense
+    sequences or dicts."""
+    cells = [{j: cell for j, cell in enumerate(
+        sparse_element(field, x) for x in row) if cell} for row in table]
+    return StructureConstantAlgebra(field, cells,
+                                    sparse_element(field, unit), validate)
+
+
 def regular_structure_algebra(alg: BoundQuiverAlgebra
                               ) -> StructureConstantAlgebra:
     """The same algebra repackaged as an abstract multiplication table."""
     n = alg.dim
     table = [[dict(alg.basis_product(i, j)) for j in range(n)]
              for i in range(n)]
-    return StructureConstantAlgebra(alg.field, table, alg.unit, validate=False)
+    return structure_algebra(alg.field, table, alg.unit, validate=False)
+
+
+def kernel_matrix(m: Matrix) -> Matrix:
+    """The basis of `kernel_data` as the columns of a matrix."""
+    return Matrix.from_sparse_cols(m.field, kernel_data(m).columns, m.ncols)
 
 
 def injective_cogenerator(alg) -> Representation:
@@ -68,7 +94,7 @@ def injective_cogenerator(alg) -> Representation:
 
 def kernel_rep(f: ModuleMap):
     """(K, inclusion) with K the vertexwise kernel of f, arrows restricted."""
-    return _restricted(f.source, {v: kernel_data(b).matrix
+    return _restricted(f.source, {v: kernel_matrix(b)
                                   for v, b in f.blocks.items()},
                        "kernel is not arrow-stable")
 

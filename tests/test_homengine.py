@@ -17,8 +17,8 @@ from qtilt.repcore import (ModuleMap, decompose, direct_sum, dual, hom_space,
 
 from conftest import (cover_map, differential, make_kronecker, make_square,
                       resolution_maps, syzygies, top_dims)
-from oracles import (ext_module, injective_cogenerator, tau_n_ext,
-                     tau_n_minus_ext)
+from oracles import (ext_module, injective_cogenerator, kernel_matrix,
+                     tau_n_ext, tau_n_minus_ext)
 
 import os
 import subprocess
@@ -27,7 +27,7 @@ import sys
 from hypothesis import given, settings, strategies as st
 
 from qtilt import homengine
-from qtilt.exactla import Span, kernel_data
+from qtilt.exactla import Span
 from qtilt.homengine import MinimalResolution, _hom_complex_differential
 from qtilt.repcore import Representation
 
@@ -341,8 +341,8 @@ def eager_parts(res, n, p):
     """The kernel basis of delta_p, as sparse columns, and the span of
     delta_{p-1}'s columns, as Ext was built on every call before it read
     ranks."""
-    kernel = kernel_data(
-        _hom_complex_differential(res, n, p)).matrix.sparse_columns()
+    kernel = kernel_matrix(
+        _hom_complex_differential(res, n, p)).sparse_columns()
     boundaries = Span(n.algebra.field)
     if p > 0:
         for col in _hom_complex_differential(res, n, p - 1).sparse_columns():

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qtilt import quivercore
 from qtilt.errors import NonSplitError, NotAdmissibleError, QtiltError
@@ -17,7 +17,8 @@ from qtilt.quivercore import (Arrow, Path, PathSum, Quiver, StructureConstantAlg
 
 from conftest import (dense, make_a3, make_a3_nilpotent, make_kronecker,
                       make_square, make_two_loop, op_element)
-from oracles import regular_structure_algebra, vstack
+from oracles import (regular_structure_algebra, sparse_element,
+                     structure_algebra, vstack)
 
 
 # --- independent oracles ------------------------------------------------------
@@ -259,7 +260,7 @@ def upper_triangular_2x2():
         [z, (0, 1, 0), z],             # e22 * ...
         [z, (0, 0, 1), z],             # e12 * ...
     ]
-    return StructureConstantAlgebra(QQ, table, (1, 1, 0))
+    return structure_algebra(QQ, table, (1, 1, 0))
 
 
 def test_abstract_radical_upper_triangular():
@@ -340,8 +341,9 @@ def test_sparse_mult_matches_triple_loop(data):
     x = data.draw(st.lists(entries, min_size=alg.dim, max_size=alg.dim))
     y = data.draw(st.lists(entries, min_size=alg.dim, max_size=alg.dim))
     want = triple_loop_product(alg, x, y)
-    assert dense(sca.product(sca.sparse(x), sca.sparse(y)), alg.dim) == want
-    assert sca.product(sca.sparse(x), sca.sparse(y)) == \
+    sx, sy = sparse_element(sca.field, x), sparse_element(sca.field, y)
+    assert dense(sca.product(sx, sy), alg.dim) == want
+    assert sca.product(sx, sy) == \
         {k: c for k, c in enumerate(want) if c}
     # only nonzero cells and nonzero entries are stored
     assert all(cell and all(cell.values())
@@ -353,8 +355,15 @@ def dense_table(sca):
     return [[dense(sca.product(a, b), sca.dim) for b in e] for a in e]
 
 
+def sparse_cells(table):
+    """The sparse rows of a dense table: each nonzero cell as a dict."""
+    return [{j: {k: c for k, c in enumerate(cell) if c}
+             for j, cell in enumerate(row) if any(cell)} for row in table]
+
+
 def sampled_triples(n):
-    """The basis triples _validate checks when n > 16."""
+    """500 seeded random basis triples, as a sampled associativity check
+    reads them."""
     rnd = random.Random(0)
     return [(rnd.randrange(n), rnd.randrange(n), rnd.randrange(n))
             for _ in range(500)]
@@ -370,20 +379,45 @@ def table_product(table, x, y):
     return tuple(QQ.canon(v) for v in acc)
 
 
+def cells_product(cells, x, y):
+    """Oracle: x * y for dict elements, straight off the sparse cells."""
+    acc = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
+            for k, c in cells[i].get(j, {}).items():
+                acc[k] = acc.get(k, 0) + xi * yj * c
+    return {k: QQ.canon(c) for k, c in acc.items() if c}
+
+
+def failing_triples(cells):
+    """Every basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), by
+    a loop over all n^3 of them."""
+    n = len(cells)
+    return [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
+            if cells_product(cells, cells[i].get(j, {}), {k: 1})
+            != cells_product(cells, {i: 1}, cells[j].get(k, {}))]
+
+
 @pytest.mark.parametrize("name", ["kron2", "kron_a3"])
 def test_validate_rejects_ragged_table_and_broken_unit(name):
+    """Keys past the table, in a row, a cell or the unit, and a unit that
+    fails the unit law are refused."""
     alg, sca = regular_pair(name)
     n = sca.dim
     assert (n <= 16) == (name == "kron2")
-    table = dense_table(sca)
-    StructureConstantAlgebra(QQ, table, sca.unit)
-    for bad in (table[:-1], [table[0][:-1]] + table[1:],
-                [[table[0][0][:-1]] + table[0][1:]] + table[1:],
-                [[{n: 1}] + table[0][1:]] + table[1:]):
-        with pytest.raises(QtiltError, match="not cubic"):
+    cells = sparse_cells(dense_table(sca))
+    StructureConstantAlgebra(QQ, cells, sca.unit)
+    j = next(iter(cells[0]))
+    for bad in (cells[:-1],
+                [{**cells[0], n: {0: 1}}] + cells[1:],
+                [{**cells[0], j: {**cells[0][j], -1: 1}}] + cells[1:],
+                [{**cells[0], j: {n: 1}}] + cells[1:]):
+        with pytest.raises(QtiltError, match="out of range"):
             StructureConstantAlgebra(QQ, bad, sca.unit)
+    with pytest.raises(QtiltError, match="out of range"):
+        StructureConstantAlgebra(QQ, cells, {**sca.unit, n: 1})
     with pytest.raises(QtiltError, match="unit law"):
-        StructureConstantAlgebra(QQ, table, {0: 1})
+        StructureConstantAlgebra(QQ, cells, {0: 1})
 
 
 @pytest.mark.parametrize("name", ["kron2", "kron_a3"])
@@ -391,8 +425,9 @@ def test_validate_finds_a_planted_associativity_defect(name):
     alg, sca = regular_pair(name)
     n = sca.dim
     radical = set(alg.radical_indices())
-    checked = ([(i, j, k) for i in range(n) for j in range(n)
-                for k in range(n)] if n <= 16 else sampled_triples(n))
+    # every basis triple is checked, in every dimension
+    checked = [(i, j, k) for i in range(n) for j in range(n)
+               for k in range(n)]
     i, j, k = next(t for t in checked if radical.issuperset(t))
     e = [dense({m: 1}, n) for m in range(n)]
     # e_i * e_j gains e_l, an idempotent with e_l * e_k != 0: the unit law
@@ -408,7 +443,83 @@ def test_validate_finds_a_planted_associativity_defect(name):
     assert table_product(table, table[i][j], e[k]) != \
         table_product(table, e[i], table[j][k])
     with pytest.raises(QtiltError, match="associativity"):
-        StructureConstantAlgebra(QQ, table, unit)
+        StructureConstantAlgebra(QQ, sparse_cells(table), sca.unit)
+
+
+def test_validate_finds_a_defect_off_any_sample():
+    """A defect in dimension 24 whose every failing triple lies outside
+    the 500 seeded samples is still found: the check reads every triple
+    where either side can be nonzero."""
+    alg, sca = regular_pair("kron_a3")
+    n = sca.dim
+    assert n > 16
+    samples = set(sampled_triples(n))
+    radical = alg.radical_indices()
+    idempotents = [m for m in range(n) if m not in radical]
+    for i, j, l in ((i, j, l) for i in radical for j in radical
+                    for l in idempotents):
+        cells = sparse_cells(dense_table(sca))
+        cells[i][j] = {**cells[i].get(j, {})}
+        cells[i][j][l] = cells[i][j].get(l, 0) + 1
+        failing = failing_triples(cells)
+        if failing and samples.isdisjoint(failing):
+            break
+    else:
+        pytest.fail("no defect avoids the samples")
+    assert all(cells_product(cells, sca.unit, {m: 1}) == {m: 1}
+               == cells_product(cells, {m: 1}, sca.unit) for m in range(n))
+    with pytest.raises(QtiltError, match="associativity") as info:
+        StructureConstantAlgebra(QQ, cells, sca.unit)
+    assert f"triple {min(failing)}".replace(" ", "") in \
+        str(info.value).replace(" ", "")
+
+
+@st.composite
+def incidence_tables(draw):
+    """(cells, unit) of the incidence algebra of a random poset on at most
+    four points, on a shuffled basis of dimension at most 8, with up to two
+    cells redrawn among the products of non-identity basis elements, so
+    the unit law holds and associativity may fail."""
+    m = draw(st.integers(1, 4))
+    less = {(a, b) for a in range(m) for b in range(a + 1, m)
+            if draw(st.booleans())}
+    while True:     # transitive closure
+        more = {(a, d) for a, b in less for c, d in less if b == c} - less
+        if not more:
+            break
+        less |= more
+    pairs = [(a, a) for a in range(m)] + sorted(less)
+    assume(len(pairs) <= 8)
+    pairs = draw(st.permutations(pairs))
+    at = {p: x for x, p in enumerate(pairs)}
+    cells = [{y: {at[a, d]: 1} for y, (c, d) in enumerate(pairs) if b == c}
+             for a, b in pairs]
+    off = [x for x, (a, b) in enumerate(pairs) if a != b]
+    if off:
+        entries = st.dictionaries(st.integers(0, len(pairs) - 1),
+                                  st.sampled_from([-1, 1, 2]), max_size=2)
+        for x, y, cell in draw(st.lists(st.tuples(
+                st.sampled_from(off), st.sampled_from(off), entries),
+                max_size=2)):
+            cells[x].pop(y, None)
+            if cell:
+                cells[x][y] = cell
+    cells = [dict(sorted(row.items())) for row in cells]
+    return cells, {at[a, a]: 1 for a in range(m)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(incidence_tables())
+def test_validate_raises_exactly_on_a_failing_triple(table):
+    cells, unit = table
+    failing = failing_triples(cells)
+    if not failing:
+        StructureConstantAlgebra(QQ, cells, unit)
+        return
+    with pytest.raises(QtiltError, match="associativity") as info:
+        StructureConstantAlgebra(QQ, cells, unit)
+    assert str(info.value).endswith("triple ({},{},{})".format(
+        *min(failing)))
 
 
 def test_non_idempotent_lift_is_a_typed_error(monkeypatch):
@@ -488,7 +599,7 @@ def test_non_split_quotient_rejected():
         [(1, 0), (0, 1)],
         [(0, 1), (-1, 0)],
     ]
-    a = StructureConstantAlgebra(QQ, table, (1, 0))
+    a = structure_algebra(QQ, table, (1, 0))
     assert abstract_radical(a) == []
     with pytest.raises(NonSplitError):
         # the quotient is a 2-dimensional field extension; splitting must
@@ -697,7 +808,7 @@ def test_minimal_polynomial_annihilates_and_is_least(which, coeffs):
            "kron_gf": lambda: build_algebra(make_kronecker().quiver, [], GF)
            }[which]()
     a = regular_structure_algebra(alg)
-    x = a.sparse(coeffs[:a.dim])
+    x = sparse_element(a.field, coeffs[:a.dim])
     mu = minimal_polynomial(a, x)
     assert mu[-1] == 1 and len(mu) >= 2
     assert dense(poly_eval_in_algebra(a, mu, x), a.dim) == (0,) * a.dim
@@ -734,7 +845,7 @@ def _quotient_by_rref(a):
         return tuple(QQ.canon(x) for x in out)
 
     table = [[to_bar(a.cells[i].get(j, {})) for j in free] for i in free]
-    return free, table, to_bar(a.sparse(a.unit))
+    return free, table, to_bar(a.unit)
 
 
 def _in_random_basis(a, seed):
@@ -765,7 +876,7 @@ def _in_random_basis(a, seed):
                         acc[m] = acc.get(m, 0) + x * y * c
             row.append(coords(acc))
         table.append(row)
-    return StructureConstantAlgebra(QQ, table, coords(a.sparse(a.unit)))
+    return structure_algebra(QQ, table, coords(a.unit))
 
 
 def _quotient_corpus():
@@ -867,7 +978,7 @@ def _bezout_split(bar, seed=0):
             out.append(e)
             continue
         candidates = _eager_candidates(bar, e, corner_basis, seed)
-        for x in map(bar.sparse, candidates):
+        for x in (sparse_element(bar.field, c) for c in candidates):
             mu = minimal_polynomial(bar, x, unit=e)
             split_mu = split_rational_root(mu) if len(mu) > 2 else None
             if split_mu is None or len(split_mu[1]) == 1:
@@ -880,8 +991,8 @@ def _bezout_split(bar, seed=0):
         else:
             raise NonSplitError("no candidate split the corner")
         work.append(e1)
-        work.append(bar.sparse({k: e.get(k, 0) - e1.get(k, 0)
-                                for k in range(n)}))
+        work.append(sparse_element(bar.field, {k: e.get(k, 0) - e1.get(k, 0)
+                                               for k in range(n)}))
     return out
 
 
@@ -922,9 +1033,10 @@ def test_lazy_candidates_match_the_eager_list(corpus):
         idems = quivercore._split_semisimple(bar)
         corners = [bar.unit]
         if len(idems) > 2:
-            corners.append(bar.sparse({k: idems[0].get(k, 0)
-                                       + idems[1].get(k, 0)
-                                       for k in range(bar.dim)}))
+            corners.append(sparse_element(bar.field,
+                                          {k: idems[0].get(k, 0)
+                                           + idems[1].get(k, 0)
+                                           for k in range(bar.dim)}))
         for e in corners:
             basis = _corner_basis(bar, e)
             if len(basis) <= 1:
@@ -946,7 +1058,7 @@ def test_split_refuses_a_repeated_root():
     table = [[{0: 1, 1: 1}, {1: 1}, {}],
              [{1: 1}, {}, {}],
              [{}, {}, {2: 1}]]
-    a = StructureConstantAlgebra(QQ, table, (1, -1, 1))
+    a = structure_algebra(QQ, table, (1, -1, 1))
     assert minimal_polynomial(a, {0: 1}) == [0, 1, -2, 1]
     assert split_rational_root([0, 1, -2, 1]) == ([1, -2, 1], [0, 1])
     with pytest.raises(QtiltError, match="repeated root") as info:

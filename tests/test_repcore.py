@@ -15,7 +15,7 @@ from qtilt.repcore import (Decomposition, ModuleMap, Representation, decompose,
 
 from hypothesis import given, settings, strategies as st
 
-from qtilt.exactla import PrimeField, kernel_data
+from qtilt.exactla import PrimeField
 from qtilt.quivercore import Arrow, Path, PathSum, Quiver, build_algebra
 from qtilt.repcore import _hom_generic
 
@@ -23,7 +23,8 @@ from conftest import (cover_map, dense, express_all_in_basis, flatten,
                       is_surjective, make_a3_nilpotent, make_kronecker,
                       make_loop_nilpotent, make_square, make_square_gf,
                       radical_dims, top_dims, with_fractions)
-from oracles import injective_cogenerator, kernel_rep, vstack
+from oracles import (injective_cogenerator, kernel_matrix, kernel_rep,
+                     structure_algebra, vstack)
 
 
 # --- constructors ---------------------------------------------------------
@@ -363,8 +364,8 @@ def dense_hom_oracle(m, n):
                 if any(row):
                     rows.append(row)
     if rows:
-        basis = [dense(c, total) for c in kernel_data(
-            Matrix(field, rows, ncols=total)).matrix.sparse_columns()]
+        basis = [dense(c, total) for c in kernel_matrix(
+            Matrix(field, rows, ncols=total)).sparse_columns()]
     else:
         basis = [[int(i == k) for i in range(total)] for k in range(total)]
     out = []
@@ -680,14 +681,13 @@ def _merge_corpus(field):
 def _end_by_one_solve(m):
     """End(m) as one solve of all d^2 composites f o g plus the identity."""
     from qtilt.exactla import _dense
-    from qtilt.quivercore import StructureConstantAlgebra
     basis = hom_space(m, m)
     d = len(basis)
     cols = express_all_in_basis(
         basis, [f * g for f in basis for g in basis] + [ModuleMap.identity(m)])
     table = [cols[i * d:(i + 1) * d] for i in range(d)]
-    return (StructureConstantAlgebra(m.algebra.field, table,
-                                     _dense(cols[-1], d)), basis)
+    return (structure_algebra(m.algebra.field, table, _dense(cols[-1], d)),
+            basis)
 
 
 @pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "F32003"])

@@ -19,7 +19,8 @@ from qtilt.tilting import (_left_approximation, _radical_maps,
                            bb_check, count_apr, endo_algebra, present_algebra,
                            verify_tilting)
 
-from conftest import arrow_count, dense, express_all_in_basis
+from conftest import (arrow_count, dense, express_all_in_basis, make_a3,
+                      make_kronecker)
 from oracles import injective_cogenerator, regular_structure_algebra
 
 
@@ -239,16 +240,18 @@ def _tilts(name):
 
 
 def _per_product_solves(modules, blocks):
-    """The End table and identities of `endomorphism_blocks`, rebuilt
-    with one solve per composite."""
+    """The End table (sparse rows, nonzero cells, keys ascending) and
+    identities of `endomorphism_blocks`, rebuilt with one solve per
+    composite."""
     def express(i, j, f):
         pos = [p for p, (a, b, _) in enumerate(blocks) if (a, b) == (i, j)]
         coords = express_all_in_basis([blocks[p][2] for p in pos], [f])
         assert coords is not None
         return {pos[r]: c for r, c in coords[0].items()}
 
-    table = [[express(i2, j1, f1 * f2) if j2 == i1 else {}
-              for (i2, j2, f2) in blocks] for (i1, j1, f1) in blocks]
+    table = [{y: cell for y, (i2, j2, f2) in enumerate(blocks)
+              if j2 == i1 and (cell := express(i2, j1, f1 * f2))}
+             for (i1, j1, f1) in blocks]
     return table, [express(k, k, ModuleMap.identity(u))
                    for k, u in enumerate(modules)]
 
@@ -273,7 +276,7 @@ def test_endo_table_matches_per_product_solves():
         assert sca.unit == {p: c for e in idents for p, c in e.items()}
         for x in range(sca.dim):
             for y in range(sca.dim):
-                assert sca.product({x: 1}, {y: 1}) == table[y][x]
+                assert sca.product({x: 1}, {y: 1}) == table[y].get(x, {})
 
 
 def test_endo_of_free_module_with_repeated_generator_matches_solves():
@@ -282,7 +285,8 @@ def test_endo_of_free_module_with_repeated_generator_matches_solves():
     table, (ident,) = _checked_endo_blocks([m])
     sca, _ = endomorphism_algebra(m)
     assert sca.unit == ident
-    assert [[sca.product({x: 1}, {y: 1}) for y in range(sca.dim)]
+    assert [{y: cell for y in range(sca.dim)
+             if (cell := sca.product({x: 1}, {y: 1}))}
             for x in range(sca.dim)] == table
 
 
@@ -550,6 +554,32 @@ def test_count_builds_no_module(monkeypatch, kron, kron2, a3):
             assert ref.tilting_module is not None
             assert got.tilting_module is None and got.summands is None
             assert all(getattr(got, k) == getattr(ref, k) for k in fields)
+
+
+def test_count_builds_only_the_checked_projectives_matrices(monkeypatch):
+    """count_apr reads whether P_v is simple off the algebra's block sizes:
+    only the simple projectives it goes on to check get their arrow
+    matrices built."""
+    import qtilt.repcore as repcore
+    kron = make_kronecker()
+    kron2, a3sq = tensor_algebras(kron, kron), tensor_algebras(make_a3(),
+                                                                make_a3())
+    cases = [(kron, 1, "1"), (kron2.algebra, 2, kron2.vertex("1", "1")),
+             (a3sq.algebra, 2, a3sq.vertex("1", "1"))]
+    real = repcore._proj_arrow_mats
+    for alg, n, sink in cases:
+        built = []
+
+        def counting(p, alg=alg, built=built):
+            if p.algebra is alg:
+                built.append(p.proj_gens)
+            return real(p)
+        monkeypatch.setattr(repcore, "_proj_arrow_mats", counting)
+        count_apr(alg, n)
+        monkeypatch.undo()
+        assert [v for v in alg.quiver.vertices
+                if proj_sum(alg, [v]).total_dim() == 1] == [sink]
+        assert built == [(sink,)]
 
 
 def test_count_witnesses_hold_no_resolution(monkeypatch, kron2):

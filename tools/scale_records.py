@@ -1,19 +1,23 @@
-"""Scale records of the resolution path: the tau_n probe on tensor powers
-of the Kronecker algebra, each record in a fresh process.
+"""Scale records of the resolution and tilting paths on tensor powers of
+the Kronecker algebra, each record in a fresh process.
 
     python3 tools/scale_records.py [--smoke] [--live]
 
-The records are kron^2 with tau_2 at 20 rounds and kron^3 with tau_3 at
-4 rounds (3 and 1 rounds with ``--smoke``).  Each runs
+The probe records are kron^2 with tau_2 at 20 rounds and kron^3 with
+tau_3 at 4 rounds (3 and 1 rounds with ``--smoke``).  Each runs
 `homengine.tau_finiteness_probe` over Q and checks its trace against the
 outer power of the Kronecker tau_1 trace, (4k+1, 4k+3) at round k, sink
 first: tau_n of a product of n Kronecker injectives is the product of
 their tau_1 translates (Herschend-Iyama), so every round's dimension
-vector is that outer product.  The last line of standard output is one
+vector is that outer product.  The verify records build the n-APR tilt
+T of kron^n at its sink and time `tilting.verify_tilting(kron^n, T, n)`,
+for n = 3 and 4 (n = 2 with ``--smoke``); decomposing T builds End(T),
+of dimension 720 for n = 4.  The last line of standard output is one
 JSON object with, per record, its wall seconds, its process's peak RSS
-(``ru_maxrss``) and a hash of its trace.  ``--live`` runs each record
-once more under tracemalloc and adds its peak of live Python memory.  A
-trace that differs from the oracle exits 1.
+(``ru_maxrss``) and a hash of its trace or the certificate's verdict.
+``--live`` runs each record once more under tracemalloc and adds its
+peak of live Python memory.  A trace that differs from the oracle, or a
+certificate that does not pass, exits 1.
 """
 
 import argparse
@@ -28,6 +32,8 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RECORDS = {"kron2-tau2": (2, 20, 3), "kron3-tau3": (3, 4, 1)}
+VERIFY = {"kron3-verify": 3, "kron4-verify": 4}
+SMOKE_VERIFY = {"kron2-verify": 2}
 
 
 def kronecker_power(n):
@@ -53,25 +59,49 @@ def expected_trace(n, rounds):
     return out
 
 
+def kronecker_sink(n):
+    """The sink of kron^n, the vertex whose projective is simple."""
+    sink = "1"
+    for _ in range(n - 1):
+        sink = f"({sink},1)"
+    return sink
+
+
 def run_record(name, rounds, live):
     """One record in this process: its JSON result line."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from qtilt.homengine import tau_finiteness_probe
-    n = RECORDS[name][0]
-    alg = kronecker_power(n)
+    from qtilt.tilting import apr_check, verify_tilting
+    if name in RECORDS:
+        n = RECORDS[name][0]
+        alg = kronecker_power(n)
+
+        def work():
+            return tau_finiteness_probe(alg, n, rounds)
+    else:
+        n = {**VERIFY, **SMOKE_VERIFY}[name]
+        alg = kronecker_power(n)
+        tilt = apr_check(alg, kronecker_sink(n), n).tilting_module
+
+        def work():
+            return verify_tilting(alg, tilt, n)
     if live:
         import tracemalloc
         tracemalloc.start()
     start = time.perf_counter()
-    result = tau_finiteness_probe(alg, n, rounds)
+    result = work()
     seconds = time.perf_counter() - start
-    out = {"record": name, "rounds": rounds, "seconds": round(seconds, 3),
+    out = {"record": name, "seconds": round(seconds, 3),
            "peak_rss_mb": round(resource.getrusage(
-               resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-           "verdict": result.verdict,
-           "trace_sha256": hashlib.sha256(
-               repr(result.trace).encode()).hexdigest()[:16],
-           "trace_ok": result.trace == expected_trace(n, rounds)}
+               resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
+    if name in RECORDS:
+        out = {"record": name, "rounds": rounds, **out,
+               "verdict": result.verdict,
+               "trace_sha256": hashlib.sha256(
+                   repr(result.trace).encode()).hexdigest()[:16],
+               "trace_ok": result.trace == expected_trace(n, rounds)}
+    else:
+        out["passed"] = result.passed
     if live:
         out["live_peak_mb"] = round(tracemalloc.get_traced_memory()[1] / 2**20,
                                     3)
@@ -91,8 +121,10 @@ def main(argv=None):
         print(json.dumps(run_record(args.record, args.rounds, args.live)))
         return 0
     results = []
-    for name, (_, rounds, smoke) in RECORDS.items():
-        rounds = smoke if args.smoke else rounds
+    jobs = [(name, smoke if args.smoke else rounds)
+            for name, (_, rounds, smoke) in RECORDS.items()]
+    jobs += [(name, 0) for name in (SMOKE_VERIFY if args.smoke else VERIFY)]
+    for name, rounds in jobs:
         for live in (False, True) if args.live else (False,):
             proc = subprocess.run(
                 [sys.executable, os.path.abspath(__file__), "--record", name,
@@ -106,16 +138,20 @@ def main(argv=None):
                 results[-1]["live_peak_mb"] = got["live_peak_mb"]
             else:
                 results.append(got)
-            print(f"{name} rounds {rounds}: {got['seconds']} s"
-                  + (" (traced)" if live else ""), file=sys.stderr)
+            print(f"{name}" + (f" rounds {rounds}" if rounds else "")
+                  + f": {got['seconds']} s" + (" (traced)" if live else ""),
+                  file=sys.stderr)
     print(json.dumps({"python": platform.python_version(),
                       "records": results}))
-    bad = [r["record"] for r in results if not r["trace_ok"]]
+    bad = [r["record"] for r in results if not r.get("trace_ok", True)]
     if bad:
         print(f"scale_records: trace differs from the Kronecker outer "
               f"power: {bad}", file=sys.stderr)
-        return 1
-    return 0
+    failed = [r["record"] for r in results if not r.get("passed", True)]
+    if failed:
+        print(f"scale_records: the tilting certificate fails: {failed}",
+              file=sys.stderr)
+    return 1 if bad or failed else 0
 
 
 if __name__ == "__main__":
