@@ -237,7 +237,10 @@ DELETED = {"multiply", "zero_element", "element_from_path", "radical_basis",
            "cocycles", "_cocycle_representatives", "ExtResult", "ext",
            "is_surjective", "all_equal", "KunnethReport", "arrow_count",
            "top_and_radical", "TopRadical", "_radical_bases",
-           "submodule_generated"}
+           "submodule_generated",
+           # the dense input of a structure constant algebra: its table is
+           # sparse rows of nonzero cells, its unit a sparse element
+           "sparse"}
 
 
 def _name(node):

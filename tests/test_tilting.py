@@ -262,6 +262,7 @@ def _checked_endo_blocks(modules):
     blocks, table, idents = endomorphism_blocks(modules)
     want_table, want_idents = _per_product_solves(modules, blocks)
     assert table == want_table
+    assert all(list(row) == sorted(row) for row in table)
     assert idents == want_idents
     return table, idents
 
