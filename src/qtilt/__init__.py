@@ -12,15 +12,13 @@ from .quivercore import (Arrow, BoundQuiverAlgebra, Path, PathSum, Quiver,
                          build_algebra, opposite,
                          primitive_orthogonal_idempotents,
                          semisimple_and_basic_flags)
-from .repcore import (Decomposition, ModuleMap, Representation, decompose,
-                      direct_sum, dual, endomorphism_algebra, hom_space, inj,
-                      is_isomorphic, cokernel_rep, proj, proj_sum,
-                      projective_cover, random_module, regular, simple,
-                      zero_rep)
+from .repcore import (ModuleMap, Representation, decompose, direct_sum, dual,
+                      endomorphism_algebra, hom_space, inj, is_isomorphic,
+                      cokernel_rep, proj, proj_sum, projective_cover,
+                      random_module, regular, simple, zero_rep)
 from .homengine import (InfinityMarker, MinimalResolution, ProbeResult,
                         ext_dim, gldim, injd, is_finite, min_proj_resolution,
-                        pd, tau_finiteness_probe, tau_n, tau_n_minus,
-                        transpose)
+                        pd, tau_finiteness_probe, tau_n, tau_n_minus)
 from .tensorcon import (TensorAlgebraResult, kunneth_verify, structural_suite,
                         tensor_algebras, tensor_maps, tensor_modules,
                         tensor_resolution)

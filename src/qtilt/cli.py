@@ -21,7 +21,7 @@ from .homengine import (bounded_resolution, ext_dim, gldim, is_finite,
 from .quivercore import (Arrow, BoundQuiverAlgebra, Path, PathSum, Quiver,
                          build_algebra, format_path,
                          semisimple_and_basic_flags)
-from .repcore import Representation
+from .repcore import Representation, decompose
 from .tensorcon import (kunneth_verify, structural_suite, tensor_algebras,
                         tensor_modules)
 from .tilting import (apr_check, apr_cotilting_check, bb_check, count_apr,
@@ -610,7 +610,7 @@ def _cmd_cotilt_check(args, ws):
 def _cmd_verify_tilting(args, ws):
     alg = _load_algebra(ws, args.algebra, args.max_degree, args.field)
     t = _load_module(ws, args.module)
-    cert = verify_tilting(alg, t, args.m, args.max_resolution)
+    cert = verify_tilting(alg, decompose(t), args.m, args.max_resolution)
     return cert.verdict_lines()
 
 

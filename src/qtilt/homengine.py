@@ -1,6 +1,6 @@
 """Minimal projective resolutions and the homological operators built on
-them: Ext dimensions, projective/injective/global dimension, the transpose,
-and the higher translates tau_n / tau_n^- with their finiteness probe.
+them: Ext dimensions, projective/injective/global dimension, and the
+higher translates tau_n / tau_n^- with their finiteness probe.
 
 A minimal resolution is grown by iterated projective covers and cached on
 the module, so deeper requests extend earlier work; it refers back to the
@@ -20,8 +20,8 @@ on it (`repcore._action_rows`), read once per call.
 
 tau_n is the one syzygy-side translate: tau_n M = ker nu(d_n), with
 nu = D Hom(-, algebra) the Nakayama functor, read off the columns of
-d_n^* as a kernel over the algebra itself.  The other two go through it:
-tau_n^- = D tau_n D over the opposite algebra, and Tr = D tau_1.
+d_n^* as a kernel over the algebra itself.  tau_n^- goes through it:
+tau_n^- = D tau_n D over the opposite algebra.
 Ext is its dimension (`ext_dim`), read off the ranks of the Hom-complex
 differentials, cached on the resolution per target module.
 """
@@ -245,13 +245,6 @@ def _dualized_elements(res: MinimalResolution, i: int):
             for e, d in table[idx]:
                 img[off + pos[e]] = img.get(off + pos[e], 0) + c * d
     return src, tgt, [_tidy(img, alg.field.char) for img in images]
-
-
-def transpose(m: Representation) -> Representation:
-    """Tr M = coker(d_1^*) over the opposite algebra, read as D tau_1 M:
-    tau_1 = D Tr, so the cokernel is never built.  Minimality of the
-    presentation keeps the result free of spurious projective summands."""
-    return dual(tau_n(m, 1))
 
 
 # ---------------------------------------------------------------------------

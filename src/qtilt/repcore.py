@@ -58,7 +58,7 @@ from .quivercore import (BoundQuiverAlgebra, Path, StructureConstantAlgebra,
 class Representation:
     """A finite dimensional left module, stored vertexwise."""
 
-    __slots__ = ("algebra", "dims", "_mats", "proj_gens", "summands", "_cache",
+    __slots__ = ("algebra", "dims", "_mats", "proj_gens", "_cache",
                  "__weakref__")
 
     def __init__(self, algebra: BoundQuiverAlgebra, dims: Dict[str, int],
@@ -67,8 +67,6 @@ class Representation:
         """mats may be None only for a free module (proj_gens given): its
         arrow matrices are then built from its generators' indecomposable
         projectives when first read."""
-        # set by direct_sum: (piece, inclusion blocks, projection blocks)
-        self.summands = None
         self.algebra = algebra
         unknown = set(dims) - set(algebra.quiver.vertices)
         if unknown:
@@ -382,40 +380,18 @@ def inj(alg, v: str) -> Representation:
                           validate=False)
 
 
-def direct_sum(reps: Sequence[Representation]):
-    """(sum, inclusions, projections), matrices block-diagonal in the
-    given order.  The sum keeps its pieces in ``summands`` as (piece,
-    inclusion blocks, projection blocks), vertex -> matrix: blocks, not
-    maps, so the sum holds no map that points back at it."""
+def direct_sum(reps: Sequence[Representation]) -> Representation:
+    """The direct sum, its matrices block-diagonal in the given order."""
     if not reps:
         raise QtiltError("direct sum of no modules")
     alg = reps[0].algebra
     for r in reps:
         if r.algebra is not alg:
             raise AlgebraMismatchError("direct sum across algebras")
-    field = alg.field
-    verts = alg.quiver.vertices
-    dims = {v: sum(r.dims[v] for r in reps) for v in verts}
-    mats = {a.name: block_diag(field, [r.mats[a.name] for r in reps])
+    dims = {v: sum(r.dims[v] for r in reps) for v in alg.quiver.vertices}
+    mats = {a.name: block_diag(alg.field, [r.mats[a.name] for r in reps])
             for a in alg.quiver.arrows}
-    total = Representation(alg, dims, mats, validate=False)
-    one = field.one()
-    total.summands = []
-    offset = {v: 0 for v in verts}
-    for r in reps:
-        units = {v: [{offset[v] + j: one} for j in range(r.dims[v])]
-                 for v in verts}
-        total.summands.append((r, {
-            v: Matrix.from_sparse_cols(field, u, dims[v])
-            for v, u in units.items()}, {
-            v: Matrix._raw(field, u, dims[v]) for v, u in units.items()}))
-        for v in verts:
-            offset[v] += r.dims[v]
-    return (total,
-            [ModuleMap(r, total, incl, validate=False)
-             for r, incl, _ in total.summands],
-            [ModuleMap(total, r, projection, validate=False)
-             for r, _, projection in total.summands])
+    return Representation(alg, dims, mats, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -660,30 +636,14 @@ def _hom_basis(m: Representation, n: Representation):
     """(maps, positions): a basis of Hom(m, n) and, for each basis map i, a
     position (v, r, c, s) where map i has entry s in row r, column c of its
     block at v and every other basis map has 0.  So any f in Hom(m, n) has
-    coordinate f_v[r][c] / s on map i.  Maps out of projective sums and in
-    or out of known direct sums are assembled blockwise without solving;
-    `_check_positions` guards every basis."""
+    coordinate f_v[r][c] / s on map i.  Maps out of a free module are
+    assembled blockwise without solving (`_hom_from_projective`), all
+    others solved for (`_hom_generic`); `_check_positions` guards every
+    basis."""
     if m.algebra is not n.algebra:
         raise AlgebraMismatchError("Hom between modules over different algebras")
     if m.proj_gens is not None:
         maps, positions = _hom_from_projective(m, n)
-    elif m.summands or n.summands:
-        # a sum's pieces shift the positions' columns as the source, and
-        # their rows as the target
-        maps, positions, off = [], [], dict.fromkeys(m.dims, 0)
-        for piece, inclusion, projection in m.summands or n.summands:
-            if m.summands:
-                hs, ps = _hom_basis(piece, n)
-                projection = ModuleMap(m, piece, projection, validate=False)
-                maps.extend(h * projection for h in hs)
-                positions.extend((v, r, off[v] + c, s) for v, r, c, s in ps)
-            else:
-                hs, ps = _hom_basis(m, piece)
-                inclusion = ModuleMap(piece, n, inclusion, validate=False)
-                maps.extend(inclusion * h for h in hs)
-                positions.extend((v, off[v] + r, c, s) for v, r, c, s in ps)
-            for v in off:
-                off[v] += piece.dims[v]
     else:
         maps, positions = _hom_generic(m, n)
     _check_positions(maps, positions)
@@ -870,60 +830,32 @@ def endomorphism_algebra(m: Representation):
 # decomposition and isomorphism
 
 
-class Decomposition:
-    """Indecomposable summands with multiplicities, plus the splitting
-    idempotents (as endomorphisms of the input)."""
-
-    __slots__ = ("module", "summands", "idempotents", "pieces")
-
-    def __init__(self, module, summands, idempotents, pieces):
-        self.module = module
-        self.summands = summands          # list of (Representation, multiplicity)
-        self.idempotents = idempotents    # list of ModuleMap, one per piece
-        self.pieces = pieces              # list of (Representation, inclusion)
-
-    def total_dim_vector(self):
-        verts = self.module.algebra.quiver.vertices
-        acc = [0] * len(verts)
-        for rep, mult in self.summands:
-            for i, v in enumerate(verts):
-                acc[i] += mult * rep.dims[v]
-        return tuple(acc)
-
-
-def decompose(m: Representation) -> Decomposition:
-    """Full decomposition into indecomposables via primitive idempotents of
-    the endomorphism algebra.  Characteristic zero, split quotients only."""
+def decompose(m: Representation) -> List[Tuple[Representation, int]]:
+    """The indecomposable summands of m, each with its multiplicity, via
+    primitive idempotents of the endomorphism algebra.  Characteristic
+    zero, split quotients only."""
     if m.is_zero():
-        return Decomposition(m, [], [], [])
+        return []
     sca, basis = endomorphism_algebra(m)
     if sca.dim == 1:
-        return Decomposition(m, [(m, 1)], [ModuleMap.identity(m)],
-                             [(m, ModuleMap.identity(m))])
-    idems = primitive_orthogonal_idempotents(sca)
-    pieces = []
-    maps = []
-    for vec in idems:
+        return [(m, 1)]
+    summands: List[Tuple[Representation, int]] = []
+    for vec in primitive_orthogonal_idempotents(sca):
         e = linear_combination(vec, basis)
         if e is None:
             raise QtiltError("zero idempotent in a decomposition")
-        piece, incl = image_rep(e)
-        pieces.append((piece, incl))
-        maps.append(e)
-    summands: List[Tuple[Representation, int]] = []
-    for piece, _ in pieces:
-        placed = False
+        piece = image_rep(e)[0]
         for i, (rep, mult) in enumerate(summands):
             if is_isomorphic(rep, piece):
                 summands[i] = (rep, mult + 1)
-                placed = True
                 break
-        if not placed:
+        else:
             summands.append((piece, 1))
-    dec = Decomposition(m, summands, maps, pieces)
-    if dec.total_dim_vector() != m.dim_vector():
+    verts = m.algebra.quiver.vertices
+    if tuple(sum(mult * rep.dims[v] for rep, mult in summands)
+             for v in verts) != m.dim_vector():
         raise QtiltError("decomposition does not re-sum to the module")
-    return dec
+    return summands
 
 
 # the most coefficient vectors `is_isomorphic` tries on its grid

@@ -24,13 +24,12 @@ from .quivercore import (Arrow, BoundQuiverAlgebra, IdealClosure, Path,
                          PathSum, Quiver, StructureConstantAlgebra,
                          _check_idempotents, _paths_of_degree,
                          abstract_radical, build_algebra, opposite,
-                         primitive_orthogonal_idempotents,
                          semisimple_and_basic_flags)
 from .repcore import (ModuleMap, Representation, _composites, _hom_basis,
                       cokernel_rep, decompose, direct_sum, dual,
                       endomorphism_algebra, endomorphism_blocks, hom_space,
-                      inj, linear_combination, proj, regular, simple,
-                      zero_rep)
+                      inj, is_isomorphic, linear_combination, proj, regular,
+                      simple, zero_rep)
 
 
 def _require_basic(alg: BoundQuiverAlgebra):
@@ -80,7 +79,7 @@ def _construct(report, x, maxlen):
     alg, v = report.algebra, report.vertex
     report.summands = [(v, tau_n_minus(x, report.n, maxlen))] + [
         (w, proj(alg, w)) for w in alg.quiver.vertices if w != v]
-    report.tilting_module = direct_sum([u for _, u in report.summands])[0]
+    report.tilting_module = direct_sum([u for _, u in report.summands])
 
 
 def apr_check(alg: BoundQuiverAlgebra, v: str, n: int,
@@ -213,18 +212,36 @@ class TiltingCertificate:
 
 
 def _radical_maps(summand_reps: Sequence[Representation]):
-    """For each U_i and each U_j, maps U_j -> U_i that span the radical of
-    the additive closure there: the radical of End(U_i) for j = i, a basis
-    of Hom(U_j, U_i) otherwise (the U are pairwise non-isomorphic
-    indecomposables).  They do not depend on the module approximated, so
-    a coresolution builds them once."""
-    out = []
+    """(maps, tops): for each U_i and each U_j, maps[i][j] are maps
+    U_j -> U_i: a basis of the radical of End(U_i) for j = i, of
+    Hom(U_j, U_i) otherwise, which together span the radical of the
+    additive closure when the U are pairwise non-isomorphic
+    indecomposables.  tops[i] is the dimension of End(U_i) modulo its
+    radical, 1 exactly when End(U_i) is local with the field as its top.
+    Neither depends on the module approximated, so a coresolution builds
+    them once."""
+    maps, tops = [], []
     for i, u in enumerate(summand_reps):
         sca, basis = endomorphism_algebra(u)
         rad = [linear_combination(vec, basis) for vec in abstract_radical(sca)]
-        out.append([rad if j == i else hom_space(uj, u)
-                    for j, uj in enumerate(summand_reps)])
-    return out
+        maps.append([rad if j == i else hom_space(uj, u)
+                     for j, uj in enumerate(summand_reps)])
+        tops.append(sca.dim - len(rad))
+    return maps, tops
+
+
+def _summand_fault(summand_reps, tops) -> Optional[str]:
+    """Why the U are not pairwise non-isomorphic indecomposables with
+    local endomorphism rings of top the field (their `_radical_maps`
+    tops given), naming the first failing summand by its position from
+    1; None when they are."""
+    for i, (u, top) in enumerate(zip(summand_reps, tops), 1):
+        if top != 1:
+            return f"summand {i} has End/rad of dimension {top}, not 1"
+        for j, earlier in enumerate(summand_reps[:i - 1], 1):
+            if is_isomorphic(earlier, u):
+                return f"summand {i} is isomorphic to summand {j}"
+    return None
 
 
 def _left_approximation(x, summand_reps, radical_maps):
@@ -232,7 +249,8 @@ def _left_approximation(x, summand_reps, radical_maps):
     pairwise non-isomorphic indecomposables, with their `_radical_maps`
     given: pick hom generators modulo the radical composites, one block at
     a time, in the coordinates of each Hom(x, U_i) basis, where basis map
-    k is the unit vector {k: 1}.
+    k is the unit vector {k: 1}.  The map into the sum of the chosen
+    targets stacks the chosen maps' block rows.
 
     Returns (map, target, counts)."""
     field = x.algebra.field
@@ -254,23 +272,35 @@ def _left_approximation(x, summand_reps, radical_maps):
     if not chosen:
         target = zero_rep(x.algebra)
         return ModuleMap.zero(x, target), target, counts
-    target, incls, _ = direct_sum([summand_reps[i] for i, _ in chosen])
-    pieces = [incl * g for incl, (_, g) in zip(incls, chosen)]
-    return sum(pieces[1:], pieces[0]), target, counts
+    target = direct_sum([summand_reps[i] for i, _ in chosen])
+    blocks = {v: Matrix._raw(field, [row for _, g in chosen
+                                     for row in g.blocks[v].sparse_rows],
+                             x.dims[v])
+              for v in x.algebra.quiver.vertices}
+    return ModuleMap(x, target, blocks, validate=False), target, counts
 
 
-def verify_tilting(alg: BoundQuiverAlgebra, t: Representation, m: int,
+def verify_tilting(alg: BoundQuiverAlgebra,
+                   summands: Sequence[Tuple[Representation, int]], m: int,
                    maxlen: int = DEFAULT_BOUND) -> TiltingCertificate:
-    """Certify the generalized tilting conditions: projective dimension at
+    """Certify the generalized tilting conditions for T, the direct sum of
+    the given (module, multiplicity) summands: projective dimension at
     most m, self-orthogonality in all positive degrees (complete once
     checked up to pd), and a coresolution of the regular module by the
     additive closure, built from minimal left approximations; the
     summands' radical maps and cross Hom bases are built once for all its
-    stages.  The resolution of t grows at most maxlen steps: a pd past a
-    bound below m raises InconclusiveError, and past a bound at or above
-    m self-Ext is read only in degrees below the bound."""
+    stages.  The modules must be pairwise non-isomorphic
+    indecomposables with local endomorphism rings of top the field, as
+    `decompose` returns them: that is checked on each summand's own End,
+    and a failure fails the coresolution at stage 0, naming the summand.
+    The resolution of T grows at most maxlen steps: a pd past a bound
+    below m raises InconclusiveError, and past a bound at or above m
+    self-Ext is read only in degrees below the bound."""
     if m < 0:
         raise QtiltError(f"m must be >= 0, got {m}")
+    summand_reps = [rep for rep, _ in summands]
+    parts = [rep for rep, mult in summands for _ in range(mult)]
+    t = direct_sum(parts) if parts else zero_rep(alg)
     cert = TiltingCertificate(t, m)
     cert.pd_value = pd(t, maxlen)
     if not is_finite(cert.pd_value) and maxlen < m:
@@ -284,12 +314,13 @@ def verify_tilting(alg: BoundQuiverAlgebra, t: Representation, m: int,
     cert.self_ext_dims = [(i, ext_dim(t, t, i, maxlen))
                           for i in range(1, top_degree + 1)]
     cert.self_ext_ok = all(d == 0 for _, d in cert.self_ext_dims)
-    dec = decompose(t)
-    summand_reps = [rep for rep, _ in dec.summands]
-    radical_maps = _radical_maps(summand_reps)
+    radical_maps, tops = _radical_maps(summand_reps)
+    cert.failure_reason = _summand_fault(summand_reps, tops)
+    if cert.failure_reason is not None:
+        cert.failure_stage = 0
     x = regular(alg)
     for stage in range(m + 1):
-        if x.is_zero():
+        if x.is_zero() or cert.failure_stage is not None:
             break
         fmap, target, _ = _left_approximation(x, summand_reps, radical_maps)
         if not fmap.is_injective():
@@ -335,8 +366,8 @@ def endo_algebra(t):
     presentations match left-module composition."""
     if isinstance(t, Representation):
         dec = decompose(t)
-        mults = [mult for _, mult in dec.summands]
-        summands = [(f"u{k}", rep) for k, (rep, _) in enumerate(dec.summands)]
+        mults = [mult for _, mult in dec]
+        summands = [(f"u{k}", rep) for k, (rep, _) in enumerate(dec)]
         basicized = any(m > 1 for m in mults)
     else:
         summands = list(t)
@@ -401,23 +432,19 @@ def _radical_powers(sca: StructureConstantAlgebra, rad, idems):
     return powers, corners
 
 
-def present_algebra(sca: StructureConstantAlgebra,
-                    idempotents: Optional[Sequence] = None,
-                    labels: Optional[Sequence[str]] = None,
-                    name: str = "presented"
-                    ) -> AlgebraPresentation:
-    """Bound quiver presentation: lift primitive idempotents, take arrows
-    from rad/rad^2 and relations off the path algebra surjection's kernel,
-    degree by degree until rad^N = 0.  Radical powers go through the Peirce
-    pieces, so given (sparse) idempotents must be complete and orthogonal.
-    Characteristic zero with split semisimple quotient only."""
+def present_algebra(sca: StructureConstantAlgebra, idempotents: Sequence,
+                    labels: Sequence[str]) -> AlgebraPresentation:
+    """Bound quiver presentation on the given primitive idempotents, vertex
+    k labelled labels[k]: take arrows from rad/rad^2 and relations off the
+    path algebra surjection's kernel, degree by degree until rad^N = 0.
+    Radical powers go through the Peirce pieces, so the (sparse)
+    idempotents must be complete and orthogonal.  Characteristic zero
+    with split semisimple quotient only."""
     if sca.field.char != 0:
         raise UnsupportedCharacteristicError(
             "presentations need characteristic zero")
     field = sca.field
     rad = abstract_radical(sca)
-    if idempotents is None:
-        idempotents = primitive_orthogonal_idempotents(sca)
     idems = list(idempotents)
     _check_idempotents(sca, idems)
     s = len(idems)
@@ -425,8 +452,6 @@ def present_algebra(sca: StructureConstantAlgebra,
         raise NonSplitError(
             "semisimple quotient is not a product of base-field copies "
             "matching the primitive idempotents (non-basic algebra?)")
-    if labels is None:
-        labels = [f"v{k+1}" for k in range(s)]
     labels = [str(l) for l in labels]
 
     powers, corners = _radical_powers(sca, rad, idems)
@@ -482,7 +507,7 @@ def present_algebra(sca: StructureConstantAlgebra,
                     closure.add_relation(reduced)
 
     presented = build_algebra(quiver, relations, field,
-                              maxdeg=max(4, 2 * nilpotency), name=name)
+                              maxdeg=max(4, 2 * nilpotency), name="presented")
     if presented.dim != sca.dim:
         raise QtiltError(
             f"presentation round trip failed: {presented.dim} != {sca.dim}")
@@ -500,15 +525,15 @@ def present_algebra(sca: StructureConstantAlgebra,
 
 class CotiltReport:
     """Dual verdicts, computed over the opposite algebra and transported
-    back through the duality."""
+    back through the duality; on a weak pass ``summands`` lists the
+    cotilting module's summands, labelled by vertex."""
 
-    def __init__(self, base: AprReport, cotilting_module, summands):
+    def __init__(self, base: AprReport, summands):
         self.base = base
         self.vertex = base.vertex
         self.n = base.n
         self.weak = base.weak
         self.full = base.full
-        self.cotilting_module = cotilting_module
         self.summands = summands
 
     def verdict_lines(self):
@@ -517,22 +542,20 @@ class CotiltReport:
 
 
 def apr_cotilting_check(alg: BoundQuiverAlgebra, v: str, n: int,
-                        construct: bool = True, maxlen: int = DEFAULT_BOUND
-                        ) -> CotiltReport:
+                        maxlen: int = DEFAULT_BOUND) -> CotiltReport:
     """Run the tilting check over the opposite algebra, verdicts only (its
     tilting module is never read, so it is not built); on a weak pass the
     dual module tau_n(I_v) + (sum of the other injectives) is the
-    cotilting candidate.  I_v is the dual of the opposite algebra's P_v,
-    which the check resolved, so the translate reads that resolution."""
+    cotilting candidate, given by its summands.  I_v is the dual of the
+    opposite algebra's P_v, which the check resolved, so the translate
+    reads that resolution."""
     base = apr_check(opposite(alg), v, n, False, maxlen)
-    cot = None
     summands = None
-    if base.weak and construct:
+    if base.weak:
         translate = tau_n(dual(base.projective), n, maxlen)
         summands = [(v, translate)] + \
             [(w, inj(alg, w)) for w in alg.quiver.vertices if w != v]
-        cot, _, _ = direct_sum([rep for _, rep in summands])
-    return CotiltReport(base, cot, summands)
+    return CotiltReport(base, summands)
 
 
 def count_apr(alg: BoundQuiverAlgebra, n: int, maxlen: int = DEFAULT_BOUND

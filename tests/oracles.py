@@ -15,7 +15,9 @@ or a constructor only tests need:
   `injective_cogenerator` build the regular algebra's table and DA;
 - `structure_algebra` and `sparse_element` read a multiplication table
   and elements given with dense or dict cells, and `kernel_matrix` puts
-  a kernel basis in a matrix.
+  a kernel basis in a matrix;
+- `transpose` reads Tr M as D tau_1 M, the Tr Tr oracle on stable
+  modules.
 """
 
 from typing import Sequence
@@ -24,7 +26,7 @@ from qtilt.errors import QtiltError, ShapeMismatchError
 from qtilt.exactla import (Matrix, _check_same_field, _tidy, kernel_data,
                            solve)
 from qtilt.homengine import (DEFAULT_BOUND, MinimalResolution,
-                             _dualized_elements, _require_depth)
+                             _dualized_elements, _require_depth, tau_n)
 from qtilt.quivercore import (BoundQuiverAlgebra, StructureConstantAlgebra,
                               opposite)
 from qtilt.repcore import (ModuleMap, Representation, _image_columns,
@@ -160,3 +162,10 @@ def tau_n_minus_ext(m: Representation, n: int, maxlen: int = DEFAULT_BOUND
     """The Ext form of tau_n^-: Ext^n over the opposite algebra of the
     dual, against that algebra."""
     return ext_module(dual(m), n, maxlen)
+
+
+def transpose(m: Representation) -> Representation:
+    """Tr M = coker(d_1^*) over the opposite algebra, read as D tau_1 M:
+    tau_1 = D Tr, so the cokernel is never built.  Minimality of the
+    presentation keeps the result free of spurious projective summands."""
+    return dual(tau_n(m, 1))

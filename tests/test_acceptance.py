@@ -62,7 +62,8 @@ def test_acceptance_3_two_apr_over_tensor_square(kron2):
     assert translate.dim_vector() == (9, 6, 6, 4)
     p3 = tau_n_minus(proj(kron2.left, "1"), 1)
     assert is_isomorphic(translate, tensor_modules(kron2, p3, p3))
-    cert = verify_tilting(kron2.algebra, rep.tilting_module, 2)
+    cert = verify_tilting(kron2.algebra,
+                          [(u, 1) for _, u in rep.summands], 2)
     assert cert.passed
     sca, data = endo_algebra(rep.summands)
     pres = present_algebra(sca, idempotents=data.idempotents,
@@ -190,11 +191,11 @@ def test_acceptance_8_tau_dual_definition_agreement():
         test_modules = [simple(alg, v) for v in alg.quiver.vertices]
         for seed in (1, 2):
             m = random_module(alg, seed=seed)
-            stable = [rep for rep, mult in decompose(m).summands
+            stable = [rep for rep, mult in decompose(m)
                       if pd(rep) != 0 for _ in range(1)]
             if stable:
                 test_modules.append(stable[0] if len(stable) == 1 else
-                                    direct_sum(stable)[0])
+                                    direct_sum(stable))
         for m in test_modules:
             a = tau_n(m, n)
             b = tau_n_ext(m, n)

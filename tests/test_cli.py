@@ -203,6 +203,36 @@ def test_verify_tilting_command(tmp_path):
     assert "verdict tilting pass" in text
 
 
+@pytest.mark.parametrize("pieces, m, code, want", [
+    ("t1 P2 P2", 1, 0, "verdict pd pass pd=1 m=1\n"
+     "verdict self_orthogonal pass Ext^1=0\n"
+     "verdict coresolution pass length=2\nverdict tilting pass m=1\n"),
+    ("S2 S1 S2", 1, 1, "verdict pd pass pd=1 m=1\n"
+     "verdict self_orthogonal fail Ext^1=4\n"
+     "verdict coresolution fail stage=0 approximation not injective\n"
+     "verdict tilting fail m=1\n"),
+    ("P1 P2 P1", 0, 0, "verdict pd pass pd=0 m=0\n"
+     "verdict self_orthogonal pass none\n"
+     "verdict coresolution pass length=1\nverdict tilting pass m=0\n")])
+def test_verify_tilting_on_a_repeated_summand(tmp_path, pieces, m, code,
+                                              want):
+    """A module with a repeated summand gives the lines it gave when
+    verify_tilting decomposed the module itself: T is resolved as the sum
+    of its summands with their multiplicities (Ext^1 of S1 + S2^2 is
+    2 * 2), and the coresolution runs on the basic summands."""
+    from qtilt.homengine import tau_n_minus
+    from qtilt.repcore import direct_sum, proj, simple
+    _, kron = parse_algebra_file(read(data("kronecker.alg")))
+    make = {"t1": lambda: tau_n_minus(proj(kron, "1"), 1),
+            "P1": lambda: proj(kron, "1"), "P2": lambda: proj(kron, "2"),
+            "S1": lambda: simple(kron, "1"), "S2": lambda: simple(kron, "2")}
+    tmod = tmp_path / "t.mod"
+    tmod.write_text(serialize_module(
+        direct_sum([make[p]() for p in pieces.split()]), "t"))
+    assert run(["verify-tilting", data("kronecker.alg"), str(tmod),
+                "--m", str(m)]) == (code, want)
+
+
 def test_count_apr_command():
     code, text = run(["count-apr", data("kronecker.alg"), "--n", "1"])
     assert code == 0

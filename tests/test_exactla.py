@@ -641,20 +641,23 @@ def test_import_does_not_load_numpy():
          "import qtilt, sys; assert 'numpy' not in sys.modules"],
         capture_output=True, text=True, timeout=60, check=False, env=env)
     assert proc.returncode == 0, proc.stderr
-    # sympy is only a test oracle: presenting an algebra without given
-    # idempotents splits its semisimple quotient with sympy blocked
+    # sympy is only a test oracle: the primitive idempotents a
+    # presentation is given split the semisimple quotient with sympy
+    # blocked
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.abspath(__file__)), env["PYTHONPATH"]])
     script = "\n".join([
         "import sys",
         "sys.modules['sympy'] = None",
-        "from qtilt.quivercore import Arrow, Quiver, build_algebra",
+        "from qtilt.quivercore import (Arrow, Quiver, build_algebra,",
+        "                              primitive_orthogonal_idempotents)",
         "from oracles import regular_structure_algebra",
         "from qtilt.tilting import present_algebra",
         "q = Quiver(['1', '2'],",
         "           [Arrow('a0', '2', '1'), Arrow('a1', '2', '1')])",
         "sca = regular_structure_algebra(build_algebra(q, []))",
-        "pres = present_algebra(sca)",
+        "pres = present_algebra(sca, primitive_orthogonal_idempotents(sca),",
+        "                       ['v1', 'v2'])",
         "assert (pres.dim, len(pres.quiver.arrows)) == (4, 2)",
     ])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,

@@ -6,10 +6,11 @@ Stdlib only: each source file is parsed with `ast`.  A name counts as
 used when it is read anywhere in the module (a bare name, or the root of
 an attribute chain) or listed in `__all__`; the package `__init__`
 re-exports its imports, so its imports count as used.  A top-level
-function or class is reached when a command's code names it, directly or
-through other reached definitions; a method or property of a reached
-class when a reached definition names it, and a dunder method with its
-class.  The package `__init__` exports only what is reached, and
+function or class is reached when a command's code names it as a bare
+name, directly or through other reached definitions (an attribute that
+shares its name does not count); a method or property of a reached
+class when a reached definition names it either way, and a dunder
+method with its class.  The package `__init__` exports only what is reached, and
 `PUBLIC_API`."""
 
 import ast
@@ -69,8 +70,9 @@ PUBLIC_API = {
 
 
 def _named(node):
-    """The names node reads, as bare names or attributes."""
-    return {n.id if isinstance(n, ast.Name) else n.attr
+    """The names node reads: bare names as they are, attribute names with
+    a leading dot."""
+    return {n.id if isinstance(n, ast.Name) else "." + n.attr
             for n in ast.walk(node)
             if isinstance(n, (ast.Name, ast.Attribute))}
 
@@ -86,8 +88,9 @@ def _unreached(sources, allow):
     ``Class.method``.  The roots are `cli.main`, the `cli._cmd_*` handlers
     that `dispatch` finds by name, the names in ``allow``, and whatever a
     module-level statement other than an import names outside `__init__`.
-    A reached definition reaches every definition it names; a method or
-    property only once its class is reached too.  A reached class names
+    A reached definition reaches every top-level definition it names as a
+    bare name, and every method or property it names either way, once
+    its class is reached too.  A reached class names
     its bases, decorators and the statements of its body other than
     methods, and reaches its dunder methods."""
     defs, todo = {}, list(allow)
@@ -119,7 +122,7 @@ def _unreached(sources, allow):
         for item in node.body:
             if not isinstance(item, ast.FunctionDef) or _is_dunder(item.name):
                 todo.extend(_named(item))
-            elif item.name in named:
+            elif item.name in named or "." + item.name in named:
                 reach(item)
 
     while todo:
@@ -127,8 +130,9 @@ def _unreached(sources, allow):
         if name in named:
             continue
         named.add(name)
-        for _, node, owner in defs.get(name, ()):
-            if node not in reached and (owner is None or owner in reached):
+        for _, node, owner in defs.get(name.lstrip("."), ()):
+            if node not in reached and (owner in reached if owner
+                                        else name[0] != "."):
                 reach(node)
     return sorted((f, node.lineno,
                    name if owner is None else f"{owner.name}.{name}")
@@ -146,14 +150,17 @@ def test_the_check_sees_an_unreached_definition():
                 "\n\ndef handler():\n    pass\n"
                 "\n\nHANDLERS = {'x': handler}\n"
                 "\n\ndef api():\n    return _inner()\n"
-                "\n\ndef _inner():\n    pass\n",
+                "\n\ndef _inner():\n    pass\n"
+                "\n\ndef shadowed():\n    pass\n",
         "b.py": "from a import _kept\n\n\nclass Used:\n"
-                "    def method(self):\n        return _kept()\n",
+                "    def method(self):\n"
+                "        return _kept(self.shadowed())\n",
         "cli.py": "def _cmd_run():\n    return Used().method()\n",
         "__init__.py": "from .a import exported\n"}
     assert _unreached(sources, {"api"}) == [
         ("a.py", 5, "_Gone"), ("a.py", 9, "_cmd_x"), ("a.py", 13, "helper"),
-        ("a.py", 17, "dead"), ("a.py", 21, "exported")]
+        ("a.py", 17, "dead"), ("a.py", 21, "exported"),
+        ("a.py", 40, "shadowed")]
 
 
 def test_the_check_sees_an_unreached_method():
@@ -240,7 +247,9 @@ DELETED = {"multiply", "zero_element", "element_from_path", "radical_basis",
            "submodule_generated",
            # the dense input of a structure constant algebra: its table is
            # sparse rows of nonzero cells, its unit a sparse element
-           "sparse"}
+           "sparse",
+           # a decomposition is its list of (module, multiplicity) pairs
+           "Decomposition"}
 
 
 def _name(node):

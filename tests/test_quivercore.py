@@ -1010,7 +1010,7 @@ def _split_corpus(corpus):
         for seed in range(2):
             m = random_module(alg, seed)
             s = simple(alg, alg.quiver.vertices[-1])
-            out.append(endomorphism_algebra(direct_sum([m, m, s])[0])[0])
+            out.append(endomorphism_algebra(direct_sum([m, m, s]))[0])
     return out
 
 

@@ -7,9 +7,9 @@ import pytest
 from qtilt.errors import QtiltError, UndecidedIsomorphismError
 from qtilt.exactla import Matrix, QQ
 from qtilt.quivercore import abstract_radical, opposite
-from qtilt.repcore import (Decomposition, ModuleMap, Representation, decompose,
-                           direct_sum, dual, endomorphism_algebra, hom_space,
-                           inj, is_isomorphic, cokernel_rep, proj, proj_sum,
+from qtilt.repcore import (ModuleMap, Representation, decompose, direct_sum,
+                           dual, endomorphism_algebra, hom_space, inj,
+                           is_isomorphic, cokernel_rep, proj, proj_sum,
                            projective_cover, random_module, regular, simple,
                            zero_rep)
 
@@ -171,10 +171,11 @@ def test_dual_of_projective_is_injective_over_opposite(kron):
 
 def test_direct_sum_maps(kron):
     a, b = simple(kron, "1"), proj(kron, "2")
-    total, incls, projs = direct_sum([a, b])
+    total = direct_sum([a, b])
     assert total.dim_vector() == (3, 1)
-    assert (projs[0] * incls[0]).is_isomorphism()
-    assert (projs[1] * incls[0]).is_zero()
+    # block-diagonal, a first: a's 1x0 block is a zero row above b's
+    for name, mat in total.mats.items():
+        assert mat.rows == ((0,),) + b.mats[name].rows
 
 
 def test_kernel_cokernel_of_cover(a2):
@@ -189,19 +190,19 @@ def test_kernel_cokernel_of_cover(a2):
 # --- decomposition -------------------------------------------------------------
 
 def test_decompose_sum_of_two_projectives(kron):
-    total, _, _ = direct_sum([proj(kron, "1"), proj(kron, "2")])
+    total = direct_sum([proj(kron, "1"), proj(kron, "2")])
     dec = decompose(total)
-    assert sorted(m for _, m in dec.summands) == [1, 1]
-    dims = sorted(rep.dim_vector() for rep, _ in dec.summands)
+    assert sorted(m for _, m in dec) == [1, 1]
+    dims = sorted(rep.dim_vector() for rep, _ in dec)
     assert dims == [(1, 0), (2, 1)]
 
 
 def test_decompose_simple_power(kron):
     s = simple(kron, "1")
-    total, _, _ = direct_sum([s, s, s])
+    total = direct_sum([s, s, s])
     dec = decompose(total)
-    assert len(dec.summands) == 1
-    rep, mult = dec.summands[0]
+    assert len(dec) == 1
+    rep, mult = dec[0]
     assert mult == 3 and rep.dim_vector() == (1, 0)
 
 
@@ -209,18 +210,19 @@ def test_decompose_simple_fourth_power(kron):
     # End is M_4(Q): among powers of one simple, the first whose elements
     # can have a minimal polynomial with nonlinear factors only (2 + 2)
     s = simple(kron, "1")
-    total, _, _ = direct_sum([s, s, s, s])
+    total = direct_sum([s, s, s, s])
     dec = decompose(total)
-    assert len(dec.summands) == 1
-    rep, mult = dec.summands[0]
+    assert len(dec) == 1
+    rep, mult = dec[0]
     assert mult == 4 and rep.dim_vector() == (1, 0)
 
 
 def test_decompose_summands_have_local_endomorphisms(kron):
     m = random_module(kron, seed=19)
     dec = decompose(m)
-    assert dec.total_dim_vector() == m.dim_vector()
-    for rep, _ in dec.summands:
+    assert tuple(sum(mult * rep.dims[v] for rep, mult in dec)
+                 for v in kron.quiver.vertices) == m.dim_vector()
+    for rep, _ in dec:
         sca, _ = endomorphism_algebra(rep)
         rad = abstract_radical(sca)
         assert sca.dim - len(rad) == 1  # local: semisimple quotient is K
@@ -228,7 +230,7 @@ def test_decompose_summands_have_local_endomorphisms(kron):
 
 def test_decompose_zero(kron):
     dec = decompose(zero_rep(kron))
-    assert dec.summands == []
+    assert dec == []
 
 
 # --- isomorphism -----------------------------------------------------------
@@ -270,7 +272,7 @@ def test_isomorphic_after_conjugation(kron):
 def _one_map_each_way(kron):
     """S1 + S2 and the indecomposable (1,1) module with a0 = identity: the
     same dimension vector, one map each way, not isomorphic."""
-    s, _, _ = direct_sum([simple(kron, "1"), simple(kron, "2")])
+    s = direct_sum([simple(kron, "1"), simple(kron, "2")])
     m = Representation(kron, {"1": 1, "2": 1},
                        {"a0": Matrix(QQ, [[1]]), "a1": Matrix(QQ, [[0]])})
     return s, m
@@ -328,9 +330,8 @@ def test_decompose_regular_module_over_tensor_square(kron2):
     # the regular module of the 16-dimensional product splits into the
     # four indecomposable projectives
     dec = decompose(regular(kron2.algebra))
-    assert len(dec.pieces) == 4
-    assert sorted(mult for _, mult in dec.summands) == [1, 1, 1, 1]
-    dims = sorted(rep.total_dim() for rep, _ in dec.summands)
+    assert sorted(mult for _, mult in dec) == [1, 1, 1, 1]
+    dims = sorted(rep.total_dim() for rep, _ in dec)
     assert dims == [1, 3, 3, 9]
 
 
@@ -445,7 +446,7 @@ def test_decompose_checks_its_idempotents(monkeypatch, kron, idempotents,
     from qtilt import repcore
     monkeypatch.setattr(repcore, "primitive_orthogonal_idempotents",
                         idempotents)
-    m, _, _ = direct_sum([simple(kron, "1"), simple(kron, "2")])
+    m = direct_sum([simple(kron, "1"), simple(kron, "2")])
     with pytest.raises(QtiltError, match=message):
         decompose(m)
 
@@ -470,7 +471,7 @@ def test_invariant_checks_survive_optimize():
         "q = Quiver(['1', '2'],",
         "           [Arrow('a0', '2', '1'), Arrow('a1', '2', '1')])",
         "kron = build_algebra(q, [])",
-        "m, _, _ = direct_sum([simple(kron, '1'), simple(kron, '2')])",
+        "m = direct_sum([simple(kron, '1'), simple(kron, '2')])",
         "def show(fn, arg):",
         "    try:",
         "        fn(arg)",
@@ -863,11 +864,11 @@ def test_proj_map_from_images_needs_a_free_target():
 
 
 def test_hom_generic_transposes_each_source_arrow_once(monkeypatch):
-    """Homs out of one module that is neither free nor a sum read the
+    """Homs out of one module that is not free read the
     columns of each of its arrow matrices once, however many targets."""
     alg = _merge_corpus(QQ)["kron2"]
     m = random_module(alg, 3)
-    assert m.proj_gens is None and not m.summands
+    assert m.proj_gens is None
     arrows = list(m.mats.values())
     read = []
     real = Matrix.sparse_columns
@@ -977,11 +978,11 @@ def _hom_routes(alg):
     verts = alg.quiver.vertices
     m, n, x = (random_module(alg, seed) for seed in (1, 2, 3))
     free = proj_sum(alg, [verts[-1], verts[0], verts[-1]])
-    inner = direct_sum([m, x])[0]
+    inner = direct_sum([m, x])
     return [("free", free, n), ("generic", m, n),
-            ("sum source", direct_sum([m, free])[0], n),
-            ("sum target", m, direct_sum([n, x])[0]),
-            ("nested", direct_sum([inner, n])[0], direct_sum([x, inner])[0]),
+            ("sum source", direct_sum([m, free]), n),
+            ("sum target", m, direct_sum([n, x])),
+            ("nested", direct_sum([inner, n]), direct_sum([x, inner])),
             ("zero", simple(alg, verts[0]), simple(alg, verts[-1]))]
 
 
@@ -999,10 +1000,7 @@ def test_each_hom_basis_map_reads_as_its_unit_vector(field):
     seen = {}
     for alg in _position_algebras(field):
         for route, m, n in _hom_routes(alg):
-            taken = ("free" if m.proj_gens else "sum source" if m.summands
-                     else "sum target" if n.summands else "generic")
-            assert taken == {"nested": "sum source",
-                             "zero": "generic"}.get(route, route)
+            assert (m.proj_gens is not None) == (route == "free")
             maps, positions = _hom_basis(m, n)
             assert [f.blocks for f in maps] == [f.blocks for f in
                                                 hom_space(m, n)]

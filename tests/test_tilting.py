@@ -7,7 +7,8 @@ import pytest
 from qtilt.errors import NotAdmissibleError, QtiltError
 from qtilt.exactla import QQ, Matrix, Span
 from qtilt.homengine import ext_dim, gldim, pd, tau_n_minus
-from qtilt.quivercore import abstract_radical
+from qtilt.quivercore import (abstract_radical,
+                               primitive_orthogonal_idempotents)
 from qtilt.repcore import (ModuleMap, decompose, direct_sum, dual,
                            endomorphism_algebra, endomorphism_blocks,
                            hom_space, inj,
@@ -65,7 +66,7 @@ def test_apr_transfer_to_tensor_product(kron2):
         if (u, v) != ("1", "1"):
             pieces.append(tensor_modules(kron2, proj(kron2.left, u),
                                          proj(kron2.right, v)))
-    expected, _, _ = direct_sum(pieces)
+    expected = direct_sum(pieces)
     assert is_isomorphic(rep.tilting_module, expected)
 
 
@@ -116,8 +117,13 @@ def test_bb_transfer_tensor(a2xa2):
 
 # --- verify_tilting -------------------------------------------------------------
 
+def _listed(report):
+    """A report's labelled summands as `verify_tilting` takes them."""
+    return [(u, 1) for _, u in report.summands]
+
+
 def test_regular_module_is_tilting_at_zero(kron):
-    cert = verify_tilting(kron, regular(kron), 0)
+    cert = verify_tilting(kron, decompose(regular(kron)), 0)
     assert cert.passed
     assert cert.pd_value == 0
     assert len(cert.coresolution_terms) == 1
@@ -126,7 +132,7 @@ def test_regular_module_is_tilting_at_zero(kron):
 
 def test_kronecker_translate_module_is_tilting(kron):
     rep = apr_check(kron, "1", 1)
-    cert = verify_tilting(kron, rep.tilting_module, 1)
+    cert = verify_tilting(kron, _listed(rep), 1)
     assert cert.passed
     assert cert.pd_value == 1
     # classical two-term coresolution 0 -> A -> P2^3 -> P3 -> 0
@@ -136,13 +142,52 @@ def test_kronecker_translate_module_is_tilting(kron):
 
 def test_tensor_corner_module_is_tilting(kron2):
     rep = apr_check(kron2.algebra, kron2.vertex("1", "1"), 2)
-    cert = verify_tilting(kron2.algebra, rep.tilting_module, 2)
+    cert = verify_tilting(kron2.algebra, _listed(rep), 2)
     assert cert.passed
 
 
 def test_non_tilting_module_fails(kron):
-    cert = verify_tilting(kron, simple(kron, "1"), 1)
+    cert = verify_tilting(kron, [(simple(kron, "1"), 1)], 1)
     assert not cert.passed
+
+
+@pytest.mark.parametrize("planted, reason", [
+    ("decomposable", "summand 1 has End/rad of dimension 2, not 1"),
+    ("isomorphic pair", "summand 2 is isomorphic to summand 1")])
+def test_verify_tilting_refuses_uncertified_summands(kron, planted, reason):
+    """P1 + P2 passed as one summand, or P1 listed twice: T is still the
+    tilting module A (or A + P1), but the summands are not pairwise
+    non-isomorphic indecomposables, so the certificate fails at stage 0
+    naming the summand, before any approximation."""
+    p1, p2 = proj(kron, "1"), proj(kron, "2")
+    summands = ([(direct_sum([p1, p2]), 1)] if planted == "decomposable"
+                else [(p1, 1), (p1, 1), (p2, 1)])
+    cert = verify_tilting(kron, summands, 1)
+    assert cert.pd_ok and cert.self_ext_ok and not cert.passed
+    assert (cert.failure_stage, cert.failure_reason) == (0, reason)
+    assert cert.coresolution_terms == []
+    assert f"verdict coresolution fail stage=0 {reason}" in \
+        cert.verdict_lines()
+
+
+def test_verify_tilting_decomposes_nothing(monkeypatch, kron2):
+    """On an APR summand list verify_tilting never calls decompose, and
+    builds End only of each summand, never of a module the size of T."""
+    from qtilt import repcore, tilting
+    rep = apr_check(kron2.algebra, kron2.vertex("1", "1"), 2)
+
+    def refuse(m):
+        raise AssertionError("verify_tilting decomposed a module")
+    monkeypatch.setattr(repcore, "decompose", refuse)
+    monkeypatch.setattr(tilting, "decompose", refuse)
+    sizes = []
+    real = repcore.endomorphism_blocks
+    monkeypatch.setattr(repcore, "endomorphism_blocks", lambda ms: sizes.append(
+        sum(m.total_dim() for m in ms)) or real(ms))
+    cert = verify_tilting(kron2.algebra, _listed(rep), 2)
+    assert cert.passed
+    assert sorted(sizes) == sorted(u.total_dim() for _, u in rep.summands)
+    assert max(sizes) < rep.tilting_module.total_dim()
 
 
 def test_minimal_approximation_of_projective_is_split(kron):
@@ -150,7 +195,7 @@ def test_minimal_approximation_of_projective_is_split(kron):
     summands = [r for _, r in rep.summands]
     x = proj(kron, "2")
     fmap, target, counts = _left_approximation(x, summands,
-                                               _radical_maps(summands))
+                                               _radical_maps(summands)[0])
     assert fmap.is_injective()
     assert target.dim_vector() == x.dim_vector()
 
@@ -167,7 +212,7 @@ def test_certificate_builds_each_summands_radical_once(monkeypatch, kron2):
                         lambda u: ends.append(u) or real_end(u))
     monkeypatch.setattr(tilting, "hom_space",
                         lambda m, n: homs.append((m, n)) or real_hom(m, n))
-    cert = verify_tilting(kron2.algebra, rep.tilting_module, 2)
+    cert = verify_tilting(kron2.algebra, _listed(rep), 2)
     assert cert.passed and len(cert.coresolution_terms) >= 2
     k = len(rep.summands)
     assert len(ends) == len({id(u) for u in ends}) == k
@@ -199,7 +244,7 @@ def test_endo_of_two_simples_semisimple(a2):
 
 def test_endo_basicizes_repeated_summands(kron):
     s = simple(kron, "1")
-    total, _, _ = direct_sum([s, s])
+    total = direct_sum([s, s])
     sca, data = endo_algebra(total)
     assert data.basicized
     assert sca.dim == 1
@@ -360,7 +405,8 @@ def test_present_algebra_checks_its_idempotents(kron2, how, error):
     else:
         idems[0] = {}
     with pytest.raises(QtiltError, match=error):
-        present_algebra(sca, idempotents=idems)
+        present_algebra(sca, idempotents=idems,
+                        labels=[lbl for lbl, _ in data.summands])
 
 
 def test_present_regular_kronecker(kron):
@@ -434,9 +480,17 @@ def test_present_relation_span_against_kernel_oracle(kron2):
     assert sum(len(v) for v in rel_blocks.values()) == 4
 
 
+def _presented(sca):
+    """`present_algebra` on the algebra's primitive idempotents, vertex k
+    labelled v{k+1}."""
+    idems = primitive_orthogonal_idempotents(sca)
+    return present_algebra(sca, idems,
+                           [f"v{k + 1}" for k in range(len(idems))])
+
+
 def test_present_semisimple(ss2):
     sca = regular_structure_algebra(ss2)
-    pres = present_algebra(sca)
+    pres = _presented(sca)
     assert len(pres.quiver.vertices) == 2
     assert len(pres.quiver.arrows) == 0
     assert pres.relations == []
@@ -456,7 +510,7 @@ def test_cotilting_kronecker_vertex2(kron):
     # over the opposite algebra, vertex 2 carries the simple projective
     rep = apr_cotilting_check(kron, "2", 1)
     assert rep.weak and rep.full
-    assert rep.cotilting_module is not None
+    assert len(rep.summands) == 2
     translate = dict(rep.summands)["2"]
     # dual statement of the translate dimensions
     assert translate.dim_vector() == (2, 3)
@@ -464,12 +518,12 @@ def test_cotilting_kronecker_vertex2(kron):
 
 def test_cotilting_builds_only_the_cotilting_module(kron):
     """The check over the opposite algebra gives verdicts only: no tilting
-    module is built there, while the cotilting module is."""
+    module is built there, while the cotilting module's summands are."""
     rep = apr_cotilting_check(kron, "2", 1)
     assert rep.weak
     assert rep.base.tilting_module is None and rep.base.summands is None
-    assert rep.cotilting_module is not None
-    assert rep.cotilting_module.dim_vector() == (3, 5)
+    assert tuple(map(sum, zip(*(u.dim_vector() for _, u in rep.summands)))
+                 ) == (3, 5)
 
 
 def test_cotilting_a2_sink(a2):
@@ -507,7 +561,7 @@ def test_cotilting_resolves_each_injective_once(monkeypatch):
     reports = [apr_cotilting_check(alg, v, 3) for v in alg.quiver.vertices]
     assert len(reports) == len(made) == 27
     weak = [r for r in reports if r.weak]
-    assert len(weak) == 1 and weak[0].cotilting_module is not None
+    assert len(weak) == 1 and weak[0].summands is not None
 
 
 # --- count_apr --------------------------------------------------------------------
@@ -727,7 +781,7 @@ def test_presented_relations_generate_the_ideal_but_need_not_be_minimal():
     relations before it up to its own top degree.  For the two-loop
     algebra one of them still lies in the ideal of the others."""
     from qtilt.quivercore import IdealClosure, build_algebra
-    pres = present_algebra(_two_loop_regular_algebra())
+    pres = _presented(_two_loop_regular_algebra())
     rels = pres.relations
 
     def vec(rel):
@@ -758,7 +812,8 @@ def test_present_algebra_extends_one_ideal_closure(monkeypatch, kron2, which):
         sca, data = endo_algebra(rep.summands)
         idems = data.idempotents
     else:
-        sca, idems = _two_loop_regular_algebra(), None
+        sca = _two_loop_regular_algebra()
+        idems = primitive_orthogonal_idempotents(sca)
     made = []
     init = quivercore.IdealClosure.__init__
 
@@ -767,7 +822,8 @@ def test_present_algebra_extends_one_ideal_closure(monkeypatch, kron2, which):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(quivercore.IdealClosure, "__init__", counted)
-    pres = present_algebra(sca, idempotents=idems)
+    pres = present_algebra(sca, idempotents=idems,
+                           labels=[f"v{k + 1}" for k in range(len(idems))])
     in_present = len(made)
     made.clear()
     round_trip = build_algebra(pres.quiver, pres.relations, QQ,

@@ -10,9 +10,10 @@ outer power of the Kronecker tau_1 trace, (4k+1, 4k+3) at round k, sink
 first: tau_n of a product of n Kronecker injectives is the product of
 their tau_1 translates (Herschend-Iyama), so every round's dimension
 vector is that outer product.  The verify records build the n-APR tilt
-T of kron^n at its sink and time `tilting.verify_tilting(kron^n, T, n)`,
-for n = 3 and 4 (n = 2 with ``--smoke``); decomposing T builds End(T),
-of dimension 720 for n = 4.  The last line of standard output is one
+T of kron^n at its sink and time `tilting.verify_tilting` on its summand
+list, each with multiplicity 1, for n = 3 and 4 (n = 2 with
+``--smoke``); End is built of each summand only, never of T, whose End
+has dimension 720 for n = 4.  The last line of standard output is one
 JSON object with, per record, its wall seconds, its process's peak RSS
 (``ru_maxrss``) and a hash of its trace or the certificate's verdict.
 ``--live`` runs each record once more under tracemalloc and adds its
@@ -81,10 +82,11 @@ def run_record(name, rounds, live):
     else:
         n = {**VERIFY, **SMOKE_VERIFY}[name]
         alg = kronecker_power(n)
-        tilt = apr_check(alg, kronecker_sink(n), n).tilting_module
+        summands = [(u, 1) for _, u in
+                    apr_check(alg, kronecker_sink(n), n).summands]
 
         def work():
-            return verify_tilting(alg, tilt, n)
+            return verify_tilting(alg, summands, n)
     if live:
         import tracemalloc
         tracemalloc.start()
