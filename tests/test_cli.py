@@ -213,7 +213,8 @@ def test_verify_tilting_command(tmp_path):
      "verdict tilting fail m=1\n"),
     ("P1 P2 P1", 0, 0, "verdict pd pass pd=0 m=0\n"
      "verdict self_orthogonal pass none\n"
-     "verdict coresolution pass length=1\nverdict tilting pass m=0\n")])
+     "verdict coresolution pass length=1\nverdict tilting pass m=0\n")],
+    ids=["apr-tilt", "not-tilting", "regular"])
 def test_verify_tilting_on_a_repeated_summand(tmp_path, pieces, m, code,
                                               want):
     """A module with a repeated summand gives the lines it gave when
@@ -696,6 +697,19 @@ def _local_simple(tmp_path):
     alg.write_text(LOCAL_ALG)
     mod.write_text("module s over loc\ndim 1=1\n")
     return str(alg), str(mod)
+
+
+def test_verify_tilting_decomposes_before_the_pd_check(tmp_path):
+    """The summands are read off the module file before T is resolved: a
+    decomposable module over F_p is refused for its characteristic
+    (exit 2), also where its pd runs past a bound below m."""
+    alg, mod = tmp_path / "loc.alg", tmp_path / "s2.mod"
+    alg.write_text(LOCAL_ALG.replace("field Q", "field F7"))
+    mod.write_text("module s over loc\ndim 1=2\n")
+    for bound in ("2", "8"):
+        assert run(["verify-tilting", str(alg), str(mod), "--m", "3",
+                    "--max-resolution", bound]) == (
+            2, "error idempotent splitting needs characteristic zero\n")
 
 
 def test_verify_tilting_reads_the_resolution_bound(tmp_path):

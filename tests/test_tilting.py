@@ -153,7 +153,8 @@ def test_non_tilting_module_fails(kron):
 
 @pytest.mark.parametrize("planted, reason", [
     ("decomposable", "summand 1 has End/rad of dimension 2, not 1"),
-    ("isomorphic pair", "summand 2 is isomorphic to summand 1")])
+    ("isomorphic pair", "summand 2 is isomorphic to summand 1")],
+    ids=["decomposable", "isomorphic-pair"])
 def test_verify_tilting_refuses_uncertified_summands(kron, planted, reason):
     """P1 + P2 passed as one summand, or P1 listed twice: T is still the
     tilting module A (or A + P1), but the summands are not pairwise
