@@ -20,12 +20,10 @@ from .homengine import (InfinityMarker, MinimalResolution, ProbeResult,
                         ext_dim, gldim, injd, is_finite, min_proj_resolution,
                         pd, tau_finiteness_probe, tau_n, tau_n_minus)
 from .tensorcon import (TensorAlgebraResult, kunneth_verify, structural_suite,
-                        tensor_algebras, tensor_maps, tensor_modules,
-                        tensor_resolution)
-from .tilting import (AlgebraPresentation, AprReport, BbReport, CotiltReport,
-                      TiltingCertificate, apr_check, apr_cotilting_check,
-                      bb_check, count_apr, endo_algebra, present_algebra,
-                      verify_tilting)
+                        tensor_algebras, tensor_modules)
+from .tilting import (AprReport, BbReport, CotiltReport, TiltingCertificate,
+                      apr_check, apr_cotilting_check, bb_check, count_apr,
+                      endo_algebra, present_algebra, verify_tilting)
 from .cli import (Workspace, dispatch, main, parse_algebra_file,
                   parse_module_file, serialize_algebra, serialize_module)
 

@@ -21,7 +21,7 @@ from .homengine import (bounded_resolution, ext_dim, gldim, is_finite,
 from .quivercore import (Arrow, BoundQuiverAlgebra, Path, PathSum, Quiver,
                          build_algebra, format_path,
                          semisimple_and_basic_flags)
-from .repcore import Representation, decompose
+from .repcore import Representation, decompose, direct_sum
 from .tensorcon import (kunneth_verify, structural_suite, tensor_algebras,
                         tensor_modules)
 from .tilting import (apr_check, apr_cotilting_check, bb_check, count_apr,
@@ -380,13 +380,12 @@ def _algebra_info_lines(alg: BoundQuiverAlgebra, bound: int) -> List[str]:
     ]
 
 
-def _presentation_lines(pres) -> List[str]:
-    alg = pres.algebra
+def _presentation_lines(alg: BoundQuiverAlgebra) -> List[str]:
     lines = [
-        f"presentation_vertices {len(pres.quiver.vertices)}",
-        f"presentation_arrows {len(pres.quiver.arrows)}",
-        f"presentation_relations {len(pres.relations)}",
-        f"presentation_dimension {pres.dim}",
+        f"presentation_vertices {len(alg.quiver.vertices)}",
+        f"presentation_arrows {len(alg.quiver.arrows)}",
+        f"presentation_relations {len(alg.relations)}",
+        f"presentation_dimension {alg.dim}",
     ]
     lines.extend(serialize_algebra(alg, name="tilt").rstrip("\n").splitlines())
     return lines
@@ -580,13 +579,14 @@ def _present_endo(t):
 
 def _tilt_common(args, ws, checker):
     report, lines = _check(args, ws, checker)
-    if report.tilting_module is None:
+    if report.summands is None:
         return lines
     lines.extend(_summand_lines(report.summands))
     if args.output:
         stem = os.path.splitext(os.path.basename(args.output))[0]
+        t = direct_sum([u for _, u in report.summands])
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(serialize_module(report.tilting_module, stem))
+            fh.write(serialize_module(t, stem))
         lines.append(f"wrote {args.output}")
     if args.present:
         lines.extend(_presentation_lines(

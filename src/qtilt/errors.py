@@ -40,11 +40,10 @@ class AlgebraMismatchError(QtiltError):
 
 
 class ParseError(QtiltError):
-    """Syntax or consistency error in an input file, with position info."""
+    """Syntax or consistency error in an input file; the message leads
+    with its position (``line 5: ...``, ``line 5, col 1: ...``)."""
 
     def __init__(self, message, line=None, column=None):
-        self.line = line
-        self.column = column
         if line is not None:
             where = f"line {line}" + (f", col {column}" if column is not None else "")
             message = f"{where}: {message}"

@@ -84,8 +84,9 @@ class MinimalResolution:
     Keep the module for as long as the resolution grows; its terms and
     images stay readable without it.
 
-    A resolution assembled whole from its terms and generator images
-    (`tensorcon.tensor_resolution`) is the same object, terminated.
+    A resolution may also be assembled whole: set its terms and generator
+    images and mark it terminated (the tests' tensor-product oracle,
+    `tensor_resolution` in `tests/oracles.py`, builds one that way).
     """
 
     def __init__(self, module: Representation):

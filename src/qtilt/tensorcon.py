@@ -1,4 +1,4 @@
-"""Tensor products of bound quiver algebras, modules, and maps.
+"""Tensor products of bound quiver algebras and modules.
 
 The product of two bound quiver algebras is materialized as a genuine
 bound quiver algebra on the product quiver: one arrow per (factor arrow,
@@ -10,17 +10,16 @@ the factor dimensions, which catches any mistake in the relation set.
 
 from typing import List, Tuple
 
-from .errors import FieldMismatchError, InconclusiveError, QtiltError
-from .exactla import Matrix, _tidy, kron
-from .homengine import (DEFAULT_BOUND, InfinityMarker, MinimalResolution,
-                        ext_dim, gldim, injd, is_finite, min_proj_resolution,
-                        pd)
+from .errors import FieldMismatchError, QtiltError
+from .exactla import Matrix, kron
+from .homengine import (DEFAULT_BOUND, InfinityMarker, ext_dim, gldim, injd,
+                        is_finite, pd)
 from .quivercore import (Arrow, BoundQuiverAlgebra, Path, PathSum, Quiver,
                          _check_idempotents, abstract_radical, build_algebra,
                          semisimple_and_basic_flags)
-from .repcore import (ModuleMap, Representation, _top_sections, decompose,
-                      endomorphism_algebra, free_offsets, inj, is_isomorphic,
-                      proj, proj_sum, projective_cover, random_module, simple)
+from .repcore import (Representation, _top_sections, decompose,
+                      endomorphism_algebra, inj, is_isomorphic, proj,
+                      projective_cover, random_module, simple)
 
 
 def _vname(u: str, v: str) -> str:
@@ -133,86 +132,6 @@ def tensor_modules(t: TensorAlgebraResult, m: Representation,
             mats[_right_arrow(u, b.name)] = kron(
                 Matrix.identity(field, m.dims[u]), n.mats[b.name])
     return Representation(t.algebra, dims, mats, validate=validate)
-
-
-def tensor_maps(t: TensorAlgebraResult, f: ModuleMap, g: ModuleMap,
-                validate: bool = True) -> ModuleMap:
-    """Vertexwise Kronecker product of two module maps."""
-    source = tensor_modules(t, f.source, g.source, validate=False)
-    target = tensor_modules(t, f.target, g.target, validate=False)
-    blocks = {}
-    for u in t.left.quiver.vertices:
-        for v in t.right.quiver.vertices:
-            blocks[_vname(u, v)] = kron(f.blocks[u], g.blocks[v])
-    return ModuleMap(source, target, blocks, validate=validate)
-
-
-def tensor_resolution(t: TensorAlgebraResult, m: Representation,
-                      n: Representation, upto: int
-                      ) -> Tuple[Representation, MinimalResolution]:
-    """(M (x) N, its minimal resolution): the tensor of the factor minimal
-    resolutions, as generator images.  Generator (a, b), a of degree i, at
-    (u_a, v_b) maps to d(a) (x) b + (-1)^i a (x) d(b), factor paths lifted
-    along the other factor's vertex; in degree 0 to the Kronecker product
-    of the factor standard vectors.  It is minimal as rad(A (x) B) =
-    rad A (x) B + A (x) rad B, and cached on the product, so tau_n(product,
-    n+m) is the factorized translate.  Keep the product while reading it.
-    A factor unresolved within upto steps raises InconclusiveError."""
-    for f in (m, n):
-        if not is_finite(pd(f, upto)):
-            raise InconclusiveError(
-                f"a factor resolution has not terminated within {upto} "
-                f"steps; raise the bound")
-    resm, resn = min_proj_resolution(m, upto), min_proj_resolution(n, upto)
-    product = tensor_modules(t, m, n, validate=False)
-    res = MinimalResolution(product)
-    product._cache["minres"] = res
-    if res.terminated:          # a zero factor
-        return product, res
-    alg, pos = t.algebra, t.algebra.block_pos
-    gm = [resm.generators(i) for i in range(resm.length + 1)]
-    gn = [resn.generators(j) for j in range(resn.length + 1)]
-    dm, dn = ([_by_generator(r, i) for i in range(r.length + 1)]
-              for r in (resm, resn))
-    pairs = [[(i, a, d - i, b)
-              for i in range(max(0, d - resn.length), min(d, resm.length) + 1)
-              for a in range(len(gm[i])) for b in range(len(gn[d - i]))]
-             for d in range(resm.length + resn.length + 1)]
-    res.terms = [proj_sum(alg, [_vname(gm[i][a], gn[j][b])
-                                for i, a, j, b in gens]) for gens in pairs]
-    res.images = [[]]
-    for _, a, _, b in pairs[0]:     # Kronecker products of standard vectors
-        (x,), (y,) = resm.images[0][a], resn.images[0][b]
-        res.images[0].append({x * n.dims[gn[0][b]] + y: 1})
-    for d in range(1, len(pairs)):
-        where = {g: k for k, g in enumerate(pairs[d - 1])}
-        images = []
-        for i, a, j, b in pairs[d]:
-            u, v = gm[i][a], gn[j][b]
-            parts = [(where[i - 1, k, j, b], c,
-                      _lift_left_path(t.left.basis[x], v))
-                     for k, el in dm[i][a] for x, c in el.items()]
-            parts += [(where[i, a, j - 1, k], -c if i % 2 else c,
-                       _lift_right_path(u, t.right.basis[y]))
-                      for k, el in dn[j][b] for y, c in el.items()]
-            offs, img = free_offsets(res.terms[d - 1], _vname(u, v)), {}
-            for k, c, path in parts:
-                for z, e in alg.normal_form(path).items():
-                    at = offs[k] + pos[z]
-                    img[at] = img.get(at, 0) + c * e
-            images.append(dict(sorted(_tidy(img, alg.field.char).items())))
-        res.images.append(images)
-    res.terminated = True
-    return product, res
-
-
-def _by_generator(res: MinimalResolution, i: int):
-    """Per generator l of terms[i], the (k, element) pairs of its image
-    under the differential terms[i] -> terms[i-1]."""
-    out = [[] for _ in res.generators(i)]
-    for (k, l), x in res.presentation_elements(i).items():
-        out[l].append((k, x))
-    return out
 
 
 def kunneth_verify(t: TensorAlgebraResult, m: Representation,

@@ -18,8 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (InconclusiveError, NonSplitError, QtiltError,
                      UnsupportedCharacteristicError)
 from .exactla import Matrix, Span, kernel_data
-from .homengine import (DEFAULT_BOUND, ext_dim, gldim, injd, is_finite, pd,
-                        tau_n, tau_n_minus)
+from .homengine import (DEFAULT_BOUND, ext_dim, injd, is_finite, pd, tau_n,
+                        tau_n_minus)
 from .quivercore import (Arrow, BoundQuiverAlgebra, IdealClosure, Path,
                          PathSum, Quiver, StructureConstantAlgebra,
                          _check_idempotents, _paths_of_degree,
@@ -54,7 +54,6 @@ class AprReport:
         self.weak = False
         self.injective_dimension = None
         self.full = False
-        self.tilting_module: Optional[Representation] = None
         self.summands: Optional[List[Tuple[str, Representation]]] = None
         self.projective: Optional[Representation] = None
 
@@ -74,12 +73,11 @@ class AprReport:
 
 
 def _construct(report, x, maxlen):
-    """Give report the tilting module T = tau_n^-(x) + (the projectives at
-    the other vertices), each summand labelled by its vertex."""
+    """Give report the summands of the tilting module T = tau_n^-(x) + (the
+    projectives at the other vertices), each labelled by its vertex."""
     alg, v = report.algebra, report.vertex
     report.summands = [(v, tau_n_minus(x, report.n, maxlen))] + [
         (w, proj(alg, w)) for w in alg.quiver.vertices if w != v]
-    report.tilting_module = direct_sum([u for _, u in report.summands])
 
 
 def apr_check(alg: BoundQuiverAlgebra, v: str, n: int,
@@ -125,8 +123,6 @@ class BbReport:
         self.cogenerator_ext_dims: List[Tuple[int, int]] = []
         self.self_ext_dims: List[Tuple[int, int]] = []
         self.passes = False
-        self.gldim_le_n = None     # whether the transfer hypotheses hold
-        self.tilting_module: Optional[Representation] = None
         self.summands: Optional[List[Tuple[str, Representation]]] = None
 
     def verdict_lines(self) -> List[str]:
@@ -149,8 +145,8 @@ def bb_check(alg: BoundQuiverAlgebra, v: str, n: int,
     Both Ext lists are read off the one minimal resolution of DS over the
     opposite algebra: Ext^i(DA, S) = Ext^i(DS, A^op) and
     Ext^i(S, S) = Ext^i(DS, DS); `tau_n_minus` reads it again.  Every
-    resolution grows at most maxlen steps; ``gldim_le_n`` is None when
-    the global dimension runs past a bound below n."""
+    resolution grows at most maxlen steps.  The global dimension is not
+    read: no verdict uses it, and `gldim` would resolve every simple."""
     _require_basic(alg)
     if not alg.quiver.has_vertex(v):
         raise QtiltError(f"unknown vertex {v}")
@@ -166,9 +162,6 @@ def bb_check(alg: BoundQuiverAlgebra, v: str, n: int,
                             for i in range(1, n + 1)]
     report.passes = all(d == 0 for _, d in report.cogenerator_ext_dims) and \
         all(d == 0 for _, d in report.self_ext_dims)
-    g = gldim(alg, maxlen)
-    report.gldim_le_n = g <= n if is_finite(g) else (
-        None if g.bound < n else False)
     if report.passes and construct:
         _construct(report, s, maxlen)
     return report
@@ -179,15 +172,13 @@ def bb_check(alg: BoundQuiverAlgebra, v: str, n: int,
 
 
 class TiltingCertificate:
-    def __init__(self, module, m):
-        self.module = module
+    def __init__(self, m):
         self.m = m
         self.pd_value = None
         self.pd_ok = False
         self.self_ext_dims: List[Tuple[int, int]] = []
         self.self_ext_ok = False
-        self.coresolution_terms: List[Representation] = []
-        self.coresolution_maps: List[ModuleMap] = []
+        self.coresolution_length = 0
         self.failure_stage: Optional[int] = None
         self.failure_reason: Optional[str] = None
         self.passed = False
@@ -201,7 +192,7 @@ class TiltingCertificate:
         ]
         if self.failure_stage is None:
             lines.append(
-                f"verdict coresolution pass length={len(self.coresolution_terms)}")
+                f"verdict coresolution pass length={self.coresolution_length}")
         else:
             lines.append(
                 f"verdict coresolution fail stage={self.failure_stage} "
@@ -250,13 +241,10 @@ def _left_approximation(x, summand_reps, radical_maps):
     given: pick hom generators modulo the radical composites, one block at
     a time, in the coordinates of each Hom(x, U_i) basis, where basis map
     k is the unit vector {k: 1}.  The map into the sum of the chosen
-    targets stacks the chosen maps' block rows.
-
-    Returns (map, target, counts)."""
+    targets stacks the chosen maps' block rows."""
     field = x.algebra.field
     homs = [_hom_basis(x, u) for u in summand_reps]
     chosen: List[Tuple[int, ModuleMap]] = []
-    counts = [0] * len(summand_reps)
     for i in range(len(summand_reps)):
         maps, positions = homs[i]
         if not maps:
@@ -268,16 +256,14 @@ def _left_approximation(x, summand_reps, radical_maps):
         for k, g in enumerate(maps):
             if span.add({k: 1}):
                 chosen.append((i, g))
-                counts[i] += 1
     if not chosen:
-        target = zero_rep(x.algebra)
-        return ModuleMap.zero(x, target), target, counts
+        return ModuleMap.zero(x, zero_rep(x.algebra))
     target = direct_sum([summand_reps[i] for i, _ in chosen])
     blocks = {v: Matrix._raw(field, [row for _, g in chosen
                                      for row in g.blocks[v].sparse_rows],
                              x.dims[v])
               for v in x.algebra.quiver.vertices}
-    return ModuleMap(x, target, blocks, validate=False), target, counts
+    return ModuleMap(x, target, blocks, validate=False)
 
 
 def verify_tilting(alg: BoundQuiverAlgebra,
@@ -301,7 +287,7 @@ def verify_tilting(alg: BoundQuiverAlgebra,
     summand_reps = [rep for rep, _ in summands]
     parts = [rep for rep, mult in summands for _ in range(mult)]
     t = direct_sum(parts) if parts else zero_rep(alg)
-    cert = TiltingCertificate(t, m)
+    cert = TiltingCertificate(m)
     cert.pd_value = pd(t, maxlen)
     if not is_finite(cert.pd_value) and maxlen < m:
         raise InconclusiveError(
@@ -322,13 +308,12 @@ def verify_tilting(alg: BoundQuiverAlgebra,
     for stage in range(m + 1):
         if x.is_zero() or cert.failure_stage is not None:
             break
-        fmap, target, _ = _left_approximation(x, summand_reps, radical_maps)
+        fmap = _left_approximation(x, summand_reps, radical_maps)
         if not fmap.is_injective():
             cert.failure_stage = stage
             cert.failure_reason = "approximation not injective"
             break
-        cert.coresolution_terms.append(target)
-        cert.coresolution_maps.append(fmap)
+        cert.coresolution_length += 1
         x, _ = cokernel_rep(fmap)
     else:
         if not x.is_zero():
@@ -347,11 +332,8 @@ class EndoData:
     """Bookkeeping for End(T)^op on a basic list of summands; each of
     ``idempotents`` is a summand's identity as a sparse element."""
 
-    def __init__(self, summands, basis_blocks, multiplicities, basicized,
-                 idempotents):
+    def __init__(self, summands, basicized, idempotents):
         self.summands = summands            # list of (label, Representation)
-        self.basis_blocks = basis_blocks    # list of (i, j, ModuleMap U_i -> U_j)
-        self.multiplicities = multiplicities
         self.basicized = basicized
         self.idempotents = idempotents      # summand identities, sparse
 
@@ -366,19 +348,17 @@ def endo_algebra(t):
     presentations match left-module composition."""
     if isinstance(t, Representation):
         dec = decompose(t)
-        mults = [mult for _, mult in dec]
         summands = [(f"u{k}", rep) for k, (rep, _) in enumerate(dec)]
-        basicized = any(m > 1 for m in mults)
+        basicized = any(mult > 1 for _, mult in dec)
     else:
         summands = list(t)
-        mults = [1] * len(summands)
         basicized = False
         labels = [lbl for lbl, _ in summands]
         if len(set(labels)) != len(labels):
             raise QtiltError("summand labels must be unique")
     if not summands:
         raise QtiltError("End(T) needs at least one nonzero summand")
-    blocks, table, ident = endomorphism_blocks([u for _, u in summands])
+    _, table, ident = endomorphism_blocks([u for _, u in summands])
     # the identities lie in distinct diagonal blocks, so the unit is their
     # union
     unit = {p: c for e in ident for p, c in e.items()}
@@ -387,26 +367,7 @@ def endo_algebra(t):
         for y, cell in row.items():
             cells[y][x] = cell
     sca = StructureConstantAlgebra(summands[0][1].algebra.field, cells, unit)
-    data = EndoData(summands, blocks, mults, basicized, ident)
-    return sca, data
-
-
-class AlgebraPresentation:
-    """A bound quiver presentation of an abstract algebra: quiver,
-    relations, and the arrow-to-element surjection data: ``arrow_images``
-    maps each arrow name to its image, a sparse element.
-
-    The relations generate the ideal (the round trip is checked), each
-    reduced modulo the arrow multiples of the earlier ones up to its own
-    degree.  They need not be minimal: x^3 is kept for
-    k<x,y>/(xy, yx, x^2 - y^3), though x^3 = x(x^2 - y^3) + (xy)y^2."""
-
-    def __init__(self, quiver, relations, arrow_images, dim, algebra):
-        self.quiver = quiver
-        self.relations = relations
-        self.arrow_images = arrow_images  # arrow name -> sparse element
-        self.dim = dim
-        self.algebra = algebra            # round-trip bound quiver algebra
+    return sca, EndoData(summands, basicized, ident)
 
 
 def _radical_powers(sca: StructureConstantAlgebra, rad, idems):
@@ -433,13 +394,18 @@ def _radical_powers(sca: StructureConstantAlgebra, rad, idems):
 
 
 def present_algebra(sca: StructureConstantAlgebra, idempotents: Sequence,
-                    labels: Sequence[str]) -> AlgebraPresentation:
-    """Bound quiver presentation on the given primitive idempotents, vertex
-    k labelled labels[k]: take arrows from rad/rad^2 and relations off the
-    path algebra surjection's kernel, degree by degree until rad^N = 0.
-    Radical powers go through the Peirce pieces, so the (sparse)
-    idempotents must be complete and orthogonal.  Characteristic zero
-    with split semisimple quotient only."""
+                    labels: Sequence[str]) -> BoundQuiverAlgebra:
+    """The bound quiver algebra presenting sca on the given primitive
+    idempotents, vertex k labelled labels[k]: take arrows from rad/rad^2
+    and relations off the path algebra surjection's kernel, degree by
+    degree until rad^N = 0.  Radical powers go through the Peirce pieces,
+    so the (sparse) idempotents must be complete and orthogonal.
+    Characteristic zero with split semisimple quotient only.
+
+    The relations generate the ideal (the round trip is checked), each
+    reduced modulo the arrow multiples of the earlier ones up to its own
+    degree.  They need not be minimal: x^3 is kept for
+    k<x,y>/(xy, yx, x^2 - y^3), though x^3 = x(x^2 - y^3) + (xy)y^2."""
     if sca.field.char != 0:
         raise UnsupportedCharacteristicError(
             "presentations need characteristic zero")
@@ -515,8 +481,7 @@ def present_algebra(sca: StructureConstantAlgebra, idempotents: Sequence,
     cols = [phi_path(p) for p in presented.basis]
     if Matrix.from_sparse_cols(field, cols, sca.dim).rank() != sca.dim:
         raise QtiltError("presentation surjection is not an isomorphism")
-    return AlgebraPresentation(quiver, relations, images, presented.dim,
-                               presented)
+    return presented
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +495,6 @@ class CotiltReport:
 
     def __init__(self, base: AprReport, summands):
         self.base = base
-        self.vertex = base.vertex
-        self.n = base.n
-        self.weak = base.weak
-        self.full = base.full
         self.summands = summands
 
     def verdict_lines(self):
@@ -562,8 +523,7 @@ def count_apr(alg: BoundQuiverAlgebra, n: int, maxlen: int = DEFAULT_BOUND
               ) -> Tuple[int, List[AprReport]]:
     """Number of vertices carrying a full tilting candidate, with the
     passing reports as witnesses.  The reports carry verdicts only: no
-    tilting module is built (``summands`` and ``tilting_module`` stay
-    unset), and hold no P_v, so no resolution outlives the call;
+    tilting module is built (``summands`` stays None), and hold no P_v, so no resolution outlives the call;
     ``apr_check`` at a witness builds the module."""
     _require_basic(alg)
     if n < 1:

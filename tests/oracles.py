@@ -17,20 +17,28 @@ or a constructor only tests need:
   and elements given with dense or dict cells, and `kernel_matrix` puts
   a kernel basis in a matrix;
 - `transpose` reads Tr M as D tau_1 M, the Tr Tr oracle on stable
-  modules.
+  modules;
+- `tensor_maps` is the vertexwise Kronecker product of two maps, and
+  `tensor_resolution` assembles the minimal resolution of M (x) N from
+  the factor resolutions, the factorized route to what the product
+  algebra resolves from scratch.
 """
 
-from typing import Sequence
+from typing import Sequence, Tuple
 
-from qtilt.errors import QtiltError, ShapeMismatchError
+from qtilt.errors import InconclusiveError, QtiltError, ShapeMismatchError
 from qtilt.exactla import (Matrix, _check_same_field, _tidy, kernel_data,
-                           solve)
+                           kron, solve)
 from qtilt.homengine import (DEFAULT_BOUND, MinimalResolution,
-                             _dualized_elements, _require_depth, tau_n)
+                             _dualized_elements, _require_depth, is_finite,
+                             min_proj_resolution, pd, tau_n)
 from qtilt.quivercore import (BoundQuiverAlgebra, StructureConstantAlgebra,
                               opposite)
 from qtilt.repcore import (ModuleMap, Representation, _image_columns,
-                           _restricted, cokernel_rep, dual, regular, zero_rep)
+                           _restricted, cokernel_rep, dual, free_offsets,
+                           proj_sum, regular, zero_rep)
+from qtilt.tensorcon import (TensorAlgebraResult, _lift_left_path,
+                             _lift_right_path, _vname, tensor_modules)
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
@@ -169,3 +177,83 @@ def transpose(m: Representation) -> Representation:
     tau_1 = D Tr, so the cokernel is never built.  Minimality of the
     presentation keeps the result free of spurious projective summands."""
     return dual(tau_n(m, 1))
+
+
+def tensor_maps(t: TensorAlgebraResult, f: ModuleMap, g: ModuleMap,
+                validate: bool = True) -> ModuleMap:
+    """Vertexwise Kronecker product of two module maps."""
+    source = tensor_modules(t, f.source, g.source, validate=False)
+    target = tensor_modules(t, f.target, g.target, validate=False)
+    blocks = {}
+    for u in t.left.quiver.vertices:
+        for v in t.right.quiver.vertices:
+            blocks[_vname(u, v)] = kron(f.blocks[u], g.blocks[v])
+    return ModuleMap(source, target, blocks, validate=validate)
+
+
+def tensor_resolution(t: TensorAlgebraResult, m: Representation,
+                      n: Representation, upto: int
+                      ) -> Tuple[Representation, MinimalResolution]:
+    """(M (x) N, its minimal resolution): the tensor of the factor minimal
+    resolutions, as generator images.  Generator (a, b), a of degree i, at
+    (u_a, v_b) maps to d(a) (x) b + (-1)^i a (x) d(b), factor paths lifted
+    along the other factor's vertex; in degree 0 to the Kronecker product
+    of the factor standard vectors.  It is minimal as rad(A (x) B) =
+    rad A (x) B + A (x) rad B, and cached on the product, so tau_n(product,
+    n+m) is the factorized translate.  Keep the product while reading it.
+    A factor unresolved within upto steps raises InconclusiveError."""
+    for f in (m, n):
+        if not is_finite(pd(f, upto)):
+            raise InconclusiveError(
+                f"a factor resolution has not terminated within {upto} "
+                f"steps; raise the bound")
+    resm, resn = min_proj_resolution(m, upto), min_proj_resolution(n, upto)
+    product = tensor_modules(t, m, n, validate=False)
+    res = MinimalResolution(product)
+    product._cache["minres"] = res
+    if res.terminated:          # a zero factor
+        return product, res
+    alg, pos = t.algebra, t.algebra.block_pos
+    gm = [resm.generators(i) for i in range(resm.length + 1)]
+    gn = [resn.generators(j) for j in range(resn.length + 1)]
+    dm, dn = ([_by_generator(r, i) for i in range(r.length + 1)]
+              for r in (resm, resn))
+    pairs = [[(i, a, d - i, b)
+              for i in range(max(0, d - resn.length), min(d, resm.length) + 1)
+              for a in range(len(gm[i])) for b in range(len(gn[d - i]))]
+             for d in range(resm.length + resn.length + 1)]
+    res.terms = [proj_sum(alg, [_vname(gm[i][a], gn[j][b])
+                                for i, a, j, b in gens]) for gens in pairs]
+    res.images = [[]]
+    for _, a, _, b in pairs[0]:     # Kronecker products of standard vectors
+        (x,), (y,) = resm.images[0][a], resn.images[0][b]
+        res.images[0].append({x * n.dims[gn[0][b]] + y: 1})
+    for d in range(1, len(pairs)):
+        where = {g: k for k, g in enumerate(pairs[d - 1])}
+        images = []
+        for i, a, j, b in pairs[d]:
+            u, v = gm[i][a], gn[j][b]
+            parts = [(where[i - 1, k, j, b], c,
+                      _lift_left_path(t.left.basis[x], v))
+                     for k, el in dm[i][a] for x, c in el.items()]
+            parts += [(where[i, a, j - 1, k], -c if i % 2 else c,
+                       _lift_right_path(u, t.right.basis[y]))
+                      for k, el in dn[j][b] for y, c in el.items()]
+            offs, img = free_offsets(res.terms[d - 1], _vname(u, v)), {}
+            for k, c, path in parts:
+                for z, e in alg.normal_form(path).items():
+                    at = offs[k] + pos[z]
+                    img[at] = img.get(at, 0) + c * e
+            images.append(dict(sorted(_tidy(img, alg.field.char).items())))
+        res.images.append(images)
+    res.terminated = True
+    return product, res
+
+
+def _by_generator(res: MinimalResolution, i: int):
+    """Per generator l of terms[i], the (k, element) pairs of its image
+    under the differential terms[i] -> terms[i-1]."""
+    out = [[] for _ in res.generators(i)]
+    for (k, l), x in res.presentation_elements(i).items():
+        out[l].append((k, x))
+    return out

@@ -86,7 +86,7 @@ def test_acceptance_3_two_apr_over_tensor_square(kron2):
         blocks.setdefault((p.source, p.target), []).append(p)
     kernel_total = 0
     for (src, tgt), paths in blocks.items():
-        img = sum(1 for b in pres.algebra.basis
+        img = sum(1 for b in pres.basis
                   if b.degree == 2 and b.source == src and b.target == tgt)
         kernel_total += len(paths) - img
     assert kernel_total == 4

@@ -10,8 +10,10 @@ function or class is reached when a command's code names it as a bare
 name, directly or through other reached definitions (an attribute that
 shares its name does not count); a method or property of a reached
 class when a reached definition names it either way, and a dunder
-method with its class.  The package `__init__` exports only what is reached, and
-`PUBLIC_API`."""
+method with its class.  An attribute the package stores, by assignment
+or by ``.append``/``.extend`` as a statement, is reached when a reached
+definition reads it by name.  The package `__init__` exports only what
+is reached."""
 
 import ast
 import os
@@ -58,17 +60,6 @@ def test_no_unused_imports(filename):
     assert not unused, f"{filename}: unused imports (line, name) {unused}"
 
 
-# what the package exports for callers outside it, though no command calls
-# it yet
-PUBLIC_API = {
-    # the factorized resolution of a product: ROADMAP items 1, 4 and 11
-    # give it callers
-    "tensor_resolution",
-    # the tensor of two maps: item 1's `tensor_of_tilts`
-    "tensor_maps",
-}
-
-
 def _named(node):
     """The names node reads: bare names as they are, attribute names with
     a leading dot."""
@@ -81,21 +72,48 @@ def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
-def _unreached(sources, allow):
+def _attributes(node):
+    """(stores, reads) in node: (line, name) of each attribute it assigns,
+    or fills by ``.append`` or ``.extend`` as a statement, and the names
+    of the attributes it reads otherwise."""
+    filled = {n.value.func.value for n in ast.walk(node)
+              if isinstance(n, ast.Expr) and isinstance(n.value, ast.Call)
+              and isinstance(n.value.func, ast.Attribute)
+              and n.value.func.attr in ("append", "extend")
+              and isinstance(n.value.func.value, ast.Attribute)}
+    stores = [(n.lineno, n.attr) for n in ast.walk(node)
+              if isinstance(n, ast.Attribute)
+              and (isinstance(n.ctx, ast.Store) or n in filled)]
+    reads = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+             and isinstance(n.ctx, ast.Load) and n not in filled}
+    return stores, reads
+
+
+def _unreached(sources):
     """(file, line, name) of the definitions in ``sources`` (file name ->
     text) that are not reached by name: the top-level functions and
     classes, and the methods and properties of top-level classes, named
-    ``Class.method``.  The roots are `cli.main`, the `cli._cmd_*` handlers
-    that `dispatch` finds by name, the names in ``allow``, and whatever a
+    ``Class.method``; and of each store of an attribute no reached code
+    reads, named ``.attribute``.  The roots are `cli.main`, the
+    `cli._cmd_*` handlers that `dispatch` finds by name, and whatever a
     module-level statement other than an import names outside `__init__`.
     A reached definition reaches every top-level definition it names as a
     bare name, and every method or property it names either way, once
     its class is reached too.  A reached class names
     its bases, decorators and the statements of its body other than
-    methods, and reaches its dunder methods."""
-    defs, todo = {}, list(allow)
+    methods, and reaches its dunder methods.  An attribute is read when
+    reached code reads it by name, on any object (`_attributes`)."""
+    defs, todo, stores, reads = {}, [], [], set()
+
+    def read(node):
+        todo.extend(_named(node))
+        reads.update(_attributes(node)[1])
+
     for f, text in sources.items():
-        for node in ast.parse(text).body:
+        tree = ast.parse(text)
+        stores.extend((f, line, "." + attr)
+                      for line, attr in _attributes(tree)[0])
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.setdefault(node.name, []).append((f, node, None))
                 if f == "cli.py" and (node.name == "main"
@@ -103,7 +121,7 @@ def _unreached(sources, allow):
                     todo.append(node.name)
             elif (f != "__init__.py"
                   and not isinstance(node, (ast.Import, ast.ImportFrom))):
-                todo.extend(_named(node))
+                read(node)
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if (isinstance(item, ast.FunctionDef)
@@ -115,13 +133,13 @@ def _unreached(sources, allow):
     def reach(node):
         reached.add(node)
         if not isinstance(node, ast.ClassDef):
-            todo.extend(_named(node))
+            read(node)
             return
         for part in node.bases + node.keywords + node.decorator_list:
-            todo.extend(_named(part))
+            read(part)
         for item in node.body:
             if not isinstance(item, ast.FunctionDef) or _is_dunder(item.name):
-                todo.extend(_named(item))
+                read(item)
             elif item.name in named or "." + item.name in named:
                 reach(item)
 
@@ -134,10 +152,11 @@ def _unreached(sources, allow):
             if node not in reached and (owner in reached if owner
                                         else name[0] != "."):
                 reach(node)
-    return sorted((f, node.lineno,
-                   name if owner is None else f"{owner.name}.{name}")
-                  for name, places in defs.items()
-                  for f, node, owner in places if node not in reached)
+    return sorted([(f, node.lineno,
+                    name if owner is None else f"{owner.name}.{name}")
+                   for name, places in defs.items()
+                   for f, node, owner in places if node not in reached]
+                  + [s for s in stores if s[2][1:] not in reads])
 
 
 def test_the_check_sees_an_unreached_definition():
@@ -149,18 +168,16 @@ def test_the_check_sees_an_unreached_definition():
                 "\n\ndef exported():\n    pass\n"
                 "\n\ndef handler():\n    pass\n"
                 "\n\nHANDLERS = {'x': handler}\n"
-                "\n\ndef api():\n    return _inner()\n"
-                "\n\ndef _inner():\n    pass\n"
                 "\n\ndef shadowed():\n    pass\n",
         "b.py": "from a import _kept\n\n\nclass Used:\n"
                 "    def method(self):\n"
                 "        return _kept(self.shadowed())\n",
         "cli.py": "def _cmd_run():\n    return Used().method()\n",
         "__init__.py": "from .a import exported\n"}
-    assert _unreached(sources, {"api"}) == [
+    assert _unreached(sources) == [
         ("a.py", 5, "_Gone"), ("a.py", 9, "_cmd_x"), ("a.py", 13, "helper"),
         ("a.py", 17, "dead"), ("a.py", 21, "exported"),
-        ("a.py", 40, "shadowed")]
+        ("a.py", 32, "shadowed")]
 
 
 def test_the_check_sees_an_unreached_method():
@@ -193,10 +210,43 @@ def test_the_check_sees_an_unreached_method():
                 "    def lines(self):\n"
                 "        pass\n",
         "cli.py": "def _cmd_run():\n    return Report().lines()\n"}
-    assert _unreached(sources, set()) == [
+    assert _unreached(sources) == [
         ("a.py", 18, "Report.dead"), ("a.py", 21, "Report.only_dead"),
         ("a.py", 29, "Report.unread"), ("a.py", 33, "Gone"),
         ("a.py", 34, "Gone.lines")]
+
+
+def test_the_check_sees_an_unread_attribute():
+    """A stored attribute no code reads, and a list only ever appended to,
+    are reported at each store; a cache read through ``setdefault`` is
+    not."""
+    sources = {
+        "a.py": "class Report:\n"
+                "    def __init__(self):\n"
+                "        self.unread = 0\n"
+                "        self.log = []\n"
+                "        self.cache = {}\n"
+                "\n"
+                "    def lines(self, key):\n"
+                "        self.unread += 1\n"
+                "        self.log.append(key)\n"
+                "        self.log.extend([key])\n"
+                "        return self.cache.setdefault(key, [key])\n",
+        "cli.py": "def _cmd_run():\n    return Report().lines(0)\n"}
+    assert _unreached(sources) == [
+        ("a.py", 3, ".unread"), ("a.py", 4, ".log"), ("a.py", 8, ".unread"),
+        ("a.py", 9, ".log"), ("a.py", 10, ".log")]
+
+
+def test_a_read_in_unreached_code_does_not_count():
+    sources = {
+        "a.py": "class Report:\n"
+                "    def __init__(self):\n"
+                "        self.size = 0\n"
+                "\n\ndef dead(report):\n"
+                "    return report.size\n",
+        "cli.py": "def _cmd_run():\n    return Report()\n"}
+    assert _unreached(sources) == [("a.py", 3, ".size"), ("a.py", 6, "dead")]
 
 
 def test_every_definition_is_reached():
@@ -204,8 +254,9 @@ def test_every_definition_is_reached():
     for filename in MODULES:
         with open(os.path.join(SRC, filename), encoding="utf-8") as fh:
             sources[filename] = fh.read()
-    unreached = _unreached(sources, PUBLIC_API)
-    assert not unreached, f"definitions no command reaches: {unreached}"
+    unreached = _unreached(sources)
+    assert not unreached, \
+        f"definitions and attributes no command reaches: {unreached}"
 
 
 # --- one element format -------------------------------------------------------
@@ -220,7 +271,7 @@ DELETED = {"multiply", "zero_element", "element_from_path", "radical_basis",
            # basis positions instead
            "vectorize", "express_all_in_basis", "_hom_coordinates",
            # the second resolution type: the tensor of two resolutions is a
-           # MinimalResolution (`tensor_resolution`)
+           # MinimalResolution (`tensor_resolution` in tests/oracles.py)
            "tensor_total_complex", "TotalComplex",
            # the third and fourth action reads: a module's action is read
            # by the rows of x's action or, on a free target, by columns off
@@ -249,7 +300,11 @@ DELETED = {"multiply", "zero_element", "element_from_path", "radical_basis",
            # sparse rows of nonzero cells, its unit a sparse element
            "sparse",
            # a decomposition is its list of (module, multiplicity) pairs
-           "Decomposition"}
+           "Decomposition",
+           # a presentation is the presented algebra; the tensor of maps and
+           # of resolutions, which no command calls, moved to the oracles
+           "AlgebraPresentation", "tensor_resolution", "_by_generator",
+           "tensor_maps"}
 
 
 def _name(node):

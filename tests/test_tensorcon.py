@@ -11,12 +11,12 @@ from qtilt.quivercore import semisimple_and_basic_flags
 from qtilt.repcore import (ModuleMap, _free_coordinates, decompose, dual,
                            free_offsets, hom_space, inj, is_isomorphic, proj,
                            projective_cover, random_module, simple)
-from qtilt.tensorcon import (kunneth_verify, tensor_algebras, tensor_maps,
-                             tensor_modules, tensor_resolution)
+from qtilt.tensorcon import kunneth_verify, tensor_algebras, tensor_modules
 
 from conftest import (cover_map, is_surjective, make_semisimple,
                       radical_dims, resolution_maps, syzygies, top_dims)
-from oracles import injective_cogenerator, kernel_rep, proj_map_from_images
+from oracles import (injective_cogenerator, kernel_rep, proj_map_from_images,
+                     tensor_maps, tensor_resolution)
 
 
 # --- the product algebra -------------------------------------------------------
