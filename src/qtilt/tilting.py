@@ -523,8 +523,8 @@ def count_apr(alg: BoundQuiverAlgebra, n: int, maxlen: int = DEFAULT_BOUND
               ) -> Tuple[int, List[AprReport]]:
     """Number of vertices carrying a full tilting candidate, with the
     passing reports as witnesses.  The reports carry verdicts only: no
-    tilting module is built (``summands`` stays None), and hold no P_v, so no resolution outlives the call;
-    ``apr_check`` at a witness builds the module."""
+    summands are built and no P_v is held, so no resolution outlives the
+    call; ``apr_check`` at a witness builds the module."""
     _require_basic(alg)
     if n < 1:
         raise QtiltError("n must be at least 1")

@@ -482,7 +482,6 @@ def test_present_relation_span_against_kernel_oracle(kron2):
     sca, data = endo_algebra(rep.summands)
     pres = present_algebra(sca, idempotents=data.idempotents,
                            labels=[lbl for lbl, _ in data.summands])
-    alg = pres
     from qtilt.quivercore import _paths_of_degree
     by_block = {}
     for p in _paths_of_degree(pres.quiver, 2):
@@ -490,7 +489,7 @@ def test_present_relation_span_against_kernel_oracle(kron2):
     total_kernel = 0
     for (src, tgt), paths in by_block.items():
         # image dimension = number of degree-2 basis paths in that block
-        img = sum(1 for b in alg.basis
+        img = sum(1 for b in pres.basis
                   if b.degree == 2 and b.source == src and b.target == tgt)
         total_kernel += len(paths) - img
     assert total_kernel == 4
@@ -773,9 +772,8 @@ def test_presentation_cartan_data_round_trip(kron2):
     rep = apr_check(kron2.algebra, kron2.vertex("1", "1"), 2)
     sca, data = endo_algebra(rep.summands)
     idems = data.idempotents
-    pres = present_algebra(sca, idempotents=idems,
-                           labels=[l for l, _ in data.summands])
-    alg = pres
+    alg = present_algebra(sca, idempotents=idems,
+                          labels=[l for l, _ in data.summands])
     for i, li in enumerate(alg.quiver.vertices):
         for j, lj in enumerate(alg.quiver.vertices):
             abstract_block = [sca.product(idems[j], sca.product({k: 1},
