@@ -33,7 +33,7 @@ from .errors import AlgebraMismatchError, InconclusiveError, QtiltError
 from .exactla import Matrix, _tidy, kernel_data
 from .quivercore import BoundQuiverAlgebra, _op_table, opposite
 from .repcore import (Representation, _action_rows, _cochain_offsets,
-                      _cover_blocks, _free_coordinates, _image_columns,
+                      _free_coordinates, _image_blocks, _image_columns,
                       _submodule_top, dual, dual_free_kernel, free_offsets,
                       inj, proj_sum, projective_cover, simple, zero_rep)
 
@@ -120,7 +120,8 @@ class MinimalResolution:
             if self.module is None:
                 raise QtiltError("a resolution cannot grow once its module "
                                  "is gone; keep the module")
-            blocks = _cover_blocks(self.terms[0], self.module, self.images[0])
+            blocks = _image_blocks(self.terms[0], self.module,
+                                   [self.images[0]])[0]
         else:
             field, lo = self.algebra.field, self.terms[-2]
             cols = _image_columns(self.terms[-1], lo, self.images[-1])
@@ -145,7 +146,7 @@ class MinimalResolution:
         while not self.terminated and self.length < upto:
             if not self.terms:
                 cover = projective_cover(self.module)
-                self.terms.append(cover.projective)
+                self.terms.append(cover.source)
                 self.images.append(cover.images)
                 continue
             self._take_kernel()

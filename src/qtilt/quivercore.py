@@ -70,12 +70,13 @@ class Path:
     """A path in a quiver; ``arrows`` lists names left to right, the
     rightmost acting first.  Trivial paths have an empty arrow tuple."""
 
-    __slots__ = ("arrows", "source", "target")
+    __slots__ = ("arrows", "source", "target", "_hash")
 
     def __init__(self, arrows: Tuple[str, ...], source: str, target: str):
         self.arrows = tuple(arrows)
         self.source = source
         self.target = target
+        self._hash = hash((self.arrows, source))   # a path never changes
 
     @classmethod
     def trivial(cls, v: str) -> "Path":
@@ -120,7 +121,7 @@ class Path:
                 and self.source == other.source)
 
     def __hash__(self):
-        return hash((self.arrows, self.source))
+        return self._hash
 
     def __repr__(self):
         return format_path(self)

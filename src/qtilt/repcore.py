@@ -27,19 +27,30 @@ each vertex is restricted by a solve per arrow (`_restricted`).  A
 random quotient of a free module p is the cokernel of a free map into
 p, its random vectors as generator images (`_image_columns`).
 
-A basis element x's action is read two ways, one per kind of target.
-A map of free modules is given by its generator images, its column at
-x in generator k's block being x.images[k], read off the algebra's
-products (`_image_columns`).  Into any other module the rows of x's
-action are read (`_action_rows`), once per call, and dropped: a cover
-(`_cover_blocks`) and the Hom basis out of a free module
-(`_hom_from_projective`) send each generator to a standard vector, so
-their columns at x are columns of x's action, filled row by row with no
+A map out of a free module is its generator images.  A projective
+cover and the Hom basis out of a free module (`_hom_from_projective`)
+are `ModuleMap`s held that way (`_image_maps`): ``images`` lists, per
+generator k, a sparse vector of the target, here a standard vector e_j
+or zero, and the blocks are built only when first read, for the maps of
+one batch together (`_image_blocks`).  Their column at basis element x
+of generator k's block is column j of x's action.  A basis element x's
+action is read two ways, one per kind of target.  A map of free modules
+given by generator images has its column at x in generator k's block
+x.images[k], read off the algebra's products (`_image_columns`).  Into
+any other module the rows of x's action are read (`_action_rows`), once
+per call, and dropped, so blocks are filled row by row with no
 transpose.
 
 Every Hom basis names its positions (`_hom_basis`): per basis map, an
 entry where it alone is nonzero.  Coordinates are read there, so a
 composite f o h needs a few rows of f and columns of h, and no solve.
+Out of a free module the positions are its generators' own columns,
+the trivial paths, where a map's column is a generator's image: the
+guard (`_check_positions`) and the composites (`_column_reader`) read
+the images, and End of a list of modules reads every composite f o h
+through a free summand off the rows of the actions on the target
+(`_free_composites`), so no block of a map out of a free module is
+built.
 """
 
 import random
@@ -141,9 +152,12 @@ class Representation:
 
 
 class ModuleMap:
-    """A homomorphism of representations, one matrix per vertex."""
+    """A homomorphism of representations, one matrix per vertex.  A map
+    out of a free module may be held by its generator images instead
+    (`_image_maps`): ``images`` lists one sparse vector of the target per
+    generator, and the blocks are built when first read."""
 
-    __slots__ = ("source", "target", "blocks")
+    __slots__ = ("source", "target", "images", "_blocks")
 
     def __init__(self, source: Representation, target: Representation,
                  blocks: Dict[str, Matrix], validate=True):
@@ -151,15 +165,28 @@ class ModuleMap:
             raise AlgebraMismatchError("map between modules over different algebras")
         self.source = source
         self.target = target
-        self.blocks = {}
+        self.images = None
+        self._blocks = {}
         for v in source.algebra.quiver.vertices:
             b = blocks.get(v)
             if b is None:
                 b = Matrix.zeros(source.algebra.field, target.dims[v],
                                  source.dims[v])
-            self.blocks[v] = b
+            self._blocks[v] = b
         if validate:
             self._validate()
+
+    @property
+    def blocks(self) -> Dict[str, Matrix]:
+        """Vertex -> block (target dimension by source dimension).  A map
+        held by its images takes them from its batch, where the first
+        read of any map made with it puts all their blocks."""
+        if type(self._blocks) is tuple:
+            batch, i = self._blocks
+            if batch[i] is self.images:
+                batch[:] = _image_blocks(self.source, self.target, batch)
+            self._blocks = batch[i]
+        return self._blocks
 
     def _validate(self):
         for v in self.source.algebra.quiver.vertices:
@@ -518,42 +545,46 @@ def _submodule_top(p: Representation, columns, free):
     return out
 
 
-class Cover:
-    """A projective cover P -> m, held as the image in m of each generator
-    of P (a standard vector at a top section); `_cover_blocks` builds the
-    map's blocks from those images."""
+def _image_maps(p: Representation, n: Representation, images
+                ) -> List[ModuleMap]:
+    """The maps out of the free module p into n, map i sending generator k
+    to images[i][k], a standard vector of n or zero, held by their images:
+    one batch, whose blocks are built together when one map's are first
+    read."""
+    batch = list(images)
+    maps = []
+    for i, img in enumerate(batch):
+        f = object.__new__(ModuleMap)
+        f.source, f.target, f.images, f._blocks = p, n, img, (batch, i)
+        maps.append(f)
+    return maps
 
-    __slots__ = ("projective", "target", "images")
 
-    def __init__(self, projective, target, images):
-        self.projective = projective
-        self.target = target
-        self.images = images
-
-
-def _cover_blocks(p: Representation, m: Representation, images
-                  ) -> Dict[str, Matrix]:
-    """The blocks of the map out of the free module p sending generator k
-    to the standard vector images[k] of m, at section j_k: its column at
-    basis element x of generator k's block is column j_k of x's action on
-    m.  So each block is filled row by row, in one pass over the rows of
-    each x's action; x lies in one block only, and its rows are dropped
-    once read."""
-    alg = p.algebra
-    at = {}         # vertex v -> {section j_k: generator k at v}
-    for k, (v, (j,)) in enumerate(zip(p.proj_gens, images)):
-        at.setdefault(v, {})[j] = k
-    blocks = {}
+def _image_blocks(p: Representation, n: Representation, images
+                  ) -> List[Dict[str, Matrix]]:
+    """The blocks of the maps out of the free module p into n, map i
+    sending generator k to images[i][k], the standard vector e_j of n or
+    zero: its column at basis element x of generator k's block is column j
+    of x's action on n.  So the blocks of all the maps are filled row by
+    row, in one pass over the rows of each x's action, dropped once read."""
+    uses = {}       # vertex v -> {coordinate j: [(map i, generator k)]}
+    for i, img in enumerate(images):
+        for k, (v, vec) in enumerate(zip(p.proj_gens, img)):
+            for j in vec:
+                uses.setdefault(v, {}).setdefault(j, []).append((i, k))
+    alg, out = p.algebra, [{} for _ in images]
     for w in alg.quiver.vertices:
-        offs, rows = free_offsets(p, w), [{} for _ in range(m.dims[w])]
-        for v, gens in at.items():
-            for t, x in enumerate(alg.block_indices(v, w) if rows else ()):
-                for row, out in zip(_action_rows(m, x), rows):
+        offs = free_offsets(p, w)
+        rows = [[{} for _ in range(n.dims[w])] for _ in images]
+        for v, at in uses.items() if n.dims[w] else ():
+            for t, x in enumerate(alg.block_indices(v, w)):
+                for r, row in enumerate(_action_rows(n, x)):
                     for j, c in row.items():
-                        if j in gens:
-                            out[offs[gens[j]] + t] = c
-        blocks[w] = Matrix._raw(alg.field, rows, p.dims[w])
-    return blocks
+                        for i, k in at.get(j, ()):
+                            rows[i][r][offs[k] + t] = c
+        for blocks, got in zip(out, rows):
+            blocks[w] = Matrix._raw(alg.field, got, p.dims[w])
+    return out
 
 
 def _action_rows(m: Representation, x: int) -> List[Dict[int, object]]:
@@ -607,9 +638,10 @@ def _image_columns(p: Representation, n: Representation, images
     return out
 
 
-def projective_cover(m: Representation) -> Cover:
-    """P(top m) together with the lift of the top identification; the
-    kernel sits inside rad P."""
+def projective_cover(m: Representation) -> ModuleMap:
+    """The cover P(top m) -> m, held by its images (`_image_maps`): each
+    generator goes to a standard vector at a top section, so the kernel
+    sits inside rad P."""
     alg = m.algebra
     one = alg.field.one()
     sections = _top_sections(m)
@@ -620,7 +652,7 @@ def projective_cover(m: Representation) -> Cover:
             gens.append(v)
             images.append({col: one})
     # surjective by construction: the images lift a basis of the top
-    return Cover(proj_sum(alg, gens), m, images)
+    return _image_maps(proj_sum(alg, gens), m, [images])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +669,7 @@ def _hom_basis(m: Representation, n: Representation):
     position (v, r, c, s) where map i has entry s in row r, column c of its
     block at v and every other basis map has 0.  So any f in Hom(m, n) has
     coordinate f_v[r][c] / s on map i.  Maps out of a free module are
-    assembled blockwise without solving (`_hom_from_projective`), all
+    their generator images, with no solve (`_hom_from_projective`), all
     others solved for (`_hom_generic`); `_check_positions` guards every
     basis."""
     if m.algebra is not n.algebra:
@@ -650,12 +682,37 @@ def _hom_basis(m: Representation, n: Representation):
     return maps, positions
 
 
+def _own_columns(p: Representation) -> Dict[Tuple[str, int], int]:
+    """(v, c) -> k for each generator k of p when p is free: c is generator
+    k's own coordinate, the trivial path in its block at its vertex v,
+    where a map's column is the generator's image.  Kept in ``p._cache``."""
+    if p.proj_gens is None:
+        return {}
+    got = p._cache.get("own")
+    if got is None:
+        alg = p.algebra
+        got = p._cache["own"] = {
+            (v, free_offsets(p, v)[k]
+             + alg.block_pos[alg.basis_index(Path.trivial(v))]): k
+            for k, v in enumerate(p.proj_gens)}
+    return got
+
+
 def _check_positions(maps: Sequence[ModuleMap], positions):
     """Raise QtiltError unless each basis map reads as its own unit vector
-    at the positions: entry s at its own, 0 at every other."""
-    if len(maps) != len(positions) or any(
-            not s or any(f.blocks[v].sparse_rows[r].get(c, 0) != (s if i == j else 0)
-                         for j, f in enumerate(maps))
+    at the positions: entry s at its own, 0 at every other.  A map held by
+    its images is read off them in a generator's own column, so the check
+    builds no block."""
+    own = _own_columns(maps[0].source) if maps else {}
+
+    def entries(v, r, c):
+        k = own.get((v, c))
+        return [f.images[k].get(r, 0) if k is not None and f.images
+                else f.blocks[v].sparse_rows[r].get(c, 0) for f in maps]
+
+    d = len(maps)
+    if d != len(positions) or any(
+            not s or entries(v, r, c) != [0] * i + [s] + [0] * (d - i - 1)
             for i, (v, r, c, s) in enumerate(positions)):
         raise QtiltError("a Hom basis map does not read as its own unit "
                          "vector at the positions")
@@ -671,33 +728,16 @@ def _cochain_offsets(n: Representation, gens) -> Tuple[int, ...]:
 def _hom_from_projective(p: Representation, n: Representation):
     """One map per generator k of p and basis vector e_b of n at its
     vertex v, sending generator k to e_b and the others to 0: map
-    `_cochain_offsets`[k] + b.  Its position is row b of the block at v,
-    in generator k's column there, with entry 1.  Its column at x in
-    generator k's block is column b of x's action, so all the maps are
-    filled in one pass over the rows of each x's action."""
-    alg, gens, field = p.algebra, p.proj_gens, p.algebra.field
-    start = _cochain_offsets(n, gens)
-    at = {}         # vertex v -> the generators k at v
-    for k, v in enumerate(gens):
-        if n.dims[v]:
-            at.setdefault(v, []).append(k)
-    blocks = [{} for _ in range(start[-1])]
-    for w in alg.quiver.vertices:
-        offs = free_offsets(p, w)
-        rows = [[{} for _ in range(n.dims[w])] for _ in blocks]
-        for v, ks in at.items() if n.dims[w] else ():
-            for t, x in enumerate(alg.block_indices(v, w)):
-                for r, row in enumerate(_action_rows(n, x)):
-                    for b, c in row.items():
-                        for k in ks:
-                            rows[start[k] + b][r][offs[k] + t] = c
-        for block, got in zip(blocks, rows):
-            block[w] = Matrix._raw(field, got, p.dims[w])
-    one = field.one()
-    unit = {v: alg.block_pos[alg.basis_index(Path.trivial(v))] for v in at}
-    return ([ModuleMap(p, n, block, validate=False) for block in blocks],
-            [(v, b, free_offsets(p, v)[k] + unit[v], one)
-             for k, v in enumerate(gens) for b in range(n.dims[v])])
+    `_cochain_offsets`[k] + b, held by its images (`_image_maps`).  Its
+    position is row b of the block at v, in generator k's own column
+    there, with entry 1."""
+    one, none = p.algebra.field.one(), [{}] * len(p.proj_gens)
+    images, positions = [], []
+    for (v, c), k in _own_columns(p).items():
+        for b in range(n.dims[v]):
+            images.append(none[:k] + [{b: one}] + none[k + 1:])
+            positions.append((v, b, c, one))
+    return _image_maps(p, n, images), positions
 
 
 def _hom_generic(m: Representation, n: Representation):
@@ -755,27 +795,89 @@ def _arrow_columns(m: Representation, name: str) -> List[Dict[int, object]]:
     return got
 
 
+def _column_reader(hs: Sequence[ModuleMap]):
+    """col(b, v, c): column c of hs[b]'s block at v, as a sparse dict.  A
+    map held by its images is read off them in a generator's own column,
+    so no block is built; other columns come off the block, transposed
+    once per map and vertex."""
+    own = _own_columns(hs[0].source) if hs else {}
+    cols = {}
+
+    def col(b, v, c):
+        k = own.get((v, c))
+        if k is not None and hs[b].images is not None:
+            return hs[b].images[k]
+        if (b, v) not in cols:
+            cols[b, v] = hs[b].blocks[v].sparse_columns()
+        return cols[b, v][c]
+    return col
+
+
 def _composites(fs: Sequence[ModuleMap], hs: Sequence[ModuleMap],
                 positions, field) -> Dict[Tuple[int, int], Dict[int, object]]:
     """{(a, b): coordinates of fs[a] o hs[b]} on a Hom basis with the given
     positions (see `_hom_basis`), as sparse dicts, zero composites left
     out.  The coordinate at (v, r, c, s) is row r of fs[a]'s block at v
-    times column c of hs[b]'s, divided by s, so no map is composed."""
-    cols, out = {}, {}      # hs[b]'s columns at v by (b, v); coordinates
+    times column c of hs[b]'s (`_column_reader`), divided by s, so no map
+    is composed."""
+    col, out = _column_reader(hs), {}
     for i, (v, r, c, s) in enumerate(positions):
         rows = [(a, row) for a, f in enumerate(fs)
                 if (row := f.blocks[v].sparse_rows[r])]
         if not rows:
             continue
         inv = field.inv(s)
-        for b, h in enumerate(hs):
-            if (b, v) not in cols:
-                cols[b, v] = h.blocks[v].sparse_columns()
-            for a, row in rows:
-                x = sum(y * row[j] for j, y in cols[b, v][c].items() if j in row)
+        for b in range(len(hs)):
+            column = col(b, v, c)
+            for a, row in rows if column else ():
+                x = sum(y * row[j] for j, y in column.items() if j in row)
                 if x:
                     out.setdefault((a, b), {})[i] = x * inv
     return {ab: vec for ab, d in out.items() if (vec := _tidy(d, field.char))}
+
+
+def _free_composites(p: Representation, modules, hs, groups, field):
+    """{(i, j, a, b): coordinates of f_a o hs[i][b]} for f_a map a of
+    `_hom_from_projective`(p, U_j) out of the free module p, hs[i] the
+    basis of Hom(U_i, p) and groups[i, j] the positions of Hom(U_i, U_j)
+    by (v, c), as (r, coordinate, 1/s) triples; zero composites left out.
+    f_a sends generator k to e_a, so on a basis element x of generator
+    k's block it is column a of x's action on U_j.  At (v, r, c, s) the
+    composite reads, for each entry y at x of hs[i][b]'s column c
+    (`_column_reader`), y / s times row r of x's action: the rows of each
+    x on each U_j are read once and dropped, and no block of an f_a is
+    built."""
+    cols = [(i, _column_reader(h)) for i, h in enumerate(hs) if h]
+    coords, entries, out = {}, {}, {}
+    for j, n in enumerate(modules):
+        start = _cochain_offsets(n, p.proj_gens)
+        reads = {}      # x -> [(f_0 offset, i, b, y, [(r, coordinate, 1/s)])]
+        for i, col in cols:
+            for (v, c), rows_at in groups[i, j].items():
+                got = entries.get((i, v, c))
+                if got is None:     # (b, k, x, y) for y at x in column c
+                    if v not in coords:
+                        coords[v] = _free_coordinates(p, v)
+                    got = entries[i, v, c] = [
+                        (b, *coords[v][e], y) for b in range(len(hs[i]))
+                        for e, y in col(b, v, c).items()]
+                for b, k, x, y in got:
+                    reads.setdefault(x, []).append(
+                        (start[k], i, b, y, rows_at))
+        for x, uses in reads.items():
+            rows = _action_rows(n, x)
+            for f0, i, b, y, rows_at in uses:
+                cells = out.setdefault((i, j, b), {})
+                for r, at, inv in rows_at:
+                    z = y * inv
+                    for a, d in rows[r].items():
+                        got = cells.get(f0 + a)
+                        if got is None:
+                            got = cells[f0 + a] = {}
+                        got[at] = got.get(at, 0) + d * z
+    return {(i, j, a, b): vec for (i, j, b), cells in out.items()
+            for a, d in cells.items()
+            if (vec := _tidy(dict(sorted(d.items())), field.char))}
 
 
 def linear_combination(coeffs: Dict[int, object], maps: Sequence[ModuleMap]
@@ -794,9 +896,11 @@ def endomorphism_blocks(modules: Sequence[Representation]):
     (i, j, f) for each basis map f : U_i -> U_j, the sparse row
     ``table[x]`` maps each y with f_x o f_y != 0, ascending, to its
     coordinates and ``identities[i]`` holds those of the identity of U_i,
-    as sparse dicts.  Every cell is read at the positions of its
-    Hom block (`_composites`), every identity at the positions with row
-    equal to column."""
+    as sparse dicts.  Every cell is read at the positions of its Hom
+    block, through a free U_k off the action rows on U_j
+    (`_free_composites`), otherwise off rows and columns of the factors
+    (`_composites`); every identity at the positions with row equal to
+    column.  No block of a map out of a free module is built."""
     field = modules[0].algebra.field
     homs = {(i, j): _hom_basis(ui, uj) for i, ui in enumerate(modules)
             for j, uj in enumerate(modules)}
@@ -806,15 +910,27 @@ def endomorphism_blocks(modules: Sequence[Representation]):
         blocks.extend((i, j, f) for f in maps)
     table: List[Dict[int, Dict[int, object]]] = [{} for _ in blocks]
     # f o h for f : U_k -> U_j and h : U_i -> U_k lies in the (i, j) block
+    ks = range(len(modules))
+    groups = {}
     for (i, j), (_, positions) in homs.items():
-        for k in range(len(modules)):
-            for (a, b), vec in _composites(homs[k, j][0], homs[i, k][0],
-                                           positions, field).items():
-                table[start[k, j] + a][start[i, k] + b] = {
-                    start[i, j] + x: c for x, c in vec.items()}
+        at = groups[i, j] = {}
+        for x, (v, r, c, s) in enumerate(positions):
+            at.setdefault((v, c), []).append((r, x, field.inv(s)))
+    for k, uk in enumerate(modules):
+        if uk.proj_gens is not None:
+            cells = _free_composites(uk, modules, [homs[i, k][0] for i in ks],
+                                     groups, field).items()
+        else:
+            cells = [((i, j, a, b), vec) for i in ks if homs[i, k][0]
+                     for j in ks for (a, b), vec in _composites(
+                         homs[k, j][0], homs[i, k][0], homs[i, j][1],
+                         field).items()]
+        for (i, j, a, b), vec in cells:
+            table[start[k, j] + a][start[i, k] + b] = {
+                start[i, j] + x: c for x, c in vec.items()}
     identities = [{start[k, k] + x: field.inv(s)
                    for x, (_, r, c, s) in enumerate(homs[k, k][1]) if r == c}
-                  for k in range(len(modules))]
+                  for k in ks]
     return blocks, [dict(sorted(row.items())) for row in table], identities
 
 

@@ -256,9 +256,9 @@ def structural_suite(t: TensorAlgebraResult, seed: int = 0,
 
     ok = True
     for m, n, prod in pairs:
-        cm = projective_cover(m).projective
-        cn = projective_cover(n).projective
-        ok = ok and is_isomorphic(projective_cover(prod).projective,
+        cm = projective_cover(m).source
+        cn = projective_cover(n).source
+        ok = ok and is_isomorphic(projective_cover(prod).source,
                                   tensor_modules(t, cm, cn, validate=False))
     results.append(("projective_covers", ok, f"{len(pairs)} pairs"))
 

@@ -439,17 +439,20 @@ def present_algebra(sca: StructureConstantAlgebra, idempotents: Sequence,
                     images[aname] = w
     quiver = Quiver(labels, arrows)
 
-    # the path-algebra surjection, degree by degree, each image once
-    phi: Dict[Path, Dict[int, object]] = {}
+    # the path-algebra surjection, degree by degree, each image once: a
+    # path a*q of degree 2 or more is read after every shorter path, so the
+    # image of its tail q is in the memo and one product gives its own
+    phi: Dict[Path, Dict[int, object]] = {
+        Path.trivial(l): e for l, e in zip(labels, idems)}
+    phi.update((Path.from_arrow(a), images[a.name]) for a in arrows)
 
     def phi_path(p: Path):
-        if p not in phi:
-            vec = (images[p.arrows[-1]] if p.arrows
-                   else idems[labels.index(p.source)])
-            for a in reversed(p.arrows[:-1]):
-                vec = sca.product(images[a], vec)
-            phi[p] = vec
-        return phi[p]
+        got = phi.get(p)
+        if got is None:
+            tail = Path(p.arrows[1:], p.source,
+                        quiver.arrow(p.arrows[0]).source)
+            got = phi[p] = sca.product(images[p.arrows[0]], phi[tail])
+        return got
 
     # the kernel of phi on paths of degree 2..d, blockwise, modulo the
     # ideal of the relations found so far; each new generator extends the

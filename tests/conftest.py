@@ -61,14 +61,6 @@ def differential(res, i):
     return proj_map_from_images(res.terms[i], res.terms[i - 1], res.images[i])
 
 
-def cover_map(cover):
-    """A projective cover as the map it is, generator k to images[k]."""
-    from qtilt.repcore import ModuleMap, _cover_blocks
-    return ModuleMap(cover.projective, cover.target,
-                     _cover_blocks(cover.projective, cover.target,
-                                   cover.images), validate=False)
-
-
 def is_surjective(f):
     """Whether the module map f is onto: full row rank at every vertex."""
     return all(b.rank() == b.nrows for b in f.blocks.values())
@@ -96,10 +88,10 @@ def resolution_maps(res):
     """The augmentation onto the module (maps[0]) and the differentials
     terms[i] -> terms[i-1] (maps[i]) of a resolution, built from its terms
     and generator images."""
-    from qtilt.repcore import Cover
+    from qtilt.repcore import _image_maps
     if not res.terms:
         return []
-    top = cover_map(Cover(res.terms[0], res.module, res.images[0]))
+    top = _image_maps(res.terms[0], res.module, [res.images[0]])[0]
     return [top] + [differential(res, i) for i in range(1, len(res.terms))]
 
 

@@ -14,7 +14,7 @@ from qtilt.repcore import (ModuleMap, decompose, direct_sum, dual, hom_space,
                            inj, is_isomorphic, proj, random_module, regular,
                            simple)
 
-from conftest import (cover_map, differential, make_kronecker, make_square,
+from conftest import (differential, make_kronecker, make_square,
                       resolution_maps, syzygies, top_dims)
 from oracles import (ext_module, injective_cogenerator, kernel_matrix,
                      tau_n_ext, tau_n_minus_ext, transpose)
@@ -594,7 +594,7 @@ def _eager_resolution(m, upto):
     from oracles import kernel_rep
     maps, syz, incl = [], m, None
     while len(maps) <= upto and not syz.is_zero():
-        cover = cover_map(projective_cover(syz))
+        cover = projective_cover(syz)
         maps.append(cover if incl is None else incl * cover)
         syz, incl = kernel_rep(cover)
     return maps
@@ -657,8 +657,8 @@ def test_resolution_builds_one_cover_map_per_kernel(monkeypatch):
     import oracles
     from conftest import make_two_loop
     covers, maps, reads, kernels = [], [], [], []
-    real_cover = homengine._cover_blocks
-    monkeypatch.setattr(homengine, "_cover_blocks",
+    real_cover = homengine._image_blocks
+    monkeypatch.setattr(homengine, "_image_blocks",
                         lambda *a: covers.append(1) or real_cover(*a))
     real_read = homengine._image_columns
     monkeypatch.setattr(homengine, "_image_columns",
@@ -771,8 +771,8 @@ def test_kernel_in_its_free_term_matches_the_syzygy_route(name):
         for i in range(4):
             res.extend(i)
             cover = projective_cover(syz)
-            assert res.terms[i].proj_gens == cover.projective.proj_gens
-            syz, incl = kernel_rep(cover_map(cover))
+            assert res.terms[i].proj_gens == cover.source.proj_gens
+            syz, incl = kernel_rep(cover)
             res._take_kernel()
             if res.terminated:
                 assert syz.is_zero()

@@ -19,7 +19,7 @@ from qtilt.exactla import PrimeField
 from qtilt.quivercore import Arrow, Path, PathSum, Quiver, build_algebra
 from qtilt.repcore import _hom_generic
 
-from conftest import (cover_map, dense, express_all_in_basis, flatten,
+from conftest import (dense, express_all_in_basis, flatten,
                       is_surjective, make_a3_nilpotent, make_kronecker,
                       make_loop_nilpotent, make_square, make_square_gf,
                       radical_dims, top_dims, with_fractions)
@@ -121,32 +121,32 @@ def test_radical_of_simple_is_zero(kron):
 
 def test_projective_cover_of_simple(kron):
     c = projective_cover(simple(kron, "2"))
-    assert c.projective.dim_vector() == (2, 1)
-    assert is_surjective(cover_map(c))
-    k, incl = kernel_rep(cover_map(c))
+    assert c.source.dim_vector() == (2, 1)
+    assert is_surjective(c)
+    k, incl = kernel_rep(c)
     assert k.dim_vector() == (2, 0)
 
 
 def test_projective_cover_of_projective_is_identity_sized(kron):
     p = proj(kron, "2")
     c = projective_cover(p)
-    assert c.projective.dim_vector() == p.dim_vector()
-    assert cover_map(c).is_isomorphism()
+    assert c.source.dim_vector() == p.dim_vector()
+    assert c.is_isomorphism()
 
 
 def test_cover_top_isomorphism(kron):
     m = random_module(kron, seed=11)
     c = projective_cover(m)
-    assert top_dims(c.projective) == top_dims(m)
+    assert top_dims(c.source) == top_dims(m)
     # kernel is superfluous: it lies inside rad P, which the incoming
     # arrows' columns span
-    k, incl = kernel_rep(cover_map(c))
+    k, incl = kernel_rep(c)
     for v in kron.quiver.vertices:
         if k.dims[v]:
             rad_cols = Matrix.from_sparse_cols(QQ, [
                 col for a in kron.quiver.arrows_into(v)
-                for col in c.projective.mats[a.name].sparse_columns()],
-                c.projective.dims[v])
+                for col in c.source.mats[a.name].sparse_columns()],
+                c.source.dims[v])
             stacked = rad_cols.stack_right(incl.blocks[v])
             assert stacked.rank() == rad_cols.rank()
 
@@ -181,7 +181,7 @@ def test_direct_sum_maps(kron):
 def test_kernel_cokernel_of_cover(a2):
     s = simple(a2, "2")
     c = projective_cover(s)
-    k, incl = kernel_rep(cover_map(c))
+    k, incl = kernel_rep(c)
     assert k.dim_vector() == (1, 0)
     q, pr = cokernel_rep(incl)
     assert q.dim_vector() == s.dim_vector()
@@ -732,23 +732,41 @@ def _hom_from_projective_by_rows(p, n):
 
 
 @pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "F32003"])
-def test_hom_from_projective_matches_the_act_path_rows(field):
-    """hom_space(P, N) for a projective sum P, the regular module among
-    them, equals the act_path-row construction map for map."""
+def test_hom_from_projective_matches_the_act_path_rows(field, corpus,
+                                                       monkeypatch):
+    """hom_space(P, N) for a free module P is held by its generator images
+    until a block is read; the first read builds the blocks of the whole
+    basis in one batch, and they equal the act_path-row construction map
+    for map.  Free modules: each indecomposable projective and the sums of
+    `_generator_tuples` (the regular module, repeated and unsorted
+    generators) over the six-algebra corpus (over Q), the Kronecker and
+    square algebras over GF(32003) and the merge corpus over both fields;
+    targets: seeded random modules, a simple and the regular module."""
+    from qtilt import repcore
+    builds = []
+    real = repcore._image_blocks
+    monkeypatch.setattr(repcore, "_image_blocks",
+                        lambda *a: builds.append(1) or real(*a))
+    algebras = (corpus if field is QQ
+                else [kronecker_over_gf(), make_square_gf()])
     checked = 0
-    for name, alg in _merge_corpus(field).items():
+    for alg in algebras + list(_merge_corpus(field).values()):
         verts = alg.quiver.vertices
-        sources = [regular(alg), proj(alg, verts[-1]),
-                   proj_sum(alg, [verts[-1], verts[0], verts[-1]])]
-        targets = [random_module(alg, seed) for seed in range(4)]
-        targets.append(regular(alg))
+        sources = [proj(alg, v) for v in verts] + [
+            proj_sum(alg, gens) for gens in _generator_tuples(alg)]
+        targets = [random_module(alg, seed) for seed in range(3)]
+        targets += [simple(alg, verts[0]), regular(alg)]
         for p in sources:
             for n in targets:
-                got = hom_space(p, n)
+                del builds[:]
+                maps = hom_space(p, n)
+                assert all(type(f._blocks) is tuple for f in maps)
+                assert not builds
                 ref = _hom_from_projective_by_rows(p, n)
-                assert [f.blocks for f in got] == [f.blocks for f in ref], name
-                checked += len(got)
-    assert checked > 100
+                assert [f.blocks for f in maps] == [f.blocks for f in ref]
+                assert len(builds) == (1 if maps else 0)
+                checked += len(maps)
+    assert checked > 500
 
 
 # --- the two action reads: rows of x's action, columns off the products ---
@@ -880,8 +898,9 @@ def test_hom_generic_transposes_each_source_arrow_once(monkeypatch):
 
 
 def test_hom_space_reads_each_basis_elements_columns_once(monkeypatch):
-    """One hom_space(P, N) call composes each basis element's action on N
-    once, however many maps it builds out of that element's generator."""
+    """Reading the blocks of one hom_space(P, N) composes each basis
+    element's action on N once, however many maps it builds out of that
+    element's generator."""
     alg = _merge_corpus(QQ)["kron2"]
     seen = []
     real = Representation.act_path
@@ -893,7 +912,8 @@ def test_hom_space_reads_each_basis_elements_columns_once(monkeypatch):
         for seed in range(6):
             n = random_module(alg, seed)
             del seen[:]
-            hom_space(p, n)
+            for f in hom_space(p, n):
+                assert f.blocks
             paths = [path for m, path in seen if m is n]
             assert len(paths) == len(set(paths)), seed
             shared += sum(n.dims[path.source] > 1 for path in paths)
@@ -1046,18 +1066,25 @@ def test_positions_read_back_combinations_and_composites(field):
 
 
 def test_a_planted_wrong_position_fails_the_guard(monkeypatch, kron):
-    """Swapped, rescaled or missing positions fail the guard, and so do
-    the Hom builder and the End table when a route plants them."""
+    """Swapped, rescaled or missing positions fail the guard, on a solved
+    basis and on one out of a free module, which the guard reads at its
+    generator images with no block built; and so do the Hom builder and
+    the End table when a route plants them."""
     from qtilt import repcore
     m, n = random_module(kron, 0), random_module(kron, 5)
-    maps, positions = repcore._hom_basis(m, n)
-    assert len(maps) >= 2
-    swapped = [positions[1], positions[0]] + positions[2:]
-    (v, r, c, s), rest = positions[0], positions[1:]
-    for bad in (swapped, [(v, r, c, 2 * s)] + rest, rest,
-                [(v, r, c, 0)] + rest):
-        with pytest.raises(QtiltError, match="unit vector"):
-            repcore._check_positions(maps, bad)
+    real_blocks = repcore._image_blocks
+    monkeypatch.setattr(repcore, "_image_blocks", lambda *a: pytest.fail(
+        "the guard built the blocks of a map held by its images"))
+    for source in (m, proj_sum(kron, ["2", "1", "2"])):
+        maps, positions = repcore._hom_basis(source, n)
+        assert len(maps) >= 2
+        swapped = [positions[1], positions[0]] + positions[2:]
+        (v, r, c, s), rest = positions[0], positions[1:]
+        for bad in (swapped, [(v, r, c, 2 * s)] + rest, rest,
+                    [(v, r, c, 0)] + rest):
+            with pytest.raises(QtiltError, match="unit vector"):
+                repcore._check_positions(maps, bad)
+    monkeypatch.setattr(repcore, "_image_blocks", real_blocks)
     real = repcore._hom_generic
 
     def reversed_positions(a, b):
@@ -1100,7 +1127,7 @@ def test_cover_matches_the_generator_image_route(corpus):
     `proj_map_from_images` into free targets whose arrow matrices stay
     unbuilt."""
     from fractions import Fraction
-    from qtilt.repcore import Cover, _cover_blocks
+    from qtilt.repcore import _image_blocks, _image_maps
     from oracles import proj_map_from_images
     from conftest import make_two_loop
     checked = fractions = free = 0
@@ -1108,8 +1135,8 @@ def test_cover_matches_the_generator_image_route(corpus):
         verts = alg.quiver.vertices
         for m in _cover_targets(alg):
             cover = projective_cover(m)
-            want = _image_map_by_act_path(cover.projective, m, cover.images)
-            got = _cover_blocks(cover.projective, m, cover.images)
+            want = _image_map_by_act_path(cover.source, m, cover.images)
+            got = _image_blocks(cover.source, m, [cover.images])[0]
             assert got == want, (alg.name, m)
             checked += 1
             fractions += any(type(x) is Fraction for b in m.mats.values()
@@ -1118,8 +1145,8 @@ def test_cover_matches_the_generator_image_route(corpus):
             # a free target: the cover of a fresh copy of its own cover
             top = projective_cover(proj_sum(alg, gens))
             target = proj_sum(alg, gens)
-            got = cover_map(Cover(top.projective, target, top.images))
-            want = proj_map_from_images(top.projective, target, top.images)
+            got = _image_maps(top.source, target, [top.images])[0]
+            want = proj_map_from_images(top.source, target, top.images)
             assert got.blocks == want.blocks and got.is_isomorphism()
             assert target._mats is None
             free += 1

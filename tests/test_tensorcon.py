@@ -13,7 +13,7 @@ from qtilt.repcore import (ModuleMap, _free_coordinates, decompose, dual,
                            projective_cover, random_module, simple)
 from qtilt.tensorcon import kunneth_verify, tensor_algebras, tensor_modules
 
-from conftest import (cover_map, is_surjective, make_semisimple,
+from conftest import (is_surjective, make_semisimple,
                       radical_dims, resolution_maps, syzygies, top_dims)
 from oracles import (injective_cogenerator, kernel_rep, proj_map_from_images,
                      tensor_maps, tensor_resolution)
@@ -175,8 +175,8 @@ def test_projective_cover_preserved(kronxa2):
     n = random_module(kronxa2.right, seed=7)
     cm = projective_cover(m)
     cn = projective_cover(n)
-    direct = projective_cover(tensor_modules(kronxa2, m, n)).projective
-    tensored = tensor_modules(kronxa2, cm.projective, cn.projective)
+    direct = projective_cover(tensor_modules(kronxa2, m, n)).source
+    tensored = tensor_modules(kronxa2, cm.source, cn.source)
     assert direct.dim_vector() == tensored.dim_vector()
     assert is_isomorphic(direct, tensored)
 
@@ -231,8 +231,8 @@ def test_kernel_of_tensored_surjections(kronxa2):
     # kernel dimension of g (x) g' for surjections g: N -> L, g': N' -> L'
     # matches dim M.N' + dim N.M' - dim M.M' vertexwise (M, M' the
     # kernels); here g and g' are projective covers
-    g = cover_map(projective_cover(random_module(kronxa2.left, seed=12)))
-    gp = cover_map(projective_cover(random_module(kronxa2.right, seed=13)))
+    g = projective_cover(random_module(kronxa2.left, seed=12))
+    gp = projective_cover(random_module(kronxa2.right, seed=13))
     prod = tensor_maps(kronxa2, g, gp)
     kdim = {v: kernel_rep(prod)[0].dims[v]
             for v in kronxa2.algebra.quiver.vertices}

@@ -356,6 +356,59 @@ def test_endo_of_free_module_with_repeated_generator_matches_solves():
             for x in range(sca.dim)] == table
 
 
+def _count_free_blocks(monkeypatch):
+    """A list that grows by one each time the blocks of maps held by
+    their generator images are built."""
+    from qtilt import repcore
+    builds, real = [], repcore._image_blocks
+    monkeypatch.setattr(repcore, "_image_blocks",
+                        lambda *a: builds.append(1) or real(*a))
+    return builds
+
+
+@pytest.mark.parametrize("field", ["Q", "F32003"])
+def test_endo_mixing_free_and_solved_summands_matches_solves(field,
+                                                            monkeypatch):
+    """End of free and non-free modules together, through every route of
+    a composite (out of a free summand, through one, or neither), matches
+    one solve per composite cell for cell, over Q and GF(32003), and builds
+    no block of a map out of a free module."""
+    from conftest import make_square, make_square_gf
+    from qtilt.exactla import PrimeField
+    from qtilt.quivercore import Arrow, Quiver, build_algebra
+    builds = _count_free_blocks(monkeypatch)
+    if field == "Q":
+        algebras = [_endo_oracle_pool()["kron^2"], make_square()]
+    else:
+        kron = build_algebra(Quiver(["1", "2"], [Arrow("a0", "2", "1"),
+                                                 Arrow("a1", "2", "1")]),
+                             [], PrimeField(32003), name="kron_gf")
+        algebras = [tensor_algebras(kron, kron).algebra, make_square_gf()]
+    for alg in algebras:
+        verts = alg.quiver.vertices
+        modules = [proj(alg, verts[0]), random_module(alg, 1),
+                   proj_sum(alg, [verts[-1], verts[0], verts[-1]]),
+                   random_module(alg, 2)]
+        del builds[:]
+        blocks, table, idents = endomorphism_blocks(modules)
+        assert not builds, alg.name
+        assert (table, idents) == _per_product_solves(modules, blocks)
+        assert sum(map(len, table)) > 20, alg.name
+
+
+def test_endo_of_the_kron2_tilt_builds_no_free_source_block(monkeypatch,
+                                                           kron2):
+    """End(T)^op of the APR tilt of kron^2 at its sink, three projective
+    summands beside the translate, reads every composite through a
+    projective summand off the action rows: no block of a map out of a
+    free module is built."""
+    rep = apr_check(kron2.algebra, kron2.vertex("1", "1"), 2)
+    assert sum(u.proj_gens is not None for _, u in rep.summands) == 3
+    builds = _count_free_blocks(monkeypatch)
+    sca, data = endo_algebra(rep.summands)
+    assert sca.dim > len(rep.summands) and not builds
+
+
 # --- present_algebra --------------------------------------------------------------
 
 def _all_pairs_powers(sca, rad):
