@@ -598,6 +598,10 @@ class Span:
     def __len__(self) -> int:
         return len(self.rows)
 
+    def items(self):
+        """The (leading key, row) pairs of the echelon basis."""
+        return self.rows.items()
+
     def reduce(self, vec) -> SparseRow:
         """Remainder of vec, a dict key -> entry or a dense sequence; it
         is empty exactly when vec lies in the span."""

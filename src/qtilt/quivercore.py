@@ -185,19 +185,13 @@ def _path_lead(vec) -> Path:
     return min(vec, key=lambda p: (-p.degree, p.arrows, p.source))
 
 
-def _paths_of_degree(quiver: Quiver, d: int) -> List[Path]:
-    if d == 0:
-        return [Path.trivial(v) for v in quiver.vertices]
-    cur = [Path.from_arrow(a) for a in quiver.arrows]
-    for _ in range(d - 1):
-        nxt = []
-        for p in cur:
-            for a in quiver.arrows:
-                if a.source == p.target:
-                    nxt.append(Path((a.name,) + p.arrows, p.source, a.target))
-        cur = nxt
-    cur.sort(key=Path.sort_key)
-    return cur
+def _longer_paths(quiver: Quiver, paths: List[Path]) -> List[Path]:
+    """The paths one arrow longer than the given paths of one degree, in
+    `Path.sort_key` order."""
+    out = [Path((a.name,) + p.arrows, p.source, a.target)
+           for p in paths for a in quiver.arrows if a.source == p.target]
+    out.sort(key=Path.sort_key)
+    return out
 
 
 class BoundQuiverAlgebra:
@@ -391,30 +385,37 @@ def build_algebra(quiver: Quiver, relations: Sequence[PathSum], field=QQ,
     ``maxdeg`` vanishes.
     """
     _validate_relations(quiver, relations)
-    relations = tuple(relations)
+    closure = IdealClosure(field, quiver,
+                           [{p: c for c, p in r.terms} for r in relations])
+    return _bound_quotient(name, quiver, relations, closure,
+                           [[Path.trivial(v) for v in quiver.vertices]],
+                           maxdeg)
+
+
+def _bound_quotient(name, quiver: Quiver, relations, closure: IdealClosure,
+                    paths: List[List[Path]], maxdeg: int
+                    ) -> BoundQuiverAlgebra:
+    """`build_algebra` from a capped closure of the relations on, with
+    ``paths[d]`` the paths of each degree d up to its cap."""
+    field = closure.span.field
     vecs = [{p: c for c, p in r.terms} for r in relations]
     graded = all(r.is_homogeneous() for r in relations)
     # an inhomogeneous ideal may need products past maxdeg to show rad^top
     limit = maxdeg if graded else maxdeg + max(map(_top_degree, vecs))
-    paths = [_paths_of_degree(quiver, 0)]
 
     def vanishing(closure, degrees):
         """The least of the degrees whose paths all lie in the closure."""
         return next((d for d in degrees
                      if all(map(closure.contains, paths[d]))), None)
 
-    closure = IdealClosure(field, quiver, vecs)
-    for cap in range(1, limit + 1):
-        closure.raise_cap(cap)
-        if cap <= maxdeg:
-            paths.append(_paths_of_degree(quiver, cap))
-        top = vanishing(closure, range(1, len(paths)))
-        if top is not None:
-            break
-    else:
-        raise NotAdmissibleError(
-            f"quotient still nonzero at degree {maxdeg}; ideal not admissible "
-            f"within the bound")
+    while (top := vanishing(closure, range(1, len(paths)))) is None:
+        if closure.cap >= limit:
+            raise NotAdmissibleError(
+                f"quotient still nonzero at degree {maxdeg}; ideal not "
+                f"admissible within the bound")
+        closure.raise_cap(closure.cap + 1)
+        if closure.cap <= maxdeg:
+            paths.append(_longer_paths(quiver, paths[-1]))
     if not graded:
         closure = IdealClosure(field, quiver, vecs, top=top)
         closure.raise_cap(top)
@@ -427,8 +428,10 @@ def build_algebra(quiver: Quiver, relations: Sequence[PathSum], field=QQ,
 
 
 def opposite(alg: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
-    """The opposite algebra: arrows and relation paths reversed.  An
-    algebra keeps the opposite it built, and the opposite refers back to
+    """The opposite algebra: arrows and relation paths reversed.  It runs
+    no closure: as a fully reduced echelon basis is unique, its span is
+    the reversed span rows, re-led, and its basis the reversed basis and
+    leads below the nilpotency less the new leads.  An algebra keeps the opposite it built, and the opposite refers back to
     it weakly, so the two make no reference cycle and applying `opposite`
     twice returns the original object while that object lives: keep the
     algebra itself, not only its opposite, where that identity matters."""
@@ -437,9 +440,18 @@ def opposite(alg: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
         got = got()
     if got is not None:
         return got
-    oq = alg.quiver.opposite()
+    span = Span(alg.field, _path_lead)
+    below = list(alg.basis)
+    for lead, row in alg._span.items():
+        span.add({p.reversed(): c for p, c in row.items()})
+        if lead.degree < alg.nilpotency:
+            below.append(lead)
+    basis = sorted((q for q in map(Path.reversed, below)
+                    if q not in span.rows), key=Path.sort_key)
     orels = [PathSum(alg.field, r.reversed()) for r in alg.relations]
-    opp = build_algebra(oq, orels, alg.field, alg.maxdeg, alg.name + "_op")
+    opp = BoundQuiverAlgebra(alg.name + "_op", alg.field,
+                             alg.quiver.opposite(), orels, basis, span,
+                             alg.nilpotency, alg.maxdeg)
     alg._opposite = opp
     opp._opposite = weakref.ref(alg)
     return opp

@@ -15,8 +15,8 @@ is first read.  An algebra's cache holds data, never a module, and
 `proj`, `inj` and `regular` return a fresh module on each call, so no
 module and its algebra point at each other.  `cokernel_rep`,
 `dual_free_kernel` and `_submodule_top` read the few arrow columns they
-need in place off the projectives, off a transpose of their arrow
-matrices cached on the algebra (`_free_columns`): each column comes with
+need in place off the projectives, columns read off the algebra's
+products and cached on it (`_free_columns`): each column comes with
 its block's offset in the free module, and the product applies the
 offset instead of copying the column.  A resolution builds no kernel as
 a module: it reads a syzygy's top off its kernel vectors in a free
@@ -303,12 +303,16 @@ def _proj_mats(alg, v: str) -> Dict[str, Matrix]:
 
 def _proj_columns(alg, v: str) -> Dict[str, List[Dict[int, object]]]:
     """Arrow name -> the columns of that arrow's matrix on the
-    indecomposable projective at v, cached on the algebra beside it."""
+    indecomposable projective at v, a.y at each basis element y, read off
+    the products at the block positions and cached on the algebra."""
     got = alg._cache.get(("proj_cols", v))
     if got is None:
-        got = {name: m.sparse_columns()
-               for name, m in _proj_mats(alg, v).items()}
-        alg._cache[("proj_cols", v)] = got
+        pos = alg.block_pos
+        got = alg._cache[("proj_cols", v)] = {
+            a.name: [{pos[z]: d for z, d in alg.basis_product(
+                alg.basis_index(Path.from_arrow(a)), y)}
+                for y in alg.block_indices(v, a.source)]
+            for a in alg.quiver.arrows}
     return got
 
 

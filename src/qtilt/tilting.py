@@ -22,8 +22,8 @@ from .homengine import (DEFAULT_BOUND, ext_dim, injd, is_finite, pd, tau_n,
                         tau_n_minus)
 from .quivercore import (Arrow, BoundQuiverAlgebra, IdealClosure, Path,
                          PathSum, Quiver, StructureConstantAlgebra,
-                         _check_idempotents, _paths_of_degree,
-                         abstract_radical, build_algebra, opposite,
+                         _bound_quotient, _check_idempotents,
+                         _longer_paths, abstract_radical, opposite,
                          semisimple_and_basic_flags)
 from .repcore import (ModuleMap, Representation, _composites, _hom_basis,
                       cokernel_rep, decompose, direct_sum, dual,
@@ -404,7 +404,8 @@ def present_algebra(sca: StructureConstantAlgebra, idempotents: Sequence,
 
     The relations generate the ideal (the round trip is checked), each
     reduced modulo the arrow multiples of the earlier ones up to its own
-    degree.  They need not be minimal: x^3 is kept for
+    degree, and the presented algebra reads its basis off that closure.
+    They need not be minimal: x^3 is kept for
     k<x,y>/(xy, yx, x^2 - y^3), though x^3 = x(x^2 - y^3) + (xy)y^2."""
     if sca.field.char != 0:
         raise UnsupportedCharacteristicError(
@@ -459,10 +460,13 @@ def present_algebra(sca: StructureConstantAlgebra, idempotents: Sequence,
     # closure, so only genuinely new directions are recorded
     relations: List[PathSum] = []
     closure = IdealClosure(field, quiver)
+    by_degree = [[Path.trivial(l) for l in labels]]
+    by_degree.append(_longer_paths(quiver, by_degree[0]))
     by_block: Dict[Tuple[str, str], List[Path]] = {}
     for d in range(2, nilpotency + 1):
         closure.raise_cap(d)
-        for p in _paths_of_degree(quiver, d):
+        by_degree.append(_longer_paths(quiver, by_degree[-1]))
+        for p in by_degree[d]:
             by_block.setdefault((p.source, p.target), []).append(p)
         for _, paths in sorted(by_block.items()):
             mat = Matrix.from_sparse_cols(field, [phi_path(p) for p in paths],
@@ -475,8 +479,9 @@ def present_algebra(sca: StructureConstantAlgebra, idempotents: Sequence,
                                                      in reduced.items()]))
                     closure.add_relation(reduced)
 
-    presented = build_algebra(quiver, relations, field,
-                              maxdeg=max(4, 2 * nilpotency), name="presented")
+    # the closure is capped at the nilpotency, where every path lies in it
+    presented = _bound_quotient("presented", quiver, relations, closure,
+                                by_degree, max(4, 2 * nilpotency))
     if presented.dim != sca.dim:
         raise QtiltError(
             f"presentation round trip failed: {presented.dim} != {sca.dim}")

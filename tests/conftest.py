@@ -189,6 +189,25 @@ def make_two_loop(field=QQ, commutative=False):
     return build_algebra(q, rels, field, name="twoloop")
 
 
+def rebuilt(alg, field):
+    """alg built again over field, its relation coefficients read there."""
+    rels = [PathSum(field, r.terms) for r in alg.relations]
+    return build_algebra(alg.quiver, rels, field, alg.maxdeg, alg.name)
+
+
+def corpus_over(field):
+    """The six-algebra corpus and the commutative square over field, the
+    tensor products of each pair of the corpus's first five algebras, and
+    both two-loop algebras."""
+    from qtilt.tensorcon import tensor_algebras
+    base = [rebuilt(make(), field) for make in (
+        make_kronecker, make_a2, make_a3, make_a3_nilpotent,
+        make_loop_nilpotent, make_semisimple, make_square)]
+    products = [tensor_algebras(x, y).algebra
+                for i, x in enumerate(base[:5]) for y in base[i:5]]
+    return base + products + [make_two_loop(field, c) for c in (False, True)]
+
+
 @pytest.fixture(scope="session")
 def kron():
     return make_kronecker()

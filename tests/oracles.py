@@ -18,6 +18,11 @@ or a constructor only tests need:
   a kernel basis in a matrix;
 - `transpose` reads Tr M as D tau_1 M, the Tr Tr oracle on stable
   modules;
+- `opposite_by_closure` builds the opposite algebra from its reversed
+  relations, a second `IdealClosure`, where `opposite` reverses the
+  algebra's closed span; `paths_of_degree` walks every path of a degree
+  up from the arrows, where the library extends the paths a degree
+  shorter;
 - `tensor_maps` is the vertexwise Kronecker product of two maps, and
   `tensor_resolution` assembles the minimal resolution of M (x) N from
   the factor resolutions, the factorized route to what the product
@@ -32,7 +37,8 @@ from qtilt.exactla import (Matrix, _check_same_field, _tidy, kernel_data,
 from qtilt.homengine import (DEFAULT_BOUND, MinimalResolution,
                              _dualized_elements, _require_depth, is_finite,
                              min_proj_resolution, pd, tau_n)
-from qtilt.quivercore import (BoundQuiverAlgebra, StructureConstantAlgebra,
+from qtilt.quivercore import (BoundQuiverAlgebra, Path, PathSum, Quiver,
+                              StructureConstantAlgebra, build_algebra,
                               opposite)
 from qtilt.repcore import (ModuleMap, Representation, _image_columns,
                            _restricted, cokernel_rep, dual, free_offsets,
@@ -177,6 +183,27 @@ def transpose(m: Representation) -> Representation:
     tau_1 = D Tr, so the cokernel is never built.  Minimality of the
     presentation keeps the result free of spurious projective summands."""
     return dual(tau_n(m, 1))
+
+
+def opposite_by_closure(alg: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
+    """The opposite algebra built from scratch: the reversed relations on
+    the reversed quiver through `build_algebra`.  A fresh algebra, not the
+    one `opposite` keeps."""
+    orels = [PathSum(alg.field, r.reversed()) for r in alg.relations]
+    return build_algebra(alg.quiver.opposite(), orels, alg.field,
+                         alg.maxdeg, alg.name + "_op")
+
+
+def paths_of_degree(quiver: Quiver, d: int):
+    """Every path of degree d, in `Path.sort_key` order from degree 1 on,
+    each degree walked up from the arrows."""
+    if d == 0:
+        return [Path.trivial(v) for v in quiver.vertices]
+    cur = [Path.from_arrow(a) for a in quiver.arrows]
+    for _ in range(d - 1):
+        cur = [Path((a.name,) + p.arrows, p.source, a.target)
+               for p in cur for a in quiver.arrows if a.source == p.target]
+    return sorted(cur, key=Path.sort_key)
 
 
 def tensor_maps(t: TensorAlgebraResult, f: ModuleMap, g: ModuleMap,

@@ -80,9 +80,9 @@ def test_acceptance_3_two_apr_over_tensor_square(kron2):
     assert len(quadratic) == len(pres.relations) == 4
     # kernel oracle: the degree-2 kernel of the presentation surjection has
     # total dimension (#paths - #degree-2 basis elements) summed over blocks
-    from qtilt.quivercore import _paths_of_degree
+    from oracles import paths_of_degree
     blocks = {}
-    for p in _paths_of_degree(pres.quiver, 2):
+    for p in paths_of_degree(pres.quiver, 2):
         blocks.setdefault((p.source, p.target), []).append(p)
     kernel_total = 0
     for (src, tgt), paths in blocks.items():

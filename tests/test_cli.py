@@ -370,6 +370,29 @@ def test_golden_count_apr_kron2(tmp_path):
                          "--n", "2"]) == 0
 
 
+def test_one_ideal_closure_per_algebra(tmp_path, monkeypatch):
+    """The tilt path closes an ideal once per algebra it builds: the parse
+    of the input, and on `--present` the presentation; the opposites
+    reverse the parsed algebra's span."""
+    from qtilt import quivercore
+    gamma = kron_square_file(tmp_path)
+    made = []
+    init = quivercore.IdealClosure.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(quivercore.IdealClosure, "__init__", counted)
+    for argv, closures in [
+            (["apr-tilt", gamma, "--vertex", "(1,1)", "--n", "2",
+              "--present"], 2),
+            (["count-apr", gamma, "--n", "2"], 1)]:
+        made.clear()
+        assert run(argv)[0] == 0
+        assert len(made) == closures, argv[0]
+
+
 @pytest.mark.parametrize("name,left,seed", [
     ("props_kron_a3nil_s3.txt", "kronecker.alg", "3"),
     ("props_a2_a3nil_s5.txt", "a2.alg", "5")])

@@ -799,6 +799,52 @@ def test_two_loop_inhomogeneous_algebras(field, commutative, basis,
                     for k, c in got.items()} == nf, w
 
 
+def test_longer_paths_extend_the_degree_below():
+    """Paths of degree d + 1 extend those of degree d, and are the paths
+    walked up from the arrows."""
+    from conftest import corpus_over
+    from oracles import paths_of_degree
+    from qtilt.quivercore import _longer_paths
+    for alg in corpus_over(QQ):
+        paths = [Path.trivial(v) for v in alg.quiver.vertices]
+        for d in range(1, 5):
+            paths = _longer_paths(alg.quiver, paths)
+            assert paths == paths_of_degree(alg.quiver, d), (alg.name, d)
+
+
+@pytest.mark.parametrize("field", [QQ, GF, PrimeField(3)],
+                         ids=["Q", "GF32003", "GF3"])
+def test_opposite_reverses_the_span_a_closure_would_give(monkeypatch,
+                                                         field):
+    """`opposite` reverses the algebra's span rows and runs no closure; it
+    gives the basis, nilpotency, span rows and anti-isomorphism table of
+    the opposite built from scratch, over the corpus, its tensor products
+    and the inhomogeneous two-loop algebras."""
+    from conftest import corpus_over
+    from oracles import opposite_by_closure
+    from qtilt.quivercore import _op_table
+    made = []
+    init = quivercore.IdealClosure.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(quivercore.IdealClosure, "__init__", counted)
+    for alg in corpus_over(field):
+        made.clear()
+        opp = opposite(alg)
+        assert not made, alg.name
+        want = opposite_by_closure(alg)
+        assert opp.quiver == want.quiver
+        assert opp.basis == want.basis, alg.name
+        assert opp.nilpotency == want.nilpotency, alg.name
+        assert opp._span.rows == want._span.rows, alg.name
+        assert _op_table(alg) == [list(want.normal_form(b.reversed()).items())
+                                  for b in alg.basis]
+        assert opposite(opp) is alg
+
+
 @given(st.sampled_from(["kron", "a3", "kron_gf"]),
        st.lists(st.integers(-3, 3), min_size=6, max_size=6))
 @settings(max_examples=30, deadline=None)

@@ -516,6 +516,24 @@ def _free_corpus():
             make_two_loop(), gf_kron]
 
 
+@pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "GF32003"])
+def test_proj_columns_are_the_columns_of_the_proj_mats(field):
+    """Arrow columns read off the products, at the block positions, are
+    the columns of the arrow matrices built from the action rows, on every
+    projective of the corpus, its tensor products and the two-loop
+    algebras."""
+    from conftest import corpus_over
+    from qtilt.repcore import _proj_columns, _proj_mats
+    checked = 0
+    for alg in corpus_over(field):
+        for v in alg.quiver.vertices:
+            assert _proj_columns(alg, v) == {
+                name: m.sparse_columns()
+                for name, m in _proj_mats(alg, v).items()}, (alg.name, v)
+            checked += 1
+    assert checked > 50
+
+
 def _reference_free_mats(alg, gens):
     """Arrow matrices of the sum of projectives P(v) over the generators,
     entry by entry from the structure constants: coordinate (k, x) at
