@@ -188,10 +188,9 @@ def _path_lead(vec) -> Path:
 def _longer_paths(quiver: Quiver, paths: List[Path]) -> List[Path]:
     """The paths one arrow longer than the given paths of one degree, in
     `Path.sort_key` order."""
-    out = [Path((a.name,) + p.arrows, p.source, a.target)
-           for p in paths for a in quiver.arrows if a.source == p.target]
-    out.sort(key=Path.sort_key)
-    return out
+    return sorted((Path((a.name,) + p.arrows, p.source, a.target)
+                   for p in paths for a in quiver.arrows
+                   if a.source == p.target), key=Path.sort_key)
 
 
 class BoundQuiverAlgebra:
@@ -429,10 +428,11 @@ def _bound_quotient(name, quiver: Quiver, relations, closure: IdealClosure,
 
 def opposite(alg: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
     """The opposite algebra: arrows and relation paths reversed.  It runs
-    no closure: as a fully reduced echelon basis is unique, its span is
-    the reversed span rows, re-led, and its basis the reversed basis and
-    leads below the nilpotency less the new leads.  An algebra keeps the opposite it built, and the opposite refers back to
-    it weakly, so the two make no reference cycle and applying `opposite`
+    no closure: a fully reduced echelon basis is unique, so its span rows
+    are the algebra's reversed and re-led, and its basis the reversed
+    basis and leads below the nilpotency less the new leads.  An algebra
+    keeps the opposite it built, and the opposite refers back to it
+    weakly, so the two make no reference cycle and applying `opposite`
     twice returns the original object while that object lives: keep the
     algebra itself, not only its opposite, where that identity matters."""
     got = alg._opposite

@@ -303,8 +303,7 @@ def _proj_mats(alg, v: str) -> Dict[str, Matrix]:
 
 def _proj_columns(alg, v: str) -> Dict[str, List[Dict[int, object]]]:
     """Arrow name -> the columns of that arrow's matrix on the
-    indecomposable projective at v, a.y at each basis element y, read off
-    the products at the block positions and cached on the algebra."""
+    indecomposable projective at v, read off the products, cached."""
     got = alg._cache.get(("proj_cols", v))
     if got is None:
         pos = alg.block_pos
